@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
@@ -46,7 +47,6 @@ class ExperimentConfig:
     lam: Optional[float]
     solver: SolverConfig
     diagnostics: dict
-    seed: int
     raw: dict
 
     @staticmethod
@@ -62,7 +62,7 @@ class ExperimentConfig:
     def from_dict(raw: dict) -> "ExperimentConfig":
         try:
             domain = Domain.from_config(raw["domain"])
-            h = float(raw["h"])
+            h = _finite("h", raw["h"])
             D = int(raw.get("D", 2))
             initial = InitialData.from_config(raw["initial"])
             sv = raw["solver"]
@@ -73,21 +73,21 @@ class ExperimentConfig:
             if mode != "projected":
                 if "lambda" not in sv:
                     raise ConfigError("penalized modes need solver.lambda")
-                lam = float(sv["lambda"])
+                lam = _finite("solver.lambda", sv["lambda"])
                 if lam <= 1.0:
                     raise ConfigError("solver.lambda must exceed 1")
-            cfl = float(sv.get("cfl", 0.9))
+            cfl = _finite("solver.cfl", sv.get("cfl", 0.9))
             d = domain.d
             dt_raw = sv.get("dt", "auto")
-            dt = cfl * h * h / (2.0 * d) if dt_raw == "auto" else float(dt_raw)
+            dt = (cfl * h * h / (2.0 * d) if dt_raw == "auto"
+                  else _finite("solver.dt", dt_raw))
             solver = SolverConfig(
-                dt=dt, T=float(sv["T"]), cfl=cfl,
+                dt=dt, T=_finite("solver.T", sv["T"]), cfl=cfl,
                 penalty_integration=sv.get("penalty_integration", "exact-logistic"),
                 output_stride=int(sv.get("output_stride", 1)))
             cfg = ExperimentConfig(domain=domain, h=h, D=D, initial=initial,
                                    mode=mode, lam=lam, solver=solver,
-                                   diagnostics=raw.get("diagnostics", {}),
-                                   seed=int(raw.get("seed", 0)), raw=raw)
+                                   diagnostics=raw.get("diagnostics", {}), raw=raw)
             cfg.validate()
             return cfg
         except ConfigError:
@@ -137,6 +137,13 @@ class ExperimentConfig:
     def domain_center(self) -> np.ndarray:
         lo, hi = self.domain.bounding_box()
         return 0.5 * (lo + hi)
+
+
+def _finite(name: str, value) -> float:
+    x = float(value)
+    if not math.isfinite(x):
+        raise ConfigError(f"{name} must be a finite number, got {value!r}")
+    return x
 
 
 def _run_flow(cfg: ExperimentConfig, grid: Grid, u0: SphereField) -> Trajectory:

@@ -112,49 +112,48 @@ def weight_d(x0, x, d0: float):
 
 # -- densities ---------------------------------------------------------------
 
+def _penalty_density(traj: Trajectory, k: int) -> np.ndarray:
+    """Flat lattice Lam (|u|^2 - 1)^2 / 4 of snapshot k, zero off the interior."""
+    g = traj.grid
+    idx = g.interior_flat
+    w = norm_squared_flat(traj.snapshots[k])[idx]
+    pen = np.zeros(g.n_lattice)
+    pen[idx] = traj.strength_at(traj.times[k]) * (w - 1.0) ** 2 / 4.0
+    return pen
+
+
 def energy_density(traj: Trajectory, k: int, mode: str = "gl") -> np.ndarray:
     """Flat lattice density of snapshot k: gl density or plain |grad u|^2.
 
     gl mode:       |grad u|^2 / 2 + Lam (|u|^2 - 1)^2 / 4,
     gradient mode: |grad u|^2.
-    Cached per (snapshot, strength, mode); static trajectories sharing one
-    field share one density.
+    Cached per (snapshot, strength, mode), and the gl density is built from
+    the cached gradient one; static trajectories sharing one field share
+    one density.
     """
+    if mode not in ("gl", "gradient"):
+        raise ValueError(f"unknown density mode {mode!r}")
     snap = traj.snapshots[k]
-    lam_eff = traj.strength_at(traj.times[k]) if mode == "gl" else 0.0
-    key = (id(snap), mode, lam_eff)
     cache = traj._density_cache
+    grad_key = (id(snap), "gradient", 0.0)
+    if grad_key not in cache:
+        cache[grad_key] = gradient_squared_density(snap)
+    if mode == "gradient":
+        return cache[grad_key]
+    key = (id(snap), mode, traj.strength_at(traj.times[k]))
     if key not in cache:
-        grad2 = gradient_squared_density(snap)
-        if mode == "gradient":
-            cache[key] = grad2
-        elif mode == "gl":
-            dens = 0.5 * grad2
-            if lam_eff > 0.0:
-                idx = traj.grid.interior_flat
-                w = norm_squared_flat(snap)[idx]
-                dens[idx] += lam_eff * (w - 1.0) ** 2 / 4.0
-            cache[key] = dens
-        else:
-            raise ValueError(f"unknown density mode {mode!r}")
+        cache[key] = 0.5 * cache[grad_key] + _penalty_density(traj, k)
     return cache[key]
 
 
 def energy_report(traj: Trajectory, k: int) -> EnergyReport:
     """Snapshot-level energy decomposition with its node density."""
-    g = traj.grid
-    snap = traj.snapshots[k]
-    grad2 = gradient_squared_density(snap)
-    idx = g.interior_flat
-    lam_eff = traj.strength_at(traj.times[k])
-    w = norm_squared_flat(snap)[idx]
-    pen_dens = np.zeros(g.n_lattice)
-    pen_dens[idx] = lam_eff * (w - 1.0) ** 2 / 4.0
-    density = 0.5 * grad2 + pen_dens
-    vol = g.cell_volume
+    grad2 = energy_density(traj, k, "gradient")
+    density = energy_density(traj, k, "gl")
+    vol = traj.grid.cell_volume
     return EnergyReport(gl_energy=float(density.sum() * vol),
                         dirichlet_part=float(0.5 * grad2.sum() * vol),
-                        penalty_part=float(pen_dens.sum() * vol),
+                        penalty_part=float(_penalty_density(traj, k).sum() * vol),
                         density=density)
 
 
@@ -170,6 +169,28 @@ def _window_eval_times(times, a: float):
     varying integrands are sampled there rather than at the snapshot time."""
     ts = np.asarray(times)
     return np.maximum(ts, a)
+
+
+def window_snapshots(traj: Trajectory, a: float, b: float):
+    """Indices and left-endpoint rectangle weights of the snapshots whose
+    subintervals meet the window [a, b); EmptyIntersection if none does."""
+    w = _window_weights(traj.times, traj.t_final, a, b)
+    ks = np.flatnonzero(w > 0)
+    if ks.size == 0:
+        raise EmptyIntersection(f"no snapshot inside the window [{a:g}, {b:g})")
+    return ks, w[ks]
+
+
+def window_integral(traj: Trajectory, a: float, b: float, per_snapshot):
+    """Time integral over [a, b) of a per-snapshot quantity: the rectangle
+    sum  sum_k w_k per_snapshot(k)  over the snapshots of the window.
+
+    The one time quadrature behind every plain cylinder integral.
+    ``per_snapshot(k)`` returns an array: a lattice field, or its values
+    on the cylinder's nodes.
+    """
+    ks, w = window_snapshots(traj, a, b)
+    return sum(wk * per_snapshot(int(k)) for k, wk in zip(ks, w))
 
 
 def _spatial_weighted_sum(grid: Grid, density: np.ndarray, z0, t: float,
@@ -368,40 +389,33 @@ def main2_lhs(traj_or_u0, z0, R0: float, mu0: float, c_mu0: float,
 
 # -- cylinder integrals and comparison ratios ---------------------------------
 
+def _cylinder_nodes(grid: Grid, cyl: CylinderSpec) -> np.ndarray:
+    nodes = grid.nodes_within(cyl.x0, cyl.R)
+    if nodes.size == 0:
+        raise EmptyIntersection("cylinder holds no interior node")
+    return nodes
+
+
 def cylinder_integral(traj: Trajectory, cyl: CylinderSpec, mode: str = "gl") -> float:
     """Plain integral of the chosen density over the clipped cylinder."""
-    g = traj.grid
-    ts = np.asarray(traj.times)
-    a, b = cyl.t0 - cyl.R ** 2, cyl.t0 + cyl.R ** 2
-    w = _window_weights(ts, traj.t_final, a, b)
-    nodes = g.nodes_within(cyl.x0, cyl.R)
-    if not np.any(w > 0) or nodes.size == 0:
-        raise EmptyIntersection("cylinder does not meet the trajectory")
-    total = 0.0
-    for k in np.flatnonzero(w > 0):
-        dens = energy_density(traj, int(k), mode)
-        total += w[k] * float(dens[nodes].sum()) * g.cell_volume
-    return total
+    nodes = _cylinder_nodes(traj.grid, cyl)
+    vals = window_integral(traj, cyl.t0 - cyl.R ** 2, cyl.t0 + cyl.R ** 2,
+                           lambda k: energy_density(traj, k, mode)[nodes])
+    return float(vals.sum()) * traj.grid.cell_volume
 
 
 def _deviation_integral(traj: Trajectory, h0: HarmonicExtension,
-                        cyl: CylinderSpec) -> tuple[float, float]:
-    """(integral of |u - h0|^2 over the cylinder, spacetime volume covered)."""
-    g = traj.grid
-    ts = np.asarray(traj.times)
-    a, b = cyl.t0 - cyl.R ** 2, cyl.t0 + cyl.R ** 2
-    w = _window_weights(ts, traj.t_final, a, b)
-    nodes = g.nodes_within(cyl.x0, cyl.R)
-    if not np.any(w > 0) or nodes.size == 0:
-        raise EmptyIntersection("cylinder does not meet the trajectory")
+                        cyl: CylinderSpec) -> float:
+    """Integral of |u - h0|^2 over the clipped cylinder."""
+    nodes = _cylinder_nodes(traj.grid, cyl)
     h0_vals = h0.field.flat()[nodes]
-    total = 0.0
-    vol = 0.0
-    for k in np.flatnonzero(w > 0):
-        diff = traj.snapshots[int(k)].flat()[nodes] - h0_vals
-        total += w[k] * float(np.einsum("ij,ij->", diff, diff)) * g.cell_volume
-        vol += w[k] * nodes.size * g.cell_volume
-    return total, vol
+
+    def dev2(k):
+        diff = traj.snapshots[k].flat()[nodes] - h0_vals
+        return np.einsum("ij,ij->i", diff, diff)
+
+    vals = window_integral(traj, cyl.t0 - cyl.R ** 2, cyl.t0 + cyl.R ** 2, dev2)
+    return float(vals.sum()) * traj.grid.cell_volume
 
 
 def _h0_data_integral(h0: HarmonicExtension, cyl: CylinderSpec,
@@ -438,9 +452,9 @@ def reverse_poincare_ratio(traj: Trajectory, h0: HarmonicExtension,
     g = traj.grid
     lhs = cylinder_integral(traj, cyl, mode="gradient") / 2.0 / cyl.R ** g.d
     big = CylinderSpec(t0=cyl.t0, x0=cyl.x0, R=2.0 * cyl.R)
-    dev, vol = _deviation_integral(traj, h0, big)
-    data, dvol = _h0_data_integral(h0, big, _clipped_time_extent(traj, big))
-    rhs = dev / vol + (data / dvol if dvol > 0 else 0.0)
+    dev = _deviation_integral(traj, h0, big)
+    data, vol = _h0_data_integral(h0, big, _clipped_time_extent(traj, big))
+    rhs = dev / vol + data / vol
     return lhs, rhs
 
 
@@ -457,7 +471,7 @@ def hybrid_report(traj: Trajectory, h0: HarmonicExtension, cyl: CylinderSpec,
     inner = cylinder_integral(traj, cyl, mode="gl")
     big = CylinderSpec(t0=cyl.t0, x0=cyl.x0, R=2.0 * cyl.R)
     outer = cylinder_integral(traj, big, mode="gl")
-    dev, _ = _deviation_integral(traj, h0, big)
+    dev = _deviation_integral(traj, h0, big)
     data_int, _ = _h0_data_integral(h0, big, _clipped_time_extent(traj, big))
     data = dev / cyl.R ** 2 + data_int
     return inner, outer, data

@@ -223,7 +223,7 @@ def glhf_step(f: SphereField, t: float, cfg: SolverConfig,
         w1 = _logistic_norms(w0, lam_eff, cfg.dt)
     out = _apply_norms(mid, w1)
     mx = out.max_norm()
-    if mx > 1.0 + 1e-7:
+    if not mx <= 1.0 + 1e-7:
         raise NormBlowup(f"max node norm {mx} exceeds 1 + 1e-7 at t = {t}")
     return out
 
@@ -283,7 +283,7 @@ def _run(u0: SphereField, cfg: SolverConfig, sched: Optional[PenaltySchedule],
             u = _apply_norms(mid, w1)
 
         mx = u.max_norm()
-        if mx > 1.0 + 1e-7:
+        if not mx <= 1.0 + 1e-7:
             raise NormBlowup(f"max node norm {mx} at step {k + 1}")
 
         t_next = (k + 1) * cfg.dt

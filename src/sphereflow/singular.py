@@ -7,6 +7,11 @@ intersection over all scales.  The scan records per-radius values so the
 surrogate's sensitivity is auditable.  Cylinder radii are used as given;
 no gauge correction is applied to the hypothesis radius (noted in the
 report).
+
+Every cylinder energy here is ``diagnostics.window_integral`` of a
+density summed over a ball of nodes.  The scan computes one window field
+per (scan time, radius) and takes the ball sums of all its scan nodes in
+one vectorized gather from a zero-padded copy of that field.
 """
 
 from __future__ import annotations
@@ -16,8 +21,9 @@ from typing import Optional
 
 import numpy as np
 
-from .diagnostics import energy_density, _window_weights
-from .errors import EmptyIntersection, TooFewScales
+from .diagnostics import (CylinderSpec, cylinder_integral, energy_density,
+                          window_integral, window_snapshots)
+from .errors import TooFewScales
 from .flow import Trajectory
 
 GAUGE_NOTE = "scan radii are used verbatim; no gauge reshaping of cylinders"
@@ -73,25 +79,22 @@ class SingularReport:
         }
 
 
+def _density_mode(mode: str) -> str:
+    return "gradient" if mode == "dirichlet" else "gl"
+
+
+def _scale(mode: str, R: float, d: int) -> float:
+    return 2.0 * R ** d if mode == "dirichlet" else R ** d
+
+
 def local_scaled_energy(traj: Trajectory, z0, R: float, mode: str = "gl") -> float:
     """Scaled cylinder energy: R^{-d} integral of the density over P_R,
     or (2 R^d)^{-1} of |grad u|^2 in dirichlet mode."""
     g = traj.grid
     if R < 2.0 * g.h - 1e-12:
         raise ValueError("radius below the 2h resolution floor")
-    t0, x0 = float(z0[0]), np.asarray(z0[1], dtype=float)
-    ts = np.asarray(traj.times)
-    w = _window_weights(ts, traj.t_final, t0 - R * R, t0 + R * R)
-    nodes = g.nodes_within(x0, R)
-    if not np.any(w > 0) or nodes.size == 0:
-        raise EmptyIntersection("cylinder does not meet the trajectory")
-    dens_mode = "gradient" if mode == "dirichlet" else "gl"
-    total = 0.0
-    for k in np.flatnonzero(w > 0):
-        dens = energy_density(traj, int(k), dens_mode)
-        total += w[k] * float(dens[nodes].sum()) * g.cell_volume
-    scale = 2.0 * R ** g.d if mode == "dirichlet" else R ** g.d
-    return total / scale
+    cyl = CylinderSpec(t0=float(z0[0]), x0=z0[1], R=R)
+    return cylinder_integral(traj, cyl, _density_mode(mode)) / _scale(mode, R, g.d)
 
 
 def _scan_points(traj: Trajectory, cfg: SingularConfig):
@@ -111,104 +114,68 @@ def _scan_points(traj: Trajectory, cfg: SingularConfig):
     return t_idx, nodes
 
 
+# index entries per ball-sum gather; bounds the scan's temporaries
+_GATHER_CHUNK = 1 << 20
+
+
+def _ball_sums(flat: np.ndarray, centers: np.ndarray, offsets: np.ndarray) -> np.ndarray:
+    """flat[c + offsets].sum() for every c in centers, in blocks of centers."""
+    step = max(1, _GATHER_CHUNK // offsets.size)
+    return np.concatenate([flat[centers[i:i + step, None] + offsets].sum(axis=1)
+                           for i in range(0, centers.size, step)])
+
+
 def detect_singular_set(traj: Trajectory, cfg: SingularConfig) -> SingularReport:
     """Scan spacetime for points whose scaled energy exceeds the threshold
-    at every radius in the scan list."""
+    at every radius in the scan list.
+
+    Radii go in increasing order; a scan point stops at its first radius
+    below the threshold.
+    """
     g = traj.grid
     cfg.validate(g.h)
     radii = sorted(float(r) for r in cfg.radii)
     t_idx, nodes = _scan_points(traj, cfg)
-    ts = np.asarray(traj.times)
     coords = g.coords()
+    dens_mode = _density_mode(cfg.mode)
+    interior = g.class_flat() == 1
 
-    # cumulative time integrals of the density at window endpoints shared
-    # across scan points: integral over (a, b) = S(b) - S(a)
-    endpoints = set()
-    for kt in t_idx:
-        t0 = float(ts[kt])
-        for R in radii:
-            endpoints.add(max(t0 - R * R, 0.0))
-            endpoints.add(min(t0 + R * R, traj.t_final))
-    endpoints = sorted(endpoints)
-    dens_mode = "gradient" if cfg.mode == "dirichlet" else "gl"
-    cum = {}
-    running = np.zeros(g.n_lattice)
-    nxt = np.append(ts[1:], traj.t_final)
-    ei = 0
-    for e in endpoints:
-        if e <= ts[0]:
-            cum[e] = running.copy()
-    for k in range(len(ts)):
-        seg_lo, seg_hi = ts[k], nxt[k]
-        while ei < len(endpoints) and endpoints[ei] <= seg_lo:
-            if endpoints[ei] not in cum:
-                cum[endpoints[ei]] = running.copy()
-            ei += 1
-        dens = None
-        # endpoints inside this segment split the rectangle contribution
-        prev = seg_lo
-        while ei < len(endpoints) and endpoints[ei] <= seg_hi:
-            e = endpoints[ei]
-            if dens is None:
-                dens = energy_density(traj, k, dens_mode)
-            running = running + (e - prev) * dens
-            cum[e] = running.copy()
-            prev = e
-            ei += 1
-        if prev < seg_hi:
-            if dens is None:
-                dens = energy_density(traj, k, dens_mode)
-            running = running + (seg_hi - prev) * dens
-    for e in endpoints:
-        if e not in cum:
-            cum[e] = running.copy()
-
-    offsets = {R: g.ball_offsets(R) for R in radii}
-    strides = g.strides()
-    cls = g.class_flat()
-    shape_arr = np.asarray(g.shape, dtype=np.int64)
-    scale_pow = g.d
-
-    def ball_nodes(node: int, R: float) -> np.ndarray:
-        cand = np.array(np.unravel_index(node, g.shape), dtype=np.int64) + offsets[R]
-        ok = np.all((cand >= 0) & (cand < shape_arr), axis=1)
-        flat_nb = cand[ok] @ strides
-        return flat_nb[cls[flat_nb] == 1]
+    # zero padding of the widest ball's reach keeps every gathered index on
+    # the padded lattice; flat offsets there address the whole ball
+    m = int(np.ceil(radii[-1] / g.h))
+    padded = np.zeros(tuple(n + 2 * m for n in g.shape))
+    core = padded[(slice(m, -m),) * g.d]
+    flat_padded = padded.reshape(-1)
+    pstrides = np.array(padded.strides) // padded.itemsize
+    centers = (np.array(np.unravel_index(nodes, g.shape)).T + m) @ pstrides
+    offsets = {R: g.ball_offsets(R) @ pstrides for R in radii}
 
     flagged, values = [], []
-    n_scanned = 0
     for kt in t_idx:
-        t0 = float(ts[kt])
-        for node in nodes:
-            n_scanned += 1
-            x0 = coords[node]
-            vals = {}
-            ok = True
-            for R in radii:
-                a = max(t0 - R * R, 0.0)
-                b = min(t0 + R * R, traj.t_final)
-                field_ab = cum[b] - cum[a]
-                total = float(field_ab[ball_nodes(int(node), R)].sum()) * g.cell_volume
-                denom = 2.0 * R ** scale_pow if cfg.mode == "dirichlet" else R ** scale_pow
-                v = total / denom
-                vals[R] = v
-                if v < cfg.eps0:
-                    ok = False
-                    break
-            if ok:
-                flagged.append((t0, tuple(float(c) for c in x0)))
-                values.append({str(R): vals[R] for R in radii})
+        t0 = float(traj.times[kt])
+        vals = np.empty((nodes.size, len(radii)))
+        alive = np.arange(nodes.size)
+        for j, R in enumerate(radii):
+            if alive.size == 0:
+                break
+            field = window_integral(traj, t0 - R * R, t0 + R * R,
+                                    lambda k: energy_density(traj, k, dens_mode))
+            core[...] = np.where(interior, field, 0.0).reshape(g.shape)
+            sums = _ball_sums(flat_padded, centers[alive], offsets[R])
+            vals[alive, j] = sums * g.cell_volume / _scale(cfg.mode, R, g.d)
+            alive = alive[vals[alive, j] >= cfg.eps0]
+        for i in alive:
+            flagged.append((t0, tuple(float(c) for c in coords[nodes[i]])))
+            values.append({str(R): float(v) for R, v in zip(radii, vals[i])})
 
     # sup-density cross-check on the smallest cylinder at flagged points
     sup_checks = []
     rmin = radii[0]
     for (t0, x) in flagged[:64]:
-        w = _window_weights(ts, traj.t_final, t0 - rmin ** 2, t0 + rmin ** 2)
+        ks, _ = window_snapshots(traj, t0 - rmin ** 2, t0 + rmin ** 2)
         nodes_in = g.nodes_within(np.asarray(x), rmin)
-        sup_val = 0.0
-        for k in np.flatnonzero(w > 0):
-            dens = energy_density(traj, int(k), dens_mode)
-            sup_val = max(sup_val, float(dens[nodes_in].max(initial=0.0)))
+        sup_val = max(float(energy_density(traj, int(k), dens_mode)[nodes_in]
+                            .max(initial=0.0)) for k in ks)
         sup_checks.append((t0, x, sup_val, sup_val * rmin ** 2))
 
     deltas = [float(x) for x in (cfg.deltas if cfg.deltas else radii)]
@@ -218,7 +185,8 @@ def detect_singular_set(traj: Trajectory, cfg: SingularConfig) -> SingularReport
     else:
         table, dim = [], None
 
-    return SingularReport(flagged=flagged, values=values, n_scanned=n_scanned,
+    return SingularReport(flagged=flagged, values=values,
+                          n_scanned=len(t_idx) * nodes.size,
                           box_table=table, dimension_estimate=dim,
                           sup_density_checks=sup_checks, eps0=cfg.eps0,
                           radii=radii, mode=cfg.mode)
@@ -269,19 +237,11 @@ def small_energy_certificate(traj: Trajectory, z0, radii, eps0: float
 
     Returns (all_pass, table) with rows (r, integral, bound, pass).
     """
-    g = traj.grid
-    t0, x0 = float(z0[0]), np.asarray(z0[1], dtype=float)
-    ts = np.asarray(traj.times)
+    d = traj.grid.d
     table = []
     for r in sorted(float(r) for r in radii):
-        w = _window_weights(ts, traj.t_final, t0 - r * r, t0 + r * r)
-        nodes = g.nodes_within(x0, r)
-        if not np.any(w > 0) or nodes.size == 0:
-            raise EmptyIntersection(f"radius {r} cylinder misses the trajectory")
-        total = 0.0
-        for k in np.flatnonzero(w > 0):
-            dens = energy_density(traj, int(k), "gradient")
-            total += w[k] * float(dens[nodes].sum()) * g.cell_volume
-        bound = eps0 ** 2 * r ** g.d / 2.0
-        table.append((float(r), float(total), float(bound), bool(total < bound)))
+        total = cylinder_integral(traj, CylinderSpec(t0=float(z0[0]), x0=z0[1], R=r),
+                                  mode="gradient")
+        bound = eps0 ** 2 * r ** d / 2.0
+        table.append((r, total, float(bound), bool(total < bound)))
     return all(row[3] for row in table), table

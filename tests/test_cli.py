@@ -75,6 +75,22 @@ def test_cfl_violation_exits_2(tmp_path):
     assert "cfl" in err["message"].lower() or "h^2" in err["message"]
 
 
+@pytest.mark.parametrize("key, value", [("lambda", float("nan")),
+                                        ("T", float("inf")),
+                                        ("cfl", float("nan")),
+                                        ("dt", float("nan"))])
+def test_non_finite_solver_number_exits_2(tmp_path, key, value):
+    cfg = json.loads((CONFIGS / "onesided_cap.json").read_text())
+    cfg["solver"].update({"mode": "glhf-simplified", "lambda": 1000.0, key: value})
+    p = tmp_path / "bad.json"
+    p.write_text(json.dumps(cfg))      # NaN / Infinity literals
+    out = tmp_path / "out"
+    assert run_experiment(p, out) == 2
+    err = json.loads((out / "error.json").read_text())
+    assert err["error"] == "ConfigError" and "finite" in err["message"]
+    assert not (out / "trajectory.csv").exists()
+
+
 def test_unparseable_config_exits_2(tmp_path):
     p = tmp_path / "broken.json"
     p.write_text("{nope")

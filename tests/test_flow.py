@@ -118,6 +118,16 @@ def test_norm_blowup_guard(disc16):
         glhf_step(f, 0.0, cfg, PenaltySchedule(lam=2.0))
 
 
+def test_norm_blowup_guard_catches_nan(disc16):
+    f = generate(InitialData(kind="cap", latitude_deg=60.0), disc16, 2)
+    cfg = SolverConfig(dt=SolverConfig.auto_dt(disc16), T=0.01)
+    sched = PenaltySchedule(lam=float("nan"))
+    with pytest.raises(NormBlowup):
+        glhf_step(f, 0.0, cfg, sched)
+    with pytest.raises(NormBlowup):
+        run_glhf(f, cfg, sched)
+
+
 # -- runs -----------------------------------------------------------------------
 
 def test_constant_trajectory_is_constant(disc16):

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from sphereflow.diagnostics import CylinderSpec, cylinder_integral
 from sphereflow.errors import EmptyIntersection, TooFewScales
 from sphereflow.field import InitialData, generate
 from sphereflow.flow import SolverConfig, Trajectory, run_projected
@@ -84,6 +85,24 @@ def test_detector_threshold_monotone(hedgehog_run8):
     rep_lo = detect_singular_set(hedgehog_run8, lo)
     rep_hi = detect_singular_set(hedgehog_run8, hi)
     assert set(rep_hi.flagged) <= set(rep_lo.flagged)
+
+
+def test_scan_and_certificate_match_single_cylinder_path(hedgehog_run8):
+    cfg = SingularConfig(eps0=1.0, radii=[0.25, 0.5], time_stride=1, space_stride=4)
+    rep = detect_singular_set(hedgehog_run8, cfg)
+    assert rep.flagged
+    for (t, x), vals in zip(rep.flagged, rep.values):
+        for R in cfg.radii:
+            single = local_scaled_energy(hedgehog_run8, (t, np.asarray(x)), R,
+                                         mode=cfg.mode)
+            assert vals[str(R)] == pytest.approx(single, rel=1e-12)
+
+    z0 = (0.25, np.zeros(3))
+    _, table = small_energy_certificate(hedgehog_run8, z0, cfg.radii, 1.0)
+    for r, integral, _, _ in table:
+        cyl = CylinderSpec(t0=z0[0], x0=z0[1], R=r)
+        assert integral == pytest.approx(
+            cylinder_integral(hedgehog_run8, cyl, mode="gradient"), rel=1e-12)
 
 
 def test_box_count_single_point():
