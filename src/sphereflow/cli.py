@@ -1,13 +1,13 @@
 """Config-driven experiment runner.
 
 Usage:
-    sphereflow run   --config cfg.json [--out DIR] [--threads N]
+    sphereflow run   --config cfg.json [--out DIR]
     sphereflow sweep --config cfg.json --param lambda --values 100,1000,10000
-                     [--out DIR] [--threads N]
+                     [--out DIR]
 
-The JSON config is the single source of truth; flags only bind paths and
-the diagnostic thread count.  Stepping is always single threaded so reruns
-are byte-identical.
+The JSON config is the single source of truth; flags only bind paths (and
+name the swept parameter and its values).  Everything runs in one thread,
+so reruns are byte-identical.
 """
 
 from __future__ import annotations
@@ -16,7 +16,6 @@ import argparse
 import json
 import math
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Optional
@@ -66,6 +65,8 @@ class ExperimentConfig:
             D = int(raw.get("D", 2))
             initial = InitialData.from_config(raw["initial"])
             sv = raw["solver"]
+            if sv.get("penalty_integration", "exact-logistic") != "exact-logistic":
+                raise ConfigError("solver.penalty_integration must be 'exact-logistic'")
             mode = sv.get("mode", "glhf-simplified")
             if mode not in ("glhf-simplified", "glhf-original", "projected"):
                 raise ConfigError(f"unknown solver mode {mode!r}")
@@ -83,16 +84,18 @@ class ExperimentConfig:
                   else _finite("solver.dt", dt_raw))
             solver = SolverConfig(
                 dt=dt, T=_finite("solver.T", sv["T"]), cfl=cfl,
-                penalty_integration=sv.get("penalty_integration", "exact-logistic"),
                 output_stride=int(sv.get("output_stride", 1)))
+            diagnostics = raw.get("diagnostics", {})
+            if not isinstance(diagnostics, dict):
+                raise ConfigError("diagnostics must be an object")
             cfg = ExperimentConfig(domain=domain, h=h, D=D, initial=initial,
                                    mode=mode, lam=lam, solver=solver,
-                                   diagnostics=raw.get("diagnostics", {}), raw=raw)
+                                   diagnostics=diagnostics, raw=raw)
             cfg.validate()
             return cfg
         except ConfigError:
             raise
-        except (KeyError, TypeError, ValueError) as e:
+        except (AttributeError, KeyError, TypeError, ValueError) as e:
             raise ConfigError(f"invalid config: {e}") from e
 
     def validate(self):
@@ -105,7 +108,6 @@ class ExperimentConfig:
         except (CFLViolated, ValueError) as e:
             raise ConfigError(str(e)) from e
         if "singular" in self.diagnostics:
-            s = self.diagnostics["singular"]
             try:
                 self._singular_config(grid).validate(grid.h)
             except ValueError as e:
@@ -146,7 +148,7 @@ def _finite(name: str, value) -> float:
     return x
 
 
-def _run_flow(cfg: ExperimentConfig, grid: Grid, u0: SphereField) -> Trajectory:
+def _run_flow(cfg: ExperimentConfig, u0: SphereField) -> Trajectory:
     if cfg.mode == "projected":
         return run_projected(u0, cfg.solver)
     sched = PenaltySchedule(lam=cfg.lam,
@@ -164,23 +166,16 @@ def _write_trajectory(out: Path, traj: Trajectory):
                             lam=traj.lam, exponent=traj.exponent_at(t))
 
 
-def _cylinder_rows(traj: Trajectory, specs: list, threads: int) -> list:
-    def one(spec):
-        cyl = diag.CylinderSpec(t0=float(spec["t0"]),
-                                x0=np.asarray(spec["x0"], dtype=float),
-                                R=float(spec["R"]))
-        mode = spec.get("mode", "gl")
-        val = sing.local_scaled_energy(traj, (cyl.t0, cyl.x0), cyl.R, mode=mode)
-        return [cyl.t0] + [float(c) for c in cyl.x0] + [cyl.R, mode, val]
-
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            return list(pool.map(one, specs))
-    return [one(s) for s in specs]
+def _cylinder_row(traj: Trajectory, spec: dict) -> list:
+    cyl = diag.CylinderSpec(t0=float(spec["t0"]),
+                            x0=np.asarray(spec["x0"], dtype=float),
+                            R=float(spec["R"]))
+    mode = spec.get("mode", "gl")
+    val = sing.local_scaled_energy(traj, (cyl.t0, cyl.x0), cyl.R, mode=mode)
+    return [cyl.t0] + [float(c) for c in cyl.x0] + [cyl.R, mode, val]
 
 
-def _run_diagnostics(cfg: ExperimentConfig, grid: Grid, traj: Trajectory,
-                     out: Path, threads: int):
+def _run_diagnostics(cfg: ExperimentConfig, grid: Grid, traj: Trajectory, out: Path):
     dcfg = cfg.diagnostics
     reports = out / "reports"
 
@@ -188,7 +183,7 @@ def _run_diagnostics(cfg: ExperimentConfig, grid: Grid, traj: Trajectory,
                     diag.energy_report(traj, len(traj.snapshots) - 1).to_json())
 
     if "cylinders" in dcfg and dcfg["cylinders"]:
-        rows = _cylinder_rows(traj, dcfg["cylinders"], threads)
+        rows = [_cylinder_row(traj, spec) for spec in dcfg["cylinders"]]
         header = (["t0"] + [f"x0_{i}" for i in range(grid.d)]
                   + ["R", "mode", "scaled_energy"])
         sfio.write_csv(reports / "cylinders.csv", header, rows)
@@ -235,6 +230,7 @@ def _run_diagnostics(cfg: ExperimentConfig, grid: Grid, traj: Trajectory,
 
 
 def run_experiment(config_path, out_dir=None, threads: int = 1) -> int:
+    # threads is unused; the keyword stays because the benchmark harness passes it
     config_path = Path(config_path)
     out = Path(out_dir) if out_dir else config_path.parent / (config_path.stem + "_out")
     try:
@@ -245,13 +241,13 @@ def run_experiment(config_path, out_dir=None, threads: int = 1) -> int:
     try:
         grid = build_grid(cfg.domain, cfg.h)
         u0 = cfg.build_initial(grid)
-        traj = _run_flow(cfg, grid, u0)
+        traj = _run_flow(cfg, u0)
         out.mkdir(parents=True, exist_ok=True)
         with open(out / "config.json", "w") as f:
             json.dump(cfg.raw, f, indent=2, sort_keys=True)
             f.write("\n")
         _write_trajectory(out, traj)
-        _run_diagnostics(cfg, grid, traj, out, threads)
+        _run_diagnostics(cfg, grid, traj, out)
         manifest = sfio.build_manifest(out, config_path)
         sfio.write_json(out / "manifest.json", manifest)
         return 0
@@ -274,6 +270,7 @@ SWEEP_PARAMS = ("lambda", "h", "dt")
 
 
 def sweep(config_path, param: str, values, out_dir=None, threads: int = 1) -> int:
+    # threads is unused; the keyword stays because the benchmark harness passes it
     config_path = Path(config_path)
     out = Path(out_dir) if out_dir else config_path.parent / (config_path.stem + "_sweep")
     try:
@@ -284,6 +281,20 @@ def sweep(config_path, param: str, values, out_dir=None, threads: int = 1) -> in
         base = ExperimentConfig.load(config_path)
         if base.mode == "projected" and param == "lambda":
             raise ConfigError("lambda sweep needs a penalized solver mode")
+        cases = []
+        for v in values:
+            try:
+                v = float(v)
+            except (TypeError, ValueError) as e:
+                raise ConfigError(f"sweep value {v!r} is not a number") from e
+            raw = json.loads(json.dumps(base.raw))
+            if param == "lambda":
+                raw["solver"]["lambda"] = v
+            elif param == "h":
+                raw["h"] = v
+            else:
+                raw["solver"]["dt"] = v
+            cases.append((v, ExperimentConfig.from_dict(raw)))
     except ConfigError as e:
         _emit_error(out, e, 2)
         return 2
@@ -295,20 +306,17 @@ def sweep(config_path, param: str, values, out_dir=None, threads: int = 1) -> in
         if probe:
             header.append("mbar")
         rows = []
-        for v in values:
-            raw = json.loads(json.dumps(base.raw))
-            if param == "lambda":
-                raw["solver"]["lambda"] = float(v)
-            elif param == "h":
-                raw["h"] = float(v)
-            else:
-                raw["solver"]["dt"] = float(v)
-            cfg = ExperimentConfig.from_dict(raw)
+        proj = None
+        for v, cfg in cases:
             grid = build_grid(cfg.domain, cfg.h)
             u0 = cfg.build_initial(grid)
-            traj = _run_flow(cfg, grid, u0)
-            proj = run_projected(u0, cfg.solver) if cfg.mode != "projected" else traj
-            row = [float(v),
+            traj = _run_flow(cfg, u0)
+            if cfg.mode == "projected":
+                proj = traj
+            elif proj is None or param != "lambda":
+                # the projected reference does not depend on lambda
+                proj = run_projected(u0, cfg.solver)
+            row = [v,
                    penalty_integral(traj),
                    l2_distance(traj.snapshots[-1], proj.snapshots[-1]),
                    trajectory_l2q_distance(traj, proj),
@@ -338,7 +346,6 @@ def main(argv=None) -> int:
     p_run = sub.add_parser("run", help="run one experiment config")
     p_run.add_argument("--config", required=True)
     p_run.add_argument("--out", default=None)
-    p_run.add_argument("--threads", type=int, default=1)
 
     p_sweep = sub.add_parser("sweep", help="sweep one parameter of a config")
     p_sweep.add_argument("--config", required=True)
@@ -346,13 +353,12 @@ def main(argv=None) -> int:
     p_sweep.add_argument("--values", required=True,
                          help="comma-separated numeric values")
     p_sweep.add_argument("--out", default=None)
-    p_sweep.add_argument("--threads", type=int, default=1)
 
     args = parser.parse_args(argv)
     if args.cmd == "run":
-        return run_experiment(args.config, args.out, args.threads)
-    vals = [float(x) for x in args.values.split(",") if x.strip() != ""]
-    return sweep(args.config, args.param, vals, args.out, args.threads)
+        return run_experiment(args.config, args.out)
+    vals = [x for x in args.values.split(",") if x.strip() != ""]
+    return sweep(args.config, args.param, vals, args.out)
 
 
 if __name__ == "__main__":

@@ -1,6 +1,6 @@
 """Penalized sphere-valued heat flow and its projected-flow oracle.
 
-One step is an operator splitting:
+One step, ``_step``, is an operator splitting:
 
 1. explicit diffusion  u <- u + dt * lap_h u  on interior nodes.  Under
    dt <= cfl * h^2 / (2d) this is a convex combination of node values, so
@@ -12,7 +12,8 @@ One step is an operator splitting:
    is integrated by substepped RK4 instead.
 
 Boundary nodes keep their Dirichlet values throughout.  The projected
-variant replaces the penalty substep by exact normalization.
+variant replaces the penalty substep by exact normalization.  Runs and the
+public single-step functions all go through ``_step``.
 """
 
 from __future__ import annotations
@@ -71,16 +72,12 @@ class PenaltySchedule:
     def strength(self, t: float) -> float:
         return self.lam ** (1.0 - float(kappa(t)))
 
-    def exponent(self, t: float) -> float:
-        return 1.0 - float(kappa(t))
-
 
 @dataclass
 class SolverConfig:
     dt: float
     T: float
     cfl: float = 0.9
-    penalty_integration: str = "exact-logistic"   # or "explicit"
     output_stride: int = 1
 
     @staticmethod
@@ -107,7 +104,6 @@ class StepRecord:
     dirichlet_energy: float
     penalty_increment: float
     max_norm: float
-    exponent: Optional[float] = None
 
 
 @dataclass
@@ -209,94 +205,78 @@ def _apply_norms(f: SphereField, w_new: np.ndarray) -> SphereField:
     return out
 
 
+def _step(u: SphereField, t: float, cfg: SolverConfig,
+          sched: Optional[PenaltySchedule]):
+    """The one split step at time t: diffusion, then the norm reaction.
+
+    ``sched is None`` is the projected flow (exact normalization).  Returns
+    the new field, the step's penalty increment, the strength used and the
+    new sup-norm.
+    """
+    g = u.grid
+    mid = _diffuse(u, cfg.dt)
+    if sched is None:
+        out, pen_incr, lam_eff = project_to_sphere(mid), 0.0, 0.0
+    else:
+        lam_eff = sched.strength(t)
+        w0 = norm_squared_flat(mid)[g.interior_flat]
+        # left-endpoint rectangle rule on the penalty subflow: the
+        # integrand is sampled on the state entering the substep
+        pen_incr = float(cfg.dt * lam_eff * np.sum((w0 - 1.0) ** 2) * g.cell_volume)
+        if sched.use_original_form:
+            w1 = _rk4_norms(w0, lam_eff, cfg.dt, original_form=True)
+        else:
+            w1 = _logistic_norms(w0, lam_eff, cfg.dt)
+        out = _apply_norms(mid, w1)
+    mx = out.max_norm()
+    if not mx <= 1.0 + 1e-7:
+        raise NormBlowup(f"max node norm {mx} exceeds 1 + 1e-7 at t = {t}")
+    return out, pen_incr, lam_eff, mx
+
+
 def glhf_step(f: SphereField, t: float, cfg: SolverConfig,
               sched: PenaltySchedule) -> SphereField:
     """One split step of the penalized flow at time t."""
     cfg.validate(f.grid)
-    mid = _diffuse(f, cfg.dt)
-    lam_eff = sched.strength(t)
-    idx = f.grid.interior_flat
-    w0 = norm_squared_flat(mid)[idx]
-    if sched.use_original_form or cfg.penalty_integration == "explicit":
-        w1 = _rk4_norms(w0, lam_eff, cfg.dt, sched.use_original_form)
-    else:
-        w1 = _logistic_norms(w0, lam_eff, cfg.dt)
-    out = _apply_norms(mid, w1)
-    mx = out.max_norm()
-    if not mx <= 1.0 + 1e-7:
-        raise NormBlowup(f"max node norm {mx} exceeds 1 + 1e-7 at t = {t}")
-    return out
+    return _step(f, t, cfg, sched)[0]
 
 
 def projected_flow_step(f: SphereField, t: float, cfg: SolverConfig) -> SphereField:
     """Diffusion substep followed by exact normalization."""
     cfg.validate(f.grid)
-    return project_to_sphere(_diffuse(f, cfg.dt))
+    return _step(f, t, cfg, None)[0]
 
 
 # -- runs --------------------------------------------------------------------
 
-def _gl_energy_parts(f: SphereField, lam_eff: float) -> tuple[float, float]:
-    dir_e = dirichlet_energy(f)
-    idx = f.grid.interior_flat
-    w = norm_squared_flat(f)[idx]
-    pen = float(lam_eff * np.sum((w - 1.0) ** 2) * f.grid.cell_volume / 4.0)
-    return dir_e, pen
+def _record(step: int, t: float, u: SphereField, lam_eff: float,
+            pen_incr: float, mx: float) -> StepRecord:
+    dir_e = dirichlet_energy(u)
+    w = norm_squared_flat(u)[u.grid.interior_flat]
+    pen_e = float(lam_eff * np.sum((w - 1.0) ** 2) * u.grid.cell_volume / 4.0)
+    return StepRecord(step=step, t=t, gl_energy=0.5 * dir_e + pen_e,
+                      dirichlet_energy=dir_e, penalty_increment=pen_incr,
+                      max_norm=mx)
 
 
 def _run(u0: SphereField, cfg: SolverConfig, sched: Optional[PenaltySchedule],
          mode: str) -> Trajectory:
     cfg.validate(u0.grid)
-    g = u0.grid
     n_steps = int(math.ceil(cfg.T / cfg.dt - 1e-9))
     u = u0.copy()
-
-    lam0 = sched.strength(0.0) if sched else 0.0
-    dir_e, pen_e = _gl_energy_parts(u, lam0)
-    records = [StepRecord(step=0, t=0.0, gl_energy=0.5 * dir_e + pen_e,
-                          dirichlet_energy=dir_e, penalty_increment=0.0,
-                          max_norm=u.max_norm(),
-                          exponent=sched.exponent(0.0) if sched else None)]
+    records = [_record(0, 0.0, u, sched.strength(0.0) if sched else 0.0,
+                       0.0, u.max_norm())]
     times = [0.0]
     snapshots = [u.copy()]
-    idx = g.interior_flat
-
     for k in range(n_steps):
-        t = k * cfg.dt
-        mid = _diffuse(u, cfg.dt)
-        if mode == "projected":
-            u = project_to_sphere(mid)
-            pen_incr = 0.0
-            lam_eff = 0.0
-            exponent = None
-        else:
-            lam_eff = sched.strength(t)
-            exponent = sched.exponent(t)
-            w0 = norm_squared_flat(mid)[idx]
-            # left-endpoint rectangle rule on the penalty subflow: the
-            # integrand is sampled on the state entering the substep
-            pen_incr = float(cfg.dt * lam_eff * np.sum((w0 - 1.0) ** 2) * g.cell_volume)
-            if sched.use_original_form or cfg.penalty_integration == "explicit":
-                w1 = _rk4_norms(w0, lam_eff, cfg.dt, sched.use_original_form)
-            else:
-                w1 = _logistic_norms(w0, lam_eff, cfg.dt)
-            u = _apply_norms(mid, w1)
-
-        mx = u.max_norm()
-        if not mx <= 1.0 + 1e-7:
-            raise NormBlowup(f"max node norm {mx} at step {k + 1}")
-
+        u, pen_incr, lam_eff, mx = _step(u, k * cfg.dt, cfg, sched)
         t_next = (k + 1) * cfg.dt
-        dir_e, pen_e = _gl_energy_parts(u, lam_eff)
-        records.append(StepRecord(
-            step=k + 1, t=t_next, gl_energy=0.5 * dir_e + pen_e,
-            dirichlet_energy=dir_e, penalty_increment=pen_incr,
-            max_norm=mx, exponent=exponent))
+        records.append(_record(k + 1, t_next, u, lam_eff, pen_incr, mx))
         if (k + 1) % cfg.output_stride == 0 or k + 1 == n_steps:
             times.append(t_next)
             snapshots.append(u.copy())
 
-    return Trajectory(grid=g, target_dim=u0.target_dim, times=times,
+    return Trajectory(grid=u0.grid, target_dim=u0.target_dim, times=times,
                       snapshots=snapshots, records=records, mode=mode,
                       lam=sched.lam if sched else None, dt=cfg.dt)
 

@@ -5,6 +5,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from sphereflow import cli
 from sphereflow import io as sfio
 from sphereflow.cli import main, run_experiment, sweep
 from sphereflow.field import InitialData, generate
@@ -97,6 +98,32 @@ def test_unparseable_config_exits_2(tmp_path):
     assert run_experiment(p, tmp_path / "out") == 2
 
 
+@pytest.mark.parametrize("section", ["domain", "initial", "solver", "diagnostics"])
+def test_non_object_config_section_exits_2(tmp_path, section):
+    cfg = json.loads((CONFIGS / "cap_disc.json").read_text())
+    cfg[section] = []
+    p = tmp_path / "bad.json"
+    p.write_text(json.dumps(cfg))
+    out = tmp_path / "out"
+    assert run_experiment(p, out) == 2
+    err = json.loads((out / "error.json").read_text())
+    assert err["error"] == "ConfigError"
+
+
+def test_penalty_integration_accepts_only_exact_logistic(tmp_path):
+    cfg = json.loads((CONFIGS / "cap_disc.json").read_text())
+    cfg["solver"]["penalty_integration"] = "exact-logistic"
+    assert cli.ExperimentConfig.from_dict(cfg).mode == "glhf-simplified"
+    for value in ("explicit", "exact_logistic"):
+        cfg["solver"]["penalty_integration"] = value
+        p = tmp_path / f"{value}.json"
+        p.write_text(json.dumps(cfg))
+        out = tmp_path / value
+        assert run_experiment(p, out) == 2
+        err = json.loads((out / "error.json").read_text())
+        assert err["error"] == "ConfigError" and "penalty_integration" in err["message"]
+
+
 def test_main_entrypoint_run(tmp_path):
     code = main(["run", "--config", str(CONFIGS / "hedgehog_ball.json"),
                  "--out", str(tmp_path / "hh")])
@@ -131,6 +158,47 @@ def test_sweep_lambda(tmp_path):
 def test_sweep_empty_values_exits_2(tmp_path):
     assert sweep(CONFIGS / "cap_disc.json", "lambda", [], tmp_path / "e") == 2
     assert sweep(CONFIGS / "cap_disc.json", "zeta", [1.0], tmp_path / "e2") == 2
+
+
+@pytest.mark.parametrize("param, values", [("lambda", [0.5]),
+                                           ("lambda", [float("nan")]),
+                                           ("dt", [1.0]),
+                                           ("lambda", [1000.0, 0.5])])
+def test_sweep_invalid_value_exits_2_before_stepping(tmp_path, param, values):
+    out = tmp_path / "bad"
+    assert sweep(CONFIGS / "cap_disc.json", param, values, out) == 2
+    err = json.loads((out / "error.json").read_text())
+    assert err["error"] == "ConfigError" and err["exit_code"] == 2
+    assert not (out / "sweep.csv").exists()
+
+
+def test_main_sweep_non_numeric_value_exits_2(tmp_path):
+    out = tmp_path / "bad"
+    code = main(["sweep", "--config", str(CONFIGS / "cap_disc.json"),
+                 "--param", "lambda", "--values", "100,abc", "--out", str(out)])
+    assert code == 2
+    err = json.loads((out / "error.json").read_text())
+    assert err["error"] == "ConfigError" and "abc" in err["message"]
+    assert not (out / "sweep.csv").exists()
+
+
+def test_lambda_sweep_runs_projected_reference_once(tmp_path, monkeypatch):
+    calls = []
+    real = cli.run_projected
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(cli, "run_projected", counting)
+    cfg = json.loads((CONFIGS / "cap_disc.json").read_text())
+    cfg["solver"]["T"] = 1 / 256
+    p = tmp_path / "short.json"
+    p.write_text(json.dumps(cfg))
+    out = tmp_path / "sw"
+    assert sweep(p, "lambda", [100.0, 1000.0, 10000.0], out) == 0
+    assert len(calls) == 1
+    assert len(read_rows(out / "sweep.csv")) == 4
 
 
 def test_sweep_h_hedgehog_mbar(tmp_path):

@@ -169,6 +169,28 @@ def test_bitwise_determinism(disc16):
     assert [r.gl_energy for r in a.records] == [r.gl_energy for r in b.records]
 
 
+@pytest.mark.parametrize("original_form", [False, True])
+def test_run_first_step_equals_public_glhf_step(disc16, original_form):
+    u0 = generate(InitialData(kind="cap", latitude_deg=45.0), disc16, 2)
+    dt = SolverConfig.auto_dt(disc16)
+    cfg = SolverConfig(dt=dt, T=dt, output_stride=1)
+    sched = PenaltySchedule(lam=500.0, use_original_form=original_form)
+    traj = run_glhf(u0, cfg, sched)
+    assert len(traj.snapshots) == 2
+    assert np.array_equal(traj.snapshots[1].values,
+                          glhf_step(u0, 0.0, cfg, sched).values)
+
+
+def test_run_first_step_equals_public_projected_step(disc16):
+    u0 = generate(InitialData(kind="cap", latitude_deg=45.0), disc16, 2)
+    dt = SolverConfig.auto_dt(disc16)
+    cfg = SolverConfig(dt=dt, T=dt, output_stride=1)
+    traj = run_projected(u0, cfg)
+    assert len(traj.snapshots) == 2
+    assert np.array_equal(traj.snapshots[1].values,
+                          projected_flow_step(u0, 0.0, cfg).values)
+
+
 def test_times_strictly_increasing(cap_run_32):
     t = np.asarray(cap_run_32.times)
     assert np.all(np.diff(t) > 0)
