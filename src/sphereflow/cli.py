@@ -85,9 +85,7 @@ class ExperimentConfig:
             solver = SolverConfig(
                 dt=dt, T=_finite("solver.T", sv["T"]), cfl=cfl,
                 output_stride=int(sv.get("output_stride", 1)))
-            diagnostics = raw.get("diagnostics", {})
-            if not isinstance(diagnostics, dict):
-                raise ConfigError("diagnostics must be an object")
+            diagnostics = _section(raw.get("diagnostics", {}), "diagnostics")
             cfg = ExperimentConfig(domain=domain, h=h, D=D, initial=initial,
                                    mode=mode, lam=lam, solver=solver,
                                    diagnostics=diagnostics, raw=raw)
@@ -112,6 +110,7 @@ class ExperimentConfig:
                 self._singular_config(grid).validate(grid.h)
             except ValueError as e:
                 raise ConfigError(f"singular diagnostics: {e}") from e
+        self.diagnostic_sections()
         if self.initial.kind == "custom-samples":
             p = self.raw["initial"].get("path")
             if not p:
@@ -128,6 +127,36 @@ class ExperimentConfig:
             space_stride=int(s.get("space_stride", 1)),
             deltas=[float(x) for x in s["deltas"]] if "deltas" in s else None,
             mode=s.get("mode", "gl"))
+
+    def diagnostic_sections(self) -> dict:
+        """The cylinders, monotonicity, small_energy and mbar_probe sections,
+        parsed.  Raises ConfigError, KeyError, TypeError or ValueError on a
+        malformed one; ``validate`` calls it, so that happens at load."""
+        dcfg, d = self.diagnostics, self.domain.d
+        out = {}
+        if dcfg.get("cylinders"):
+            out["cylinders"] = []
+            for c in dcfg["cylinders"]:
+                c = _section(c, "diagnostics.cylinders entry")
+                t0, x0 = _point(c, d)
+                cyl = diag.CylinderSpec(t0=t0, x0=x0, R=float(c["R"]))
+                out["cylinders"].append((cyl, c.get("mode", "gl")))
+        if "monotonicity" in dcfg:
+            m = _section(dcfg["monotonicity"], "diagnostics.monotonicity")
+            out["monotonicity"] = (_point(m, d),
+                                   [(float(r1), float(r2)) for r1, r2 in m["pairs"]],
+                                   m.get("mode", "gradient"),
+                                   m.get("rhs_form", "difference"))
+        if "small_energy" in dcfg:
+            e = _section(dcfg["small_energy"], "diagnostics.small_energy")
+            out["small_energy"] = (_point(e, d), [float(r) for r in e["radii"]],
+                                   float(e["eps0"]))
+        if dcfg.get("mbar_probe"):
+            p = _section(dcfg["mbar_probe"], "diagnostics.mbar_probe")
+            t0 = float(p.get("t0", self.solver.T / 2.0))
+            x0 = _coords(p["x0"], d) if "x0" in p else self.domain_center()
+            out["mbar_probe"] = ((t0, x0), float(p["R"]), p.get("mode", "dirichlet"))
+        return out
 
     def build_initial(self, grid: Grid) -> SphereField:
         if self.initial.kind == "custom-samples":
@@ -148,6 +177,24 @@ def _finite(name: str, value) -> float:
     return x
 
 
+def _section(value, name: str) -> dict:
+    if not isinstance(value, dict):
+        raise ConfigError(f"{name} must be an object")
+    return value
+
+
+def _coords(value, d: int) -> np.ndarray:
+    x = np.asarray(value, dtype=float)
+    if x.shape != (d,):
+        raise ConfigError(f"x0 must hold {d} coordinates, got {value!r}")
+    return x
+
+
+def _point(sec: dict, d: int) -> tuple:
+    """The spacetime point (t0, x0) a diagnostics section is centred at."""
+    return float(sec["t0"]), _coords(sec["x0"], d)
+
+
 def _run_flow(cfg: ExperimentConfig, u0: SphereField) -> Trajectory:
     if cfg.mode == "projected":
         return run_projected(u0, cfg.solver)
@@ -166,38 +213,30 @@ def _write_trajectory(out: Path, traj: Trajectory):
                             lam=traj.lam, exponent=traj.exponent_at(t))
 
 
-def _cylinder_row(traj: Trajectory, spec: dict) -> list:
-    cyl = diag.CylinderSpec(t0=float(spec["t0"]),
-                            x0=np.asarray(spec["x0"], dtype=float),
-                            R=float(spec["R"]))
-    mode = spec.get("mode", "gl")
+def _cylinder_row(traj: Trajectory, cyl: diag.CylinderSpec, mode: str) -> list:
     val = sing.local_scaled_energy(traj, (cyl.t0, cyl.x0), cyl.R, mode=mode)
     return [cyl.t0] + [float(c) for c in cyl.x0] + [cyl.R, mode, val]
 
 
 def _run_diagnostics(cfg: ExperimentConfig, grid: Grid, traj: Trajectory, out: Path):
     dcfg = cfg.diagnostics
+    sections = cfg.diagnostic_sections()
     reports = out / "reports"
 
     sfio.write_json(reports / "energy.json",
                     diag.energy_report(traj, len(traj.snapshots) - 1).to_json())
 
-    if "cylinders" in dcfg and dcfg["cylinders"]:
-        rows = [_cylinder_row(traj, spec) for spec in dcfg["cylinders"]]
+    if "cylinders" in sections:
+        rows = [_cylinder_row(traj, cyl, mode) for cyl, mode in sections["cylinders"]]
         header = (["t0"] + [f"x0_{i}" for i in range(grid.d)]
                   + ["R", "mode", "scaled_energy"])
         sfio.write_csv(reports / "cylinders.csv", header, rows)
 
-    if "monotonicity" in dcfg:
-        m = dcfg["monotonicity"]
-        z0 = (float(m["t0"]), np.asarray(m["x0"], dtype=float))
-        out_reports = []
-        for r1, r2 in m["pairs"]:
-            rep = diag.monotonicity_report(
-                traj, z0, float(r1), float(r2),
-                mode=m.get("mode", "gradient"),
-                rhs_form=m.get("rhs_form", "difference"))
-            out_reports.append(rep.to_json())
+    if "monotonicity" in sections:
+        z0, pairs, mode, rhs_form = sections["monotonicity"]
+        out_reports = [diag.monotonicity_report(traj, z0, r1, r2, mode=mode,
+                                                rhs_form=rhs_form).to_json()
+                       for r1, r2 in pairs]
         sfio.write_json(reports / "monotonicity.json",
                         {"t0": z0[0], "x0": [float(c) for c in z0[1]],
                          "pairs": out_reports})
@@ -217,14 +256,12 @@ def _run_diagnostics(cfg: ExperimentConfig, grid: Grid, traj: Trajectory, out: P
         sfio.write_csv(reports / "wtrack.csv",
                        ["step", "t", "maxW", "min_last_component"], rows)
 
-    if "small_energy" in dcfg:
-        s = dcfg["small_energy"]
-        z0 = (float(s["t0"]), np.asarray(s["x0"], dtype=float))
-        ok, table = sing.small_energy_certificate(
-            traj, z0, [float(r) for r in s["radii"]], float(s["eps0"]))
+    if "small_energy" in sections:
+        z0, radii, eps0 = sections["small_energy"]
+        ok, table = sing.small_energy_certificate(traj, z0, radii, eps0)
         sfio.write_json(reports / "certificate.json", {
             "t0": z0[0], "x0": [float(c) for c in z0[1]],
-            "eps0": float(s["eps0"]), "all_pass": ok,
+            "eps0": eps0, "all_pass": ok,
             "table": [{"r": r, "integral": v, "bound": b, "pass": p}
                       for r, v, b, p in table]})
 
@@ -302,7 +339,7 @@ def sweep(config_path, param: str, values, out_dir=None, threads: int = 1) -> in
     try:
         header = [param, "penalty_integral", "final_l2_to_projected",
                   "l2q_to_projected", "final_gl_energy", "final_dirichlet_energy"]
-        probe = base.diagnostics.get("mbar_probe")
+        probe = base.diagnostic_sections().get("mbar_probe")
         if probe:
             header.append("mbar")
         rows = []
@@ -323,11 +360,8 @@ def sweep(config_path, param: str, values, out_dir=None, threads: int = 1) -> in
                    traj.records[-1].gl_energy,
                    traj.records[-1].dirichlet_energy]
             if probe:
-                t0 = float(probe.get("t0", cfg.solver.T / 2.0))
-                x0 = np.asarray(probe.get("x0", cfg.domain_center()), dtype=float)
-                row.append(sing.local_scaled_energy(
-                    traj, (t0, x0), float(probe["R"]),
-                    mode=probe.get("mode", "dirichlet")))
+                z0, R, mode = probe
+                row.append(sing.local_scaled_energy(traj, z0, R, mode=mode))
             rows.append(row)
         out.mkdir(parents=True, exist_ok=True)
         sfio.write_csv(out / "sweep.csv", header, rows)

@@ -10,6 +10,7 @@ defect instead of asserting universal constants.
 
 from __future__ import annotations
 
+import functools
 import math
 import warnings
 from dataclasses import dataclass
@@ -164,13 +165,6 @@ def _window_weights(times, t_final, a: float, b: float):
     return np.clip(np.minimum(nxt, b) - np.maximum(ts, a), 0.0, None)
 
 
-def _window_eval_times(times, a: float):
-    """Left edge of each snapshot's clipped subinterval; kernels in time-
-    varying integrands are sampled there rather than at the snapshot time."""
-    ts = np.asarray(times)
-    return np.maximum(ts, a)
-
-
 def window_snapshots(traj: Trajectory, a: float, b: float):
     """Indices and left-endpoint rectangle weights of the snapshots whose
     subintervals meet the window [a, b); EmptyIntersection if none does."""
@@ -185,9 +179,11 @@ def window_integral(traj: Trajectory, a: float, b: float, per_snapshot):
     """Time integral over [a, b) of a per-snapshot quantity: the rectangle
     sum  sum_k w_k per_snapshot(k)  over the snapshots of the window.
 
-    The one time quadrature behind every plain cylinder integral.
-    ``per_snapshot(k)`` returns an array: a lattice field, or its values
-    on the cylinder's nodes.
+    The one time quadrature behind every cylinder and annulus integral.
+    ``per_snapshot(k)`` returns a number or an array: a lattice field, or
+    its values on the cylinder's nodes.  A kernel in a time-varying
+    integrand is sampled at the left edge max(t_k, a) of the clipped
+    subinterval, not at the snapshot time.
     """
     ks, w = window_snapshots(traj, a, b)
     return sum(wk * per_snapshot(int(k)) for k, wk in zip(ks, w))
@@ -212,17 +208,16 @@ def weighted_annulus_energy(traj: Trajectory, z0, R: float, mode: str = "gl") ->
         warnings.warn("Gaussian weight narrower than 4 cells; values are "
                       "quadrature-limited", KernelUnderresolved)
     a, b = t0 - 4.0 * R * R, t0 - R * R
-    ts = np.asarray(traj.times)
-    w = _window_weights(ts, traj.t_final, a, b)
-    if not np.any(w > 0):
+
+    def weighted(k):
+        return _spatial_weighted_sum(traj.grid, energy_density(traj, k, mode), z0,
+                                     max(traj.times[k], a))
+
+    try:
+        return window_integral(traj, a, b, weighted)
+    except EmptyIntersection as e:
         raise WindowOutsideTrajectory(
-            f"no snapshots inside window ({a:g}, {b:g})")
-    t_eval = _window_eval_times(ts, a)
-    total = 0.0
-    for k in np.flatnonzero(w > 0):
-        dens = energy_density(traj, int(k), mode)
-        total += w[k] * _spatial_weighted_sum(traj.grid, dens, z0, float(t_eval[k]))
-    return total
+            f"no snapshots inside window ({a:g}, {b:g})") from e
 
 
 # -- monotonicity ------------------------------------------------------------
@@ -271,25 +266,14 @@ def monotonicity_report(traj: Trajectory, z0, R1: float, R2: float,
     inner = weighted_annulus_energy(traj, z0, R1, mode)
     outer = weighted_annulus_energy(traj, z0, R2, mode)
 
-    # the speed integrand is R-independent; precompute its time profile over
-    # the widest window and integrate windows by rectangle, then the R
-    # integral by trapezoid
-    ts = np.asarray(traj.times)
-    profile = {}
-    speed_of_R = []
+    # the speed integrand is R-independent: each snapshot's value is computed
+    # once and shared by all R windows (none is empty, since each reaches back
+    # past the inner annulus window; the last snapshot never has weight), then
+    # the R integral is a trapezoid
+    speed_at = functools.cache(lambda k: _speed_density(traj, k, z0))
     r_samples = np.linspace(R1, R2, n_r_samples)
-    for R in r_samples:
-        a, b = t0 - 4.0 * R * R, t0 - R * R
-        w = _window_weights(ts, traj.t_final, a, b)
-        tot = 0.0
-        for k in np.flatnonzero(w > 0):
-            k = int(k)
-            if k == len(traj.times) - 1:
-                continue
-            if k not in profile:
-                profile[k] = _speed_density(traj, k, z0)
-            tot += w[k] * profile[k]
-        speed_of_R.append(tot)
+    speed_of_R = [window_integral(traj, t0 - 4.0 * R * R, t0 - R * R, speed_at)
+                  for R in r_samples]
     speed = 2.0 * float(np.trapezoid(speed_of_R, r_samples))
 
     lhs = inner + speed

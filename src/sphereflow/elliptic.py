@@ -15,7 +15,7 @@ import scipy.sparse.linalg as spla
 
 from .errors import NoConvergence, OrderTooHighForGrid
 from .field import SphereField
-from .geometry import Grid, INTERIOR
+from .geometry import EXTERIOR, INTERIOR, Grid, neighbor_sum
 
 
 @dataclass
@@ -32,9 +32,9 @@ class HarmonicExtension:
 
 
 def _laplacian_residual(grid: Grid, flat: np.ndarray) -> float:
+    """Max-norm of the discrete Laplacian over interior nodes and components."""
     idx = grid.interior_flat
-    nbr = grid.neighbor_table()
-    res = flat[nbr].sum(axis=1) - 2 * grid.d * flat[idx]
+    res = neighbor_sum(flat, grid.strides())[idx] - 2 * grid.d * flat[idx]
     return float(np.max(np.abs(res))) / grid.h ** 2
 
 
@@ -54,19 +54,15 @@ def solve_harmonic_extension(grid: Grid, boundary_data: SphereField,
     out = boundary_data.copy()
     flat = out.flat()
     idx = grid.interior_flat
-    nbr = grid.neighbor_table()
+    strides = grid.strides()
 
     if method == "direct":
         n = idx.size
         pos = -np.ones(grid.n_lattice, dtype=np.int64)
         pos[idx] = np.arange(n)
-        rows, cols, vals = [], [], []
+        rows, cols, vals = [np.arange(n)], [np.arange(n)], [np.full(n, 2.0 * grid.d)]
         rhs = np.zeros((n, ncomp))
-        rows.append(np.arange(n))
-        cols.append(np.arange(n))
-        vals.append(np.full(n, 2.0 * grid.d))
-        for a in range(2 * grid.d):
-            nb = nbr[:, a]
+        for nb in (idx + sign * s for s in strides for sign in (-1, 1)):
             is_int = pos[nb] >= 0
             rows.append(np.flatnonzero(is_int))
             cols.append(pos[nb[is_int]])
@@ -79,7 +75,7 @@ def solve_harmonic_extension(grid: Grid, boundary_data: SphereField,
         if sol.ndim == 1:
             sol = sol[:, None]
         flat[idx] = sol
-        res = max(_laplacian_residual(grid, flat[:, c]) for c in range(ncomp))
+        res = _laplacian_residual(grid, flat)
         if res > max(tol, 1e-6):
             raise NoConvergence(f"direct solve residual {res:.3e} above tolerance")
         return HarmonicExtension(field=out, residual=res, iterations=1)
@@ -91,36 +87,22 @@ def solve_harmonic_extension(grid: Grid, boundary_data: SphereField,
     inv = 1.0 / (2.0 * grid.d)
     res = np.inf
     for sweep in range(1, max_sweeps + 1):
-        avg = flat[nbr].sum(axis=1) * inv
+        avg = neighbor_sum(flat, strides)[idx] * inv
         flat[idx] = (1 - omega) * flat[idx] + omega * avg
         if sweep % 50 == 0 or sweep == max_sweeps:
-            res = max(_laplacian_residual(grid, flat[:, c]) for c in range(ncomp))
+            res = _laplacian_residual(grid, flat)
             if res <= tol:
                 return HarmonicExtension(field=out, residual=res, iterations=sweep)
     raise NoConvergence(f"no convergence after {max_sweeps} sweeps, residual {res:.3e}")
 
 
-def _erode_axis(mask: np.ndarray, d: int) -> np.ndarray:
-    out = mask.copy()
-    for a in range(d):
-        sl_lo = [slice(None)] * d
-        sl_hi = [slice(None)] * d
-        sl_lo[a] = slice(0, -1)
-        sl_hi[a] = slice(1, None)
-        nb = np.zeros_like(mask)
-        nb[tuple(sl_lo)] = mask[tuple(sl_hi)]
-        nb2 = np.zeros_like(mask)
-        nb2[tuple(sl_hi)] = mask[tuple(sl_lo)]
-        out &= nb & nb2
-    return out
-
-
 def _depth_mask(grid: Grid, order: int) -> np.ndarray:
     """Interior nodes whose order-cell l1-neighborhood stays in the active set."""
-    ok = grid.node_class != 0
+    cls = grid.class_flat()
+    ok = cls != EXTERIOR
     for _ in range(order):
-        ok = _erode_axis(ok, grid.d)
-    return (ok & (grid.node_class == INTERIOR)).ravel()
+        ok = ok & (neighbor_sum(ok.view(np.int8), grid.strides()) == 2 * grid.d)
+    return ok & (cls == INTERIOR)
 
 
 def derivative_energy_density(ext: HarmonicExtension | SphereField, order: int) -> np.ndarray:
@@ -128,7 +110,8 @@ def derivative_energy_density(ext: HarmonicExtension | SphereField, order: int) 
 
     The evaluation region shrinks by ``order`` cells from the boundary;
     nodes outside it carry zero and a companion mask is implicit in the
-    nonzero pattern.
+    nonzero pattern.  The intermediate differences hold wrapped values on
+    the lattice faces; no node of the region reads them.
     """
     f = ext.field if isinstance(ext, HarmonicExtension) else ext
     grid = f.grid
@@ -142,27 +125,23 @@ def derivative_energy_density(ext: HarmonicExtension | SphereField, order: int) 
     # read out, and their stencils stay inside the active set
     current = [f.flat()]
     for _ in range(order):
-        current = [_central_all(grid, arr, a)
-                   for arr in current for a in range(grid.d)]
+        current = [_central_all(arr, s, grid.h)
+                   for arr in current for s in grid.strides()]
     out = np.zeros(grid.n_lattice)
     for arr in current:
         out[idx] += np.einsum("ij,ij->i", arr[idx], arr[idx])
     return out
 
 
-def _central_all(grid: Grid, arr: np.ndarray, axis: int) -> np.ndarray:
-    """Central difference along one axis wherever both lattice neighbors exist."""
-    ncomp = arr.shape[1]
-    a = arr.reshape(grid.shape + (ncomp,))
-    out = np.zeros_like(a)
-    sl_c = [slice(None)] * grid.d
-    sl_p = [slice(None)] * grid.d
-    sl_m = [slice(None)] * grid.d
-    sl_c[axis] = slice(1, -1)
-    sl_p[axis] = slice(2, None)
-    sl_m[axis] = slice(0, -2)
-    out[tuple(sl_c)] = (a[tuple(sl_p)] - a[tuple(sl_m)]) / (2.0 * grid.h)
-    return out.reshape(-1, ncomp)
+def _central_all(arr: np.ndarray, s: int, h: float) -> np.ndarray:
+    """Central difference (arr[i + s] - arr[i - s]) / 2h along flat stride s.
+
+    Exact off the lattice faces; face nodes hold wrapped differences (or
+    zero within s of the array ends) and are never read.
+    """
+    out = np.zeros_like(arr)
+    out[s:-s] = (arr[2 * s:] - arr[:-2 * s]) / (2.0 * h)
+    return out
 
 
 def higher_derivative_energy(ext: HarmonicExtension | SphereField, order: int) -> float:

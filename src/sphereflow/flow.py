@@ -26,7 +26,7 @@ import numpy as np
 
 from .errors import CFLViolated, NormBlowup
 from .field import SphereField, dirichlet_energy, norm_squared_flat, project_to_sphere
-from .geometry import Grid
+from .geometry import Grid, neighbor_sum
 
 
 # -- schedules -------------------------------------------------------------
@@ -155,8 +155,8 @@ def _diffuse(f: SphereField, dt: float) -> SphereField:
     mu = dt / g.h ** 2
     out = f.copy()
     flat_in = f.flat()
-    nbr_sum = flat_in[g.neighbor_table()].sum(axis=1)
     idx = g.interior_flat
+    nbr_sum = neighbor_sum(flat_in, g.strides())[idx]
     out.flat()[idx] = flat_in[idx] * (1.0 - 2.0 * g.d * mu) + mu * nbr_sum
     return out
 
@@ -191,13 +191,11 @@ def _rk4_norms(w0: np.ndarray, lam_eff: float, dt: float,
     return w
 
 
-def _apply_norms(f: SphereField, w_new: np.ndarray) -> SphereField:
-    """Rescale interior node norms to sqrt(w_new), direction unchanged."""
-    g = f.grid
-    idx = g.interior_flat
+def _apply_norms(f: SphereField, w_old: np.ndarray, w_new: np.ndarray) -> SphereField:
+    """Rescale interior node norms from sqrt(w_old) to sqrt(w_new), direction unchanged."""
+    idx = f.grid.interior_flat
     out = f.copy()
     flat = out.flat()
-    w_old = np.einsum("ij,ij->i", flat[idx], flat[idx])
     scale = np.ones_like(w_old)
     pos = w_old > 0
     scale[pos] = np.sqrt(w_new[pos] / w_old[pos])
@@ -227,7 +225,7 @@ def _step(u: SphereField, t: float, cfg: SolverConfig,
             w1 = _rk4_norms(w0, lam_eff, cfg.dt, original_form=True)
         else:
             w1 = _logistic_norms(w0, lam_eff, cfg.dt)
-        out = _apply_norms(mid, w1)
+        out = _apply_norms(mid, w0, w1)
     mx = out.max_norm()
     if not mx <= 1.0 + 1e-7:
         raise NormBlowup(f"max node norm {mx} exceeds 1 + 1e-7 at t = {t}")

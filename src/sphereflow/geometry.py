@@ -11,6 +11,13 @@ A domain is discretized on the global lattice ``h * Z^d``.  Node classes:
 With this rule every axis neighbor of an interior node is interior or
 boundary, and every boundary node lies within one spacing of the true
 boundary.
+
+Neighbours are reached by one rule: on the C-order flattened lattice the
+axis-a neighbours of node ``i`` are ``i -/+ strides[a]``.  A whole-lattice
+flat shift by a stride is exact at every node off the lattice faces (on a
+face it reads a wrapped node of the adjacent row).  ``build_grid`` pads the
+bounding box with two cells on every side, so no active node lies on a face
+and every stencil of an active node is exact.
 """
 
 from __future__ import annotations
@@ -267,10 +274,7 @@ class Grid:
         return int(np.prod(self.shape))
 
     def strides(self) -> np.ndarray:
-        s = np.ones(self.d, dtype=np.int64)
-        for a in range(self.d - 2, -1, -1):
-            s[a] = s[a + 1] * self.shape[a + 1]
-        return s
+        return _strides(self.shape)
 
     def coords(self) -> np.ndarray:
         """(n_lattice, d) array of node positions, C-order flattened."""
@@ -306,38 +310,16 @@ class Grid:
     def n_interior(self) -> int:
         return self.interior_flat.size
 
-    def neighbor_table(self) -> np.ndarray:
-        """(n_interior, 2d) flat indices of the axis neighbors of interior nodes."""
-        if "nbr" not in self._cache:
-            s = self.strides()
-            cols = []
-            for a in range(self.d):
-                cols.append(self.interior_flat - s[a])
-                cols.append(self.interior_flat + s[a])
-            self._cache["nbr"] = np.stack(cols, axis=1)
-        return self._cache["nbr"]
-
-    def axis_links(self):
-        """Per axis, flat start indices of links carrying Dirichlet energy.
-
-        A link (x, x + h e_a) counts when both endpoints are active and at
-        least one is interior.
+    def link_masks(self) -> list:
+        """Per axis a, a mask over flat nodes i < n_lattice - strides[a]: the
+        link (i, i + strides[a]) carries Dirichlet energy, i.e. both ends are
+        active and at least one is interior.
         """
         if "links" not in self._cache:
             cls = self.class_flat()
-            s = self.strides()
-            links = []
-            for a in range(self.d):
-                start = np.arange(self.n_lattice - s[a])
-                # nodes in the last slab along axis a have no +a neighbor
-                idx = np.unravel_index(start, self.shape)
-                ok = idx[a] < self.shape[a] - 1
-                start = start[ok]
-                end = start + s[a]
-                both_active = (cls[start] != EXTERIOR) & (cls[end] != EXTERIOR)
-                one_interior = (cls[start] == INTERIOR) | (cls[end] == INTERIOR)
-                links.append(start[both_active & one_interior])
-            self._cache["links"] = links
+            act, inn = cls != EXTERIOR, cls == INTERIOR
+            self._cache["links"] = [act[:-s] & act[s:] & (inn[:-s] | inn[s:])
+                                    for s in self.strides()]
         return self._cache["links"]
 
     def ball_offsets(self, R: float) -> np.ndarray:
@@ -403,26 +385,37 @@ def build_grid(domain: Domain, h: float) -> Grid:
     axes = [(k_min[a] + np.arange(shape[a])) * h for a in range(domain.d)]
     mesh = np.meshgrid(*axes, indexing="ij")
     pts = np.stack([m.ravel() for m in mesh], axis=1)
-    inside = domain.contains(pts).reshape(shape)
+    inside = domain.contains(pts)
 
-    cls = np.zeros(shape, dtype=np.int8)
+    cls = np.zeros(inside.size, dtype=np.int8)
     cls[inside] = INTERIOR
-    near = np.zeros(shape, dtype=bool)
-    for a in range(domain.d):
-        shifted = np.zeros(shape, dtype=bool)
-        sl_to = [slice(None)] * domain.d
-        sl_from = [slice(None)] * domain.d
-        sl_to[a] = slice(0, -1)
-        sl_from[a] = slice(1, None)
-        shifted[tuple(sl_to)] |= inside[tuple(sl_from)]
-        shifted2 = np.zeros(shape, dtype=bool)
-        shifted2[tuple(sl_from)] = inside[tuple(sl_to)]
-        near |= shifted | shifted2
-    cls[near & ~inside] = BOUNDARY
+    # bool sums are ORs: a node is near when any axis neighbour is inside
+    cls[neighbor_sum(inside, _strides(shape)) & ~inside] = BOUNDARY
 
     if not np.any(cls == INTERIOR):
         raise SpacingTooCoarse(f"h = {h} leaves no interior nodes")
-    return Grid(domain=domain, h=float(h), index_origin=k_min, shape=shape, node_class=cls)
+    return Grid(domain=domain, h=float(h), index_origin=k_min, shape=shape,
+                node_class=cls.reshape(shape))
+
+
+def _strides(shape) -> np.ndarray:
+    """Flat index step of one cell along each axis of a C-order lattice."""
+    return np.cumprod((*shape[1:], 1)[::-1], dtype=np.int64)[::-1]
+
+
+def neighbor_sum(flat: np.ndarray, strides) -> np.ndarray:
+    """Sum of the 2d axis neighbours ``i -/+ strides[a]`` of every flat node.
+
+    ``flat`` is a lattice array flattened along its first axis.  The sum is
+    exact off the lattice faces; face nodes hold partial sums with wrapped
+    reads and must not be used.  Per axis the -s neighbour is added before
+    the +s one.
+    """
+    out = np.zeros_like(flat)
+    for s in strides:
+        out[s:] += flat[:-s]
+        out[:-s] += flat[s:]
+    return out
 
 
 def boundary_frame(grid: Grid) -> BoundaryFrame:

@@ -17,7 +17,7 @@ import numpy as np
 from .errors import PoleProximity
 from .field import SphereField
 from .flow import Trajectory
-from .geometry import Grid
+from .geometry import Grid, neighbor_sum
 
 POLE_GAP = 1e-6
 
@@ -225,7 +225,6 @@ def _pde_residual_samples(traj: Trajectory, rot: np.ndarray,
     """
     g = traj.grid
     rng = np.random.default_rng(seed)
-    nbr = g.neighbor_table()
     idx = g.interior_flat
     s = g.strides()
     ks = rng.integers(0, len(traj.snapshots) - 1, size=n_samples)
@@ -233,20 +232,22 @@ def _pde_residual_samples(traj: Trajectory, rot: np.ndarray,
     cache: dict = {}
 
     def fields(k: int):
+        """(W lattice, chart values, neighbour sum of W) of snapshot k."""
         if k not in cache:
             if len(cache) > 3:
                 cache.clear()
-            cache[k] = _w_field(traj.snapshots[k], rot)
+            w, _, v = _w_field(traj.snapshots[k], rot)
+            cache[k] = (w, v, neighbor_sum(w, s))
         return cache[k]
 
     out = []
     for k, j in sorted(zip(ks.tolist(), js.tolist())):
         node = int(idx[j])
-        w_k, _, v_k = fields(k)
-        w_k1, _, _ = fields(k + 1)
+        w_k, v_k, w_nbr = fields(k)
+        w_k1 = fields(k + 1)[0]
         dt_loc = traj.times[k + 1] - traj.times[k]
         w_t = (w_k1[node] - w_k[node]) / dt_loc
-        lap = (w_k[nbr[j]].sum() - 2 * g.d * w_k[node]) / g.h ** 2
+        lap = (w_nbr[node] - 2 * g.d * w_k[node]) / g.h ** 2
         grad2 = 0.0
         for a in range(g.d):
             dv = (v_k[node + s[a]] - v_k[node - s[a]]) / (2 * g.h)

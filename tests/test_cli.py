@@ -110,6 +110,27 @@ def test_non_object_config_section_exits_2(tmp_path, section):
     assert err["error"] == "ConfigError"
 
 
+@pytest.mark.parametrize("section, value", [
+    ("monotonicity", []),
+    ("small_energy", []),
+    ("cylinders", [1]),
+    ("cylinders", [{"t0": 0.0625, "x0": [0.0], "R": 0.25}]),
+    ("monotonicity", {"t0": 0.1, "x0": [0.0, 0.0], "pairs": [[0.1]]}),
+    ("small_energy", {"t0": 0.0625, "x0": [0.0, 0.0], "radii": 0.25, "eps0": 1.0}),
+    ("mbar_probe", [0.125]),
+])
+def test_malformed_diagnostics_section_exits_2_before_stepping(tmp_path, section, value):
+    cfg = json.loads((CONFIGS / "onesided_cap.json").read_text())
+    cfg["diagnostics"] = {section: value}
+    p = tmp_path / "bad.json"
+    p.write_text(json.dumps(cfg))
+    out = tmp_path / "out"
+    assert run_experiment(p, out) == 2
+    err = json.loads((out / "error.json").read_text())
+    assert err["error"] == "ConfigError" and err["exit_code"] == 2
+    assert not (out / "trajectory.csv").exists()
+
+
 def test_penalty_integration_accepts_only_exact_logistic(tmp_path):
     cfg = json.loads((CONFIGS / "cap_disc.json").read_text())
     cfg["solver"]["penalty_integration"] = "exact-logistic"

@@ -4,7 +4,7 @@ from hypothesis import given, settings, strategies as st
 
 from sphereflow.errors import NoGraphAvailable, SpacingTooCoarse
 from sphereflow.geometry import (EXTERIOR, Domain, boundary_frame,
-                                 build_grid, check_condition_B)
+                                 build_grid, check_condition_B, neighbor_sum)
 
 
 def brute_force_interior_count(d, h, kmax):
@@ -52,8 +52,48 @@ def test_spacing_too_coarse():
 def test_interior_neighbors_never_exterior(domain, h):
     g = build_grid(domain, h)
     cls = g.class_flat()
-    nbr = g.neighbor_table()
+    idx = g.interior_flat
+    nbr = np.stack([idx + sign * s for s in g.strides() for sign in (-1, 1)], axis=1)
     assert np.all(cls[nbr] != EXTERIOR)
+
+
+FACE_DOMAINS = {
+    "ball2": Domain.unit_ball(2),
+    "ball3": Domain.unit_ball(3),
+    "box2": Domain.box([[0, 1], [0, 2]]),
+    "box3": Domain.box([[0, 1], [-1, 0.5], [0, 0.7]]),
+    "half2": Domain.half_ball(2),
+    "half3": Domain.half_ball(3),
+    "graph2": Domain.graph_subdomain(lambda y: float(np.sum(np.asarray(y) ** 2)), 2),
+    "graph3": Domain.graph_subdomain(lambda y: float(np.sum(np.asarray(y) ** 2)), 3),
+}
+
+
+@pytest.mark.parametrize("h", [0.5, 0.3, 0.13, 1 / 16])
+@pytest.mark.parametrize("name", sorted(FACE_DOMAINS))
+def test_no_active_node_on_a_lattice_face(name, h):
+    # flat stride shifts are exact only off the faces
+    g = build_grid(FACE_DOMAINS[name], h)
+    multi = np.array(np.unravel_index(g.active_flat, g.shape))
+    assert multi.min() >= 1
+    assert np.all(multi.max(axis=1) <= np.array(g.shape) - 2)
+
+
+@pytest.mark.parametrize("domain,h", [
+    (Domain.unit_ball(2), 0.11),
+    (Domain.unit_ball(3), 0.21),
+    (Domain.half_ball(3), 0.13),
+])
+def test_neighbor_sum_matches_explicit_gather(domain, h, rng):
+    g = build_grid(domain, h)
+    idx = g.interior_flat
+    for shape in [(g.n_lattice,), (g.n_lattice, 3)]:
+        flat = rng.standard_normal(shape) * np.exp(4 * rng.standard_normal(shape))
+        expect = np.zeros((idx.size,) + shape[1:])
+        for s in g.strides():
+            expect = expect + flat[idx - s]
+            expect = expect + flat[idx + s]
+        assert np.array_equal(neighbor_sum(flat, g.strides())[idx], expect)
 
 
 @pytest.mark.parametrize("h", [0.25, 0.11])
