@@ -62,7 +62,7 @@ class ExperimentConfig:
         try:
             domain = Domain.from_config(raw["domain"])
             h = _finite("h", raw["h"])
-            D = int(raw.get("D", 2))
+            D = _integer("D", raw.get("D", 2))
             initial = InitialData.from_config(raw["initial"])
             sv = raw["solver"]
             if sv.get("penalty_integration", "exact-logistic") != "exact-logistic":
@@ -84,7 +84,7 @@ class ExperimentConfig:
                   else _finite("solver.dt", dt_raw))
             solver = SolverConfig(
                 dt=dt, T=_finite("solver.T", sv["T"]), cfl=cfl,
-                output_stride=int(sv.get("output_stride", 1)))
+                output_stride=_integer("solver.output_stride", sv.get("output_stride", 1)))
             diagnostics = _section(raw.get("diagnostics", {}), "diagnostics")
             cfg = ExperimentConfig(domain=domain, h=h, D=D, initial=initial,
                                    mode=mode, lam=lam, solver=solver,
@@ -93,7 +93,7 @@ class ExperimentConfig:
             return cfg
         except ConfigError:
             raise
-        except (AttributeError, KeyError, TypeError, ValueError) as e:
+        except (AttributeError, KeyError, OverflowError, TypeError, ValueError) as e:
             raise ConfigError(f"invalid config: {e}") from e
 
     def validate(self):
@@ -122,41 +122,57 @@ class ExperimentConfig:
         s = self.diagnostics["singular"]
         return sing.SingularConfig(
             eps0=float(s["eps0"]),
-            radii=[float(r) for r in s["radii"]],
-            time_stride=int(s.get("time_stride", 1)),
-            space_stride=int(s.get("space_stride", 1)),
+            radii=[self._length("singular radius", r) for r in s["radii"]],
+            time_stride=_integer("singular.time_stride", s.get("time_stride", 1)),
+            space_stride=_integer("singular.space_stride", s.get("space_stride", 1)),
             deltas=[float(x) for x in s["deltas"]] if "deltas" in s else None,
             mode=s.get("mode", "gl"))
 
     def diagnostic_sections(self) -> dict:
         """The cylinders, monotonicity, small_energy and mbar_probe sections,
-        parsed.  Raises ConfigError, KeyError, TypeError or ValueError on a
-        malformed one; ``validate`` calls it, so that happens at load."""
-        dcfg, d = self.diagnostics, self.domain.d
+        parsed, with the values the diagnostics would reject checked.
+        Raises ConfigError, KeyError, TypeError or ValueError on a malformed
+        one; ``validate`` calls it, so that happens at load."""
+        dcfg, d, h = self.diagnostics, self.domain.d, self.h
         out = {}
         if dcfg.get("cylinders"):
             out["cylinders"] = []
             for c in dcfg["cylinders"]:
                 c = _section(c, "diagnostics.cylinders entry")
                 t0, x0 = _point(c, d)
-                cyl = diag.CylinderSpec(t0=t0, x0=x0, R=float(c["R"]))
-                out["cylinders"].append((cyl, c.get("mode", "gl")))
+                R, mode = self._length("cylinder R", c["R"]), c.get("mode", "gl")
+                sing.check_cylinder_args(R, h, mode)
+                out["cylinders"].append((diag.CylinderSpec(t0=t0, x0=x0, R=R), mode))
         if "monotonicity" in dcfg:
             m = _section(dcfg["monotonicity"], "diagnostics.monotonicity")
-            out["monotonicity"] = (_point(m, d),
-                                   [(float(r1), float(r2)) for r1, r2 in m["pairs"]],
-                                   m.get("mode", "gradient"),
-                                   m.get("rhs_form", "difference"))
+            z0 = _point(m, d)
+            pairs = [(float(r1), float(r2)) for r1, r2 in m["pairs"]]
+            mode, rhs_form = m.get("mode", "gradient"), m.get("rhs_form", "difference")
+            for r1, r2 in pairs:
+                diag.check_monotonicity_args(z0[0], r1, r2, mode, rhs_form)
+            out["monotonicity"] = (z0, pairs, mode, rhs_form)
         if "small_energy" in dcfg:
             e = _section(dcfg["small_energy"], "diagnostics.small_energy")
-            out["small_energy"] = (_point(e, d), [float(r) for r in e["radii"]],
-                                   float(e["eps0"]))
+            radii = [self._length("small_energy radius", r) for r in e["radii"]]
+            out["small_energy"] = (_point(e, d), radii,
+                                   _finite("small_energy eps0", e["eps0"]))
         if dcfg.get("mbar_probe"):
             p = _section(dcfg["mbar_probe"], "diagnostics.mbar_probe")
-            t0 = float(p.get("t0", self.solver.T / 2.0))
+            t0 = _finite("mbar_probe t0", p.get("t0", self.solver.T / 2.0))
             x0 = _coords(p["x0"], d) if "x0" in p else self.domain_center()
-            out["mbar_probe"] = ((t0, x0), float(p["R"]), p.get("mode", "dirichlet"))
+            R, mode = self._length("mbar_probe R", p["R"]), p.get("mode", "dirichlet")
+            sing.check_cylinder_args(R, h, mode)
+            out["mbar_probe"] = ((t0, x0), R, mode)
         return out
+
+    def _length(self, name: str, value) -> float:
+        """A diagnostics radius: finite, positive and at most the domain
+        diameter (a larger ball already covers the domain)."""
+        r = _finite(name, value)
+        if not 0.0 < r <= self.domain.diameter:
+            raise ConfigError(f"{name} must lie in (0, {self.domain.diameter:g}], "
+                              f"the domain diameter; got {value!r}")
+        return r
 
     def build_initial(self, grid: Grid) -> SphereField:
         if self.initial.kind == "custom-samples":
@@ -177,6 +193,13 @@ def _finite(name: str, value) -> float:
     return x
 
 
+def _integer(name: str, value) -> int:
+    x = _finite(name, value)
+    if x != int(x) or abs(x) >= 2.0 ** 53:
+        raise ConfigError(f"{name} must be an integer, got {value!r}")
+    return int(x)
+
+
 def _section(value, name: str) -> dict:
     if not isinstance(value, dict):
         raise ConfigError(f"{name} must be an object")
@@ -185,14 +208,14 @@ def _section(value, name: str) -> dict:
 
 def _coords(value, d: int) -> np.ndarray:
     x = np.asarray(value, dtype=float)
-    if x.shape != (d,):
-        raise ConfigError(f"x0 must hold {d} coordinates, got {value!r}")
+    if x.shape != (d,) or not np.all(np.isfinite(x)):
+        raise ConfigError(f"x0 must hold {d} finite coordinates, got {value!r}")
     return x
 
 
 def _point(sec: dict, d: int) -> tuple:
     """The spacetime point (t0, x0) a diagnostics section is centred at."""
-    return float(sec["t0"]), _coords(sec["x0"], d)
+    return _finite("t0", sec["t0"]), _coords(sec["x0"], d)
 
 
 def _run_flow(cfg: ExperimentConfig, u0: SphereField) -> Trajectory:

@@ -247,6 +247,19 @@ def _speed_density(traj: Trajectory, k: int, z0) -> float:
     return float(np.sum(vals * gvals) * g.cell_volume)
 
 
+def check_monotonicity_args(t0: float, R1: float, R2: float,
+                            mode: str = "gradient", rhs_form: str = "difference"):
+    """Raise ValueError unless ``monotonicity_report`` accepts these values."""
+    if not (0 < R1 <= R2):
+        raise ValueError("need 0 < R1 <= R2")
+    if not (t0 > 0 and R2 < math.sqrt(t0) / 2.0):
+        raise ValueError("need R2 < sqrt(t0)/2 so the outer window starts after 0")
+    if mode not in ("gl", "gradient"):
+        raise ValueError(f"unknown density mode {mode!r}")
+    if rhs_form not in ("difference", "exponential"):
+        raise ValueError(f"unknown rhs form {rhs_form!r}")
+
+
 def monotonicity_report(traj: Trajectory, z0, R1: float, R2: float,
                         mode: str = "gradient", rhs_form: str = "difference",
                         mu_grid=MU_GRID, c_grid=C_GRID,
@@ -258,10 +271,7 @@ def monotonicity_report(traj: Trajectory, z0, R1: float, R2: float,
     C exp(R2^mu - R1^mu).
     """
     t0 = float(z0[0])
-    if not (0 < R1 <= R2):
-        raise ValueError("need 0 < R1 <= R2")
-    if R2 >= math.sqrt(t0) / 2.0:
-        raise ValueError("need R2 < sqrt(t0)/2 so the outer window starts after 0")
+    check_monotonicity_args(t0, R1, R2, mode, rhs_form)
 
     inner = weighted_annulus_energy(traj, z0, R1, mode)
     outer = weighted_annulus_energy(traj, z0, R2, mode)
@@ -282,8 +292,6 @@ def monotonicity_report(traj: Trajectory, z0, R1: float, R2: float,
         phi = R2 ** mu - R1 ** mu
         if rhs_form == "exponential":
             phi = math.exp(phi)
-        elif rhs_form != "difference":
-            raise ValueError(f"unknown rhs form {rhs_form!r}")
         for c in c_grid:
             rhs = c * phi * outer + c * (R2 - R1)
             defect = max(0.0, lhs - rhs)

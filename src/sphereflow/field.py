@@ -84,7 +84,11 @@ def generate(init: InitialData, grid: Grid, D: int) -> SphereField:
     if D < 1:
         raise DimensionMismatch("target dimension D must be >= 1")
     ncomp = D + 1
-    values = np.zeros(grid.shape + (ncomp,))
+    try:
+        values = np.zeros(grid.shape + (ncomp,))
+    except (MemoryError, ValueError) as e:
+        raise DimensionMismatch(
+            f"cannot allocate {ncomp} components on a {grid.shape} lattice: {e}") from e
     flat = values.reshape(-1, ncomp)
     idx, pts = _eval_points(grid)
     meta: dict = {"kind": init.kind}
@@ -152,18 +156,29 @@ def generate(init: InitialData, grid: Grid, D: int) -> SphereField:
 
 
 def project_to_sphere(f: SphereField) -> SphereField:
-    """Normalize every active node to the unit sphere; idempotent."""
+    """Normalize every active node to the unit sphere, in a copy.
+
+    Not bitwise idempotent: renormalizing a unit vector can move it by an
+    ulp, so projecting twice agrees with projecting once to ~1e-16.
+    """
     out = f.copy()
     flat = out.flat()
     idx = f.grid.active_flat
-    v = flat[idx]
+    flat[idx] = normalize_rows(flat[idx], idx)
+    return out
+
+
+def normalize_rows(v: np.ndarray, idx: np.ndarray) -> np.ndarray:
+    """Divide each row of ``v``, the values at flat nodes ``idx``, by its
+    norm, in place; returns ``v``.  Raises NearZeroVector on a row of norm
+    below 1e-14."""
     norms = np.sqrt(np.einsum("ij,ij->i", v, v))
     bad = norms < 1e-14
     if np.any(bad):
         raise NearZeroVector(
             f"cannot project node(s) at flat index {idx[np.flatnonzero(bad)[:5]].tolist()}")
-    flat[idx] = v / norms[:, None]
-    return out
+    v /= norms[:, None]
+    return v
 
 
 def _check_same(a: SphereField, b: SphereField):
@@ -189,7 +204,9 @@ def dirichlet_energy(f: SphereField) -> float:
     flat = f.flat()
     total = 0.0
     for s, mask in zip(g.strides(), g.link_masks()):
-        d = np.compress(mask, flat[s:] - flat[:-s], axis=0)
+        start = np.flatnonzero(mask)
+        d = np.take(flat, start + s, axis=0)
+        d -= np.take(flat, start, axis=0)
         total += float(np.einsum("ij,ij->", d, d))
     return total / g.h ** 2 * g.cell_volume
 
@@ -208,12 +225,17 @@ def gradient_squared_density(f: SphereField) -> np.ndarray:
     g = f.grid
     flat = f.flat()
     idx = g.interior_flat
-    out = np.zeros(g.n_lattice)
+    rows = np.take(flat, idx, axis=0)
     acc = np.zeros(idx.shape[0])
     for s in g.strides():
-        d = flat[s:] - flat[:-s]
-        link2 = np.einsum("ij,ij->i", d, d)      # link (j, j + s) at entry j
-        acc += 0.5 * (link2[idx] + link2[idx - s]) / g.h ** 2
+        d = np.take(flat, idx + s, axis=0)
+        d -= rows
+        up = np.einsum("ij,ij->i", d, d)          # link (i, i + s)
+        d = np.take(flat, idx - s, axis=0)
+        np.subtract(rows, d, out=d)
+        down = np.einsum("ij,ij->i", d, d)        # link (i - s, i)
+        acc += 0.5 * (up + down) / g.h ** 2
+    out = np.zeros(g.n_lattice)
     out[idx] = acc
     return out
 

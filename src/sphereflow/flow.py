@@ -12,8 +12,25 @@ One step, ``_step``, is an operator splitting:
    is integrated by substepped RK4 instead.
 
 Boundary nodes keep their Dirichlet values throughout.  The projected
-variant replaces the penalty substep by exact normalization.  Runs and the
-public single-step functions all go through ``_step``.
+variant replaces the penalty substep by exact normalization of the
+interior nodes.  Runs and the public single-step functions all go through
+``_step``.
+
+Data path of one step.  ``_step`` reads the field's interior rows once:
+``_diffused_rows`` gathers them, and the same rows of the stride-shifted
+neighbour sum, into a new (n_interior, D+1) array.  The norm reaction (or
+the normalization) rescales that array in place, one scatter writes it back
+into the field, and |u|^2 of the written rows is computed once.  That one
+array feeds the sup-norm guard, together with the boundary maximum, which
+is fixed because no step writes a boundary row, and the penalty energy of
+the step's record.  Nothing in a step copies the whole field.
+
+Buffers.  ``_run`` copies ``u0`` once and then owns that field: ``_step``
+mutates it in place, and each snapshot is a copy of it, so neither the
+caller's ``u0`` nor a returned snapshot is ever written by a later step.
+``glhf_step`` and ``projected_flow_step`` copy their input once and step
+the copy.  Per-step temporaries live in ``_step`` and are freed when it
+returns, before the record is built.
 """
 
 from __future__ import annotations
@@ -25,7 +42,10 @@ from typing import Optional
 import numpy as np
 
 from .errors import CFLViolated, NormBlowup
-from .field import SphereField, dirichlet_energy, norm_squared_flat, project_to_sphere
+# the benchmark tracer wraps the module bindings flow.dirichlet_energy (which
+# _record calls) and flow.project_to_sphere, so both stay imported here
+from .field import (SphereField, dirichlet_energy, normalize_rows,
+                    norm_squared_flat, project_to_sphere)
 from .geometry import Grid, neighbor_sum
 
 
@@ -150,15 +170,16 @@ class Trajectory:
 
 # -- substeps ---------------------------------------------------------------
 
-def _diffuse(f: SphereField, dt: float) -> SphereField:
-    g = f.grid
+def _diffused_rows(flat: np.ndarray, g: Grid, dt: float) -> np.ndarray:
+    """Interior rows after the explicit diffusion substep, in a new array."""
     mu = dt / g.h ** 2
-    out = f.copy()
-    flat_in = f.flat()
     idx = g.interior_flat
-    nbr_sum = neighbor_sum(flat_in, g.strides())[idx]
-    out.flat()[idx] = flat_in[idx] * (1.0 - 2.0 * g.d * mu) + mu * nbr_sum
-    return out
+    rows = np.take(flat, idx, axis=0)
+    rows *= 1.0 - 2.0 * g.d * mu
+    nbr = np.take(neighbor_sum(flat, g.strides()), idx, axis=0)
+    nbr *= mu
+    rows += nbr
+    return rows
 
 
 def _logistic_norms(w0: np.ndarray, lam_eff: float, dt: float) -> np.ndarray:
@@ -191,33 +212,41 @@ def _rk4_norms(w0: np.ndarray, lam_eff: float, dt: float,
     return w
 
 
-def _apply_norms(f: SphereField, w_old: np.ndarray, w_new: np.ndarray) -> SphereField:
-    """Rescale interior node norms from sqrt(w_old) to sqrt(w_new), direction unchanged."""
-    idx = f.grid.interior_flat
-    out = f.copy()
-    flat = out.flat()
-    scale = np.ones_like(w_old)
-    pos = w_old > 0
-    scale[pos] = np.sqrt(w_new[pos] / w_old[pos])
-    flat[idx] = flat[idx] * scale[:, None]
-    return out
+def _norm2(rows: np.ndarray) -> np.ndarray:
+    return np.einsum("ij,ij->i", rows, rows)
+
+
+def _boundary_norm2(u: SphereField) -> float:
+    """Largest |u|^2 over the boundary rows, which no step changes."""
+    g = u.grid
+    return _norm2(np.take(u.flat(), g.boundary_flat, axis=0)).max(initial=0.0)
+
+
+def _sup_norm(w: np.ndarray, bnd2: float) -> float:
+    """sup |u| over active nodes from the interior |u|^2 and the boundary max;
+    NaN in either propagates."""
+    return float(np.sqrt(np.maximum(w.max(), bnd2)))
 
 
 def _step(u: SphereField, t: float, cfg: SolverConfig,
-          sched: Optional[PenaltySchedule]):
-    """The one split step at time t: diffusion, then the norm reaction.
+          sched: Optional[PenaltySchedule], bnd2: float):
+    """The one split step at time t, in place: diffusion, then the norm reaction.
 
-    ``sched is None`` is the projected flow (exact normalization).  Returns
-    the new field, the step's penalty increment, the strength used and the
-    new sup-norm.
+    ``sched is None`` is the projected flow (exact normalization of the
+    interior rows).  ``bnd2`` is ``_boundary_norm2(u)``.  Returns |u|^2 of
+    the new interior rows, the step's penalty increment, the strength used
+    and the new sup-norm.
     """
     g = u.grid
-    mid = _diffuse(u, cfg.dt)
+    idx = g.interior_flat
+    flat = u.flat()
+    rows = _diffused_rows(flat, g, cfg.dt)
     if sched is None:
-        out, pen_incr, lam_eff = project_to_sphere(mid), 0.0, 0.0
+        normalize_rows(rows, idx)
+        pen_incr, lam_eff = 0.0, 0.0
     else:
         lam_eff = sched.strength(t)
-        w0 = norm_squared_flat(mid)[g.interior_flat]
+        w0 = _norm2(rows)
         # left-endpoint rectangle rule on the penalty subflow: the
         # integrand is sampled on the state entering the substep
         pen_incr = float(cfg.dt * lam_eff * np.sum((w0 - 1.0) ** 2) * g.cell_volume)
@@ -225,32 +254,44 @@ def _step(u: SphereField, t: float, cfg: SolverConfig,
             w1 = _rk4_norms(w0, lam_eff, cfg.dt, original_form=True)
         else:
             w1 = _logistic_norms(w0, lam_eff, cfg.dt)
-        out = _apply_norms(mid, w0, w1)
-    mx = out.max_norm()
+        # rescale norms from sqrt(w0) to sqrt(w1), direction unchanged
+        scale = np.ones_like(w0)
+        pos = w0 > 0
+        scale[pos] = np.sqrt(w1[pos] / w0[pos])
+        rows *= scale[:, None]
+    flat[idx] = rows
+    w = _norm2(rows)
+    mx = _sup_norm(w, bnd2)
     if not mx <= 1.0 + 1e-7:
         raise NormBlowup(f"max node norm {mx} exceeds 1 + 1e-7 at t = {t}")
-    return out, pen_incr, lam_eff, mx
+    return w, pen_incr, lam_eff, mx
+
+
+def _public_step(f: SphereField, t: float, cfg: SolverConfig,
+                 sched: Optional[PenaltySchedule]) -> SphereField:
+    cfg.validate(f.grid)
+    u = f.copy()
+    _step(u, t, cfg, sched, _boundary_norm2(u))
+    return u
 
 
 def glhf_step(f: SphereField, t: float, cfg: SolverConfig,
               sched: PenaltySchedule) -> SphereField:
-    """One split step of the penalized flow at time t."""
-    cfg.validate(f.grid)
-    return _step(f, t, cfg, sched)[0]
+    """One split step of the penalized flow at time t, in a new field."""
+    return _public_step(f, t, cfg, sched)
 
 
 def projected_flow_step(f: SphereField, t: float, cfg: SolverConfig) -> SphereField:
-    """Diffusion substep followed by exact normalization."""
-    cfg.validate(f.grid)
-    return _step(f, t, cfg, None)[0]
+    """Diffusion substep followed by exact normalization, in a new field."""
+    return _public_step(f, t, cfg, None)
 
 
 # -- runs --------------------------------------------------------------------
 
-def _record(step: int, t: float, u: SphereField, lam_eff: float,
+def _record(step: int, t: float, u: SphereField, w: np.ndarray, lam_eff: float,
             pen_incr: float, mx: float) -> StepRecord:
+    """The scalar record of ``u``; ``w`` is |u|^2 of its interior rows."""
     dir_e = dirichlet_energy(u)
-    w = norm_squared_flat(u)[u.grid.interior_flat]
     pen_e = float(lam_eff * np.sum((w - 1.0) ** 2) * u.grid.cell_volume / 4.0)
     return StepRecord(step=step, t=t, gl_energy=0.5 * dir_e + pen_e,
                       dirichlet_energy=dir_e, penalty_increment=pen_incr,
@@ -262,14 +303,16 @@ def _run(u0: SphereField, cfg: SolverConfig, sched: Optional[PenaltySchedule],
     cfg.validate(u0.grid)
     n_steps = int(math.ceil(cfg.T / cfg.dt - 1e-9))
     u = u0.copy()
-    records = [_record(0, 0.0, u, sched.strength(0.0) if sched else 0.0,
-                       0.0, u.max_norm())]
+    bnd2 = _boundary_norm2(u)
+    w = _norm2(np.take(u.flat(), u.grid.interior_flat, axis=0))
+    records = [_record(0, 0.0, u, w, sched.strength(0.0) if sched else 0.0,
+                       0.0, _sup_norm(w, bnd2))]
     times = [0.0]
     snapshots = [u.copy()]
     for k in range(n_steps):
-        u, pen_incr, lam_eff, mx = _step(u, k * cfg.dt, cfg, sched)
+        w, pen_incr, lam_eff, mx = _step(u, k * cfg.dt, cfg, sched, bnd2)
         t_next = (k + 1) * cfg.dt
-        records.append(_record(k + 1, t_next, u, lam_eff, pen_incr, mx))
+        records.append(_record(k + 1, t_next, u, w, lam_eff, pen_incr, mx))
         if (k + 1) % cfg.output_stride == 0 or k + 1 == n_steps:
             times.append(t_next)
             snapshots.append(u.copy())

@@ -47,6 +47,8 @@ class SingularConfig:
             raise ValueError("scan radii must be resolvable (R >= 2h)")
         if self.time_stride < 1 or self.space_stride < 1:
             raise ValueError("strides must be >= 1")
+        if self.mode not in ("gl", "dirichlet"):
+            raise ValueError(f"unknown scan mode {self.mode!r}")
 
 
 @dataclass
@@ -87,12 +89,20 @@ def _scale(mode: str, R: float, d: int) -> float:
     return 2.0 * R ** d if mode == "dirichlet" else R ** d
 
 
+def check_cylinder_args(R: float, h: float, mode: str = "gl"):
+    """Raise ValueError unless ``local_scaled_energy`` accepts radius R and
+    ``mode`` on a grid of spacing h."""
+    if not R >= 2.0 * h - 1e-12:
+        raise ValueError("radius below the 2h resolution floor")
+    if mode not in ("gl", "dirichlet"):
+        raise ValueError(f"unknown cylinder mode {mode!r}")
+
+
 def local_scaled_energy(traj: Trajectory, z0, R: float, mode: str = "gl") -> float:
     """Scaled cylinder energy: R^{-d} integral of the density over P_R,
     or (2 R^d)^{-1} of |grad u|^2 in dirichlet mode."""
     g = traj.grid
-    if R < 2.0 * g.h - 1e-12:
-        raise ValueError("radius below the 2h resolution floor")
+    check_cylinder_args(R, g.h, mode)
     cyl = CylinderSpec(t0=float(z0[0]), x0=z0[1], R=R)
     return cylinder_integral(traj, cyl, _density_mode(mode)) / _scale(mode, R, g.d)
 

@@ -131,6 +131,33 @@ def test_malformed_diagnostics_section_exits_2_before_stepping(tmp_path, section
     assert not (out / "trajectory.csv").exists()
 
 
+@pytest.mark.parametrize("section, value", [
+    ("monotonicity", {"t0": 0.1, "x0": [0.0, 0.0], "pairs": [[0.1, 0.05]]}),
+    ("monotonicity", {"t0": 0.1, "x0": [0.0, 0.0], "pairs": [[0.1, 0.2]]}),
+    ("monotonicity", {"t0": 0.1, "x0": [0.0, 0.0], "pairs": [[0.05, 0.1]],
+                      "mode": "dirichlet"}),
+    ("monotonicity", {"t0": 0.1, "x0": [0.0, 0.0], "pairs": [[0.05, 0.1]],
+                      "rhs_form": "sum"}),
+    ("cylinders", [{"t0": 0.0625, "x0": [0.0, 0.0], "R": 0.1}]),
+    ("cylinders", [{"t0": 0.0625, "x0": [0.0, 0.0], "R": 0.25, "mode": "gradient"}]),
+    ("small_energy", {"t0": 0.0625, "x0": [0.0, 0.0], "radii": [0.25, -0.125],
+                      "eps0": 1.0}),
+    ("singular", {"eps0": 1.0, "radii": [0.25, 0.5], "mode": "dirchlet"}),
+    ("singular", {"eps0": 1.0, "radii": [0.25, 4.0]}),
+])
+def test_diagnostic_value_errors_exit_2_before_stepping(tmp_path, section, value):
+    # h = 1/16 and T = 0.125: the 2h cylinder floor is 0.125
+    cfg = json.loads((CONFIGS / "onesided_cap.json").read_text())
+    cfg["diagnostics"] = {section: value}
+    p = tmp_path / "bad.json"
+    p.write_text(json.dumps(cfg))
+    out = tmp_path / "out"
+    assert run_experiment(p, out) == 2
+    err = json.loads((out / "error.json").read_text())
+    assert err["error"] == "ConfigError" and err["exit_code"] == 2
+    assert not (out / "trajectory.csv").exists()
+
+
 def test_penalty_integration_accepts_only_exact_logistic(tmp_path):
     cfg = json.loads((CONFIGS / "cap_disc.json").read_text())
     cfg["solver"]["penalty_integration"] = "exact-logistic"

@@ -4,7 +4,8 @@ from hypothesis import given, settings, strategies as st
 
 from sphereflow.errors import DimensionMismatch, GridMismatch, NearZeroVector
 from sphereflow.field import (InitialData, SphereField, dirichlet_energy,
-                              generate, l2_distance, project_to_sphere)
+                              generate, gradient_squared_density, l2_distance,
+                              project_to_sphere)
 from sphereflow.geometry import Domain, build_grid
 
 
@@ -109,6 +110,28 @@ def test_hedgehog_energy_error_trend():
         f = generate(InitialData(kind="equator-hedgehog"), g, 2)
         errs.append(abs(dirichlet_energy(f) - target))
     assert errs[0] >= errs[1] >= errs[2]
+
+
+@pytest.mark.parametrize("domain, h", [(Domain.unit_ball(2), 1 / 16),
+                                       (Domain.half_ball(3), 1 / 8),
+                                       (Domain.box([[0.0, 1.0], [0.0, 2.0]]), 1 / 8)])
+def test_link_energies_match_full_lattice_differences(domain, h, rng):
+    # reference: forward differences over the whole lattice, then the links
+    # or nodes kept; the gathered versions do the same arithmetic per link
+    g = build_grid(domain, h)
+    f = SphereField(g, rng.standard_normal(g.shape + (3,)), 2)
+    flat, idx = f.flat(), g.interior_flat
+    energy = 0.0
+    density = np.zeros(idx.size)
+    for s, mask in zip(g.strides(), g.link_masks()):
+        d = flat[s:] - flat[:-s]
+        link2 = np.einsum("ij,ij->i", d, d)
+        energy += float(np.einsum("ij,ij->", d[mask], d[mask]))
+        density += 0.5 * (link2[idx] + link2[idx - s]) / g.h ** 2
+    assert dirichlet_energy(f) == energy / g.h ** 2 * g.cell_volume
+    dens = gradient_squared_density(f)
+    assert np.array_equal(dens[idx], density)
+    assert not np.any(np.delete(dens, idx))
 
 
 def test_energy_rotation_invariance(disc32, cap60_32, rng):

@@ -5,12 +5,12 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from sphereflow.errors import CFLViolated, NormBlowup
-from sphereflow.field import (InitialData, SphereField, generate, l2_distance,
-                              norm_squared_flat)
+from sphereflow.field import (InitialData, SphereField, dirichlet_energy,
+                              generate, l2_distance, norm_squared_flat)
 from sphereflow.flow import (PenaltySchedule, SolverConfig, Trajectory, chi,
                              chi_dot, glhf_step, kappa, kappa_dot,
                              penalty_integral, projected_flow_step, run_glhf,
-                             run_projected, _diffuse, _logistic_norms,
+                             run_projected, _diffused_rows, _logistic_norms,
                              _rk4_norms)
 from sphereflow.geometry import Domain, build_grid
 from sphereflow.stereo import stereo_inverse
@@ -98,9 +98,9 @@ def test_discrete_harmonic_field_unchanged_by_diffusion(disc16):
     flat[:, 0] = 0.1 + 0.4 * coords[:, 0]
     flat[:, 1] = -0.2 * coords[:, 1]
     f = SphereField(disc16, vals, 2)
-    out = _diffuse(f, SolverConfig.auto_dt(disc16))
+    rows = _diffused_rows(f.flat(), disc16, SolverConfig.auto_dt(disc16))
     idx = disc16.interior_flat
-    assert np.max(np.abs(out.flat()[idx] - f.flat()[idx])) <= 1e-14
+    assert np.max(np.abs(rows - f.flat()[idx])) <= 1e-14
 
 
 def test_cfl_violation(disc16, cap60_32):
@@ -189,6 +189,82 @@ def test_run_first_step_equals_public_projected_step(disc16):
     assert len(traj.snapshots) == 2
     assert np.array_equal(traj.snapshots[1].values,
                           projected_flow_step(u0, 0.0, cfg).values)
+
+
+def _kernel_case(d, mode):
+    g = build_grid(Domain.unit_ball(d), 1 / 16 if d == 2 else 1 / 8)
+    kind = "cap" if d == 2 else "equator-hedgehog"
+    u0 = generate(InitialData(kind=kind, latitude_deg=60.0), g, 2)
+    dt = SolverConfig.auto_dt(g)
+    cfg = SolverConfig(dt=dt, T=6.75 * dt, output_stride=3)
+    if mode == "projected":
+        return u0, cfg, None
+    return u0, cfg, PenaltySchedule(lam=500.0,
+                                    use_original_form=(mode == "glhf-original"))
+
+
+KERNEL_CASES = [(d, mode) for d in (2, 3)
+                for mode in ("glhf-simplified", "glhf-original", "projected")]
+
+
+@pytest.mark.parametrize("d,mode", KERNEL_CASES)
+def test_run_equals_chain_of_public_steps(d, mode):
+    u0, cfg, sched = _kernel_case(d, mode)
+    traj = run_projected(u0, cfg) if sched is None else run_glhf(u0, cfg, sched)
+    chain = [u0]
+    for k in range(7):
+        f = chain[-1]
+        t = k * cfg.dt
+        chain.append(projected_flow_step(f, t, cfg) if sched is None
+                     else glhf_step(f, t, cfg, sched))
+    assert [r.step for r in traj.records] == list(range(8))
+    assert len(traj.snapshots) == 4
+    for snap, k in zip(traj.snapshots, (0, 3, 6, 7)):
+        assert np.array_equal(snap.values, chain[k].values)
+    for r, f in zip(traj.records, chain):
+        assert r.max_norm == f.max_norm()
+        assert r.dirichlet_energy == dirichlet_energy(f)
+
+
+@pytest.mark.parametrize("d,mode", KERNEL_CASES)
+def test_steps_and_runs_leave_their_input_unchanged(d, mode):
+    u0, cfg, sched = _kernel_case(d, mode)
+    before = u0.values.copy()
+    if sched is None:
+        projected_flow_step(u0, 0.0, cfg)
+        run_projected(u0, cfg)
+    else:
+        glhf_step(u0, 0.0, cfg, sched)
+        run_glhf(u0, cfg, sched)
+    assert np.array_equal(u0.values, before)
+
+
+def test_snapshots_are_independent_copies():
+    u0, cfg, sched = _kernel_case(2, "glhf-simplified")
+    traj = run_glhf(u0, cfg, sched)
+    kept = [s.values.copy() for s in traj.snapshots]
+    traj.snapshots[1].values[...] = 7.0
+    for k in (0, 2, 3):
+        assert np.array_equal(traj.snapshots[k].values, kept[k])
+
+
+@pytest.mark.parametrize("d", [2, 3])
+def test_projected_run_pins_dirichlet_rows(d):
+    # the onesided_cap config case in 2-D; the hedgehog at h = 1/32 in 3-D
+    if d == 2:
+        g = build_grid(Domain.unit_ball(2), 1 / 16)
+        u0 = generate(InitialData(kind="cap", latitude_deg=60.0), g, 2)
+        cfg = SolverConfig(dt=SolverConfig.auto_dt(g), T=0.125, output_stride=8)
+    else:
+        g = build_grid(Domain.unit_ball(3), 1 / 32)
+        u0 = generate(InitialData(kind="equator-hedgehog"), g, 2)
+        cfg = SolverConfig(dt=SolverConfig.auto_dt(g), T=3.5 * SolverConfig.auto_dt(g),
+                           output_stride=1)
+    traj = run_projected(u0, cfg)
+    bnd = g.boundary_flat
+    for snap in traj.snapshots:
+        assert np.array_equal(snap.flat()[bnd], u0.flat()[bnd])
+    assert np.array_equal(projected_flow_step(u0, 0.0, cfg).flat()[bnd], u0.flat()[bnd])
 
 
 def test_times_strictly_increasing(cap_run_32):
