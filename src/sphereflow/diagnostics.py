@@ -14,11 +14,11 @@ import functools
 import math
 import warnings
 from dataclasses import dataclass
-from typing import Optional
+from typing import Callable, Optional
 
 import numpy as np
 
-from .elliptic import HarmonicExtension, derivative_energy_density
+from .elliptic import HarmonicExtension
 from .errors import (EmptyIntersection, KernelUnderresolved, TimeNotBeforeCenter,
                      UnboundedDomainUnsupported, WindowOutsideTrajectory)
 from .field import SphereField, gradient_squared_density, norm_squared_flat
@@ -222,29 +222,43 @@ def weighted_annulus_energy(traj: Trajectory, z0, R: float, mode: str = "gl") ->
 
 # -- monotonicity ------------------------------------------------------------
 
-def _speed_density(traj: Trajectory, k: int, z0) -> float:
-    """Spatial integral of |du/dt - (x-x0)/(2 sqrt(t0-t)) . grad u|^2 G at t_k."""
+def _speed_density(traj: Trajectory, z0) -> Callable[[int], float]:
+    """k -> spatial integral of |du/dt - (x-x0)/(2 sqrt(t0-t)) . grad u|^2 G at t_k.
+
+    What does not depend on k (x - x0 per axis, the gather indices) is
+    computed once; every call gathers into the same four row buffers and
+    updates them in place.
+    """
     g = traj.grid
     t0, x0 = float(z0[0]), np.asarray(z0[1], dtype=float)
-    t = traj.times[k]
-    dt_loc = traj.times[k + 1] - traj.times[k]
     idx = g.interior_flat
-    a_flat = traj.snapshots[k].flat()
-    b_flat = traj.snapshots[k + 1].flat()
-    du_dt = (b_flat[idx] - a_flat[idx]) / dt_loc
+    coords = np.take(g.coords(), idx, axis=0)
+    # a_flat[idx + s] and a_flat[idx - s], both gathered at idx - s
+    axes = [(idx - s, 2 * s, (coords[:, a] - x0[a])[:, None])
+            for a, s in enumerate(g.strides())]
+    rows = np.empty((4, idx.size, traj.snapshots[0].ncomp))
 
-    coords = g.coords()[idx]
-    s = g.strides()
-    radial = np.zeros_like(du_dt)
-    for a in range(g.d):
-        deriv = (a_flat[idx + s[a]] - a_flat[idx - s[a]]) / (2.0 * g.h)
-        radial += (coords[:, a] - x0[a])[:, None] * deriv
-    radial /= 2.0 * math.sqrt(t0 - t)
+    def at(k: int) -> float:
+        diff, radial, deriv, buf = rows
+        t = traj.times[k]
+        a_flat = traj.snapshots[k].flat()
+        np.take(traj.snapshots[k + 1].flat(), idx, axis=0, out=diff)
+        diff -= np.take(a_flat, idx, axis=0, out=buf)
+        diff /= traj.times[k + 1] - t                   # du/dt
+        radial.fill(0.0)
+        for lo, span, rel in axes:
+            np.take(a_flat[span:], lo, axis=0, out=deriv)
+            deriv -= np.take(a_flat, lo, axis=0, out=buf)
+            deriv /= 2.0 * g.h
+            deriv *= rel
+            radial += deriv
+        radial /= 2.0 * math.sqrt(t0 - t)
+        diff -= radial
+        vals = np.einsum("ij,ij->i", diff, diff)
+        vals *= backward_heat_kernel(z0, t, coords)
+        return float(np.sum(vals) * g.cell_volume)
 
-    diff = du_dt - radial
-    vals = np.einsum("ij,ij->i", diff, diff)
-    gvals = backward_heat_kernel(z0, t, coords)
-    return float(np.sum(vals * gvals) * g.cell_volume)
+    return at
 
 
 def check_monotonicity_args(t0: float, R1: float, R2: float,
@@ -280,7 +294,7 @@ def monotonicity_report(traj: Trajectory, z0, R1: float, R2: float,
     # once and shared by all R windows (none is empty, since each reaches back
     # past the inner annulus window; the last snapshot never has weight), then
     # the R integral is a trapezoid
-    speed_at = functools.cache(lambda k: _speed_density(traj, k, z0))
+    speed_at = functools.cache(_speed_density(traj, z0))
     r_samples = np.linspace(R1, R2, n_r_samples)
     speed_of_R = [window_integral(traj, t0 - 4.0 * R * R, t0 - R * R, speed_at)
                   for R in r_samples]
@@ -420,7 +434,7 @@ def _h0_data_integral(h0: HarmonicExtension, cyl: CylinderSpec,
     g = h0.grid
     d = g.d
     m = (d + 1) // 2 + 1
-    dens = derivative_energy_density(h0, 1) + derivative_energy_density(h0, m)
+    dens = h0.derivative_density(1) + h0.derivative_density(m)
     nodes = g.nodes_within(cyl.x0, cyl.R)
     spatial = float(dens[nodes].sum()) * g.cell_volume
     vol = time_extent * nodes.size * g.cell_volume

@@ -3,19 +3,28 @@
 The extension solves the 2d+1-point discrete Laplace equation at interior
 nodes with values pinned at boundary nodes.  It is not sphere-valued and is
 used as-is by the comparison diagnostics.
+
+The solver is matrix-free conjugate gradients on the SPD operator
+``x -> 2d x - neighbor_sum(x)`` over the interior rows (the flow's stencil),
+with every component a column that carries its own step sizes.  It starts
+from the boundary mean and iterates to rounding level, whatever ``tol`` the
+caller asks for; ``tol`` only bounds the result: the max-norm of the discrete
+Laplacian over the interior, divided by h^2, is at most ``tol`` or
+``NoConvergence`` names the residual reached.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field as dfield
 
 import numpy as np
-import scipy.sparse as sp
-import scipy.sparse.linalg as spla
 
 from .errors import NoConvergence, OrderTooHighForGrid
 from .field import SphereField
 from .geometry import EXTERIOR, INTERIOR, Grid, neighbor_sum
+
+# per-column stop: 2-norm residual at most this fraction of the right-hand side's
+CG_RTOL = 1e-14
 
 
 @dataclass
@@ -25,75 +34,94 @@ class HarmonicExtension:
     field: SphereField
     residual: float
     iterations: int
+    _densities: dict = dfield(default_factory=dict, repr=False, compare=False)
 
     @property
     def grid(self) -> Grid:
         return self.field.grid
+
+    def derivative_density(self, order: int) -> np.ndarray:
+        """``derivative_energy_density(self, order)``, computed once per order.
+
+        Every comparison against the extension reads the same densities, and
+        at order 3 in 3-D one evaluation builds 27 lattice-sized differences.
+        """
+        if order not in self._densities:
+            self._densities[order] = derivative_energy_density(self, order)
+        return self._densities[order]
 
 
 def _laplacian_residual(grid: Grid, flat: np.ndarray) -> float:
     """Max-norm of the discrete Laplacian over interior nodes and components."""
     idx = grid.interior_flat
     res = neighbor_sum(flat, grid.strides())[idx] - 2 * grid.d * flat[idx]
-    return float(np.max(np.abs(res))) / grid.h ** 2
+    return float(np.max(np.abs(res), initial=0.0)) / grid.h ** 2
+
+
+def _coldot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    return np.einsum("ij,ij->j", a, b)
 
 
 def solve_harmonic_extension(grid: Grid, boundary_data: SphereField,
                              tol: float = 1e-8, method: str = "direct",
-                             max_sweeps: int = 100_000) -> HarmonicExtension:
+                             max_iter: int = 10_000) -> HarmonicExtension:
     """Solve  -lap h = 0  at interior nodes, h = boundary data on the mask.
 
-    ``method="direct"`` assembles the sparse system and solves it exactly
-    (residual at rounding level); ``method="jacobi"`` runs damped Jacobi
-    sweeps until the max-norm residual of the discrete Laplacian falls
-    below ``tol``.  Both honor the same residual contract.
+    One conjugate-gradient solve (see the module docstring); ``iterations``
+    is its iteration count.  ``method`` accepts only ``"direct"``, the name
+    the benchmark passes, and selects that same solver.
     """
-    if tol <= 0:
+    if not tol > 0:
         raise ValueError("tolerance must be positive")
-    ncomp = boundary_data.ncomp
+    if method != "direct":
+        raise ValueError(f"unknown solver method {method!r}")
     out = boundary_data.copy()
     flat = out.flat()
     idx = grid.interior_flat
     strides = grid.strides()
+    two_d = 2.0 * grid.d
 
-    if method == "direct":
-        n = idx.size
-        pos = -np.ones(grid.n_lattice, dtype=np.int64)
-        pos[idx] = np.arange(n)
-        rows, cols, vals = [np.arange(n)], [np.arange(n)], [np.full(n, 2.0 * grid.d)]
-        rhs = np.zeros((n, ncomp))
-        for nb in (idx + sign * s for s in strides for sign in (-1, 1)):
-            is_int = pos[nb] >= 0
-            rows.append(np.flatnonzero(is_int))
-            cols.append(pos[nb[is_int]])
-            vals.append(np.full(int(is_int.sum()), -1.0))
-            ext = np.flatnonzero(~is_int)
-            rhs[ext] += flat[nb[ext]]
-        A = sp.csr_matrix((np.concatenate(vals),
-                           (np.concatenate(rows), np.concatenate(cols))), shape=(n, n))
-        sol = spla.spsolve(A, rhs)
-        if sol.ndim == 1:
-            sol = sol[:, None]
-        flat[idx] = sol
-        res = _laplacian_residual(grid, flat)
-        if res > max(tol, 1e-6):
-            raise NoConvergence(f"direct solve residual {res:.3e} above tolerance")
-        return HarmonicExtension(field=out, residual=res, iterations=1)
+    # right-hand side: the boundary neighbours of every interior row
+    nsum = np.empty_like(flat)
+    flat[idx] = 0.0
+    b = np.take(neighbor_sum(flat, strides, out=nsum), idx, axis=0)
+    x = np.broadcast_to(flat[grid.boundary_flat].mean(axis=0), b.shape).copy()
 
-    if method != "jacobi":
-        raise ValueError(f"unknown solver method {method!r}")
+    # the operator's input lives on a lattice buffer that is zero off the
+    # interior rows, so the boundary data does not enter it
+    lat = np.zeros_like(flat)
 
-    omega = 0.9
-    inv = 1.0 / (2.0 * grid.d)
-    res = np.inf
-    for sweep in range(1, max_sweeps + 1):
-        avg = neighbor_sum(flat, strides)[idx] * inv
-        flat[idx] = (1 - omega) * flat[idx] + omega * avg
-        if sweep % 50 == 0 or sweep == max_sweeps:
-            res = _laplacian_residual(grid, flat)
-            if res <= tol:
-                return HarmonicExtension(field=out, residual=res, iterations=sweep)
-    raise NoConvergence(f"no convergence after {max_sweeps} sweeps, residual {res:.3e}")
+    def apply(v: np.ndarray) -> np.ndarray:
+        lat[idx] = v
+        return two_d * v - np.take(neighbor_sum(lat, strides, out=nsum), idx, axis=0)
+
+    r = b - apply(x)
+    p = r.copy()
+    rr = _coldot(r, r)
+    # relative to the larger of |b| and the first residual, so a column with
+    # b = 0 stops too; a stopped column keeps alpha = 0 and no longer moves
+    stop = CG_RTOL ** 2 * np.maximum(_coldot(b, b), rr)
+    it = 0
+    while it < max_iter:
+        live = rr > stop
+        if not live.any():
+            break
+        it += 1
+        q = apply(p)
+        alpha = np.divide(rr, _coldot(p, q), out=np.zeros_like(rr), where=live)
+        x += alpha * p
+        r -= alpha * q
+        rr_new = _coldot(r, r)
+        p *= np.divide(rr_new, rr, out=np.zeros_like(rr), where=live)
+        p += r
+        rr = rr_new
+
+    flat[idx] = x
+    res = _laplacian_residual(grid, flat)
+    if not res <= tol:
+        raise NoConvergence(f"conjugate gradients stopped after {it} iterations "
+                            f"with residual {res:.3e} above tolerance {tol:.1e}")
+    return HarmonicExtension(field=out, residual=res, iterations=it)
 
 
 def _depth_mask(grid: Grid, order: int) -> np.ndarray:

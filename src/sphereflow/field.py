@@ -7,7 +7,7 @@ from typing import Optional
 
 import numpy as np
 
-from .errors import DimensionMismatch, GridMismatch, NearZeroVector
+from .errors import ConfigError, DimensionMismatch, GridMismatch, NearZeroVector
 from .geometry import Grid
 
 
@@ -43,11 +43,13 @@ class SphereField:
         return float(np.sqrt(np.max(np.einsum("ij,ij->i", v, v))))
 
 
+INITIAL_KINDS = ("constant", "cap", "equator-hedgehog", "boundary-wrap", "custom-samples")
+
+
 @dataclass
 class InitialData:
-    """Named initial-data family with per-kind parameters.
-
-    Kinds: constant, cap, equator-hedgehog, boundary-wrap, custom-samples.
+    """Named initial-data family with per-kind parameters; ``kind`` is one
+    of ``INITIAL_KINDS``.
     """
 
     kind: str
@@ -59,6 +61,9 @@ class InitialData:
     @staticmethod
     def from_config(spec: dict) -> "InitialData":
         kind = spec["kind"]
+        if kind not in INITIAL_KINDS:
+            raise ConfigError(f"unknown initial data kind {kind!r}; "
+                              f"expected one of {', '.join(INITIAL_KINDS)}")
         return InitialData(
             kind=kind,
             vector=np.asarray(spec["vector"], dtype=float) if "vector" in spec else None,

@@ -403,15 +403,19 @@ def _strides(shape) -> np.ndarray:
     return np.cumprod((*shape[1:], 1)[::-1], dtype=np.int64)[::-1]
 
 
-def neighbor_sum(flat: np.ndarray, strides) -> np.ndarray:
+def neighbor_sum(flat: np.ndarray, strides, out: Optional[np.ndarray] = None) -> np.ndarray:
     """Sum of the 2d axis neighbours ``i -/+ strides[a]`` of every flat node.
 
     ``flat`` is a lattice array flattened along its first axis.  The sum is
     exact off the lattice faces; face nodes hold partial sums with wrapped
     reads and must not be used.  Per axis the -s neighbour is added before
-    the +s one.
+    the +s one.  ``out``, if given, is a buffer of ``flat``'s shape that is
+    overwritten and returned.
     """
-    out = np.zeros_like(flat)
+    if out is None:
+        out = np.zeros_like(flat)
+    else:
+        out.fill(0.0)
     for s in strides:
         out[s:] += flat[:-s]
         out[:-s] += flat[s:]

@@ -148,13 +148,13 @@ def detect_singular_set(traj: Trajectory, cfg: SingularConfig) -> SingularReport
     t_idx, nodes = _scan_points(traj, cfg)
     coords = g.coords()
     dens_mode = _density_mode(cfg.mode)
-    interior = g.class_flat() == 1
+    interior = g.node_class == 1
 
     # zero padding of the widest ball's reach keeps every gathered index on
     # the padded lattice; flat offsets there address the whole ball
     m = int(np.ceil(radii[-1] / g.h))
     padded = np.zeros(tuple(n + 2 * m for n in g.shape))
-    core = padded[(slice(m, -m),) * g.d]
+    core = padded[(slice(m, -m),) * g.d]       # written only at interior nodes
     flat_padded = padded.reshape(-1)
     pstrides = np.array(padded.strides) // padded.itemsize
     centers = (np.array(np.unravel_index(nodes, g.shape)).T + m) @ pstrides
@@ -170,7 +170,7 @@ def detect_singular_set(traj: Trajectory, cfg: SingularConfig) -> SingularReport
                 break
             field = window_integral(traj, t0 - R * R, t0 + R * R,
                                     lambda k: energy_density(traj, k, dens_mode))
-            core[...] = np.where(interior, field, 0.0).reshape(g.shape)
+            np.copyto(core, field.reshape(g.shape), where=interior)
             sums = _ball_sums(flat_padded, centers[alive], offsets[R])
             vals[alive, j] = sums * g.cell_volume / _scale(cfg.mode, R, g.d)
             alive = alive[vals[alive, j] >= cfg.eps0]

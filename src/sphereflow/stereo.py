@@ -151,21 +151,27 @@ def one_sided_check(u0: SphereField) -> OneSidedCheck:
                          theta0_proxy=theta0)
 
 
-def _w_field(snap: SphereField, rot: np.ndarray) -> tuple[np.ndarray, float, np.ndarray]:
-    """Lattice W(|v|^2) array, min rotated last component, rotated chart values."""
-    g = snap.grid
-    idx = g.active_flat
-    rotated = snap.flat()[idx] @ rot.T
+def _chart_rows(snap: SphereField, rot: np.ndarray) -> tuple[np.ndarray, float]:
+    """Chart values v of the rotated active rows, min rotated last component."""
+    rotated = np.take(snap.flat(), snap.grid.active_flat, axis=0) @ rot.T
     min_last = float(rotated[:, -1].min())
     if min_last <= -1.0 + POLE_GAP:
         raise PoleProximity("rotated value reaches the pole gap")
-    v = rotated[:, :-1] / (1.0 + rotated[:, -1])[:, None]
-    s = np.einsum("ij,ij->i", v, v)
+    v = rotated[:, :-1]
+    v /= (1.0 + rotated[:, -1])[:, None]
+    return v, min_last
+
+
+def _w_field(snap: SphereField, rot: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Lattice arrays of W(|v|^2) and of the chart values v."""
+    g = snap.grid
+    idx = g.active_flat
+    v, _ = _chart_rows(snap, rot)
     wlat = np.zeros(g.n_lattice)
-    wlat[idx] = W(s)
+    wlat[idx] = W(np.einsum("ij,ij->i", v, v))
     vlat = np.zeros((g.n_lattice, snap.target_dim))
     vlat[idx] = v
-    return wlat, min_last, vlat
+    return wlat, vlat
 
 
 def one_sided_monitor(traj: Trajectory, check: Optional[OneSidedCheck] = None,
@@ -183,17 +189,15 @@ def one_sided_monitor(traj: Trajectory, check: Optional[OneSidedCheck] = None,
     rot = check.rotation
     band = 1e-6 + band_factor * traj.dt
 
-    g = traj.grid
-    idx = g.active_flat
     max_w, min_last = [], []
     first_violation = None
     for k, snap in enumerate(traj.snapshots):
         try:
-            wlat, mlast, _ = _w_field(snap, rot)
+            v, mlast = _chart_rows(snap, rot)
         except PoleProximity:
             first_violation = k
             break
-        max_w.append(float(wlat[idx].max()))
+        max_w.append(float(W(np.einsum("ij,ij->i", v, v)).max()))
         min_last.append(mlast)
         if max_w[k] > max_w[0] + band or mlast <= 0.0:
             first_violation = k
@@ -236,7 +240,7 @@ def _pde_residual_samples(traj: Trajectory, rot: np.ndarray,
         if k not in cache:
             if len(cache) > 3:
                 cache.clear()
-            w, _, v = _w_field(traj.snapshots[k], rot)
+            w, v = _w_field(traj.snapshots[k], rot)
             cache[k] = (w, v, neighbor_sum(w, s))
         return cache[k]
 

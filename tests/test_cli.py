@@ -158,6 +158,19 @@ def test_diagnostic_value_errors_exit_2_before_stepping(tmp_path, section, value
     assert not (out / "trajectory.csv").exists()
 
 
+@pytest.mark.parametrize("kind", ["x", "Cap", None, ["cap"]])
+def test_unknown_initial_kind_exits_2_at_load(tmp_path, kind):
+    cfg = json.loads((CONFIGS / "onesided_cap.json").read_text())
+    cfg["initial"]["kind"] = kind
+    p = tmp_path / "bad.json"
+    p.write_text(json.dumps(cfg))
+    out = tmp_path / "out"
+    assert run_experiment(p, out) == 2
+    err = json.loads((out / "error.json").read_text())
+    assert err["error"] == "ConfigError" and err["exit_code"] == 2
+    assert not (out / "trajectory.csv").exists()
+
+
 def test_penalty_integration_accepts_only_exact_logistic(tmp_path):
     cfg = json.loads((CONFIGS / "cap_disc.json").read_text())
     cfg["solver"]["penalty_integration"] = "exact-logistic"

@@ -1,11 +1,18 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
-from sphereflow.elliptic import (higher_derivative_energy,
+from sphereflow.elliptic import (derivative_energy_density, higher_derivative_energy,
                                  solve_harmonic_extension)
 from sphereflow.errors import OrderTooHighForGrid
 from sphereflow.field import InitialData, SphereField, dirichlet_energy, generate
 from sphereflow.geometry import Domain, build_grid
+
+SRC = str(Path(__file__).resolve().parents[1] / "src")
 
 
 def first_harmonic_data(grid):
@@ -64,15 +71,37 @@ def test_energy_minimality_against_perturbations(disc16, rng):
         assert dirichlet_energy(pert) - base >= -1e-10
 
 
-def test_jacobi_agrees_with_direct():
+def _dense_reference(g, bd):
+    """Interior values from numpy.linalg.solve on the assembled 2d+1-point matrix."""
+    idx = g.interior_flat
+    pos = {int(i): k for k, i in enumerate(idx)}
+    flat = bd.flat()
+    A = np.zeros((idx.size, idx.size))
+    rhs = np.zeros((idx.size, flat.shape[1]))
+    for k, i in enumerate(idx):
+        A[k, k] = 2 * g.d
+        for s in g.strides():
+            for nb in (int(i) - int(s), int(i) + int(s)):
+                if nb in pos:
+                    A[k, pos[nb]] = -1.0
+                else:
+                    rhs[k] += flat[nb]
+    return np.linalg.solve(A, rhs)
+
+
+def test_cg_agrees_with_dense_solve():
     g = build_grid(Domain.unit_ball(2), 0.25)
     bd = first_harmonic_data(g)
-    direct = solve_harmonic_extension(g, bd, tol=1e-9, method="direct")
-    jac = solve_harmonic_extension(g, bd, tol=1e-9, method="jacobi")
-    assert jac.residual <= 1e-9
-    assert jac.iterations > 1
-    diff = direct.field.flat() - jac.field.flat()
+    cg = solve_harmonic_extension(g, bd, tol=1e-9)
+    assert cg.residual <= 1e-9
+    assert cg.iterations > 1
+    diff = _dense_reference(g, bd) - cg.field.flat()[g.interior_flat]
     assert np.max(np.abs(diff)) <= 1e-6
+
+
+def test_unknown_method_rejected(disc16):
+    with pytest.raises(ValueError, match="method"):
+        solve_harmonic_extension(disc16, first_harmonic_data(disc16), method="jacobi")
 
 
 def test_derivative_energy_constant_zero(disc16):
@@ -80,6 +109,13 @@ def test_derivative_energy_constant_zero(disc16):
     ext = solve_harmonic_extension(disc16, bd, tol=1e-10)
     for order in (1, 2, 3):
         assert higher_derivative_energy(ext, order) <= 1e-20
+
+
+def test_derivative_density_is_computed_once(disc16):
+    ext = solve_harmonic_extension(disc16, first_harmonic_data(disc16), tol=1e-10)
+    dens = ext.derivative_density(2)
+    assert np.array_equal(dens, derivative_energy_density(ext, 2))
+    assert ext.derivative_density(2) is dens
 
 
 def test_affine_second_differences_vanish():
@@ -107,9 +143,16 @@ def test_order_too_high():
         higher_derivative_energy(ext, 2)
 
 
-def test_jacobi_no_convergence_reports_residual(disc16):
+def test_cg_no_convergence_reports_residual(disc16):
     from sphereflow.errors import NoConvergence
     bd = first_harmonic_data(disc16)
     with pytest.raises(NoConvergence, match="residual"):
-        solve_harmonic_extension(disc16, bd, tol=1e-14, method="jacobi",
-                                 max_sweeps=50)
+        solve_harmonic_extension(disc16, bd, tol=1e-14, max_iter=5)
+
+
+def test_import_loads_no_scipy():
+    code = ("import sphereflow, sys; "
+            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         check=True, env=dict(os.environ, PYTHONPATH=SRC))
+    assert out.stdout.strip() == "[]"

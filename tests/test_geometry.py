@@ -94,6 +94,9 @@ def test_neighbor_sum_matches_explicit_gather(domain, h, rng):
             expect = expect + flat[idx - s]
             expect = expect + flat[idx + s]
         assert np.array_equal(neighbor_sum(flat, g.strides())[idx], expect)
+        buf = np.full(shape, np.nan)      # a reused buffer is overwritten
+        assert neighbor_sum(flat, g.strides(), out=buf) is buf
+        assert np.array_equal(buf[idx], expect)
 
 
 @pytest.mark.parametrize("h", [0.25, 0.11])
