@@ -26,9 +26,10 @@ from . import diagnostics as diag
 from . import io as sfio
 from . import singular as sing
 from . import stereo
-from .errors import CFLViolated, ConfigError, SphereFlowError, SpacingTooCoarse
-from .field import InitialData, SphereField, generate, l2_distance
-from .flow import (PenaltySchedule, SolverConfig, Trajectory, run_glhf,
+from .errors import (CFLViolated, ConfigError, DimensionMismatch, SphereFlowError,
+                     SpacingTooCoarse)
+from .field import InitialData, SphereField, check_initial, generate, l2_distance
+from .flow import (GLHF_MODES, PenaltySchedule, SolverConfig, Trajectory, run_glhf,
                    run_projected, penalty_integral, trajectory_l2q_distance)
 from .geometry import Domain, Grid, build_grid
 
@@ -68,7 +69,7 @@ class ExperimentConfig:
             if sv.get("penalty_integration", "exact-logistic") != "exact-logistic":
                 raise ConfigError("solver.penalty_integration must be 'exact-logistic'")
             mode = sv.get("mode", "glhf-simplified")
-            if mode not in ("glhf-simplified", "glhf-original", "projected"):
+            if mode not in (*GLHF_MODES, "projected"):
                 raise ConfigError(f"unknown solver mode {mode!r}")
             lam = None
             if mode != "projected":
@@ -111,6 +112,10 @@ class ExperimentConfig:
             except ValueError as e:
                 raise ConfigError(f"singular diagnostics: {e}") from e
         self.diagnostic_sections()
+        try:
+            check_initial(self.initial, self.domain.d, self.D)
+        except DimensionMismatch as e:
+            raise ConfigError(f"initial data: {e}") from e
         if self.initial.kind == "custom-samples":
             p = self.raw["initial"].get("path")
             if not p:
@@ -221,9 +226,7 @@ def _point(sec: dict, d: int) -> tuple:
 def _run_flow(cfg: ExperimentConfig, u0: SphereField) -> Trajectory:
     if cfg.mode == "projected":
         return run_projected(u0, cfg.solver)
-    sched = PenaltySchedule(lam=cfg.lam,
-                            use_original_form=(cfg.mode == "glhf-original"))
-    return run_glhf(u0, cfg.solver, sched)
+    return run_glhf(u0, cfg.solver, PenaltySchedule(lam=cfg.lam), mode=cfg.mode)
 
 
 def _write_trajectory(out: Path, traj: Trajectory):

@@ -150,14 +150,20 @@ def derivative_energy_density(ext: HarmonicExtension | SphereField, order: int) 
     if idx.size == 0:
         raise OrderTooHighForGrid(f"no interior nodes admit an order-{order} stencil")
     # iterated whole-lattice central differences; only masked nodes are
-    # read out, and their stencils stay inside the active set
-    current = [f.flat()]
-    for _ in range(order):
-        current = [_central_all(arr, s, grid.h)
-                   for arr in current for s in grid.strides()]
+    # read out, and their stencils stay inside the active set.  The walk is
+    # depth-first over the stride tuples in lexicographic order, so it
+    # holds at most ``order`` difference arrays at once
     out = np.zeros(grid.n_lattice)
-    for arr in current:
-        out[idx] += np.einsum("ij,ij->i", arr[idx], arr[idx])
+    strides = grid.strides()
+
+    def walk(arr, depth):
+        if depth == order:
+            out[idx] += np.einsum("ij,ij->i", arr[idx], arr[idx])
+            return
+        for s in strides:
+            walk(_central_all(arr, s, grid.h), depth + 1)
+
+    walk(f.flat(), 0)
     return out
 
 

@@ -84,10 +84,25 @@ def _eval_points(grid: Grid) -> tuple[np.ndarray, np.ndarray]:
     return idx, pts
 
 
-def generate(init: InitialData, grid: Grid, D: int) -> SphereField:
-    """Build a unit-norm field of the requested family on the grid."""
+def check_initial(init: InitialData, d: int, D: int) -> None:
+    """Raise DimensionMismatch when ``init`` has no field on a d-dimensional
+    domain with target dimension D; ``generate`` and config load both call
+    it.  Custom samples are checked against the lattice in ``generate``."""
     if D < 1:
         raise DimensionMismatch("target dimension D must be >= 1")
+    if init.kind == "constant" and init.vector is not None \
+            and np.shape(init.vector) != (D + 1,):
+        raise DimensionMismatch(f"constant vector must have {D + 1} components")
+    if init.kind == "equator-hedgehog":
+        if d != 3:
+            raise DimensionMismatch("hedgehog data is defined for d = 3")
+        if D < 2:
+            raise DimensionMismatch("hedgehog data needs D >= 2")
+
+
+def generate(init: InitialData, grid: Grid, D: int) -> SphereField:
+    """Build a unit-norm field of the requested family on the grid."""
+    check_initial(init, grid.d, D)
     ncomp = D + 1
     try:
         values = np.zeros(grid.shape + (ncomp,))
@@ -99,11 +114,7 @@ def generate(init: InitialData, grid: Grid, D: int) -> SphereField:
     meta: dict = {"kind": init.kind}
 
     if init.kind == "constant":
-        v = init.vector if init.vector is not None else np.eye(ncomp)[-1]
-        v = np.asarray(v, dtype=float)
-        if v.shape != (ncomp,):
-            raise DimensionMismatch(f"constant vector must have {ncomp} components")
-        flat[idx] = v
+        flat[idx] = init.vector if init.vector is not None else np.eye(ncomp)[-1]
 
     elif init.kind == "cap":
         # range confined to the polar cap of the given angular radius:
@@ -119,10 +130,6 @@ def generate(init: InitialData, grid: Grid, D: int) -> SphereField:
         flat[idx, D] = (1.0 - s) / (1.0 + s)
 
     elif init.kind == "equator-hedgehog":
-        if grid.d != 3:
-            raise DimensionMismatch("hedgehog data is defined for d = 3")
-        if D < 2:
-            raise DimensionMismatch("hedgehog data needs D >= 2")
         n = np.linalg.norm(pts, axis=1)
         center = np.argmin(n)
         safe = n.copy()
@@ -136,8 +143,6 @@ def generate(init: InitialData, grid: Grid, D: int) -> SphereField:
             meta["center_value"] = fill.tolist()
 
     elif init.kind == "boundary-wrap":
-        if D < 1:
-            raise DimensionMismatch("boundary wrap needs D >= 1")
         c = 0.5 * (np.stack(grid.domain.bounding_box(), axis=0).sum(axis=0))
         th = init.winding * np.arctan2(pts[:, 1] - c[1], pts[:, 0] - c[0])
         flat[idx, 0] = np.cos(th)

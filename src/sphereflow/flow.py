@@ -8,29 +8,42 @@ One step, ``_step``, is an operator splitting:
 2. penalty relaxation of the norm: with w = |u|^2 and strength
    Lam = lambda^(1 - kappa(t)), the subflow is  dw/dt = 2 Lam w (1 - w),
    integrated in closed (logistic) form with the direction u/|u| frozen.
-   The original equation form weights the reaction by a cutoff slope and
-   is integrated by substepped RK4 instead.
+   The original equation form weights the reaction by the cutoff slope
+   chi'((w - 1)^2), which is 1 on every norm a step admits, so it is the
+   same ODE and is integrated the same way.
 
 Boundary nodes keep their Dirichlet values throughout.  The projected
 variant replaces the penalty substep by exact normalization of the
-interior nodes.  Runs and the public single-step functions all go through
-``_step``.
+interior nodes.  Runs and the public single steps all go through ``_step``.
 
-Data path of one step.  ``_step`` reads the field's interior rows once:
-``_diffused_rows`` gathers them, and the same rows of the stride-shifted
-neighbour sum, into a new (n_interior, D+1) array.  The norm reaction (or
-the normalization) rescales that array in place, one scatter writes it back
-into the field, and |u|^2 of the written rows is computed once.  That one
-array feeds the sup-norm guard, together with the boundary maximum, which
-is fixed because no step writes a boundary row, and the penalty energy of
-the step's record.  Nothing in a step copies the whole field.
+Data path of one step.  A run carries two (n_interior, D+1) arrays from
+step to step: ``rows``, the interior rows of the field, and ``nrows``, the
+interior rows of its neighbour sum N.  ``_step`` diffuses ``rows`` in place
+from ``nrows``, rescales them in place by the norm reaction (or the
+normalization) and scatters them into the field, so the post-reaction rows
+are the field's rows and are never gathered again; |u|^2 of them feeds the
+sup-norm guard, with the boundary maximum, which is fixed because no step
+writes a boundary row.  Right after the step ``_neighbour_rows`` computes N
+once for the new state.  Its interior rows serve twice: the state's record
+takes its Dirichlet energy from them by summation by parts, and the next
+step diffuses with them.  The boundary part of that sum runs over the
+interior-boundary links only, whose boundary values are gathered once per
+run.  Nothing in a step copies the whole field; the last state's N is the
+one neighbour sum no step uses.
 
 Buffers.  ``_run`` copies ``u0`` once and then owns that field: ``_step``
-mutates it in place, and each snapshot is a copy of it, so neither the
-caller's ``u0`` nor a returned snapshot is ever written by a later step.
-``glhf_step`` and ``projected_flow_step`` copy their input once and step
-the copy.  Per-step temporaries live in ``_step`` and are freed when it
-returns, before the record is built.
+mutates it in place, and each snapshot but the last is a copy of it, so
+neither the caller's ``u0`` nor a returned snapshot is ever written by a
+later step; the last snapshot is the field itself, which no step writes
+again.  N lives in one lattice buffer that every state of a run
+overwrites, and ``nrows`` is gathered into its own buffer, so beyond the
+field and the snapshots a run holds one lattice array and two interior-row
+arrays.  The record's per-component difference uses the lattice buffer as
+scratch, and the norm reaction works in two per-node arrays (|u|^2 before
+the reaction, and one that holds the squared deviation, then the new
+|u|^2, then the scale), so neither allocates an interior-row array.
+``glhf_step`` and ``projected_flow_step`` copy their input once, gather its
+rows and N once, and step the copy.
 """
 
 from __future__ import annotations
@@ -42,11 +55,14 @@ from typing import Optional
 import numpy as np
 
 from .errors import CFLViolated, NormBlowup
-# the benchmark tracer wraps the module bindings flow.dirichlet_energy (which
-# _record calls) and flow.project_to_sphere, so both stay imported here
+# the benchmark tracer wraps the module bindings flow.dirichlet_energy (the
+# reference the records agree with) and flow.project_to_sphere, so both
+# stay imported here
 from .field import (SphereField, dirichlet_energy, normalize_rows,
                     norm_squared_flat, project_to_sphere)
-from .geometry import Grid, neighbor_sum
+from .geometry import BOUNDARY, Grid, neighbor_sum
+
+GLHF_MODES = ("glhf-simplified", "glhf-original")
 
 
 # -- schedules -------------------------------------------------------------
@@ -83,7 +99,6 @@ class PenaltySchedule:
     """Penalty strength lambda with the time-dependent exponent 1 - kappa(t)."""
 
     lam: float
-    use_original_form: bool = False
 
     def __post_init__(self):
         if self.lam <= 1.0:
@@ -170,45 +185,37 @@ class Trajectory:
 
 # -- substeps ---------------------------------------------------------------
 
-def _diffused_rows(flat: np.ndarray, g: Grid, dt: float) -> np.ndarray:
-    """Interior rows after the explicit diffusion substep, in a new array."""
+def _neighbour_rows(flat: np.ndarray, g: Grid, nbr: np.ndarray,
+                    nrows: np.ndarray) -> None:
+    """Write the neighbour sum of ``flat`` into the lattice buffer ``nbr``
+    and its interior rows into ``nrows``."""
+    neighbor_sum(flat, g.strides(), out=nbr)
+    # mode="clip" gathers straight into nrows; "raise" would buffer a copy
+    np.take(nbr, g.interior_flat, axis=0, out=nrows, mode="clip")
+
+
+def _diffuse(rows: np.ndarray, nrows: np.ndarray, g: Grid, dt: float) -> None:
+    """The explicit diffusion substep, in place on the interior rows ``rows``
+    given the interior rows ``nrows`` of their neighbour sum, which it scales
+    in place."""
     mu = dt / g.h ** 2
-    idx = g.interior_flat
-    rows = np.take(flat, idx, axis=0)
     rows *= 1.0 - 2.0 * g.d * mu
-    nbr = np.take(neighbor_sum(flat, g.strides()), idx, axis=0)
-    nbr *= mu
-    rows += nbr
-    return rows
+    nrows *= mu
+    rows += nrows
 
 
-def _logistic_norms(w0: np.ndarray, lam_eff: float, dt: float) -> np.ndarray:
-    """Exact solution of dw/dt = 2 Lam w (1-w) after time dt."""
+def _logistic_norms(w0: np.ndarray, lam_eff: float, dt: float,
+                    out: Optional[np.ndarray] = None) -> np.ndarray:
+    """Exact solution of dw/dt = 2 Lam w (1-w) after time dt, written into
+    ``out`` (a new array if None); nodes with w0 <= 0 (or NaN) get 0."""
     z = 2.0 * lam_eff * dt
-    w = np.empty_like(w0)
     pos = w0 > 0
+    w = np.subtract(1.0, w0, out=out)
+    np.divide(w, w0, out=w, where=pos)
+    w *= math.exp(-z)
+    w += 1.0
+    np.divide(1.0, w, out=w, where=pos)
     w[~pos] = 0.0
-    ratio = (1.0 - w0[pos]) / w0[pos]
-    w[pos] = 1.0 / (1.0 + ratio * math.exp(-z))
-    return w
-
-
-def _rk4_norms(w0: np.ndarray, lam_eff: float, dt: float,
-               original_form: bool) -> np.ndarray:
-    """Substepped RK4 for the norm reaction, stable for stiff strengths."""
-    def rhs(w):
-        slope = chi_dot((w - 1.0) ** 2) if original_form else 1.0
-        return -2.0 * lam_eff * slope * (w - 1.0) * w
-
-    n_sub = max(1, int(math.ceil(4.0 * lam_eff * dt)))
-    hdt = dt / n_sub
-    w = w0.copy()
-    for _ in range(n_sub):
-        k1 = rhs(w)
-        k2 = rhs(w + 0.5 * hdt * k1)
-        k3 = rhs(w + 0.5 * hdt * k2)
-        k4 = rhs(w + hdt * k3)
-        w = w + hdt / 6.0 * (k1 + 2 * k2 + 2 * k3 + k4)
     return w
 
 
@@ -228,19 +235,21 @@ def _sup_norm(w: np.ndarray, bnd2: float) -> float:
     return float(np.sqrt(np.maximum(w.max(), bnd2)))
 
 
-def _step(u: SphereField, t: float, cfg: SolverConfig,
-          sched: Optional[PenaltySchedule], bnd2: float):
+def _step(u: SphereField, rows: np.ndarray, nrows: np.ndarray, t: float,
+          cfg: SolverConfig, sched: Optional[PenaltySchedule], bnd2: float):
     """The one split step at time t, in place: diffusion, then the norm reaction.
 
-    ``sched is None`` is the projected flow (exact normalization of the
-    interior rows).  ``bnd2`` is ``_boundary_norm2(u)``.  Returns |u|^2 of
-    the new interior rows, the step's penalty increment, the strength used
-    and the new sup-norm.
+    ``rows`` are the interior rows of ``u`` and ``nrows`` those of its
+    neighbour sum; on return ``rows`` holds the new interior rows, which
+    are also written into ``u``, and ``nrows`` is spent.  ``sched is None``
+    is the projected flow (exact normalization of the interior rows).
+    ``bnd2`` is ``_boundary_norm2(u)``.  Returns |u|^2 of the new interior
+    rows, the step's penalty increment, the strength used and the new
+    sup-norm.
     """
     g = u.grid
     idx = g.interior_flat
-    flat = u.flat()
-    rows = _diffused_rows(flat, g, cfg.dt)
+    _diffuse(rows, nrows, g, cfg.dt)
     if sched is None:
         normalize_rows(rows, idx)
         pen_incr, lam_eff = 0.0, 0.0
@@ -249,17 +258,18 @@ def _step(u: SphereField, t: float, cfg: SolverConfig,
         w0 = _norm2(rows)
         # left-endpoint rectangle rule on the penalty subflow: the
         # integrand is sampled on the state entering the substep
-        pen_incr = float(cfg.dt * lam_eff * np.sum((w0 - 1.0) ** 2) * g.cell_volume)
-        if sched.use_original_form:
-            w1 = _rk4_norms(w0, lam_eff, cfg.dt, original_form=True)
-        else:
-            w1 = _logistic_norms(w0, lam_eff, cfg.dt)
-        # rescale norms from sqrt(w0) to sqrt(w1), direction unchanged
-        scale = np.ones_like(w0)
+        sq = w0 - 1.0
+        sq *= sq
+        pen_incr = float(cfg.dt * lam_eff * np.sum(sq) * g.cell_volume)
+        # rescale norms from sqrt(w0) to sqrt(w1), direction unchanged; the
+        # scale overwrites w1, which overwrites sq, and is 1 where w0 <= 0
+        scale = _logistic_norms(w0, lam_eff, cfg.dt, out=sq)
         pos = w0 > 0
-        scale[pos] = np.sqrt(w1[pos] / w0[pos])
+        np.divide(scale, w0, out=scale, where=pos)
+        np.sqrt(scale, out=scale)
+        scale[~pos] = 1.0
         rows *= scale[:, None]
-    flat[idx] = rows
+    u.flat()[idx] = rows
     w = _norm2(rows)
     mx = _sup_norm(w, bnd2)
     if not mx <= 1.0 + 1e-7:
@@ -271,7 +281,11 @@ def _public_step(f: SphereField, t: float, cfg: SolverConfig,
                  sched: Optional[PenaltySchedule]) -> SphereField:
     cfg.validate(f.grid)
     u = f.copy()
-    _step(u, t, cfg, sched, _boundary_norm2(u))
+    g = u.grid
+    flat = u.flat()
+    rows = np.take(flat, g.interior_flat, axis=0)
+    nrows = np.take(neighbor_sum(flat, g.strides()), g.interior_flat, axis=0)
+    _step(u, rows, nrows, t, cfg, sched, _boundary_norm2(u))
     return u
 
 
@@ -288,10 +302,52 @@ def projected_flow_step(f: SphereField, t: float, cfg: SolverConfig) -> SphereFi
 
 # -- runs --------------------------------------------------------------------
 
-def _record(step: int, t: float, u: SphereField, w: np.ndarray, lam_eff: float,
-            pen_incr: float, mx: float) -> StepRecord:
-    """The scalar record of ``u``; ``w`` is |u|^2 of its interior rows."""
-    dir_e = dirichlet_energy(u)
+def _boundary_links(u: SphereField) -> tuple:
+    """The interior ends of the interior-boundary links of ``u``'s grid, as
+    flat indices, and the values at their boundary ends, one row per link."""
+    g = u.grid
+    idx = g.interior_flat
+    is_bnd = g.class_flat() == BOUNDARY
+    ends, bnds = [], []
+    for s in g.strides():
+        for nb in (idx - s, idx + s):
+            on = is_bnd[nb]
+            ends.append(idx[on])
+            bnds.append(nb[on])
+    return np.concatenate(ends), np.take(u.flat(), np.concatenate(bnds), axis=0)
+
+
+def _dirichlet_from_rows(u: SphereField, rows: np.ndarray, nrows: np.ndarray,
+                         links: tuple, scratch: np.ndarray) -> float:
+    """``dirichlet_energy(u)`` by summation by parts, from the interior rows
+    ``rows`` of ``u``, the interior rows ``nrows`` of its neighbour sum N and
+    ``links = _boundary_links(u)``; ``scratch`` is a buffer of ``rows``'
+    shape that it overwrites:
+
+        h^(d-2) [ sum_i u_i.(2d u_i - N_i) + sum_(i,b) (u_b - u_i).u_b ]
+
+    over interior nodes i and interior-boundary links (i, b).  The first sum
+    counts each interior-interior link from both ends and each
+    interior-boundary link from its interior end; the second completes the
+    latter.  The difference 2d u_i - N_i is taken per component, before any
+    product, and the boundary term is kept per link: both keep the sum
+    within ~1e-14 of the link sum, where expanding the products cancels
+    digits.
+    """
+    g = u.grid
+    ends, ub = links
+    lap = np.multiply(rows, 2.0 * g.d, out=scratch)
+    lap -= nrows
+    total = float(np.einsum("ij,ij->", rows, lap))
+    du = ub - np.take(u.flat(), ends, axis=0)
+    total += float(np.einsum("ij,ij->", du, ub))
+    return total * g.h ** (g.d - 2)
+
+
+def _record(step: int, t: float, u: SphereField, w: np.ndarray, dir_e: float,
+            lam_eff: float, pen_incr: float, mx: float) -> StepRecord:
+    """The scalar record of ``u``; ``w`` is |u|^2 of its interior rows and
+    ``dir_e`` its Dirichlet energy."""
     pen_e = float(lam_eff * np.sum((w - 1.0) ** 2) * u.grid.cell_volume / 4.0)
     return StepRecord(step=step, t=t, gl_energy=0.5 * dir_e + pen_e,
                       dirichlet_energy=dir_e, penalty_increment=pen_incr,
@@ -303,27 +359,50 @@ def _run(u0: SphereField, cfg: SolverConfig, sched: Optional[PenaltySchedule],
     cfg.validate(u0.grid)
     n_steps = int(math.ceil(cfg.T / cfg.dt - 1e-9))
     u = u0.copy()
+    g = u.grid
+    flat = u.flat()
     bnd2 = _boundary_norm2(u)
-    w = _norm2(np.take(u.flat(), u.grid.interior_flat, axis=0))
-    records = [_record(0, 0.0, u, w, sched.strength(0.0) if sched else 0.0,
-                       0.0, _sup_norm(w, bnd2))]
+    links = _boundary_links(u)
+    rows = np.take(flat, g.interior_flat, axis=0)
+    nbr = np.empty_like(flat)
+    nrows = np.empty_like(rows)
+    # nbr is not read between the gather of nrows and the next neighbour
+    # sum, so its leading rows are the record's scratch
+    lap = nbr[:g.n_interior]
+    _neighbour_rows(flat, g, nbr, nrows)
+    w = _norm2(rows)
+    records = [_record(0, 0.0, u, w, _dirichlet_from_rows(u, rows, nrows, links, lap),
+                       sched.strength(0.0) if sched else 0.0, 0.0, _sup_norm(w, bnd2))]
     times = [0.0]
     snapshots = [u.copy()]
     for k in range(n_steps):
-        w, pen_incr, lam_eff, mx = _step(u, k * cfg.dt, cfg, sched, bnd2)
+        w, pen_incr, lam_eff, mx = _step(u, rows, nrows, k * cfg.dt, cfg, sched, bnd2)
+        _neighbour_rows(flat, g, nbr, nrows)
         t_next = (k + 1) * cfg.dt
-        records.append(_record(k + 1, t_next, u, w, lam_eff, pen_incr, mx))
+        records.append(_record(k + 1, t_next, u, w,
+                               _dirichlet_from_rows(u, rows, nrows, links, lap),
+                               lam_eff, pen_incr, mx))
         if (k + 1) % cfg.output_stride == 0 or k + 1 == n_steps:
             times.append(t_next)
-            snapshots.append(u.copy())
+            snapshots.append(u if k + 1 == n_steps else u.copy())
 
     return Trajectory(grid=u0.grid, target_dim=u0.target_dim, times=times,
                       snapshots=snapshots, records=records, mode=mode,
                       lam=sched.lam if sched else None, dt=cfg.dt)
 
 
-def run_glhf(u0: SphereField, cfg: SolverConfig, sched: PenaltySchedule) -> Trajectory:
-    mode = "glhf-original" if sched.use_original_form else "glhf-simplified"
+def run_glhf(u0: SphereField, cfg: SolverConfig, sched: PenaltySchedule,
+             mode: str = "glhf-simplified") -> Trajectory:
+    """Run the penalized flow; ``mode`` labels the trajectory.
+
+    ``glhf-original`` weights the reaction by the cutoff slope
+    chi'((w - 1)^2), which is 1 whenever w < 1 + sqrt(2).  The diffusion is
+    a convex combination and the sup-norm guard stops a run above
+    |u| = 1 + 1e-7, so every w the reaction sees is in that range: both
+    modes solve the same ODE and step identically with the exact logistic.
+    """
+    if mode not in GLHF_MODES:
+        raise ValueError(f"unknown penalized mode {mode!r}")
     return _run(u0, cfg, sched, mode)
 
 

@@ -171,6 +171,26 @@ def test_unknown_initial_kind_exits_2_at_load(tmp_path, kind):
     assert not (out / "trajectory.csv").exists()
 
 
+@pytest.mark.parametrize("config,patch", [
+    ("onesided_cap.json", {"initial": {"kind": "equator-hedgehog"}}),
+    ("hedgehog_ball.json", {"D": 1}),
+    ("onesided_cap.json", {"initial": {"kind": "constant", "vector": [1, 0]}}),
+    ("onesided_cap.json", {"initial": {"kind": "constant", "vector": [0, 0, 0, 1]}}),
+    ("onesided_cap.json", {"D": 0}),
+], ids=["hedgehog-2d", "hedgehog-D1", "constant-short", "constant-long", "D0"])
+def test_initial_data_mismatch_exits_2_at_load(tmp_path, config, patch):
+    # the conditions field.generate raises on, caught before any stepping
+    cfg = json.loads((CONFIGS / config).read_text())
+    cfg.update(patch)
+    p = tmp_path / "bad.json"
+    p.write_text(json.dumps(cfg))
+    out = tmp_path / "out"
+    assert run_experiment(p, out) == 2
+    err = json.loads((out / "error.json").read_text())
+    assert err["error"] == "ConfigError" and err["exit_code"] == 2
+    assert not (out / "trajectory.csv").exists()
+
+
 def test_penalty_integration_accepts_only_exact_logistic(tmp_path):
     cfg = json.loads((CONFIGS / "cap_disc.json").read_text())
     cfg["solver"]["penalty_integration"] = "exact-logistic"

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from sphereflow.elliptic import (derivative_energy_density, higher_derivative_energy,
-                                 solve_harmonic_extension)
+                                 solve_harmonic_extension, _depth_mask)
 from sphereflow.errors import OrderTooHighForGrid
 from sphereflow.field import InitialData, SphereField, dirichlet_energy, generate
 from sphereflow.geometry import Domain, build_grid
@@ -116,6 +116,30 @@ def test_derivative_density_is_computed_once(disc16):
     dens = ext.derivative_density(2)
     assert np.array_equal(dens, derivative_energy_density(ext, 2))
     assert ext.derivative_density(2) is dens
+
+
+@pytest.mark.parametrize("d", [2, 3])
+def test_derivative_density_matches_breadth_first_bitwise(d, rng):
+    # reference: every order-m difference array built at once, breadth first,
+    # and summed in the list order, which is lexicographic in the strides
+    g = build_grid(Domain.unit_ball(d), 1 / 16 if d == 2 else 1 / 8)
+    f = SphereField(g, rng.standard_normal(g.shape + (3,)), 2)
+    for order in (1, 2, 3):
+        current = [f.flat()]
+        for _ in range(order):
+            nxt = []
+            for arr in current:
+                for s in g.strides():
+                    diff = np.zeros_like(arr)
+                    diff[s:-s] = (arr[2 * s:] - arr[:-2 * s]) / (2.0 * g.h)
+                    nxt.append(diff)
+            current = nxt
+        assert len(current) == d ** order
+        idx = np.flatnonzero(_depth_mask(g, order))
+        ref = np.zeros(g.n_lattice)
+        for arr in current:
+            ref[idx] += np.einsum("ij,ij->i", arr[idx], arr[idx])
+        assert np.array_equal(derivative_energy_density(f, order), ref)
 
 
 def test_affine_second_differences_vanish():

@@ -1,4 +1,5 @@
 import math
+import time
 
 import numpy as np
 import pytest
@@ -10,9 +11,8 @@ from sphereflow.field import (InitialData, SphereField, dirichlet_energy,
 from sphereflow.flow import (PenaltySchedule, SolverConfig, Trajectory, chi,
                              chi_dot, glhf_step, kappa, kappa_dot,
                              penalty_integral, projected_flow_step, run_glhf,
-                             run_projected, _diffused_rows, _logistic_norms,
-                             _rk4_norms)
-from sphereflow.geometry import Domain, build_grid
+                             run_projected, _diffuse, _logistic_norms)
+from sphereflow.geometry import Domain, build_grid, neighbor_sum
 from sphereflow.stereo import stereo_inverse
 
 
@@ -69,9 +69,6 @@ def test_logistic_closed_form_example():
     w = _logistic_norms(np.array([0.5]), lam_eff, dt)
     assert abs(w[0] - 0.75) <= 1e-15
     assert abs(_rk4_oracle(0.5, lam_eff, dt) - 0.75) <= 1e-12
-    # the production integrator only promises stability-grade accuracy
-    w_rk = _rk4_norms(np.array([0.5]), lam_eff, dt, original_form=False)
-    assert abs(w_rk[0] - 0.75) <= 1e-5
 
 
 def test_logistic_edge_cases():
@@ -98,8 +95,10 @@ def test_discrete_harmonic_field_unchanged_by_diffusion(disc16):
     flat[:, 0] = 0.1 + 0.4 * coords[:, 0]
     flat[:, 1] = -0.2 * coords[:, 1]
     f = SphereField(disc16, vals, 2)
-    rows = _diffused_rows(f.flat(), disc16, SolverConfig.auto_dt(disc16))
     idx = disc16.interior_flat
+    rows = f.flat()[idx]
+    nrows = neighbor_sum(f.flat(), disc16.strides())[idx]
+    _diffuse(rows, nrows, disc16, SolverConfig.auto_dt(disc16))
     assert np.max(np.abs(rows - f.flat()[idx])) <= 1e-14
 
 
@@ -174,8 +173,9 @@ def test_run_first_step_equals_public_glhf_step(disc16, original_form):
     u0 = generate(InitialData(kind="cap", latitude_deg=45.0), disc16, 2)
     dt = SolverConfig.auto_dt(disc16)
     cfg = SolverConfig(dt=dt, T=dt, output_stride=1)
-    sched = PenaltySchedule(lam=500.0, use_original_form=original_form)
-    traj = run_glhf(u0, cfg, sched)
+    sched = PenaltySchedule(lam=500.0)
+    traj = run_glhf(u0, cfg, sched,
+                    mode="glhf-original" if original_form else "glhf-simplified")
     assert len(traj.snapshots) == 2
     assert np.array_equal(traj.snapshots[1].values,
                           glhf_step(u0, 0.0, cfg, sched).values)
@@ -199,8 +199,7 @@ def _kernel_case(d, mode):
     cfg = SolverConfig(dt=dt, T=6.75 * dt, output_stride=3)
     if mode == "projected":
         return u0, cfg, None
-    return u0, cfg, PenaltySchedule(lam=500.0,
-                                    use_original_form=(mode == "glhf-original"))
+    return u0, cfg, PenaltySchedule(lam=500.0)
 
 
 KERNEL_CASES = [(d, mode) for d in (2, 3)
@@ -210,7 +209,7 @@ KERNEL_CASES = [(d, mode) for d in (2, 3)
 @pytest.mark.parametrize("d,mode", KERNEL_CASES)
 def test_run_equals_chain_of_public_steps(d, mode):
     u0, cfg, sched = _kernel_case(d, mode)
-    traj = run_projected(u0, cfg) if sched is None else run_glhf(u0, cfg, sched)
+    traj = run_projected(u0, cfg) if sched is None else run_glhf(u0, cfg, sched, mode)
     chain = [u0]
     for k in range(7):
         f = chain[-1]
@@ -223,7 +222,61 @@ def test_run_equals_chain_of_public_steps(d, mode):
         assert np.array_equal(snap.values, chain[k].values)
     for r, f in zip(traj.records, chain):
         assert r.max_norm == f.max_norm()
-        assert r.dirichlet_energy == dirichlet_energy(f)
+        ref = dirichlet_energy(f)
+        assert abs(r.dirichlet_energy - ref) <= 1e-13 * ref
+
+
+RECORD_DOMAINS = {
+    "disc": (Domain.unit_ball(2), 1 / 16, "cap"),
+    "ball": (Domain.unit_ball(3), 1 / 8, "equator-hedgehog"),
+    "box": (Domain.box([[0.0, 1.0], [0.0, 0.75], [-0.5, 0.5]]), 1 / 8, "cap"),
+    "half-ball": (Domain.half_ball(3), 1 / 8, "cap"),
+}
+
+
+@pytest.mark.parametrize("mode", ["glhf-simplified", "projected"])
+@pytest.mark.parametrize("domain", sorted(RECORD_DOMAINS))
+def test_records_match_link_sum_and_public_steps(domain, mode):
+    # the records come from the carried neighbour sums, not from the link
+    # sum; the run and a chain of public steps are the same kernel
+    dom, h, kind = RECORD_DOMAINS[domain]
+    g = build_grid(dom, h)
+    u0 = generate(InitialData(kind=kind, latitude_deg=70.0), g, 2)
+    dt = SolverConfig.auto_dt(g)
+    n = 12
+    cfg = SolverConfig(dt=dt, T=n * dt, output_stride=1)
+    sched = None if mode == "projected" else PenaltySchedule(lam=200.0)
+    traj = run_projected(u0, cfg) if sched is None else run_glhf(u0, cfg, sched)
+    assert len(traj.records) == len(traj.snapshots) == n + 1
+    f = u0
+    for k, (r, snap) in enumerate(zip(traj.records, traj.snapshots)):
+        assert np.array_equal(snap.values, f.values)
+        ref = dirichlet_energy(snap)
+        assert ref > 0.0
+        assert abs(r.dirichlet_energy - ref) <= 1e-13 * ref
+        f = (projected_flow_step(f, k * dt, cfg) if sched is None
+             else glhf_step(f, k * dt, cfg, sched))
+
+
+@pytest.mark.parametrize("mode", ["glhf-simplified", "projected"])
+def test_single_step_run_final_record(mode):
+    dom, h, kind = RECORD_DOMAINS["ball"]
+    g = build_grid(dom, h)
+    u0 = generate(InitialData(kind=kind), g, 2)
+    dt = SolverConfig.auto_dt(g)
+    cfg = SolverConfig(dt=dt, T=dt)
+    sched = None if mode == "projected" else PenaltySchedule(lam=200.0)
+    traj = run_projected(u0, cfg) if sched is None else run_glhf(u0, cfg, sched)
+    assert [r.step for r in traj.records] == [0, 1]
+    final = traj.snapshots[-1]
+    last = traj.records[-1]
+    ref = dirichlet_energy(final)
+    assert abs(last.dirichlet_energy - ref) <= 1e-13 * ref
+    assert last.max_norm == final.max_norm()
+    w = norm_squared_flat(final)[g.interior_flat]
+    lam_eff = 0.0 if sched is None else sched.strength(0.0)
+    pen = lam_eff * float(np.sum((w - 1.0) ** 2)) * g.cell_volume / 4.0
+    assert abs(last.gl_energy - (0.5 * ref + pen)) <= 1e-13 * last.gl_energy
 
 
 @pytest.mark.parametrize("d,mode", KERNEL_CASES)
@@ -235,7 +288,7 @@ def test_steps_and_runs_leave_their_input_unchanged(d, mode):
         run_projected(u0, cfg)
     else:
         glhf_step(u0, 0.0, cfg, sched)
-        run_glhf(u0, cfg, sched)
+        run_glhf(u0, cfg, sched, mode)
     assert np.array_equal(u0.values, before)
 
 
@@ -301,10 +354,26 @@ def test_original_form_matches_simplified_for_unit_data(disc16):
     u0 = generate(InitialData(kind="cap", latitude_deg=60.0), disc16, 2)
     cfg = SolverConfig(dt=SolverConfig.auto_dt(disc16), T=0.02, output_stride=8)
     a = run_glhf(u0, cfg, PenaltySchedule(lam=1e3))
-    b = run_glhf(u0, cfg, PenaltySchedule(lam=1e3, use_original_form=True))
-    # the cutoff slope is identically 1 while |u| <= 1, so the forms differ
-    # only by the integrator
-    assert l2_distance(a.snapshots[-1], b.snapshots[-1]) <= 1e-5
+    b = run_glhf(u0, cfg, PenaltySchedule(lam=1e3), mode="glhf-original")
+    # the cutoff slope is identically 1 while |u| <= 1, so both forms are
+    # the same ODE and step with the same exact logistic
+    assert (a.mode, b.mode) == ("glhf-simplified", "glhf-original")
+    for sa, sb in zip(a.snapshots, b.snapshots):
+        assert np.array_equal(sa.values, sb.values)
+    assert [r.gl_energy for r in a.records] == [r.gl_energy for r in b.records]
+    with pytest.raises(ValueError):
+        run_glhf(u0, cfg, PenaltySchedule(lam=1e3), mode="projected")
+
+
+def test_original_form_step_cost_is_bounded_in_lambda():
+    g = build_grid(Domain.unit_ball(2), 1 / 8)
+    u0 = generate(InitialData(kind="cap", latitude_deg=60.0), g, 2)
+    dt = SolverConfig.auto_dt(g)
+    cfg = SolverConfig(dt=dt, T=dt)
+    t0 = time.perf_counter()
+    traj = run_glhf(u0, cfg, PenaltySchedule(lam=1e6), mode="glhf-original")
+    assert time.perf_counter() - t0 <= 0.5
+    assert len(traj.records) == 2 and traj.records[-1].max_norm <= 1.0 + 1e-12
 
 
 def test_long_run_reaches_projected_equilibrium(disc16):
