@@ -16,7 +16,7 @@ import argparse
 import json
 import math
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Optional
 
@@ -31,14 +31,29 @@ from .errors import (CFLViolated, ConfigError, DimensionMismatch, SphereFlowErro
 from .field import InitialData, SphereField, check_initial, generate, l2_distance
 from .flow import (GLHF_MODES, PenaltySchedule, SolverConfig, Trajectory, run_glhf,
                    run_projected, penalty_integral, trajectory_l2q_distance)
-from .geometry import Domain, Grid, build_grid
+from .geometry import Domain, build_grid
 
 TRAJECTORY_HEADER = ["step", "t", "gl_energy", "dirichlet_energy",
                      "penalty_increment", "max_norm"]
 
 
 @dataclass
+class Diagnostics:
+    """The diagnostics section, typed and checked at config load."""
+
+    cylinders: list = field(default_factory=list)     # (CylinderSpec, mode) per entry
+    monotonicity: Optional[tuple] = None              # (z0, [(R1, R2)], mode, rhs_form)
+    singular: Optional[sing.SingularConfig] = None
+    one_sided: bool = False
+    small_energy: Optional[tuple] = None              # (z0, radii, eps0)
+    mbar_probe: Optional[tuple] = None                # (z0, R, mode)
+
+
+@dataclass
 class ExperimentConfig:
+    """A config parsed once, at load.  ``raw`` is kept only to write
+    ``config.json`` and to derive the cases of a sweep."""
+
     domain: Domain
     h: float
     D: int
@@ -46,8 +61,9 @@ class ExperimentConfig:
     mode: str
     lam: Optional[float]
     solver: SolverConfig
-    diagnostics: dict
+    diagnostics: Diagnostics
     raw: dict
+    snapshot: Optional[Path] = None                   # custom-samples initial data
 
     @staticmethod
     def load(path: Path) -> "ExperimentConfig":
@@ -60,6 +76,9 @@ class ExperimentConfig:
 
     @staticmethod
     def from_dict(raw: dict) -> "ExperimentConfig":
+        """Type and check every section; raise ConfigError on any value the
+        run or a diagnostic would reject.  The grid is built only for the
+        spacing, CFL and snapshot checks and then dropped."""
         try:
             domain = Domain.from_config(raw["domain"])
             h = _finite("h", raw["h"])
@@ -79,116 +98,99 @@ class ExperimentConfig:
                 if lam <= 1.0:
                     raise ConfigError("solver.lambda must exceed 1")
             cfl = _finite("solver.cfl", sv.get("cfl", 0.9))
-            d = domain.d
             dt_raw = sv.get("dt", "auto")
-            dt = (cfl * h * h / (2.0 * d) if dt_raw == "auto"
+            dt = (cfl * h * h / (2.0 * domain.d) if dt_raw == "auto"
                   else _finite("solver.dt", dt_raw))
             solver = SolverConfig(
                 dt=dt, T=_finite("solver.T", sv["T"]), cfl=cfl,
                 output_stride=_integer("solver.output_stride", sv.get("output_stride", 1)))
-            diagnostics = _section(raw.get("diagnostics", {}), "diagnostics")
-            cfg = ExperimentConfig(domain=domain, h=h, D=D, initial=initial,
-                                   mode=mode, lam=lam, solver=solver,
-                                   diagnostics=diagnostics, raw=raw)
-            cfg.validate()
-            return cfg
+            try:
+                grid = build_grid(domain, h)
+                solver.validate(grid)
+                check_initial(initial, domain.d, D)
+            except (CFLViolated, DimensionMismatch, SpacingTooCoarse) as e:
+                raise ConfigError(str(e)) from e
+            diagnostics = _diagnostics(_section(raw.get("diagnostics", {}), "diagnostics"),
+                                       domain, h, solver.T)
+            snapshot = None
+            if initial.kind == "custom-samples":
+                if not raw["initial"].get("path"):
+                    raise ConfigError("custom-samples initial data needs a snapshot path")
+                snapshot = Path(raw["initial"]["path"])
+                sfio.check_snapshot(snapshot, grid.shape + (D + 1,))
+            return ExperimentConfig(domain=domain, h=h, D=D, initial=initial,
+                                    mode=mode, lam=lam, solver=solver,
+                                    diagnostics=diagnostics, raw=raw,
+                                    snapshot=snapshot)
         except ConfigError:
             raise
         except (AttributeError, KeyError, OverflowError, TypeError, ValueError) as e:
             raise ConfigError(f"invalid config: {e}") from e
 
-    def validate(self):
-        try:
-            grid = build_grid(self.domain, self.h)
-        except SpacingTooCoarse as e:
-            raise ConfigError(str(e)) from e
-        try:
-            self.solver.validate(grid)
-        except (CFLViolated, ValueError) as e:
-            raise ConfigError(str(e)) from e
-        if "singular" in self.diagnostics:
-            try:
-                self._singular_config(grid).validate(grid.h)
-            except ValueError as e:
-                raise ConfigError(f"singular diagnostics: {e}") from e
-        self.diagnostic_sections()
-        try:
-            check_initial(self.initial, self.domain.d, self.D)
-        except DimensionMismatch as e:
-            raise ConfigError(f"initial data: {e}") from e
-        if self.initial.kind == "custom-samples":
-            p = self.raw["initial"].get("path")
-            if not p:
-                raise ConfigError("custom-samples initial data needs a snapshot path")
-            if not Path(p).with_suffix(".f64").exists():
-                raise ConfigError(f"initial snapshot {p!r} not found")
+    def build_initial(self) -> SphereField:
+        """The initial field, on a grid built for the run."""
+        init = self.initial
+        if self.snapshot is not None:
+            f, _ = sfio.read_snapshot(self.snapshot)
+            init = InitialData(kind="custom-samples", samples=f.values)
+        return generate(init, build_grid(self.domain, self.h), self.D)
 
-    def _singular_config(self, grid: Grid) -> sing.SingularConfig:
-        s = self.diagnostics["singular"]
-        return sing.SingularConfig(
-            eps0=float(s["eps0"]),
-            radii=[self._length("singular radius", r) for r in s["radii"]],
+
+def _diagnostics(dcfg: dict, domain: Domain, h: float, T: float) -> Diagnostics:
+    """Parse the diagnostics section, with the values the diagnostics would
+    reject checked by the checks they call.  Raises ConfigError, KeyError,
+    TypeError or ValueError on a malformed section."""
+    d = domain.d
+
+    def length(name: str, value) -> float:
+        # finite, positive and at most the domain diameter (a larger ball
+        # already covers the domain)
+        r = _finite(name, value)
+        if not 0.0 < r <= domain.diameter:
+            raise ConfigError(f"{name} must lie in (0, {domain.diameter:g}], "
+                              f"the domain diameter; got {value!r}")
+        return r
+
+    out = Diagnostics()
+    for c in dcfg.get("cylinders") or []:
+        c = _section(c, "diagnostics.cylinders entry")
+        t0, x0 = _point(c, d)
+        R, mode = length("cylinder R", c["R"]), c.get("mode", "gl")
+        sing.check_cylinder_args(R, h, mode)
+        out.cylinders.append((diag.CylinderSpec(t0=t0, x0=x0, R=R), mode))
+    if "monotonicity" in dcfg:
+        m = _section(dcfg["monotonicity"], "diagnostics.monotonicity")
+        z0 = _point(m, d)
+        pairs = [(float(r1), float(r2)) for r1, r2 in m["pairs"]]
+        mode, rhs_form = m.get("mode", "gradient"), m.get("rhs_form", "difference")
+        for r1, r2 in pairs:
+            diag.check_monotonicity_args(z0[0], r1, r2, mode, rhs_form)
+        out.monotonicity = (z0, pairs, mode, rhs_form)
+    if "singular" in dcfg:
+        s = _section(dcfg["singular"], "diagnostics.singular")
+        out.singular = sing.SingularConfig(
+            eps0=_finite("singular.eps0", s["eps0"]),
+            radii=[length("singular radius", r) for r in s["radii"]],
             time_stride=_integer("singular.time_stride", s.get("time_stride", 1)),
             space_stride=_integer("singular.space_stride", s.get("space_stride", 1)),
             deltas=[float(x) for x in s["deltas"]] if "deltas" in s else None,
             mode=s.get("mode", "gl"))
-
-    def diagnostic_sections(self) -> dict:
-        """The cylinders, monotonicity, small_energy and mbar_probe sections,
-        parsed, with the values the diagnostics would reject checked.
-        Raises ConfigError, KeyError, TypeError or ValueError on a malformed
-        one; ``validate`` calls it, so that happens at load."""
-        dcfg, d, h = self.diagnostics, self.domain.d, self.h
-        out = {}
-        if dcfg.get("cylinders"):
-            out["cylinders"] = []
-            for c in dcfg["cylinders"]:
-                c = _section(c, "diagnostics.cylinders entry")
-                t0, x0 = _point(c, d)
-                R, mode = self._length("cylinder R", c["R"]), c.get("mode", "gl")
-                sing.check_cylinder_args(R, h, mode)
-                out["cylinders"].append((diag.CylinderSpec(t0=t0, x0=x0, R=R), mode))
-        if "monotonicity" in dcfg:
-            m = _section(dcfg["monotonicity"], "diagnostics.monotonicity")
-            z0 = _point(m, d)
-            pairs = [(float(r1), float(r2)) for r1, r2 in m["pairs"]]
-            mode, rhs_form = m.get("mode", "gradient"), m.get("rhs_form", "difference")
-            for r1, r2 in pairs:
-                diag.check_monotonicity_args(z0[0], r1, r2, mode, rhs_form)
-            out["monotonicity"] = (z0, pairs, mode, rhs_form)
-        if "small_energy" in dcfg:
-            e = _section(dcfg["small_energy"], "diagnostics.small_energy")
-            radii = [self._length("small_energy radius", r) for r in e["radii"]]
-            out["small_energy"] = (_point(e, d), radii,
-                                   _finite("small_energy eps0", e["eps0"]))
-        if dcfg.get("mbar_probe"):
-            p = _section(dcfg["mbar_probe"], "diagnostics.mbar_probe")
-            t0 = _finite("mbar_probe t0", p.get("t0", self.solver.T / 2.0))
-            x0 = _coords(p["x0"], d) if "x0" in p else self.domain_center()
-            R, mode = self._length("mbar_probe R", p["R"]), p.get("mode", "dirichlet")
-            sing.check_cylinder_args(R, h, mode)
-            out["mbar_probe"] = ((t0, x0), R, mode)
-        return out
-
-    def _length(self, name: str, value) -> float:
-        """A diagnostics radius: finite, positive and at most the domain
-        diameter (a larger ball already covers the domain)."""
-        r = _finite(name, value)
-        if not 0.0 < r <= self.domain.diameter:
-            raise ConfigError(f"{name} must lie in (0, {self.domain.diameter:g}], "
-                              f"the domain diameter; got {value!r}")
-        return r
-
-    def build_initial(self, grid: Grid) -> SphereField:
-        if self.initial.kind == "custom-samples":
-            f, _ = sfio.read_snapshot(Path(self.raw["initial"]["path"]))
-            init = InitialData(kind="custom-samples", samples=f.values)
-            return generate(init, grid, self.D)
-        return generate(self.initial, grid, self.D)
-
-    def domain_center(self) -> np.ndarray:
-        lo, hi = self.domain.bounding_box()
-        return 0.5 * (lo + hi)
+        out.singular.validate(h)
+    out.one_sided = dcfg.get("one_sided", False)
+    if not isinstance(out.one_sided, bool):
+        raise ConfigError(f"diagnostics.one_sided must be true or false, got {out.one_sided!r}")
+    if "small_energy" in dcfg:
+        e = _section(dcfg["small_energy"], "diagnostics.small_energy")
+        radii = [length("small_energy radius", r) for r in e["radii"]]
+        out.small_energy = (_point(e, d), radii, _finite("small_energy eps0", e["eps0"]))
+    if dcfg.get("mbar_probe"):
+        p = _section(dcfg["mbar_probe"], "diagnostics.mbar_probe")
+        t0 = _finite("mbar_probe t0", p.get("t0", T / 2.0))
+        x0 = _coords(p["x0"], d) if "x0" in p else domain.center()
+        R, mode = length("mbar_probe R", p["R"]), p.get("mode", "dirichlet")
+        sing.check_cylinder_args(R, h, mode)
+        out.mbar_probe = ((t0, x0), R, mode)
+    return out
 
 
 def _finite(name: str, value) -> float:
@@ -244,22 +246,20 @@ def _cylinder_row(traj: Trajectory, cyl: diag.CylinderSpec, mode: str) -> list:
     return [cyl.t0] + [float(c) for c in cyl.x0] + [cyl.R, mode, val]
 
 
-def _run_diagnostics(cfg: ExperimentConfig, grid: Grid, traj: Trajectory, out: Path):
-    dcfg = cfg.diagnostics
-    sections = cfg.diagnostic_sections()
+def _run_diagnostics(dcfg: Diagnostics, traj: Trajectory, out: Path):
     reports = out / "reports"
 
     sfio.write_json(reports / "energy.json",
                     diag.energy_report(traj, len(traj.snapshots) - 1).to_json())
 
-    if "cylinders" in sections:
-        rows = [_cylinder_row(traj, cyl, mode) for cyl, mode in sections["cylinders"]]
-        header = (["t0"] + [f"x0_{i}" for i in range(grid.d)]
+    if dcfg.cylinders:
+        rows = [_cylinder_row(traj, cyl, mode) for cyl, mode in dcfg.cylinders]
+        header = (["t0"] + [f"x0_{i}" for i in range(traj.grid.d)]
                   + ["R", "mode", "scaled_energy"])
         sfio.write_csv(reports / "cylinders.csv", header, rows)
 
-    if "monotonicity" in sections:
-        z0, pairs, mode, rhs_form = sections["monotonicity"]
+    if dcfg.monotonicity is not None:
+        z0, pairs, mode, rhs_form = dcfg.monotonicity
         out_reports = [diag.monotonicity_report(traj, z0, r1, r2, mode=mode,
                                                 rhs_form=rhs_form).to_json()
                        for r1, r2 in pairs]
@@ -267,14 +267,13 @@ def _run_diagnostics(cfg: ExperimentConfig, grid: Grid, traj: Trajectory, out: P
                         {"t0": z0[0], "x0": [float(c) for c in z0[1]],
                          "pairs": out_reports})
 
-    if "singular" in dcfg:
-        scfg = cfg._singular_config(grid)
-        rep = sing.detect_singular_set(traj, scfg)
+    if dcfg.singular is not None:
+        rep = sing.detect_singular_set(traj, dcfg.singular)
         sfio.write_json(reports / "singular.json", rep.to_json())
         sfio.write_csv(reports / "boxcount.csv", ["delta", "count"],
                        [[d, n] for d, n in rep.box_table])
 
-    if dcfg.get("one_sided"):
+    if dcfg.one_sided:
         rep = stereo.one_sided_monitor(traj)
         sfio.write_json(reports / "onesided.json", rep.to_json())
         rows = [[k, t, w, m] for k, t, w, m in
@@ -282,8 +281,8 @@ def _run_diagnostics(cfg: ExperimentConfig, grid: Grid, traj: Trajectory, out: P
         sfio.write_csv(reports / "wtrack.csv",
                        ["step", "t", "maxW", "min_last_component"], rows)
 
-    if "small_energy" in sections:
-        z0, radii, eps0 = sections["small_energy"]
+    if dcfg.small_energy is not None:
+        z0, radii, eps0 = dcfg.small_energy
         ok, table = sing.small_energy_certificate(traj, z0, radii, eps0)
         sfio.write_json(reports / "certificate.json", {
             "t0": z0[0], "x0": [float(c) for c in z0[1]],
@@ -302,15 +301,13 @@ def run_experiment(config_path, out_dir=None, threads: int = 1) -> int:
         _emit_error(out, e, 2)
         return 2
     try:
-        grid = build_grid(cfg.domain, cfg.h)
-        u0 = cfg.build_initial(grid)
-        traj = _run_flow(cfg, u0)
+        traj = _run_flow(cfg, cfg.build_initial())
         out.mkdir(parents=True, exist_ok=True)
         with open(out / "config.json", "w") as f:
             json.dump(cfg.raw, f, indent=2, sort_keys=True)
             f.write("\n")
         _write_trajectory(out, traj)
-        _run_diagnostics(cfg, grid, traj, out)
+        _run_diagnostics(cfg.diagnostics, traj, out)
         manifest = sfio.build_manifest(out, config_path)
         sfio.write_json(out / "manifest.json", manifest)
         return 0
@@ -351,12 +348,7 @@ def sweep(config_path, param: str, values, out_dir=None, threads: int = 1) -> in
             except (TypeError, ValueError) as e:
                 raise ConfigError(f"sweep value {v!r} is not a number") from e
             raw = json.loads(json.dumps(base.raw))
-            if param == "lambda":
-                raw["solver"]["lambda"] = v
-            elif param == "h":
-                raw["h"] = v
-            else:
-                raw["solver"]["dt"] = v
+            (raw if param == "h" else raw["solver"])[param] = v
             cases.append((v, ExperimentConfig.from_dict(raw)))
     except ConfigError as e:
         _emit_error(out, e, 2)
@@ -365,14 +357,13 @@ def sweep(config_path, param: str, values, out_dir=None, threads: int = 1) -> in
     try:
         header = [param, "penalty_integral", "final_l2_to_projected",
                   "l2q_to_projected", "final_gl_energy", "final_dirichlet_energy"]
-        probe = base.diagnostic_sections().get("mbar_probe")
+        probe = base.diagnostics.mbar_probe
         if probe:
             header.append("mbar")
         rows = []
         proj = None
         for v, cfg in cases:
-            grid = build_grid(cfg.domain, cfg.h)
-            u0 = cfg.build_initial(grid)
+            u0 = cfg.build_initial()
             traj = _run_flow(cfg, u0)
             if cfg.mode == "projected":
                 proj = traj

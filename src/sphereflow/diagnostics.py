@@ -189,14 +189,10 @@ def window_integral(traj: Trajectory, a: float, b: float, per_snapshot):
     return sum(wk * per_snapshot(int(k)) for k, wk in zip(ks, w))
 
 
-def _spatial_weighted_sum(grid: Grid, density: np.ndarray, z0, t: float,
-                          extra_weight=None) -> float:
+def _spatial_weighted_sum(grid: Grid, density: np.ndarray, z0, t: float) -> float:
     idx = grid.interior_flat
     gvals = backward_heat_kernel(z0, t, grid.coords()[idx])
-    vals = density[idx] * gvals
-    if extra_weight is not None:
-        vals = vals * extra_weight
-    return float(np.sum(vals) * grid.cell_volume)
+    return float(np.sum(density[idx] * gvals) * grid.cell_volume)
 
 
 def weighted_annulus_energy(traj: Trajectory, z0, R: float, mode: str = "gl") -> float:

@@ -120,7 +120,7 @@ def generate(init: InitialData, grid: Grid, D: int) -> SphereField:
         # range confined to the polar cap of the given angular radius:
         # v linear in x, u the inverse stereographic image of v
         theta = np.deg2rad(init.latitude_deg)
-        c = 0.5 * (np.stack(grid.domain.bounding_box(), axis=0).sum(axis=0))
+        c = grid.domain.center()
         r0 = grid.domain.diameter / 2.0
         m = min(grid.d, D)
         v = np.zeros((pts.shape[0], D))
@@ -143,7 +143,7 @@ def generate(init: InitialData, grid: Grid, D: int) -> SphereField:
             meta["center_value"] = fill.tolist()
 
     elif init.kind == "boundary-wrap":
-        c = 0.5 * (np.stack(grid.domain.bounding_box(), axis=0).sum(axis=0))
+        c = grid.domain.center()
         th = init.winding * np.arctan2(pts[:, 1] - c[1], pts[:, 0] - c[0])
         flat[idx, 0] = np.cos(th)
         flat[idx, 1] = np.sin(th)

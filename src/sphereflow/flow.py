@@ -58,8 +58,7 @@ from .errors import CFLViolated, NormBlowup
 # the benchmark tracer wraps the module bindings flow.dirichlet_energy (the
 # reference the records agree with) and flow.project_to_sphere, so both
 # stay imported here
-from .field import (SphereField, dirichlet_energy, normalize_rows,
-                    norm_squared_flat, project_to_sphere)
+from .field import SphereField, dirichlet_energy, normalize_rows, project_to_sphere
 from .geometry import BOUNDARY, Grid, neighbor_sum
 
 GLHF_MODES = ("glhf-simplified", "glhf-original")
@@ -411,20 +410,9 @@ def run_projected(u0: SphereField, cfg: SolverConfig) -> Trajectory:
 
 
 def penalty_integral(traj: Trajectory) -> float:
-    """Accumulated penalty dissipation integral of a run.
-
-    Uses the per-step records when available; static trajectories fall
-    back to a rectangle rule on snapshot values.
-    """
-    if traj.mode != "static":
-        return float(sum(r.penalty_increment for r in traj.records))
-    total = 0.0
-    for k in range(len(traj.times) - 1):
-        dt = traj.times[k + 1] - traj.times[k]
-        lam_eff = traj.strength_at(traj.times[k])
-        w = norm_squared_flat(traj.snapshots[k])[traj.grid.interior_flat]
-        total += dt * lam_eff * float(np.sum((w - 1.0) ** 2)) * traj.grid.cell_volume
-    return total
+    """Accumulated penalty dissipation integral of a run: the sum of its
+    per-step records (0 for a static trajectory, whose records hold 0)."""
+    return float(sum(r.penalty_increment for r in traj.records))
 
 
 def trajectory_l2q_distance(a: Trajectory, b: Trajectory) -> float:

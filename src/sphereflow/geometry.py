@@ -128,6 +128,11 @@ class Domain:
         r = self.patch_radius
         return -r * np.ones(self.d), r * np.ones(self.d)
 
+    def center(self) -> np.ndarray:
+        """Midpoint of the bounding box."""
+        lo, hi = self.bounding_box()
+        return 0.5 * (lo + hi)
+
     def contains(self, pts: np.ndarray) -> np.ndarray:
         """Strict interior membership for an (n, d) array of points."""
         pts = np.atleast_2d(pts)
@@ -334,11 +339,10 @@ class Grid:
             self._cache[key] = pts[keep]
         return self._cache[key]
 
-    def nodes_within(self, x0: np.ndarray, R: float, which: str = "interior") -> np.ndarray:
-        """Flat indices of nodes of the given class within distance R of x0."""
-        pool = self.interior_flat if which == "interior" else self.active_flat
-        c = self.coords()[pool]
-        diff = c - np.asarray(x0, dtype=float)
+    def nodes_within(self, x0: np.ndarray, R: float) -> np.ndarray:
+        """Flat indices of interior nodes within distance R of x0."""
+        pool = self.interior_flat
+        diff = self.coords()[pool] - np.asarray(x0, dtype=float)
         return pool[np.einsum("ij,ij->i", diff, diff) < R ** 2]
 
     def boundary_projections(self) -> np.ndarray:

@@ -81,6 +81,21 @@ def write_snapshot(path_base: Path, f: SphereField, t: float, step: int,
     write_json(path_base.with_suffix(".json"), sidecar)
 
 
+def check_snapshot(path_base: Path, shape: tuple):
+    """Raise ValueError unless the snapshot's sidecar is readable and
+    declares ``shape``, and its ``.f64`` file holds that many float64s."""
+    try:
+        with open(path_base.with_suffix(".json")) as fh:
+            found = tuple(json.load(fh)["shape"])
+        nbytes = path_base.with_suffix(".f64").stat().st_size
+    except (OSError, KeyError, TypeError, ValueError) as e:
+        raise ValueError(f"unreadable snapshot {str(path_base)!r}: {e}") from e
+    need = 8 * int(np.prod(shape))
+    if found != tuple(shape) or nbytes != need:
+        raise ValueError(f"snapshot {str(path_base)!r} has shape {found} in {nbytes} "
+                         f"bytes; this grid needs shape {shape} in {need}")
+
+
 def read_snapshot(path_base: Path) -> tuple[SphereField, dict]:
     with open(path_base.with_suffix(".json")) as fh:
         sidecar = json.load(fh)

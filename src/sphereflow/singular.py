@@ -16,6 +16,7 @@ one vectorized gather from a zero-padded copy of that field.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Optional
 
@@ -39,16 +40,21 @@ class SingularConfig:
     mode: str = "gl"
 
     def validate(self, grid_h: float):
-        if self.eps0 <= 0:
-            raise ValueError("threshold must be positive")
+        if not 0 < self.eps0 < math.inf:
+            raise ValueError("threshold must be finite and positive")
         if not self.radii:
             raise ValueError("radius scan list is empty")
-        if min(self.radii) < 2.0 * grid_h - 1e-12:
-            raise ValueError("scan radii must be resolvable (R >= 2h)")
         if self.time_stride < 1 or self.space_stride < 1:
             raise ValueError("strides must be >= 1")
-        if self.mode not in ("gl", "dirichlet"):
-            raise ValueError(f"unknown scan mode {self.mode!r}")
+        check_cylinder_args(min(self.radii), grid_h, self.mode)
+        check_box_scales(self.deltas or self.radii)
+
+
+def check_box_scales(deltas):
+    """Raise ValueError unless the box-count scales are finite, positive and distinct."""
+    if not all(0 < d < math.inf for d in deltas) or len(set(deltas)) != len(deltas):
+        raise ValueError(f"box-count scales must be finite, positive and distinct; "
+                         f"got {deltas!r}")
 
 
 @dataclass
@@ -115,9 +121,7 @@ def _scan_points(traj: Trajectory, cfg: SingularConfig):
     """
     g = traj.grid
     t_idx = list(range(1, len(traj.times) - 1, cfg.time_stride))
-    lo, hi = g.domain.bounding_box()
-    center = 0.5 * (lo + hi)
-    center_k = np.rint(center / g.h).astype(np.int64) - g.index_origin
+    center_k = np.rint(g.domain.center() / g.h).astype(np.int64) - g.index_origin
     multi = np.array(np.unravel_index(g.interior_flat, g.shape)).T
     keep = np.all((multi - center_k) % cfg.space_stride == 0, axis=1)
     nodes = g.interior_flat[keep]
@@ -213,6 +217,7 @@ def parabolic_box_count(points: np.ndarray, deltas) -> tuple[list, Optional[floa
     deltas = [float(d) for d in deltas]
     if len(deltas) < 3:
         raise TooFewScales("need at least 3 scales for a slope estimate")
+    check_box_scales(deltas)
     if any(b >= a for a, b in zip(deltas, deltas[1:])):
         raise ValueError("delta list must be strictly decreasing")
     pts = np.atleast_2d(np.asarray(points, dtype=float))

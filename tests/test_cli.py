@@ -9,6 +9,7 @@ from sphereflow import cli
 from sphereflow import io as sfio
 from sphereflow.cli import main, run_experiment, sweep
 from sphereflow.field import InitialData, generate
+from sphereflow.geometry import Domain, build_grid
 from sphereflow.io import read_snapshot, write_snapshot
 
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
@@ -184,6 +185,75 @@ def test_initial_data_mismatch_exits_2_at_load(tmp_path, config, patch):
     cfg.update(patch)
     p = tmp_path / "bad.json"
     p.write_text(json.dumps(cfg))
+    out = tmp_path / "out"
+    assert run_experiment(p, out) == 2
+    err = json.loads((out / "error.json").read_text())
+    assert err["error"] == "ConfigError" and err["exit_code"] == 2
+    assert not (out / "trajectory.csv").exists()
+
+
+# eps0 = 1e-9 flags every scan point, so box counting runs on every scale list
+SCAN = {"eps0": 1e-9, "radii": [0.125, 0.25, 0.5], "space_stride": 4}
+
+
+@pytest.mark.parametrize("diagnostics", [
+    {"singular": dict(SCAN, eps0=float("nan"))},
+    {"singular": dict(SCAN, eps0=float("inf"))},
+    {"singular": dict(SCAN, deltas=[0.5, float("nan"), 0.125])},
+    {"singular": dict(SCAN, deltas=[0.5, 0.25, 0.0])},
+    {"singular": dict(SCAN, deltas=[0.5, -0.25, 0.125])},
+    {"singular": dict(SCAN, deltas=[0.5, 0.25, 0.25])},
+    {"singular": dict(SCAN, radii=[0.125, 0.25, 0.25])},
+    {"one_sided": "false"},
+    {"one_sided": "no"},
+    {"one_sided": [1]},
+], ids=["eps0-nan", "eps0-inf", "delta-nan", "delta-zero", "delta-negative",
+        "delta-repeated", "radius-repeated", "one_sided-false-string",
+        "one_sided-no", "one_sided-list"])
+def test_singular_and_one_sided_values_exit_2_at_load(tmp_path, diagnostics):
+    # h = 1/16: every scan radius clears the 2h floor
+    cfg = json.loads((CONFIGS / "onesided_cap.json").read_text())
+    cfg["diagnostics"] = diagnostics
+    p = tmp_path / "bad.json"
+    p.write_text(json.dumps(cfg))      # NaN / Infinity literals
+    out = tmp_path / "out"
+    assert run_experiment(p, out) == 2
+    err = json.loads((out / "error.json").read_text())
+    assert err["error"] == "ConfigError" and err["exit_code"] == 2
+    assert not (out / "trajectory.csv").exists()
+
+
+def _samples_config(tmp_path, snapshot_h=1 / 16):
+    """onesided_cap.json started from a cap snapshot taken at spacing
+    snapshot_h (the config's own spacing is 1/16)."""
+    cfg = json.loads((CONFIGS / "onesided_cap.json").read_text())
+    grid = build_grid(Domain.from_config(cfg["domain"]), snapshot_h)
+    base = tmp_path / "snap"
+    write_snapshot(base, generate(InitialData(kind="cap", latitude_deg=45.0), grid, 2),
+                   t=0.0, step=0, lam=None, exponent=None)
+    cfg["initial"] = {"kind": "custom-samples", "path": str(base)}
+    p = tmp_path / "samples.json"
+    p.write_text(json.dumps(cfg))
+    return p, base
+
+
+def test_custom_samples_snapshot_runs(tmp_path):
+    p, base = _samples_config(tmp_path)
+    out = tmp_path / "out"
+    assert run_experiment(p, out) == 0
+    first, _ = read_snapshot(out / "snapshots" / "snap_000000")
+    # projection of unit vectors moves them by at most an ulp
+    assert np.allclose(first.values, read_snapshot(base)[0].values, rtol=0.0, atol=1e-15)
+
+
+@pytest.mark.parametrize("defect", ["no-sidecar", "truncated", "other-grid"])
+def test_custom_samples_snapshot_checked_at_load(tmp_path, defect):
+    p, base = _samples_config(tmp_path, 1 / 8 if defect == "other-grid" else 1 / 16)
+    if defect == "no-sidecar":
+        base.with_suffix(".json").unlink()
+    elif defect == "truncated":
+        data = base.with_suffix(".f64").read_bytes()
+        base.with_suffix(".f64").write_bytes(data[:-8])
     out = tmp_path / "out"
     assert run_experiment(p, out) == 2
     err = json.loads((out / "error.json").read_text())

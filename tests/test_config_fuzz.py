@@ -6,7 +6,8 @@ takes milliseconds.  A mutation then replaces one value anywhere in the
 config (a section, a key, a list entry) by a value of the wrong type, an
 out-of-range or non-finite number, or deletes it.  No value makes a run
 long or large: none is a small positive spacing, and ``T`` is never set to
-the huge number of the pool.
+the huge number of the pool.  A run that exits 0 must write no NaN or
+Infinity into any JSON artifact.
 """
 
 import copy
@@ -16,7 +17,7 @@ import operator
 import tempfile
 from pathlib import Path
 
-from hypothesis import assume, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 from sphereflow.cli import main
 
@@ -66,7 +67,18 @@ def mutated_configs(draw):
     return cfg
 
 
+def _with_value(cfg: dict, path: tuple, value) -> dict:
+    functools.reduce(operator.getitem, path[:-1], cfg)[path[-1]] = value
+    return cfg
+
+
+def _reject_constant(name: str):
+    raise AssertionError(f"exit 0 with {name} in a JSON artifact")
+
+
 @given(cfg=mutated_configs())
+@example(cfg=_with_value(_few_steps(BASES["hedgehog_ball"], 0.125, 2),
+                         ("diagnostics", "singular", "eps0"), float("nan")))
 @settings(max_examples=150, deadline=None)
 def test_mutated_config_exits_cleanly(cfg):
     with tempfile.TemporaryDirectory() as tmp:
@@ -76,3 +88,6 @@ def test_mutated_config_exits_cleanly(cfg):
         assert code in (0, 2, 3)
         assert (code == 0) == (out / "manifest.json").exists()
         assert (code != 0) == (out / "error.json").exists()
+        if code == 0:
+            for artifact in out.rglob("*.json"):
+                json.loads(artifact.read_text(), parse_constant=_reject_constant)

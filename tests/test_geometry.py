@@ -162,6 +162,12 @@ def test_condition_b_converges_on_ball():
         assert abs(res.theta0_estimate - 1.0) <= 0.5 * probe
 
 
+def test_domain_center_is_bounding_box_midpoint():
+    assert np.array_equal(Domain.unit_ball(3).center(), np.zeros(3))
+    assert np.array_equal(Domain.half_ball(2).center(), [0.0, 0.5])
+    assert np.array_equal(Domain.box([[0.0, 1.0], [-1.0, 3.0]]).center(), [0.5, 1.0])
+
+
 def test_boundary_frame_ball_normals():
     g = build_grid(Domain.unit_ball(3), 0.2)
     frame = boundary_frame(g)

@@ -134,6 +134,22 @@ def test_box_count_too_few_scales():
         parabolic_box_count(np.array([[0.0, 0.0]]), [0.4, 0.2])
 
 
+@pytest.mark.parametrize("kwargs", [
+    {"eps0": float("nan")},
+    {"eps0": float("inf")},
+    {"deltas": [0.5, float("nan"), 0.25]},
+    {"deltas": [0.5, 0.25, 0.0]},
+    {"deltas": [0.5, 0.25, 0.25]},
+    {"radii": [0.25, 0.5, 0.5]},
+], ids=["eps0-nan", "eps0-inf", "delta-nan", "delta-zero", "delta-repeated",
+        "radius-repeated"])
+def test_singular_config_rejects_threshold_and_scales(kwargs):
+    # the scales are the deltas, or the radii when no deltas are given
+    cfg = SingularConfig(**{"eps0": 1.0, "radii": [0.25, 0.5], **kwargs})
+    with pytest.raises(ValueError):
+        cfg.validate(1 / 16)
+
+
 def test_certificate_constant_passes(disc16):
     f = generate(InitialData(kind="constant"), disc16, 2)
     traj = Trajectory.static(f, [0.0, 0.2, 0.4])
