@@ -27,11 +27,18 @@ from . import io as sfio
 from . import singular as sing
 from . import stereo
 from .errors import (CFLViolated, ConfigError, DimensionMismatch, SphereFlowError,
-                     SpacingTooCoarse)
+                     SpacingTooCoarse, finite, integer)
 from .field import InitialData, SphereField, check_initial, generate, l2_distance
 from .flow import (GLHF_MODES, PenaltySchedule, SolverConfig, Trajectory, run_glhf,
                    run_projected, penalty_integral, trajectory_l2q_distance)
-from .geometry import Domain, build_grid
+from .geometry import Domain, Grid, build_grid
+
+# the step budget: config load rejects a run of more steps (the shipped
+# configs, tests and benchmark workloads take at most a few thousand)
+MAX_STEPS = 1_000_000
+# the diagnostics sections each command evaluates on its run
+RUN_SECTIONS = ("cylinders", "monotonicity", "small_energy")
+SWEEP_SECTIONS = ("mbar_probe",)
 
 TRAJECTORY_HEADER = ["step", "t", "gl_energy", "dirichlet_energy",
                      "penalty_increment", "max_norm"]
@@ -52,9 +59,11 @@ class Diagnostics:
 @dataclass
 class ExperimentConfig:
     """A config parsed once, at load.  ``raw`` is kept only to write
-    ``config.json`` and to derive the cases of a sweep."""
+    ``config.json`` and to derive the cases of a sweep; ``grid`` is the
+    lattice the run steps on."""
 
     domain: Domain
+    grid: Grid
     h: float
     D: int
     initial: InitialData
@@ -77,12 +86,13 @@ class ExperimentConfig:
     @staticmethod
     def from_dict(raw: dict) -> "ExperimentConfig":
         """Type and check every section; raise ConfigError on any value the
-        run or a diagnostic would reject.  The grid is built only for the
-        spacing, CFL and snapshot checks and then dropped."""
+        run or a diagnostic would reject, and on a run of more than MAX_STEPS
+        steps.  The time windows of the diagnostics depend on the command that
+        evaluates them; ``check_windows`` checks them."""
         try:
             domain = Domain.from_config(raw["domain"])
-            h = _finite("h", raw["h"])
-            D = _integer("D", raw.get("D", 2))
+            h = finite("h", raw["h"])
+            D = integer("D", raw.get("D", 2))
             initial = InitialData.from_config(raw["initial"])
             sv = raw["solver"]
             if sv.get("penalty_integration", "exact-logistic") != "exact-logistic":
@@ -94,22 +104,28 @@ class ExperimentConfig:
             if mode != "projected":
                 if "lambda" not in sv:
                     raise ConfigError("penalized modes need solver.lambda")
-                lam = _finite("solver.lambda", sv["lambda"])
+                lam = finite("solver.lambda", sv["lambda"])
                 if lam <= 1.0:
                     raise ConfigError("solver.lambda must exceed 1")
-            cfl = _finite("solver.cfl", sv.get("cfl", 0.9))
-            dt_raw = sv.get("dt", "auto")
-            dt = (cfl * h * h / (2.0 * domain.d) if dt_raw == "auto"
-                  else _finite("solver.dt", dt_raw))
-            solver = SolverConfig(
-                dt=dt, T=_finite("solver.T", sv["T"]), cfl=cfl,
-                output_stride=_integer("solver.output_stride", sv.get("output_stride", 1)))
+            cfl = finite("solver.cfl", sv.get("cfl", 0.9))
             try:
                 grid = build_grid(domain, h)
+                dt_raw = sv.get("dt", "auto")
+                solver = SolverConfig(
+                    dt=(SolverConfig.auto_dt(grid, cfl) if dt_raw == "auto"
+                        else finite("solver.dt", dt_raw)),
+                    T=finite("solver.T", sv["T"]), cfl=cfl,
+                    output_stride=integer("solver.output_stride",
+                                          sv.get("output_stride", 1)))
                 solver.validate(grid)
                 check_initial(initial, domain.d, D)
             except (CFLViolated, DimensionMismatch, SpacingTooCoarse) as e:
                 raise ConfigError(str(e)) from e
+            steps = solver.T / solver.dt
+            # an infinite ratio has no integral step count
+            if not math.isfinite(steps) or solver.n_steps() > MAX_STEPS:
+                raise ConfigError(f"solver.T / dt = {steps:.4g} steps exceeds the "
+                                  f"budget of {MAX_STEPS} steps per run")
             diagnostics = _diagnostics(_section(raw.get("diagnostics", {}), "diagnostics"),
                                        domain, h, solver.T)
             snapshot = None
@@ -118,7 +134,7 @@ class ExperimentConfig:
                     raise ConfigError("custom-samples initial data needs a snapshot path")
                 snapshot = Path(raw["initial"]["path"])
                 sfio.check_snapshot(snapshot, grid.shape + (D + 1,))
-            return ExperimentConfig(domain=domain, h=h, D=D, initial=initial,
+            return ExperimentConfig(domain=domain, grid=grid, h=h, D=D, initial=initial,
                                     mode=mode, lam=lam, solver=solver,
                                     diagnostics=diagnostics, raw=raw,
                                     snapshot=snapshot)
@@ -128,12 +144,44 @@ class ExperimentConfig:
             raise ConfigError(f"invalid config: {e}") from e
 
     def build_initial(self) -> SphereField:
-        """The initial field, on a grid built for the run."""
+        """The initial field, on the run's grid."""
         init = self.initial
         if self.snapshot is not None:
             f, _ = sfio.read_snapshot(self.snapshot)
             init = InitialData(kind="custom-samples", samples=f.values)
-        return generate(init, build_grid(self.domain, self.h), self.D)
+        return generate(init, self.grid, self.D)
+
+    def check_windows(self, sections) -> None:
+        """Raise ConfigError unless, in the named diagnostics sections, every
+        time window holds a snapshot of the run and every cylinder's ball an
+        interior node.  These are the rules the diagnostics apply after the
+        flow (``diagnostics.window_snapshots`` and ``cylinder_integral``),
+        applied to the run's snapshot times and grid before it."""
+        dg = self.diagnostics
+        cyls, windows = [], []
+        if "cylinders" in sections:
+            cyls += [("cylinder", cyl) for cyl, _ in dg.cylinders]
+        if "small_energy" in sections and dg.small_energy is not None:
+            (t0, x0), radii, _ = dg.small_energy
+            cyls += [("small_energy", diag.CylinderSpec(t0, x0, r)) for r in radii]
+        if "mbar_probe" in sections and dg.mbar_probe is not None:
+            (t0, x0), R, _ = dg.mbar_probe
+            cyls.append(("mbar_probe", diag.CylinderSpec(t0, x0, R)))
+        if "monotonicity" in sections and dg.monotonicity is not None:
+            (t0, _), pairs, _, _ = dg.monotonicity
+            # the report's windows for the radii in (r1, r2] start earlier than
+            # r1's and none before 0, so each holds a snapshot if r1's does
+            windows += [("monotonicity", diag.annulus_window(t0, r1)) for r1, _ in pairs]
+        windows += [(name, cyl.window()) for name, cyl in cyls]
+        times = self.solver.snapshot_times()
+        for name, (a, b) in windows:
+            if not np.any(diag.window_weights(times, a, b) > 0):
+                raise ConfigError(f"{name} window [{a:g}, {b:g}) holds no snapshot "
+                                  f"of the run, which spans [0, {times[-1]:g}]")
+        for name, cyl in cyls:
+            if self.grid.nodes_within(cyl.x0, cyl.R).size == 0:
+                raise ConfigError(f"{name} ball of radius {cyl.R:g} around "
+                                  f"{cyl.x0.tolist()} holds no interior node")
 
 
 def _diagnostics(dcfg: dict, domain: Domain, h: float, T: float) -> Diagnostics:
@@ -145,7 +193,7 @@ def _diagnostics(dcfg: dict, domain: Domain, h: float, T: float) -> Diagnostics:
     def length(name: str, value) -> float:
         # finite, positive and at most the domain diameter (a larger ball
         # already covers the domain)
-        r = _finite(name, value)
+        r = finite(name, value)
         if not 0.0 < r <= domain.diameter:
             raise ConfigError(f"{name} must lie in (0, {domain.diameter:g}], "
                               f"the domain diameter; got {value!r}")
@@ -169,10 +217,10 @@ def _diagnostics(dcfg: dict, domain: Domain, h: float, T: float) -> Diagnostics:
     if "singular" in dcfg:
         s = _section(dcfg["singular"], "diagnostics.singular")
         out.singular = sing.SingularConfig(
-            eps0=_finite("singular.eps0", s["eps0"]),
+            eps0=finite("singular.eps0", s["eps0"]),
             radii=[length("singular radius", r) for r in s["radii"]],
-            time_stride=_integer("singular.time_stride", s.get("time_stride", 1)),
-            space_stride=_integer("singular.space_stride", s.get("space_stride", 1)),
+            time_stride=integer("singular.time_stride", s.get("time_stride", 1)),
+            space_stride=integer("singular.space_stride", s.get("space_stride", 1)),
             deltas=[float(x) for x in s["deltas"]] if "deltas" in s else None,
             mode=s.get("mode", "gl"))
         out.singular.validate(h)
@@ -182,29 +230,15 @@ def _diagnostics(dcfg: dict, domain: Domain, h: float, T: float) -> Diagnostics:
     if "small_energy" in dcfg:
         e = _section(dcfg["small_energy"], "diagnostics.small_energy")
         radii = [length("small_energy radius", r) for r in e["radii"]]
-        out.small_energy = (_point(e, d), radii, _finite("small_energy eps0", e["eps0"]))
+        out.small_energy = (_point(e, d), radii, finite("small_energy eps0", e["eps0"]))
     if dcfg.get("mbar_probe"):
         p = _section(dcfg["mbar_probe"], "diagnostics.mbar_probe")
-        t0 = _finite("mbar_probe t0", p.get("t0", T / 2.0))
+        t0 = finite("mbar_probe t0", p.get("t0", T / 2.0))
         x0 = _coords(p["x0"], d) if "x0" in p else domain.center()
         R, mode = length("mbar_probe R", p["R"]), p.get("mode", "dirichlet")
         sing.check_cylinder_args(R, h, mode)
         out.mbar_probe = ((t0, x0), R, mode)
     return out
-
-
-def _finite(name: str, value) -> float:
-    x = float(value)
-    if not math.isfinite(x):
-        raise ConfigError(f"{name} must be a finite number, got {value!r}")
-    return x
-
-
-def _integer(name: str, value) -> int:
-    x = _finite(name, value)
-    if x != int(x) or abs(x) >= 2.0 ** 53:
-        raise ConfigError(f"{name} must be an integer, got {value!r}")
-    return int(x)
 
 
 def _section(value, name: str) -> dict:
@@ -222,7 +256,7 @@ def _coords(value, d: int) -> np.ndarray:
 
 def _point(sec: dict, d: int) -> tuple:
     """The spacetime point (t0, x0) a diagnostics section is centred at."""
-    return _finite("t0", sec["t0"]), _coords(sec["x0"], d)
+    return finite("t0", sec["t0"]), _coords(sec["x0"], d)
 
 
 def _run_flow(cfg: ExperimentConfig, u0: SphereField) -> Trajectory:
@@ -297,6 +331,7 @@ def run_experiment(config_path, out_dir=None, threads: int = 1) -> int:
     out = Path(out_dir) if out_dir else config_path.parent / (config_path.stem + "_out")
     try:
         cfg = ExperimentConfig.load(config_path)
+        cfg.check_windows(RUN_SECTIONS)
     except ConfigError as e:
         _emit_error(out, e, 2)
         return 2
@@ -349,7 +384,9 @@ def sweep(config_path, param: str, values, out_dir=None, threads: int = 1) -> in
                 raise ConfigError(f"sweep value {v!r} is not a number") from e
             raw = json.loads(json.dumps(base.raw))
             (raw if param == "h" else raw["solver"])[param] = v
-            cases.append((v, ExperimentConfig.from_dict(raw)))
+            case = ExperimentConfig.from_dict(raw)
+            case.check_windows(SWEEP_SECTIONS)
+            cases.append((v, case))
     except ConfigError as e:
         _emit_error(out, e, 2)
         return 2

@@ -14,7 +14,7 @@ import functools
 import math
 import warnings
 from dataclasses import dataclass
-from typing import Callable, Optional
+from typing import Callable
 
 import numpy as np
 
@@ -25,8 +25,12 @@ from .field import SphereField, gradient_squared_density, norm_squared_flat
 from .flow import Trajectory
 from .geometry import BoundaryFrame, Grid, boundary_frame
 
+# the grids monotonicity_report fits (mu0, C) over, its R samples of the
+# speed term, and the rectangles of main2_lhs's time integral
 MU_GRID = tuple(round(0.1 * k, 1) for k in range(1, 11))
 C_GRID = tuple(np.logspace(-3.0, 3.0, 25))
+N_R_SAMPLES = 9
+MAIN2_TIME_STEPS = 64
 
 
 @dataclass
@@ -41,6 +45,10 @@ class CylinderSpec:
         self.x0 = np.asarray(self.x0, dtype=float)
         if self.R <= 0:
             raise ValueError("cylinder radius must be positive")
+
+    def window(self) -> tuple[float, float]:
+        """The time window [t0 - R^2, t0 + R^2) of the cylinder."""
+        return self.t0 - self.R ** 2, self.t0 + self.R ** 2
 
 
 @dataclass
@@ -158,17 +166,17 @@ def energy_report(traj: Trajectory, k: int) -> EnergyReport:
                         density=density)
 
 
-def _window_weights(times, t_final, a: float, b: float):
+def window_weights(times, a: float, b: float) -> np.ndarray:
     """Left-endpoint rectangle weights of snapshot times clipped to [a, b)."""
     ts = np.asarray(times)
-    nxt = np.append(ts[1:], max(t_final, ts[-1]))
+    nxt = np.append(ts[1:], ts[-1])
     return np.clip(np.minimum(nxt, b) - np.maximum(ts, a), 0.0, None)
 
 
 def window_snapshots(traj: Trajectory, a: float, b: float):
     """Indices and left-endpoint rectangle weights of the snapshots whose
     subintervals meet the window [a, b); EmptyIntersection if none does."""
-    w = _window_weights(traj.times, traj.t_final, a, b)
+    w = window_weights(traj.times, a, b)
     ks = np.flatnonzero(w > 0)
     if ks.size == 0:
         raise EmptyIntersection(f"no snapshot inside the window [{a:g}, {b:g})")
@@ -179,7 +187,8 @@ def window_integral(traj: Trajectory, a: float, b: float, per_snapshot):
     """Time integral over [a, b) of a per-snapshot quantity: the rectangle
     sum  sum_k w_k per_snapshot(k)  over the snapshots of the window.
 
-    The one time quadrature behind every cylinder and annulus integral.
+    The one time quadrature behind every spacetime integral over a run's
+    snapshots.
     ``per_snapshot(k)`` returns a number or an array: a lattice field, or
     its values on the cylinder's nodes.  A kernel in a time-varying
     integrand is sampled at the left edge max(t_k, a) of the clipped
@@ -187,6 +196,11 @@ def window_integral(traj: Trajectory, a: float, b: float, per_snapshot):
     """
     ks, w = window_snapshots(traj, a, b)
     return sum(wk * per_snapshot(int(k)) for k, wk in zip(ks, w))
+
+
+def annulus_window(t0: float, R: float) -> tuple[float, float]:
+    """The time window [t0 - 4R^2, t0 - R^2) of the annulus of radius R."""
+    return t0 - 4.0 * R * R, t0 - R * R
 
 
 def _spatial_weighted_sum(grid: Grid, density: np.ndarray, z0, t: float) -> float:
@@ -197,13 +211,12 @@ def _spatial_weighted_sum(grid: Grid, density: np.ndarray, z0, t: float) -> floa
 
 def weighted_annulus_energy(traj: Trajectory, z0, R: float, mode: str = "gl") -> float:
     """Gaussian-weighted energy over the annular time window (t0-4R^2, t0-R^2)."""
-    t0 = float(z0[0])
-    if t0 - 4.0 * R * R < -1e-12:
+    a, b = annulus_window(float(z0[0]), R)
+    if a < -1e-12:
         raise WindowOutsideTrajectory("window starts before t = 0")
     if R < 2.0 * traj.grid.h:
         warnings.warn("Gaussian weight narrower than 4 cells; values are "
                       "quadrature-limited", KernelUnderresolved)
-    a, b = t0 - 4.0 * R * R, t0 - R * R
 
     def weighted(k):
         return _spatial_weighted_sum(traj.grid, energy_density(traj, k, mode), z0,
@@ -271,11 +284,12 @@ def check_monotonicity_args(t0: float, R1: float, R2: float,
 
 
 def monotonicity_report(traj: Trajectory, z0, R1: float, R2: float,
-                        mode: str = "gradient", rhs_form: str = "difference",
-                        mu_grid=MU_GRID, c_grid=C_GRID,
-                        n_r_samples: int = 9) -> MonotonicityReport:
+                        mode: str = "gradient",
+                        rhs_form: str = "difference") -> MonotonicityReport:
     """Evaluate both sides of the annulus monotonicity inequality and fit
-    constants (mu0, C) minimizing the defect over the declared grids.
+    constants (mu0, C) minimizing the defect over the module grids MU_GRID
+    (0.1..1.0) and C_GRID (25 values log-spaced in 1e-3..1e3).  The speed
+    term is a trapezoid in R over N_R_SAMPLES = 9 radii in [R1, R2].
 
     rhs_form "difference" uses C (R2^mu - R1^mu); "exponential" uses
     C exp(R2^mu - R1^mu).
@@ -291,18 +305,18 @@ def monotonicity_report(traj: Trajectory, z0, R1: float, R2: float,
     # past the inner annulus window; the last snapshot never has weight), then
     # the R integral is a trapezoid
     speed_at = functools.cache(_speed_density(traj, z0))
-    r_samples = np.linspace(R1, R2, n_r_samples)
-    speed_of_R = [window_integral(traj, t0 - 4.0 * R * R, t0 - R * R, speed_at)
+    r_samples = np.linspace(R1, R2, N_R_SAMPLES)
+    speed_of_R = [window_integral(traj, *annulus_window(t0, R), speed_at)
                   for R in r_samples]
     speed = 2.0 * float(np.trapezoid(speed_of_R, r_samples))
 
     lhs = inner + speed
-    best = (float("inf"), mu_grid[0], c_grid[0])
-    for mu in mu_grid:
+    best = (float("inf"), MU_GRID[0], C_GRID[0])
+    for mu in MU_GRID:
         phi = R2 ** mu - R1 ** mu
         if rhs_form == "exponential":
             phi = math.exp(phi)
-        for c in c_grid:
+        for c in C_GRID:
             rhs = c * phi * outer + c * (R2 - R1)
             defect = max(0.0, lhs - rhs)
             if defect < best[0] - 1e-300 or (defect == 0.0 and best[0] > 0.0):
@@ -348,13 +362,15 @@ def _boundary_tangential_grad_sq(u0: SphereField, frame: BoundaryFrame) -> np.nd
     return np.einsum("nac,nac->n", tang, tang)
 
 
-def main2_lhs(traj_or_u0, z0, R0: float, mu0: float, c_mu0: float,
-              frame: Optional[BoundaryFrame] = None, n_time: int = 64) -> float:
+def main2_lhs(traj_or_u0, z0, R0: float, mu0: float, c_mu0: float) -> float:
     """Left side of the boundary energy-decay criterion.
 
     exp((4 R0)^mu0)/R0^2 [ e^{-4(d-2)/d0^2} t0^{-(d-2)/2} * int |grad u0|^2
       + int_0^{t0-R0^2} int_bdry |grad_tau u0|^2 G (d_{x0} + 4(t0-t)/d0^2) ]
       + C(mu0) R0.
+
+    The time integral integrates a closed-form kernel, not snapshots: a
+    left-endpoint rule over MAIN2_TIME_STEPS = 64 equal rectangles.
     """
     u0 = traj_or_u0.snapshots[0] if isinstance(traj_or_u0, Trajectory) else traj_or_u0
     g = u0.grid
@@ -370,17 +386,15 @@ def main2_lhs(traj_or_u0, z0, R0: float, mu0: float, c_mu0: float,
     interior_term = (math.exp(-4.0 * (d - 2) / d0 ** 2) / t0 ** ((d - 2) / 2.0)
                      * dirichlet_energy(u0))
 
-    if frame is None:
-        frame = boundary_frame(g)
-    tg2 = _boundary_tangential_grad_sq(u0, frame)
+    tg2 = _boundary_tangential_grad_sq(u0, boundary_frame(g))
     bpts = g.coords()[g.boundary_flat]
     dw = weight_d(x0, bpts, d0)
     area_w = g.h ** (d - 1)
 
     t_hi = t0 - R0 * R0
-    dt = t_hi / n_time
+    dt = t_hi / MAIN2_TIME_STEPS
     surf = 0.0
-    for j in range(n_time):
+    for j in range(MAIN2_TIME_STEPS):
         t = j * dt
         gvals = backward_heat_kernel(z0, t, bpts)
         surf += dt * float(np.sum(tg2 * gvals * (dw + 4.0 * (t0 - t) / d0 ** 2)) * area_w)
@@ -401,7 +415,7 @@ def _cylinder_nodes(grid: Grid, cyl: CylinderSpec) -> np.ndarray:
 def cylinder_integral(traj: Trajectory, cyl: CylinderSpec, mode: str = "gl") -> float:
     """Plain integral of the chosen density over the clipped cylinder."""
     nodes = _cylinder_nodes(traj.grid, cyl)
-    vals = window_integral(traj, cyl.t0 - cyl.R ** 2, cyl.t0 + cyl.R ** 2,
+    vals = window_integral(traj, *cyl.window(),
                            lambda k: energy_density(traj, k, mode)[nodes])
     return float(vals.sum()) * traj.grid.cell_volume
 
@@ -416,17 +430,18 @@ def _deviation_integral(traj: Trajectory, h0: HarmonicExtension,
         diff = traj.snapshots[k].flat()[nodes] - h0_vals
         return np.einsum("ij,ij->i", diff, diff)
 
-    vals = window_integral(traj, cyl.t0 - cyl.R ** 2, cyl.t0 + cyl.R ** 2, dev2)
+    vals = window_integral(traj, *cyl.window(), dev2)
     return float(vals.sum()) * traj.grid.cell_volume
 
 
-def _h0_data_integral(h0: HarmonicExtension, cyl: CylinderSpec,
-                      time_extent: float) -> tuple[float, float]:
-    """(integral of h0 derivative energies over the cylinder, volume).
+def _h0_data_integral(traj: Trajectory, h0: HarmonicExtension,
+                      cyl: CylinderSpec) -> tuple[float, float]:
+    """(integral of h0 derivative energies over the clipped cylinder, volume).
 
     The data field is time-independent; the spacetime integral is the time
-    extent times the spatial one.
+    extent, the window integral of 1, times the spatial one.
     """
+    time_extent = float(window_integral(traj, *cyl.window(), lambda k: 1.0))
     g = h0.grid
     d = g.d
     m = (d + 1) // 2 + 1
@@ -435,12 +450,6 @@ def _h0_data_integral(h0: HarmonicExtension, cyl: CylinderSpec,
     spatial = float(dens[nodes].sum()) * g.cell_volume
     vol = time_extent * nodes.size * g.cell_volume
     return time_extent * spatial, vol
-
-
-def _clipped_time_extent(traj: Trajectory, cyl: CylinderSpec) -> float:
-    a = max(cyl.t0 - cyl.R ** 2, 0.0)
-    b = min(cyl.t0 + cyl.R ** 2, traj.t_final)
-    return max(b - a, 0.0)
 
 
 def reverse_poincare_ratio(traj: Trajectory, h0: HarmonicExtension,
@@ -455,7 +464,7 @@ def reverse_poincare_ratio(traj: Trajectory, h0: HarmonicExtension,
     lhs = cylinder_integral(traj, cyl, mode="gradient") / 2.0 / cyl.R ** g.d
     big = CylinderSpec(t0=cyl.t0, x0=cyl.x0, R=2.0 * cyl.R)
     dev = _deviation_integral(traj, h0, big)
-    data, vol = _h0_data_integral(h0, big, _clipped_time_extent(traj, big))
+    data, vol = _h0_data_integral(traj, h0, big)
     rhs = dev / vol + data / vol
     return lhs, rhs
 
@@ -474,6 +483,6 @@ def hybrid_report(traj: Trajectory, h0: HarmonicExtension, cyl: CylinderSpec,
     big = CylinderSpec(t0=cyl.t0, x0=cyl.x0, R=2.0 * cyl.R)
     outer = cylinder_integral(traj, big, mode="gl")
     dev = _deviation_integral(traj, h0, big)
-    data_int, _ = _h0_data_integral(h0, big, _clipped_time_extent(traj, big))
+    data_int, _ = _h0_data_integral(traj, h0, big)
     data = dev / cyl.R ** 2 + data_int
     return inner, outer, data

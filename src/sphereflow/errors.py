@@ -1,4 +1,7 @@
-"""Exception and warning types shared across the package."""
+"""Exception and warning types shared across the package, and the two number
+checks a config parse applies to every scalar it reads."""
+
+import math
 
 
 class SphereFlowError(Exception):
@@ -71,3 +74,20 @@ class ConfigError(SphereFlowError):
 
 class KernelUnderresolved(UserWarning):
     """Gaussian weight narrower than a few grid cells; quadrature degraded."""
+
+
+def finite(name: str, value) -> float:
+    """``value`` as a float; ConfigError unless it is finite."""
+    x = float(value)
+    if not math.isfinite(x):
+        raise ConfigError(f"{name} must be a finite number, got {value!r}")
+    return x
+
+
+def integer(name: str, value) -> int:
+    """``value`` as an int; ConfigError unless it is an integer below 2^53 in
+    magnitude (a larger float holds no fraction to check)."""
+    x = finite(name, value)
+    if x != int(x) or abs(x) >= 2.0 ** 53:
+        raise ConfigError(f"{name} must be an integer, got {value!r}")
+    return int(x)

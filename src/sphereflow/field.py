@@ -7,7 +7,8 @@ from typing import Optional
 
 import numpy as np
 
-from .errors import ConfigError, DimensionMismatch, GridMismatch, NearZeroVector
+from .errors import (ConfigError, DimensionMismatch, GridMismatch, NearZeroVector,
+                     finite, integer)
 from .geometry import Grid
 
 
@@ -64,12 +65,15 @@ class InitialData:
         if kind not in INITIAL_KINDS:
             raise ConfigError(f"unknown initial data kind {kind!r}; "
                               f"expected one of {', '.join(INITIAL_KINDS)}")
+        vector = np.asarray(spec["vector"], dtype=float) if "vector" in spec else None
+        if vector is not None and not (np.all(np.isfinite(vector))
+                                       and np.linalg.norm(vector) >= NORM_FLOOR):
+            raise ConfigError(f"initial.vector must be finite and nonzero, "
+                              f"got {spec['vector']!r}")
         return InitialData(
-            kind=kind,
-            vector=np.asarray(spec["vector"], dtype=float) if "vector" in spec else None,
-            latitude_deg=float(spec.get("latitude_deg", 0.0)),
-            winding=int(spec.get("winding", 1)),
-        )
+            kind=kind, vector=vector,
+            latitude_deg=finite("initial.latitude_deg", spec.get("latitude_deg", 0.0)),
+            winding=integer("initial.winding", spec.get("winding", 1)))
 
 
 def _eval_points(grid: Grid) -> tuple[np.ndarray, np.ndarray]:
@@ -125,9 +129,8 @@ def generate(init: InitialData, grid: Grid, D: int) -> SphereField:
         m = min(grid.d, D)
         v = np.zeros((pts.shape[0], D))
         v[:, :m] = np.tan(theta / 2.0) * (pts[:, :m] - c[:m]) / r0
-        s = np.einsum("ij,ij->i", v, v)
-        flat[idx, :D] = 2.0 * v / (1.0 + s)[:, None]
-        flat[idx, D] = (1.0 - s) / (1.0 + s)
+        from .stereo import stereo_inverse      # stereo imports this module
+        flat[idx] = stereo_inverse(v)
 
     elif init.kind == "equator-hedgehog":
         n = np.linalg.norm(pts, axis=1)
@@ -178,12 +181,15 @@ def project_to_sphere(f: SphereField) -> SphereField:
     return out
 
 
+NORM_FLOOR = 1e-14
+
+
 def normalize_rows(v: np.ndarray, idx: np.ndarray) -> np.ndarray:
     """Divide each row of ``v``, the values at flat nodes ``idx``, by its
     norm, in place; returns ``v``.  Raises NearZeroVector on a row of norm
-    below 1e-14."""
+    below NORM_FLOOR."""
     norms = np.sqrt(np.einsum("ij,ij->i", v, v))
-    bad = norms < 1e-14
+    bad = norms < NORM_FLOOR
     if np.any(bad):
         raise NearZeroVector(
             f"cannot project node(s) at flat index {idx[np.flatnonzero(bad)[:5]].tolist()}")

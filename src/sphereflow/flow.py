@@ -118,8 +118,24 @@ class SolverConfig:
     def auto_dt(grid: Grid, cfl: float = 0.9) -> float:
         return cfl * grid.h ** 2 / (2.0 * grid.d)
 
+    def n_steps(self) -> int:
+        """Steps of a run: the first multiple of dt at or past T (less 1e-9 of
+        a step, so a T that is a multiple of dt up to rounding takes no extra
+        step)."""
+        return int(math.ceil(self.T / self.dt - 1e-9))
+
+    def snapshot_steps(self) -> list:
+        """Steps a run records a snapshot after: 0, every ``output_stride``-th
+        step and the last one."""
+        n = self.n_steps()
+        return [*range(0, n, self.output_stride), n]
+
+    def snapshot_times(self) -> list:
+        """Times of the snapshots a run records, one per ``snapshot_steps``."""
+        return [k * self.dt for k in self.snapshot_steps()]
+
     def validate(self, grid: Grid):
-        bound = self.cfl * grid.h ** 2 / (2.0 * grid.d)
+        bound = self.auto_dt(grid, self.cfl)
         if self.dt > bound * (1.0 + 1e-12):
             raise CFLViolated(
                 f"dt = {self.dt:g} exceeds the diffusion bound "
@@ -356,7 +372,7 @@ def _record(step: int, t: float, u: SphereField, w: np.ndarray, dir_e: float,
 def _run(u0: SphereField, cfg: SolverConfig, sched: Optional[PenaltySchedule],
          mode: str) -> Trajectory:
     cfg.validate(u0.grid)
-    n_steps = int(math.ceil(cfg.T / cfg.dt - 1e-9))
+    n_steps, take = cfg.n_steps(), set(cfg.snapshot_steps())
     u = u0.copy()
     g = u.grid
     flat = u.flat()
@@ -372,7 +388,6 @@ def _run(u0: SphereField, cfg: SolverConfig, sched: Optional[PenaltySchedule],
     w = _norm2(rows)
     records = [_record(0, 0.0, u, w, _dirichlet_from_rows(u, rows, nrows, links, lap),
                        sched.strength(0.0) if sched else 0.0, 0.0, _sup_norm(w, bnd2))]
-    times = [0.0]
     snapshots = [u.copy()]
     for k in range(n_steps):
         w, pen_incr, lam_eff, mx = _step(u, rows, nrows, k * cfg.dt, cfg, sched, bnd2)
@@ -381,11 +396,11 @@ def _run(u0: SphereField, cfg: SolverConfig, sched: Optional[PenaltySchedule],
         records.append(_record(k + 1, t_next, u, w,
                                _dirichlet_from_rows(u, rows, nrows, links, lap),
                                lam_eff, pen_incr, mx))
-        if (k + 1) % cfg.output_stride == 0 or k + 1 == n_steps:
-            times.append(t_next)
+        if k + 1 in take:
             snapshots.append(u if k + 1 == n_steps else u.copy())
 
-    return Trajectory(grid=u0.grid, target_dim=u0.target_dim, times=times,
+    return Trajectory(grid=u0.grid, target_dim=u0.target_dim,
+                      times=cfg.snapshot_times(),
                       snapshots=snapshots, records=records, mode=mode,
                       lam=sched.lam if sched else None, dt=cfg.dt)
 
@@ -420,9 +435,8 @@ def trajectory_l2q_distance(a: Trajectory, b: Trajectory) -> float:
     if len(a.times) != len(b.times) or any(
             abs(s - t) > 1e-12 for s, t in zip(a.times, b.times)):
         raise ValueError("trajectories must share snapshot times")
+    from .diagnostics import window_integral    # diagnostics imports this module
     from .field import l2_distance
-    total = 0.0
-    for k in range(len(a.times) - 1):
-        w = a.times[k + 1] - a.times[k]
-        total += w * l2_distance(a.snapshots[k], b.snapshots[k]) ** 2
-    return math.sqrt(total)
+    return math.sqrt(window_integral(
+        a, a.times[0], a.t_final,
+        lambda k: l2_distance(a.snapshots[k], b.snapshots[k]) ** 2))

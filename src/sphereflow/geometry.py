@@ -27,9 +27,10 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .errors import NoGraphAvailable, SpacingTooCoarse
+from .errors import NoGraphAvailable, SpacingTooCoarse, integer
 
 EXTERIOR, INTERIOR, BOUNDARY = 0, 1, 2
+PATCH_RADIUS = 1.0
 
 
 @dataclass
@@ -40,14 +41,14 @@ class Domain:
     ``graph-subdomain``.  ``diameter`` is the exact diameter (2 for the
     unit ball, the diagonal length for a box).  Graph subdomains carry a
     height function ``phi`` over the tangent hyperplane at a base point,
-    normalized so that phi(0) = 0 and grad phi(0) = 0.
+    normalized so that phi(0) = 0 and grad phi(0) = 0, and are cut off by
+    the ball of radius PATCH_RADIUS around the base point.
     """
 
     kind: str
     d: int
     bounds: Optional[np.ndarray] = None          # (d, 2) for boxes
     phi: Optional[Callable] = None               # graph height function
-    patch_radius: float = 1.0
 
     def __post_init__(self):
         if self.d < 2:
@@ -56,8 +57,9 @@ class Domain:
             if self.bounds is None:
                 self.bounds = np.array([[0.0, 1.0]] * self.d)
             self.bounds = np.asarray(self.bounds, dtype=float)
-            if self.bounds.shape != (self.d, 2) or np.any(self.bounds[:, 1] <= self.bounds[:, 0]):
-                raise ValueError("box bounds must be (d, 2) with lo < hi")
+            if self.bounds.shape != (self.d, 2) or not np.all(np.isfinite(self.bounds)) \
+                    or np.any(self.bounds[:, 1] <= self.bounds[:, 0]):
+                raise ValueError("box bounds must be (d, 2), finite, with lo < hi")
         elif self.kind == "graph-subdomain":
             if self.phi is None:
                 raise ValueError("graph-subdomain requires a height function")
@@ -90,20 +92,18 @@ class Domain:
         return Domain("half-ball", d)
 
     @staticmethod
-    def graph_subdomain(phi: Callable, d: int, patch_radius: float = 1.0) -> "Domain":
-        return Domain("graph-subdomain", d, phi=phi, patch_radius=patch_radius)
+    def graph_subdomain(phi: Callable, d: int) -> "Domain":
+        return Domain("graph-subdomain", d, phi=phi)
 
     @staticmethod
     def from_config(spec: dict) -> "Domain":
+        """The domain of a config's ``domain`` section; ConfigError on a
+        ``d`` that is not an integer, ValueError on any other bad value."""
         kind = spec.get("kind")
-        if kind == "unit-ball":
-            return Domain.unit_ball(int(spec["d"]))
-        if kind == "half-ball":
-            return Domain.half_ball(int(spec["d"]))
-        if kind == "box":
-            if "bounds" in spec:
-                return Domain.box(spec["bounds"])
-            return Domain("box", int(spec["d"]))
+        if kind == "box" and "bounds" in spec:
+            return Domain.box(spec["bounds"])
+        if kind in ("unit-ball", "half-ball", "box"):
+            return Domain(kind, integer("domain.d", spec["d"]))
         raise ValueError(f"domain kind {kind!r} not constructible from config")
 
     # -- geometry queries --------------------------------------------
@@ -114,7 +114,7 @@ class Domain:
             return 2.0
         if self.kind == "box":
             return float(np.linalg.norm(self.bounds[:, 1] - self.bounds[:, 0]))
-        return 2.0 * self.patch_radius
+        return 2.0 * PATCH_RADIUS
 
     def bounding_box(self):
         if self.kind == "unit-ball":
@@ -125,8 +125,7 @@ class Domain:
             return lo, np.ones(self.d)
         if self.kind == "box":
             return self.bounds[:, 0].copy(), self.bounds[:, 1].copy()
-        r = self.patch_radius
-        return -r * np.ones(self.d), r * np.ones(self.d)
+        return -PATCH_RADIUS * np.ones(self.d), PATCH_RADIUS * np.ones(self.d)
 
     def center(self) -> np.ndarray:
         """Midpoint of the bounding box."""
@@ -145,7 +144,7 @@ class Domain:
             return np.all((pts > lo) & (pts < hi), axis=1)
         r2 = np.einsum("ij,ij->i", pts, pts)
         heights = np.array([float(self.phi(p[:-1])) for p in pts])
-        return (r2 < self.patch_radius ** 2) & (pts[:, -1] > heights)
+        return (r2 < PATCH_RADIUS ** 2) & (pts[:, -1] > heights)
 
     def boundary_project(self, pts: np.ndarray) -> np.ndarray:
         """Nearest point of the true boundary (first-order adequate)."""

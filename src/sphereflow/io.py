@@ -61,9 +61,9 @@ def grid_spec(grid: Grid) -> dict:
 
 
 def write_snapshot(path_base: Path, f: SphereField, t: float, step: int,
-                   lam: Optional[float], exponent: Optional[float],
-                   tag: str = "u"):
-    """Node-major, component-major little-endian float64 plus JSON sidecar."""
+                   lam: Optional[float], exponent: Optional[float]):
+    """Node-major, component-major little-endian float64 plus JSON sidecar;
+    the sidecar's ``tag`` is always ``"u"``, the flow field."""
     path_base.parent.mkdir(parents=True, exist_ok=True)
     data = np.ascontiguousarray(f.values, dtype="<f8")
     with open(path_base.with_suffix(".f64"), "wb") as fh:
@@ -76,7 +76,7 @@ def write_snapshot(path_base: Path, f: SphereField, t: float, step: int,
         "step": step,
         "lambda": lam,
         "exponent": exponent,
-        "tag": tag,
+        "tag": "u",
     }
     write_json(path_base.with_suffix(".json"), sidecar)
 

@@ -1,5 +1,9 @@
 import csv
 import json
+import os
+import subprocess
+import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -192,6 +196,99 @@ def test_initial_data_mismatch_exits_2_at_load(tmp_path, config, patch):
     assert not (out / "trajectory.csv").exists()
 
 
+def _exits_2_at_load(tmp_path, cfg, command=run_experiment) -> dict:
+    """Run ``cfg`` with ``command``; expect exit 2 with ``error.json`` and
+    no stepping, and return the error payload."""
+    p = tmp_path / "bad.json"
+    p.write_text(json.dumps(cfg))      # NaN / Infinity literals
+    out = tmp_path / "out"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")   # no numpy warning on the way
+        assert command(p, out) == 2
+    err = json.loads((out / "error.json").read_text())
+    assert err["error"] == "ConfigError" and err["exit_code"] == 2
+    assert not (out / "trajectory.csv").exists() and not (out / "sweep.csv").exists()
+    return err
+
+
+@pytest.mark.parametrize("section, value", [
+    ("domain", {"kind": "unit-ball", "d": 2.5}),
+    ("domain", {"kind": "half-ball", "d": 2.5}),
+    ("domain", {"kind": "box", "d": 2.5}),
+    ("domain", {"kind": "unit-ball", "d": float("nan")}),
+    ("domain", {"kind": "unit-ball", "d": float("inf")}),
+    ("domain", {"kind": "box", "bounds": [[-1.0, float("nan")], [-1.0, 1.0]]}),
+    ("domain", {"kind": "box", "bounds": [[-1.0, 1.0], [float("-inf"), 1.0]]}),
+    ("initial", {"kind": "cap", "latitude_deg": float("nan")}),
+    ("initial", {"kind": "cap", "latitude_deg": float("inf")}),
+    ("initial", {"kind": "boundary-wrap", "winding": 2.5}),
+    ("initial", {"kind": "constant", "vector": [0.0, float("nan"), 1.0]}),
+    ("initial", {"kind": "constant", "vector": [0.0, 0.0, float("inf")]}),
+    ("initial", {"kind": "constant", "vector": [0.0, 0.0, 0.0]}),
+], ids=["d-2.5", "half-ball-d-2.5", "box-d-2.5", "d-nan", "d-inf", "bounds-nan",
+        "bounds-inf", "latitude-nan", "latitude-inf", "winding-2.5", "vector-nan",
+        "vector-inf", "vector-zero"])
+def test_domain_and_initial_values_exit_2_at_load(tmp_path, section, value):
+    # caught by the parse, before build_grid can warn or the flow can run
+    cfg = json.loads((CONFIGS / "onesided_cap.json").read_text())
+    cfg[section] = value
+    _exits_2_at_load(tmp_path, cfg)
+
+
+@pytest.mark.parametrize("diagnostics", [
+    {"cylinders": [{"t0": 0.5, "x0": [0.0, 0.0], "R": 0.25}]},
+    {"cylinders": [{"t0": -0.5, "x0": [0.0, 0.0], "R": 0.25}]},
+    {"cylinders": [{"t0": 0.0625, "x0": [1.5, 0.0], "R": 0.125}]},
+    {"monotonicity": {"t0": 1.0, "x0": [0.0, 0.0], "pairs": [[0.125, 0.25]]}},
+    {"small_energy": {"t0": 1.0, "x0": [0.0, 0.0], "radii": [0.25], "eps0": 1.0}},
+    {"small_energy": {"t0": 0.0625, "x0": [1.5, 0.0], "radii": [0.5, 0.25],
+                      "eps0": 1.0}},
+], ids=["cylinder-after-T", "cylinder-before-0", "cylinder-outside",
+        "monotonicity-after-T", "small_energy-after-T", "small_energy-outside"])
+def test_diagnostics_windows_exit_2_at_load(tmp_path, diagnostics):
+    # h = 1/16 and T = 0.125: each window or ball misses the run
+    cfg = json.loads((CONFIGS / "onesided_cap.json").read_text())
+    cfg["diagnostics"] = diagnostics
+    err = _exits_2_at_load(tmp_path, cfg)
+    assert "holds no" in err["message"]
+
+
+@pytest.mark.parametrize("probe", [{"t0": 1.0, "R": 0.125},
+                                   {"x0": [1.5, 0.0], "R": 0.125}],
+                         ids=["after-T", "outside"])
+def test_sweep_mbar_probe_window_exits_2_at_load(tmp_path, probe):
+    cfg = json.loads((CONFIGS / "cap_disc.json").read_text())
+    cfg["solver"]["T"] = 1 / 256
+    cfg["diagnostics"]["mbar_probe"] = dict(probe, mode="gl")
+    err = _exits_2_at_load(tmp_path, cfg,
+                           lambda p, out: sweep(p, "lambda", [100.0, 1000.0], out))
+    assert "mbar_probe" in err["message"]
+
+
+@pytest.mark.parametrize("solver", [{"T": 1e300}, {"T": 1.0, "dt": 1e-300},
+                                    {"T": 1.0, "dt": 5e-324}],
+                         ids=["T-1e300", "dt-tiny", "dt-denormal"])
+def test_step_budget_exits_2_at_load(tmp_path, solver):
+    cfg = json.loads((CONFIGS / "onesided_cap.json").read_text())
+    cfg["solver"].update(solver)
+    err = _exits_2_at_load(tmp_path, cfg)
+    assert "budget" in err["message"]
+
+
+def test_step_budget_bound(tmp_path, monkeypatch):
+    # a run of MAX_STEPS steps runs; one more step is rejected at load
+    monkeypatch.setattr(cli, "MAX_STEPS", 10)
+    cfg = json.loads((CONFIGS / "onesided_cap.json").read_text())
+    cfg["diagnostics"] = {}
+    dt = 0.9 * (1 / 16) ** 2 / 4
+    cfg["solver"]["T"] = 10 * dt
+    p = tmp_path / "ok.json"
+    p.write_text(json.dumps(cfg))
+    assert run_experiment(p, tmp_path / "ok") == 0
+    cfg["solver"]["T"] = 10.5 * dt
+    _exits_2_at_load(tmp_path, cfg)
+
+
 # eps0 = 1e-9 flags every scan point, so box counting runs on every scale list
 SCAN = {"eps0": 1e-9, "radii": [0.125, 0.25, 0.5], "space_stride": 4}
 
@@ -281,6 +378,18 @@ def test_main_entrypoint_run(tmp_path):
     assert code == 0
     rep = json.loads((tmp_path / "hh" / "reports" / "singular.json").read_text())
     assert rep["eps0"] == 1.0
+
+
+def test_python_m_sphereflow_run(tmp_path):
+    # the package's __main__, in its own interpreter
+    path = os.pathsep.join(filter(None, [str(CONFIGS.parent / "src"),
+                                         os.environ.get("PYTHONPATH")]))
+    run = subprocess.run([sys.executable, "-m", "sphereflow", "run", "--config",
+                          str(CONFIGS / "onesided_cap.json"), "--out", str(tmp_path / "o")],
+                         env=dict(os.environ, PYTHONPATH=path),
+                         capture_output=True, text=True, timeout=300)
+    assert run.returncode == 0, run.stderr
+    assert (tmp_path / "o" / "manifest.json").exists()
 
 
 def test_onesided_config_reports(tmp_path):
@@ -378,7 +487,7 @@ def test_sweep_h_hedgehog_mbar(tmp_path):
 def test_snapshot_roundtrip(tmp_path, disc16):
     f = generate(InitialData(kind="cap", latitude_deg=45.0), disc16, 2)
     base = tmp_path / "snap"
-    write_snapshot(base, f, t=0.25, step=7, lam=100.0, exponent=0.93, tag="u")
+    write_snapshot(base, f, t=0.25, step=7, lam=100.0, exponent=0.93)
     g, sidecar = read_snapshot(base)
     assert np.array_equal(g.values, f.values)
     assert sidecar["t"] == 0.25 and sidecar["step"] == 7

@@ -11,7 +11,8 @@ from sphereflow.field import (InitialData, SphereField, dirichlet_energy,
 from sphereflow.flow import (PenaltySchedule, SolverConfig, Trajectory, chi,
                              chi_dot, glhf_step, kappa, kappa_dot,
                              penalty_integral, projected_flow_step, run_glhf,
-                             run_projected, _diffuse, _logistic_norms)
+                             run_projected, trajectory_l2q_distance, _diffuse,
+                             _logistic_norms)
 from sphereflow.geometry import Domain, build_grid, neighbor_sum
 from sphereflow.stereo import stereo_inverse
 
@@ -224,6 +225,22 @@ def test_run_equals_chain_of_public_steps(d, mode):
         assert r.max_norm == f.max_norm()
         ref = dirichlet_energy(f)
         assert abs(r.dirichlet_energy - ref) <= 1e-13 * ref
+
+
+def test_snapshot_times_are_the_run_times():
+    # config load checks the diagnostics windows against these times
+    u0, cfg, _ = _kernel_case(2, "projected")
+    traj = run_projected(u0, cfg)
+    assert cfg.snapshot_steps() == [0, 3, 6, 7]
+    assert traj.times == cfg.snapshot_times() == [k * cfg.dt for k in (0, 3, 6, 7)]
+
+
+def test_l2q_distance_is_the_left_rectangle_sum():
+    u0, cfg, sched = _kernel_case(2, "glhf-simplified")
+    a, b = run_glhf(u0, cfg, sched), run_projected(u0, cfg)
+    total = sum((a.times[k + 1] - a.times[k]) * l2_distance(a.snapshots[k], b.snapshots[k]) ** 2
+                for k in range(len(a.times) - 1))
+    assert trajectory_l2q_distance(a, b) == math.sqrt(total) > 0.0
 
 
 RECORD_DOMAINS = {

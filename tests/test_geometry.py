@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from sphereflow.errors import NoGraphAvailable, SpacingTooCoarse
+from sphereflow.errors import ConfigError, NoGraphAvailable, SpacingTooCoarse
 from sphereflow.geometry import (EXTERIOR, Domain, boundary_frame,
                                  build_grid, check_condition_B, neighbor_sum)
 
@@ -160,6 +160,21 @@ def test_condition_b_converges_on_ball():
     for probe in (0.2, 0.1, 0.05):
         res = check_condition_B(Domain.unit_ball(2), probe)
         assert abs(res.theta0_estimate - 1.0) <= 0.5 * probe
+
+
+@pytest.mark.parametrize("bounds", [[[0.0, np.nan], [0.0, 1.0]],
+                                    [[-np.inf, 1.0], [0.0, 1.0]],
+                                    [[0.0, 1.0], [0.0, np.inf]]])
+def test_box_rejects_non_finite_bounds(bounds):
+    with pytest.raises(ValueError, match="finite"):
+        Domain.box(bounds)
+
+
+@pytest.mark.parametrize("d", [2.5, 3.000001, np.nan, np.inf, 2.0 ** 53])
+def test_from_config_rejects_non_integral_dimension(d):
+    for kind in ("unit-ball", "half-ball", "box"):
+        with pytest.raises(ConfigError):
+            Domain.from_config({"kind": kind, "d": d})
 
 
 def test_domain_center_is_bounding_box_midpoint():
