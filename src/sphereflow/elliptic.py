@@ -5,7 +5,8 @@ nodes with values pinned at boundary nodes.  It is not sphere-valued and is
 used as-is by the comparison diagnostics.
 
 The solver is matrix-free conjugate gradients on the SPD operator
-``x -> 2d x - neighbor_sum(x)`` over the interior rows (the flow's stencil),
+``x -> 2d x - N x`` over the interior rows, where ``N x`` is the neighbour
+sum ``Grid.neighbour_rows`` of x extended by zero (the flow's stencil),
 with every component a column that carries its own step sizes.  It starts
 from the boundary mean and iterates to rounding level, whatever ``tol`` the
 caller asks for; ``tol`` only bounds the result: the max-norm of the discrete
@@ -21,7 +22,7 @@ import numpy as np
 
 from .errors import NoConvergence, OrderTooHighForGrid
 from .field import SphereField
-from .geometry import EXTERIOR, INTERIOR, Grid, neighbor_sum
+from .geometry import EXTERIOR, INTERIOR, Grid, neighbor_sum, put_rows
 
 # per-column stop: 2-norm residual at most this fraction of the right-hand side's
 CG_RTOL = 1e-14
@@ -53,8 +54,7 @@ class HarmonicExtension:
 
 def _laplacian_residual(grid: Grid, flat: np.ndarray) -> float:
     """Max-norm of the discrete Laplacian over interior nodes and components."""
-    idx = grid.interior_flat
-    res = neighbor_sum(flat, grid.strides())[idx] - 2 * grid.d * flat[idx]
+    res = grid.neighbour_rows(flat) - 2 * grid.d * flat[grid.interior_flat]
     return float(np.max(np.abs(res), initial=0.0)) / grid.h ** 2
 
 
@@ -77,23 +77,23 @@ def solve_harmonic_extension(grid: Grid, boundary_data: SphereField,
         raise ValueError(f"unknown solver method {method!r}")
     out = boundary_data.copy()
     flat = out.flat()
-    idx = grid.interior_flat
-    strides = grid.strides()
+    idx, bnd = grid.interior_flat, grid.boundary_flat
     two_d = 2.0 * grid.d
 
     # right-hand side: the boundary neighbours of every interior row
-    nsum = np.empty_like(flat)
     flat[idx] = 0.0
-    b = np.take(neighbor_sum(flat, strides, out=nsum), idx, axis=0)
-    x = np.broadcast_to(flat[grid.boundary_flat].mean(axis=0), b.shape).copy()
+    b = grid.neighbour_rows(flat)
+    ub = flat[bnd]
+    x = np.broadcast_to(ub.mean(axis=0), b.shape).copy()
 
-    # the operator's input lives on a lattice buffer that is zero off the
-    # interior rows, so the boundary data does not enter it
-    lat = np.zeros_like(flat)
+    # the operator's input is the field itself with its boundary rows zeroed
+    # until the solve ends, so the boundary data does not enter it; the
+    # interior stencils read no exterior node
+    flat[bnd] = 0.0
 
     def apply(v: np.ndarray) -> np.ndarray:
-        lat[idx] = v
-        return two_d * v - np.take(neighbor_sum(lat, strides, out=nsum), idx, axis=0)
+        put_rows(flat, idx, v)
+        return two_d * v - grid.neighbour_rows(flat)
 
     r = b - apply(x)
     p = r.copy()
@@ -116,6 +116,7 @@ def solve_harmonic_extension(grid: Grid, boundary_data: SphereField,
         p += r
         rr = rr_new
 
+    flat[bnd] = ub
     flat[idx] = x
     res = _laplacian_residual(grid, flat)
     if not res <= tol:

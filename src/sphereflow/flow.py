@@ -20,30 +20,32 @@ Data path of one step.  A run carries two (n_interior, D+1) arrays from
 step to step: ``rows``, the interior rows of the field, and ``nrows``, the
 interior rows of its neighbour sum N.  ``_step`` diffuses ``rows`` in place
 from ``nrows``, rescales them in place by the norm reaction (or the
-normalization) and scatters them into the field, so the post-reaction rows
-are the field's rows and are never gathered again; |u|^2 of them feeds the
-sup-norm guard, with the boundary maximum, which is fixed because no step
-writes a boundary row.  Right after the step ``_neighbour_rows`` computes N
-once for the new state.  Its interior rows serve twice: the state's record
-takes its Dirichlet energy from them by summation by parts, and the next
-step diffuses with them.  The boundary part of that sum runs over the
-interior-boundary links only, whose boundary values are gathered once per
-run.  Nothing in a step copies the whole field; the last state's N is the
+normalization) and scatters them into the field with ``put_rows``, one
+whole row per element, so the post-reaction rows are the field's rows and
+are never gathered again; |u|^2 of them feeds the sup-norm guard, with the
+boundary maximum, which is fixed because no step writes a boundary row.
+Right after the step ``Grid.neighbour_rows`` computes N for the new state
+straight into ``nrows``, one cache-sized block of layers at a time.  Those
+rows serve twice: the state's record takes its Dirichlet energy from them
+by summation by parts, and the next step diffuses with them.  The boundary
+part of that sum runs over the interior-boundary links only, whose
+boundary values are gathered once per run.  Nothing in a step copies or
+writes a lattice-sized array except the field; the last state's N is the
 one neighbour sum no step uses.
 
 Buffers.  ``_run`` copies ``u0`` once and then owns that field: ``_step``
 mutates it in place, and each snapshot but the last is a copy of it, so
 neither the caller's ``u0`` nor a returned snapshot is ever written by a
 later step; the last snapshot is the field itself, which no step writes
-again.  N lives in one lattice buffer that every state of a run
-overwrites, and ``nrows`` is gathered into its own buffer, so beyond the
-field and the snapshots a run holds one lattice array and two interior-row
-arrays.  The record's per-component difference uses the lattice buffer as
-scratch, and the norm reaction works in two per-node arrays (|u|^2 before
-the reaction, and one that holds the squared deviation, then the new
-|u|^2, then the scale), so neither allocates an interior-row array.
-``glhf_step`` and ``projected_flow_step`` copy their input once, gather its
-rows and N once, and step the copy.
+again.  Beyond the field and the snapshots a run holds three interior-row
+arrays: ``rows``, ``nrows`` and the record's scratch for its per-component
+difference.  Each neighbour sum adds one block scratch of at most
+``geometry.BLOCK_NODES`` lattice nodes (unless a single layer is wider),
+freed when the sum returns.  The norm reaction works in two per-node
+arrays (|u|^2 before the reaction, and one that holds the squared
+deviation, then the new |u|^2, then the scale), so it allocates no
+interior-row array.  ``glhf_step`` and ``projected_flow_step`` copy their
+input once, gather its rows and N once, and step the copy.
 """
 
 from __future__ import annotations
@@ -59,7 +61,7 @@ from .errors import CFLViolated, NormBlowup
 # reference the records agree with) and flow.project_to_sphere, so both
 # stay imported here
 from .field import SphereField, dirichlet_energy, normalize_rows, project_to_sphere
-from .geometry import BOUNDARY, Grid, neighbor_sum
+from .geometry import BOUNDARY, Grid, put_rows
 
 GLHF_MODES = ("glhf-simplified", "glhf-original")
 
@@ -200,15 +202,6 @@ class Trajectory:
 
 # -- substeps ---------------------------------------------------------------
 
-def _neighbour_rows(flat: np.ndarray, g: Grid, nbr: np.ndarray,
-                    nrows: np.ndarray) -> None:
-    """Write the neighbour sum of ``flat`` into the lattice buffer ``nbr``
-    and its interior rows into ``nrows``."""
-    neighbor_sum(flat, g.strides(), out=nbr)
-    # mode="clip" gathers straight into nrows; "raise" would buffer a copy
-    np.take(nbr, g.interior_flat, axis=0, out=nrows, mode="clip")
-
-
 def _diffuse(rows: np.ndarray, nrows: np.ndarray, g: Grid, dt: float) -> None:
     """The explicit diffusion substep, in place on the interior rows ``rows``
     given the interior rows ``nrows`` of their neighbour sum, which it scales
@@ -284,7 +277,7 @@ def _step(u: SphereField, rows: np.ndarray, nrows: np.ndarray, t: float,
         np.sqrt(scale, out=scale)
         scale[~pos] = 1.0
         rows *= scale[:, None]
-    u.flat()[idx] = rows
+    put_rows(u.flat(), idx, rows)
     w = _norm2(rows)
     mx = _sup_norm(w, bnd2)
     if not mx <= 1.0 + 1e-7:
@@ -299,8 +292,7 @@ def _public_step(f: SphereField, t: float, cfg: SolverConfig,
     g = u.grid
     flat = u.flat()
     rows = np.take(flat, g.interior_flat, axis=0)
-    nrows = np.take(neighbor_sum(flat, g.strides()), g.interior_flat, axis=0)
-    _step(u, rows, nrows, t, cfg, sched, _boundary_norm2(u))
+    _step(u, rows, g.neighbour_rows(flat), t, cfg, sched, _boundary_norm2(u))
     return u
 
 
@@ -379,19 +371,15 @@ def _run(u0: SphereField, cfg: SolverConfig, sched: Optional[PenaltySchedule],
     bnd2 = _boundary_norm2(u)
     links = _boundary_links(u)
     rows = np.take(flat, g.interior_flat, axis=0)
-    nbr = np.empty_like(flat)
-    nrows = np.empty_like(rows)
-    # nbr is not read between the gather of nrows and the next neighbour
-    # sum, so its leading rows are the record's scratch
-    lap = nbr[:g.n_interior]
-    _neighbour_rows(flat, g, nbr, nrows)
+    nrows = g.neighbour_rows(flat)
+    lap = np.empty_like(rows)           # the record's scratch
     w = _norm2(rows)
     records = [_record(0, 0.0, u, w, _dirichlet_from_rows(u, rows, nrows, links, lap),
                        sched.strength(0.0) if sched else 0.0, 0.0, _sup_norm(w, bnd2))]
     snapshots = [u.copy()]
     for k in range(n_steps):
         w, pen_incr, lam_eff, mx = _step(u, rows, nrows, k * cfg.dt, cfg, sched, bnd2)
-        _neighbour_rows(flat, g, nbr, nrows)
+        g.neighbour_rows(flat, out=nrows)
         t_next = (k + 1) * cfg.dt
         records.append(_record(k + 1, t_next, u, w,
                                _dirichlet_from_rows(u, rows, nrows, links, lap),

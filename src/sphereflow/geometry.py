@@ -18,6 +18,17 @@ flat shift by a stride is exact at every node off the lattice faces (on a
 face it reads a wrapped node of the adjacent row).  ``build_grid`` pads the
 bounding box with two cells on every side, so no active node lies on a face
 and every stencil of an active node is exact.
+
+Two kernels apply that rule.  ``neighbor_sum`` shifts the whole lattice and
+serves the lattice masks.  ``Grid.neighbour_rows`` returns the same sums at
+the interior nodes only, which is what the flow and the harmonic extension
+need, and takes them one block at a time.  A block is a run of whole
+first-axis layers, trimmed to the span from its first interior node to its
+last.  Blocks are formed greedily: a layer joins the block while the span
+stays within ``BLOCK_NODES`` lattice nodes, and a block always holds at
+least one layer, so a layer wider than that is a block of its own.  The
+block's sums go into a scratch array that stays in cache, and its interior
+rows are gathered from there; no lattice-sized buffer is written.
 """
 
 from __future__ import annotations
@@ -27,10 +38,14 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .errors import NoGraphAvailable, SpacingTooCoarse, integer
+from .errors import ConfigError, NoGraphAvailable, SpacingTooCoarse, integer
 
 EXTERIOR, INTERIOR, BOUNDARY = 0, 1, 2
 PATCH_RADIUS = 1.0
+# lattice nodes one block of ``Grid.neighbour_rows`` spans (unless a single
+# layer is wider): 2^14 nodes of 3 float64 components are a 384 KiB scratch,
+# which stays in a 2 MiB L2 with the rows the stencil reads
+BLOCK_NODES = 1 << 14
 
 
 @dataclass
@@ -98,10 +113,15 @@ class Domain:
     @staticmethod
     def from_config(spec: dict) -> "Domain":
         """The domain of a config's ``domain`` section; ConfigError on a
-        ``d`` that is not an integer, ValueError on any other bad value."""
+        ``d`` that is not an integer or, for a box, differs from the number
+        of rows of its ``bounds``; ValueError on any other bad value."""
         kind = spec.get("kind")
         if kind == "box" and "bounds" in spec:
-            return Domain.box(spec["bounds"])
+            box = Domain.box(spec["bounds"])
+            if "d" in spec and integer("domain.d", spec["d"]) != box.d:
+                raise ConfigError(f"domain.d = {spec['d']!r} but domain.bounds "
+                                  f"holds {box.d} rows")
+            return box
         if kind in ("unit-ball", "half-ball", "box"):
             return Domain(kind, integer("domain.d", spec["d"]))
         raise ValueError(f"domain kind {kind!r} not constructible from config")
@@ -314,6 +334,51 @@ class Grid:
     def n_interior(self) -> int:
         return self.interior_flat.size
 
+    def neighbour_rows(self, flat: np.ndarray, out: Optional[np.ndarray] = None) -> np.ndarray:
+        """``neighbor_sum(flat, self.strides())[self.interior_flat]``, bit for
+        bit, signed zeros and NaN included, without a lattice-sized buffer.
+
+        ``flat`` is a float lattice array flattened along its first axis.
+        The sums are taken one block of layers at a time (see the module
+        docstring), in ``neighbor_sum``'s order: from +0.0, per axis the -s
+        neighbour before the +s one.  ``out``, if given, is an interior-row
+        array that is overwritten and returned.
+        """
+        idx = self.interior_flat
+        if out is None:
+            out = np.empty((idx.size,) + flat.shape[1:], flat.dtype)
+        blocks, width = self._stencil_blocks()
+        first, *rest = [o for s in self.strides() for o in (-s, s)]
+        scratch = np.empty((width,) + flat.shape[1:], flat.dtype)
+        for lo, hi, k0, k1 in blocks:
+            # 0.0 + x is neighbor_sum's first addition, -0.0 becoming +0.0
+            acc = np.add(0.0, flat[lo + first:hi + first], out=scratch[:hi - lo])
+            for o in rest:
+                acc += flat[lo + o:hi + o]
+            # mode="clip" gathers straight into out; "raise" would buffer a copy
+            np.take(acc, idx[k0:k1] - lo, axis=0, out=out[k0:k1], mode="clip")
+        return out
+
+    def _stencil_blocks(self) -> tuple:
+        """The blocks of ``neighbour_rows`` as ``(lo, hi, k0, k1)``: the flat
+        lattice span [lo, hi) and the interior positions [k0, k1) it holds;
+        and the widest span."""
+        if "blocks" not in self._cache:
+            idx = self.interior_flat
+            # positions in idx where a layer starts, and one past where it ends
+            starts = np.flatnonzero(np.diff(idx // self.strides()[0], prepend=-1))
+            ends = np.append(starts[1:], idx.size)
+            blocks, j = [], 0
+            while j < starts.size:
+                lo, e = int(idx[starts[j]]), j + 1
+                while e < starts.size and idx[ends[e] - 1] + 1 - lo <= BLOCK_NODES:
+                    e += 1
+                blocks.append((lo, int(idx[ends[e - 1] - 1]) + 1,
+                               int(starts[j]), int(ends[e - 1])))
+                j = e
+            self._cache["blocks"] = blocks, max(hi - lo for lo, hi, _, _ in blocks)
+        return self._cache["blocks"]
+
     def link_masks(self) -> list:
         """Per axis a, a mask over flat nodes i < n_lattice - strides[a]: the
         link (i, i + strides[a]) carries Dirichlet energy, i.e. both ends are
@@ -406,23 +471,32 @@ def _strides(shape) -> np.ndarray:
     return np.cumprod((*shape[1:], 1)[::-1], dtype=np.int64)[::-1]
 
 
-def neighbor_sum(flat: np.ndarray, strides, out: Optional[np.ndarray] = None) -> np.ndarray:
+def neighbor_sum(flat: np.ndarray, strides) -> np.ndarray:
     """Sum of the 2d axis neighbours ``i -/+ strides[a]`` of every flat node.
 
     ``flat`` is a lattice array flattened along its first axis.  The sum is
     exact off the lattice faces; face nodes hold partial sums with wrapped
     reads and must not be used.  Per axis the -s neighbour is added before
-    the +s one.  ``out``, if given, is a buffer of ``flat``'s shape that is
-    overwritten and returned.
+    the +s one.
+
+    Each of the 2d shifts streams the whole lattice, so this serves the
+    whole-lattice masks (``build_grid``, the depth mask, the stereographic
+    residual); sums at the interior nodes come from ``Grid.neighbour_rows``,
+    which takes them block by block without a lattice-sized buffer.
     """
-    if out is None:
-        out = np.zeros_like(flat)
-    else:
-        out.fill(0.0)
+    out = np.zeros_like(flat)
     for s in strides:
         out[s:] += flat[:-s]
         out[:-s] += flat[s:]
     return out
+
+
+def put_rows(flat: np.ndarray, idx: np.ndarray, rows: np.ndarray) -> None:
+    """``flat[idx] = rows`` for C-contiguous 2-D ``flat`` and ``rows``, moving
+    each row as one element: ``np.put`` on a view with one void item per
+    row, several times faster than the row-wise fancy assignment."""
+    void = np.dtype((np.void, flat.strides[0]))
+    np.put(flat.view(void).reshape(-1), idx, rows.view(void).reshape(-1))
 
 
 def boundary_frame(grid: Grid) -> BoundaryFrame:

@@ -235,6 +235,22 @@ def test_domain_and_initial_values_exit_2_at_load(tmp_path, section, value):
     _exits_2_at_load(tmp_path, cfg)
 
 
+@pytest.mark.parametrize("d, bounds", [
+    (3, [[-1.0, 1.0], [-1.0, 1.0]]),
+    (2, [[-1.0, 1.0], [-1.0, 1.0], [-1.0, 1.0]]),
+], ids=["d-3-bounds-2d", "d-2-bounds-3d"])
+def test_box_dimension_disagreeing_with_bounds_exits_2_at_load(tmp_path, d, bounds):
+    # without diagnostics nothing else in the config names a dimension, so
+    # only the domain check can stop the box from running in the bounds' d
+    cfg = json.loads((CONFIGS / "onesided_cap.json").read_text())
+    cfg["domain"] = {"kind": "box", "d": d, "bounds": bounds}
+    cfg["h"] = 0.125
+    cfg["solver"]["T"] = 0.01
+    cfg["diagnostics"] = {}
+    err = _exits_2_at_load(tmp_path, cfg)
+    assert "domain.d" in err["message"]
+
+
 @pytest.mark.parametrize("diagnostics", [
     {"cylinders": [{"t0": 0.5, "x0": [0.0, 0.0], "R": 0.25}]},
     {"cylinders": [{"t0": -0.5, "x0": [0.0, 0.0], "R": 0.25}]},

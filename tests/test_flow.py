@@ -1,5 +1,6 @@
 import math
 import time
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -316,6 +317,31 @@ def test_snapshots_are_independent_copies():
     traj.snapshots[1].values[...] = 7.0
     for k in (0, 2, 3):
         assert np.array_equal(traj.snapshots[k].values, kept[k])
+
+
+def test_run_holds_no_lattice_sized_scratch():
+    # 3-D ball at h = 1/16, one snapshot besides the last: a run holds its
+    # field and the step-0 snapshot, three carried interior-row arrays (the
+    # rows, their neighbour sum and the record's scratch), the stencil's
+    # block scratch (0.94 of a row array here), the per-node |u|^2 arrays
+    # and the boundary links.  A lattice-sized buffer (2.97 row arrays here)
+    # would push the peak past the bound.
+    g = build_grid(Domain.unit_ball(3), 1 / 16)
+    u0 = generate(InitialData(kind="equator-hedgehog"), g, 2)
+    dt = SolverConfig.auto_dt(g)
+    cfg = SolverConfig(dt=dt, T=4 * dt, output_stride=4)
+    sched = PenaltySchedule(lam=1e3)
+    run_glhf(u0, cfg, sched)            # fill the grid's lazy caches first
+    tracemalloc.start()
+    try:
+        traj = run_glhf(u0, cfg, sched)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(traj.snapshots) == 2
+    field_bytes = u0.values.nbytes
+    row_bytes = g.n_interior * u0.flat().shape[1] * u0.values.itemsize
+    assert peak < 2 * field_bytes + 5.5 * row_bytes
 
 
 @pytest.mark.parametrize("d", [2, 3])

@@ -3,8 +3,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from sphereflow.errors import ConfigError, NoGraphAvailable, SpacingTooCoarse
-from sphereflow.geometry import (EXTERIOR, Domain, boundary_frame,
-                                 build_grid, check_condition_B, neighbor_sum)
+from sphereflow.geometry import (BLOCK_NODES, EXTERIOR, Domain, boundary_frame,
+                                 build_grid, check_condition_B, neighbor_sum,
+                                 put_rows)
 
 
 def brute_force_interior_count(d, h, kmax):
@@ -94,9 +95,57 @@ def test_neighbor_sum_matches_explicit_gather(domain, h, rng):
             expect = expect + flat[idx - s]
             expect = expect + flat[idx + s]
         assert np.array_equal(neighbor_sum(flat, g.strides())[idx], expect)
-        buf = np.full(shape, np.nan)      # a reused buffer is overwritten
-        assert neighbor_sum(flat, g.strides(), out=buf) is buf
-        assert np.array_equal(buf[idx], expect)
+
+
+KERNEL_GRIDS = {
+    **{name: (dom, 1 / 128 if dom.d == 2 else 1 / 16)
+       for name, dom in FACE_DOMAINS.items()},
+    "one-block": (Domain.unit_ball(2), 0.11),
+    # layers of 133^2 nodes, each interior span 16,885 > BLOCK_NODES
+    "wide-layer": (Domain.box([[0, 0.5], [0, 16], [0, 16]]), 0.125),
+}
+
+
+@pytest.mark.parametrize("name", sorted(KERNEL_GRIDS))
+def test_neighbour_rows_is_neighbor_sum_at_interior(name, rng):
+    g = build_grid(*KERNEL_GRIDS[name])
+    idx = g.interior_flat
+    if name == "one-block":
+        assert g.n_lattice <= BLOCK_NODES
+    if name == "wide-layer":
+        layer = idx // g.strides()[0]
+        assert np.ptp(idx[layer == layer[0]]) + 1 > BLOCK_NODES
+    for comps in [(), (1,), (3,), (4,)]:
+        shape = (g.n_lattice,) + comps
+        flat = rng.standard_normal(shape) * np.exp(4 * rng.standard_normal(shape))
+        # the first half holds only -0.0, whose sums are +0.0 from a +0.0 start
+        flat[:g.n_lattice // 2] = -0.0
+        flat.reshape(-1)[1::7] = -0.0
+        flat.reshape(-1)[::97] = np.nan
+        expect = neighbor_sum(flat, g.strides())[idx]
+        assert np.isnan(expect).any() and (expect == 0.0).any()
+        got = g.neighbour_rows(flat)
+        assert got.shape == expect.shape
+        assert np.array_equal(got, expect, equal_nan=True)
+        assert np.array_equal(np.signbit(got), np.signbit(expect))
+        buf = np.full_like(expect, 7.0)     # a given buffer is overwritten
+        assert g.neighbour_rows(flat, out=buf) is buf
+        assert np.array_equal(np.signbit(buf), np.signbit(expect))
+        assert np.array_equal(buf, expect, equal_nan=True)
+
+
+@pytest.mark.parametrize("comps", [1, 3, 4])
+def test_put_rows_is_fancy_assignment(comps, rng):
+    g = build_grid(Domain.unit_ball(3), 0.21)
+    idx = g.interior_flat
+    flat = rng.standard_normal((g.n_lattice, comps))
+    rows = rng.standard_normal((idx.size, comps))
+    rows[::5] = -0.0
+    expect = flat.copy()
+    expect[idx] = rows
+    put_rows(flat, idx, rows)
+    assert np.array_equal(flat, expect)
+    assert np.array_equal(np.signbit(flat), np.signbit(expect))
 
 
 @pytest.mark.parametrize("h", [0.25, 0.11])
