@@ -27,8 +27,7 @@ from .diagnostics import (CylinderSpec, EnergyReport, MonotonicityReport,
 from .singular import (SingularConfig, SingularReport, local_scaled_energy,
                        detect_singular_set, parabolic_box_count,
                        small_energy_certificate)
-from .stereo import (StereoField, OneSidedReport, to_stereo, from_stereo, W,
-                     one_sided_check, one_sided_monitor)
+from .stereo import OneSidedReport, W, one_sided_check, one_sided_monitor
 
 __version__ = "0.1.0"
 
@@ -47,6 +46,5 @@ __all__ = [
     "reverse_poincare_ratio", "hybrid_report",
     "SingularConfig", "SingularReport", "local_scaled_energy",
     "detect_singular_set", "parabolic_box_count", "small_energy_certificate",
-    "StereoField", "OneSidedReport", "to_stereo", "from_stereo", "W",
-    "one_sided_check", "one_sided_monitor",
+    "OneSidedReport", "W", "one_sided_check", "one_sided_monitor",
 ]

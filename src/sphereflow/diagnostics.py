@@ -48,7 +48,7 @@ class CylinderSpec:
 
     def window(self) -> tuple[float, float]:
         """The time window [t0 - R^2, t0 + R^2) of the cylinder."""
-        return self.t0 - self.R ** 2, self.t0 + self.R ** 2
+        return cylinder_window(self.t0, self.R)
 
 
 @dataclass
@@ -196,6 +196,11 @@ def window_integral(traj: Trajectory, a: float, b: float, per_snapshot):
     """
     ks, w = window_snapshots(traj, a, b)
     return sum(wk * per_snapshot(int(k)) for k, wk in zip(ks, w))
+
+
+def cylinder_window(t0: float, R: float) -> tuple[float, float]:
+    """The time window [t0 - R^2, t0 + R^2) of the cylinder of radius R."""
+    return t0 - R ** 2, t0 + R ** 2
 
 
 def annulus_window(t0: float, R: float) -> tuple[float, float]:

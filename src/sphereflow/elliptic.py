@@ -26,6 +26,8 @@ from .geometry import EXTERIOR, INTERIOR, Grid, neighbor_sum, put_rows
 
 # per-column stop: 2-norm residual at most this fraction of the right-hand side's
 CG_RTOL = 1e-14
+# iteration cap of the solve; past it the residual contract decides
+CG_MAX_ITER = 10_000
 
 
 @dataclass
@@ -63,8 +65,8 @@ def _coldot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 
 
 def solve_harmonic_extension(grid: Grid, boundary_data: SphereField,
-                             tol: float = 1e-8, method: str = "direct",
-                             max_iter: int = 10_000) -> HarmonicExtension:
+                             tol: float = 1e-8, method: str = "direct"
+                             ) -> HarmonicExtension:
     """Solve  -lap h = 0  at interior nodes, h = boundary data on the mask.
 
     One conjugate-gradient solve (see the module docstring); ``iterations``
@@ -102,7 +104,7 @@ def solve_harmonic_extension(grid: Grid, boundary_data: SphereField,
     # b = 0 stops too; a stopped column keeps alpha = 0 and no longer moves
     stop = CG_RTOL ** 2 * np.maximum(_coldot(b, b), rr)
     it = 0
-    while it < max_iter:
+    while it < CG_MAX_ITER:
         live = rr > stop
         if not live.any():
             break

@@ -7,7 +7,10 @@ One step, ``_step``, is an operator splitting:
    sup |u| <= 1 is preserved exactly;
 2. penalty relaxation of the norm: with w = |u|^2 and strength
    Lam = lambda^(1 - kappa(t)), the subflow is  dw/dt = 2 Lam w (1 - w),
-   integrated in closed (logistic) form with the direction u/|u| frozen.
+   integrated in closed (logistic) form with the direction u/|u| frozen:
+   each row is scaled by sqrt(w1/w0) = (e + (1 - e) w0)^(-1/2), with
+   e = exp(-2 Lam dt) clamped below at the smallest normal float, one
+   expression for every row, zero rows included.
    The original equation form weights the reaction by the cutoff slope
    chi'((w - 1)^2), which is 1 on every norm a step admits, so it is the
    same ODE and is integrated the same way.
@@ -42,10 +45,11 @@ arrays: ``rows``, ``nrows`` and the record's scratch for its per-component
 difference.  Each neighbour sum adds one block scratch of at most
 ``geometry.BLOCK_NODES`` lattice nodes (unless a single layer is wider),
 freed when the sum returns.  The norm reaction works in two per-node
-arrays (|u|^2 before the reaction, and one that holds the squared
-deviation, then the new |u|^2, then the scale), so it allocates no
-interior-row array.  ``glhf_step`` and ``projected_flow_step`` copy their
-input once, gather its rows and N once, and step the copy.
+arrays: the squared deviation (|u|^2 - 1)^2 for the penalty increment,
+and |u|^2, which it turns in place into the divisor sqrt(e + (1 - e) w0)
+of the rows; it allocates no interior-row array.  ``glhf_step`` and
+``projected_flow_step`` copy their input once, gather its rows and N once,
+and step the copy.
 """
 
 from __future__ import annotations
@@ -212,21 +216,6 @@ def _diffuse(rows: np.ndarray, nrows: np.ndarray, g: Grid, dt: float) -> None:
     rows += nrows
 
 
-def _logistic_norms(w0: np.ndarray, lam_eff: float, dt: float,
-                    out: Optional[np.ndarray] = None) -> np.ndarray:
-    """Exact solution of dw/dt = 2 Lam w (1-w) after time dt, written into
-    ``out`` (a new array if None); nodes with w0 <= 0 (or NaN) get 0."""
-    z = 2.0 * lam_eff * dt
-    pos = w0 > 0
-    w = np.subtract(1.0, w0, out=out)
-    np.divide(w, w0, out=w, where=pos)
-    w *= math.exp(-z)
-    w += 1.0
-    np.divide(1.0, w, out=w, where=pos)
-    w[~pos] = 0.0
-    return w
-
-
 def _norm2(rows: np.ndarray) -> np.ndarray:
     return np.einsum("ij,ij->i", rows, rows)
 
@@ -249,8 +238,10 @@ def _step(u: SphereField, rows: np.ndarray, nrows: np.ndarray, t: float,
 
     ``rows`` are the interior rows of ``u`` and ``nrows`` those of its
     neighbour sum; on return ``rows`` holds the new interior rows, which
-    are also written into ``u``, and ``nrows`` is spent.  ``sched is None``
-    is the projected flow (exact normalization of the interior rows).
+    are also written into ``u``, and ``nrows`` is spent.  The reaction is
+    the closed form of the module docstring, one expression on every row.
+    ``sched is None`` is the projected flow (exact normalization of the
+    interior rows, which raises ``NearZeroVector`` on a zero row).
     ``bnd2`` is ``_boundary_norm2(u)``.  Returns |u|^2 of the new interior
     rows, the step's penalty increment, the strength used and the new
     sup-norm.
@@ -269,14 +260,13 @@ def _step(u: SphereField, rows: np.ndarray, nrows: np.ndarray, t: float,
         sq = w0 - 1.0
         sq *= sq
         pen_incr = float(cfg.dt * lam_eff * np.sum(sq) * g.cell_volume)
-        # rescale norms from sqrt(w0) to sqrt(w1), direction unchanged; the
-        # scale overwrites w1, which overwrites sq, and is 1 where w0 <= 0
-        scale = _logistic_norms(w0, lam_eff, cfg.dt, out=sq)
-        pos = w0 > 0
-        np.divide(scale, w0, out=scale, where=pos)
-        np.sqrt(scale, out=scale)
-        scale[~pos] = 1.0
-        rows *= scale[:, None]
+        # w1 = w0 / (e + (1 - e) w0), so the rows scale by sqrt(w1 / w0);
+        # the clamp keeps the root positive when exp underflows, so a zero
+        # row stays 0
+        e = max(math.exp(-2.0 * lam_eff * cfg.dt), np.finfo(float).tiny)
+        w0 *= 1.0 - e
+        w0 += e
+        rows /= np.sqrt(w0, out=w0)[:, None]
     put_rows(u.flat(), idx, rows)
     w = _norm2(rows)
     mx = _sup_norm(w, bnd2)

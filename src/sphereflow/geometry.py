@@ -480,9 +480,9 @@ def neighbor_sum(flat: np.ndarray, strides) -> np.ndarray:
     the +s one.
 
     Each of the 2d shifts streams the whole lattice, so this serves the
-    whole-lattice masks (``build_grid``, the depth mask, the stereographic
-    residual); sums at the interior nodes come from ``Grid.neighbour_rows``,
-    which takes them block by block without a lattice-sized buffer.
+    whole-lattice masks (``build_grid``, the depth mask); sums at the
+    interior nodes come from ``Grid.neighbour_rows``, which takes them
+    block by block without a lattice-sized buffer.
     """
     out = np.zeros_like(flat)
     for s in strides:

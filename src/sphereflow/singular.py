@@ -22,8 +22,8 @@ from typing import Optional
 
 import numpy as np
 
-from .diagnostics import (CylinderSpec, cylinder_integral, energy_density,
-                          window_integral, window_snapshots)
+from .diagnostics import (CylinderSpec, cylinder_integral, cylinder_window,
+                          energy_density, window_integral, window_snapshots)
 from .errors import TooFewScales
 from .flow import Trajectory
 
@@ -172,7 +172,7 @@ def detect_singular_set(traj: Trajectory, cfg: SingularConfig) -> SingularReport
         for j, R in enumerate(radii):
             if alive.size == 0:
                 break
-            field = window_integral(traj, t0 - R * R, t0 + R * R,
+            field = window_integral(traj, *cylinder_window(t0, R),
                                     lambda k: energy_density(traj, k, dens_mode))
             np.copyto(core, field.reshape(g.shape), where=interior)
             sums = _ball_sums(flat_padded, centers[alive], offsets[R])
@@ -186,7 +186,7 @@ def detect_singular_set(traj: Trajectory, cfg: SingularConfig) -> SingularReport
     sup_checks = []
     rmin = radii[0]
     for (t0, x) in flagged[:64]:
-        ks, _ = window_snapshots(traj, t0 - rmin ** 2, t0 + rmin ** 2)
+        ks, _ = window_snapshots(traj, *cylinder_window(t0, rmin))
         nodes_in = g.nodes_within(np.asarray(x), rmin)
         sup_val = max(float(energy_density(traj, int(k), dens_mode)[nodes_in]
                             .max(initial=0.0)) for k in ks)

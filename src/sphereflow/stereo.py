@@ -1,10 +1,14 @@
-"""Stereographic coordinates, the hemisphere monitor function, and the
+"""The stereographic chart, the hemisphere monitor function, and the
 one-sided range checks.
 
 With v in R^D the chart is u' = 2v/(1+|v|^2), u_last = (1-|v|^2)/(1+|v|^2);
-the inverse is v = u'/(1 + u_last), defined away from the south pole.  The
-monitor W(|v|^2) with W(x) = x/(1+x^2) obeys a discrete maximum principle
-along hemisphere-confined flows, tracked per recorded snapshot.
+the inverse is v = u'/(1 + u_last), defined away from the south pole.  Both
+maps act on rows (``stereo_forward``, ``stereo_inverse``); the monitor
+charts the rotated rows of the nodes it reads and never builds a lattice
+array of chart values.  The monitor W(|v|^2) with W(x) = x/(1+x^2) obeys a
+discrete maximum principle along hemisphere-confined flows, tracked per
+recorded snapshot over the active rows; its PDE residual is sampled at a
+few interior nodes from those nodes and their axis neighbours only.
 """
 
 from __future__ import annotations
@@ -17,21 +21,10 @@ import numpy as np
 from .errors import PoleProximity
 from .field import SphereField
 from .flow import Trajectory
-from .geometry import Grid, neighbor_sum
 
 POLE_GAP = 1e-6
 BAND_FACTOR = 10.0      # the monitor's band: 1e-6 + BAND_FACTOR * dt
 RESIDUAL_SEED = 0       # seed of the PDE-residual sample draw
-
-
-@dataclass
-class StereoField:
-    grid: Grid
-    values: np.ndarray           # lattice shape + (D,)
-    target_dim: int
-
-    def flat(self) -> np.ndarray:
-        return self.values.reshape(-1, self.target_dim)
 
 
 @dataclass
@@ -89,24 +82,6 @@ def stereo_inverse(v: np.ndarray) -> np.ndarray:
     return u
 
 
-def to_stereo(f: SphereField) -> StereoField:
-    g = f.grid
-    idx = g.active_flat
-    vals = np.zeros(g.shape + (f.target_dim,))
-    flat = vals.reshape(-1, f.target_dim)
-    flat[idx] = stereo_forward(f.flat()[idx])
-    return StereoField(grid=g, values=vals, target_dim=f.target_dim)
-
-
-def from_stereo(v: StereoField) -> SphereField:
-    g = v.grid
-    idx = g.active_flat
-    vals = np.zeros(g.shape + (v.target_dim + 1,))
-    flat = vals.reshape(-1, v.target_dim + 1)
-    flat[idx] = stereo_inverse(v.flat()[idx])
-    return SphereField(grid=g, values=vals, target_dim=v.target_dim)
-
-
 def W(x):
     """Monitor profile: antiderivative of (1-t^2)/(1+t^2)^2 from 0, i.e. x/(1+x^2).
 
@@ -153,22 +128,14 @@ def one_sided_check(u0: SphereField) -> OneSidedCheck:
                          theta0_proxy=theta0)
 
 
-def _chart_rows(snap: SphereField, rot: np.ndarray) -> tuple[np.ndarray, float]:
-    """Chart values v of the rotated active rows, min rotated last component."""
-    rotated = np.take(snap.flat(), snap.grid.active_flat, axis=0) @ rot.T
+def _chart_rows(snap: SphereField, rot: np.ndarray,
+                nodes: Optional[np.ndarray] = None) -> tuple[np.ndarray, float]:
+    """Chart values v of the rotated rows at the flat ``nodes`` (the active
+    nodes if None), and their min rotated last component."""
+    if nodes is None:
+        nodes = snap.grid.active_flat
+    rotated = np.take(snap.flat(), nodes, axis=0) @ rot.T
     return stereo_forward(rotated), float(rotated[:, -1].min())
-
-
-def _w_field(snap: SphereField, rot: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Lattice arrays of W(|v|^2) and of the chart values v."""
-    g = snap.grid
-    idx = g.active_flat
-    v, _ = _chart_rows(snap, rot)
-    wlat = np.zeros(g.n_lattice)
-    wlat[idx] = W(np.einsum("ij,ij->i", v, v))
-    vlat = np.zeros((g.n_lattice, snap.target_dim))
-    vlat[idx] = v
-    return wlat, vlat
 
 
 def one_sided_monitor(traj: Trajectory, check: Optional[OneSidedCheck] = None,
@@ -221,38 +188,37 @@ def _pde_residual_samples(traj: Trajectory, rot: np.ndarray,
     """|d_t W - lap W + 4 |grad v|^2 / (1+|v|^2)^2| at random interior samples.
 
     Reported, not asserted: the identity is exact only along the limiting
-    constrained flow.  Fields are recomputed per sampled snapshot to keep
-    memory flat on long runs.
+    constrained flow.  Each sample charts only the rows it reads: its node
+    and the node's 2d axis neighbours at snapshot k, the node alone at k + 1.
+    The neighbours are summed as ``geometry.neighbor_sum`` sums them (from
+    0.0, per axis the -s neighbour before the +s one), so the residual is
+    the whole-lattice one bit for bit, and memory stays flat on long runs.
     """
     g = traj.grid
     rng = np.random.default_rng(RESIDUAL_SEED)
     idx = g.interior_flat
-    s = g.strides()
+    # row 0 is the node, rows 2a + 1 and 2a + 2 its -s and +s neighbours
+    offsets = np.array([0] + [o for s in g.strides().tolist() for o in (-s, s)])
     ks = rng.integers(0, len(traj.snapshots) - 1, size=n_samples)
     js = rng.integers(0, idx.size, size=n_samples)
-    cache: dict = {}
-
-    def fields(k: int):
-        """(W lattice, chart values, neighbour sum of W) of snapshot k."""
-        if k not in cache:
-            if len(cache) > 3:
-                cache.clear()
-            w, v = _w_field(traj.snapshots[k], rot)
-            cache[k] = (w, v, neighbor_sum(w, s))
-        return cache[k]
 
     out = []
     for k, j in sorted(zip(ks.tolist(), js.tolist())):
-        node = int(idx[j])
-        w_k, v_k, w_nbr = fields(k)
-        w_k1 = fields(k + 1)[0]
+        nodes = idx[j] + offsets
+        v, _ = _chart_rows(traj.snapshots[k], rot, nodes)
+        w = W(np.einsum("ij,ij->i", v, v))
+        v1, _ = _chart_rows(traj.snapshots[k + 1], rot, nodes[:1])
+        w1 = W(np.einsum("ij,ij->i", v1, v1))[0]
         dt_loc = traj.times[k + 1] - traj.times[k]
-        w_t = (w_k1[node] - w_k[node]) / dt_loc
-        lap = (w_nbr[node] - 2 * g.d * w_k[node]) / g.h ** 2
+        w_t = (w1 - w[0]) / dt_loc
+        w_nbr = 0.0
+        for x in w[1:]:
+            w_nbr += x
+        lap = (w_nbr - 2 * g.d * w[0]) / g.h ** 2
         grad2 = 0.0
         for a in range(g.d):
-            dv = (v_k[node + s[a]] - v_k[node - s[a]]) / (2 * g.h)
+            dv = (v[2 * a + 2] - v[2 * a + 1]) / (2 * g.h)
             grad2 += float(np.dot(dv, dv))
-        sv = float(np.dot(v_k[node], v_k[node]))
+        sv = float(np.dot(v[0], v[0]))
         out.append(abs(w_t - lap + 4.0 * grad2 / (1.0 + sv) ** 2))
     return np.asarray(out)

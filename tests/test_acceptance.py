@@ -230,11 +230,60 @@ def test_criterion_10_determinism(tmp_path):
         a, b = tmp_path / f"{name}_a", tmp_path / f"{name}_b"
         assert run_experiment(CONFIGS / f"{name}.json", a) == 0
         assert run_experiment(CONFIGS / f"{name}.json", b) == 0
-        for csv_path in sorted(a.rglob("*.csv")):
-            rel = csv_path.relative_to(a)
-            identical &= csv_path.read_bytes() == (b / rel).read_bytes()
+        files_a = sorted(p.relative_to(a) for p in a.rglob("*") if p.is_file())
+        files_b = sorted(p.relative_to(b) for p in b.rglob("*") if p.is_file())
+        identical &= files_a == files_b
+        for rel in files_a:
+            identical &= (a / rel).read_bytes() == (b / rel).read_bytes()
             checked += 1
     elapsed = time.time() - t0
     ok = identical and checked >= 3
     report("criterion 10: determinism", ok, elapsed,
-           f"{checked} CSV files byte-compared across reruns")
+           f"{checked} files byte-compared across reruns")
+
+
+def _great_circle(x, t):
+    """u = (cos phi, sin phi, 0) with phi = x1 + e^(-2 pi^2 t) sin(pi x1) sin(pi x2).
+
+    phi solves the heat equation, so u solves the harmonic map heat flow
+    u_t = lap u + |grad u|^2 u on [0, 1]^2, with boundary values fixed in t.
+    """
+    phi = x[:, 0] + (math.exp(-2.0 * math.pi ** 2 * t)
+                     * np.sin(math.pi * x[:, 0]) * np.sin(math.pi * x[:, 1]))
+    return np.stack([np.cos(phi), np.sin(phi), np.zeros_like(phi)], axis=1)
+
+
+def _exact_solution_error(h, lam=None):
+    """Max-norm error over the interior nodes at the last snapshot of the
+    projected run (``lam`` None) or the penalized run, T = 0.05, dt auto."""
+    g = build_grid(Domain.box([[0.0, 1.0], [0.0, 1.0]]), h)
+    samples = _great_circle(g.coords(), 0.0).reshape(g.shape + (3,))
+    u0 = generate(InitialData(kind="custom-samples", samples=samples), g, 2)
+    # a stride past the last step keeps the first and last snapshots only
+    cfg = SolverConfig(dt=SolverConfig.auto_dt(g), T=0.05, output_stride=10_000)
+    traj = run_projected(u0, cfg) if lam is None else \
+        run_glhf(u0, cfg, PenaltySchedule(lam=lam))
+    idx = g.interior_flat
+    exact = _great_circle(g.coords()[idx], traj.t_final)
+    return float(np.max(np.abs(traj.snapshots[-1].flat()[idx] - exact)))
+
+
+def test_criterion_11_exact_solution():
+    t0 = time.time()
+    hs = (1 / 8, 1 / 16, 1 / 32, 1 / 64)
+    proj = [_exact_solution_error(h) for h in hs]
+    orders = [math.log2(a / b) for a, b in zip(proj, proj[1:])]
+    # the error constant err / h^2 is 0.38-0.39; a run whose times are one
+    # step off keeps order 2 (dt ~ h^2) but doubles it
+    const = max(e / h ** 2 for e, h in zip(proj, hs))
+    pen = {lam: _exact_solution_error(1 / 32, lam) for lam in (1e2, 1e3, 1e5)}
+    fall = pen[1e2] / pen[1e3]
+    gap = abs(pen[1e5] - proj[2]) / proj[2]
+    elapsed = time.time() - t0
+    ok = orders[-1] >= 1.8 and const <= 0.5 and fall >= 8.0 and gap <= 0.05
+    report("criterion 11: exact solution", ok, elapsed,
+           f"projected err {', '.join(f'{e:.2e}' for e in proj)} "
+           f"(<= {const:.2f} h^2), orders "
+           f"{', '.join(f'{p:.2f}' for p in orders)}; penalized at h = 1/32: "
+           f"{pen[1e2]:.2e} -> {pen[1e3]:.2e} ({fall:.1f}x), "
+           f"lambda 1e5 off projected by {gap:.1e} relative")

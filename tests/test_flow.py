@@ -12,8 +12,7 @@ from sphereflow.field import (InitialData, SphereField, dirichlet_energy,
 from sphereflow.flow import (PenaltySchedule, SolverConfig, Trajectory, chi,
                              chi_dot, glhf_step, kappa, kappa_dot,
                              penalty_integral, projected_flow_step, run_glhf,
-                             run_projected, trajectory_l2q_distance, _diffuse,
-                             _logistic_norms)
+                             run_projected, trajectory_l2q_distance, _diffuse)
 from sphereflow.geometry import Domain, build_grid, neighbor_sum
 from sphereflow.stereo import stereo_inverse
 
@@ -65,17 +64,46 @@ def _rk4_oracle(w, lam_eff, dt, n_sub=1000):
     return w
 
 
+def _react_one_row(value, z):
+    """The interior row after one penalized step with 2 Lam dt = z, on the box
+    whose one interior node and four boundary neighbours all hold ``value``.
+
+    dt = h^2 / 8 makes mu = 1/8, so for these values the diffusion returns
+    the row bit for bit and only the norm reaction moves it.
+    """
+    g = build_grid(Domain.box([[0, 1], [0, 1]]), 0.5)
+    vals = np.zeros(g.shape + (3,))
+    vals.reshape(-1, 3)[g.active_flat] = value
+    dt = g.h ** 2 / 8
+    out = glhf_step(SphereField(g, vals, 2), 0.0, SolverConfig(dt=dt, T=dt),
+                    PenaltySchedule(lam=z / (2 * dt)))
+    return out.flat()[g.interior_flat[0]]
+
+
 def test_logistic_closed_form_example():
-    lam_eff = 1.0
-    dt = math.log(3.0) / 2.0          # 2 Lam dt = ln 3
-    w = _logistic_norms(np.array([0.5]), lam_eff, dt)
-    assert abs(w[0] - 0.75) <= 1e-15
-    assert abs(_rk4_oracle(0.5, lam_eff, dt) - 0.75) <= 1e-12
+    z = math.log(3.0)                 # 2 Lam dt = ln 3 takes w = 0.5 to 0.75
+    row = _react_one_row([0.5, 0.5, 0.0], z)
+    assert abs(float(row @ row) - 0.75) <= 1e-15
+    assert row[0] == row[1] and row[2] == 0.0
+    assert abs(_rk4_oracle(0.5, 1.0, z / 2.0) - 0.75) <= 1e-12
 
 
-def test_logistic_edge_cases():
-    assert _logistic_norms(np.array([0.0]), 5.0, 1.0)[0] == 0.0
-    assert _logistic_norms(np.array([1.0]), 5.0, 1.0)[0] == 1.0
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("z", [1.0, 40.0, 800.0])
+def test_reaction_keeps_zero_row_at_zero(z):
+    # at z = 800 exp(-z) underflows to 0; the clamp keeps the divisor positive
+    assert np.array_equal(_react_one_row([0.0, 0.0, 0.0], z), np.zeros(3))
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("z", [1.0, 800.0])
+def test_reaction_of_subnormal_norm_is_finite(z):
+    # |u|^2 = 1e-320 is subnormal; dividing by it overflowed
+    row = _react_one_row([1e-160, 0.0, 0.0], z)
+    assert np.all(np.isfinite(row)) and row[0] > 0.0
+    if z == 1.0:
+        # w1 = w0 / (e + (1 - e) w0) = w0 e^z to rounding of w0
+        assert row[0] == pytest.approx(1e-160 * math.exp(z / 2.0), rel=1e-15)
 
 
 def test_constant_unit_field_is_fixed_point(disc16):

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -6,9 +8,19 @@ from scipy.integrate import quad
 from sphereflow.errors import PoleProximity
 from sphereflow.field import InitialData, generate
 from sphereflow.flow import SolverConfig, Trajectory, run_projected
-from sphereflow.stereo import (W, from_stereo, one_sided_check,
-                               one_sided_monitor, stereo_forward,
-                               stereo_inverse, to_stereo)
+from sphereflow.geometry import Domain, build_grid, neighbor_sum
+from sphereflow.stereo import (RESIDUAL_SEED, W, _pde_residual_samples,
+                               one_sided_check, one_sided_monitor,
+                               stereo_forward, stereo_inverse)
+
+
+@pytest.fixture(scope="module")
+def cap_run_3d():
+    """Projected cap run on the 3-ball at h = 1/16, 12 snapshots."""
+    g = build_grid(Domain.unit_ball(3), 1 / 16)
+    u0 = generate(InitialData(kind="cap", latitude_deg=60.0), g, 2)
+    cfg = SolverConfig(dt=SolverConfig.auto_dt(g), T=0.05, output_stride=8)
+    return run_projected(u0, cfg)
 
 
 def test_north_pole_maps_to_origin():
@@ -35,17 +47,10 @@ def test_roundtrip_chart(seed):
     assert np.max(np.abs(back - v)) <= 1e-12
 
 
-def test_field_roundtrip(disc16, cap60_32, disc32):
-    v = to_stereo(cap60_32)
-    u = from_stereo(v)
-    idx = disc32.active_flat
-    assert np.max(np.abs(u.flat()[idx] - cap60_32.flat()[idx])) <= 1e-12
-
-
 def test_pole_proximity_raises(disc16):
     f = generate(InitialData(kind="constant", vector=[0.0, 0.0, -1.0]), disc16, 2)
     with pytest.raises(PoleProximity):
-        to_stereo(f)
+        stereo_forward(f.active_values())
 
 
 def test_w_values():
@@ -131,3 +136,58 @@ def test_monitor_reports_pole_hit_as_failure(disc16):
     rep = one_sided_monitor(traj, n_residual_samples=0)
     assert not rep.passed
     assert rep.first_violation_step == 1
+
+
+def _lattice_residual_oracle(traj, rot, n_samples):
+    """The residual samples from whole-lattice arrays: W and the chart values
+    scattered into lattice-sized arrays, and W's neighbour sum from
+    ``neighbor_sum``, read at each sampled node."""
+    g = traj.grid
+    act, idx, s = g.active_flat, g.interior_flat, g.strides()
+
+    def lattice(snap):
+        v = stereo_forward(snap.flat()[act] @ rot.T)
+        wlat = np.zeros(g.n_lattice)
+        wlat[act] = W(np.einsum("ij,ij->i", v, v))
+        vlat = np.zeros((g.n_lattice, v.shape[1]))
+        vlat[act] = v
+        return wlat, vlat, neighbor_sum(wlat, s)
+
+    rng = np.random.default_rng(RESIDUAL_SEED)
+    ks = rng.integers(0, len(traj.snapshots) - 1, size=n_samples)
+    js = rng.integers(0, idx.size, size=n_samples)
+    out = []
+    for k, j in sorted(zip(ks.tolist(), js.tolist())):
+        node = int(idx[j])
+        w_k, v_k, w_nbr = lattice(traj.snapshots[k])
+        w_k1 = lattice(traj.snapshots[k + 1])[0]
+        w_t = (w_k1[node] - w_k[node]) / (traj.times[k + 1] - traj.times[k])
+        lap = (w_nbr[node] - 2 * g.d * w_k[node]) / g.h ** 2
+        grad2 = 0.0
+        for a in range(g.d):
+            dv = (v_k[node + s[a]] - v_k[node - s[a]]) / (2 * g.h)
+            grad2 += float(np.dot(dv, dv))
+        sv = float(np.dot(v_k[node], v_k[node]))
+        out.append(abs(w_t - lap + 4.0 * grad2 / (1.0 + sv) ** 2))
+    return np.asarray(out)
+
+
+@pytest.mark.parametrize("run", ["onesided_run_32", "cap_run_3d"])
+def test_residual_samples_match_lattice_oracle(run, request):
+    traj = request.getfixturevalue(run)
+    rot = one_sided_check(traj.snapshots[0]).rotation
+    got = _pde_residual_samples(traj, rot, 100)
+    assert got.shape == (100,)
+    assert np.array_equal(got, _lattice_residual_oracle(traj, rot, 100))
+
+
+def test_monitor_holds_no_lattice_chart_fields(cap_run_3d):
+    traj = cap_run_3d
+    tracemalloc.start()
+    try:
+        rep = one_sided_monitor(traj)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert rep.passed and rep.pde_residual_mean is not None
+    assert peak < 2 * traj.snapshots[0].values.nbytes
