@@ -26,8 +26,8 @@ from . import diagnostics as diag
 from . import io as sfio
 from . import singular as sing
 from . import stereo
-from .errors import (CFLViolated, ConfigError, DimensionMismatch, SphereFlowError,
-                     SpacingTooCoarse, finite, integer)
+from .errors import (CFLViolated, ConfigError, DimensionMismatch, LatticeTooLarge,
+                     SphereFlowError, SpacingTooCoarse, finite, integer)
 from .field import InitialData, SphereField, check_initial, generate, l2_distance
 from .flow import (GLHF_MODES, PenaltySchedule, SolverConfig, Trajectory, run_glhf,
                    run_projected, penalty_integral, trajectory_l2q_distance)
@@ -86,8 +86,9 @@ class ExperimentConfig:
     @staticmethod
     def from_dict(raw: dict) -> "ExperimentConfig":
         """Type and check every section; raise ConfigError on any value the
-        run or a diagnostic would reject, and on a run of more than MAX_STEPS
-        steps.  The time windows of the diagnostics depend on the command that
+        run or a diagnostic would reject, on a run of more than MAX_STEPS
+        steps and on a lattice of more than ``geometry.MAX_LATTICE_NODES``
+        nodes.  The time windows of the diagnostics depend on the command that
         evaluates them; ``check_windows`` checks them."""
         try:
             domain = Domain.from_config(raw["domain"])
@@ -119,7 +120,8 @@ class ExperimentConfig:
                                           sv.get("output_stride", 1)))
                 solver.validate(grid)
                 check_initial(initial, domain.d, D)
-            except (CFLViolated, DimensionMismatch, SpacingTooCoarse) as e:
+            except (CFLViolated, DimensionMismatch, LatticeTooLarge,
+                    SpacingTooCoarse) as e:
                 raise ConfigError(str(e)) from e
             steps = solver.T / solver.dt
             # an infinite ratio has no integral step count
@@ -270,9 +272,10 @@ def _write_trajectory(out: Path, traj: Trajectory):
              r.penalty_increment, r.max_norm] for r in traj.records]
     sfio.write_csv(out / "trajectory.csv", TRAJECTORY_HEADER, rows)
     snap_dir = out / "snapshots"
+    sched = traj.schedule
     for i, (t, snap) in enumerate(zip(traj.times, traj.snapshots)):
         sfio.write_snapshot(snap_dir / f"snap_{i:06d}", snap, t=t, step=i,
-                            lam=traj.lam, exponent=traj.exponent_at(t))
+                            lam=traj.lam, exponent=sched.exponent(t) if sched else None)
 
 
 def _cylinder_row(traj: Trajectory, cyl: diag.CylinderSpec, mode: str) -> list:

@@ -3,8 +3,11 @@ the boundary decay criterion, and comparison ratios against the harmonic
 extension.
 
 All spacetime integrals use a left-endpoint rectangle rule in time with
-window clipping and h^d node weights in space.  Fit constants are searched
-on declared finite grids; reports expose the fitted pair and the residual
+window clipping and h^d node weights in space.  A node density holds one
+value per interior node, in ``grid.interior_flat`` order, and a ball of
+nodes is positions into it (``Grid.nodes_within``); a trajectory caches
+its densities by snapshot index and mode.  Fit constants are searched on
+declared finite grids; reports expose the fitted pair and the residual
 defect instead of asserting universal constants.
 """
 
@@ -21,7 +24,7 @@ import numpy as np
 from .elliptic import HarmonicExtension
 from .errors import (EmptyIntersection, KernelUnderresolved, TimeNotBeforeCenter,
                      UnboundedDomainUnsupported, WindowOutsideTrajectory)
-from .field import SphereField, gradient_squared_density, norm_squared_flat
+from .field import SphereField, gradient_squared_density
 from .flow import Trajectory
 from .geometry import BoundaryFrame, Grid, boundary_frame
 
@@ -56,7 +59,7 @@ class EnergyReport:
     gl_energy: float
     dirichlet_part: float
     penalty_part: float
-    density: np.ndarray          # flat lattice array, zero off the interior
+    density: np.ndarray          # one value per interior node
 
     def to_json(self) -> dict:
         return {"gl_energy": self.gl_energy,
@@ -122,37 +125,31 @@ def weight_d(x0, x, d0: float):
 # -- densities ---------------------------------------------------------------
 
 def _penalty_density(traj: Trajectory, k: int) -> np.ndarray:
-    """Flat lattice Lam (|u|^2 - 1)^2 / 4 of snapshot k, zero off the interior."""
-    g = traj.grid
-    idx = g.interior_flat
-    w = norm_squared_flat(traj.snapshots[k])[idx]
-    pen = np.zeros(g.n_lattice)
-    pen[idx] = traj.strength_at(traj.times[k]) * (w - 1.0) ** 2 / 4.0
-    return pen
+    """Lam (|u|^2 - 1)^2 / 4 of snapshot k at the interior nodes, with the
+    strength of the run's schedule at t_k (0 without a schedule)."""
+    rows = np.take(traj.snapshots[k].flat(), traj.grid.interior_flat, axis=0)
+    w = np.einsum("ij,ij->i", rows, rows)
+    sched = traj.schedule
+    return (sched.strength(traj.times[k]) if sched else 0.0) * (w - 1.0) ** 2 / 4.0
 
 
 def energy_density(traj: Trajectory, k: int, mode: str = "gl") -> np.ndarray:
-    """Flat lattice density of snapshot k: gl density or plain |grad u|^2.
+    """Density of snapshot k at the interior nodes: gl density or plain
+    |grad u|^2.
 
     gl mode:       |grad u|^2 / 2 + Lam (|u|^2 - 1)^2 / 4,
     gradient mode: |grad u|^2.
-    Cached per (snapshot, strength, mode), and the gl density is built from
-    the cached gradient one; static trajectories sharing one field share
-    one density.
+    Cached per (k, mode) on the trajectory (the strength is fixed by k),
+    and the gl density is built from the cached gradient one.
     """
     if mode not in ("gl", "gradient"):
         raise ValueError(f"unknown density mode {mode!r}")
-    snap = traj.snapshots[k]
     cache = traj._density_cache
-    grad_key = (id(snap), "gradient", 0.0)
-    if grad_key not in cache:
-        cache[grad_key] = gradient_squared_density(snap)
-    if mode == "gradient":
-        return cache[grad_key]
-    key = (id(snap), mode, traj.strength_at(traj.times[k]))
-    if key not in cache:
-        cache[key] = 0.5 * cache[grad_key] + _penalty_density(traj, k)
-    return cache[key]
+    if (k, "gradient") not in cache:
+        cache[k, "gradient"] = gradient_squared_density(traj.snapshots[k])
+    if (k, mode) not in cache:
+        cache[k, mode] = 0.5 * cache[k, "gradient"] + _penalty_density(traj, k)
+    return cache[k, mode]
 
 
 def energy_report(traj: Trajectory, k: int) -> EnergyReport:
@@ -189,9 +186,9 @@ def window_integral(traj: Trajectory, a: float, b: float, per_snapshot):
 
     The one time quadrature behind every spacetime integral over a run's
     snapshots.
-    ``per_snapshot(k)`` returns a number or an array: a lattice field, or
-    its values on the cylinder's nodes.  A kernel in a time-varying
-    integrand is sampled at the left edge max(t_k, a) of the clipped
+    ``per_snapshot(k)`` returns a number or an array: a density, or its
+    values on the cylinder's nodes.  A kernel in a time-varying integrand
+    is sampled at the left edge max(t_k, a) of the clipped
     subinterval, not at the snapshot time.
     """
     ks, w = window_snapshots(traj, a, b)
@@ -208,24 +205,19 @@ def annulus_window(t0: float, R: float) -> tuple[float, float]:
     return t0 - 4.0 * R * R, t0 - R * R
 
 
-def _spatial_weighted_sum(grid: Grid, density: np.ndarray, z0, t: float) -> float:
-    idx = grid.interior_flat
-    gvals = backward_heat_kernel(z0, t, grid.coords()[idx])
-    return float(np.sum(density[idx] * gvals) * grid.cell_volume)
-
-
 def weighted_annulus_energy(traj: Trajectory, z0, R: float, mode: str = "gl") -> float:
     """Gaussian-weighted energy over the annular time window (t0-4R^2, t0-R^2)."""
+    g = traj.grid
     a, b = annulus_window(float(z0[0]), R)
     if a < -1e-12:
         raise WindowOutsideTrajectory("window starts before t = 0")
-    if R < 2.0 * traj.grid.h:
+    if R < 2.0 * g.h:
         warnings.warn("Gaussian weight narrower than 4 cells; values are "
                       "quadrature-limited", KernelUnderresolved)
 
     def weighted(k):
-        return _spatial_weighted_sum(traj.grid, energy_density(traj, k, mode), z0,
-                                     max(traj.times[k], a))
+        gvals = backward_heat_kernel(z0, max(traj.times[k], a), g.interior_coords)
+        return float(np.sum(energy_density(traj, k, mode) * gvals) * g.cell_volume)
 
     try:
         return window_integral(traj, a, b, weighted)
@@ -246,7 +238,7 @@ def _speed_density(traj: Trajectory, z0) -> Callable[[int], float]:
     g = traj.grid
     t0, x0 = float(z0[0]), np.asarray(z0[1], dtype=float)
     idx = g.interior_flat
-    coords = np.take(g.coords(), idx, axis=0)
+    coords = g.interior_coords
     # a_flat[idx + s] and a_flat[idx - s], both gathered at idx - s
     axes = [(idx - s, 2 * s, (coords[:, a] - x0[a])[:, None])
             for a, s in enumerate(g.strides())]
@@ -411,6 +403,7 @@ def main2_lhs(traj_or_u0, z0, R0: float, mu0: float, c_mu0: float) -> float:
 # -- cylinder integrals and comparison ratios ---------------------------------
 
 def _cylinder_nodes(grid: Grid, cyl: CylinderSpec) -> np.ndarray:
+    """Positions in ``grid.interior_flat`` of the nodes in the cylinder's ball."""
     nodes = grid.nodes_within(cyl.x0, cyl.R)
     if nodes.size == 0:
         raise EmptyIntersection("cylinder holds no interior node")
@@ -428,7 +421,7 @@ def cylinder_integral(traj: Trajectory, cyl: CylinderSpec, mode: str = "gl") -> 
 def _deviation_integral(traj: Trajectory, h0: HarmonicExtension,
                         cyl: CylinderSpec) -> float:
     """Integral of |u - h0|^2 over the clipped cylinder."""
-    nodes = _cylinder_nodes(traj.grid, cyl)
+    nodes = traj.grid.interior_flat[_cylinder_nodes(traj.grid, cyl)]
     h0_vals = h0.field.flat()[nodes]
 
     def dev2(k):

@@ -22,7 +22,7 @@ import numpy as np
 
 from .errors import NoConvergence, OrderTooHighForGrid
 from .field import SphereField
-from .geometry import EXTERIOR, INTERIOR, Grid, neighbor_sum, put_rows
+from .geometry import EXTERIOR, Grid, neighbor_sum, put_rows
 
 # per-column stop: 2-norm residual at most this fraction of the right-hand side's
 CG_RTOL = 1e-14
@@ -128,40 +128,40 @@ def solve_harmonic_extension(grid: Grid, boundary_data: SphereField,
 
 
 def _depth_mask(grid: Grid, order: int) -> np.ndarray:
-    """Interior nodes whose order-cell l1-neighborhood stays in the active set."""
-    cls = grid.class_flat()
-    ok = cls != EXTERIOR
+    """Lattice nodes whose order-cell l1-neighborhood stays in the active set."""
+    ok = grid.class_flat() != EXTERIOR
     for _ in range(order):
         ok = ok & (neighbor_sum(ok.view(np.int8), grid.strides()) == 2 * grid.d)
-    return ok & (cls == INTERIOR)
+    return ok
 
 
 def derivative_energy_density(ext: HarmonicExtension | SphereField, order: int) -> np.ndarray:
-    """Flat lattice array of |D^order u|^2 from repeated central differences.
+    """|D^order u|^2 from repeated central differences, one value per
+    interior node in ``grid.interior_flat`` order.
 
     The evaluation region shrinks by ``order`` cells from the boundary;
-    nodes outside it carry zero and a companion mask is implicit in the
-    nonzero pattern.  The intermediate differences hold wrapped values on
-    the lattice faces; no node of the region reads them.
+    interior nodes outside it carry zero.  The intermediate differences
+    hold wrapped values on the lattice faces; no node of the region reads
+    them.
     """
     f = ext.field if isinstance(ext, HarmonicExtension) else ext
     grid = f.grid
     if order < 1:
         raise ValueError("order must be >= 1")
-    mask = _depth_mask(grid, order)
-    idx = np.flatnonzero(mask)
+    pos = np.flatnonzero(_depth_mask(grid, order)[grid.interior_flat])
+    idx = grid.interior_flat[pos]
     if idx.size == 0:
         raise OrderTooHighForGrid(f"no interior nodes admit an order-{order} stencil")
-    # iterated whole-lattice central differences; only masked nodes are
-    # read out, and their stencils stay inside the active set.  The walk is
-    # depth-first over the stride tuples in lexicographic order, so it
+    # iterated whole-lattice central differences; only the region's nodes
+    # are read out, and their stencils stay inside the active set.  The walk
+    # is depth-first over the stride tuples in lexicographic order, so it
     # holds at most ``order`` difference arrays at once
-    out = np.zeros(grid.n_lattice)
+    out = np.zeros(grid.n_interior)
     strides = grid.strides()
 
     def walk(arr, depth):
         if depth == order:
-            out[idx] += np.einsum("ij,ij->i", arr[idx], arr[idx])
+            out[pos] += np.einsum("ij,ij->i", arr[idx], arr[idx])
             return
         for s in strides:
             walk(_central_all(arr, s, grid.h), depth + 1)

@@ -12,6 +12,10 @@ class SpacingTooCoarse(SphereFlowError):
     pass
 
 
+class LatticeTooLarge(SphereFlowError):
+    pass
+
+
 class NoGraphAvailable(SphereFlowError):
     pass
 

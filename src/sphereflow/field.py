@@ -82,9 +82,8 @@ def _eval_points(grid: Grid) -> tuple[np.ndarray, np.ndarray]:
     Interior nodes use their own coordinates; boundary nodes use the
     nearest point of the true boundary (Dirichlet imposition rule).
     """
-    coords = grid.coords()
     idx = np.concatenate([grid.interior_flat, grid.boundary_flat])
-    pts = np.vstack([coords[grid.interior_flat], grid.boundary_projections()])
+    pts = np.vstack([grid.interior_coords, grid.boundary_projections()])
     return idx, pts
 
 
@@ -228,15 +227,15 @@ def dirichlet_energy(f: SphereField) -> float:
 
 
 def gradient_squared_density(f: SphereField) -> np.ndarray:
-    """Node-wise |grad u|^2, half-link attribution, at interior nodes.
+    """Node-wise |grad u|^2, half-link attribution, one value per interior
+    node in ``grid.interior_flat`` order.
 
     Each lattice link contributes its forward-difference square to both
     endpoints with weight 1/2, so the node sum reproduces the link energy
     up to half-weighted boundary links.  Single-spacing chords degrade
     far less than central differences near direction-field singularities.
-    Returns a flat lattice array, zero off the interior; interior axis
-    neighbors are interior or boundary, so stencils always read defined
-    values.
+    Interior axis neighbors are interior or boundary, so stencils always
+    read defined values.
     """
     g = f.grid
     flat = f.flat()
@@ -251,12 +250,4 @@ def gradient_squared_density(f: SphereField) -> np.ndarray:
         np.subtract(rows, d, out=d)
         down = np.einsum("ij,ij->i", d, d)        # link (i - s, i)
         acc += 0.5 * (up + down) / g.h ** 2
-    out = np.zeros(g.n_lattice)
-    out[idx] = acc
-    return out
-
-
-def norm_squared_flat(f: SphereField) -> np.ndarray:
-    """Node-wise |u|^2 on the full lattice (flat)."""
-    flat = f.flat()
-    return np.einsum("ij,ij->i", flat, flat)
+    return acc

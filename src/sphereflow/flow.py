@@ -109,8 +109,14 @@ class PenaltySchedule:
         if self.lam <= 1.0:
             raise ValueError("penalty strength must exceed 1")
 
+    def exponent(self, t: float) -> float:
+        """The exponent 1 - kappa(t) of lambda at time t."""
+        return 1.0 - float(kappa(t))
+
     def strength(self, t: float) -> float:
-        return self.lam ** (1.0 - float(kappa(t)))
+        """The penalty strength Lam = lambda^(1 - kappa(t)) at time t; the step,
+        its record, the snapshot sidecars and the penalty density all use it."""
+        return self.lam ** self.exponent(t)
 
 
 @dataclass
@@ -174,20 +180,17 @@ class Trajectory:
     mode: str
     lam: Optional[float]
     dt: float
-    _density_cache: dict = dfield(default_factory=dict, repr=False)
+    _density_cache: dict = dfield(default_factory=dict, repr=False)   # (k, mode) -> density
 
     @property
     def t_final(self) -> float:
         return self.times[-1]
 
-    def exponent_at(self, t: float) -> Optional[float]:
-        if self.mode == "projected" or self.lam is None:
-            return None
-        return 1.0 - float(kappa(t))
-
-    def strength_at(self, t: float) -> float:
-        e = self.exponent_at(t)
-        return 0.0 if e is None else self.lam ** e
+    @property
+    def schedule(self) -> Optional[PenaltySchedule]:
+        """The penalty schedule of a penalized run; None for a projected or
+        static trajectory, whose ``lam`` is None."""
+        return None if self.lam is None else PenaltySchedule(self.lam)
 
     @staticmethod
     def static(f: SphereField, times) -> "Trajectory":

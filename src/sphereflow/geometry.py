@@ -10,7 +10,9 @@ A domain is discretized on the global lattice ``h * Z^d``.  Node classes:
 
 With this rule every axis neighbor of an interior node is interior or
 boundary, and every boundary node lies within one spacing of the true
-boundary.
+boundary.  Node data derived from a field (densities, node positions)
+holds one row per interior node, in ``interior_flat`` order, and ball
+queries return positions into that order.
 
 Neighbours are reached by one rule: on the C-order flattened lattice the
 axis-a neighbours of node ``i`` are ``i -/+ strides[a]``.  A whole-lattice
@@ -38,7 +40,8 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .errors import ConfigError, NoGraphAvailable, SpacingTooCoarse, integer
+from .errors import (ConfigError, LatticeTooLarge, NoGraphAvailable, SpacingTooCoarse,
+                     integer)
 
 EXTERIOR, INTERIOR, BOUNDARY = 0, 1, 2
 PATCH_RADIUS = 1.0
@@ -46,6 +49,9 @@ PATCH_RADIUS = 1.0
 # layer is wider): 2^14 nodes of 3 float64 components are a 384 KiB scratch,
 # which stays in a 2 MiB L2 with the rows the stencil reads
 BLOCK_NODES = 1 << 14
+# the lattice budget: build_grid rejects a bounding-box lattice of more nodes
+# (the largest benchmark lattice has 328,509)
+MAX_LATTICE_NODES = 10 ** 8
 
 
 @dataclass
@@ -301,13 +307,8 @@ class Grid:
         return _strides(self.shape)
 
     def coords(self) -> np.ndarray:
-        """(n_lattice, d) array of node positions, C-order flattened."""
-        if "coords" not in self._cache:
-            axes = [(self.index_origin[a] + np.arange(self.shape[a])) * self.h
-                    for a in range(self.d)]
-            mesh = np.meshgrid(*axes, indexing="ij")
-            self._cache["coords"] = np.stack([m.ravel() for m in mesh], axis=1)
-        return self._cache["coords"]
+        """(n_lattice, d) node positions, C-order flattened, built on every call."""
+        return _lattice_coords(self.index_origin, self.shape, self.h)
 
     def class_flat(self) -> np.ndarray:
         return self.node_class.ravel()
@@ -333,6 +334,13 @@ class Grid:
     @property
     def n_interior(self) -> int:
         return self.interior_flat.size
+
+    @property
+    def interior_coords(self) -> np.ndarray:
+        """(n_interior, d) interior node positions, in ``interior_flat`` order."""
+        if "int_xyz" not in self._cache:
+            self._cache["int_xyz"] = self.coords()[self.interior_flat]
+        return self._cache["int_xyz"]
 
     def neighbour_rows(self, flat: np.ndarray, out: Optional[np.ndarray] = None) -> np.ndarray:
         """``neighbor_sum(flat, self.strides())[self.interior_flat]``, bit for
@@ -404,10 +412,10 @@ class Grid:
         return self._cache[key]
 
     def nodes_within(self, x0: np.ndarray, R: float) -> np.ndarray:
-        """Flat indices of interior nodes within distance R of x0."""
-        pool = self.interior_flat
-        diff = self.coords()[pool] - np.asarray(x0, dtype=float)
-        return pool[np.einsum("ij,ij->i", diff, diff) < R ** 2]
+        """Positions in ``interior_flat`` (rows of an interior-row array) of
+        the interior nodes within distance R of x0."""
+        diff = self.interior_coords - np.asarray(x0, dtype=float)
+        return np.flatnonzero(np.einsum("ij,ij->i", diff, diff) < R ** 2)
 
     def boundary_projections(self) -> np.ndarray:
         if "bproj" not in self._cache:
@@ -438,7 +446,9 @@ def build_grid(domain: Domain, h: float) -> Grid:
 
     Deterministic: classification is a pure function of node coordinates.
     Raises SpacingTooCoarse when the spacing cannot resolve the domain at
-    all (no interior nodes, or fewer than two cells across the diameter).
+    all (no interior nodes, or fewer than two cells across the diameter),
+    and LatticeTooLarge, before anything is allocated, when the lattice
+    would hold more than MAX_LATTICE_NODES nodes.
     """
     if h <= 0:
         raise SpacingTooCoarse("spacing must be positive")
@@ -446,14 +456,19 @@ def build_grid(domain: Domain, h: float) -> Grid:
         raise SpacingTooCoarse(
             f"h = {h} exceeds half the domain diameter {domain.diameter}")
     lo, hi = domain.bounding_box()
-    k_min = np.floor(lo / h).astype(np.int64) - 2
-    k_max = np.ceil(hi / h).astype(np.int64) + 2
+    # the node count is taken in floats before the integer casts: it cannot
+    # wrap, and a count past the float range is inf, over any budget
+    with np.errstate(over="ignore"):
+        k_min = np.floor(lo / h) - 2
+        k_max = np.ceil(hi / h) + 2
+        n_nodes = float(np.prod(k_max - k_min + 1))
+    if not n_nodes <= MAX_LATTICE_NODES:
+        raise LatticeTooLarge(f"h = {h} gives a lattice of {n_nodes:.4g} nodes, above "
+                              f"the budget of {MAX_LATTICE_NODES} nodes")
+    k_min, k_max = k_min.astype(np.int64), k_max.astype(np.int64)
     shape = tuple((k_max - k_min + 1).tolist())
 
-    axes = [(k_min[a] + np.arange(shape[a])) * h for a in range(domain.d)]
-    mesh = np.meshgrid(*axes, indexing="ij")
-    pts = np.stack([m.ravel() for m in mesh], axis=1)
-    inside = domain.contains(pts)
+    inside = domain.contains(_lattice_coords(k_min, shape, h))
 
     cls = np.zeros(inside.size, dtype=np.int8)
     cls[inside] = INTERIOR
@@ -464,6 +479,12 @@ def build_grid(domain: Domain, h: float) -> Grid:
         raise SpacingTooCoarse(f"h = {h} leaves no interior nodes")
     return Grid(domain=domain, h=float(h), index_origin=k_min, shape=shape,
                 node_class=cls.reshape(shape))
+
+
+def _lattice_coords(origin, shape, h) -> np.ndarray:
+    """Positions (origin + k) * h of the nodes k of a C-order lattice, one row each."""
+    axes = [(origin[a] + np.arange(n)) * h for a, n in enumerate(shape)]
+    return np.stack([m.ravel() for m in np.meshgrid(*axes, indexing="ij")], axis=1)
 
 
 def _strides(shape) -> np.ndarray:

@@ -9,9 +9,11 @@ no gauge correction is applied to the hypothesis radius (noted in the
 report).
 
 Every cylinder energy here is ``diagnostics.window_integral`` of a
-density summed over a ball of nodes.  The scan computes one window field
-per (scan time, radius) and takes the ball sums of all its scan nodes in
-one vectorized gather from a zero-padded copy of that field.
+density summed over a ball of nodes; densities hold one value per interior
+node, in ``grid.interior_flat`` order.  The scan computes one such window
+field per (scan time, radius), scatters it into a zero-padded lattice at
+padded indices computed once per scan, and takes the ball sums of all its
+scan nodes in one vectorized gather from there.
 """
 
 from __future__ import annotations
@@ -114,7 +116,8 @@ def local_scaled_energy(traj: Trajectory, z0, R: float, mode: str = "gl") -> flo
 
 
 def _scan_points(traj: Trajectory, cfg: SingularConfig):
-    """Deterministic scan set: strided snapshot times x strided interior nodes.
+    """Deterministic scan set: strided snapshot times x strided interior
+    nodes, the latter as positions in ``interior_flat``.
 
     The spatial stride is anchored at the lattice index of the domain-center
     node so distinguished points (like the origin) stay in the scan.
@@ -124,8 +127,7 @@ def _scan_points(traj: Trajectory, cfg: SingularConfig):
     center_k = np.rint(g.domain.center() / g.h).astype(np.int64) - g.index_origin
     multi = np.array(np.unravel_index(g.interior_flat, g.shape)).T
     keep = np.all((multi - center_k) % cfg.space_stride == 0, axis=1)
-    nodes = g.interior_flat[keep]
-    return t_idx, nodes
+    return t_idx, np.flatnonzero(keep)
 
 
 # index entries per ball-sum gather; bounds the scan's temporaries
@@ -150,18 +152,17 @@ def detect_singular_set(traj: Trajectory, cfg: SingularConfig) -> SingularReport
     cfg.validate(g.h)
     radii = sorted(float(r) for r in cfg.radii)
     t_idx, nodes = _scan_points(traj, cfg)
-    coords = g.coords()
     dens_mode = _density_mode(cfg.mode)
-    interior = g.node_class == 1
 
     # zero padding of the widest ball's reach keeps every gathered index on
-    # the padded lattice; flat offsets there address the whole ball
+    # the padded lattice; flat offsets there address the whole ball.  Only
+    # the interior nodes are ever written, so the rest stays zero
     m = int(np.ceil(radii[-1] / g.h))
     padded = np.zeros(tuple(n + 2 * m for n in g.shape))
-    core = padded[(slice(m, -m),) * g.d]       # written only at interior nodes
     flat_padded = padded.reshape(-1)
     pstrides = np.array(padded.strides) // padded.itemsize
-    centers = (np.array(np.unravel_index(nodes, g.shape)).T + m) @ pstrides
+    padded_idx = (np.array(np.unravel_index(g.interior_flat, g.shape)).T + m) @ pstrides
+    centers = padded_idx[nodes]
     offsets = {R: g.ball_offsets(R) @ pstrides for R in radii}
 
     flagged, values = [], []
@@ -174,12 +175,12 @@ def detect_singular_set(traj: Trajectory, cfg: SingularConfig) -> SingularReport
                 break
             field = window_integral(traj, *cylinder_window(t0, R),
                                     lambda k: energy_density(traj, k, dens_mode))
-            np.copyto(core, field.reshape(g.shape), where=interior)
+            flat_padded[padded_idx] = field
             sums = _ball_sums(flat_padded, centers[alive], offsets[R])
             vals[alive, j] = sums * g.cell_volume / _scale(cfg.mode, R, g.d)
             alive = alive[vals[alive, j] >= cfg.eps0]
         for i in alive:
-            flagged.append((t0, tuple(float(c) for c in coords[nodes[i]])))
+            flagged.append((t0, tuple(float(c) for c in g.interior_coords[nodes[i]])))
             values.append({str(R): float(v) for R, v in zip(radii, vals[i])})
 
     # sup-density cross-check on the smallest cylinder at flagged points

@@ -243,29 +243,33 @@ def test_criterion_10_determinism(tmp_path):
 
 
 def _great_circle(x, t):
-    """u = (cos phi, sin phi, 0) with phi = x1 + e^(-2 pi^2 t) sin(pi x1) sin(pi x2).
+    """u = (cos phi, sin phi, 0) with
+    phi = x1 + e^(-d pi^2 t) sin(pi x1) ... sin(pi xd) on [0, 1]^d.
 
     phi solves the heat equation, so u solves the harmonic map heat flow
-    u_t = lap u + |grad u|^2 u on [0, 1]^2, with boundary values fixed in t.
+    u_t = lap u + |grad u|^2 u on [0, 1]^d, with boundary values fixed in t.
     """
-    phi = x[:, 0] + (math.exp(-2.0 * math.pi ** 2 * t)
-                     * np.sin(math.pi * x[:, 0]) * np.sin(math.pi * x[:, 1]))
+    d = x.shape[1]
+    phi = math.exp(-d * math.pi ** 2 * t)
+    for a in range(d):
+        phi = phi * np.sin(math.pi * x[:, a])
+    phi = x[:, 0] + phi
     return np.stack([np.cos(phi), np.sin(phi), np.zeros_like(phi)], axis=1)
 
 
-def _exact_solution_error(h, lam=None):
+def _exact_solution_error(h, lam=None, d=2):
     """Max-norm error over the interior nodes at the last snapshot of the
-    projected run (``lam`` None) or the penalized run, T = 0.05, dt auto."""
-    g = build_grid(Domain.box([[0.0, 1.0], [0.0, 1.0]]), h)
+    projected run (``lam`` None) or the penalized run on [0, 1]^d, T = 0.05,
+    dt auto."""
+    g = build_grid(Domain.box([[0.0, 1.0]] * d), h)
     samples = _great_circle(g.coords(), 0.0).reshape(g.shape + (3,))
     u0 = generate(InitialData(kind="custom-samples", samples=samples), g, 2)
     # a stride past the last step keeps the first and last snapshots only
     cfg = SolverConfig(dt=SolverConfig.auto_dt(g), T=0.05, output_stride=10_000)
     traj = run_projected(u0, cfg) if lam is None else \
         run_glhf(u0, cfg, PenaltySchedule(lam=lam))
-    idx = g.interior_flat
-    exact = _great_circle(g.coords()[idx], traj.t_final)
-    return float(np.max(np.abs(traj.snapshots[-1].flat()[idx] - exact)))
+    exact = _great_circle(g.interior_coords, traj.t_final)
+    return float(np.max(np.abs(traj.snapshots[-1].flat()[g.interior_flat] - exact)))
 
 
 def test_criterion_11_exact_solution():
@@ -279,11 +283,19 @@ def test_criterion_11_exact_solution():
     pen = {lam: _exact_solution_error(1 / 32, lam) for lam in (1e2, 1e3, 1e5)}
     fall = pen[1e2] / pen[1e3]
     gap = abs(pen[1e5] - proj[2]) / proj[2]
+    # the 3-D leg on [0, 1]^3: err / h^2 is 0.36 at both spacings
+    hs3 = (1 / 8, 1 / 16)
+    proj3 = [_exact_solution_error(h, d=3) for h in hs3]
+    order3 = math.log2(proj3[0] / proj3[1])
+    const3 = max(e / h ** 2 for e, h in zip(proj3, hs3))
     elapsed = time.time() - t0
-    ok = orders[-1] >= 1.8 and const <= 0.5 and fall >= 8.0 and gap <= 0.05
+    ok = (orders[-1] >= 1.8 and const <= 0.5 and fall >= 8.0 and gap <= 0.05
+          and order3 >= 1.8 and const3 <= 0.46)
     report("criterion 11: exact solution", ok, elapsed,
            f"projected err {', '.join(f'{e:.2e}' for e in proj)} "
            f"(<= {const:.2f} h^2), orders "
            f"{', '.join(f'{p:.2f}' for p in orders)}; penalized at h = 1/32: "
            f"{pen[1e2]:.2e} -> {pen[1e3]:.2e} ({fall:.1f}x), "
-           f"lambda 1e5 off projected by {gap:.1e} relative")
+           f"lambda 1e5 off projected by {gap:.1e} relative; 3-D projected err "
+           f"{', '.join(f'{e:.2e}' for e in proj3)} (<= {const3:.2f} h^2), "
+           f"order {order3:.2f}")

@@ -9,7 +9,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from sphereflow import cli
+from sphereflow import cli, geometry
 from sphereflow import io as sfio
 from sphereflow.cli import main, run_experiment, sweep
 from sphereflow.field import InitialData, generate
@@ -302,6 +302,38 @@ def test_step_budget_bound(tmp_path, monkeypatch):
     p.write_text(json.dumps(cfg))
     assert run_experiment(p, tmp_path / "ok") == 0
     cfg["solver"]["T"] = 10.5 * dt
+    _exits_2_at_load(tmp_path, cfg)
+
+
+def _cap_on_ball3(h) -> dict:
+    """onesided_cap.json on the 3-D unit ball at spacing h, without diagnostics."""
+    cfg = json.loads((CONFIGS / "onesided_cap.json").read_text())
+    cfg.update(domain={"kind": "unit-ball", "d": 3}, h=h, diagnostics={})
+    return cfg
+
+
+def test_lattice_budget_exits_2_at_load(tmp_path):
+    # h = 1e-4 on the 3-D ball asks for 8e12 lattice nodes (58 TiB per array)
+    err = _exits_2_at_load(tmp_path, _cap_on_ball3(1e-4))
+    assert "budget" in err["message"]
+
+
+def test_sweep_h_over_lattice_budget_exits_2_at_load(tmp_path):
+    err = _exits_2_at_load(tmp_path, _cap_on_ball3(0.25),
+                           lambda p, out: sweep(p, "h", [0.25, 1e-4], out))
+    assert "budget" in err["message"]
+
+
+def test_lattice_budget_bound(tmp_path, monkeypatch):
+    # a lattice of MAX_LATTICE_NODES nodes runs; one node fewer allowed is
+    # rejected at load
+    cfg = _cap_on_ball3(0.25)
+    n_lattice = build_grid(Domain.unit_ball(3), 0.25).n_lattice
+    monkeypatch.setattr(geometry, "MAX_LATTICE_NODES", n_lattice)
+    p = tmp_path / "ok.json"
+    p.write_text(json.dumps(cfg))
+    assert run_experiment(p, tmp_path / "ok") == 0
+    monkeypatch.setattr(geometry, "MAX_LATTICE_NODES", n_lattice - 1)
     _exits_2_at_load(tmp_path, cfg)
 
 

@@ -129,9 +129,7 @@ def test_link_energies_match_full_lattice_differences(domain, h, rng):
         energy += float(np.einsum("ij,ij->", d[mask], d[mask]))
         density += 0.5 * (link2[idx] + link2[idx - s]) / g.h ** 2
     assert dirichlet_energy(f) == energy / g.h ** 2 * g.cell_volume
-    dens = gradient_squared_density(f)
-    assert np.array_equal(dens[idx], density)
-    assert not np.any(np.delete(dens, idx))
+    assert np.array_equal(gradient_squared_density(f), density)
 
 
 def test_energy_rotation_invariance(disc32, cap60_32, rng):

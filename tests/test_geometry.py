@@ -1,8 +1,11 @@
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from sphereflow.errors import ConfigError, NoGraphAvailable, SpacingTooCoarse
+from sphereflow.errors import (ConfigError, LatticeTooLarge, NoGraphAvailable,
+                               SpacingTooCoarse)
 from sphereflow.geometry import (BLOCK_NODES, EXTERIOR, Domain, boundary_frame,
                                  build_grid, check_condition_B, neighbor_sum,
                                  put_rows)
@@ -35,6 +38,14 @@ def test_box_single_interior_node():
 def test_ball3_count_matches_enumeration():
     g = build_grid(Domain.unit_ball(3), 0.3)
     assert g.n_interior == brute_force_interior_count(3, 0.3, 5)
+
+
+@pytest.mark.parametrize("h", [1e-4, 1e-300, 5e-324])
+def test_lattice_over_budget_raises_before_allocating(h):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")      # no overflowing integer cast
+        with pytest.raises(LatticeTooLarge, match="budget"):
+            build_grid(Domain.unit_ball(3), h)
 
 
 def test_spacing_too_coarse():

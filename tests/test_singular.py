@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from sphereflow.diagnostics import CylinderSpec, cylinder_integral
+from sphereflow.diagnostics import CylinderSpec, cylinder_integral, energy_report
 from sphereflow.errors import EmptyIntersection, TooFewScales
 from sphereflow.field import InitialData, generate
 from sphereflow.flow import SolverConfig, Trajectory, run_projected
@@ -175,3 +175,36 @@ def test_certificate_table_structure(onesided_run_32):
         assert integral >= 0.0
         assert bound == pytest.approx(r ** 2 / 2.0)
         assert passed == (integral < bound)
+
+
+def _arrays(obj):
+    """The numpy arrays in a cache value, inside lists and tuples too."""
+    if isinstance(obj, np.ndarray):
+        yield obj
+    elif isinstance(obj, (list, tuple)):
+        for o in obj:
+            yield from _arrays(o)
+
+
+def test_derived_node_data_lives_on_interior_rows():
+    # densities, their cache and the grid's cached positions hold one row
+    # per interior node; no lattice-sized array stays behind
+    g = build_grid(Domain.unit_ball(3), 1 / 16)
+    u0 = generate(InitialData(kind="equator-hedgehog"), g, 2)
+    traj = run_projected(u0, SolverConfig(dt=SolverConfig.auto_dt(g), T=0.05,
+                                          output_stride=8))
+    rep = detect_singular_set(traj, SingularConfig(eps0=1.0, radii=[0.125, 0.25],
+                                                   space_stride=4))
+    assert rep.flagged
+    energy = energy_report(traj, len(traj.snapshots) - 1)
+    local_scaled_energy(traj, (traj.times[3], np.zeros(3)), 0.25, mode="dirichlet")
+
+    cache = traj._density_cache
+    assert {mode for _, mode in cache} == {"gl", "gradient"}
+    assert all(isinstance(k, int) for k, _ in cache)
+    assert energy.density.shape == (g.n_interior,)
+    assert all(dens.shape == (g.n_interior,) for dens in cache.values())
+    held = [a for v in (*cache.values(), *g._cache.values()) for a in _arrays(v)]
+    assert not any(a.ndim and a.shape[0] == g.n_lattice for a in held)
+    assert g.interior_coords is g.interior_coords
+    assert np.array_equal(g.interior_coords, g.coords()[g.interior_flat])
