@@ -13,6 +13,7 @@ so reruns are byte-identical.
 from __future__ import annotations
 
 import argparse
+import hashlib
 import json
 import math
 import sys
@@ -60,7 +61,8 @@ class Diagnostics:
 class ExperimentConfig:
     """A config parsed once, at load.  ``raw`` is kept only to write
     ``config.json`` and to derive the cases of a sweep; ``grid`` is the
-    lattice the run steps on."""
+    lattice the run steps on; ``source_sha256`` is the digest of the file
+    ``load`` parsed, for the manifest."""
 
     domain: Domain
     grid: Grid
@@ -73,15 +75,18 @@ class ExperimentConfig:
     diagnostics: Diagnostics
     raw: dict
     snapshot: Optional[Path] = None                   # custom-samples initial data
+    source_sha256: Optional[str] = None
 
     @staticmethod
     def load(path: Path) -> "ExperimentConfig":
         try:
-            with open(path) as f:
-                raw = json.load(f)
-        except (OSError, json.JSONDecodeError) as e:
+            data = Path(path).read_bytes()
+            raw = json.loads(data)
+        except (OSError, ValueError) as e:
             raise ConfigError(f"cannot read config: {e}") from e
-        return ExperimentConfig.from_dict(raw)
+        cfg = ExperimentConfig.from_dict(raw)
+        cfg.source_sha256 = hashlib.sha256(data).hexdigest()
+        return cfg
 
     @staticmethod
     def from_dict(raw: dict) -> "ExperimentConfig":
@@ -261,21 +266,27 @@ def _point(sec: dict, d: int) -> tuple:
     return finite("t0", sec["t0"]), _coords(sec["x0"], d)
 
 
-def _run_flow(cfg: ExperimentConfig, u0: SphereField) -> Trajectory:
+def _run_flow(cfg: ExperimentConfig, u0: SphereField,
+              store: Optional[sfio.SnapshotStore] = None) -> Trajectory:
     if cfg.mode == "projected":
-        return run_projected(u0, cfg.solver)
-    return run_glhf(u0, cfg.solver, PenaltySchedule(lam=cfg.lam), mode=cfg.mode)
+        return run_projected(u0, cfg.solver, store=store)
+    return run_glhf(u0, cfg.solver, PenaltySchedule(lam=cfg.lam), mode=cfg.mode,
+                    store=store)
 
 
-def _write_trajectory(out: Path, traj: Trajectory):
+def _write_trajectory(out: Path, traj: Trajectory, store: sfio.SnapshotStore,
+                      written: dict):
+    """``trajectory.csv`` and the sidecars of the snapshots ``store`` wrote
+    during the flow; ``written`` gains their digests."""
     rows = [[r.step, r.t, r.gl_energy, r.dirichlet_energy,
              r.penalty_increment, r.max_norm] for r in traj.records]
-    sfio.write_csv(out / "trajectory.csv", TRAJECTORY_HEADER, rows)
-    snap_dir = out / "snapshots"
+    written[out / "trajectory.csv"] = sfio.write_csv(out / "trajectory.csv",
+                                                     TRAJECTORY_HEADER, rows)
     sched = traj.schedule
-    for i, (t, snap) in enumerate(zip(traj.times, traj.snapshots)):
-        sfio.write_snapshot(snap_dir / f"snap_{i:06d}", snap, t=t, step=i,
-                            lam=traj.lam, exponent=sched.exponent(t) if sched else None)
+    for i, (base, t, snap) in enumerate(zip(store.bases, traj.times, traj.snapshots)):
+        written[base.with_suffix(".json")] = sfio.write_sidecar(
+            base, snap, t=t, step=i, lam=traj.lam,
+            exponent=sched.exponent(t) if sched else None)
 
 
 def _cylinder_row(traj: Trajectory, cyl: diag.CylinderSpec, mode: str) -> list:
@@ -283,45 +294,51 @@ def _cylinder_row(traj: Trajectory, cyl: diag.CylinderSpec, mode: str) -> list:
     return [cyl.t0] + [float(c) for c in cyl.x0] + [cyl.R, mode, val]
 
 
-def _run_diagnostics(dcfg: Diagnostics, traj: Trajectory, out: Path):
+def _run_diagnostics(dcfg: Diagnostics, traj: Trajectory, out: Path, written: dict):
+    """Evaluate the diagnostics and write their reports; ``written`` gains
+    their digests.  The ones that read every node of a snapshot run first
+    and leave its densities cached; the ball-local ones (cylinders and the
+    certificate) run last and slice them (``diagnostics.cylinder_integral``)."""
     reports = out / "reports"
 
-    sfio.write_json(reports / "energy.json",
-                    diag.energy_report(traj, len(traj.snapshots) - 1).to_json())
+    def put_json(name: str, obj):
+        written[reports / name] = sfio.write_json(reports / name, obj)
 
-    if dcfg.cylinders:
-        rows = [_cylinder_row(traj, cyl, mode) for cyl, mode in dcfg.cylinders]
-        header = (["t0"] + [f"x0_{i}" for i in range(traj.grid.d)]
-                  + ["R", "mode", "scaled_energy"])
-        sfio.write_csv(reports / "cylinders.csv", header, rows)
+    def put_csv(name: str, header, rows):
+        written[reports / name] = sfio.write_csv(reports / name, header, rows)
+
+    put_json("energy.json", diag.energy_report(traj, len(traj.snapshots) - 1).to_json())
 
     if dcfg.monotonicity is not None:
         z0, pairs, mode, rhs_form = dcfg.monotonicity
         out_reports = [diag.monotonicity_report(traj, z0, r1, r2, mode=mode,
                                                 rhs_form=rhs_form).to_json()
                        for r1, r2 in pairs]
-        sfio.write_json(reports / "monotonicity.json",
-                        {"t0": z0[0], "x0": [float(c) for c in z0[1]],
-                         "pairs": out_reports})
+        put_json("monotonicity.json", {"t0": z0[0], "x0": [float(c) for c in z0[1]],
+                                       "pairs": out_reports})
 
     if dcfg.singular is not None:
         rep = sing.detect_singular_set(traj, dcfg.singular)
-        sfio.write_json(reports / "singular.json", rep.to_json())
-        sfio.write_csv(reports / "boxcount.csv", ["delta", "count"],
-                       [[d, n] for d, n in rep.box_table])
+        put_json("singular.json", rep.to_json())
+        put_csv("boxcount.csv", ["delta", "count"], [[d, n] for d, n in rep.box_table])
 
     if dcfg.one_sided:
         rep = stereo.one_sided_monitor(traj)
-        sfio.write_json(reports / "onesided.json", rep.to_json())
+        put_json("onesided.json", rep.to_json())
         rows = [[k, t, w, m] for k, t, w, m in
                 zip(rep.steps, rep.times, rep.max_w_track, rep.min_last_track)]
-        sfio.write_csv(reports / "wtrack.csv",
-                       ["step", "t", "maxW", "min_last_component"], rows)
+        put_csv("wtrack.csv", ["step", "t", "maxW", "min_last_component"], rows)
+
+    if dcfg.cylinders:
+        rows = [_cylinder_row(traj, cyl, mode) for cyl, mode in dcfg.cylinders]
+        header = (["t0"] + [f"x0_{i}" for i in range(traj.grid.d)]
+                  + ["R", "mode", "scaled_energy"])
+        put_csv("cylinders.csv", header, rows)
 
     if dcfg.small_energy is not None:
         z0, radii, eps0 = dcfg.small_energy
         ok, table = sing.small_energy_certificate(traj, z0, radii, eps0)
-        sfio.write_json(reports / "certificate.json", {
+        put_json("certificate.json", {
             "t0": z0[0], "x0": [float(c) for c in z0[1]],
             "eps0": eps0, "all_pass": ok,
             "table": [{"r": r, "integral": v, "bound": b, "pass": p}
@@ -339,14 +356,19 @@ def run_experiment(config_path, out_dir=None, threads: int = 1) -> int:
         _emit_error(out, e, 2)
         return 2
     try:
-        traj = _run_flow(cfg, cfg.build_initial())
-        out.mkdir(parents=True, exist_ok=True)
-        with open(out / "config.json", "w") as f:
-            json.dump(cfg.raw, f, indent=2, sort_keys=True)
-            f.write("\n")
-        _write_trajectory(out, traj)
-        _run_diagnostics(cfg.diagnostics, traj, out)
-        manifest = sfio.build_manifest(out, config_path)
+        # the flow writes each snapshot's data as it takes it; a flow that
+        # fails takes this run's snapshot files with it
+        store = sfio.SnapshotStore(out / "snapshots")
+        try:
+            traj = _run_flow(cfg, cfg.build_initial(), store)
+        except BaseException:
+            store.remove()
+            raise
+        written = dict(store.digests)
+        written[out / "config.json"] = sfio.write_json(out / "config.json", cfg.raw)
+        _write_trajectory(out, traj, store, written)
+        _run_diagnostics(cfg.diagnostics, traj, out, written)
+        manifest = sfio.build_manifest(out, written, cfg.source_sha256)
         sfio.write_json(out / "manifest.json", manifest)
         return 0
     except SphereFlowError as e:
@@ -420,9 +442,9 @@ def sweep(config_path, param: str, values, out_dir=None, threads: int = 1) -> in
                 z0, R, mode = probe
                 row.append(sing.local_scaled_energy(traj, z0, R, mode=mode))
             rows.append(row)
-        out.mkdir(parents=True, exist_ok=True)
-        sfio.write_csv(out / "sweep.csv", header, rows)
-        sfio.write_json(out / "manifest.json", sfio.build_manifest(out, config_path))
+        written = {out / "sweep.csv": sfio.write_csv(out / "sweep.csv", header, rows)}
+        sfio.write_json(out / "manifest.json",
+                        sfio.build_manifest(out, written, base.source_sha256))
         return 0
     except SphereFlowError as e:
         _emit_error(out, e, 3)

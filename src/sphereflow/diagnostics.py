@@ -6,9 +6,11 @@ All spacetime integrals use a left-endpoint rectangle rule in time with
 window clipping and h^d node weights in space.  A node density holds one
 value per interior node, in ``grid.interior_flat`` order, and a ball of
 nodes is positions into it (``Grid.nodes_within``); a trajectory caches
-its densities by snapshot index and mode.  Fit constants are searched on
-declared finite grids; reports expose the fitted pair and the residual
-defect instead of asserting universal constants.
+its densities by snapshot index and mode, and a cylinder computes only
+its ball until a second ball asks for the same snapshot
+(``_ball_density``).  Fit constants are searched on declared finite
+grids; reports expose the fitted pair and the residual defect instead of
+asserting universal constants.
 """
 
 from __future__ import annotations
@@ -124,10 +126,12 @@ def weight_d(x0, x, d0: float):
 
 # -- densities ---------------------------------------------------------------
 
-def _penalty_density(traj: Trajectory, k: int) -> np.ndarray:
-    """Lam (|u|^2 - 1)^2 / 4 of snapshot k at the interior nodes, with the
-    strength of the run's schedule at t_k (0 without a schedule)."""
-    rows = np.take(traj.snapshots[k].flat(), traj.grid.interior_flat, axis=0)
+def _penalty_density(traj: Trajectory, k: int, nodes=None) -> np.ndarray:
+    """Lam (|u|^2 - 1)^2 / 4 of snapshot k at the interior nodes, or at the
+    positions ``nodes`` into ``interior_flat``, with the strength of the
+    run's schedule at t_k (0 without a schedule)."""
+    idx = traj.grid.interior_flat if nodes is None else traj.grid.interior_flat[nodes]
+    rows = np.take(traj.snapshots[k].flat(), idx, axis=0)
     w = np.einsum("ij,ij->i", rows, rows)
     sched = traj.schedule
     return (sched.strength(traj.times[k]) if sched else 0.0) * (w - 1.0) ** 2 / 4.0
@@ -139,17 +143,42 @@ def energy_density(traj: Trajectory, k: int, mode: str = "gl") -> np.ndarray:
 
     gl mode:       |grad u|^2 / 2 + Lam (|u|^2 - 1)^2 / 4,
     gradient mode: |grad u|^2.
-    Cached per (k, mode) on the trajectory (the strength is fixed by k),
-    and the gl density is built from the cached gradient one.
+    Cached per (``traj.cache_index(k)``, mode) on the trajectory (the
+    strength is fixed by k), and the gl density is built from the cached
+    gradient one.
     """
     if mode not in ("gl", "gradient"):
         raise ValueError(f"unknown density mode {mode!r}")
     cache = traj._density_cache
+    k = traj.cache_index(k)
     if (k, "gradient") not in cache:
         cache[k, "gradient"] = gradient_squared_density(traj.snapshots[k])
     if (k, mode) not in cache:
         cache[k, mode] = 0.5 * cache[k, "gradient"] + _penalty_density(traj, k)
     return cache[k, mode]
+
+
+def _ball_density(traj: Trajectory, k: int, mode: str, nodes: np.ndarray) -> np.ndarray:
+    """``energy_density(traj, k, mode)[nodes]``, bit for bit, computing no
+    more of snapshot k than it must.
+
+    A cached density is sliced.  Otherwise the first ball that asks for
+    (k, mode) gets its nodes only, and the trajectory marks (k, mode); the
+    second gets the whole density, which is then cached.  So a snapshot
+    pays at most one ball evaluation beyond its whole density, and a
+    snapshot only one ball ever reads costs that ball.
+    """
+    if mode not in ("gl", "gradient"):
+        raise ValueError(f"unknown density mode {mode!r}")
+    key = (traj.cache_index(k), mode)
+    cache = traj._density_cache
+    if key in cache or key in traj._ball_asked:
+        return energy_density(traj, k, mode)[nodes]
+    traj._ball_asked.add(key)
+    k = key[0]
+    grad = (cache[k, "gradient"][nodes] if (k, "gradient") in cache
+            else gradient_squared_density(traj.snapshots[k], nodes))
+    return grad if mode == "gradient" else 0.5 * grad + _penalty_density(traj, k, nodes)
 
 
 def energy_report(traj: Trajectory, k: int) -> EnergyReport:
@@ -414,7 +443,7 @@ def cylinder_integral(traj: Trajectory, cyl: CylinderSpec, mode: str = "gl") -> 
     """Plain integral of the chosen density over the clipped cylinder."""
     nodes = _cylinder_nodes(traj.grid, cyl)
     vals = window_integral(traj, *cyl.window(),
-                           lambda k: energy_density(traj, k, mode)[nodes])
+                           lambda k: _ball_density(traj, k, mode, nodes))
     return float(vals.sum()) * traj.grid.cell_volume
 
 

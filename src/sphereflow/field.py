@@ -226,20 +226,23 @@ def dirichlet_energy(f: SphereField) -> float:
     return total / g.h ** 2 * g.cell_volume
 
 
-def gradient_squared_density(f: SphereField) -> np.ndarray:
+def gradient_squared_density(f: SphereField, nodes=None) -> np.ndarray:
     """Node-wise |grad u|^2, half-link attribution, one value per interior
-    node in ``grid.interior_flat`` order.
+    node in ``grid.interior_flat`` order, or per position in ``nodes``
+    (positions into ``interior_flat``, as ``Grid.nodes_within`` returns).
 
     Each lattice link contributes its forward-difference square to both
     endpoints with weight 1/2, so the node sum reproduces the link energy
     up to half-weighted boundary links.  Single-spacing chords degrade
     far less than central differences near direction-field singularities.
     Interior axis neighbors are interior or boundary, so stencils always
-    read defined values.
+    read defined values.  Every node's value is the same sequence of
+    operations either way, so the density at ``nodes`` is the whole
+    density sliced at ``nodes`` bit for bit.
     """
     g = f.grid
     flat = f.flat()
-    idx = g.interior_flat
+    idx = g.interior_flat if nodes is None else g.interior_flat[nodes]
     rows = np.take(flat, idx, axis=0)
     acc = np.zeros(idx.shape[0])
     for s in g.strides():

@@ -37,10 +37,14 @@ writes a lattice-sized array except the field; the last state's N is the
 one neighbour sum no step uses.
 
 Buffers.  ``_run`` copies ``u0`` once and then owns that field: ``_step``
-mutates it in place, and each snapshot but the last is a copy of it, so
-neither the caller's ``u0`` nor a returned snapshot is ever written by a
-later step; the last snapshot is the field itself, which no step writes
-again.  Beyond the field and the snapshots a run holds three interior-row
+mutates it in place.  The run hands the field to a snapshot store at each
+snapshot step, and the trajectory holds what the store returns.  Without a
+store (``store=None``) that is a copy of the field, and the field itself
+for the last snapshot, which no step writes again; a ``io.SnapshotStore``
+instead writes the field's values to a file and returns a read-only map of
+it, so a run's heap does not grow with its snapshot count.  Either way no
+later step writes the caller's ``u0`` or a returned snapshot.  Beyond the
+field and the snapshots a run holds three interior-row
 arrays: ``rows``, ``nrows`` and the record's scratch for its per-component
 difference.  Each neighbour sum adds one block scratch of at most
 ``geometry.BLOCK_NODES`` lattice nodes (unless a single layer is wider),
@@ -181,6 +185,7 @@ class Trajectory:
     lam: Optional[float]
     dt: float
     _density_cache: dict = dfield(default_factory=dict, repr=False)   # (k, mode) -> density
+    _ball_asked: set = dfield(default_factory=set, repr=False)       # (k, mode) a ball took
 
     @property
     def t_final(self) -> float:
@@ -191,6 +196,11 @@ class Trajectory:
         """The penalty schedule of a penalized run; None for a projected or
         static trajectory, whose ``lam`` is None."""
         return None if self.lam is None else PenaltySchedule(self.lam)
+
+    def cache_index(self, k: int) -> int:
+        """The index the density cache files snapshot k under: k, or 0 for
+        every snapshot of a static trajectory, which repeats one field."""
+        return 0 if self.mode == "static" else k
 
     @staticmethod
     def static(f: SphereField, times) -> "Trajectory":
@@ -354,9 +364,16 @@ def _record(step: int, t: float, u: SphereField, w: np.ndarray, dir_e: float,
                       max_norm=mx)
 
 
+def _keep(u: SphereField, last: bool) -> SphereField:
+    """The in-memory snapshot of ``u``: a copy, or ``u`` itself when it is
+    the run's last state."""
+    return u if last else u.copy()
+
+
 def _run(u0: SphereField, cfg: SolverConfig, sched: Optional[PenaltySchedule],
-         mode: str) -> Trajectory:
+         mode: str, store=None) -> Trajectory:
     cfg.validate(u0.grid)
+    keep = _keep if store is None else store.take
     n_steps, take = cfg.n_steps(), set(cfg.snapshot_steps())
     u = u0.copy()
     g = u.grid
@@ -369,7 +386,7 @@ def _run(u0: SphereField, cfg: SolverConfig, sched: Optional[PenaltySchedule],
     w = _norm2(rows)
     records = [_record(0, 0.0, u, w, _dirichlet_from_rows(u, rows, nrows, links, lap),
                        sched.strength(0.0) if sched else 0.0, 0.0, _sup_norm(w, bnd2))]
-    snapshots = [u.copy()]
+    snapshots = [keep(u, False)]
     for k in range(n_steps):
         w, pen_incr, lam_eff, mx = _step(u, rows, nrows, k * cfg.dt, cfg, sched, bnd2)
         g.neighbour_rows(flat, out=nrows)
@@ -378,7 +395,7 @@ def _run(u0: SphereField, cfg: SolverConfig, sched: Optional[PenaltySchedule],
                                _dirichlet_from_rows(u, rows, nrows, links, lap),
                                lam_eff, pen_incr, mx))
         if k + 1 in take:
-            snapshots.append(u if k + 1 == n_steps else u.copy())
+            snapshots.append(keep(u, k + 1 == n_steps))
 
     return Trajectory(grid=u0.grid, target_dim=u0.target_dim,
                       times=cfg.snapshot_times(),
@@ -387,8 +404,10 @@ def _run(u0: SphereField, cfg: SolverConfig, sched: Optional[PenaltySchedule],
 
 
 def run_glhf(u0: SphereField, cfg: SolverConfig, sched: PenaltySchedule,
-             mode: str = "glhf-simplified") -> Trajectory:
-    """Run the penalized flow; ``mode`` labels the trajectory.
+             mode: str = "glhf-simplified", store=None) -> Trajectory:
+    """Run the penalized flow; ``mode`` labels the trajectory.  Each snapshot
+    is ``store.take(u, last)`` of the flow's field ``u`` (see the module
+    docstring), or an in-memory copy without a store.
 
     ``glhf-original`` weights the reaction by the cutoff slope
     chi'((w - 1)^2), which is 1 whenever w < 1 + sqrt(2).  The diffusion is
@@ -398,11 +417,12 @@ def run_glhf(u0: SphereField, cfg: SolverConfig, sched: PenaltySchedule,
     """
     if mode not in GLHF_MODES:
         raise ValueError(f"unknown penalized mode {mode!r}")
-    return _run(u0, cfg, sched, mode)
+    return _run(u0, cfg, sched, mode, store)
 
 
-def run_projected(u0: SphereField, cfg: SolverConfig) -> Trajectory:
-    return _run(u0, cfg, None, "projected")
+def run_projected(u0: SphereField, cfg: SolverConfig, store=None) -> Trajectory:
+    """Run the projected flow; ``store`` as in ``run_glhf``."""
+    return _run(u0, cfg, None, "projected", store)
 
 
 def penalty_integral(traj: Trajectory) -> float:

@@ -1,11 +1,24 @@
 """Artifact formats: binary snapshots with JSON sidecars, RFC-4180 CSV,
-checksummed manifests."""
+checksummed manifests.
+
+Every writer hashes the bytes it writes and returns ``(sha256, bytes)`` of
+the file, so a manifest is built from those digests without reading an
+artifact back.  A snapshot is two files, written by two writers: the
+``.f64`` data, straight from the field's buffer, and its JSON sidecar.
+``write_snapshot`` is the two in turn; a run's ``SnapshotStore`` writes the
+data as the flow takes each snapshot, hands the flow a read-only map of
+the written file in its place, and leaves the sidecars, which hold no
+field data, to the end of the flow.
+"""
 
 from __future__ import annotations
 
 import csv
 import hashlib
+import io
 import json
+import mmap
+import resource
 from pathlib import Path
 from typing import Optional
 
@@ -22,13 +35,22 @@ def fmt(x) -> str:
     return str(x)
 
 
-def write_csv(path: Path, header, rows):
+def _write_bytes(path: Path, data) -> tuple[str, int]:
+    """Write the bytes of ``data``, a bytes object or a C-contiguous array, to
+    ``path`` without copying them; return their sha256 and their count."""
     path.parent.mkdir(parents=True, exist_ok=True)
-    with open(path, "w", newline="") as f:
-        w = csv.writer(f)          # RFC-4180: comma, CRLF, quoting as needed
-        w.writerow(header)
-        for row in rows:
-            w.writerow([fmt(x) for x in row])
+    with open(path, "wb") as fh:
+        fh.write(data)
+    return hashlib.sha256(data).hexdigest(), memoryview(data).nbytes
+
+
+def write_csv(path: Path, header, rows) -> tuple[str, int]:
+    buf = io.StringIO(newline="")
+    w = csv.writer(buf)            # RFC-4180: comma, CRLF, quoting as needed
+    w.writerow(header)
+    for row in rows:
+        w.writerow([fmt(x) for x in row])
+    return _write_bytes(path, buf.getvalue().encode())
 
 
 def _json_default(o):
@@ -41,11 +63,9 @@ def _json_default(o):
     raise TypeError(f"not JSON serializable: {type(o)}")
 
 
-def write_json(path: Path, obj):
-    path.parent.mkdir(parents=True, exist_ok=True)
-    with open(path, "w") as f:
-        json.dump(obj, f, indent=2, sort_keys=True, default=_json_default)
-        f.write("\n")
+def write_json(path: Path, obj) -> tuple[str, int]:
+    text = json.dumps(obj, indent=2, sort_keys=True, default=_json_default) + "\n"
+    return _write_bytes(path, text.encode())
 
 
 def sha256_file(path: Path) -> str:
@@ -60,15 +80,18 @@ def grid_spec(grid: Grid) -> dict:
     return {"domain": grid.domain.to_config(), "h": grid.h}
 
 
-def write_snapshot(path_base: Path, f: SphereField, t: float, step: int,
-                   lam: Optional[float], exponent: Optional[float]):
-    """Node-major, component-major little-endian float64 plus JSON sidecar;
-    the sidecar's ``tag`` is always ``"u"``, the flow field."""
-    path_base.parent.mkdir(parents=True, exist_ok=True)
-    data = np.ascontiguousarray(f.values, dtype="<f8")
-    with open(path_base.with_suffix(".f64"), "wb") as fh:
-        fh.write(data.tobytes())
-    sidecar = {
+def write_snapshot_data(path_base: Path, f: SphereField) -> tuple[str, int]:
+    """The snapshot's ``.f64`` file: node-major, component-major
+    little-endian float64, written from the field's own buffer."""
+    return _write_bytes(path_base.with_suffix(".f64"),
+                        np.ascontiguousarray(f.values, dtype="<f8"))
+
+
+def write_sidecar(path_base: Path, f: SphereField, t: float, step: int,
+                  lam: Optional[float], exponent: Optional[float]) -> tuple[str, int]:
+    """The snapshot's JSON sidecar; it reads only ``f``'s grid and shape.  Its
+    ``tag`` is always ``"u"``, the flow field."""
+    return write_json(path_base.with_suffix(".json"), {
         "grid": grid_spec(f.grid),
         "shape": list(f.values.shape),
         "D": f.target_dim,
@@ -77,8 +100,68 @@ def write_snapshot(path_base: Path, f: SphereField, t: float, step: int,
         "lambda": lam,
         "exponent": exponent,
         "tag": "u",
-    }
-    write_json(path_base.with_suffix(".json"), sidecar)
+    })
+
+
+def write_snapshot(path_base: Path, f: SphereField, t: float, step: int,
+                   lam: Optional[float], exponent: Optional[float]) -> tuple:
+    """The data file and the sidecar of a snapshot; returns their
+    ``(sha256, bytes)`` in that order."""
+    return (write_snapshot_data(path_base, f),
+            write_sidecar(path_base, f, t, step, lam, exponent))
+
+
+def map_snapshot(path: Path, f: SphereField) -> SphereField:
+    """A field on ``f``'s grid whose values are a read-only map of the
+    ``.f64`` file at ``path``, which holds ``f``'s values."""
+    with open(path, "rb") as fh:
+        mm = mmap.mmap(fh.fileno(), 0, access=mmap.ACCESS_READ)
+    values = np.frombuffer(mm, dtype="<f8").reshape(f.values.shape)
+    return SphereField(f.grid, values, f.target_dim, dict(f.metadata))
+
+
+def map_budget() -> int:
+    """How many snapshots a store maps: half the process's soft limit on open
+    files, since each map holds a descriptor of its own until it is freed."""
+    soft, _ = resource.getrlimit(resource.RLIMIT_NOFILE)
+    return soft // 2 if soft != resource.RLIM_INFINITY else 1 << 62
+
+
+class SnapshotStore:
+    """The snapshots of one run, in ``snap_dir``, as the flow takes them.
+
+    ``take`` writes the ``.f64`` file of the flow's field, records its digest
+    and returns a read-only map of the file, which the trajectory holds in
+    place of a copy; past ``map_budget()`` maps it returns an in-memory copy.
+    ``bases`` are the snapshots' paths without suffix, in order, and
+    ``digests`` maps each written file to its ``(sha256, bytes)``.
+    """
+
+    def __init__(self, snap_dir: Path):
+        self.dir = snap_dir
+        self.bases: list = []
+        self.digests: dict = {}
+        self._budget = map_budget()
+        snap_dir.mkdir(parents=True, exist_ok=True)
+
+    def take(self, u: SphereField, last: bool) -> SphereField:
+        base = self.dir / f"snap_{len(self.bases):06d}"
+        path = base.with_suffix(".f64")
+        self.bases.append(base)
+        self.digests[path] = write_snapshot_data(base, u)
+        if len(self.bases) > self._budget:
+            return u if last else u.copy()
+        return map_snapshot(path, u)
+
+    def remove(self) -> None:
+        """Delete the files this store wrote, and its directory if that leaves
+        it empty; files of an earlier run stay."""
+        for path in self.digests:
+            path.unlink(missing_ok=True)
+        try:
+            self.dir.rmdir()
+        except OSError:                 # not empty: an earlier run's files
+            pass
 
 
 def check_snapshot(path_base: Path, shape: tuple):
@@ -103,23 +186,25 @@ def read_snapshot(path_base: Path) -> tuple[SphereField, dict]:
     grid = build_grid(domain, sidecar["grid"]["h"])
     shape = tuple(sidecar["shape"])
     raw = np.fromfile(path_base.with_suffix(".f64"), dtype="<f8")
-    values = raw.reshape(shape).astype(np.float64)
+    values = raw.reshape(shape).astype(np.float64, copy=False)
     f = SphereField(grid=grid, values=values, target_dim=sidecar["D"])
     return f, sidecar
 
 
-def build_manifest(out_dir: Path, config_path: Optional[Path] = None) -> dict:
-    """Checksum every artifact below out_dir; the manifest itself is excluded."""
+def build_manifest(out_dir: Path, digests: dict,
+                   config_sha256: Optional[str] = None) -> dict:
+    """List every file below out_dir, the manifest itself excluded, with
+    its ``(sha256, bytes)`` from ``digests``, the writers' returns keyed by
+    path.  A file the run did not write (left by an earlier run in the same
+    directory) is read and hashed."""
     files = []
     for p in sorted(out_dir.rglob("*")):
         if p.is_dir() or p.name == "manifest.json":
             continue
-        files.append({
-            "path": p.relative_to(out_dir).as_posix(),
-            "sha256": sha256_file(p),
-            "bytes": p.stat().st_size,
-        })
+        sha, nbytes = digests[p] if p in digests else (sha256_file(p), p.stat().st_size)
+        files.append({"path": p.relative_to(out_dir).as_posix(),
+                      "sha256": sha, "bytes": nbytes})
     manifest = {"files": files}
-    if config_path is not None and config_path.exists():
-        manifest["config_sha256"] = sha256_file(config_path)
+    if config_sha256 is not None:
+        manifest["config_sha256"] = config_sha256
     return manifest

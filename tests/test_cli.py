@@ -3,15 +3,17 @@ import json
 import os
 import subprocess
 import sys
+import tracemalloc
 import warnings
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from sphereflow import cli, geometry
+from sphereflow import cli, flow, geometry
 from sphereflow import io as sfio
 from sphereflow.cli import main, run_experiment, sweep
+from sphereflow.errors import NormBlowup
 from sphereflow.field import InitialData, generate
 from sphereflow.geometry import Domain, build_grid
 from sphereflow.io import read_snapshot, write_snapshot
@@ -79,6 +81,17 @@ def test_cfl_violation_exits_2(tmp_path):
     assert run_experiment(p, out) == 2
     err = json.loads((out / "error.json").read_text())
     assert "cfl" in err["message"].lower() or "h^2" in err["message"]
+
+
+@pytest.mark.parametrize("data", [b"{", b"\xff{}", b""])
+def test_unparsable_config_exits_2(tmp_path, data):
+    # malformed JSON, bytes that are not UTF-8 and an empty file
+    p = tmp_path / "bad.json"
+    p.write_bytes(data)
+    out = tmp_path / "out"
+    assert run_experiment(p, out) == 2
+    err = json.loads((out / "error.json").read_text())
+    assert err["error"] == "ConfigError" and "cannot read config" in err["message"]
 
 
 @pytest.mark.parametrize("key, value", [("lambda", float("nan")),
@@ -552,3 +565,105 @@ def test_diagnostics_do_not_mutate_snapshots(tmp_path):
     # manifest was built after all diagnostics ran; re-hash now
     for rel, digest in snap_hashes.items():
         assert sfio.sha256_file(out / rel) == digest
+
+
+def _capture_trajectory(monkeypatch):
+    """Record the trajectory ``run_experiment`` hands to its diagnostics."""
+    seen = []
+    run_diagnostics = cli._run_diagnostics
+
+    def capture(dcfg, traj, *args):
+        seen.append(traj)
+        return run_diagnostics(dcfg, traj, *args)
+
+    monkeypatch.setattr(cli, "_run_diagnostics", capture)
+    return seen
+
+
+def test_run_snapshots_are_read_only_maps(tmp_path, monkeypatch):
+    seen = _capture_trajectory(monkeypatch)
+    out = tmp_path / "out"
+    assert run_experiment(CONFIGS / "onesided_cap.json", out) == 0
+    (traj,) = seen
+    assert len(traj.snapshots) == len(list((out / "snapshots").glob("*.f64"))) > 2
+    for i, snap in enumerate(traj.snapshots):
+        assert not snap.values.flags.writeable
+        assert snap.values.tobytes() == (out / "snapshots" / f"snap_{i:06d}.f64").read_bytes()
+    with pytest.raises(ValueError):
+        traj.snapshots[0].values[0] = 0.0
+
+
+def test_snapshots_past_the_map_budget_stay_in_memory(tmp_path, monkeypatch):
+    # each map holds a file descriptor; past the budget a run keeps copies,
+    # and writes the same files
+    assert run_experiment(CONFIGS / "onesided_cap.json", tmp_path / "a") == 0
+    monkeypatch.setattr(sfio, "map_budget", lambda: 2)
+    seen = _capture_trajectory(monkeypatch)
+    assert run_experiment(CONFIGS / "onesided_cap.json", tmp_path / "b") == 0
+    writeable = [s.values.flags.writeable for s in seen[0].snapshots]
+    assert writeable[:2] == [False, False] and all(writeable[2:])
+    files = sorted(p.relative_to(tmp_path / "a") for p in (tmp_path / "a").rglob("*")
+                   if p.is_file())
+    for rel in files:
+        assert (tmp_path / "a" / rel).read_bytes() == (tmp_path / "b" / rel).read_bytes()
+
+
+def test_manifest_reads_no_artifact_back(tmp_path, monkeypatch):
+    assert run_experiment(CONFIGS / "onesided_cap.json", tmp_path / "a") == 0
+
+    def no_reads(path):
+        raise AssertionError(f"read back {path}")
+
+    monkeypatch.setattr(sfio, "sha256_file", no_reads)
+    assert run_experiment(CONFIGS / "onesided_cap.json", tmp_path / "b") == 0
+    assert ((tmp_path / "a" / "manifest.json").read_bytes()
+            == (tmp_path / "b" / "manifest.json").read_bytes())
+
+
+def test_failed_flow_removes_its_snapshots(tmp_path, monkeypatch):
+    # cap_disc takes a snapshot every 16 steps: the 33rd step fails after
+    # snapshots 0, 16 and 32 are on disk
+    calls = []
+    step = flow._step
+
+    def failing_step(*args):
+        calls.append(1)
+        if len(calls) > 32:
+            raise NormBlowup("injected")
+        return step(*args)
+
+    monkeypatch.setattr(flow, "_step", failing_step)
+    out = tmp_path / "out"
+    assert run_experiment(CONFIGS / "cap_disc.json", out) == 3
+    assert len(calls) == 33
+    assert [p.name for p in out.iterdir()] == ["error.json"]
+    assert json.loads((out / "error.json").read_text())["error"] == "NormBlowup"
+    # an earlier run's files in the same directory stay
+    (out / "snapshots").mkdir()
+    (out / "snapshots" / "snap_000099.f64").write_bytes(b"earlier")
+    calls.clear()
+    assert run_experiment(CONFIGS / "cap_disc.json", out) == 3
+    assert [p.name for p in (out / "snapshots").iterdir()] == ["snap_000099.f64"]
+
+
+def test_run_heap_does_not_grow_with_snapshot_count(tmp_path):
+    # 3-D ball at h = 1/16, 11 steps: one snapshot per step holds the same
+    # heap as one snapshot at each end, to within one field
+    cfg = json.loads((CONFIGS / "hedgehog_ball.json").read_text())
+    cfg.update(h=1 / 16, diagnostics={})
+    cfg["solver"]["T"] = 10.5 * 0.9 / 16 ** 2 / 6
+    peaks = {}
+    for stride in (100, 1, 100):
+        cfg["solver"]["output_stride"] = stride
+        p = tmp_path / f"stride{stride}.json"
+        p.write_text(json.dumps(cfg))
+        tracemalloc.start()
+        try:
+            assert run_experiment(p, tmp_path / f"out{stride}") == 0
+            peaks[stride] = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+    assert len(list((tmp_path / "out1" / "snapshots").glob("*.f64"))) == 12
+    grid = build_grid(Domain.unit_ball(3), 1 / 16)
+    field_bytes = grid.n_lattice * 3 * 8
+    assert abs(peaks[1] - peaks[100]) <= field_bytes

@@ -1,10 +1,13 @@
+import dataclasses
 import math
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from sphereflow import diagnostics
 from sphereflow.diagnostics import (CylinderSpec, backward_heat_kernel,
+                                    cylinder_integral, energy_density,
                                     energy_report, hybrid_report, main2_lhs,
                                     monotonicity_report,
                                     reverse_poincare_ratio,
@@ -12,8 +15,10 @@ from sphereflow.diagnostics import (CylinderSpec, backward_heat_kernel,
 from sphereflow.elliptic import solve_harmonic_extension
 from sphereflow.errors import (KernelUnderresolved, TimeNotBeforeCenter,
                                WindowOutsideTrajectory)
-from sphereflow.field import InitialData, SphereField, generate
+from sphereflow.field import (InitialData, SphereField, generate,
+                              gradient_squared_density)
 from sphereflow.flow import Trajectory
+from sphereflow.geometry import Domain, build_grid
 
 
 def constant_trajectory(grid, times=(0.0, 0.1, 0.2, 0.3)):
@@ -240,3 +245,67 @@ def test_hybrid_nested_and_fit(cap_run_32, disc32, cap60_32):
     assert inner <= outer + 1e-12
     fits = [c for c in C_GRID if inner <= 0.5 * outer + c * data]
     assert fits, "no constant on the declared grid satisfies the comparison"
+
+
+# -- ball-local densities --------------------------------------------------------
+
+def _random_trajectory(grid, rng, n=3, lam=1e3):
+    """Off-sphere random snapshots under a penalty schedule, so both parts of
+    the gl density are nonzero."""
+    snaps = [SphereField(grid, rng.standard_normal(grid.shape + (3,)), 2)
+             for _ in range(n)]
+    times = [0.1 * k for k in range(n)]
+    return Trajectory(grid=grid, target_dim=2, times=times, snapshots=snaps,
+                      records=[], mode="glhf-simplified", lam=lam, dt=0.1)
+
+
+def _fresh(traj):
+    """The same snapshots with an empty density cache and no ball marks."""
+    return dataclasses.replace(traj, _density_cache={}, _ball_asked=set())
+
+
+@pytest.mark.parametrize("domain, h, balls", [
+    (Domain.unit_ball(2), 1 / 32, [((0.0, 0.0), 0.25), ((0.9, 0.1), 0.25),
+                                   ((-0.7, -0.7), 0.125)]),
+    (Domain.unit_ball(3), 1 / 16, [((0.0, 0.0, 0.0), 0.25),
+                                   ((0.0, 0.2, 0.85), 0.25)]),
+])
+def test_ball_density_is_the_sliced_density(domain, h, balls, rng):
+    g = build_grid(domain, h)
+    traj = _random_trajectory(g, rng)
+    k = 1
+    full = {mode: energy_density(_fresh(traj), k, mode) for mode in ("gl", "gradient")}
+    for x0, R in balls:
+        nodes = g.nodes_within(np.asarray(x0), R)
+        assert nodes.size
+        assert np.array_equal(gradient_squared_density(traj.snapshots[k], nodes),
+                              full["gradient"][nodes])
+        for mode in ("gl", "gradient"):
+            assert np.array_equal(diagnostics._ball_density(_fresh(traj), k, mode, nodes),
+                                  full[mode][nodes])
+    # a ball that touches the boundary reads boundary values
+    edge = g.nodes_within(np.asarray(balls[1][0]), balls[1][1])
+    ends = g.interior_flat[edge][:, None] + np.concatenate([g.strides(), -g.strides()])
+    assert np.isin(ends, g.boundary_flat).any()
+    # any positions, in any order
+    some = rng.permutation(g.n_interior)[:50]
+    assert np.array_equal(gradient_squared_density(traj.snapshots[k], some),
+                          full["gradient"][some])
+
+
+@pytest.mark.parametrize("mode", ["gl", "gradient"])
+def test_cylinder_integral_same_in_every_cache_state(disc32, rng, mode):
+    traj = _random_trajectory(disc32, rng, n=5)
+    cyl = CylinderSpec(t0=0.2, x0=np.array([0.3, 0.0]), R=0.25)
+    ks = (1, 2)                         # the snapshots meeting [0.1375, 0.2625)
+    empty = cylinder_integral(traj, cyl, mode)
+    assert not traj._density_cache
+    assert traj._ball_asked == {(k, mode) for k in ks}
+    marked = cylinder_integral(traj, cyl, mode)
+    assert {(k, mode) for k in ks} <= set(traj._density_cache)
+    cached = cylinder_integral(traj, cyl, mode)
+    assert empty == marked == cached
+    # and the gl density sliced from a cached gradient one
+    if mode == "gradient":
+        assert (cylinder_integral(traj, cyl, "gl")
+                == cylinder_integral(_fresh(traj), cyl, "gl"))

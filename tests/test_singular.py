@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from sphereflow import diagnostics
 from sphereflow.diagnostics import CylinderSpec, cylinder_integral, energy_report
 from sphereflow.errors import EmptyIntersection, TooFewScales
 from sphereflow.field import InitialData, generate
@@ -29,6 +30,24 @@ def test_local_energy_hedgehog_eight_pi(hedgehog32):
         assert abs(vals[R] - target) / target <= 0.15
     spread = abs(vals[1 / 8] - vals[1 / 4]) / max(vals.values())
     assert spread <= 0.20
+
+
+def test_static_trajectory_shares_one_density(hedgehog32, monkeypatch):
+    # a static trajectory repeats one field: its two cylinders and an energy
+    # report take one ball density and one whole one between them
+    calls = []
+    density = diagnostics.gradient_squared_density
+
+    def counted(f, nodes=None):
+        calls.append("full" if nodes is None else "ball")
+        return density(f, nodes)
+
+    monkeypatch.setattr(diagnostics, "gradient_squared_density", counted)
+    traj = Trajectory.static(hedgehog32, np.linspace(0.0, 0.25, 6))
+    for R in (1 / 8, 1 / 4):
+        local_scaled_energy(traj, (0.125, np.zeros(3)), R, mode="dirichlet")
+    energy_report(traj, len(traj.snapshots) - 1)
+    assert calls.count("ball") <= 1 and calls.count("full") <= 1
 
 
 def test_local_energy_gl_dominates_dirichlet(cap_run_32):
