@@ -35,7 +35,7 @@ def main():
 
     cfg = SolverConfig(dt=SolverConfig.auto_dt(grid), T=args.T, output_stride=8)
     traj = run_projected(u0, cfg)
-    mon = one_sided_monitor(traj, chk)
+    mon = one_sided_monitor(traj)
     print(f"monitor passed={mon.passed}, "
           f"maxW drift={max(mon.max_w_track) - mon.max_w_track[0]:.2e} "
           f"(band {mon.band:.2e}), min last component "

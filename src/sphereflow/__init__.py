@@ -17,9 +17,9 @@ from .field import (SphereField, InitialData, generate, project_to_sphere,
                     l2_distance, dirichlet_energy)
 from .elliptic import (HarmonicExtension, solve_harmonic_extension,
                        higher_derivative_energy)
-from .flow import (PenaltySchedule, SolverConfig, Trajectory, kappa, chi,
-                   chi_dot, glhf_step, projected_flow_step, run_glhf,
-                   run_projected, penalty_integral, trajectory_l2q_distance)
+from .flow import (PenaltySchedule, SolverConfig, Trajectory, kappa, glhf_step,
+                   projected_flow_step, run_glhf, run_projected, penalty_integral,
+                   trajectory_l2q_distance)
 from .diagnostics import (CylinderSpec, EnergyReport, MonotonicityReport,
                           backward_heat_kernel, weight_d, energy_report,
                           weighted_annulus_energy, monotonicity_report,
@@ -37,7 +37,7 @@ __all__ = [
     "SphereField", "InitialData", "generate", "project_to_sphere",
     "l2_distance", "dirichlet_energy",
     "HarmonicExtension", "solve_harmonic_extension", "higher_derivative_energy",
-    "PenaltySchedule", "SolverConfig", "Trajectory", "kappa", "chi", "chi_dot",
+    "PenaltySchedule", "SolverConfig", "Trajectory", "kappa",
     "glhf_step", "projected_flow_step", "run_glhf", "run_projected",
     "penalty_integral", "trajectory_l2q_distance",
     "CylinderSpec", "EnergyReport", "MonotonicityReport",

@@ -30,8 +30,8 @@ from . import stereo
 from .errors import (CFLViolated, ConfigError, DimensionMismatch, LatticeTooLarge,
                      SphereFlowError, SpacingTooCoarse, finite, integer)
 from .field import InitialData, SphereField, check_initial, generate, l2_distance
-from .flow import (GLHF_MODES, PenaltySchedule, SolverConfig, Trajectory, run_glhf,
-                   run_projected, penalty_integral, trajectory_l2q_distance)
+from .flow import (PenaltySchedule, SolverConfig, Trajectory, run_glhf, run_projected,
+                   penalty_integral, trajectory_l2q_distance)
 from .geometry import Domain, Grid, build_grid
 
 # the step budget: config load rejects a run of more steps (the shipped
@@ -104,7 +104,7 @@ class ExperimentConfig:
             if sv.get("penalty_integration", "exact-logistic") != "exact-logistic":
                 raise ConfigError("solver.penalty_integration must be 'exact-logistic'")
             mode = sv.get("mode", "glhf-simplified")
-            if mode not in (*GLHF_MODES, "projected"):
+            if mode not in ("glhf-simplified", "projected"):
                 raise ConfigError(f"unknown solver mode {mode!r}")
             lam = None
             if mode != "projected":
@@ -270,8 +270,7 @@ def _run_flow(cfg: ExperimentConfig, u0: SphereField,
               store: Optional[sfio.SnapshotStore] = None) -> Trajectory:
     if cfg.mode == "projected":
         return run_projected(u0, cfg.solver, store=store)
-    return run_glhf(u0, cfg.solver, PenaltySchedule(lam=cfg.lam), mode=cfg.mode,
-                    store=store)
+    return run_glhf(u0, cfg.solver, PenaltySchedule(lam=cfg.lam), store=store)
 
 
 def _write_trajectory(out: Path, traj: Trajectory, store: sfio.SnapshotStore,
@@ -357,7 +356,8 @@ def run_experiment(config_path, out_dir=None, threads: int = 1) -> int:
         return 2
     try:
         # the flow writes each snapshot's data as it takes it; a flow that
-        # fails takes this run's snapshot files with it
+        # fails takes this run's snapshot files with it; the store makes the
+        # run directory before the first step
         store = sfio.SnapshotStore(out / "snapshots")
         try:
             traj = _run_flow(cfg, cfg.build_initial(), store)
@@ -371,7 +371,7 @@ def run_experiment(config_path, out_dir=None, threads: int = 1) -> int:
         manifest = sfio.build_manifest(out, written, cfg.source_sha256)
         sfio.write_json(out / "manifest.json", manifest)
         return 0
-    except SphereFlowError as e:
+    except (SphereFlowError, OSError) as e:      # OSError: the run directory
         _emit_error(out, e, 3)
         return 3
 
@@ -424,6 +424,7 @@ def sweep(config_path, param: str, values, out_dir=None, threads: int = 1) -> in
             header.append("mbar")
         rows = []
         proj = None
+        out.mkdir(parents=True, exist_ok=True)
         for v, cfg in cases:
             u0 = cfg.build_initial()
             traj = _run_flow(cfg, u0)
@@ -446,7 +447,7 @@ def sweep(config_path, param: str, values, out_dir=None, threads: int = 1) -> in
         sfio.write_json(out / "manifest.json",
                         sfio.build_manifest(out, written, base.source_sha256))
         return 0
-    except SphereFlowError as e:
+    except (SphereFlowError, OSError) as e:      # OSError: the run directory
         _emit_error(out, e, 3)
         return 3
 

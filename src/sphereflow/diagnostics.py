@@ -26,7 +26,7 @@ import numpy as np
 from .elliptic import HarmonicExtension
 from .errors import (EmptyIntersection, KernelUnderresolved, TimeNotBeforeCenter,
                      UnboundedDomainUnsupported, WindowOutsideTrajectory)
-from .field import SphereField, gradient_squared_density
+from .field import SphereField, _check_same, gradient_squared_density
 from .flow import Trajectory
 from .geometry import BoundaryFrame, Grid, boundary_frame
 
@@ -447,36 +447,32 @@ def cylinder_integral(traj: Trajectory, cyl: CylinderSpec, mode: str = "gl") -> 
     return float(vals.sum()) * traj.grid.cell_volume
 
 
-def _deviation_integral(traj: Trajectory, h0: HarmonicExtension,
-                        cyl: CylinderSpec) -> float:
-    """Integral of |u - h0|^2 over the clipped cylinder."""
-    nodes = traj.grid.interior_flat[_cylinder_nodes(traj.grid, cyl)]
+def _extension_integrals(traj: Trajectory, h0: HarmonicExtension,
+                         cyl: CylinderSpec) -> tuple[float, float, float]:
+    """(integral of |u - h0|^2, integral of the h0 derivative energies,
+    volume) over the clipped cylinder; raises GridMismatch unless ``h0``
+    lives on the trajectory's grid and target.
+
+    The data field is time-independent; its spacetime integral is the time
+    extent, the window integral of 1, times the spatial one.
+    """
+    _check_same(traj.snapshots[0], h0.field)
+    g = traj.grid
+    pos = _cylinder_nodes(g, cyl)
+    nodes = g.interior_flat[pos]
     h0_vals = h0.field.flat()[nodes]
 
     def dev2(k):
         diff = traj.snapshots[k].flat()[nodes] - h0_vals
         return np.einsum("ij,ij->i", diff, diff)
 
-    vals = window_integral(traj, *cyl.window(), dev2)
-    return float(vals.sum()) * traj.grid.cell_volume
-
-
-def _h0_data_integral(traj: Trajectory, h0: HarmonicExtension,
-                      cyl: CylinderSpec) -> tuple[float, float]:
-    """(integral of h0 derivative energies over the clipped cylinder, volume).
-
-    The data field is time-independent; the spacetime integral is the time
-    extent, the window integral of 1, times the spatial one.
-    """
+    dev = float(window_integral(traj, *cyl.window(), dev2).sum()) * g.cell_volume
     time_extent = float(window_integral(traj, *cyl.window(), lambda k: 1.0))
-    g = h0.grid
-    d = g.d
-    m = (d + 1) // 2 + 1
+    m = (g.d + 1) // 2 + 1
     dens = h0.derivative_density(1) + h0.derivative_density(m)
-    nodes = g.nodes_within(cyl.x0, cyl.R)
-    spatial = float(dens[nodes].sum()) * g.cell_volume
-    vol = time_extent * nodes.size * g.cell_volume
-    return time_extent * spatial, vol
+    spatial = float(dens[pos].sum()) * g.cell_volume
+    vol = time_extent * pos.size * g.cell_volume
+    return dev, time_extent * spatial, vol
 
 
 def reverse_poincare_ratio(traj: Trajectory, h0: HarmonicExtension,
@@ -490,8 +486,7 @@ def reverse_poincare_ratio(traj: Trajectory, h0: HarmonicExtension,
     g = traj.grid
     lhs = cylinder_integral(traj, cyl, mode="gradient") / 2.0 / cyl.R ** g.d
     big = CylinderSpec(t0=cyl.t0, x0=cyl.x0, R=2.0 * cyl.R)
-    dev = _deviation_integral(traj, h0, big)
-    data, vol = _h0_data_integral(traj, h0, big)
+    dev, data, vol = _extension_integrals(traj, h0, big)
     rhs = dev / vol + data / vol
     return lhs, rhs
 
@@ -509,7 +504,6 @@ def hybrid_report(traj: Trajectory, h0: HarmonicExtension, cyl: CylinderSpec,
     inner = cylinder_integral(traj, cyl, mode="gl")
     big = CylinderSpec(t0=cyl.t0, x0=cyl.x0, R=2.0 * cyl.R)
     outer = cylinder_integral(traj, big, mode="gl")
-    dev = _deviation_integral(traj, h0, big)
-    data_int, _ = _h0_data_integral(traj, h0, big)
+    dev, data_int, _ = _extension_integrals(traj, h0, big)
     data = dev / cyl.R ** 2 + data_int
     return inner, outer, data

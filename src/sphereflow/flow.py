@@ -11,13 +11,12 @@ One step, ``_step``, is an operator splitting:
    each row is scaled by sqrt(w1/w0) = (e + (1 - e) w0)^(-1/2), with
    e = exp(-2 Lam dt) clamped below at the smallest normal float, one
    expression for every row, zero rows included.
-   The original equation form weights the reaction by the cutoff slope
-   chi'((w - 1)^2), which is 1 on every norm a step admits, so it is the
-   same ODE and is integrated the same way.
 
 Boundary nodes keep their Dirichlet values throughout.  The projected
 variant replaces the penalty substep by exact normalization of the
-interior nodes.  Runs and the public single steps all go through ``_step``.
+interior nodes.  Runs and the public single steps all go through ``_step``;
+a run's trajectory is labelled ``glhf-simplified`` (penalized) or
+``projected``, and no artifact records the label.
 
 Data path of one step.  A run carries two (n_interior, D+1) arrays from
 step to step: ``rows``, the interior rows of the field, and ``nrows``, the
@@ -71,36 +70,12 @@ from .errors import CFLViolated, NormBlowup
 from .field import SphereField, dirichlet_energy, normalize_rows, project_to_sphere
 from .geometry import BOUNDARY, Grid, put_rows
 
-GLHF_MODES = ("glhf-simplified", "glhf-original")
-
 
 # -- schedules -------------------------------------------------------------
 
 def kappa(t):
     """Penalty-softening exponent schedule, arctan(t)/pi."""
     return np.arctan(t) / np.pi
-
-
-def kappa_dot(t):
-    return 1.0 / (np.pi * (1.0 + np.asarray(t) ** 2))
-
-
-def chi(s):
-    """Cutoff profile: identity below 2, constant 3 above 4, C^1 monotone between.
-
-    On [2, 4] the Hermite interpolant matching values (2, 3) and slopes
-    (1, 0) is the quadratic 2 + 2 tau - tau^2, tau = (s - 2)/2.
-    """
-    s = np.asarray(s, dtype=float)
-    tau = np.clip((s - 2.0) / 2.0, 0.0, 1.0)
-    mid = 2.0 + 2.0 * tau - tau ** 2
-    return np.where(s < 2.0, s, np.where(s >= 4.0, 3.0, mid))
-
-
-def chi_dot(s):
-    s = np.asarray(s, dtype=float)
-    tau = np.clip((s - 2.0) / 2.0, 0.0, 1.0)
-    return np.where(s < 2.0, 1.0, np.where(s >= 4.0, 0.0, 1.0 - tau))
 
 
 @dataclass
@@ -156,8 +131,10 @@ class SolverConfig:
             raise CFLViolated(
                 f"dt = {self.dt:g} exceeds the diffusion bound "
                 f"cfl*h^2/(2d) = {bound:g} (cfl={self.cfl}, h={grid.h}, d={grid.d})")
-        if self.dt <= 0 or self.T <= 0:
-            raise CFLViolated("dt and T must be positive")
+        # the comparisons are false for NaN, which the bound check lets through
+        if not (0.0 < self.dt < math.inf and 0.0 < self.T < math.inf):
+            raise CFLViolated(f"dt and T must be positive and finite, got "
+                              f"dt = {self.dt!r}, T = {self.T!r}")
         if self.output_stride < 1:
             raise ValueError("output stride must be >= 1")
 
@@ -371,7 +348,7 @@ def _keep(u: SphereField, last: bool) -> SphereField:
 
 
 def _run(u0: SphereField, cfg: SolverConfig, sched: Optional[PenaltySchedule],
-         mode: str, store=None) -> Trajectory:
+         store=None) -> Trajectory:
     cfg.validate(u0.grid)
     keep = _keep if store is None else store.take
     n_steps, take = cfg.n_steps(), set(cfg.snapshot_steps())
@@ -399,30 +376,22 @@ def _run(u0: SphereField, cfg: SolverConfig, sched: Optional[PenaltySchedule],
 
     return Trajectory(grid=u0.grid, target_dim=u0.target_dim,
                       times=cfg.snapshot_times(),
-                      snapshots=snapshots, records=records, mode=mode,
+                      snapshots=snapshots, records=records,
+                      mode="glhf-simplified" if sched else "projected",
                       lam=sched.lam if sched else None, dt=cfg.dt)
 
 
 def run_glhf(u0: SphereField, cfg: SolverConfig, sched: PenaltySchedule,
-             mode: str = "glhf-simplified", store=None) -> Trajectory:
-    """Run the penalized flow; ``mode`` labels the trajectory.  Each snapshot
-    is ``store.take(u, last)`` of the flow's field ``u`` (see the module
-    docstring), or an in-memory copy without a store.
-
-    ``glhf-original`` weights the reaction by the cutoff slope
-    chi'((w - 1)^2), which is 1 whenever w < 1 + sqrt(2).  The diffusion is
-    a convex combination and the sup-norm guard stops a run above
-    |u| = 1 + 1e-7, so every w the reaction sees is in that range: both
-    modes solve the same ODE and step identically with the exact logistic.
-    """
-    if mode not in GLHF_MODES:
-        raise ValueError(f"unknown penalized mode {mode!r}")
-    return _run(u0, cfg, sched, mode, store)
+             store=None) -> Trajectory:
+    """Run the penalized flow.  Each snapshot is ``store.take(u, last)`` of
+    the flow's field ``u`` (see the module docstring), or an in-memory copy
+    without a store."""
+    return _run(u0, cfg, sched, store)
 
 
 def run_projected(u0: SphereField, cfg: SolverConfig, store=None) -> Trajectory:
     """Run the projected flow; ``store`` as in ``run_glhf``."""
-    return _run(u0, cfg, None, "projected", store)
+    return _run(u0, cfg, None, store)
 
 
 def penalty_integral(traj: Trajectory) -> float:

@@ -3,12 +3,13 @@ checksummed manifests.
 
 Every writer hashes the bytes it writes and returns ``(sha256, bytes)`` of
 the file, so a manifest is built from those digests without reading an
-artifact back.  A snapshot is two files, written by two writers: the
-``.f64`` data, straight from the field's buffer, and its JSON sidecar.
-``write_snapshot`` is the two in turn; a run's ``SnapshotStore`` writes the
-data as the flow takes each snapshot, hands the flow a read-only map of
-the written file in its place, and leaves the sidecars, which hold no
-field data, to the end of the flow.
+artifact back; it also holds the digest of the config file the run loaded,
+which both commands pass.  A snapshot is two files, written by two
+writers: the ``.f64`` data, straight from the field's buffer, and its JSON
+sidecar.  ``write_snapshot`` is the two in turn; a run's ``SnapshotStore``
+writes the data as the flow takes each snapshot, hands the flow a
+read-only map of the written file in its place, and leaves the sidecars,
+which hold no field data, to the end of the flow.
 """
 
 from __future__ import annotations
@@ -191,11 +192,11 @@ def read_snapshot(path_base: Path) -> tuple[SphereField, dict]:
     return f, sidecar
 
 
-def build_manifest(out_dir: Path, digests: dict,
-                   config_sha256: Optional[str] = None) -> dict:
+def build_manifest(out_dir: Path, digests: dict, config_sha256: str) -> dict:
     """List every file below out_dir, the manifest itself excluded, with
     its ``(sha256, bytes)`` from ``digests``, the writers' returns keyed by
-    path.  A file the run did not write (left by an earlier run in the same
+    path, and the digest ``config_sha256`` of the config the run loaded.  A
+    file the run did not write (left by an earlier run in the same
     directory) is read and hashed."""
     files = []
     for p in sorted(out_dir.rglob("*")):
@@ -204,7 +205,4 @@ def build_manifest(out_dir: Path, digests: dict,
         sha, nbytes = digests[p] if p in digests else (sha256_file(p), p.stat().st_size)
         files.append({"path": p.relative_to(out_dir).as_posix(),
                       "sha256": sha, "bytes": nbytes})
-    manifest = {"files": files}
-    if config_sha256 is not None:
-        manifest["config_sha256"] = config_sha256
-    return manifest
+    return {"files": files, "config_sha256": config_sha256}

@@ -7,8 +7,10 @@ maps act on rows (``stereo_forward``, ``stereo_inverse``); the monitor
 charts the rotated rows of the nodes it reads and never builds a lattice
 array of chart values.  The monitor W(|v|^2) with W(x) = x/(1+x^2) obeys a
 discrete maximum principle along hemisphere-confined flows, tracked per
-recorded snapshot over the active rows; its PDE residual is sampled at a
-few interior nodes from those nodes and their axis neighbours only.
+recorded snapshot over the active rows; its PDE residual is sampled at
+RESIDUAL_SAMPLES interior nodes from those nodes and their axis neighbours
+only.  ``one_sided_monitor(traj)`` takes no other input: the rotation is
+``one_sided_check`` of the run's first snapshot.
 """
 
 from __future__ import annotations
@@ -25,6 +27,7 @@ from .flow import Trajectory
 POLE_GAP = 1e-6
 BAND_FACTOR = 10.0      # the monitor's band: 1e-6 + BAND_FACTOR * dt
 RESIDUAL_SEED = 0       # seed of the PDE-residual sample draw
+RESIDUAL_SAMPLES = 100  # size of that draw
 
 
 @dataclass
@@ -138,18 +141,18 @@ def _chart_rows(snap: SphereField, rot: np.ndarray,
     return stereo_forward(rotated), float(rotated[:, -1].min())
 
 
-def one_sided_monitor(traj: Trajectory, check: Optional[OneSidedCheck] = None,
-                      n_residual_samples: int = 100) -> OneSidedReport:
-    """Track the hemisphere monitor along a run.
+def one_sided_monitor(traj: Trajectory) -> OneSidedReport:
+    """Track the hemisphere monitor along a run, in the rotation that
+    ``one_sided_check`` finds for its first snapshot.
 
     Pass requires the per-snapshot max of W(|v|^2) never to exceed its
     initial value by more than 1e-6 + BAND_FACTOR * dt (BAND_FACTOR = 10),
     and the rotated last component to stay positive.  A pole hit is
-    recorded as a failure at that step, not raised.  The PDE residual is
-    sampled at ``n_residual_samples`` points drawn with RESIDUAL_SEED = 0.
+    recorded as a failure at that step, not raised.  The PDE residual of a
+    passing run of at least 3 snapshots is sampled at RESIDUAL_SAMPLES = 100
+    points drawn with RESIDUAL_SEED = 0.
     """
-    if check is None:
-        check = one_sided_check(traj.snapshots[0])
+    check = one_sided_check(traj.snapshots[0])
     rot = check.rotation
     band = 1e-6 + BAND_FACTOR * traj.dt
 
@@ -170,10 +173,9 @@ def one_sided_monitor(traj: Trajectory, check: Optional[OneSidedCheck] = None,
     passed = first_violation is None
 
     res_mean = res_max = None
-    if passed and len(traj.snapshots) >= 3 and n_residual_samples > 0:
-        res = _pde_residual_samples(traj, rot, n_residual_samples)
-        if res.size:
-            res_mean, res_max = float(np.mean(res)), float(np.max(res))
+    if passed and len(traj.snapshots) >= 3:
+        res = _pde_residual_samples(traj, rot, RESIDUAL_SAMPLES)
+        res_mean, res_max = float(np.mean(res)), float(np.max(res))
 
     return OneSidedReport(
         theta0_proxy=check.theta0_proxy, rotation=rot,

@@ -21,8 +21,7 @@ from sphereflow.flow import (PenaltySchedule, SolverConfig, Trajectory,
 from sphereflow.geometry import Domain, build_grid
 from sphereflow.singular import (SingularConfig, detect_singular_set,
                                  local_scaled_energy, small_energy_certificate)
-from sphereflow.stereo import W, one_sided_check, one_sided_monitor, \
-    stereo_forward, stereo_inverse
+from sphereflow.stereo import W, one_sided_monitor, stereo_forward, stereo_inverse
 
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 
@@ -184,8 +183,7 @@ def test_criterion_7_harmonic_extension(rng):
 def test_criterion_8_one_sided(onesided_run_32):
     t0 = time.time()
     run = onesided_run_32
-    chk = one_sided_check(run.snapshots[0])
-    mon = one_sided_monitor(run, chk)
+    mon = one_sided_monitor(run)
     min_last = min(mon.min_last_track)
     w_ok = max(mon.max_w_track) <= mon.max_w_track[0] + mon.band
     _, table = small_energy_certificate(run, (0.25, np.zeros(2)),

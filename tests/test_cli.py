@@ -189,6 +189,14 @@ def test_unknown_initial_kind_exits_2_at_load(tmp_path, kind):
     assert not (out / "trajectory.csv").exists()
 
 
+@pytest.mark.parametrize("mode", ["glhf-original", "Projected", None])
+def test_unknown_solver_mode_exits_2_at_load(tmp_path, mode):
+    cfg = json.loads((CONFIGS / "cap_disc.json").read_text())
+    cfg["solver"]["mode"] = mode
+    err = _exits_2_at_load(tmp_path, cfg)
+    assert "solver mode" in err["message"]
+
+
 @pytest.mark.parametrize("config,patch", [
     ("onesided_cap.json", {"initial": {"kind": "equator-hedgehog"}}),
     ("hedgehog_ball.json", {"D": 1}),
@@ -474,6 +482,58 @@ def test_sweep_lambda(tmp_path):
     assert dist[0] >= dist[1] >= dist[2]
     l2q = [float(r[rows[0].index("l2q_to_projected")]) for r in rows[1:]]
     assert l2q[0] >= l2q[1] >= l2q[2]
+
+
+def test_sweep_dt(tmp_path):
+    # both values lie under the cap disc's CFL bound 0.9 h^2 / 4 = 2.2e-4
+    out = tmp_path / "sw"
+    assert sweep(CONFIGS / "cap_disc.json", "dt", [1e-4, 2e-4], out) == 0
+    rows = read_rows(out / "sweep.csv")
+    assert rows[0][0] == "dt" and len(rows) == 3
+    assert [float(r[0]) for r in rows[1:]] == [1e-4, 2e-4]
+    assert all(np.isfinite(float(x)) for r in rows[1:] for x in r)
+
+
+def _no_flow(*args, **kwargs):
+    raise AssertionError("the flow ran")
+
+
+def _unwritable_out(tmp_path, command, capsys):
+    """Run ``command(config, out)`` into a directory below a plain file, with
+    the flow patched out: exit 3 before any step, the payload on stderr."""
+    blocker = tmp_path / "file"
+    blocker.write_text("")
+    assert command(CONFIGS / "cap_disc.json", blocker / "sub") == 3
+    err = json.loads(capsys.readouterr().err)
+    assert err["exit_code"] == 3 and err["error"] == "NotADirectoryError"
+
+
+def test_run_into_unwritable_out_exits_3(tmp_path, monkeypatch, capsys):
+    monkeypatch.setattr(cli, "run_glhf", _no_flow)
+    _unwritable_out(tmp_path, run_experiment, capsys)
+    # a run directory whose snapshots path is a file: error.json is written
+    out = tmp_path / "o"
+    out.mkdir()
+    (out / "snapshots").write_text("")
+    assert run_experiment(CONFIGS / "cap_disc.json", out) == 3
+    err = json.loads((out / "error.json").read_text())
+    assert err["error"] == "FileExistsError" and err["exit_code"] == 3
+
+
+def test_sweep_into_unwritable_out_exits_3(tmp_path, monkeypatch, capsys):
+    monkeypatch.setattr(cli, "run_glhf", _no_flow)
+    _unwritable_out(tmp_path, lambda c, o: sweep(c, "lambda", [100.0], o), capsys)
+    # a sweep directory whose sweep.csv is a directory: error.json is written
+    monkeypatch.undo()
+    cfg = json.loads((CONFIGS / "cap_disc.json").read_text())
+    cfg["solver"]["T"] = 1 / 256
+    p = tmp_path / "short.json"
+    p.write_text(json.dumps(cfg))
+    out = tmp_path / "sw"
+    (out / "sweep.csv").mkdir(parents=True)
+    assert sweep(p, "lambda", [100.0], out) == 3
+    err = json.loads((out / "error.json").read_text())
+    assert err["error"] == "IsADirectoryError" and err["exit_code"] == 3
 
 
 def test_sweep_empty_values_exits_2(tmp_path):

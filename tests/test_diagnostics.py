@@ -13,8 +13,8 @@ from sphereflow.diagnostics import (CylinderSpec, backward_heat_kernel,
                                     reverse_poincare_ratio,
                                     weighted_annulus_energy, weight_d, C_GRID)
 from sphereflow.elliptic import solve_harmonic_extension
-from sphereflow.errors import (KernelUnderresolved, TimeNotBeforeCenter,
-                               WindowOutsideTrajectory)
+from sphereflow.errors import (GridMismatch, KernelUnderresolved,
+                               TimeNotBeforeCenter, WindowOutsideTrajectory)
 from sphereflow.field import (InitialData, SphereField, generate,
                               gradient_squared_density)
 from sphereflow.flow import Trajectory
@@ -245,6 +245,21 @@ def test_hybrid_nested_and_fit(cap_run_32, disc32, cap60_32):
     assert inner <= outer + 1e-12
     fits = [c for c in C_GRID if inner <= 0.5 * outer + c * data]
     assert fits, "no constant on the declared grid satisfies the comparison"
+
+
+def test_comparisons_reject_an_extension_on_another_grid(disc16, disc32, cap60_32):
+    # the extension is indexed with the trajectory's flat node indices, so on
+    # another lattice they would name other nodes
+    cyl = CylinderSpec(0.15, np.zeros(2), 0.1)
+    fine = solve_harmonic_extension(disc32, cap60_32, tol=1e-9)
+    coarse_u0 = generate(InitialData(kind="cap", latitude_deg=60.0), disc16, 2)
+    coarse = solve_harmonic_extension(disc16, coarse_u0, tol=1e-9)
+    for traj, h0 in ((Trajectory.static(coarse_u0, [0.0, 0.1, 0.2]), fine),
+                     (Trajectory.static(cap60_32, [0.0, 0.1, 0.2]), coarse)):
+        with pytest.raises(GridMismatch):
+            reverse_poincare_ratio(traj, h0, cyl)
+        with pytest.raises(GridMismatch):
+            hybrid_report(traj, h0, cyl, 0.5)
 
 
 # -- ball-local densities --------------------------------------------------------

@@ -96,7 +96,7 @@ def test_one_sided_check_cap(disc32, cap60_32):
 def test_monitor_constant_track(disc16):
     f = generate(InitialData(kind="cap", latitude_deg=30.0), disc16, 2)
     traj = Trajectory.static(f, [0.0, 0.1, 0.2])
-    rep = one_sided_monitor(traj, n_residual_samples=0)
+    rep = one_sided_monitor(traj)
     assert rep.passed
     assert max(rep.max_w_track) - min(rep.max_w_track) <= 1e-15
 
@@ -119,7 +119,7 @@ def test_monitor_flags_injected_equator_crossing(disc16):
     node = disc16.interior_flat[0]
     bad.flat()[node] = [1.0, 0.0, 0.0]        # equator value
     traj.snapshots[bad_step] = bad
-    rep = one_sided_monitor(traj, n_residual_samples=0)
+    rep = one_sided_monitor(traj)
     assert not rep.passed
     assert rep.first_violation_step == bad_step
 
@@ -133,7 +133,7 @@ def test_monitor_reports_pole_hit_as_failure(disc16):
     bad = u0.copy()
     bad.flat()[disc16.interior_flat[0]] = [0.0, 0.0, -1.0]
     traj.snapshots[1] = bad
-    rep = one_sided_monitor(traj, n_residual_samples=0)
+    rep = one_sided_monitor(traj)
     assert not rep.passed
     assert rep.first_violation_step == 1
 
