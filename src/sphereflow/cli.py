@@ -64,9 +64,7 @@ class ExperimentConfig:
     lattice the run steps on; ``source_sha256`` is the digest of the file
     ``load`` parsed, for the manifest."""
 
-    domain: Domain
     grid: Grid
-    h: float
     D: int
     initial: InitialData
     mode: str
@@ -141,10 +139,9 @@ class ExperimentConfig:
                     raise ConfigError("custom-samples initial data needs a snapshot path")
                 snapshot = Path(raw["initial"]["path"])
                 sfio.check_snapshot(snapshot, grid.shape + (D + 1,))
-            return ExperimentConfig(domain=domain, grid=grid, h=h, D=D, initial=initial,
-                                    mode=mode, lam=lam, solver=solver,
-                                    diagnostics=diagnostics, raw=raw,
-                                    snapshot=snapshot)
+            return ExperimentConfig(grid=grid, D=D, initial=initial, mode=mode,
+                                    lam=lam, solver=solver, diagnostics=diagnostics,
+                                    raw=raw, snapshot=snapshot)
         except ConfigError:
             raise
         except (AttributeError, KeyError, OverflowError, TypeError, ValueError) as e:

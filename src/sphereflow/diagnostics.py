@@ -5,12 +5,12 @@ extension.
 All spacetime integrals use a left-endpoint rectangle rule in time with
 window clipping and h^d node weights in space.  A node density holds one
 value per interior node, in ``grid.interior_flat`` order, and a ball of
-nodes is positions into it (``Grid.nodes_within``); a trajectory caches
-its densities by snapshot index and mode, and a cylinder computes only
-its ball until a second ball asks for the same snapshot
-(``_ball_density``).  Fit constants are searched on declared finite
-grids; reports expose the fitted pair and the residual defect instead of
-asserting universal constants.
+nodes is positions into it (``Grid.nodes_within``).  ``energy_density``
+is the one way to a density: a whole density is cached on the trajectory
+by snapshot and mode, and a ball slices a cached density or computes its
+own nodes only, caching nothing.  Fit constants are searched on declared
+finite grids; reports expose the fitted pair and the residual defect
+instead of asserting universal constants.
 """
 
 from __future__ import annotations
@@ -137,48 +137,42 @@ def _penalty_density(traj: Trajectory, k: int, nodes=None) -> np.ndarray:
     return (sched.strength(traj.times[k]) if sched else 0.0) * (w - 1.0) ** 2 / 4.0
 
 
-def energy_density(traj: Trajectory, k: int, mode: str = "gl") -> np.ndarray:
-    """Density of snapshot k at the interior nodes: gl density or plain
-    |grad u|^2.
+def _cache_key(traj: Trajectory, k: int) -> int:
+    """The entry of the density cache snapshot k shares: 0 when it is
+    snapshot 0 and the run has no schedule, so that its densities depend
+    on the field alone (every snapshot of an unedited static trajectory);
+    k otherwise."""
+    return 0 if traj.lam is None and traj.snapshots[k] is traj.snapshots[0] else k
+
+
+def energy_density(traj: Trajectory, k: int, mode: str = "gl",
+                   nodes=None) -> np.ndarray:
+    """Density of snapshot k at the interior nodes, or at the positions
+    ``nodes`` into ``interior_flat``: gl density or plain |grad u|^2.
 
     gl mode:       |grad u|^2 / 2 + Lam (|u|^2 - 1)^2 / 4,
     gradient mode: |grad u|^2.
-    Cached per (``traj.cache_index(k)``, mode) on the trajectory (the
-    strength is fixed by k), and the gl density is built from the cached
-    gradient one.
+    The whole density is cached on the trajectory per (``_cache_key``,
+    mode) (the strength is fixed by k), and the gl density is built from
+    the cached gradient one.  At ``nodes`` a cached density is sliced;
+    otherwise only those nodes are computed, bit for bit the slice, and
+    nothing is cached.
     """
     if mode not in ("gl", "gradient"):
         raise ValueError(f"unknown density mode {mode!r}")
     cache = traj._density_cache
-    k = traj.cache_index(k)
-    if (k, "gradient") not in cache:
-        cache[k, "gradient"] = gradient_squared_density(traj.snapshots[k])
-    if (k, mode) not in cache:
-        cache[k, mode] = 0.5 * cache[k, "gradient"] + _penalty_density(traj, k)
-    return cache[k, mode]
-
-
-def _ball_density(traj: Trajectory, k: int, mode: str, nodes: np.ndarray) -> np.ndarray:
-    """``energy_density(traj, k, mode)[nodes]``, bit for bit, computing no
-    more of snapshot k than it must.
-
-    A cached density is sliced.  Otherwise the first ball that asks for
-    (k, mode) gets its nodes only, and the trajectory marks (k, mode); the
-    second gets the whole density, which is then cached.  So a snapshot
-    pays at most one ball evaluation beyond its whole density, and a
-    snapshot only one ball ever reads costs that ball.
-    """
-    if mode not in ("gl", "gradient"):
-        raise ValueError(f"unknown density mode {mode!r}")
-    key = (traj.cache_index(k), mode)
-    cache = traj._density_cache
-    if key in cache or key in traj._ball_asked:
-        return energy_density(traj, k, mode)[nodes]
-    traj._ball_asked.add(key)
-    k = key[0]
-    grad = (cache[k, "gradient"][nodes] if (k, "gradient") in cache
-            else gradient_squared_density(traj.snapshots[k], nodes))
-    return grad if mode == "gradient" else 0.5 * grad + _penalty_density(traj, k, nodes)
+    k = _cache_key(traj, k)
+    if (k, mode) in cache:
+        return cache[k, mode] if nodes is None else cache[k, mode][nodes]
+    if (k, "gradient") in cache:
+        grad = cache[k, "gradient"] if nodes is None else cache[k, "gradient"][nodes]
+    else:
+        grad = gradient_squared_density(traj.snapshots[k], nodes)
+    dens = grad if mode == "gradient" else 0.5 * grad + _penalty_density(traj, k, nodes)
+    if nodes is None:
+        cache[k, "gradient"] = grad
+        cache[k, mode] = dens
+    return dens
 
 
 def energy_report(traj: Trajectory, k: int) -> EnergyReport:
@@ -443,7 +437,7 @@ def cylinder_integral(traj: Trajectory, cyl: CylinderSpec, mode: str = "gl") -> 
     """Plain integral of the chosen density over the clipped cylinder."""
     nodes = _cylinder_nodes(traj.grid, cyl)
     vals = window_integral(traj, *cyl.window(),
-                           lambda k: _ball_density(traj, k, mode, nodes))
+                           lambda k: energy_density(traj, k, mode, nodes))
     return float(vals.sum()) * traj.grid.cell_volume
 
 

@@ -20,7 +20,7 @@ from dataclasses import dataclass, field as dfield
 
 import numpy as np
 
-from .errors import NoConvergence, OrderTooHighForGrid
+from .errors import GridMismatch, NoConvergence, OrderTooHighForGrid
 from .field import SphereField
 from .geometry import EXTERIOR, Grid, neighbor_sum, put_rows
 
@@ -71,8 +71,11 @@ def solve_harmonic_extension(grid: Grid, boundary_data: SphereField,
 
     One conjugate-gradient solve (see the module docstring); ``iterations``
     is its iteration count.  ``method`` accepts only ``"direct"``, the name
-    the benchmark passes, and selects that same solver.
+    the benchmark passes, and selects that same solver.  Raises GridMismatch
+    unless ``boundary_data`` lives on a grid compatible with ``grid``.
     """
+    if not grid.compatible(boundary_data.grid):
+        raise GridMismatch("boundary data lives on another grid")
     if not tol > 0:
         raise ValueError("tolerance must be positive")
     if method != "direct":

@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field as dfield
+from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
@@ -23,7 +23,6 @@ class SphereField:
     grid: Grid
     values: np.ndarray
     target_dim: int                       # D; values live in R^{D+1}
-    metadata: dict = dfield(default_factory=dict)
 
     @property
     def ncomp(self) -> int:
@@ -33,8 +32,7 @@ class SphereField:
         return self.values.reshape(-1, self.ncomp)
 
     def copy(self) -> "SphereField":
-        return SphereField(self.grid, self.values.copy(), self.target_dim,
-                           dict(self.metadata))
+        return SphereField(self.grid, self.values.copy(), self.target_dim)
 
     def active_values(self) -> np.ndarray:
         return self.flat()[self.grid.active_flat]
@@ -114,7 +112,6 @@ def generate(init: InitialData, grid: Grid, D: int) -> SphereField:
             f"cannot allocate {ncomp} components on a {grid.shape} lattice: {e}") from e
     flat = values.reshape(-1, ncomp)
     idx, pts = _eval_points(grid)
-    meta: dict = {"kind": init.kind}
 
     if init.kind == "constant":
         flat[idx] = init.vector if init.vector is not None else np.eye(ncomp)[-1]
@@ -138,18 +135,13 @@ def generate(init: InitialData, grid: Grid, D: int) -> SphereField:
         safe[safe == 0] = 1.0
         flat[idx, :3] = pts / safe[:, None]
         if n[center] == 0.0:
-            fill = np.zeros(ncomp)
-            fill[2] = 1.0
-            flat[idx[center]] = fill
-            meta["center_flat_index"] = int(idx[center])
-            meta["center_value"] = fill.tolist()
+            flat[idx[center]] = np.eye(ncomp)[2]
 
     elif init.kind == "boundary-wrap":
         c = grid.domain.center()
         th = init.winding * np.arctan2(pts[:, 1] - c[1], pts[:, 0] - c[0])
         flat[idx, 0] = np.cos(th)
         flat[idx, 1] = np.sin(th)
-        meta["winding"] = init.winding
 
     elif init.kind == "custom-samples":
         if init.samples is None:
@@ -163,8 +155,7 @@ def generate(init: InitialData, grid: Grid, D: int) -> SphereField:
     else:
         raise DimensionMismatch(f"unknown initial data kind {init.kind!r}")
 
-    out = SphereField(grid=grid, values=values, target_dim=D, metadata=meta)
-    return project_to_sphere(out)
+    return project_to_sphere(SphereField(grid=grid, values=values, target_dim=D))
 
 
 def project_to_sphere(f: SphereField) -> SphereField:

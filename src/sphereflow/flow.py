@@ -14,9 +14,7 @@ One step, ``_step``, is an operator splitting:
 
 Boundary nodes keep their Dirichlet values throughout.  The projected
 variant replaces the penalty substep by exact normalization of the
-interior nodes.  Runs and the public single steps all go through ``_step``;
-a run's trajectory is labelled ``glhf-simplified`` (penalized) or
-``projected``, and no artifact records the label.
+interior nodes.  Runs and the public single steps all go through ``_step``.
 
 Data path of one step.  A run carries two (n_interior, D+1) arrays from
 step to step: ``rows``, the interior rows of the field, and ``nrows``, the
@@ -132,9 +130,9 @@ class SolverConfig:
                 f"dt = {self.dt:g} exceeds the diffusion bound "
                 f"cfl*h^2/(2d) = {bound:g} (cfl={self.cfl}, h={grid.h}, d={grid.d})")
         # the comparisons are false for NaN, which the bound check lets through
-        if not (0.0 < self.dt < math.inf and 0.0 < self.T < math.inf):
-            raise CFLViolated(f"dt and T must be positive and finite, got "
-                              f"dt = {self.dt!r}, T = {self.T!r}")
+        if not all(0.0 < v < math.inf for v in (self.dt, self.T, self.cfl)):
+            raise CFLViolated(f"dt, T and cfl must be positive and finite, got "
+                              f"dt = {self.dt!r}, T = {self.T!r}, cfl = {self.cfl!r}")
         if self.output_stride < 1:
             raise ValueError("output stride must be >= 1")
 
@@ -154,15 +152,13 @@ class Trajectory:
     """Recorded snapshots plus per-step scalar records of a flow run."""
 
     grid: Grid
-    target_dim: int
     times: list                     # snapshot times
     snapshots: list                 # SphereField per recorded time
     records: list                   # StepRecord per step (including step 0)
-    mode: str
-    lam: Optional[float]
+    lam: Optional[float]            # None: projected or static
     dt: float
-    _density_cache: dict = dfield(default_factory=dict, repr=False)   # (k, mode) -> density
-    _ball_asked: set = dfield(default_factory=set, repr=False)       # (k, mode) a ball took
+    # (k, mode) -> density, filled by diagnostics.energy_density
+    _density_cache: dict = dfield(default_factory=dict, repr=False)
 
     @property
     def t_final(self) -> float:
@@ -174,11 +170,6 @@ class Trajectory:
         static trajectory, whose ``lam`` is None."""
         return None if self.lam is None else PenaltySchedule(self.lam)
 
-    def cache_index(self, k: int) -> int:
-        """The index the density cache files snapshot k under: k, or 0 for
-        every snapshot of a static trajectory, which repeats one field."""
-        return 0 if self.mode == "static" else k
-
     @staticmethod
     def static(f: SphereField, times) -> "Trajectory":
         """Time-frozen trajectory of a single field (diagnostic harness)."""
@@ -189,8 +180,7 @@ class Trajectory:
         recs = [StepRecord(step=k, t=t, gl_energy=0.0,
                            dirichlet_energy=0.0, penalty_increment=0.0,
                            max_norm=f.max_norm()) for k, t in enumerate(times)]
-        return Trajectory(grid=f.grid, target_dim=f.target_dim, times=times,
-                          snapshots=snaps, records=recs, mode="static",
+        return Trajectory(grid=f.grid, times=times, snapshots=snaps, records=recs,
                           lam=None, dt=times[1] - times[0])
 
 
@@ -374,10 +364,8 @@ def _run(u0: SphereField, cfg: SolverConfig, sched: Optional[PenaltySchedule],
         if k + 1 in take:
             snapshots.append(keep(u, k + 1 == n_steps))
 
-    return Trajectory(grid=u0.grid, target_dim=u0.target_dim,
-                      times=cfg.snapshot_times(),
+    return Trajectory(grid=u0.grid, times=cfg.snapshot_times(),
                       snapshots=snapshots, records=records,
-                      mode="glhf-simplified" if sched else "projected",
                       lam=sched.lam if sched else None, dt=cfg.dt)
 
 

@@ -118,7 +118,7 @@ def map_snapshot(path: Path, f: SphereField) -> SphereField:
     with open(path, "rb") as fh:
         mm = mmap.mmap(fh.fileno(), 0, access=mmap.ACCESS_READ)
     values = np.frombuffer(mm, dtype="<f8").reshape(f.values.shape)
-    return SphereField(f.grid, values, f.target_dim, dict(f.metadata))
+    return SphereField(f.grid, values, f.target_dim)
 
 
 def map_budget() -> int:

@@ -189,7 +189,7 @@ def detect_singular_set(traj: Trajectory, cfg: SingularConfig) -> SingularReport
     for (t0, x) in flagged[:64]:
         ks, _ = window_snapshots(traj, *cylinder_window(t0, rmin))
         nodes_in = g.nodes_within(np.asarray(x), rmin)
-        sup_val = max(float(energy_density(traj, int(k), dens_mode)[nodes_in]
+        sup_val = max(float(energy_density(traj, int(k), dens_mode, nodes_in)
                             .max(initial=0.0)) for k in ks)
         sup_checks.append((t0, x, sup_val, sup_val * rmin ** 2))
 

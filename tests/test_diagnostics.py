@@ -5,7 +5,6 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from sphereflow import diagnostics
 from sphereflow.diagnostics import (CylinderSpec, backward_heat_kernel,
                                     cylinder_integral, energy_density,
                                     energy_report, hybrid_report, main2_lhs,
@@ -270,13 +269,13 @@ def _random_trajectory(grid, rng, n=3, lam=1e3):
     snaps = [SphereField(grid, rng.standard_normal(grid.shape + (3,)), 2)
              for _ in range(n)]
     times = [0.1 * k for k in range(n)]
-    return Trajectory(grid=grid, target_dim=2, times=times, snapshots=snaps,
-                      records=[], mode="glhf-simplified", lam=lam, dt=0.1)
+    return Trajectory(grid=grid, times=times, snapshots=snaps, records=[],
+                      lam=lam, dt=0.1)
 
 
 def _fresh(traj):
-    """The same snapshots with an empty density cache and no ball marks."""
-    return dataclasses.replace(traj, _density_cache={}, _ball_asked=set())
+    """The same snapshots with an empty density cache."""
+    return dataclasses.replace(traj, _density_cache={})
 
 
 @pytest.mark.parametrize("domain, h, balls", [
@@ -296,8 +295,10 @@ def test_ball_density_is_the_sliced_density(domain, h, balls, rng):
         assert np.array_equal(gradient_squared_density(traj.snapshots[k], nodes),
                               full["gradient"][nodes])
         for mode in ("gl", "gradient"):
-            assert np.array_equal(diagnostics._ball_density(_fresh(traj), k, mode, nodes),
+            fresh = _fresh(traj)
+            assert np.array_equal(energy_density(fresh, k, mode, nodes),
                                   full[mode][nodes])
+            assert not fresh._density_cache
     # a ball that touches the boundary reads boundary values
     edge = g.nodes_within(np.asarray(balls[1][0]), balls[1][1])
     ends = g.interior_flat[edge][:, None] + np.concatenate([g.strides(), -g.strides()])
@@ -314,13 +315,28 @@ def test_cylinder_integral_same_in_every_cache_state(disc32, rng, mode):
     cyl = CylinderSpec(t0=0.2, x0=np.array([0.3, 0.0]), R=0.25)
     ks = (1, 2)                         # the snapshots meeting [0.1375, 0.2625)
     empty = cylinder_integral(traj, cyl, mode)
-    assert not traj._density_cache
-    assert traj._ball_asked == {(k, mode) for k in ks}
-    marked = cylinder_integral(traj, cyl, mode)
+    assert empty == cylinder_integral(traj, cyl, mode)
+    assert not traj._density_cache      # a ball on an uncached snapshot caches nothing
+    for k in ks:
+        energy_density(traj, k, mode)
     assert {(k, mode) for k in ks} <= set(traj._density_cache)
-    cached = cylinder_integral(traj, cyl, mode)
-    assert empty == marked == cached
-    # and the gl density sliced from a cached gradient one
+    assert cylinder_integral(traj, cyl, mode) == empty
+    # and the gl density at the ball from a cached gradient one
     if mode == "gradient":
         assert (cylinder_integral(traj, cyl, "gl")
                 == cylinder_integral(_fresh(traj), cyl, "gl"))
+
+
+def test_edited_static_trajectory_reads_each_snapshot(disc16):
+    # a static trajectory shares one cache entry while its list repeats one
+    # field; a snapshot put in its place has densities of its own
+    const = generate(InitialData(kind="constant"), disc16, 2)
+    cap = generate(InitialData(kind="cap", latitude_deg=60.0), disc16, 2)
+    traj = Trajectory.static(const, [0.0, 0.1, 0.2])
+    traj.snapshots[1] = cap
+    want = gradient_squared_density(cap)
+    assert want.sum() > 1000.0
+    for k in (0, 1, 2):
+        assert np.array_equal(energy_density(traj, k, "gradient"),
+                              want if k == 1 else np.zeros_like(want))
+    assert sorted(traj._density_cache) == [(0, "gradient"), (1, "gradient")]

@@ -8,7 +8,7 @@ import pytest
 
 from sphereflow.elliptic import (derivative_energy_density, higher_derivative_energy,
                                  solve_harmonic_extension, _depth_mask)
-from sphereflow.errors import OrderTooHighForGrid
+from sphereflow.errors import GridMismatch, OrderTooHighForGrid
 from sphereflow.field import InitialData, SphereField, dirichlet_energy, generate
 from sphereflow.geometry import Domain, build_grid
 
@@ -102,6 +102,17 @@ def test_cg_agrees_with_dense_solve():
 def test_unknown_method_rejected(disc16):
     with pytest.raises(ValueError, match="method"):
         solve_harmonic_extension(disc16, first_harmonic_data(disc16), method="jacobi")
+
+
+@pytest.mark.parametrize("domain, h", [(Domain.unit_ball(2), 1 / 8),
+                                        (Domain.box([[-1.0, 1.0], [-1.0, 1.0]]), 1 / 16)],
+                         ids=["coarser-disc", "box-same-shape"])
+def test_boundary_data_from_another_grid_rejected(disc16, domain, h):
+    # another spacing indexes out of range; the box shares the disc's lattice
+    # shape and would be solved on its own grid
+    other = build_grid(domain, h)
+    with pytest.raises(GridMismatch):
+        solve_harmonic_extension(disc16, first_harmonic_data(other))
 
 
 def test_derivative_energy_constant_zero(disc16):

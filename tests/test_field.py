@@ -33,7 +33,9 @@ def test_hedgehog_node_value():
     flat = f.flat()
     node = np.flatnonzero(np.all(g.coords() == [0.5, 0.0, 0.0], axis=1))[0]
     np.testing.assert_allclose(flat[node], [1.0, 0.0, 0.0], atol=1e-15)
-    assert "center_flat_index" in f.metadata
+    # the direction x/|x| is undefined at the centre, which holds the pole
+    centre = np.flatnonzero(np.all(g.coords() == 0.0, axis=1))[0]
+    assert flat[centre].tolist() == [0.0, 0.0, 1.0]
 
 
 def test_hedgehog_dimension_mismatch(disc16):

@@ -113,15 +113,19 @@ def test_cfl_violation(disc16, cap60_32):
         glhf_step(f, 0.0, cfg, PenaltySchedule(lam=10.0))
 
 
-@pytest.mark.parametrize("dt, T", [(float("nan"), 0.1), (float("inf"), 0.1),
-                                   (float("-inf"), 0.1), (1e-4, float("nan")),
-                                   (1e-4, float("inf"))],
-                         ids=["dt-nan", "dt-inf", "dt-minus-inf", "T-nan", "T-inf"])
-def test_non_finite_dt_or_T_violates_cfl(disc16, dt, T):
-    # NaN passes every comparison with the bound; n_steps would fail on it
+@pytest.mark.parametrize("dt, T, cfl", [(float("nan"), 0.1, 0.9), (float("inf"), 0.1, 0.9),
+                                        (float("-inf"), 0.1, 0.9), (1e-4, float("nan"), 0.9),
+                                        (1e-4, float("inf"), 0.9), (0.01, 0.05, float("nan")),
+                                        (0.01, 0.05, float("inf"))],
+                         ids=["dt-nan", "dt-inf", "dt-minus-inf", "T-nan", "T-inf",
+                              "cfl-nan", "cfl-inf"])
+def test_non_finite_dt_or_T_violates_cfl(disc16, dt, T, cfl):
+    # NaN passes every comparison with the bound; n_steps would fail on it.
+    # A NaN or infinite cfl makes the bound admit dt = 0.01, 45 times the
+    # stable step on this grid
     f = generate(InitialData(kind="constant"), disc16, 2)
     with pytest.raises(CFLViolated):
-        run_glhf(f, SolverConfig(dt=dt, T=T), PenaltySchedule(lam=10.0))
+        run_glhf(f, SolverConfig(dt=dt, T=T, cfl=cfl), PenaltySchedule(lam=10.0))
 
 
 def test_norm_blowup_guard(disc16):

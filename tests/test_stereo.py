@@ -127,9 +127,6 @@ def test_monitor_flags_injected_equator_crossing(disc16):
 def test_monitor_reports_pole_hit_as_failure(disc16):
     u0 = generate(InitialData(kind="cap", latitude_deg=30.0), disc16, 2)
     traj = Trajectory.static(u0, [0.0, 0.1, 0.2])
-    traj = Trajectory(grid=traj.grid, target_dim=2, times=traj.times,
-                      snapshots=list(traj.snapshots), records=traj.records,
-                      mode="static", lam=None, dt=traj.dt)
     bad = u0.copy()
     bad.flat()[disc16.interior_flat[0]] = [0.0, 0.0, -1.0]
     traj.snapshots[1] = bad
