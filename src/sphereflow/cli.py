@@ -30,6 +30,8 @@ from . import stereo
 from .errors import (CFLViolated, ConfigError, DimensionMismatch, LatticeTooLarge,
                      SphereFlowError, SpacingTooCoarse, finite, integer)
 from .field import InitialData, SphereField, check_initial, generate, l2_distance
+# the benchmark tracer wraps the binding cli.trajectory_l2q_distance, which
+# sweep's l2q_to_projected equals, so it stays imported here
 from .flow import (PenaltySchedule, SolverConfig, Trajectory, run_glhf, run_projected,
                    penalty_integral, trajectory_l2q_distance)
 from .geometry import Domain, Grid, build_grid
@@ -263,8 +265,8 @@ def _point(sec: dict, d: int) -> tuple:
     return finite("t0", sec["t0"]), _coords(sec["x0"], d)
 
 
-def _run_flow(cfg: ExperimentConfig, u0: SphereField,
-              store: Optional[sfio.SnapshotStore] = None) -> Trajectory:
+def _run_flow(cfg: ExperimentConfig, u0: SphereField, store=None) -> Trajectory:
+    """The case's flow from ``u0``; ``store`` as in ``flow.run_glhf``."""
     if cfg.mode == "projected":
         return run_projected(u0, cfg.solver, store=store)
     return run_glhf(u0, cfg.solver, PenaltySchedule(lam=cfg.lam), store=store)
@@ -387,6 +389,13 @@ SWEEP_PARAMS = ("lambda", "h", "dt")
 
 
 def sweep(config_path, param: str, values, out_dir=None, threads: int = 1) -> int:
+    """Run the config once per value of ``param`` and write one ``sweep.csv``
+    row per case.  Each case streams: the flow hands every snapshot to a
+    ``_CaseStream`` store, which records the few numbers the row reads of it
+    and keeps no snapshot, and the case's run is released before the next
+    one starts.  The projected reference a penalized case is compared with
+    is an in-memory run, computed once for a lambda sweep and per case for
+    an h or dt sweep.  Returns the exit code."""
     # threads is unused; the keyword stays because the benchmark harness passes it
     config_path = Path(config_path)
     out = Path(out_dir) if out_dir else config_path.parent / (config_path.stem + "_sweep")
@@ -420,26 +429,17 @@ def sweep(config_path, param: str, values, out_dir=None, threads: int = 1) -> in
         if probe:
             header.append("mbar")
         rows = []
-        proj = None
+        ref = None
         out.mkdir(parents=True, exist_ok=True)
         for v, cfg in cases:
             u0 = cfg.build_initial()
-            traj = _run_flow(cfg, u0)
-            if cfg.mode == "projected":
-                proj = traj
-            elif proj is None or param != "lambda":
-                # the projected reference does not depend on lambda
-                proj = run_projected(u0, cfg.solver)
-            row = [v,
-                   penalty_integral(traj),
-                   l2_distance(traj.snapshots[-1], proj.snapshots[-1]),
-                   trajectory_l2q_distance(traj, proj),
-                   traj.records[-1].gl_energy,
-                   traj.records[-1].dirichlet_energy]
-            if probe:
-                z0, R, mode = probe
-                row.append(sing.local_scaled_energy(traj, z0, R, mode=mode))
-            rows.append(row)
+            if param != "lambda":
+                ref = None              # the last case's, released before stepping
+            if ref is None and cfg.mode != "projected":
+                # a lambda sweep runs this once: the reference does not depend
+                # on lambda; a projected case is its own reference
+                ref = run_projected(u0, cfg.solver)
+            rows.append(_sweep_row(v, cfg, u0, ref, probe))
         written = {out / "sweep.csv": sfio.write_csv(out / "sweep.csv", header, rows)}
         sfio.write_json(out / "manifest.json",
                         sfio.build_manifest(out, written, base.source_sha256))
@@ -447,6 +447,71 @@ def sweep(config_path, param: str, values, out_dir=None, threads: int = 1) -> in
     except (SphereFlowError, OSError) as e:      # OSError: the run directory
         _emit_error(out, e, 3)
         return 3
+
+
+class _CaseStream:
+    """The snapshot store of one sweep case: what ``sweep.csv`` reads of
+    each snapshot, recorded as the flow takes it.
+
+    ``take`` records the L^2 distance of snapshot k to snapshot k of the
+    projected reference ``ref`` (0.0 without one: a projected case is its
+    own reference) and, for the snapshots in the mbar probe's time window,
+    the probe's density on its ball.  It returns the flow's live field, so
+    the case holds its final field and no other snapshot; every entry of
+    the run's trajectory is that field.
+    """
+
+    def __init__(self, cfg: ExperimentConfig, ref: Optional[Trajectory], probe):
+        self.ref = ref
+        self.dist: list = []
+        self.ball: dict = {}
+        # the snapshots taken so far, each the live field, for energy_density
+        # to read snapshot k's field, time and strength from at capture
+        self.traj = Trajectory(grid=cfg.grid, times=cfg.solver.snapshot_times(),
+                               snapshots=[], records=[], lam=cfg.lam, dt=cfg.solver.dt)
+        self.window = ()
+        if probe:
+            (t0, x0), R, mode = probe
+            self.cyl = diag.CylinderSpec(t0, x0, R)
+            self.mode, self.dens_mode = mode, sing.density_mode(mode)
+            self.nodes = cfg.grid.nodes_within(self.cyl.x0, R)
+            ks, _ = diag.window_snapshots(self.traj, *self.cyl.window())
+            self.window = set(ks.tolist())
+
+    def take(self, u: SphereField, last: bool) -> SphereField:
+        k = len(self.traj.snapshots)
+        self.traj.snapshots.append(u)
+        self.dist.append(0.0 if self.ref is None
+                         else l2_distance(u, self.ref.snapshots[k]))
+        if k in self.window:
+            self.ball[k] = diag.energy_density(self.traj, k, self.dens_mode, self.nodes)
+        return u
+
+    def l2q(self) -> float:
+        """``trajectory_l2q_distance`` of the case and its reference, from
+        the recorded distances."""
+        t = self.traj.times
+        return math.sqrt(diag.window_integral(self.traj, t[0], t[-1],
+                                              lambda k: self.dist[k] ** 2))
+
+    def mbar(self) -> float:
+        """``local_scaled_energy`` of the probe, from the recorded densities."""
+        return (diag.ball_integral(self.traj, self.cyl, self.ball.__getitem__)
+                / sing.cylinder_scale(self.mode, self.cyl.R, self.traj.grid.d))
+
+
+def _sweep_row(v: float, cfg: ExperimentConfig, u0: SphereField,
+               ref: Optional[Trajectory], probe) -> list:
+    """The ``sweep.csv`` row of the case ``cfg``, run from ``u0`` against the
+    projected reference ``ref`` (None for a projected case); the case's run
+    is released on return."""
+    stream = _CaseStream(cfg, ref, probe)
+    traj = _run_flow(cfg, u0, stream)
+    row = [v, penalty_integral(traj), stream.dist[-1], stream.l2q(),
+           traj.records[-1].gl_energy, traj.records[-1].dirichlet_energy]
+    if probe:
+        row.append(stream.mbar())
+    return row
 
 
 def main(argv=None) -> int:

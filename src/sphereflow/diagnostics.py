@@ -434,10 +434,27 @@ def _cylinder_nodes(grid: Grid, cyl: CylinderSpec) -> np.ndarray:
 
 
 def cylinder_integral(traj: Trajectory, cyl: CylinderSpec, mode: str = "gl") -> float:
-    """Plain integral of the chosen density over the clipped cylinder."""
+    """Plain integral of the chosen density over the clipped cylinder.
+    Snapshots that share a density cache entry (``_cache_key``) share one
+    ball evaluation."""
     nodes = _cylinder_nodes(traj.grid, cyl)
-    vals = window_integral(traj, *cyl.window(),
-                           lambda k: energy_density(traj, k, mode, nodes))
+    ball = {}
+
+    def at(k: int) -> np.ndarray:
+        key = _cache_key(traj, k)
+        if key not in ball:
+            ball[key] = energy_density(traj, k, mode, nodes)
+        return ball[key]
+
+    return ball_integral(traj, cyl, at)
+
+
+def ball_integral(traj: Trajectory, cyl: CylinderSpec, ball_density) -> float:
+    """The cylinder integral from ``ball_density(k)``, the density of
+    snapshot k on the cylinder's ball: the window integral of those values,
+    summed over the ball, times the cell volume.  A caller that recorded
+    the values while the flow ran gets ``cylinder_integral`` bit for bit."""
+    vals = window_integral(traj, *cyl.window(), ball_density)
     return float(vals.sum()) * traj.grid.cell_volume
 
 

@@ -35,13 +35,17 @@ one neighbour sum no step uses.
 
 Buffers.  ``_run`` copies ``u0`` once and then owns that field: ``_step``
 mutates it in place.  The run hands the field to a snapshot store at each
-snapshot step, and the trajectory holds what the store returns.  Without a
-store (``store=None``) that is a copy of the field, and the field itself
-for the last snapshot, which no step writes again; a ``io.SnapshotStore``
-instead writes the field's values to a file and returns a read-only map of
-it, so a run's heap does not grow with its snapshot count.  Either way no
-later step writes the caller's ``u0`` or a returned snapshot.  Beyond the
-field and the snapshots a run holds three interior-row
+snapshot step, ``store.take(u, last)``, and the trajectory holds what the
+store returns.  Without a store (``store=None``) that is a copy of the
+field, and the field itself for the last snapshot, which no step writes
+again; a ``io.SnapshotStore`` instead writes the field's values to a file
+and returns a read-only map of it, so a run's heap does not grow with its
+snapshot count.  Either way no later step writes the caller's ``u0`` or a
+returned snapshot.  A store may also consume each snapshot as it is taken
+and return the field itself: a sweep case's store (``cli._CaseStream``)
+records what it needs of snapshot k at capture, so the case holds no
+snapshot, and every entry of its trajectory is the run's final field.
+Beyond the field and the snapshots a run holds three interior-row
 arrays: ``rows``, ``nrows`` and the record's scratch for its per-component
 difference.  Each neighbour sum adds one block scratch of at most
 ``geometry.BLOCK_NODES`` lattice nodes (unless a single layer is wider),
@@ -372,8 +376,8 @@ def _run(u0: SphereField, cfg: SolverConfig, sched: Optional[PenaltySchedule],
 def run_glhf(u0: SphereField, cfg: SolverConfig, sched: PenaltySchedule,
              store=None) -> Trajectory:
     """Run the penalized flow.  Each snapshot is ``store.take(u, last)`` of
-    the flow's field ``u`` (see the module docstring), or an in-memory copy
-    without a store."""
+    the flow's field ``u``, called as the flow reaches it (see "Buffers" in
+    the module docstring), or an in-memory copy without a store."""
     return _run(u0, cfg, sched, store)
 
 

@@ -89,11 +89,14 @@ class SingularReport:
         }
 
 
-def _density_mode(mode: str) -> str:
+def density_mode(mode: str) -> str:
+    """The ``diagnostics.energy_density`` mode a cylinder mode integrates."""
     return "gradient" if mode == "dirichlet" else "gl"
 
 
-def _scale(mode: str, R: float, d: int) -> float:
+def cylinder_scale(mode: str, R: float, d: int) -> float:
+    """The divisor that scales a cylinder integral of radius R into
+    ``local_scaled_energy``."""
     return 2.0 * R ** d if mode == "dirichlet" else R ** d
 
 
@@ -112,7 +115,8 @@ def local_scaled_energy(traj: Trajectory, z0, R: float, mode: str = "gl") -> flo
     g = traj.grid
     check_cylinder_args(R, g.h, mode)
     cyl = CylinderSpec(t0=float(z0[0]), x0=z0[1], R=R)
-    return cylinder_integral(traj, cyl, _density_mode(mode)) / _scale(mode, R, g.d)
+    return (cylinder_integral(traj, cyl, density_mode(mode))
+            / cylinder_scale(mode, R, g.d))
 
 
 def _scan_points(traj: Trajectory, cfg: SingularConfig):
@@ -152,7 +156,7 @@ def detect_singular_set(traj: Trajectory, cfg: SingularConfig) -> SingularReport
     cfg.validate(g.h)
     radii = sorted(float(r) for r in cfg.radii)
     t_idx, nodes = _scan_points(traj, cfg)
-    dens_mode = _density_mode(cfg.mode)
+    dens_mode = density_mode(cfg.mode)
 
     # zero padding of the widest ball's reach keeps every gathered index on
     # the padded lattice; flat offsets there address the whole ball.  Only
@@ -177,7 +181,7 @@ def detect_singular_set(traj: Trajectory, cfg: SingularConfig) -> SingularReport
                                     lambda k: energy_density(traj, k, dens_mode))
             flat_padded[padded_idx] = field
             sums = _ball_sums(flat_padded, centers[alive], offsets[R])
-            vals[alive, j] = sums * g.cell_volume / _scale(cfg.mode, R, g.d)
+            vals[alive, j] = sums * g.cell_volume / cylinder_scale(cfg.mode, R, g.d)
             alive = alive[vals[alive, j] >= cfg.eps0]
         for i in alive:
             flagged.append((t0, tuple(float(c) for c in g.interior_coords[nodes[i]])))

@@ -3,6 +3,8 @@ PASS/FAIL line with its runtime.  Tolerances are pinned here and nowhere
 else.  Run with  pytest tests/test_acceptance.py -v -s  to see the lines.
 """
 
+import csv
+import json
 import math
 import time
 from pathlib import Path
@@ -10,7 +12,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from sphereflow.cli import run_experiment
+from sphereflow.cli import run_experiment, sweep
 from sphereflow.diagnostics import (MU_GRID, C_GRID, backward_heat_kernel,
                                     monotonicity_report, weight_d)
 from sphereflow.elliptic import solve_harmonic_extension
@@ -297,3 +299,40 @@ def test_criterion_11_exact_solution():
            f"lambda 1e5 off projected by {gap:.1e} relative; 3-D projected err "
            f"{', '.join(f'{e:.2e}' for e in proj3)} (<= {const3:.2f} h^2), "
            f"order {order3:.2f}")
+
+
+def test_criterion_12_hedgehog_energy_converges_to_8pi(tmp_path):
+    # the projected equator hedgehog in the unit ball: its scaled Dirichlet
+    # energy mbar on the cylinder of radius 1/4 around the origin tends to
+    # the 8 pi of the static hedgehog x/|x| as h -> 0, at first order (the
+    # errors are 7.08 and 3.60 at h = 1/8 and 1/16)
+    t0 = time.time()
+    cfg = {
+        "domain": {"kind": "unit-ball", "d": 3},
+        "h": 0.0625,
+        "D": 2,
+        "initial": {"kind": "equator-hedgehog"},
+        "solver": {"mode": "projected", "T": 0.14, "dt": "auto",
+                   "output_stride": 32},
+        "diagnostics": {"mbar_probe": {"R": 0.25, "mode": "dirichlet",
+                                       "t0": 0.07, "x0": [0.0, 0.0, 0.0]}},
+        "seed": 0,
+    }
+    p = tmp_path / "hh_sweep.json"
+    p.write_text(json.dumps(cfg))
+    hs = (1 / 8, 1 / 16)
+    assert sweep(p, "h", list(hs), tmp_path / "out") == 0
+    with open(tmp_path / "out" / "sweep.csv", newline="") as f:
+        rows = list(csv.DictReader(f))
+    m = [float(r["mbar"]) for r in rows]
+    target = 8 * math.pi
+    err = [target - v for v in m]
+    order = math.log2(err[0] / err[1]) if min(err) > 0 else float("nan")
+    # first-order Richardson extrapolation of mbar to h = 0
+    richardson = 2.0 * m[1] - m[0]
+    gap = (richardson - target) / target
+    elapsed = time.time() - t0
+    ok = order >= 0.8 and abs(gap) <= 0.02
+    report("criterion 12: hedgehog energy converges to 8 pi", ok, elapsed,
+           f"mbar {m[0]:.3f}, {m[1]:.3f} at h = 1/8, 1/16 (8 pi = {target:.3f}), "
+           f"order {order:.3f}, Richardson {richardson:.3f} ({gap:+.2%})")

@@ -14,9 +14,10 @@ from sphereflow import cli, flow, geometry
 from sphereflow import io as sfio
 from sphereflow.cli import main, run_experiment, sweep
 from sphereflow.errors import NormBlowup
-from sphereflow.field import InitialData, generate
+from sphereflow.field import InitialData, generate, l2_distance
 from sphereflow.geometry import Domain, build_grid
 from sphereflow.io import read_snapshot, write_snapshot
+from sphereflow.singular import local_scaled_energy
 
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 
@@ -603,6 +604,79 @@ def test_sweep_h_hedgehog_mbar(tmp_path):
     target = 8 * np.pi
     for r in rows[1:]:
         assert abs(float(r[col]) - target) / target <= 0.15
+
+
+def _small_disc_config(mode: str, probe_mode: str) -> dict:
+    """The 1/16 disc, cap initial data, 18 steps and 10 snapshots, with an
+    mbar probe whose ball holds interior nodes down to h = 1/8."""
+    solver = {"mode": mode, "T": 1 / 64, "dt": "auto", "output_stride": 2}
+    if mode != "projected":
+        solver["lambda"] = 1000.0
+    return {"domain": {"kind": "unit-ball", "d": 2}, "h": 1 / 16, "D": 2,
+            "initial": {"kind": "cap", "latitude_deg": 60.0}, "solver": solver,
+            "diagnostics": {"mbar_probe": {"R": 0.25, "mode": probe_mode,
+                                           "x0": [0.125, 0.0]}}}
+
+
+@pytest.mark.parametrize("mode, probe_mode, param, values", [
+    ("glhf-simplified", "gl", "lambda", [100.0, 1000.0]),
+    ("glhf-simplified", "dirichlet", "h", [1 / 16, 1 / 8]),
+    ("glhf-simplified", "gl", "dt", [2e-4, 4e-4]),
+    ("projected", "gl", "h", [1 / 16, 1 / 8]),
+    ("projected", "dirichlet", "dt", [2e-4, 4e-4]),
+])
+def test_sweep_cells_equal_the_in_memory_api(tmp_path, mode, probe_mode, param, values):
+    # the sweep streams each case; every cell is the value the Python API
+    # computes from held trajectories, as the same float
+    raw = _small_disc_config(mode, probe_mode)
+    p = tmp_path / "cfg.json"
+    p.write_text(json.dumps(raw))
+    assert sweep(p, param, values, tmp_path / "out") == 0
+    rows = read_rows(tmp_path / "out" / "sweep.csv")
+    assert rows[0] == [param, "penalty_integral", "final_l2_to_projected",
+                       "l2q_to_projected", "final_gl_energy",
+                       "final_dirichlet_energy", "mbar"]
+    assert len(rows) == len(values) + 1
+    for v, row in zip(values, rows[1:]):
+        case = json.loads(json.dumps(raw))
+        (case if param == "h" else case["solver"])[param] = v
+        cfg = cli.ExperimentConfig.from_dict(case)
+        u0 = cfg.build_initial()
+        proj = flow.run_projected(u0, cfg.solver)
+        traj = proj if mode == "projected" else flow.run_glhf(
+            u0, cfg.solver, flow.PenaltySchedule(lam=cfg.lam))
+        (t0, x0), R, pmode = cfg.diagnostics.mbar_probe
+        expected = [v, flow.penalty_integral(traj),
+                    l2_distance(traj.snapshots[-1], proj.snapshots[-1]),
+                    flow.trajectory_l2q_distance(traj, proj),
+                    traj.records[-1].gl_energy, traj.records[-1].dirichlet_energy,
+                    local_scaled_energy(traj, (t0, x0), R, mode=pmode)]
+        assert [float(c) for c in row] == [float(e) for e in expected]
+        if mode != "projected":
+            assert float(row[3]) > 0.0
+
+
+def test_sweep_case_heap_does_not_grow_with_snapshot_count(tmp_path):
+    # a projected h sweep of the 3-D ball at h = 1/16, 11 steps, with an mbar
+    # probe: one snapshot per step holds the same heap as one snapshot at
+    # each end, to within one field
+    cfg = json.loads((CONFIGS / "hedgehog_ball.json").read_text())
+    cfg["diagnostics"] = {"mbar_probe": {"R": 0.25, "mode": "dirichlet"}}
+    cfg["solver"]["T"] = 10.5 * 0.9 / 16 ** 2 / 6
+    peaks = {}
+    for stride in (100, 1, 100):
+        cfg["solver"]["output_stride"] = stride
+        p = tmp_path / f"stride{stride}.json"
+        p.write_text(json.dumps(cfg))
+        tracemalloc.start()
+        try:
+            assert sweep(p, "h", [1 / 16], tmp_path / f"out{stride}") == 0
+            peaks[stride] = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+    grid = build_grid(Domain.unit_ball(3), 1 / 16)
+    field_bytes = grid.n_lattice * 3 * 8
+    assert abs(peaks[1] - peaks[100]) <= field_bytes
 
 
 def test_snapshot_roundtrip(tmp_path, disc16):

@@ -33,8 +33,9 @@ def test_local_energy_hedgehog_eight_pi(hedgehog32):
 
 
 def test_static_trajectory_shares_one_density(hedgehog32, monkeypatch):
-    # a static trajectory repeats one field: its two cylinders and an energy
-    # report build at most one whole density between them
+    # a static trajectory repeats one field: each of its two cylinders
+    # evaluates its ball once, whatever the snapshots in its window, and an
+    # energy report builds at most one whole density
     calls = []
     density = diagnostics.gradient_squared_density
 
@@ -42,10 +43,20 @@ def test_static_trajectory_shares_one_density(hedgehog32, monkeypatch):
         calls.append("full" if nodes is None else "ball")
         return density(f, nodes)
 
+    times = np.linspace(0.0, 0.25, 6)
+    # the same field as distinct copies: one ball evaluation per snapshot
+    copies = Trajectory.static(hedgehog32, times)
+    copies.snapshots = [hedgehog32.copy() for _ in times]
+    z0 = (0.125, np.zeros(3))
+    expected = [local_scaled_energy(copies, z0, R, mode="dirichlet")
+                for R in (1 / 8, 1 / 4)]
+
     monkeypatch.setattr(diagnostics, "gradient_squared_density", counted)
-    traj = Trajectory.static(hedgehog32, np.linspace(0.0, 0.25, 6))
-    for R in (1 / 8, 1 / 4):
-        local_scaled_energy(traj, (0.125, np.zeros(3)), R, mode="dirichlet")
+    traj = Trajectory.static(hedgehog32, times)
+    for R, value in zip((1 / 8, 1 / 4), expected):
+        before = calls.count("ball")
+        assert local_scaled_energy(traj, z0, R, mode="dirichlet") == value
+        assert calls.count("ball") - before <= 1
     energy_report(traj, len(traj.snapshots) - 1)
     assert calls.count("full") <= 1
 
