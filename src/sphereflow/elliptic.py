@@ -21,7 +21,7 @@ from dataclasses import dataclass, field as dfield
 import numpy as np
 
 from .errors import GridMismatch, NoConvergence, OrderTooHighForGrid
-from .field import SphereField
+from .field import SphereField, rowdot
 from .geometry import EXTERIOR, Grid, neighbor_sum, put_rows
 
 # per-column stop: 2-norm residual at most this fraction of the right-hand side's
@@ -56,7 +56,7 @@ class HarmonicExtension:
 
 def _laplacian_residual(grid: Grid, flat: np.ndarray) -> float:
     """Max-norm of the discrete Laplacian over interior nodes and components."""
-    res = grid.neighbour_rows(flat) - 2 * grid.d * flat[grid.interior_flat]
+    res = grid.neighbour_rows(flat) - 2 * grid.d * np.take(flat, grid.interior_flat, axis=0)
     return float(np.max(np.abs(res), initial=0.0)) / grid.h ** 2
 
 
@@ -88,7 +88,7 @@ def solve_harmonic_extension(grid: Grid, boundary_data: SphereField,
     # right-hand side: the boundary neighbours of every interior row
     flat[idx] = 0.0
     b = grid.neighbour_rows(flat)
-    ub = flat[bnd]
+    ub = np.take(flat, bnd, axis=0)
     x = np.broadcast_to(ub.mean(axis=0), b.shape).copy()
 
     # the operator's input is the field itself with its boundary rows zeroed
@@ -121,8 +121,8 @@ def solve_harmonic_extension(grid: Grid, boundary_data: SphereField,
         p += r
         rr = rr_new
 
-    flat[bnd] = ub
-    flat[idx] = x
+    put_rows(flat, bnd, ub)
+    put_rows(flat, idx, x)
     res = _laplacian_residual(grid, flat)
     if not res <= tol:
         raise NoConvergence(f"conjugate gradients stopped after {it} iterations "
@@ -164,7 +164,8 @@ def derivative_energy_density(ext: HarmonicExtension | SphereField, order: int) 
 
     def walk(arr, depth):
         if depth == order:
-            out[pos] += np.einsum("ij,ij->i", arr[idx], arr[idx])
+            rows = np.take(arr, idx, axis=0)
+            out[pos] += rowdot(rows, rows, scratch=rows)
             return
         for s in strides:
             walk(_central_all(arr, s, grid.h), depth + 1)

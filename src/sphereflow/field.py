@@ -1,4 +1,16 @@
-"""Discrete sphere-valued fields, initial-data generators, projection, norms."""
+"""Discrete sphere-valued fields, initial-data generators, projection, norms.
+
+Data path.  Every per-row dot product of the package (|u|^2 for the flow's
+norm reaction and sup-norm guard, ``SphereField.max_norm``, the link and
+penalty densities, the geometry's ball and domain tests, the chart's
+|v|^2) is ``rowdot``, and every product or quotient of each row with a
+per-row scalar is ``scale_rows``.  Both work one column at a time, so each
+sum and quotient has one definition, einsum's bits and no broadcast inner
+loop.  They are defined beside ``put_rows`` in ``geometry``, which this
+module imports, and are importable from here.  Whole rows are gathered
+with ``np.take(..., axis=0)`` and scattered with ``geometry.put_rows``,
+which move the same bits as fancy indexing in a fraction of its time.
+"""
 
 from __future__ import annotations
 
@@ -9,7 +21,7 @@ import numpy as np
 
 from .errors import (ConfigError, DimensionMismatch, GridMismatch, NearZeroVector,
                      finite, integer)
-from .geometry import Grid
+from .geometry import Grid, put_rows, rowdot, scale_rows
 
 
 @dataclass
@@ -35,11 +47,11 @@ class SphereField:
         return SphereField(self.grid, self.values.copy(), self.target_dim)
 
     def active_values(self) -> np.ndarray:
-        return self.flat()[self.grid.active_flat]
+        return np.take(self.flat(), self.grid.active_flat, axis=0)
 
     def max_norm(self) -> float:
         v = self.active_values()
-        return float(np.sqrt(np.max(np.einsum("ij,ij->i", v, v))))
+        return float(np.sqrt(np.max(rowdot(v, v, scratch=v))))
 
 
 INITIAL_KINDS = ("constant", "cap", "equator-hedgehog", "boundary-wrap", "custom-samples")
@@ -126,14 +138,14 @@ def generate(init: InitialData, grid: Grid, D: int) -> SphereField:
         v = np.zeros((pts.shape[0], D))
         v[:, :m] = np.tan(theta / 2.0) * (pts[:, :m] - c[:m]) / r0
         from .stereo import stereo_inverse      # stereo imports this module
-        flat[idx] = stereo_inverse(v)
+        put_rows(flat, idx, stereo_inverse(v))
 
     elif init.kind == "equator-hedgehog":
         n = np.linalg.norm(pts, axis=1)
         center = np.argmin(n)
         safe = n.copy()
         safe[safe == 0] = 1.0
-        flat[idx, :3] = pts / safe[:, None]
+        flat[idx, :3] = scale_rows(pts, safe)
         if n[center] == 0.0:
             flat[idx[center]] = np.eye(ncomp)[2]
 
@@ -150,7 +162,7 @@ def generate(init: InitialData, grid: Grid, D: int) -> SphereField:
         if samples.shape != values.shape:
             raise DimensionMismatch(
                 f"sample array shape {samples.shape} != lattice shape {values.shape}")
-        flat[idx] = samples.reshape(-1, ncomp)[idx]
+        put_rows(flat, idx, np.take(samples.reshape(-1, ncomp), idx, axis=0))
 
     else:
         raise DimensionMismatch(f"unknown initial data kind {init.kind!r}")
@@ -165,26 +177,26 @@ def project_to_sphere(f: SphereField) -> SphereField:
     ulp, so projecting twice agrees with projecting once to ~1e-16.
     """
     out = f.copy()
-    flat = out.flat()
     idx = f.grid.active_flat
-    flat[idx] = normalize_rows(flat[idx], idx)
+    put_rows(out.flat(), idx, normalize_rows(np.take(f.flat(), idx, axis=0), idx))
     return out
 
 
 NORM_FLOOR = 1e-14
 
 
-def normalize_rows(v: np.ndarray, idx: np.ndarray) -> np.ndarray:
+def normalize_rows(v: np.ndarray, idx: np.ndarray,
+                   scratch: Optional[np.ndarray] = None) -> np.ndarray:
     """Divide each row of ``v``, the values at flat nodes ``idx``, by its
-    norm, in place; returns ``v``.  Raises NearZeroVector on a row of norm
-    below NORM_FLOOR."""
-    norms = np.sqrt(np.einsum("ij,ij->i", v, v))
+    norm, in place; returns ``v``.  ``scratch`` is ``rowdot``'s.  Raises
+    NearZeroVector on a row of norm below NORM_FLOOR."""
+    norms = rowdot(v, v, scratch=scratch)
+    np.sqrt(norms, out=norms)
     bad = norms < NORM_FLOOR
     if np.any(bad):
         raise NearZeroVector(
             f"cannot project node(s) at flat index {idx[np.flatnonzero(bad)[:5]].tolist()}")
-    v /= norms[:, None]
-    return v
+    return scale_rows(v, norms)
 
 
 def _check_same(a: SphereField, b: SphereField):
@@ -196,7 +208,8 @@ def l2_distance(a: SphereField, b: SphereField) -> float:
     """sqrt( sum over active nodes of |a-b|^2 h^d )."""
     _check_same(a, b)
     idx = a.grid.active_flat
-    diff = a.flat()[idx] - b.flat()[idx]
+    diff = np.take(a.flat(), idx, axis=0)
+    diff -= np.take(b.flat(), idx, axis=0)
     return float(np.sqrt(np.einsum("ij,ij->", diff, diff) * a.grid.cell_volume))
 
 
@@ -239,9 +252,9 @@ def gradient_squared_density(f: SphereField, nodes=None) -> np.ndarray:
     for s in g.strides():
         d = np.take(flat, idx + s, axis=0)
         d -= rows
-        up = np.einsum("ij,ij->i", d, d)          # link (i, i + s)
+        up = rowdot(d, d, scratch=d)              # link (i, i + s)
         d = np.take(flat, idx - s, axis=0)
         np.subtract(rows, d, out=d)
-        down = np.einsum("ij,ij->i", d, d)        # link (i - s, i)
+        down = rowdot(d, d, scratch=d)            # link (i - s, i)
         acc += 0.5 * (up + down) / g.h ** 2
     return acc

@@ -24,6 +24,10 @@ normalization) and scatters them into the field with ``put_rows``, one
 whole row per element, so the post-reaction rows are the field's rows and
 are never gathered again; |u|^2 of them feeds the sup-norm guard, with the
 boundary maximum, which is fixed because no step writes a boundary row.
+Every |u|^2 is ``field.rowdot`` (the sum order of ``np.einsum`` on rows,
+one column pass at a time) and every division of the rows by a per-row
+divisor is ``field.scale_rows``, so the guard, ``SphereField.max_norm`` and
+the records take one definition.
 Right after the step ``Grid.neighbour_rows`` computes N for the new state
 straight into ``nrows``, one cache-sized block of layers at a time.  Those
 rows serve twice: the state's record takes its Dirichlet energy from them
@@ -49,10 +53,14 @@ Beyond the field and the snapshots a run holds three interior-row
 arrays: ``rows``, ``nrows`` and the record's scratch for its per-component
 difference.  Each neighbour sum adds one block scratch of at most
 ``geometry.BLOCK_NODES`` lattice nodes (unless a single layer is wider),
-freed when the sum returns.  The norm reaction works in two per-node
-arrays: the squared deviation (|u|^2 - 1)^2 for the penalty increment,
-and |u|^2, which it turns in place into the divisor sqrt(e + (1 - e) w0)
-of the rows; it allocates no interior-row array.  ``glhf_step`` and
+freed when the sum returns.  Once the diffusion has added ``nrows`` into
+``rows`` the step no longer needs it, so every |u|^2 of the step (before
+and after the reaction, and the normalization's) takes its products in
+``nrows``; the step-0 |u|^2 of a run takes them in the record's scratch.
+The norm reaction works in two per-node arrays: the squared deviation
+(|u|^2 - 1)^2 for the penalty increment, and |u|^2, which it turns in
+place into the divisor sqrt(e + (1 - e) w0) of the rows; it allocates no
+interior-row array.  ``glhf_step`` and
 ``projected_flow_step`` copy their input once, gather its rows and N once,
 and step the copy.
 """
@@ -69,7 +77,8 @@ from .errors import CFLViolated, NormBlowup
 # the benchmark tracer wraps the module bindings flow.dirichlet_energy (the
 # reference the records agree with) and flow.project_to_sphere, so both
 # stay imported here
-from .field import SphereField, dirichlet_energy, normalize_rows, project_to_sphere
+from .field import (SphereField, dirichlet_energy, normalize_rows, project_to_sphere,
+                    rowdot, scale_rows)
 from .geometry import BOUNDARY, Grid, put_rows
 
 
@@ -200,14 +209,10 @@ def _diffuse(rows: np.ndarray, nrows: np.ndarray, g: Grid, dt: float) -> None:
     rows += nrows
 
 
-def _norm2(rows: np.ndarray) -> np.ndarray:
-    return np.einsum("ij,ij->i", rows, rows)
-
-
 def _boundary_norm2(u: SphereField) -> float:
     """Largest |u|^2 over the boundary rows, which no step changes."""
-    g = u.grid
-    return _norm2(np.take(u.flat(), g.boundary_flat, axis=0)).max(initial=0.0)
+    b = np.take(u.flat(), u.grid.boundary_flat, axis=0)
+    return rowdot(b, b, scratch=b).max(initial=0.0)
 
 
 def _sup_norm(w: np.ndarray, bnd2: float) -> float:
@@ -222,7 +227,8 @@ def _step(u: SphereField, rows: np.ndarray, nrows: np.ndarray, t: float,
 
     ``rows`` are the interior rows of ``u`` and ``nrows`` those of its
     neighbour sum; on return ``rows`` holds the new interior rows, which
-    are also written into ``u``, and ``nrows`` is spent.  The reaction is
+    are also written into ``u``, and ``nrows`` is spent: past the diffusion
+    it is the scratch of every |u|^2.  The reaction is
     the closed form of the module docstring, one expression on every row.
     ``sched is None`` is the projected flow (exact normalization of the
     interior rows, which raises ``NearZeroVector`` on a zero row).
@@ -234,11 +240,11 @@ def _step(u: SphereField, rows: np.ndarray, nrows: np.ndarray, t: float,
     idx = g.interior_flat
     _diffuse(rows, nrows, g, cfg.dt)
     if sched is None:
-        normalize_rows(rows, idx)
+        normalize_rows(rows, idx, scratch=nrows)
         pen_incr, lam_eff = 0.0, 0.0
     else:
         lam_eff = sched.strength(t)
-        w0 = _norm2(rows)
+        w0 = rowdot(rows, rows, scratch=nrows)
         # left-endpoint rectangle rule on the penalty subflow: the
         # integrand is sampled on the state entering the substep
         sq = w0 - 1.0
@@ -250,9 +256,9 @@ def _step(u: SphereField, rows: np.ndarray, nrows: np.ndarray, t: float,
         e = max(math.exp(-2.0 * lam_eff * cfg.dt), np.finfo(float).tiny)
         w0 *= 1.0 - e
         w0 += e
-        rows /= np.sqrt(w0, out=w0)[:, None]
+        scale_rows(rows, np.sqrt(w0, out=w0))
     put_rows(u.flat(), idx, rows)
-    w = _norm2(rows)
+    w = rowdot(rows, rows, scratch=nrows)
     mx = _sup_norm(w, bnd2)
     if not mx <= 1.0 + 1e-7:
         raise NormBlowup(f"max node norm {mx} exceeds 1 + 1e-7 at t = {t}")
@@ -354,7 +360,7 @@ def _run(u0: SphereField, cfg: SolverConfig, sched: Optional[PenaltySchedule],
     rows = np.take(flat, g.interior_flat, axis=0)
     nrows = g.neighbour_rows(flat)
     lap = np.empty_like(rows)           # the record's scratch
-    w = _norm2(rows)
+    w = rowdot(rows, rows, scratch=lap)
     records = [_record(0, 0.0, u, w, _dirichlet_from_rows(u, rows, nrows, links, lap),
                        sched.strength(0.0) if sched else 0.0, 0.0, _sup_norm(w, bnd2))]
     snapshots = [keep(u, False)]

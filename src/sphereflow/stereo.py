@@ -21,7 +21,7 @@ from typing import Optional
 import numpy as np
 
 from .errors import PoleProximity
-from .field import SphereField
+from .field import SphereField, rowdot, scale_rows
 from .flow import Trajectory
 
 POLE_GAP = 1e-6
@@ -73,14 +73,14 @@ def stereo_forward(u: np.ndarray) -> np.ndarray:
     if np.any(last <= -1.0 + POLE_GAP):
         bad = int(np.argmin(last))
         raise PoleProximity(f"value at row {bad} is within {POLE_GAP} of the pole")
-    return u[:, :-1] / (1.0 + last)[:, None]
+    return scale_rows(u[:, :-1], 1.0 + last, out=np.empty((u.shape[0], u.shape[1] - 1)))
 
 
 def stereo_inverse(v: np.ndarray) -> np.ndarray:
     """(n, D) chart values -> (n, D+1) unit-sphere values."""
-    s = np.einsum("ij,ij->i", v, v)
+    s = rowdot(v, v)
     u = np.empty((v.shape[0], v.shape[1] + 1))
-    u[:, :-1] = 2.0 * v / (1.0 + s)[:, None]
+    scale_rows(2.0 * v, 1.0 + s, out=u[:, :-1])
     u[:, -1] = (1.0 - s) / (1.0 + s)
     return u
 
@@ -125,7 +125,7 @@ def one_sided_check(u0: SphereField) -> OneSidedCheck:
     theta0 = 0.0
     if passed:
         v = stereo_forward(rotated)
-        vmax = float(np.sqrt(np.einsum("ij,ij->i", v, v).max()))
+        vmax = float(np.sqrt(rowdot(v, v, scratch=v).max()))
         theta0 = (1.0 - vmax) / 2.0
     return OneSidedCheck(rotation=rot, min_component=min_comp, passed=passed,
                          theta0_proxy=theta0)
@@ -164,7 +164,7 @@ def one_sided_monitor(traj: Trajectory) -> OneSidedReport:
         except PoleProximity:
             first_violation = k
             break
-        max_w.append(float(W(np.einsum("ij,ij->i", v, v)).max()))
+        max_w.append(float(W(rowdot(v, v, scratch=v)).max()))
         min_last.append(mlast)
         if max_w[k] > max_w[0] + band or mlast <= 0.0:
             first_violation = k
@@ -208,9 +208,9 @@ def _pde_residual_samples(traj: Trajectory, rot: np.ndarray,
     for k, j in sorted(zip(ks.tolist(), js.tolist())):
         nodes = idx[j] + offsets
         v, _ = _chart_rows(traj.snapshots[k], rot, nodes)
-        w = W(np.einsum("ij,ij->i", v, v))
+        w = W(rowdot(v, v))
         v1, _ = _chart_rows(traj.snapshots[k + 1], rot, nodes[:1])
-        w1 = W(np.einsum("ij,ij->i", v1, v1))[0]
+        w1 = W(rowdot(v1, v1, scratch=v1))[0]
         dt_loc = traj.times[k + 1] - traj.times[k]
         w_t = (w1 - w[0]) / dt_loc
         w_nbr = 0.0

@@ -1,11 +1,12 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
+from hypothesis.extra import numpy as hnp
 
 from sphereflow.errors import DimensionMismatch, GridMismatch, NearZeroVector
 from sphereflow.field import (InitialData, SphereField, dirichlet_energy,
                               generate, gradient_squared_density, l2_distance,
-                              project_to_sphere)
+                              project_to_sphere, rowdot, scale_rows)
 from sphereflow.geometry import Domain, build_grid
 
 
@@ -156,3 +157,58 @@ def test_custom_samples_shape_mismatch(disc16):
     with pytest.raises(DimensionMismatch):
         generate(InitialData(kind="custom-samples",
                              samples=np.zeros((3, 3, 3))), disc16, 2)
+
+
+# -- row kernels ---------------------------------------------------------------
+
+# every float64 class: +-0.0, subnormals, +-inf and NaN among ordinary values
+_ANY_FLOAT = st.floats(allow_nan=True, allow_infinity=True, allow_subnormal=True) | \
+    st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 2.2e-308, np.inf, -np.inf, np.nan])
+
+
+def _row_pairs():
+    return st.tuples(st.integers(0, 300), st.integers(1, 6)).flatmap(
+        lambda shape: st.tuples(hnp.arrays(np.float64, shape, elements=_ANY_FLOAT),
+                                hnp.arrays(np.float64, shape, elements=_ANY_FLOAT)))
+
+
+def _same_bits(x, y):
+    """Equal as floats down to the sign of zero; NaN matches NaN."""
+    nan = np.isnan(x)
+    return (x.shape == y.shape and np.array_equal(nan, np.isnan(y))
+            and np.array_equal(x[~nan].view(np.uint64), y[~nan].view(np.uint64)))
+
+
+@given(ab=_row_pairs(), given_buffers=st.booleans())
+@example(ab=(np.array([[-0.0, -0.0, 0.0]]), np.array([[1.0, 1.0, -1.0]])),
+         given_buffers=False)
+@settings(max_examples=150, deadline=None)
+def test_rowdot_is_einsum_bit_for_bit(ab, given_buffers):
+    a, b = ab
+    ref = np.einsum("ij,ij->i", a, b)
+    a0, b0 = a.copy(), b.copy()
+    with np.errstate(all="ignore"):     # einsum reports no float errors
+        if given_buffers:
+            out, scratch = np.full(a.shape[0], 7.0), np.empty_like(a)
+            assert rowdot(a, b, out=out, scratch=scratch) is out
+        else:
+            out = rowdot(a, b)
+        square = rowdot(a, a)
+    assert np.array_equal(out, ref, equal_nan=True)
+    assert _same_bits(out, ref)
+    assert _same_bits(square, np.einsum("ij,ij->i", a, a))
+    assert _same_bits(a, a0) and _same_bits(b, b0)
+
+
+@given(ab=_row_pairs(), in_place=st.booleans(), op=st.sampled_from([np.divide, np.multiply]))
+@settings(max_examples=150, deadline=None)
+def test_scale_rows_is_the_broadcast_bit_for_bit(ab, in_place, op):
+    v, s = ab
+    s = s[:, 0]
+    with np.errstate(all="ignore"):
+        ref = op(v, s[:, None])
+        out = None if in_place else np.empty_like(v)
+        got = scale_rows(v, s, op, out=out)
+    assert got is (v if in_place else out)
+    assert np.array_equal(got, ref, equal_nan=True)
+    assert _same_bits(got, ref)

@@ -11,7 +11,8 @@ from sphereflow.field import (InitialData, SphereField, dirichlet_energy,
                               generate, l2_distance)
 from sphereflow.flow import (PenaltySchedule, SolverConfig, Trajectory, glhf_step,
                              kappa, penalty_integral, projected_flow_step, run_glhf,
-                             run_projected, trajectory_l2q_distance, _diffuse)
+                             run_projected, trajectory_l2q_distance, _boundary_links,
+                             _diffuse, _dirichlet_from_rows, _record)
 from sphereflow.geometry import Domain, build_grid, neighbor_sum
 from sphereflow.stereo import stereo_inverse
 
@@ -241,6 +242,77 @@ def test_run_equals_chain_of_public_steps(d, mode):
         assert r.max_norm == f.max_norm()
         ref = dirichlet_energy(f)
         assert abs(r.dirichlet_energy - ref) <= 1e-13 * ref
+
+
+def _einsum_step(u, rows, nrows, t, cfg, sched, bnd2):
+    """``flow._step`` as it stood with einsum row dots, broadcast row divides
+    and fancy-index normalization, kept here as the bit-for-bit reference."""
+    g = u.grid
+    _diffuse(rows, nrows, g, cfg.dt)
+    if sched is None:
+        norms = np.sqrt(np.einsum("ij,ij->i", rows, rows))
+        assert np.all(norms >= 1e-14)
+        rows /= norms[:, None]
+        pen_incr, lam_eff = 0.0, 0.0
+    else:
+        lam_eff = sched.strength(t)
+        w0 = np.einsum("ij,ij->i", rows, rows)
+        sq = w0 - 1.0
+        sq *= sq
+        pen_incr = float(cfg.dt * lam_eff * np.sum(sq) * g.cell_volume)
+        e = max(math.exp(-2.0 * lam_eff * cfg.dt), np.finfo(float).tiny)
+        w0 *= 1.0 - e
+        w0 += e
+        rows /= np.sqrt(w0, out=w0)[:, None]
+    u.flat()[g.interior_flat] = rows
+    w = np.einsum("ij,ij->i", rows, rows)
+    return w, pen_incr, lam_eff, float(np.sqrt(np.maximum(w.max(), bnd2)))
+
+
+def _einsum_run(u0, n_steps, cfg, sched):
+    """``flow._run`` over ``n_steps`` steps with ``_einsum_step``: every
+    state's field and record."""
+    u = u0.copy()
+    g = u.grid
+    flat = u.flat()
+    bnd = flat[g.boundary_flat]
+    bnd2 = np.einsum("ij,ij->i", bnd, bnd).max(initial=0.0)
+    links = _boundary_links(u)
+    rows = flat[g.interior_flat]
+    nrows = g.neighbour_rows(flat)
+    lap = np.empty_like(rows)
+    w = np.einsum("ij,ij->i", rows, rows)
+    records = [_record(0, 0.0, u, w, _dirichlet_from_rows(u, rows, nrows, links, lap),
+                       sched.strength(0.0) if sched else 0.0, 0.0,
+                       float(np.sqrt(np.maximum(w.max(), bnd2))))]
+    fields = [u.copy()]
+    for k in range(n_steps):
+        w, pen_incr, lam_eff, mx = _einsum_step(u, rows, nrows, k * cfg.dt, cfg, sched, bnd2)
+        g.neighbour_rows(flat, out=nrows)
+        records.append(_record(k + 1, (k + 1) * cfg.dt, u, w,
+                               _dirichlet_from_rows(u, rows, nrows, links, lap),
+                               lam_eff, pen_incr, mx))
+        fields.append(u.copy())
+    return fields, records
+
+
+@pytest.mark.parametrize("d", [2, 3])
+@pytest.mark.parametrize("mode", ["glhf-simplified", "projected"])
+def test_run_equals_the_einsum_reference_run(d, mode):
+    # the 2-D cap and the 3-D hedgehog at h = 1/16, five steps each
+    g = build_grid(Domain.unit_ball(d), 1 / 16)
+    u0 = generate(InitialData(kind="cap", latitude_deg=60.0) if d == 2
+                  else InitialData(kind="equator-hedgehog"), g, 2)
+    dt = SolverConfig.auto_dt(g)
+    cfg = SolverConfig(dt=dt, T=5 * dt)
+    sched = None if mode == "projected" else PenaltySchedule(lam=1e3)
+    traj = run_projected(u0, cfg) if sched is None else run_glhf(u0, cfg, sched)
+    fields, records = _einsum_run(u0, 5, cfg, sched)
+    assert len(traj.snapshots) == len(fields) == 6
+    for snap, ref in zip(traj.snapshots, fields):
+        assert np.array_equal(snap.values, ref.values)
+    assert traj.records == records
+    assert [r.max_norm for r in records] == [f.max_norm() for f in fields]
 
 
 def test_snapshot_times_are_the_run_times():
