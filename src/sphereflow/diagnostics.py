@@ -26,9 +26,9 @@ import numpy as np
 from .elliptic import HarmonicExtension
 from .errors import (EmptyIntersection, KernelUnderresolved, TimeNotBeforeCenter,
                      UnboundedDomainUnsupported, WindowOutsideTrajectory)
-from .field import SphereField, _check_same, gradient_squared_density, rowdot, scale_rows
+from .field import SphereField, _check_same, gradient_squared_density
 from .flow import Trajectory
-from .geometry import BoundaryFrame, Grid, boundary_frame
+from .geometry import BoundaryFrame, Grid, boundary_frame, rowsq, scale_rows
 
 # the grids monotonicity_report fits (mu0, C) over, its R samples of the
 # speed term, and the rectangles of main2_lhs's time integral
@@ -107,7 +107,7 @@ def backward_heat_kernel(z0, t, x) -> np.ndarray:
     x = np.atleast_2d(np.asarray(x, dtype=float))
     d = x.shape[1]
     diff = x - x0
-    r2 = rowdot(diff, diff, scratch=diff)
+    r2 = rowsq(diff, scratch=diff)
     vals = (4.0 * math.pi * tau) ** (-d / 2.0) * np.exp(-r2 / (4.0 * tau))
     return vals if vals.size > 1 else float(vals[0])
 
@@ -121,7 +121,7 @@ def weight_d(x0, x, d0: float):
     if x.ndim == 1:
         return float(1.0 + np.sum((x - x0) ** 2) / d0 ** 2)
     diff = x - x0
-    return 1.0 + rowdot(diff, diff, scratch=diff) / d0 ** 2
+    return 1.0 + rowsq(diff, scratch=diff) / d0 ** 2
 
 
 # -- densities ---------------------------------------------------------------
@@ -132,7 +132,7 @@ def _penalty_density(traj: Trajectory, k: int, nodes=None) -> np.ndarray:
     run's schedule at t_k (0 without a schedule)."""
     idx = traj.grid.interior_flat if nodes is None else traj.grid.interior_flat[nodes]
     rows = np.take(traj.snapshots[k].flat(), idx, axis=0)
-    w = rowdot(rows, rows, scratch=rows)
+    w = rowsq(rows, scratch=rows)
     sched = traj.schedule
     return (sched.strength(traj.times[k]) if sched else 0.0) * (w - 1.0) ** 2 / 4.0
 
@@ -283,7 +283,7 @@ def _speed_density(traj: Trajectory, z0) -> Callable[[int], float]:
             radial += deriv
         radial /= 2.0 * math.sqrt(t0 - t)
         diff -= radial
-        vals = rowdot(diff, diff, scratch=buf)
+        vals = rowsq(diff, scratch=buf)
         vals *= backward_heat_kernel(z0, t, coords)
         return float(np.sum(vals) * g.cell_volume)
 
@@ -476,7 +476,7 @@ def _extension_integrals(traj: Trajectory, h0: HarmonicExtension,
     def dev2(k):
         diff = np.take(traj.snapshots[k].flat(), nodes, axis=0)
         diff -= h0_vals
-        return rowdot(diff, diff, scratch=diff)
+        return rowsq(diff, scratch=diff)
 
     dev = float(window_integral(traj, *cyl.window(), dev2).sum()) * g.cell_volume
     time_extent = float(window_integral(traj, *cyl.window(), lambda k: 1.0))

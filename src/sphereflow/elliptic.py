@@ -21,8 +21,8 @@ from dataclasses import dataclass, field as dfield
 import numpy as np
 
 from .errors import GridMismatch, NoConvergence, OrderTooHighForGrid
-from .field import SphereField, rowdot
-from .geometry import EXTERIOR, Grid, neighbor_sum, put_rows
+from .field import SphereField
+from .geometry import EXTERIOR, Grid, neighbor_sum, put_rows, rowsq
 
 # per-column stop: 2-norm residual at most this fraction of the right-hand side's
 CG_RTOL = 1e-14
@@ -165,7 +165,7 @@ def derivative_energy_density(ext: HarmonicExtension | SphereField, order: int) 
     def walk(arr, depth):
         if depth == order:
             rows = np.take(arr, idx, axis=0)
-            out[pos] += rowdot(rows, rows, scratch=rows)
+            out[pos] += rowsq(rows, scratch=rows)
             return
         for s in strides:
             walk(_central_all(arr, s, grid.h), depth + 1)

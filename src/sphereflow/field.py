@@ -1,15 +1,14 @@
 """Discrete sphere-valued fields, initial-data generators, projection, norms.
 
-Data path.  Every per-row dot product of the package (|u|^2 for the flow's
-norm reaction and sup-norm guard, ``SphereField.max_norm``, the link and
+Data path.  Every per-row |v|^2 of the package (for the flow's norm
+reaction and sup-norm guard, ``SphereField.max_norm``, the link and
 penalty densities, the geometry's ball and domain tests, the chart's
-|v|^2) is ``rowdot``, and every product or quotient of each row with a
-per-row scalar is ``scale_rows``.  Both work one column at a time, so each
-sum and quotient has one definition, einsum's bits and no broadcast inner
-loop.  They are defined beside ``put_rows`` in ``geometry``, which this
-module imports, and are importable from here.  Whole rows are gathered
-with ``np.take(..., axis=0)`` and scattered with ``geometry.put_rows``,
-which move the same bits as fancy indexing in a fraction of its time.
+|v|^2) is ``geometry.rowsq``, and every product or quotient of each row
+with a per-row scalar is ``geometry.scale_rows``.  Both work one column at
+a time, so each sum and quotient has one definition and no broadcast inner
+loop.  Whole rows are gathered with ``np.take(..., axis=0)`` and scattered
+with ``geometry.put_rows``, which move the same bits as fancy indexing in
+a fraction of its time.
 """
 
 from __future__ import annotations
@@ -21,7 +20,7 @@ import numpy as np
 
 from .errors import (ConfigError, DimensionMismatch, GridMismatch, NearZeroVector,
                      finite, integer)
-from .geometry import Grid, put_rows, rowdot, scale_rows
+from .geometry import Grid, put_rows, rowsq, scale_rows
 
 
 @dataclass
@@ -51,7 +50,7 @@ class SphereField:
 
     def max_norm(self) -> float:
         v = self.active_values()
-        return float(np.sqrt(np.max(rowdot(v, v, scratch=v))))
+        return float(np.sqrt(np.max(rowsq(v, scratch=v))))
 
 
 INITIAL_KINDS = ("constant", "cap", "equator-hedgehog", "boundary-wrap", "custom-samples")
@@ -188,9 +187,9 @@ NORM_FLOOR = 1e-14
 def normalize_rows(v: np.ndarray, idx: np.ndarray,
                    scratch: Optional[np.ndarray] = None) -> np.ndarray:
     """Divide each row of ``v``, the values at flat nodes ``idx``, by its
-    norm, in place; returns ``v``.  ``scratch`` is ``rowdot``'s.  Raises
+    norm, in place; returns ``v``.  ``scratch`` is ``rowsq``'s.  Raises
     NearZeroVector on a row of norm below NORM_FLOOR."""
-    norms = rowdot(v, v, scratch=scratch)
+    norms = rowsq(v, scratch=scratch)
     np.sqrt(norms, out=norms)
     bad = norms < NORM_FLOOR
     if np.any(bad):
@@ -252,9 +251,9 @@ def gradient_squared_density(f: SphereField, nodes=None) -> np.ndarray:
     for s in g.strides():
         d = np.take(flat, idx + s, axis=0)
         d -= rows
-        up = rowdot(d, d, scratch=d)              # link (i, i + s)
+        up = rowsq(d, scratch=d)                  # link (i, i + s)
         d = np.take(flat, idx - s, axis=0)
         np.subtract(rows, d, out=d)
-        down = rowdot(d, d, scratch=d)            # link (i - s, i)
+        down = rowsq(d, scratch=d)                # link (i - s, i)
         acc += 0.5 * (up + down) / g.h ** 2
     return acc

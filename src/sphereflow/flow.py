@@ -24,10 +24,10 @@ normalization) and scatters them into the field with ``put_rows``, one
 whole row per element, so the post-reaction rows are the field's rows and
 are never gathered again; |u|^2 of them feeds the sup-norm guard, with the
 boundary maximum, which is fixed because no step writes a boundary row.
-Every |u|^2 is ``field.rowdot`` (the sum order of ``np.einsum`` on rows,
-one column pass at a time) and every division of the rows by a per-row
-divisor is ``field.scale_rows``, so the guard, ``SphereField.max_norm`` and
-the records take one definition.
+Every |u|^2 is ``geometry.rowsq`` (one fixed column order, one column pass
+at a time) and every division of the rows by a per-row divisor is
+``geometry.scale_rows``, so the guard, ``SphereField.max_norm`` and the
+records take one definition.
 Right after the step ``Grid.neighbour_rows`` computes N for the new state
 straight into ``nrows``, one cache-sized block of layers at a time.  Those
 rows serve twice: the state's record takes its Dirichlet energy from them
@@ -77,9 +77,8 @@ from .errors import CFLViolated, NormBlowup
 # the benchmark tracer wraps the module bindings flow.dirichlet_energy (the
 # reference the records agree with) and flow.project_to_sphere, so both
 # stay imported here
-from .field import (SphereField, dirichlet_energy, normalize_rows, project_to_sphere,
-                    rowdot, scale_rows)
-from .geometry import BOUNDARY, Grid, put_rows
+from .field import SphereField, dirichlet_energy, normalize_rows, project_to_sphere
+from .geometry import BOUNDARY, Grid, put_rows, rowsq, scale_rows
 
 
 # -- schedules -------------------------------------------------------------
@@ -212,7 +211,7 @@ def _diffuse(rows: np.ndarray, nrows: np.ndarray, g: Grid, dt: float) -> None:
 def _boundary_norm2(u: SphereField) -> float:
     """Largest |u|^2 over the boundary rows, which no step changes."""
     b = np.take(u.flat(), u.grid.boundary_flat, axis=0)
-    return rowdot(b, b, scratch=b).max(initial=0.0)
+    return rowsq(b, scratch=b).max(initial=0.0)
 
 
 def _sup_norm(w: np.ndarray, bnd2: float) -> float:
@@ -244,7 +243,7 @@ def _step(u: SphereField, rows: np.ndarray, nrows: np.ndarray, t: float,
         pen_incr, lam_eff = 0.0, 0.0
     else:
         lam_eff = sched.strength(t)
-        w0 = rowdot(rows, rows, scratch=nrows)
+        w0 = rowsq(rows, scratch=nrows)
         # left-endpoint rectangle rule on the penalty subflow: the
         # integrand is sampled on the state entering the substep
         sq = w0 - 1.0
@@ -258,7 +257,7 @@ def _step(u: SphereField, rows: np.ndarray, nrows: np.ndarray, t: float,
         w0 += e
         scale_rows(rows, np.sqrt(w0, out=w0))
     put_rows(u.flat(), idx, rows)
-    w = rowdot(rows, rows, scratch=nrows)
+    w = rowsq(rows, scratch=nrows)
     mx = _sup_norm(w, bnd2)
     if not mx <= 1.0 + 1e-7:
         raise NormBlowup(f"max node norm {mx} exceeds 1 + 1e-7 at t = {t}")
@@ -360,7 +359,7 @@ def _run(u0: SphereField, cfg: SolverConfig, sched: Optional[PenaltySchedule],
     rows = np.take(flat, g.interior_flat, axis=0)
     nrows = g.neighbour_rows(flat)
     lap = np.empty_like(rows)           # the record's scratch
-    w = rowdot(rows, rows, scratch=lap)
+    w = rowsq(rows, scratch=lap)
     records = [_record(0, 0.0, u, w, _dirichlet_from_rows(u, rows, nrows, links, lap),
                        sched.strength(0.0) if sched else 0.0, 0.0, _sup_norm(w, bnd2))]
     snapshots = [keep(u, False)]

@@ -162,13 +162,13 @@ class Domain:
         """Strict interior membership for an (n, d) array of points."""
         pts = np.atleast_2d(pts)
         if self.kind == "unit-ball":
-            return rowdot(pts, pts) < 1.0
+            return rowsq(pts) < 1.0
         if self.kind == "half-ball":
-            return (rowdot(pts, pts) < 1.0) & (pts[:, -1] > 0.0)
+            return (rowsq(pts) < 1.0) & (pts[:, -1] > 0.0)
         if self.kind == "box":
             lo, hi = self.bounds[:, 0], self.bounds[:, 1]
             return np.all((pts > lo) & (pts < hi), axis=1)
-        r2 = rowdot(pts, pts)
+        r2 = rowsq(pts)
         heights = np.array([float(self.phi(p[:-1])) for p in pts])
         return (r2 < PATCH_RADIUS ** 2) & (pts[:, -1] > heights)
 
@@ -262,7 +262,7 @@ class Domain:
         """
         offsets = np.atleast_2d(offsets)
         if self.kind == "unit-ball":
-            s = rowdot(offsets, offsets)
+            s = rowsq(offsets)
             if np.any(s >= 1.0):
                 raise ValueError("tangent offset leaves the chart of the unit sphere")
             return 1.0 - np.sqrt(1.0 - s)
@@ -407,7 +407,7 @@ class Grid:
             rng = np.arange(-m, m + 1)
             mesh = np.meshgrid(*([rng] * self.d), indexing="ij")
             pts = np.stack([g.ravel() for g in mesh], axis=1)
-            keep = rowdot(pts, pts) * self.h ** 2 < R ** 2
+            keep = rowsq(pts) * self.h ** 2 < R ** 2
             self._cache[key] = pts[keep]
         return self._cache[key]
 
@@ -415,7 +415,7 @@ class Grid:
         """Positions in ``interior_flat`` (rows of an interior-row array) of
         the interior nodes within distance R of x0."""
         diff = self.interior_coords - np.asarray(x0, dtype=float)
-        return np.flatnonzero(rowdot(diff, diff, scratch=diff) < R ** 2)
+        return np.flatnonzero(rowsq(diff, scratch=diff) < R ** 2)
 
     def boundary_projections(self) -> np.ndarray:
         if "bproj" not in self._cache:
@@ -520,33 +520,31 @@ def put_rows(flat: np.ndarray, idx: np.ndarray, rows: np.ndarray) -> None:
     np.put(flat.view(void).reshape(-1), idx, rows.view(void).reshape(-1))
 
 
-def rowdot(a: np.ndarray, b: np.ndarray, out: Optional[np.ndarray] = None,
-           scratch: Optional[np.ndarray] = None) -> np.ndarray:
-    """Row-wise dot products of two (n, m) arrays, m >= 1, into ``out`` (a
-    new (n,) array when None); returns it.
+def rowsq(a: np.ndarray, scratch: Optional[np.ndarray] = None) -> np.ndarray:
+    """Row-wise sums of squares of an (n, m) array, m >= 1, as a new (n,)
+    array.
 
-    The products a[:, j] * b[:, j] go into ``scratch``, an (n, m) buffer it
-    overwrites (a temporary when None).  The sum then runs in one fixed
-    order: the even columns 0, 2, 4, ... in order, the odd columns 1, 3,
-    ... in order, and the two partial sums added, each partial sum starting
-    from +0.0; for three columns that is (p0 + p2) + p1.  It is the order
-    of ``np.einsum`` with subscripts ``ij,ij->i`` on rows of unit column
-    stride and m <= 7 (its two-lane accumulator on the x86 SSE baseline),
-    so the two agree bit for bit there, and the column passes cost less.
+    The squares go into ``scratch``, an (n, m) buffer it overwrites (a
+    temporary when None; ``a`` itself when the caller has no further use
+    for it).  The sum then runs in one fixed order: the even columns 0, 2,
+    4, ... in order, the odd columns 1, 3, ... in order, and the two
+    partial sums added; for three columns that is (p0 + p2) + p1.  Only
+    separate multiplies and adds are used, so the bits are the same on
+    every platform.  It is also the order of ``np.einsum`` with subscripts
+    ``ij,ij->i`` on rows of unit column stride and m <= 7 where numpy's
+    baseline is the x86 SSE level (a two-lane accumulator without fused
+    multiply-add), so the two agree bit for bit there; a baseline with FMA3
+    or ASIMD gives einsum other bits.  The column passes cost less.
     """
-    p = np.multiply(a, b, out=scratch)
+    p = np.multiply(a, a, out=scratch)
     m = p.shape[1]
-    out = np.add(p[:, 0], p[:, 2] if m > 2 else 0, out=out)
+    out = p[:, 0] + p[:, 2] if m > 2 else p[:, 0].copy()
     for j in range(4, m, 2):
         out += p[:, j]
     for j in range(3, m, 2):
         p[:, 1] += p[:, j]
     if m > 1:
         out += p[:, 1]
-    if m > 2 and a is not b:
-        # only a row of -0.0 products sums to -0.0 here and to +0.0 from a
-        # +0.0 start; a square is never -0.0
-        out += 0
     return out
 
 

@@ -21,8 +21,9 @@ from typing import Optional
 import numpy as np
 
 from .errors import PoleProximity
-from .field import SphereField, rowdot, scale_rows
+from .field import SphereField
 from .flow import Trajectory
+from .geometry import rowsq, scale_rows
 
 POLE_GAP = 1e-6
 BAND_FACTOR = 10.0      # the monitor's band: 1e-6 + BAND_FACTOR * dt
@@ -78,7 +79,7 @@ def stereo_forward(u: np.ndarray) -> np.ndarray:
 
 def stereo_inverse(v: np.ndarray) -> np.ndarray:
     """(n, D) chart values -> (n, D+1) unit-sphere values."""
-    s = rowdot(v, v)
+    s = rowsq(v)
     u = np.empty((v.shape[0], v.shape[1] + 1))
     scale_rows(2.0 * v, 1.0 + s, out=u[:, :-1])
     u[:, -1] = (1.0 - s) / (1.0 + s)
@@ -125,7 +126,7 @@ def one_sided_check(u0: SphereField) -> OneSidedCheck:
     theta0 = 0.0
     if passed:
         v = stereo_forward(rotated)
-        vmax = float(np.sqrt(rowdot(v, v, scratch=v).max()))
+        vmax = float(np.sqrt(rowsq(v, scratch=v).max()))
         theta0 = (1.0 - vmax) / 2.0
     return OneSidedCheck(rotation=rot, min_component=min_comp, passed=passed,
                          theta0_proxy=theta0)
@@ -164,7 +165,7 @@ def one_sided_monitor(traj: Trajectory) -> OneSidedReport:
         except PoleProximity:
             first_violation = k
             break
-        max_w.append(float(W(rowdot(v, v, scratch=v)).max()))
+        max_w.append(float(W(rowsq(v, scratch=v)).max()))
         min_last.append(mlast)
         if max_w[k] > max_w[0] + band or mlast <= 0.0:
             first_violation = k
@@ -208,9 +209,9 @@ def _pde_residual_samples(traj: Trajectory, rot: np.ndarray,
     for k, j in sorted(zip(ks.tolist(), js.tolist())):
         nodes = idx[j] + offsets
         v, _ = _chart_rows(traj.snapshots[k], rot, nodes)
-        w = W(rowdot(v, v))
+        w = W(rowsq(v))
         v1, _ = _chart_rows(traj.snapshots[k + 1], rot, nodes[:1])
-        w1 = W(rowdot(v1, v1, scratch=v1))[0]
+        w1 = W(rowsq(v1, scratch=v1))[0]
         dt_loc = traj.times[k + 1] - traj.times[k]
         w_t = (w1 - w[0]) / dt_loc
         w_nbr = 0.0

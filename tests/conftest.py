@@ -7,6 +7,22 @@ from sphereflow.flow import PenaltySchedule, SolverConfig, run_glhf, run_project
 
 
 @pytest.fixture(scope="session")
+def rowsq_in_order():
+    """Row sums of squares as ``geometry.rowsq`` documents them: the even
+    columns in order, the odd columns in order, then the two partial sums;
+    separate multiplies and adds, so the same bits on every platform."""
+    def rowsq(a):
+        p = a * a
+        even, odd = np.zeros(a.shape[0]), np.zeros(a.shape[0])
+        for j in range(0, a.shape[1], 2):
+            even = even + p[:, j]
+        for j in range(1, a.shape[1], 2):
+            odd = odd + p[:, j]
+        return even + odd
+    return rowsq
+
+
+@pytest.fixture(scope="session")
 def disc16():
     return build_grid(Domain.unit_ball(2), 1 / 16)
 

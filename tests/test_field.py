@@ -6,8 +6,8 @@ from hypothesis.extra import numpy as hnp
 from sphereflow.errors import DimensionMismatch, GridMismatch, NearZeroVector
 from sphereflow.field import (InitialData, SphereField, dirichlet_energy,
                               generate, gradient_squared_density, l2_distance,
-                              project_to_sphere, rowdot, scale_rows)
-from sphereflow.geometry import Domain, build_grid
+                              project_to_sphere)
+from sphereflow.geometry import Domain, build_grid, rowsq, scale_rows
 
 
 def test_constant_north_pole(disc16):
@@ -166,10 +166,14 @@ _ANY_FLOAT = st.floats(allow_nan=True, allow_infinity=True, allow_subnormal=True
     st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 2.2e-308, np.inf, -np.inf, np.nan])
 
 
-def _row_pairs():
+def _rows():
     return st.tuples(st.integers(0, 300), st.integers(1, 6)).flatmap(
-        lambda shape: st.tuples(hnp.arrays(np.float64, shape, elements=_ANY_FLOAT),
-                                hnp.arrays(np.float64, shape, elements=_ANY_FLOAT)))
+        lambda shape: hnp.arrays(np.float64, shape, elements=_ANY_FLOAT))
+
+
+def _row_pairs():
+    return _rows().flatmap(lambda a: st.tuples(
+        st.just(a), hnp.arrays(np.float64, a.shape, elements=_ANY_FLOAT)))
 
 
 def _same_bits(x, y):
@@ -179,25 +183,43 @@ def _same_bits(x, y):
             and np.array_equal(x[~nan].view(np.uint64), y[~nan].view(np.uint64)))
 
 
-@given(ab=_row_pairs(), given_buffers=st.booleans())
-@example(ab=(np.array([[-0.0, -0.0, 0.0]]), np.array([[1.0, 1.0, -1.0]])),
-         given_buffers=False)
+@given(a=_rows(), scratch=st.sampled_from(["none", "buffer", "input"]))
 @settings(max_examples=150, deadline=None)
-def test_rowdot_is_einsum_bit_for_bit(ab, given_buffers):
-    a, b = ab
-    ref = np.einsum("ij,ij->i", a, b)
-    a0, b0 = a.copy(), b.copy()
+def test_rowsq_sums_in_the_documented_order(rowsq_in_order, a, scratch):
+    a0 = a.copy()
+    buf = {"none": None, "buffer": np.empty_like(a), "input": a}[scratch]
+    with np.errstate(all="ignore"):     # overflow to inf is one of the cases
+        ref = rowsq_in_order(a)
+        got = rowsq(a, scratch=buf)
+    assert _same_bits(got, ref)
+    if scratch != "input":
+        assert _same_bits(a, a0)
+
+
+def _cpu_baseline():
+    try:
+        from numpy._core._multiarray_umath import __cpu_baseline__
+    except ImportError:
+        return set()
+    return set(__cpu_baseline__)
+
+
+# x86 baselines up to SSE4.2: einsum's "ij,ij->i" loop keeps two lanes and
+# adds separately rounded products; FMA3 (x86-64-v3) or ASIMD (aarch64)
+# baselines fuse them or widen the lanes, and give other bits
+_SSE_LEVEL = {"SSE", "SSE2", "SSE3", "SSSE3", "SSE41", "POPCNT", "SSE42", "X86_V2"}
+
+
+@pytest.mark.skipif(not _cpu_baseline() or not _cpu_baseline() <= _SSE_LEVEL,
+                    reason="einsum's row sums follow rowsq's order only on an "
+                           "x86 SSE-level numpy baseline")
+@given(a=_rows())
+@example(a=np.array([[-0.0, -0.0, 0.0], [5e-324, -5e-324, 1e200]]))
+@settings(max_examples=150, deadline=None)
+def test_rowsq_is_einsum_bit_for_bit_on_an_sse_baseline(a):
     with np.errstate(all="ignore"):     # einsum reports no float errors
-        if given_buffers:
-            out, scratch = np.full(a.shape[0], 7.0), np.empty_like(a)
-            assert rowdot(a, b, out=out, scratch=scratch) is out
-        else:
-            out = rowdot(a, b)
-        square = rowdot(a, a)
-    assert np.array_equal(out, ref, equal_nan=True)
-    assert _same_bits(out, ref)
-    assert _same_bits(square, np.einsum("ij,ij->i", a, a))
-    assert _same_bits(a, a0) and _same_bits(b, b0)
+        got = rowsq(a)
+    assert _same_bits(got, np.einsum("ij,ij->i", a, a))
 
 
 @given(ab=_row_pairs(), in_place=st.booleans(), op=st.sampled_from([np.divide, np.multiply]))

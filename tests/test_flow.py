@@ -244,19 +244,21 @@ def test_run_equals_chain_of_public_steps(d, mode):
         assert abs(r.dirichlet_energy - ref) <= 1e-13 * ref
 
 
-def _einsum_step(u, rows, nrows, t, cfg, sched, bnd2):
-    """``flow._step`` as it stood with einsum row dots, broadcast row divides
-    and fancy-index normalization, kept here as the bit-for-bit reference."""
+def _reference_step(u, rows, nrows, t, cfg, sched, bnd2, rowsq):
+    """``flow._step`` as it stood before the row kernels: a new array for
+    every |u|^2, broadcast row divides and fancy-index scatter, kept here
+    as the bit-for-bit reference.  ``rowsq`` is the documented row sum
+    (``np.einsum("ij,ij->i")``'s bits on an x86 SSE-level numpy)."""
     g = u.grid
     _diffuse(rows, nrows, g, cfg.dt)
     if sched is None:
-        norms = np.sqrt(np.einsum("ij,ij->i", rows, rows))
+        norms = np.sqrt(rowsq(rows))
         assert np.all(norms >= 1e-14)
         rows /= norms[:, None]
         pen_incr, lam_eff = 0.0, 0.0
     else:
         lam_eff = sched.strength(t)
-        w0 = np.einsum("ij,ij->i", rows, rows)
+        w0 = rowsq(rows)
         sq = w0 - 1.0
         sq *= sq
         pen_incr = float(cfg.dt * lam_eff * np.sum(sq) * g.cell_volume)
@@ -265,29 +267,29 @@ def _einsum_step(u, rows, nrows, t, cfg, sched, bnd2):
         w0 += e
         rows /= np.sqrt(w0, out=w0)[:, None]
     u.flat()[g.interior_flat] = rows
-    w = np.einsum("ij,ij->i", rows, rows)
+    w = rowsq(rows)
     return w, pen_incr, lam_eff, float(np.sqrt(np.maximum(w.max(), bnd2)))
 
 
-def _einsum_run(u0, n_steps, cfg, sched):
-    """``flow._run`` over ``n_steps`` steps with ``_einsum_step``: every
+def _reference_run(u0, n_steps, cfg, sched, rowsq):
+    """``flow._run`` over ``n_steps`` steps with ``_reference_step``: every
     state's field and record."""
     u = u0.copy()
     g = u.grid
     flat = u.flat()
-    bnd = flat[g.boundary_flat]
-    bnd2 = np.einsum("ij,ij->i", bnd, bnd).max(initial=0.0)
+    bnd2 = rowsq(flat[g.boundary_flat]).max(initial=0.0)
     links = _boundary_links(u)
     rows = flat[g.interior_flat]
     nrows = g.neighbour_rows(flat)
     lap = np.empty_like(rows)
-    w = np.einsum("ij,ij->i", rows, rows)
+    w = rowsq(rows)
     records = [_record(0, 0.0, u, w, _dirichlet_from_rows(u, rows, nrows, links, lap),
                        sched.strength(0.0) if sched else 0.0, 0.0,
                        float(np.sqrt(np.maximum(w.max(), bnd2))))]
     fields = [u.copy()]
     for k in range(n_steps):
-        w, pen_incr, lam_eff, mx = _einsum_step(u, rows, nrows, k * cfg.dt, cfg, sched, bnd2)
+        w, pen_incr, lam_eff, mx = _reference_step(u, rows, nrows, k * cfg.dt, cfg, sched,
+                                                   bnd2, rowsq)
         g.neighbour_rows(flat, out=nrows)
         records.append(_record(k + 1, (k + 1) * cfg.dt, u, w,
                                _dirichlet_from_rows(u, rows, nrows, links, lap),
@@ -298,7 +300,7 @@ def _einsum_run(u0, n_steps, cfg, sched):
 
 @pytest.mark.parametrize("d", [2, 3])
 @pytest.mark.parametrize("mode", ["glhf-simplified", "projected"])
-def test_run_equals_the_einsum_reference_run(d, mode):
+def test_run_equals_the_broadcast_reference_run(rowsq_in_order, d, mode):
     # the 2-D cap and the 3-D hedgehog at h = 1/16, five steps each
     g = build_grid(Domain.unit_ball(d), 1 / 16)
     u0 = generate(InitialData(kind="cap", latitude_deg=60.0) if d == 2
@@ -307,7 +309,7 @@ def test_run_equals_the_einsum_reference_run(d, mode):
     cfg = SolverConfig(dt=dt, T=5 * dt)
     sched = None if mode == "projected" else PenaltySchedule(lam=1e3)
     traj = run_projected(u0, cfg) if sched is None else run_glhf(u0, cfg, sched)
-    fields, records = _einsum_run(u0, 5, cfg, sched)
+    fields, records = _reference_run(u0, 5, cfg, sched, rowsq_in_order)
     assert len(traj.snapshots) == len(fields) == 6
     for snap, ref in zip(traj.snapshots, fields):
         assert np.array_equal(snap.values, ref.values)
