@@ -91,10 +91,11 @@ class ExperimentConfig:
     @staticmethod
     def from_dict(raw: dict) -> "ExperimentConfig":
         """Type and check every section; raise ConfigError on any value the
-        run or a diagnostic would reject, on a run of more than MAX_STEPS
-        steps and on a lattice of more than ``geometry.MAX_LATTICE_NODES``
-        nodes.  The time windows of the diagnostics depend on the command that
-        evaluates them; ``check_windows`` checks them."""
+        run or a diagnostic would reject, on a run of no step or of more
+        than MAX_STEPS steps and on a lattice of more than
+        ``geometry.MAX_LATTICE_NODES`` nodes.  The time windows of the
+        diagnostics depend on the command that evaluates them;
+        ``check_windows`` checks them."""
         try:
             domain = Domain.from_config(raw["domain"])
             h = finite("h", raw["h"])
@@ -133,6 +134,9 @@ class ExperimentConfig:
             if not math.isfinite(steps) or solver.n_steps() > MAX_STEPS:
                 raise ConfigError(f"solver.T / dt = {steps:.4g} steps exceeds the "
                                   f"budget of {MAX_STEPS} steps per run")
+            if solver.n_steps() < 1:
+                raise ConfigError(f"solver.T / dt = {steps:.4g} steps rounds to no "
+                                  f"step; a run takes at least one")
             diagnostics = _diagnostics(_section(raw.get("diagnostics", {}), "diagnostics"),
                                        domain, h, solver.T)
             snapshot = None
@@ -206,7 +210,10 @@ def _diagnostics(dcfg: dict, domain: Domain, h: float, T: float) -> Diagnostics:
         return r
 
     out = Diagnostics()
-    for c in dcfg.get("cylinders") or []:
+    cylinders = dcfg.get("cylinders", [])
+    if not isinstance(cylinders, list):
+        raise ConfigError("diagnostics.cylinders must be a list")
+    for c in cylinders:
         c = _section(c, "diagnostics.cylinders entry")
         t0, x0 = _point(c, d)
         R, mode = length("cylinder R", c["R"]), c.get("mode", "gl")
@@ -237,7 +244,7 @@ def _diagnostics(dcfg: dict, domain: Domain, h: float, T: float) -> Diagnostics:
         e = _section(dcfg["small_energy"], "diagnostics.small_energy")
         radii = [length("small_energy radius", r) for r in e["radii"]]
         out.small_energy = (_point(e, d), radii, finite("small_energy eps0", e["eps0"]))
-    if dcfg.get("mbar_probe"):
+    if "mbar_probe" in dcfg:
         p = _section(dcfg["mbar_probe"], "diagnostics.mbar_probe")
         t0 = finite("mbar_probe t0", p.get("t0", T / 2.0))
         x0 = _coords(p["x0"], d) if "x0" in p else domain.center()

@@ -25,7 +25,7 @@ import numpy as np
 
 from .elliptic import HarmonicExtension
 from .errors import (EmptyIntersection, KernelUnderresolved, TimeNotBeforeCenter,
-                     UnboundedDomainUnsupported, WindowOutsideTrajectory)
+                     WindowOutsideTrajectory)
 from .field import SphereField, _check_same, gradient_squared_density
 from .flow import Trajectory
 from .geometry import BoundaryFrame, Grid, boundary_frame, rowsq, scale_rows
@@ -395,8 +395,6 @@ def main2_lhs(traj_or_u0, z0, R0: float, mu0: float, c_mu0: float) -> float:
     u0 = traj_or_u0.snapshots[0] if isinstance(traj_or_u0, Trajectory) else traj_or_u0
     g = u0.grid
     t0, x0 = float(z0[0]), np.asarray(z0[1], dtype=float)
-    if not math.isfinite(g.domain.diameter):
-        raise UnboundedDomainUnsupported("criterion needs a bounded domain")
     if R0 >= math.sqrt(t0) / 2.0:
         raise ValueError("need R0 < sqrt(t0)/2")
     d0 = g.domain.diameter

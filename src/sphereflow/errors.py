@@ -68,10 +68,6 @@ class PoleProximity(SphereFlowError):
     pass
 
 
-class UnboundedDomainUnsupported(SphereFlowError):
-    pass
-
-
 class ConfigError(SphereFlowError):
     pass
 

@@ -5,14 +5,19 @@ A domain is discretized on the global lattice ``h * Z^d``.  Node classes:
 * ``interior`` -- lattice points strictly inside the open domain,
 * ``boundary`` -- lattice points outside the domain with at least one
   interior axis neighbor (these carry Dirichlet data, evaluated at the
-  nearest point of the true boundary),
+  point ``Domain.boundary_project`` gives),
 * ``exterior`` -- everything else.
 
 With this rule every axis neighbor of an interior node is interior or
 boundary, and every boundary node lies within one spacing of the true
-boundary.  Node data derived from a field (densities, node positions)
-holds one row per interior node, in ``interior_flat`` order, and ball
-queries return positions into that order.
+boundary.  A boundary node is projected onto the sphere radially on the
+unit ball, onto the nearest point of a box, and on the cut ball (the
+half-ball and a graph subdomain: the unit ball above a face x_d = f(x'))
+onto the nearer of the cap point p/|p| and the face point over x' clipped
+to the unit disc; each projection lies within 2h of its node.  Node data
+derived from a field (densities, node positions) holds one row per
+interior node, in ``interior_flat`` order, and ball queries return
+positions into that order.
 
 Neighbours are reached by one rule: on the C-order flattened lattice the
 axis-a neighbours of node ``i`` are ``i -/+ strides[a]``.  A whole-lattice
@@ -44,7 +49,6 @@ from .errors import (ConfigError, LatticeTooLarge, NoGraphAvailable, SpacingTooC
                      integer)
 
 EXTERIOR, INTERIOR, BOUNDARY = 0, 1, 2
-PATCH_RADIUS = 1.0
 # lattice nodes one block of ``Grid.neighbour_rows`` spans (unless a single
 # layer is wider): 2^14 nodes of 3 float64 components are a 384 KiB scratch,
 # which stays in a 2 MiB L2 with the rows the stencil reads
@@ -60,10 +64,11 @@ class Domain:
 
     ``kind`` is one of ``unit-ball``, ``box``, ``half-ball`` or
     ``graph-subdomain``.  ``diameter`` is the exact diameter (2 for the
-    unit ball, the diagonal length for a box).  Graph subdomains carry a
-    height function ``phi`` over the tangent hyperplane at a base point,
-    normalized so that phi(0) = 0 and grad phi(0) = 0, and are cut off by
-    the ball of radius PATCH_RADIUS around the base point.
+    ball kinds, the diagonal length for a box).  The half-ball and a graph
+    subdomain are one shape, the unit ball cut by a face x_d = f(x') and
+    kept above it: f is 0 for the half-ball and the height function
+    ``phi`` for a graph subdomain, normalized so that phi(0) = 0 and
+    grad phi(0) = 0.
     """
 
     kind: str
@@ -87,13 +92,8 @@ class Domain:
             z = np.zeros(self.d - 1)
             if abs(float(self.phi(z))) > 1e-10:
                 raise ValueError("graph height must vanish at the base point")
-            step = 1e-5
-            for i in range(self.d - 1):
-                e = np.zeros(self.d - 1)
-                e[i] = step
-                g = (float(self.phi(e)) - float(self.phi(-e))) / (2 * step)
-                if abs(g) > 1e-6:
-                    raise ValueError("graph height must have vanishing gradient at the base point")
+            if np.any(np.abs(self._face_gradient(z, 1e-5)) > 1e-6):
+                raise ValueError("graph height must have vanishing gradient at the base point")
         elif self.kind not in ("unit-ball", "half-ball"):
             raise ValueError(f"unknown domain kind {self.kind!r}")
 
@@ -136,44 +136,53 @@ class Domain:
 
     @property
     def diameter(self) -> float:
-        if self.kind in ("unit-ball", "half-ball"):
-            return 2.0
         if self.kind == "box":
             return float(np.linalg.norm(self.bounds[:, 1] - self.bounds[:, 0]))
-        return 2.0 * PATCH_RADIUS
+        return 2.0
 
     def bounding_box(self):
-        if self.kind == "unit-ball":
-            return -np.ones(self.d), np.ones(self.d)
-        if self.kind == "half-ball":
-            lo = -np.ones(self.d)
-            lo[-1] = 0.0
-            return lo, np.ones(self.d)
         if self.kind == "box":
             return self.bounds[:, 0].copy(), self.bounds[:, 1].copy()
-        return -PATCH_RADIUS * np.ones(self.d), PATCH_RADIUS * np.ones(self.d)
+        lo = -np.ones(self.d)
+        if self.kind == "half-ball":
+            lo[-1] = 0.0
+        return lo, np.ones(self.d)
 
     def center(self) -> np.ndarray:
         """Midpoint of the bounding box."""
         lo, hi = self.bounding_box()
         return 0.5 * (lo + hi)
 
+    def _face(self, ys: np.ndarray) -> np.ndarray:
+        """Height f(x') of the cut ball's face over each row x' of an
+        (n, d-1) array: 0 for the half-ball, ``phi`` for a graph subdomain."""
+        if self.kind == "half-ball":
+            return np.zeros(len(ys))
+        return np.array([float(self.phi(y)) for y in ys])
+
+    def _face_gradient(self, y: np.ndarray, step: float) -> np.ndarray:
+        """Central-difference gradient of the face height at one point x'."""
+        e = step * np.eye(self.d - 1)
+        return (self._face(y + e) - self._face(y - e)) / (2 * step)
+
     def contains(self, pts: np.ndarray) -> np.ndarray:
         """Strict interior membership for an (n, d) array of points."""
         pts = np.atleast_2d(pts)
-        if self.kind == "unit-ball":
-            return rowsq(pts) < 1.0
-        if self.kind == "half-ball":
-            return (rowsq(pts) < 1.0) & (pts[:, -1] > 0.0)
         if self.kind == "box":
             lo, hi = self.bounds[:, 0], self.bounds[:, 1]
             return np.all((pts > lo) & (pts < hi), axis=1)
-        r2 = rowsq(pts)
-        heights = np.array([float(self.phi(p[:-1])) for p in pts])
-        return (r2 < PATCH_RADIUS ** 2) & (pts[:, -1] > heights)
+        inside = rowsq(pts) < 1.0
+        if self.kind == "unit-ball":
+            return inside
+        return inside & (pts[:, -1] > self._face(pts[:, :-1]))
 
     def boundary_project(self, pts: np.ndarray) -> np.ndarray:
-        """Nearest point of the true boundary (first-order adequate)."""
+        """Nearest point of the true boundary (first-order adequate).
+
+        On the cut ball it is the nearer of two candidates: the cap point
+        p/|p|, when p lies on or above the face, and the face point over
+        x' clipped to the unit disc.
+        """
         pts = np.atleast_2d(pts).astype(float)
         if self.kind == "unit-ball":
             n = np.linalg.norm(pts, axis=1, keepdims=True)
@@ -189,29 +198,26 @@ class Domain:
                 a = int(np.argmin(gaps))
                 q[k, a] = lo[a] if q[k, a] - lo[a] <= hi[a] - q[k, a] else hi[a]
             return q
-        if self.kind == "half-ball":
-            out = np.empty_like(pts)
-            for k, p in enumerate(pts):
-                cand = []
-                n = np.linalg.norm(p)
-                if n > 0 and p[-1] >= 0:
-                    cand.append(p / n)                      # spherical cap
-                q = p.copy()
-                q[-1] = 0.0
-                m = np.linalg.norm(q[:-1])
-                if m > 1.0:
-                    q[:-1] *= 1.0 / m
-                cand.append(q)                              # flat face
-                dists = [np.linalg.norm(p - c) for c in cand]
-                out[k] = cand[int(np.argmin(dists))]
-            return out
-        # graph subdomain: drop onto the graph surface
-        out = pts.copy()
+        out = np.empty_like(pts)
         for k, p in enumerate(pts):
-            out[k, -1] = float(self.phi(p[:-1]))
+            cand = []
+            n = np.linalg.norm(p)
+            if n > 0 and p[-1] >= self._face(p[None, :-1])[0]:
+                cand.append(p / n)                      # spherical cap
+            q = p.copy()
+            m = np.linalg.norm(q[:-1])
+            if m > 1.0:
+                q[:-1] *= 1.0 / m
+            q[-1] = self._face(q[None, :-1])[0]
+            cand.append(q)                              # face
+            dists = [np.linalg.norm(p - c) for c in cand]
+            out[k] = cand[int(np.argmin(dists))]
         return out
 
     def outward_normal(self, pts: np.ndarray) -> np.ndarray:
+        """Outward unit normal at the boundary projection of each point; on
+        the cut ball's face (grad f, -1) normalized, with grad f a central
+        difference of step 1e-6."""
         pts = np.atleast_2d(pts).astype(float)
         if self.kind == "unit-ball":
             n = np.linalg.norm(pts, axis=1, keepdims=True)
@@ -231,34 +237,23 @@ class Domain:
                     a = int(np.argmin(gaps))
                     out[k, a] = -1.0 if below[a] <= above[a] else 1.0
             return out
-        if self.kind == "half-ball":
-            out = np.empty_like(pts)
-            for k, p in enumerate(pts):
-                proj = self.boundary_project(p[None, :])[0]
-                if abs(proj[-1]) < 1e-12 and np.linalg.norm(proj) < 1.0 - 1e-12:
-                    nu = np.zeros(self.d)
-                    nu[-1] = -1.0
-                else:
-                    nu = proj / np.linalg.norm(proj)
-                out[k] = nu
-            return out
         out = np.empty_like(pts)
-        step = 1e-6
-        for k, p in enumerate(pts):
-            g = np.empty(self.d - 1)
-            for i in range(self.d - 1):
-                e = np.zeros(self.d - 1)
-                e[i] = step
-                g[i] = (float(self.phi(p[:-1] + e)) - float(self.phi(p[:-1] - e))) / (2 * step)
-            nu = np.concatenate([g, [-1.0]])
+        for k, q in enumerate(self.boundary_project(pts)):
+            if abs(q[-1] - self._face(q[None, :-1])[0]) < 1e-12 \
+                    and np.linalg.norm(q) < 1.0 - 1e-12:
+                nu = np.append(self._face_gradient(q[:-1], 1e-6), -1.0)
+            else:
+                nu = q
             out[k] = nu / np.linalg.norm(nu)
         return out
 
-    def graph_height(self, base_point: np.ndarray, offsets: np.ndarray) -> np.ndarray:
-        """Height of the boundary graph over the tangent plane at a base point.
+    def graph_height(self, offsets: np.ndarray) -> np.ndarray:
+        """Height of the boundary graph over the tangent plane at the base
+        point, at (m, d-1) tangent offsets, measured along the inward normal.
 
-        Offsets are (m, d-1) tangent coordinates; the height is measured
-        along the inward normal.  Only available where the boundary is C^2.
+        The unit sphere is the same graph at every base point; a graph
+        subdomain's boundary is the graph of ``phi`` at its base point, the
+        origin.  Other kinds have corners and raise NoGraphAvailable.
         """
         offsets = np.atleast_2d(offsets)
         if self.kind == "unit-ball":
@@ -267,7 +262,7 @@ class Domain:
                 raise ValueError("tangent offset leaves the chart of the unit sphere")
             return 1.0 - np.sqrt(1.0 - s)
         if self.kind == "graph-subdomain":
-            return np.array([float(self.phi(o)) for o in offsets])
+            return self._face(offsets)
         raise NoGraphAvailable(f"domain kind {self.kind!r} has no C^2 boundary graph")
 
     def to_config(self) -> dict:
@@ -574,81 +569,34 @@ def boundary_frame(grid: Grid) -> BoundaryFrame:
 class ConditionBResult:
     theta0_estimate: float
     passed: bool
-    n_base_points: int
-    probe_radius: float
-
-
-def _base_points(domain: Domain, n: int) -> np.ndarray:
-    """Deterministic quasi-uniform net on the boundary sphere."""
-    d = domain.d
-    if d == 2:
-        th = 2 * np.pi * np.arange(n) / n
-        return np.stack([np.cos(th), np.sin(th)], axis=1)
-    if d == 3:
-        # Fibonacci net
-        i = np.arange(n) + 0.5
-        phi = np.arccos(1 - 2 * i / n)
-        gold = np.pi * (1 + 5 ** 0.5)
-        th = gold * i
-        return np.stack([np.sin(phi) * np.cos(th),
-                         np.sin(phi) * np.sin(th),
-                         np.cos(phi)], axis=1)
-    rng = np.random.default_rng(0)
-    v = rng.standard_normal((n, d))
-    return v / np.linalg.norm(v, axis=1, keepdims=True)
 
 
 def check_condition_B(domain: Domain, probe_radius: float,
                       threshold: float = 0.1) -> ConditionBResult:
     """Uniform convexity estimate for the boundary graph.
 
-    Samples boundary base points, takes the finite-difference Hessian of
-    the local height function at each, and returns the infimum of its
-    smallest eigenvalue.  Passes when the estimate reaches the threshold.
+    Takes the finite-difference Hessian of ``domain.graph_height`` once, on
+    the stencil {-delta, 0, delta}^m of tangent offsets (m = d - 1, delta
+    the probe radius), and returns its smallest eigenvalue: the unit
+    sphere's graph is the same at every base point, and a graph
+    subdomain's is taken at its base point.  Only the stencil points with
+    at most two nonzero offsets are evaluated.  Passes when the estimate
+    reaches the threshold; kinds with corners raise NoGraphAvailable.
     """
     if probe_radius <= 0 or probe_radius >= 0.7:
         raise ValueError("probe radius must lie in (0, 0.7)")
-    d = domain.d
-    m = d - 1
-    delta = probe_radius
-
-    if domain.kind == "unit-ball":
-        base = _base_points(domain, 64 if d == 2 else 256)
-    elif domain.kind == "graph-subdomain":
-        base = np.zeros((1, d))
-    else:
-        raise NoGraphAvailable(
-            f"condition check needs a C^2 boundary graph; kind {domain.kind!r} has corners")
-
-    offs = []
+    m, delta = domain.d - 1, probe_radius
+    # stencil point k sits at flat index c + k . s, in C order
+    k = np.indices((3,) * m).reshape(m, -1).T - 1
+    c, s = (3 ** m - 1) // 2, 3 ** np.arange(m - 1, -1, -1)
+    used = np.count_nonzero(k, axis=1) <= 2
+    v = np.full(len(k), np.nan)
+    v[used] = domain.graph_height(delta * k[used])
+    H = np.empty((m, m))
     for i in range(m):
-        e = np.zeros(m)
-        e[i] = delta
-        offs += [e, -e]
+        H[i, i] = (v[c + s[i]] - 2 * v[c] + v[c - s[i]]) / delta ** 2
         for j in range(i + 1, m):
-            f = np.zeros(m)
-            f[j] = delta
-            offs += [e + f, e - f, -e + f, -e - f]
-    offs.append(np.zeros(m))
-    offs = np.array(offs)
-
-    theta0 = np.inf
-    for p in base:
-        vals = {tuple(np.round(o / delta).astype(int)): v
-                for o, v in zip(offs, domain.graph_height(p, offs))}
-        H = np.empty((m, m))
-        for i in range(m):
-            ei = tuple(1 if k == i else 0 for k in range(m))
-            emi = tuple(-1 if k == i else 0 for k in range(m))
-            z = tuple([0] * m)
-            H[i, i] = (vals[ei] - 2 * vals[z] + vals[emi]) / delta ** 2
-            for j in range(i + 1, m):
-                pp = tuple((1 if k == i else 0) + (1 if k == j else 0) for k in range(m))
-                pm = tuple((1 if k == i else 0) - (1 if k == j else 0) for k in range(m))
-                mp = tuple(-(1 if k == i else 0) + (1 if k == j else 0) for k in range(m))
-                mm = tuple(-(1 if k == i else 0) - (1 if k == j else 0) for k in range(m))
-                H[i, j] = H[j, i] = (vals[pp] - vals[pm] - vals[mp] + vals[mm]) / (4 * delta ** 2)
-        theta0 = min(theta0, float(np.min(np.linalg.eigvalsh(H))))
-
-    return ConditionBResult(theta0_estimate=theta0, passed=theta0 >= threshold,
-                            n_base_points=base.shape[0], probe_radius=probe_radius)
+            H[i, j] = H[j, i] = (v[c + s[i] + s[j]] - v[c + s[i] - s[j]]
+                                 - v[c - s[i] + s[j]] + v[c - s[i] - s[j]]) / (4 * delta ** 2)
+    theta0 = float(np.min(np.linalg.eigvalsh(H)))
+    return ConditionBResult(theta0_estimate=theta0, passed=theta0 >= threshold)

@@ -137,6 +137,16 @@ def test_non_object_config_section_exits_2(tmp_path, section):
     ("monotonicity", {"t0": 0.1, "x0": [0.0, 0.0], "pairs": [[0.1]]}),
     ("small_energy", {"t0": 0.0625, "x0": [0.0, 0.0], "radii": 0.25, "eps0": 1.0}),
     ("mbar_probe", [0.125]),
+    # a present key is parsed: these count as malformed, not as absent
+    ("mbar_probe", {}),
+    ("mbar_probe", None),
+    ("mbar_probe", False),
+    ("mbar_probe", 0),
+    ("cylinders", {}),
+    ("cylinders", None),
+    ("cylinders", False),
+    ("cylinders", 0),
+    ("cylinders", ""),
 ])
 def test_malformed_diagnostics_section_exits_2_before_stepping(tmp_path, section, value):
     cfg = json.loads((CONFIGS / "onesided_cap.json").read_text())
@@ -313,6 +323,27 @@ def test_step_budget_exits_2_at_load(tmp_path, solver):
     assert "budget" in err["message"]
 
 
+@pytest.mark.parametrize("command", ["run", "sweep-h"])
+def test_run_of_no_step_exits_2_at_load(tmp_path, command):
+    # T below 1e-9 of a step rounds to n_steps() == 0: a run of step 0 only
+    cfg = json.loads((CONFIGS / "onesided_cap.json").read_text())
+    cfg["solver"]["T"] = 1e-14
+    cfg["diagnostics"] = {}
+    err = _exits_2_at_load(tmp_path, cfg, run_experiment if command == "run" else
+                           lambda p, out: sweep(p, "h", [0.125], out))
+    assert "solver.T / dt" in err["message"]
+
+
+def test_empty_cylinder_list_runs(tmp_path):
+    cfg = json.loads((CONFIGS / "onesided_cap.json").read_text())
+    cfg["solver"]["T"] = 0.01
+    cfg["diagnostics"] = {"cylinders": []}
+    p = tmp_path / "ok.json"
+    p.write_text(json.dumps(cfg))
+    assert run_experiment(p, tmp_path / "o") == 0
+    assert not (tmp_path / "o" / "reports" / "cylinders.csv").exists()
+
+
 def test_step_budget_bound(tmp_path, monkeypatch):
     # a run of MAX_STEPS steps runs; one more step is rejected at load
     monkeypatch.setattr(cli, "MAX_STEPS", 10)
@@ -410,6 +441,29 @@ def test_custom_samples_snapshot_runs(tmp_path):
     assert run_experiment(p, out) == 0
     first, _ = read_snapshot(out / "snapshots" / "snap_000000")
     # projection of unit vectors moves them by at most an ulp
+    assert np.allclose(first.values, read_snapshot(base)[0].values, rtol=0.0, atol=1e-15)
+
+
+def test_box_run_and_custom_samples_from_its_snapshot(tmp_path):
+    bounds = [[-1.0, 1.0], [0.0, 0.5]]
+    cfg = json.loads((CONFIGS / "onesided_cap.json").read_text())
+    cfg["domain"] = {"kind": "box", "d": 2, "bounds": bounds}
+    cfg["solver"]["T"] = 0.01
+    cfg["diagnostics"] = {}
+    p = tmp_path / "box.json"
+    p.write_text(json.dumps(cfg))
+    assert run_experiment(p, tmp_path / "box") == 0
+    base = tmp_path / "box" / "snapshots" / "snap_000001"
+    spec = json.loads(base.with_suffix(".json").read_text())["grid"]
+    rebuilt, dom = Domain.from_config(spec["domain"]), Domain.box(bounds)
+    assert (rebuilt.kind, rebuilt.d) == (dom.kind, dom.d)
+    assert np.array_equal(rebuilt.bounds, dom.bounds)
+    assert np.array_equal(build_grid(rebuilt, spec["h"]).node_class,
+                          build_grid(dom, 1 / 16).node_class)
+    cfg["initial"] = {"kind": "custom-samples", "path": str(base)}
+    p.write_text(json.dumps(cfg))
+    assert run_experiment(p, tmp_path / "samples") == 0
+    first, _ = read_snapshot(tmp_path / "samples" / "snapshots" / "snap_000000")
     assert np.allclose(first.values, read_snapshot(base)[0].values, rtol=0.0, atol=1e-15)
 
 

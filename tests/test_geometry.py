@@ -91,6 +91,21 @@ def test_no_active_node_on_a_lattice_face(name, h):
     assert np.all(multi.max(axis=1) <= np.array(g.shape) - 2)
 
 
+@pytest.mark.parametrize("h", [0.3, 0.13, 1 / 16])
+@pytest.mark.parametrize("name", sorted(FACE_DOMAINS))
+def test_boundary_node_projects_near_with_outward_unit_normal(name, h):
+    # each boundary node takes its Dirichlet data and its normal from a
+    # boundary point within 2h, and a step along the normal leaves the domain
+    dom = FACE_DOMAINS[name]
+    g = build_grid(dom, h)
+    x = g.coords()[g.boundary_flat]
+    q = g.boundary_projections()
+    nu = dom.outward_normal(x)
+    assert np.max(np.linalg.norm(x - q, axis=1)) <= 2 * h
+    assert np.max(np.abs(np.linalg.norm(nu, axis=1) - 1.0)) <= 1e-12
+    assert not np.any(dom.contains(q + 1e-6 * nu))
+
+
 @pytest.mark.parametrize("domain,h", [
     (Domain.unit_ball(2), 0.11),
     (Domain.unit_ball(3), 0.21),
@@ -214,6 +229,12 @@ def test_condition_b_paraboloid():
 def test_condition_b_box_has_no_graph():
     with pytest.raises(NoGraphAvailable):
         check_condition_B(Domain.box([[0, 1], [0, 1]]), 0.05)
+
+
+def test_condition_b_ball_at_the_largest_probe():
+    # two offsets of 0.6 stay in the sphere's chart; three would leave it
+    res = check_condition_B(Domain.unit_ball(4), 0.6)
+    assert 1.0 < res.theta0_estimate < 1.2
 
 
 def test_condition_b_converges_on_ball():
