@@ -28,7 +28,7 @@ from . import io as sfio
 from . import singular as sing
 from . import stereo
 from .errors import (CFLViolated, ConfigError, DimensionMismatch, LatticeTooLarge,
-                     SphereFlowError, SpacingTooCoarse, finite, integer)
+                     SphereFlowError, SpacingTooCoarse, finite, integer, numbers, section)
 from .field import InitialData, SphereField, check_initial, generate, l2_distance
 # the benchmark tracer wraps the binding cli.trajectory_l2q_distance, which
 # sweep's l2q_to_projected equals, so it stays imported here
@@ -90,18 +90,21 @@ class ExperimentConfig:
 
     @staticmethod
     def from_dict(raw: dict) -> "ExperimentConfig":
-        """Type and check every section; raise ConfigError on any value the
-        run or a diagnostic would reject, on a run of no step or of more
-        than MAX_STEPS steps and on a lattice of more than
+        """Type and check every section; raise ConfigError on a key the parse
+        does not read, on any value the run or a diagnostic would reject (a
+        bool or a string where a number belongs included), on a run of no
+        step or of more than MAX_STEPS steps and on a lattice of more than
         ``geometry.MAX_LATTICE_NODES`` nodes.  The time windows of the
         diagnostics depend on the command that evaluates them;
         ``check_windows`` checks them."""
         try:
+            section("config", raw, ("domain", "h", "D", "initial", "solver", "diagnostics"))
             domain = Domain.from_config(raw["domain"])
             h = finite("h", raw["h"])
             D = integer("D", raw.get("D", 2))
             initial = InitialData.from_config(raw["initial"])
-            sv = raw["solver"]
+            sv = section("solver", raw["solver"], ("mode", "lambda", "T", "dt", "cfl",
+                                                   "output_stride", "penalty_integration"))
             if sv.get("penalty_integration", "exact-logistic") != "exact-logistic":
                 raise ConfigError("solver.penalty_integration must be 'exact-logistic'")
             mode = sv.get("mode", "glhf-simplified")
@@ -137,14 +140,13 @@ class ExperimentConfig:
             if solver.n_steps() < 1:
                 raise ConfigError(f"solver.T / dt = {steps:.4g} steps rounds to no "
                                   f"step; a run takes at least one")
-            diagnostics = _diagnostics(_section(raw.get("diagnostics", {}), "diagnostics"),
-                                       domain, h, solver.T)
+            diagnostics = _diagnostics(raw.get("diagnostics", {}), domain, h, solver.T)
             snapshot = None
             if initial.kind == "custom-samples":
                 if not raw["initial"].get("path"):
                     raise ConfigError("custom-samples initial data needs a snapshot path")
                 snapshot = Path(raw["initial"]["path"])
-                sfio.check_snapshot(snapshot, grid.shape + (D + 1,))
+                sfio.check_snapshot(snapshot, grid, D)
             return ExperimentConfig(grid=grid, D=D, initial=initial, mode=mode,
                                     lam=lam, solver=solver, diagnostics=diagnostics,
                                     raw=raw, snapshot=snapshot)
@@ -210,42 +212,48 @@ def _diagnostics(dcfg: dict, domain: Domain, h: float, T: float) -> Diagnostics:
         return r
 
     out = Diagnostics()
+    section("diagnostics", dcfg, ("cylinders", "monotonicity", "singular", "one_sided",
+                                  "small_energy", "mbar_probe"))
     cylinders = dcfg.get("cylinders", [])
     if not isinstance(cylinders, list):
         raise ConfigError("diagnostics.cylinders must be a list")
     for c in cylinders:
-        c = _section(c, "diagnostics.cylinders entry")
+        c = section("diagnostics.cylinders entry", c, ("t0", "x0", "R", "mode"))
         t0, x0 = _point(c, d)
         R, mode = length("cylinder R", c["R"]), c.get("mode", "gl")
         sing.check_cylinder_args(R, h, mode)
         out.cylinders.append((diag.CylinderSpec(t0=t0, x0=x0, R=R), mode))
     if "monotonicity" in dcfg:
-        m = _section(dcfg["monotonicity"], "diagnostics.monotonicity")
+        m = section("diagnostics.monotonicity", dcfg["monotonicity"],
+                    ("t0", "x0", "pairs", "mode", "rhs_form"))
         z0 = _point(m, d)
-        pairs = [(float(r1), float(r2)) for r1, r2 in m["pairs"]]
+        pairs = [(finite("monotonicity R1", r1), finite("monotonicity R2", r2))
+                 for r1, r2 in m["pairs"]]
         mode, rhs_form = m.get("mode", "gradient"), m.get("rhs_form", "difference")
         for r1, r2 in pairs:
             diag.check_monotonicity_args(z0[0], r1, r2, mode, rhs_form)
         out.monotonicity = (z0, pairs, mode, rhs_form)
     if "singular" in dcfg:
-        s = _section(dcfg["singular"], "diagnostics.singular")
+        s = section("diagnostics.singular", dcfg["singular"],
+                    ("eps0", "radii", "time_stride", "space_stride", "deltas", "mode"))
         out.singular = sing.SingularConfig(
             eps0=finite("singular.eps0", s["eps0"]),
             radii=[length("singular radius", r) for r in s["radii"]],
             time_stride=integer("singular.time_stride", s.get("time_stride", 1)),
             space_stride=integer("singular.space_stride", s.get("space_stride", 1)),
-            deltas=[float(x) for x in s["deltas"]] if "deltas" in s else None,
+            deltas=[finite("singular delta", x) for x in s["deltas"]] if "deltas" in s else None,
             mode=s.get("mode", "gl"))
         out.singular.validate(h)
     out.one_sided = dcfg.get("one_sided", False)
     if not isinstance(out.one_sided, bool):
         raise ConfigError(f"diagnostics.one_sided must be true or false, got {out.one_sided!r}")
     if "small_energy" in dcfg:
-        e = _section(dcfg["small_energy"], "diagnostics.small_energy")
+        e = section("diagnostics.small_energy", dcfg["small_energy"],
+                    ("t0", "x0", "radii", "eps0"))
         radii = [length("small_energy radius", r) for r in e["radii"]]
         out.small_energy = (_point(e, d), radii, finite("small_energy eps0", e["eps0"]))
     if "mbar_probe" in dcfg:
-        p = _section(dcfg["mbar_probe"], "diagnostics.mbar_probe")
+        p = section("diagnostics.mbar_probe", dcfg["mbar_probe"], ("t0", "x0", "R", "mode"))
         t0 = finite("mbar_probe t0", p.get("t0", T / 2.0))
         x0 = _coords(p["x0"], d) if "x0" in p else domain.center()
         R, mode = length("mbar_probe R", p["R"]), p.get("mode", "dirichlet")
@@ -254,14 +262,8 @@ def _diagnostics(dcfg: dict, domain: Domain, h: float, T: float) -> Diagnostics:
     return out
 
 
-def _section(value, name: str) -> dict:
-    if not isinstance(value, dict):
-        raise ConfigError(f"{name} must be an object")
-    return value
-
-
 def _coords(value, d: int) -> np.ndarray:
-    x = np.asarray(value, dtype=float)
+    x = numbers("x0", value)
     if x.shape != (d,) or not np.all(np.isfinite(x)):
         raise ConfigError(f"x0 must hold {d} finite coordinates, got {value!r}")
     return x

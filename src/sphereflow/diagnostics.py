@@ -83,10 +83,6 @@ class MonotonicityReport:
     rhs_form: str
     mode: str
 
-    @property
-    def lhs(self) -> float:
-        return self.annulus_energy_inner + self.speed_term
-
     def to_json(self) -> dict:
         return {k: getattr(self, k) for k in
                 ("r1", "r2", "annulus_energy_inner", "speed_term", "outer_energy",
@@ -330,26 +326,20 @@ def monotonicity_report(traj: Trajectory, z0, R1: float, R2: float,
                   for R in r_samples]
     speed = 2.0 * float(np.trapezoid(speed_of_R, r_samples))
 
-    lhs = inner + speed
-    best = (float("inf"), MU_GRID[0], C_GRID[0])
-    for mu in MU_GRID:
-        phi = R2 ** mu - R1 ** mu
-        if rhs_form == "exponential":
-            phi = math.exp(phi)
-        for c in C_GRID:
-            rhs = c * phi * outer + c * (R2 - R1)
-            defect = max(0.0, lhs - rhs)
-            if defect < best[0] - 1e-300 or (defect == 0.0 and best[0] > 0.0):
-                best = (defect, mu, c)
-            if best[0] == 0.0:
-                break
-        if best[0] == 0.0:
-            break
+    # the defect of every (mu0, C), mu0-major; the fit is the first smallest
+    # (a NaN side gives NaN defects, and the fit reports one)
+    phi = np.array([R2 ** mu - R1 ** mu for mu in MU_GRID])
+    if rhs_form == "exponential":
+        phi = np.array([math.exp(p) for p in phi])
+    c = np.array(C_GRID)
+    rhs = c * phi[:, None] * outer + c * (R2 - R1)
+    defect = np.maximum(0.0, (inner + speed) - rhs)
+    i, j = np.unravel_index(np.argmin(defect), defect.shape)
 
     return MonotonicityReport(r1=R1, r2=R2, annulus_energy_inner=inner,
                               speed_term=speed, outer_energy=outer,
-                              linear_remainder=R2 - R1, mu0=best[1],
-                              c=float(best[2]), defect=best[0],
+                              linear_remainder=R2 - R1, mu0=MU_GRID[i],
+                              c=float(c[j]), defect=float(defect[i, j]),
                               rhs_form=rhs_form, mode=mode)
 
 

@@ -19,7 +19,7 @@ from typing import Optional
 import numpy as np
 
 from .errors import (ConfigError, DimensionMismatch, GridMismatch, NearZeroVector,
-                     finite, integer)
+                     finite, integer, numbers, section)
 from .geometry import Grid, put_rows, rowsq, scale_rows
 
 
@@ -29,21 +29,27 @@ class SphereField:
 
     Values are stored on the full lattice, shape grid.shape + (D+1,);
     exterior nodes hold zeros and are never read by any operation.
+    Construction raises DimensionMismatch on values of another lattice shape.
     """
 
     grid: Grid
     values: np.ndarray
-    target_dim: int                       # D; values live in R^{D+1}
+
+    def __post_init__(self):
+        if self.values.shape[:-1] != self.grid.shape:
+            raise DimensionMismatch(f"values of shape {self.values.shape} do not fit "
+                                    f"the lattice shape {self.grid.shape}")
 
     @property
     def ncomp(self) -> int:
-        return self.target_dim + 1
+        """D + 1, the number of components of a value."""
+        return self.values.shape[-1]
 
     def flat(self) -> np.ndarray:
         return self.values.reshape(-1, self.ncomp)
 
     def copy(self) -> "SphereField":
-        return SphereField(self.grid, self.values.copy(), self.target_dim)
+        return SphereField(self.grid, self.values.copy())
 
     def active_values(self) -> np.ndarray:
         return np.take(self.flat(), self.grid.active_flat, axis=0)
@@ -70,11 +76,15 @@ class InitialData:
 
     @staticmethod
     def from_config(spec: dict) -> "InitialData":
+        """The initial data of a config's ``initial`` section (its ``path``
+        is the CLI's); ConfigError on a key it does not read and on a bad
+        kind or value."""
+        section("initial", spec, ("kind", "vector", "latitude_deg", "winding", "path"))
         kind = spec["kind"]
         if kind not in INITIAL_KINDS:
             raise ConfigError(f"unknown initial data kind {kind!r}; "
                               f"expected one of {', '.join(INITIAL_KINDS)}")
-        vector = np.asarray(spec["vector"], dtype=float) if "vector" in spec else None
+        vector = numbers("initial.vector", spec["vector"]) if "vector" in spec else None
         if vector is not None and not (np.all(np.isfinite(vector))
                                        and np.linalg.norm(vector) >= NORM_FLOOR):
             raise ConfigError(f"initial.vector must be finite and nonzero, "
@@ -166,7 +176,7 @@ def generate(init: InitialData, grid: Grid, D: int) -> SphereField:
     else:
         raise DimensionMismatch(f"unknown initial data kind {init.kind!r}")
 
-    return project_to_sphere(SphereField(grid=grid, values=values, target_dim=D))
+    return project_to_sphere(SphereField(grid=grid, values=values))
 
 
 def project_to_sphere(f: SphereField) -> SphereField:
@@ -199,7 +209,7 @@ def normalize_rows(v: np.ndarray, idx: np.ndarray,
 
 
 def _check_same(a: SphereField, b: SphereField):
-    if a.target_dim != b.target_dim or not a.grid.compatible(b.grid):
+    if a.ncomp != b.ncomp or not a.grid.compatible(b.grid):
         raise GridMismatch("fields live on different grids or targets")
 
 

@@ -14,7 +14,10 @@ boundary.  A boundary node is projected onto the sphere radially on the
 unit ball, onto the nearest point of a box, and on the cut ball (the
 half-ball and a graph subdomain: the unit ball above a face x_d = f(x'))
 onto the nearer of the cap point p/|p| and the face point over x' clipped
-to the unit disc; each projection lies within 2h of its node.  Node data
+to the unit disc, or to the face's rim where that point lies off the
+ball; each projection lies within 2h of its node.  Two grids are one
+lattice when their domains are equal and their spacings too
+(``Grid.compatible``): the rest follows from those two.  Node data
 derived from a field (densities, node positions) holds one row per
 interior node, in ``interior_flat`` order, and ball queries return
 positions into that order.
@@ -46,7 +49,7 @@ from typing import Callable, Optional
 import numpy as np
 
 from .errors import (ConfigError, LatticeTooLarge, NoGraphAvailable, SpacingTooCoarse,
-                     integer)
+                     integer, numbers, section)
 
 EXTERIOR, INTERIOR, BOUNDARY = 0, 1, 2
 # lattice nodes one block of ``Grid.neighbour_rows`` spans (unless a single
@@ -58,7 +61,7 @@ BLOCK_NODES = 1 << 14
 MAX_LATTICE_NODES = 10 ** 8
 
 
-@dataclass
+@dataclass(eq=False)
 class Domain:
     """A bounded domain in R^d with analytic boundary queries.
 
@@ -68,7 +71,8 @@ class Domain:
     subdomain are one shape, the unit ball cut by a face x_d = f(x') and
     kept above it: f is 0 for the half-ball and the height function
     ``phi`` for a graph subdomain, normalized so that phi(0) = 0 and
-    grad phi(0) = 0.
+    grad phi(0) = 0.  Two domains are equal when they have the same kind,
+    dimension and box bounds and the same ``phi`` object.
     """
 
     kind: str
@@ -97,6 +101,12 @@ class Domain:
         elif self.kind not in ("unit-ball", "half-ball"):
             raise ValueError(f"unknown domain kind {self.kind!r}")
 
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, Domain):
+            return NotImplemented
+        return (self.kind == other.kind and self.d == other.d and self.phi is other.phi
+                and np.array_equal(self.bounds, other.bounds))
+
     # -- constructors ------------------------------------------------
 
     @staticmethod
@@ -118,12 +128,15 @@ class Domain:
 
     @staticmethod
     def from_config(spec: dict) -> "Domain":
-        """The domain of a config's ``domain`` section; ConfigError on a
-        ``d`` that is not an integer or, for a box, differs from the number
-        of rows of its ``bounds``; ValueError on any other bad value."""
-        kind = spec.get("kind")
+        """The domain of a config's ``domain`` section; ConfigError on a key
+        other than ``kind``, ``d`` and (for a box) ``bounds``, on a ``d``
+        that is not an integer or, for a box, differs from the number of
+        rows of its ``bounds``, and on bounds that are not numbers;
+        ValueError on any other bad value."""
+        kind = spec.get("kind") if isinstance(spec, dict) else None
+        section("domain", spec, ("kind", "d", "bounds") if kind == "box" else ("kind", "d"))
         if kind == "box" and "bounds" in spec:
-            box = Domain.box(spec["bounds"])
+            box = Domain.box(numbers("domain.bounds", spec["bounds"]))
             if "d" in spec and integer("domain.d", spec["d"]) != box.d:
                 raise ConfigError(f"domain.d = {spec['d']!r} but domain.bounds "
                                   f"holds {box.d} rows")
@@ -174,14 +187,19 @@ class Domain:
         inside = rowsq(pts) < 1.0
         if self.kind == "unit-ball":
             return inside
-        return inside & (pts[:, -1] > self._face(pts[:, :-1]))
+        # the face is evaluated inside the ball only
+        k = np.flatnonzero(inside)
+        inside[k] = pts[k, -1] > self._face(pts[k, :-1])
+        return inside
 
     def boundary_project(self, pts: np.ndarray) -> np.ndarray:
         """Nearest point of the true boundary (first-order adequate).
 
         On the cut ball it is the nearer of two candidates: the cap point
         p/|p|, when p lies on or above the face, and the face point over
-        x' clipped to the unit disc.
+        x' clipped to the unit disc.  Where that face point lies outside
+        the ball, it moves along the ray of x' to the face's rim
+        |x'|^2 + f(x')^2 = 1, found by bisection.
         """
         pts = np.atleast_2d(pts).astype(float)
         if self.kind == "unit-ball":
@@ -209,6 +227,17 @@ class Domain:
             if m > 1.0:
                 q[:-1] *= 1.0 / m
             q[-1] = self._face(q[None, :-1])[0]
+            if q[-1] != 0.0 and q @ q > 1.0:
+                # the face point lies off the ball: bisect along the ray of
+                # x' for the rim |x'|^2 + f(x')^2 = 1, from x' = 0 inside it
+                y, lo, hi = q[:-1].copy(), 0.0, 1.0
+                for _ in range(60):
+                    mid = 0.5 * (lo + hi)
+                    q[:-1] = mid * y
+                    q[-1] = self._face(q[None, :-1])[0]
+                    lo, hi = (lo, mid) if q @ q > 1.0 else (mid, hi)
+                q[:-1] = lo * y
+                q[-1] = self._face(q[None, :-1])[0]
             cand.append(q)                              # face
             dists = [np.linalg.norm(p - c) for c in cand]
             out[k] = cand[int(np.argmin(dists))]
@@ -418,9 +447,9 @@ class Grid:
         return self._cache["bproj"]
 
     def compatible(self, other: "Grid") -> bool:
-        return (self.d == other.d and self.h == other.h and self.shape == other.shape
-                and np.array_equal(self.index_origin, other.index_origin)
-                and self.domain.kind == other.domain.kind)
+        """Whether the two grids are one lattice: ``build_grid`` makes shape,
+        origin and node classes from the domain and the spacing alone."""
+        return self.h == other.h and self.domain == other.domain
 
     @property
     def cell_volume(self) -> float:
@@ -429,11 +458,9 @@ class Grid:
 
 @dataclass
 class BoundaryFrame:
-    """Outward unit normals and tangential projectors at boundary nodes."""
+    """Outward unit normals at boundary nodes."""
 
-    grid: Grid
     normals: np.ndarray        # (n_boundary, d)
-    projectors: np.ndarray     # (n_boundary, d, d), I - nu nu^T
 
 
 def build_grid(domain: Domain, h: float) -> Grid:
@@ -556,13 +583,10 @@ def scale_rows(v: np.ndarray, s: np.ndarray, op=np.divide,
 
 
 def boundary_frame(grid: Grid) -> BoundaryFrame:
-    """Outward normal and tangential projector I - nu nu^T per boundary node."""
+    """Outward unit normal per boundary node."""
     pts = grid.coords()[grid.boundary_flat]
     normals = grid.domain.outward_normal(pts)
-    normals = normals / np.linalg.norm(normals, axis=1, keepdims=True)
-    eye = np.eye(grid.d)
-    projectors = eye[None, :, :] - np.einsum("ni,nj->nij", normals, normals)
-    return BoundaryFrame(grid=grid, normals=normals, projectors=projectors)
+    return BoundaryFrame(normals=normals / np.linalg.norm(normals, axis=1, keepdims=True))
 
 
 @dataclass

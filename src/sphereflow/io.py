@@ -95,7 +95,7 @@ def write_sidecar(path_base: Path, f: SphereField, t: float, step: int,
     return write_json(path_base.with_suffix(".json"), {
         "grid": grid_spec(f.grid),
         "shape": list(f.values.shape),
-        "D": f.target_dim,
+        "D": f.ncomp - 1,
         "t": t,
         "step": step,
         "lambda": lam,
@@ -118,7 +118,7 @@ def map_snapshot(path: Path, f: SphereField) -> SphereField:
     with open(path, "rb") as fh:
         mm = mmap.mmap(fh.fileno(), 0, access=mmap.ACCESS_READ)
     values = np.frombuffer(mm, dtype="<f8").reshape(f.values.shape)
-    return SphereField(f.grid, values, f.target_dim)
+    return SphereField(f.grid, values)
 
 
 def map_budget() -> int:
@@ -165,19 +165,23 @@ class SnapshotStore:
             pass
 
 
-def check_snapshot(path_base: Path, shape: tuple):
+def check_snapshot(path_base: Path, grid: Grid, D: int):
     """Raise ValueError unless the snapshot's sidecar is readable and
-    declares ``shape``, and its ``.f64`` file holds that many float64s."""
+    declares ``grid``'s spec, target dimension ``D`` and the lattice shape
+    they give, and its ``.f64`` file holds that many float64s."""
+    shape = grid.shape + (D + 1,)
     try:
         with open(path_base.with_suffix(".json")) as fh:
-            found = tuple(json.load(fh)["shape"])
+            sidecar = json.load(fh)
+        found = (sidecar["grid"], sidecar["D"], tuple(sidecar["shape"]))
         nbytes = path_base.with_suffix(".f64").stat().st_size
     except (OSError, KeyError, TypeError, ValueError) as e:
         raise ValueError(f"unreadable snapshot {str(path_base)!r}: {e}") from e
     need = 8 * int(np.prod(shape))
-    if found != tuple(shape) or nbytes != need:
-        raise ValueError(f"snapshot {str(path_base)!r} has shape {found} in {nbytes} "
-                         f"bytes; this grid needs shape {shape} in {need}")
+    if found != (grid_spec(grid), D, shape) or nbytes != need:
+        raise ValueError(f"snapshot {str(path_base)!r} holds grid {found[0]}, D = "
+                         f"{found[1]!r} and shape {found[2]} in {nbytes} bytes; this run "
+                         f"needs grid {grid_spec(grid)}, D = {D} and shape {shape} in {need}")
 
 
 def read_snapshot(path_base: Path) -> tuple[SphereField, dict]:
@@ -188,7 +192,7 @@ def read_snapshot(path_base: Path) -> tuple[SphereField, dict]:
     shape = tuple(sidecar["shape"])
     raw = np.fromfile(path_base.with_suffix(".f64"), dtype="<f8")
     values = raw.reshape(shape).astype(np.float64, copy=False)
-    f = SphereField(grid=grid, values=values, target_dim=sidecar["D"])
+    f = SphereField(grid=grid, values=values)
     return f, sidecar
 
 

@@ -316,7 +316,6 @@ def test_criterion_12_hedgehog_energy_converges_to_8pi(tmp_path):
                    "output_stride": 32},
         "diagnostics": {"mbar_probe": {"R": 0.25, "mode": "dirichlet",
                                        "t0": 0.07, "x0": [0.0, 0.0, 0.0]}},
-        "seed": 0,
     }
     p = tmp_path / "hh_sweep.json"
     p.write_text(json.dumps(cfg))

@@ -482,6 +482,89 @@ def test_custom_samples_snapshot_checked_at_load(tmp_path, defect):
     assert not (out / "trajectory.csv").exists()
 
 
+BOX = {"kind": "box", "d": 2, "bounds": [[-1.0, 1.0], [-1.0, 1.0]]}
+
+
+@pytest.mark.parametrize("snapshot_domain, run_domain", [
+    ({"kind": "unit-ball", "d": 2}, BOX),
+    (BOX, dict(BOX, bounds=[[-1.0, 0.99], [-1.0, 1.0]])),
+], ids=["ball-snapshot-box-run", "box-snapshot-narrower-box-run"])
+def test_custom_samples_from_another_domain_exit_2_at_load(tmp_path, snapshot_domain,
+                                                           run_domain):
+    # both pairs share one lattice shape at h = 1/16
+    cfg = json.loads((CONFIGS / "onesided_cap.json").read_text())
+    grid = build_grid(Domain.from_config(snapshot_domain), cfg["h"])
+    base = tmp_path / "snap"
+    write_snapshot(base, generate(InitialData(kind="cap", latitude_deg=45.0), grid, 2),
+                   t=0.0, step=0, lam=None, exponent=None)
+    cfg["domain"] = run_domain
+    cfg["initial"] = {"kind": "custom-samples", "path": str(base)}
+    p = tmp_path / "samples.json"
+    p.write_text(json.dumps(cfg))
+    out = tmp_path / "out"
+    assert run_experiment(p, out) == 2
+    err = json.loads((out / "error.json").read_text())
+    assert err["error"] == "ConfigError" and "grid" in err["message"]
+    assert not (out / "trajectory.csv").exists()
+
+
+@pytest.mark.parametrize("config, where, old, new", [
+    ("cap_disc", (), None, "seed"),
+    ("cap_disc", ("domain",), None, "bounds"),
+    ("cap_disc", ("initial",), None, "winding_number"),
+    ("cap_disc", ("solver",), "output_stride", "outptu_stride"),
+    ("cap_disc", ("diagnostics",), "monotonicity", "monotonicty"),
+    ("cap_disc", ("diagnostics", "cylinders", 0), None, "weight"),
+    ("cap_disc", ("diagnostics", "monotonicity"), None, "R"),
+    ("cap_disc", ("diagnostics", "mbar_probe"), None, "radius"),
+    ("onesided_cap", ("diagnostics", "small_energy"), None, "eps"),
+    ("hedgehog_ball", ("diagnostics", "singular"), None, "delta"),
+], ids=["top", "domain", "initial", "solver", "diagnostics", "cylinder", "monotonicity",
+        "mbar_probe", "small_energy", "singular"])
+def test_unread_config_key_exits_2_naming_it(tmp_path, config, where, old, new):
+    cfg = json.loads((CONFIGS / f"{config}.json").read_text())
+    sec = cfg
+    for k in where:
+        sec = sec[k]
+    sec[new] = sec.pop(old) if old else 1
+    p = tmp_path / "bad.json"
+    p.write_text(json.dumps(cfg))
+    out = tmp_path / "out"
+    assert run_experiment(p, out) == 2
+    err = json.loads((out / "error.json").read_text())
+    assert err["error"] == "ConfigError" and repr(new) in err["message"]
+    assert not (out / "trajectory.csv").exists()
+
+
+@pytest.mark.parametrize("config, where, value", [
+    ("cap_disc", ("D",), True),
+    ("cap_disc", ("h",), "0.03125"),
+    ("cap_disc", ("solver", "T"), "0.0625"),
+    ("cap_disc", ("solver", "output_stride"), True),
+    ("cap_disc", ("initial", "latitude_deg"), "60"),
+    ("cap_disc", ("domain",), dict(BOX, bounds=[[-1.0, 1.0], [-1.0, True]])),
+    ("cap_disc", ("initial",), {"kind": "constant", "vector": [0.0, 0.0, "1"]}),
+    ("cap_disc", ("diagnostics", "cylinders", 0, "x0"), [0.0, False]),
+    ("cap_disc", ("diagnostics", "monotonicity", "pairs"), [[0.0625, "0.1"]]),
+    ("onesided_cap", ("diagnostics", "small_energy", "radii"), [0.5, "0.25", 0.125]),
+    ("hedgehog_ball", ("diagnostics", "singular", "deltas"), [0.5, "0.375", 0.25]),
+], ids=["D-bool", "h-str", "T-str", "output_stride-bool", "latitude-str", "bounds-bool",
+        "vector-str", "x0-bool", "pairs-str", "radii-str", "deltas-str"])
+def test_bool_or_string_number_exits_2_at_load(tmp_path, config, where, value):
+    cfg = json.loads((CONFIGS / f"{config}.json").read_text())
+    sec = cfg
+    for k in where[:-1]:
+        sec = sec[k]
+    sec[where[-1]] = value
+    p = tmp_path / "bad.json"
+    p.write_text(json.dumps(cfg))
+    out = tmp_path / "out"
+    assert run_experiment(p, out) == 2
+    err = json.loads((out / "error.json").read_text())
+    assert err["error"] == "ConfigError" and err["exit_code"] == 2
+    assert not (out / "trajectory.csv").exists()
+
+
 def test_penalty_integration_accepts_only_exact_logistic(tmp_path):
     cfg = json.loads((CONFIGS / "cap_disc.json").read_text())
     cfg["solver"]["penalty_integration"] = "exact-logistic"
@@ -647,7 +730,6 @@ def test_sweep_h_hedgehog_mbar(tmp_path):
                    "output_stride": 32},
         "diagnostics": {"mbar_probe": {"R": 0.25, "mode": "dirichlet",
                                        "t0": 0.07, "x0": [0.0, 0.0, 0.0]}},
-        "seed": 0,
     }
     p = tmp_path / "hh_sweep.json"
     p.write_text(json.dumps(cfg))

@@ -122,8 +122,8 @@ def test_annulus_linear_in_density(disc16):
     flat = vals.reshape(-1, 3)
     flat[:, 0] = np.sin(2 * coords[:, 0]) * 0.3
     flat[:, 1] = coords[:, 1] * 0.2
-    f1 = SphereField(disc16, vals, 2)
-    f2 = SphereField(disc16, math.sqrt(2.0) * vals, 2)
+    f1 = SphereField(disc16, vals)
+    f2 = SphereField(disc16, math.sqrt(2.0) * vals)
     t1 = Trajectory.static(f1, [0.0, 0.2, 0.4])
     t2 = Trajectory.static(f2, [0.0, 0.2, 0.4])
     z0 = (0.4, np.zeros(2))
@@ -157,6 +157,17 @@ def test_monotonicity_cap_run_fit(cap_run_32):
         assert rep.defect == 0.0
         assert rep.c in tuple(C_GRID)
         assert 0.1 <= rep.mu0 <= 1.0
+
+
+def test_monotonicity_nan_side_reports_nan_defect(disc16):
+    # a NaN side fits no constant: the defect is NaN, not a perfect 0
+    f = generate(InitialData(kind="constant"), disc16, 2)
+    f.flat()[disc16.interior_flat[disc16.n_interior // 2]] = np.nan
+    traj = Trajectory.static(f, np.linspace(0.0, 1.0, 11))
+    rep = monotonicity_report(traj, (1.0, np.zeros(2)), 0.2, 0.4)
+    assert math.isnan(rep.annulus_energy_inner)
+    assert math.isnan(rep.defect)
+    assert (rep.mu0, rep.c) == (0.1, C_GRID[0])
 
 
 def test_monotonicity_preconditions(cap_run_32):
@@ -221,8 +232,8 @@ def test_rpi_deviation_quadruples(disc16, rng):
     bd = generate(InitialData(kind="constant"), disc16, 2)
     h0 = solve_harmonic_extension(disc16, bd, tol=1e-10)   # constant, zero data terms
     w = rng.standard_normal(disc16.shape + (3,)) * 0.1
-    f1 = SphereField(disc16, h0.field.values + w, 2)
-    f2 = SphereField(disc16, h0.field.values + 2.0 * w, 2)
+    f1 = SphereField(disc16, h0.field.values + w)
+    f2 = SphereField(disc16, h0.field.values + 2.0 * w)
     cyl = CylinderSpec(0.2, np.zeros(2), 0.1)
     _, rhs1 = reverse_poincare_ratio(Trajectory.static(f1, [0.0, 0.2, 0.4]), h0, cyl)
     _, rhs2 = reverse_poincare_ratio(Trajectory.static(f2, [0.0, 0.2, 0.4]), h0, cyl)
@@ -266,7 +277,7 @@ def test_comparisons_reject_an_extension_on_another_grid(disc16, disc32, cap60_3
 def _random_trajectory(grid, rng, n=3, lam=1e3):
     """Off-sphere random snapshots under a penalty schedule, so both parts of
     the gl density are nonzero."""
-    snaps = [SphereField(grid, rng.standard_normal(grid.shape + (3,)), 2)
+    snaps = [SphereField(grid, rng.standard_normal(grid.shape + (3,)))
              for _ in range(n)]
     times = [0.1 * k for k in range(n)]
     return Trajectory(grid=grid, times=times, snapshots=snaps, records=[],

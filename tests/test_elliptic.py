@@ -134,7 +134,7 @@ def test_derivative_density_matches_breadth_first_bitwise(d, rng):
     # reference: every order-m difference array built at once, breadth first,
     # and summed in the list order, which is lexicographic in the strides
     g = build_grid(Domain.unit_ball(d), 1 / 16 if d == 2 else 1 / 8)
-    f = SphereField(g, rng.standard_normal(g.shape + (3,)), 2)
+    f = SphereField(g, rng.standard_normal(g.shape + (3,)))
     for order in (1, 2, 3):
         current = [f.flat()]
         for _ in range(order):
@@ -160,7 +160,7 @@ def test_affine_second_differences_vanish():
     flat = vals.reshape(-1, 3)
     flat[:, 0] = 0.25 + 0.5 * coords[:, 0] - 0.3 * coords[:, 1]
     flat[:, 2] = 1.0
-    f = SphereField(g, vals, 2)
+    f = SphereField(g, vals)
     assert higher_derivative_energy(f, 2) <= 1e-10
 
 

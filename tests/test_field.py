@@ -3,6 +3,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 from hypothesis.extra import numpy as hnp
 
+from sphereflow.elliptic import solve_harmonic_extension
 from sphereflow.errors import DimensionMismatch, GridMismatch, NearZeroVector
 from sphereflow.field import (InitialData, SphereField, dirichlet_energy,
                               generate, gradient_squared_density, l2_distance,
@@ -69,7 +70,7 @@ def test_projection_idempotent(disc16, seed):
     rng = np.random.default_rng(seed)
     samples = rng.standard_normal(disc16.shape + (3,)) * rng.uniform(0.2, 5.0)
     samples += 0.5  # keep away from exact zero vectors
-    f = SphereField(disc16, samples, 2)
+    f = SphereField(disc16, samples)
     once = project_to_sphere(f)
     twice = project_to_sphere(once)
     idx = disc16.active_flat
@@ -84,6 +85,35 @@ def test_l2_distance_zero_and_mismatch(disc16, disc32):
     g = generate(InitialData(kind="constant"), disc32, 2)
     with pytest.raises(GridMismatch):
         l2_distance(f, g)
+
+
+def _paraboloid(y):
+    return float(np.sum(np.asarray(y) ** 2))
+
+
+@pytest.mark.parametrize("a, b", [
+    # one lattice and one set of node classes, boundary points up to 0.05 apart
+    (Domain.box([[0, 1], [0, 1]]), Domain.box([[0, 0.95], [0, 1]])),
+    # one lattice, other node classes
+    (Domain.graph_subdomain(_paraboloid, 2),
+     Domain.graph_subdomain(lambda y: 0.5 * _paraboloid(y), 2)),
+], ids=["box-bounds", "graph-height"])
+def test_fields_on_other_domains_do_not_compare(a, b):
+    ga, gb = build_grid(a, 1 / 8), build_grid(b, 1 / 8)
+    assert ga.shape == gb.shape and not ga.compatible(gb)
+    fa, fb = (generate(InitialData(kind="cap", latitude_deg=60.0), g, 2) for g in (ga, gb))
+    with pytest.raises(GridMismatch):
+        l2_distance(fa, fb)
+    with pytest.raises(GridMismatch):
+        solve_harmonic_extension(ga, fb)
+
+
+def test_field_values_must_fit_the_lattice(disc16, disc32):
+    with pytest.raises(DimensionMismatch):
+        SphereField(disc16, np.zeros(disc32.shape + (3,)))
+    with pytest.raises(DimensionMismatch):
+        SphereField(disc16, np.zeros(disc16.shape))
+    assert SphereField(disc16, np.zeros(disc16.shape + (4,))).ncomp == 4
 
 
 def test_dirichlet_energy_constant_zero(disc16):
@@ -122,7 +152,7 @@ def test_link_energies_match_full_lattice_differences(domain, h, rng):
     # reference: forward differences over the whole lattice, then the links
     # or nodes kept; the gathered versions do the same arithmetic per link
     g = build_grid(domain, h)
-    f = SphereField(g, rng.standard_normal(g.shape + (3,)), 2)
+    f = SphereField(g, rng.standard_normal(g.shape + (3,)))
     flat, idx = f.flat(), g.interior_flat
     energy = 0.0
     density = np.zeros(idx.size)

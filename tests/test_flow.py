@@ -50,7 +50,7 @@ def _react_one_row(value, z):
     vals = np.zeros(g.shape + (3,))
     vals.reshape(-1, 3)[g.active_flat] = value
     dt = g.h ** 2 / 8
-    out = glhf_step(SphereField(g, vals, 2), 0.0, SolverConfig(dt=dt, T=dt),
+    out = glhf_step(SphereField(g, vals), 0.0, SolverConfig(dt=dt, T=dt),
                     PenaltySchedule(lam=z / (2 * dt)))
     return out.flat()[g.interior_flat[0]]
 
@@ -99,7 +99,7 @@ def test_discrete_harmonic_field_unchanged_by_diffusion(disc16):
     coords = disc16.coords()
     flat[:, 0] = 0.1 + 0.4 * coords[:, 0]
     flat[:, 1] = -0.2 * coords[:, 1]
-    f = SphereField(disc16, vals, 2)
+    f = SphereField(disc16, vals)
     idx = disc16.interior_flat
     rows = f.flat()[idx]
     nrows = neighbor_sum(f.flat(), disc16.strides())[idx]
