@@ -160,7 +160,7 @@ class ExperimentConfig:
         init = self.initial
         if self.snapshot is not None:
             f, _ = sfio.read_snapshot(self.snapshot)
-            init = InitialData(kind="custom-samples", samples=f.values)
+            init = InitialData(kind="custom-samples", samples=f)
         return generate(init, self.grid, self.D)
 
     def check_windows(self, sections) -> None:
@@ -251,7 +251,10 @@ def _diagnostics(dcfg: dict, domain: Domain, h: float, T: float) -> Diagnostics:
         e = section("diagnostics.small_energy", dcfg["small_energy"],
                     ("t0", "x0", "radii", "eps0"))
         radii = [length("small_energy radius", r) for r in e["radii"]]
-        out.small_energy = (_point(e, d), radii, finite("small_energy eps0", e["eps0"]))
+        eps0 = finite("small_energy eps0", e["eps0"])
+        for r in radii:
+            sing.certificate_bound(eps0, r, d)
+        out.small_energy = (_point(e, d), radii, eps0)
     if "mbar_probe" in dcfg:
         p = section("diagnostics.mbar_probe", dcfg["mbar_probe"], ("t0", "x0", "R", "mode"))
         t0 = finite("mbar_probe t0", p.get("t0", T / 2.0))

@@ -15,7 +15,6 @@ instead of asserting universal constants.
 
 from __future__ import annotations
 
-import functools
 import math
 import warnings
 from dataclasses import dataclass
@@ -26,7 +25,7 @@ import numpy as np
 from .elliptic import HarmonicExtension
 from .errors import (EmptyIntersection, KernelUnderresolved, TimeNotBeforeCenter,
                      WindowOutsideTrajectory)
-from .field import SphereField, _check_same, gradient_squared_density
+from .field import SphereField, _check_same, gradient_squared_density, release_pages
 from .flow import Trajectory
 from .geometry import BoundaryFrame, Grid, boundary_frame, rowsq, scale_rows
 
@@ -152,7 +151,8 @@ def energy_density(traj: Trajectory, k: int, mode: str = "gl",
     mode) (the strength is fixed by k), and the gl density is built from
     the cached gradient one.  At ``nodes`` a cached density is sliced;
     otherwise only those nodes are computed, bit for bit the slice, and
-    nothing is cached.
+    nothing is cached.  A density that reads the snapshot releases its
+    pages (``field.release_pages``) when done.
     """
     if mode not in ("gl", "gradient"):
         raise ValueError(f"unknown density mode {mode!r}")
@@ -168,6 +168,7 @@ def energy_density(traj: Trajectory, k: int, mode: str = "gl",
     if nodes is None:
         cache[k, "gradient"] = grad
         cache[k, mode] = dens
+    release_pages(traj.snapshots[k])
     return dens
 
 
@@ -176,9 +177,11 @@ def energy_report(traj: Trajectory, k: int) -> EnergyReport:
     grad2 = energy_density(traj, k, "gradient")
     density = energy_density(traj, k, "gl")
     vol = traj.grid.cell_volume
+    penalty = _penalty_density(traj, k)
+    release_pages(traj.snapshots[k])
     return EnergyReport(gl_energy=float(density.sum() * vol),
                         dirichlet_part=float(0.5 * grad2.sum() * vol),
-                        penalty_part=float(_penalty_density(traj, k).sum() * vol),
+                        penalty_part=float(penalty.sum() * vol),
                         density=density)
 
 
@@ -252,7 +255,8 @@ def _speed_density(traj: Trajectory, z0) -> Callable[[int], float]:
 
     What does not depend on k (x - x0 per axis, the gather indices) is
     computed once; every call gathers into the same four row buffers and
-    updates them in place.
+    updates them in place, and releases the pages of the two snapshots it
+    read.
     """
     g = traj.grid
     t0, x0 = float(z0[0]), np.asarray(z0[1], dtype=float)
@@ -279,11 +283,29 @@ def _speed_density(traj: Trajectory, z0) -> Callable[[int], float]:
             radial += deriv
         radial /= 2.0 * math.sqrt(t0 - t)
         diff -= radial
+        release_pages(traj.snapshots[k])
+        release_pages(traj.snapshots[k + 1])
         vals = rowsq(diff, scratch=buf)
         vals *= backward_heat_kernel(z0, t, coords)
         return float(np.sum(vals) * g.cell_volume)
 
     return at
+
+
+def _speed_values(traj: Trajectory, z0) -> Callable[[int], float]:
+    """``_speed_density(traj, z0)`` with its values kept on the trajectory
+    per centre (``Trajectory._speed_cache``), so the reports of every pair
+    of one centre evaluate each snapshot once."""
+    t0, x0 = float(z0[0]), np.asarray(z0[1], dtype=float)
+    vals = traj._speed_cache.setdefault((t0, tuple(x0.tolist())), {})
+    at = _speed_density(traj, (t0, x0))
+
+    def speed_at(k: int) -> float:
+        if k not in vals:
+            vals[k] = at(k)
+        return vals[k]
+
+    return speed_at
 
 
 def check_monotonicity_args(t0: float, R1: float, R2: float,
@@ -317,10 +339,10 @@ def monotonicity_report(traj: Trajectory, z0, R1: float, R2: float,
     outer = weighted_annulus_energy(traj, z0, R2, mode)
 
     # the speed integrand is R-independent: each snapshot's value is computed
-    # once and shared by all R windows (none is empty, since each reaches back
-    # past the inner annulus window; the last snapshot never has weight), then
-    # the R integral is a trapezoid
-    speed_at = functools.cache(_speed_density(traj, z0))
+    # once and shared by all R windows and all pairs of the centre z0 (none is
+    # empty, since each reaches back past the inner annulus window; the last
+    # snapshot never has weight), then the R integral is a trapezoid
+    speed_at = _speed_values(traj, z0)
     r_samples = np.linspace(R1, R2, N_R_SAMPLES)
     speed_of_R = [window_integral(traj, *annulus_window(t0, R), speed_at)
                   for R in r_samples]
@@ -463,6 +485,7 @@ def _extension_integrals(traj: Trajectory, h0: HarmonicExtension,
 
     def dev2(k):
         diff = np.take(traj.snapshots[k].flat(), nodes, axis=0)
+        release_pages(traj.snapshots[k])
         diff -= h0_vals
         return rowsq(diff, scratch=diff)
 

@@ -13,6 +13,7 @@ a fraction of its time.
 
 from __future__ import annotations
 
+import mmap
 from dataclasses import dataclass
 from typing import Optional
 
@@ -59,6 +60,23 @@ class SphereField:
         return float(np.sqrt(np.max(rowsq(v, scratch=v))))
 
 
+class _SnapshotMap(mmap.mmap):
+    """A read-only map of a snapshot's ``.f64`` file; only
+    ``io.map_snapshot`` makes one, so ``release_pages`` knows a map it may
+    release."""
+
+
+def release_pages(f: SphereField) -> None:
+    """Drop the page-table entries of ``f``'s map when its values are a map
+    made by ``io.map_snapshot`` (``MADV_DONTNEED`` on the whole map);
+    nothing otherwise, and nothing where ``mmap`` has no ``madvise``.  The
+    values do not change: the file's pages stay in the page cache, and the
+    next read maps them again."""
+    mm = f.values.base
+    if isinstance(mm, _SnapshotMap) and hasattr(mmap, "MADV_DONTNEED"):
+        mm.madvise(mmap.MADV_DONTNEED)
+
+
 INITIAL_KINDS = ("constant", "cap", "equator-hedgehog", "boundary-wrap", "custom-samples")
 
 
@@ -72,7 +90,7 @@ class InitialData:
     vector: Optional[np.ndarray] = None      # constant
     latitude_deg: float = 0.0                # cap: maximal polar angle
     winding: int = 1                         # boundary-wrap
-    samples: Optional[np.ndarray] = None     # custom-samples, full lattice
+    samples: Optional[SphereField] = None    # custom-samples, on the run's grid
 
     @staticmethod
     def from_config(spec: dict) -> "InitialData":
@@ -109,7 +127,7 @@ def _eval_points(grid: Grid) -> tuple[np.ndarray, np.ndarray]:
 def check_initial(init: InitialData, d: int, D: int) -> None:
     """Raise DimensionMismatch when ``init`` has no field on a d-dimensional
     domain with target dimension D; ``generate`` and config load both call
-    it.  Custom samples are checked against the lattice in ``generate``."""
+    it.  Custom samples are checked against the grid in ``generate``."""
     if D < 1:
         raise DimensionMismatch("target dimension D must be >= 1")
     if init.kind == "constant" and init.vector is not None \
@@ -123,7 +141,9 @@ def check_initial(init: InitialData, d: int, D: int) -> None:
 
 
 def generate(init: InitialData, grid: Grid, D: int) -> SphereField:
-    """Build a unit-norm field of the requested family on the grid."""
+    """Build a unit-norm field of the requested family on the grid.  Custom
+    samples must live on a grid ``compatible`` with it (GridMismatch) and
+    hold D + 1 components (DimensionMismatch)."""
     check_initial(init, grid.d, D)
     ncomp = D + 1
     try:
@@ -166,12 +186,14 @@ def generate(init: InitialData, grid: Grid, D: int) -> SphereField:
 
     elif init.kind == "custom-samples":
         if init.samples is None:
-            raise DimensionMismatch("custom-samples requires a sample array")
-        samples = np.asarray(init.samples, dtype=float)
-        if samples.shape != values.shape:
-            raise DimensionMismatch(
-                f"sample array shape {samples.shape} != lattice shape {values.shape}")
-        put_rows(flat, idx, np.take(samples.reshape(-1, ncomp), idx, axis=0))
+            raise DimensionMismatch("custom-samples requires a sample field")
+        if not init.samples.grid.compatible(grid):
+            raise GridMismatch("custom samples live on another grid than the run's")
+        if init.samples.ncomp != ncomp:
+            raise DimensionMismatch(f"custom samples hold {init.samples.ncomp} "
+                                    f"components, the run {ncomp}")
+        rows = np.take(init.samples.flat(), idx, axis=0)
+        put_rows(flat, idx, np.asarray(rows, dtype=float))
 
     else:
         raise DimensionMismatch(f"unknown initial data kind {init.kind!r}")

@@ -44,11 +44,13 @@ store returns.  Without a store (``store=None``) that is a copy of the
 field, and the field itself for the last snapshot, which no step writes
 again; a ``io.SnapshotStore`` instead writes the field's values to a file
 and returns a read-only map of it, so a run's heap does not grow with its
-snapshot count.  Either way no later step writes the caller's ``u0`` or a
-returned snapshot.  A store may also consume each snapshot as it is taken
-and return the field itself: a sweep case's store (``cli._CaseStream``)
-records what it needs of snapshot k at capture, so the case holds no
-snapshot, and every entry of its trajectory is the run's final field.
+snapshot count, and each diagnostic that reads a map releases its pages
+(``field.release_pages``), so its resident set does not either.  Either
+way no later step writes the caller's ``u0`` or a returned snapshot.  A
+store may also consume each snapshot as it is taken and return the field
+itself: a sweep case's store (``cli._CaseStream``) records what it needs
+of snapshot k at capture, so the case holds no snapshot, and every entry
+of its trajectory is the run's final field.
 Beyond the field and the snapshots a run holds three interior-row
 arrays: ``rows``, ``nrows`` and the record's scratch for its per-component
 difference.  Each neighbour sum adds one block scratch of at most
@@ -171,6 +173,9 @@ class Trajectory:
     dt: float
     # (k, mode) -> density, filled by diagnostics.energy_density
     _density_cache: dict = dfield(default_factory=dict, repr=False)
+    # (t0, x0 tuple) -> {k: speed term at t_k}, filled by
+    # diagnostics.monotonicity_report
+    _speed_cache: dict = dfield(default_factory=dict, repr=False)
 
     @property
     def t_final(self) -> float:

@@ -295,6 +295,11 @@ class Domain:
         raise NoGraphAvailable(f"domain kind {self.kind!r} has no C^2 boundary graph")
 
     def to_config(self) -> dict:
+        """The config section ``from_config`` rebuilds this domain from;
+        ValueError for a graph subdomain, whose ``phi`` has no config form."""
+        if self.kind == "graph-subdomain":
+            raise ValueError("a graph subdomain has no config form: its height "
+                             "function phi cannot be written to a sidecar or config")
         if self.kind == "box":
             return {"kind": "box", "d": self.d, "bounds": self.bounds.tolist()}
         return {"kind": self.kind, "d": self.d}

@@ -9,7 +9,16 @@ writers: the ``.f64`` data, straight from the field's buffer, and its JSON
 sidecar.  ``write_snapshot`` is the two in turn; a run's ``SnapshotStore``
 writes the data as the flow takes each snapshot, hands the flow a
 read-only map of the written file in its place, and leaves the sidecars,
-which hold no field data, to the end of the flow.
+which hold no field data, to the end of the flow.  A snapshot of a domain
+with no config form (a graph subdomain, whose ``phi`` is code) is refused
+before either file is written, since its sidecar could not be read back.
+
+A map's pages are released after each read: a diagnostic that has read a
+snapshot calls ``field.release_pages``, which drops the map's page-table
+entries.  The data stays in the page cache, so a later read re-faults it
+without disk I/O, but the pages no longer count in the process's resident
+set, which on kernels that map whole large page-cache folios would
+otherwise grow by whole 2 MiB folios for a few rows read.
 """
 
 from __future__ import annotations
@@ -25,7 +34,7 @@ from typing import Optional
 
 import numpy as np
 
-from .field import SphereField
+from .field import SphereField, _SnapshotMap
 from .geometry import Domain, Grid, build_grid
 
 
@@ -78,6 +87,8 @@ def sha256_file(path: Path) -> str:
 
 
 def grid_spec(grid: Grid) -> dict:
+    """The sidecar's ``grid``: the domain's config and h.  ValueError for a
+    domain with no config form (``Domain.to_config``)."""
     return {"domain": grid.domain.to_config(), "h": grid.h}
 
 
@@ -107,18 +118,20 @@ def write_sidecar(path_base: Path, f: SphereField, t: float, step: int,
 def write_snapshot(path_base: Path, f: SphereField, t: float, step: int,
                    lam: Optional[float], exponent: Optional[float]) -> tuple:
     """The data file and the sidecar of a snapshot; returns their
-    ``(sha256, bytes)`` in that order."""
+    ``(sha256, bytes)`` in that order.  ValueError, with neither file
+    written, when ``f``'s grid has no spec (``grid_spec``)."""
+    grid_spec(f.grid)
     return (write_snapshot_data(path_base, f),
             write_sidecar(path_base, f, t, step, lam, exponent))
 
 
 def map_snapshot(path: Path, f: SphereField) -> SphereField:
     """A field on ``f``'s grid whose values are a read-only map of the
-    ``.f64`` file at ``path``, which holds ``f``'s values."""
+    ``.f64`` file at ``path``, which holds ``f``'s values; the map is the
+    values' ``base``, a ``field._SnapshotMap``."""
     with open(path, "rb") as fh:
-        mm = mmap.mmap(fh.fileno(), 0, access=mmap.ACCESS_READ)
-    values = np.frombuffer(mm, dtype="<f8").reshape(f.values.shape)
-    return SphereField(f.grid, values)
+        mm = _SnapshotMap(fh.fileno(), 0, access=mmap.ACCESS_READ)
+    return SphereField(f.grid, np.ndarray(f.values.shape, dtype="<f8", buffer=mm))
 
 
 def map_budget() -> int:
@@ -134,6 +147,8 @@ class SnapshotStore:
     ``take`` writes the ``.f64`` file of the flow's field, records its digest
     and returns a read-only map of the file, which the trajectory holds in
     place of a copy; past ``map_budget()`` maps it returns an in-memory copy.
+    A field whose grid has no spec (``grid_spec``) raises ValueError before
+    any file is written.
     ``bases`` are the snapshots' paths without suffix, in order, and
     ``digests`` maps each written file to its ``(sha256, bytes)``.
     """
@@ -146,6 +161,7 @@ class SnapshotStore:
         snap_dir.mkdir(parents=True, exist_ok=True)
 
     def take(self, u: SphereField, last: bool) -> SphereField:
+        grid_spec(u.grid)               # a grid with no spec writes no file
         base = self.dir / f"snap_{len(self.bases):06d}"
         path = base.with_suffix(".f64")
         self.bases.append(base)

@@ -109,6 +109,19 @@ def check_cylinder_args(R: float, h: float, mode: str = "gl"):
         raise ValueError(f"unknown cylinder mode {mode!r}")
 
 
+def certificate_bound(eps0: float, r: float, d: int) -> float:
+    """eps0^2 r^d / 2, the small-energy certificate's bound at radius r in
+    dimension d; ValueError where that is no finite number."""
+    try:
+        bound = eps0 ** 2 * r ** d / 2.0
+    except OverflowError:
+        bound = math.inf
+    if not math.isfinite(bound):
+        raise ValueError(f"small-energy bound eps0^2 r^d / 2 is not finite at "
+                         f"eps0 = {eps0!r}, r = {r!r}")
+    return bound
+
+
 def local_scaled_energy(traj: Trajectory, z0, R: float, mode: str = "gl") -> float:
     """Scaled cylinder energy: R^{-d} integral of the density over P_R,
     or (2 R^d)^{-1} of |grad u|^2 in dirichlet mode."""
@@ -255,13 +268,14 @@ def small_energy_certificate(traj: Trajectory, z0, radii, eps0: float
                              ) -> tuple[bool, list]:
     """Dyadic check  int_{P_r} |grad u|^2 < eps0^2 r^d / 2  per radius.
 
-    Returns (all_pass, table) with rows (r, integral, bound, pass).
+    Returns (all_pass, table) with rows (r, integral, bound, pass);
+    ValueError where a bound is not finite (``certificate_bound``).
     """
     d = traj.grid.d
     table = []
     for r in sorted(float(r) for r in radii):
+        bound = certificate_bound(eps0, r, d)
         total = cylinder_integral(traj, CylinderSpec(t0=float(z0[0]), x0=z0[1], R=r),
                                   mode="gradient")
-        bound = eps0 ** 2 * r ** d / 2.0
         table.append((r, total, float(bound), bool(total < bound)))
     return all(row[3] for row in table), table

@@ -21,7 +21,7 @@ from typing import Optional
 import numpy as np
 
 from .errors import PoleProximity
-from .field import SphereField
+from .field import SphereField, release_pages
 from .flow import Trajectory
 from .geometry import rowsq, scale_rows
 
@@ -135,10 +135,13 @@ def one_sided_check(u0: SphereField) -> OneSidedCheck:
 def _chart_rows(snap: SphereField, rot: np.ndarray,
                 nodes: Optional[np.ndarray] = None) -> tuple[np.ndarray, float]:
     """Chart values v of the rotated rows at the flat ``nodes`` (the active
-    nodes if None), and their min rotated last component."""
+    nodes if None), and their min rotated last component.  Releases the
+    snapshot's pages (``field.release_pages``) once its rows are read."""
     if nodes is None:
         nodes = snap.grid.active_flat
-    rotated = np.take(snap.flat(), nodes, axis=0) @ rot.T
+    rows = np.take(snap.flat(), nodes, axis=0)
+    release_pages(snap)
+    rotated = rows @ rot.T
     return stereo_forward(rotated), float(rotated[:, -1].min())
 
 

@@ -16,7 +16,7 @@ from sphereflow.cli import run_experiment, sweep
 from sphereflow.diagnostics import (MU_GRID, C_GRID, backward_heat_kernel,
                                     monotonicity_report, weight_d)
 from sphereflow.elliptic import solve_harmonic_extension
-from sphereflow.field import InitialData, dirichlet_energy, generate
+from sphereflow.field import InitialData, SphereField, dirichlet_energy, generate
 from sphereflow.flow import (PenaltySchedule, SolverConfig, Trajectory,
                              penalty_integral, run_glhf, run_projected,
                              trajectory_l2q_distance)
@@ -52,7 +52,8 @@ def test_criterion_1_maximum_principle(disc32):
     for seed in range(5):
         rng = np.random.default_rng(seed)
         samples = rng.standard_normal(disc32.shape + (3,)) + 0.3
-        u0 = generate(InitialData(kind="custom-samples", samples=samples), disc32, 2)
+        u0 = generate(InitialData(kind="custom-samples", samples=SphereField(disc32, samples)),
+                      disc32, 2)
         traj = run_glhf(u0, cfg, PenaltySchedule(lam=1e3))
         worst = max(worst, max(r.max_norm for r in traj.records))
     elapsed = time.time() - t0
@@ -263,7 +264,7 @@ def _exact_solution_error(h, lam=None, d=2):
     dt auto."""
     g = build_grid(Domain.box([[0.0, 1.0]] * d), h)
     samples = _great_circle(g.coords(), 0.0).reshape(g.shape + (3,))
-    u0 = generate(InitialData(kind="custom-samples", samples=samples), g, 2)
+    u0 = generate(InitialData(kind="custom-samples", samples=SphereField(g, samples)), g, 2)
     # a stride past the last step keeps the first and last snapshots only
     cfg = SolverConfig(dt=SolverConfig.auto_dt(g), T=0.05, output_stride=10_000)
     traj = run_projected(u0, cfg) if lam is None else \

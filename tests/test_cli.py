@@ -173,6 +173,8 @@ def test_malformed_diagnostics_section_exits_2_before_stepping(tmp_path, section
                       "eps0": 1.0}),
     ("singular", {"eps0": 1.0, "radii": [0.25, 0.5], "mode": "dirchlet"}),
     ("singular", {"eps0": 1.0, "radii": [0.25, 4.0]}),
+    # eps0^2 overflows: the certificate's bound is no number
+    ("small_energy", {"t0": 0.0625, "x0": [0.0, 0.0], "radii": [0.25], "eps0": 1e300}),
 ])
 def test_diagnostic_value_errors_exit_2_before_stepping(tmp_path, section, value):
     # h = 1/16 and T = 0.125: the 2h cylinder floor is 0.125

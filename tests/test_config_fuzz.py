@@ -78,6 +78,8 @@ def _reject_constant(name: str):
                          ("diagnostics", "singular", "eps0"), float("nan")))
 @example(cfg=_with_value(_few_steps(BASES["hedgehog_ball"], 0.125, 2),
                          ("solver", "T"), 1e300))
+@example(cfg=_with_value(_few_steps(BASES["onesided_cap"], 0.25, 4),
+                         ("diagnostics", "small_energy", "eps0"), 1e300))
 @settings(max_examples=150, deadline=None)
 def test_mutated_config_exits_cleanly(cfg):
     with tempfile.TemporaryDirectory() as tmp:

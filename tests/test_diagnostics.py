@@ -170,6 +170,29 @@ def test_monotonicity_nan_side_reports_nan_defect(disc16):
     assert (rep.mu0, rep.c) == (0.1, C_GRID[0])
 
 
+def test_monotonicity_pairs_of_one_centre_share_the_speed_term(cap_run_32, monkeypatch):
+    # the pairs of one centre evaluate each snapshot's speed term once, and
+    # report what each pair reports alone
+    from sphereflow import diagnostics
+    pairs = [(0.07, 0.14), (0.07, 0.2), (0.1, 0.2)]
+    z0 = (0.2, np.array([0.1, -0.05]))
+    alone = [monotonicity_report(dataclasses.replace(cap_run_32, _density_cache={},
+                                                     _speed_cache={}), z0, r1, r2)
+             for r1, r2 in pairs]
+    calls = []
+    speed_density = diagnostics._speed_density
+
+    def counted(traj, z):
+        at = speed_density(traj, z)
+        return lambda k: calls.append(k) or at(k)
+
+    monkeypatch.setattr(diagnostics, "_speed_density", counted)
+    traj = dataclasses.replace(cap_run_32, _density_cache={}, _speed_cache={})
+    shared = [monotonicity_report(traj, z0, r1, r2) for r1, r2 in pairs]
+    assert [r.to_json() for r in shared] == [r.to_json() for r in alone]
+    assert calls and len(calls) == len(set(calls))
+
+
 def test_monotonicity_preconditions(cap_run_32):
     with pytest.raises(ValueError):
         monotonicity_report(cap_run_32, (0.2, np.zeros(2)), 0.3, 0.2)

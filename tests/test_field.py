@@ -186,7 +186,23 @@ def test_boundary_wrap_values(disc16):
 def test_custom_samples_shape_mismatch(disc16):
     with pytest.raises(DimensionMismatch):
         generate(InitialData(kind="custom-samples",
-                             samples=np.zeros((3, 3, 3))), disc16, 2)
+                             samples=SphereField(disc16, np.ones(disc16.shape + (4,)))),
+                 disc16, 2)
+
+
+@pytest.mark.parametrize("samples_domain, run_domain", [
+    (Domain.unit_ball(2), Domain.box([[-1, 1], [-1, 1]])),
+    (Domain.box([[-1, 1], [-1, 1]]), Domain.box([[-1, 0.99], [-1, 1]])),
+], ids=["ball-samples-box-grid", "box-samples-narrower-box-grid"])
+def test_custom_samples_from_another_domain(samples_domain, run_domain):
+    # both pairs share one lattice shape at h = 1/16
+    sg, rg = build_grid(samples_domain, 1 / 16), build_grid(run_domain, 1 / 16)
+    assert sg.shape == rg.shape
+    samples = generate(InitialData(kind="cap", latitude_deg=45.0), sg, 2)
+    with pytest.raises(GridMismatch):
+        generate(InitialData(kind="custom-samples", samples=samples), rg, 2)
+    same = generate(InitialData(kind="custom-samples", samples=samples), sg, 2)
+    assert np.allclose(same.values, samples.values, rtol=0.0, atol=1e-15)
 
 
 # -- row kernels ---------------------------------------------------------------

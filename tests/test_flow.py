@@ -172,7 +172,7 @@ def test_maximum_principle_random_fields(seed):
     g = build_grid(Domain.unit_ball(2), 1 / 8)
     rng = np.random.default_rng(seed)
     samples = rng.standard_normal(g.shape + (3,)) + 0.3
-    u0 = generate(InitialData(kind="custom-samples", samples=samples), g, 2)
+    u0 = generate(InitialData(kind="custom-samples", samples=SphereField(g, samples)), g, 2)
     cfg = SolverConfig(dt=SolverConfig.auto_dt(g), T=30 * SolverConfig.auto_dt(g),
                        output_stride=5)
     traj = run_glhf(u0, cfg, PenaltySchedule(lam=1e3))
@@ -460,7 +460,8 @@ def test_times_strictly_increasing(cap_run_32):
 
 def test_projected_output_unit_norm(disc16, rng):
     samples = rng.standard_normal(disc16.shape + (3,)) + 0.2
-    u0 = generate(InitialData(kind="custom-samples", samples=samples), disc16, 2)
+    u0 = generate(InitialData(kind="custom-samples", samples=SphereField(disc16, samples)),
+                  disc16, 2)
     cfg = SolverConfig(dt=SolverConfig.auto_dt(disc16), T=0.01)
     out = projected_flow_step(u0, 0.0, cfg)
     norms = np.linalg.norm(out.flat()[disc16.active_flat], axis=1)
@@ -502,7 +503,8 @@ def test_long_run_reaches_projected_equilibrium(disc16):
     vals[..., 2] = 1.0
     flat = vals.reshape(-1, 3)
     flat[disc16.boundary_flat] = wrap.flat()[disc16.boundary_flat]
-    u0 = generate(InitialData(kind="custom-samples", samples=vals), disc16, 2)
+    u0 = generate(InitialData(kind="custom-samples", samples=SphereField(disc16, vals)),
+                  disc16, 2)
 
     cfg = SolverConfig(dt=SolverConfig.auto_dt(disc16), T=1.0, output_stride=16)
     glhf = run_glhf(u0, cfg, PenaltySchedule(lam=1e6))
@@ -521,7 +523,8 @@ def test_dissipation_identity_on_transient(disc16):
     v[:, 0] = 0.4 * np.sin(np.pi * coords[:, 0]) * np.cos(0.5 * np.pi * coords[:, 1])
     v[:, 1] = 0.3 * np.cos(np.pi * coords[:, 0]) * np.sin(np.pi * coords[:, 1])
     samples = stereo_inverse(v).reshape(disc16.shape + (3,))
-    u0 = generate(InitialData(kind="custom-samples", samples=samples), disc16, 2)
+    u0 = generate(InitialData(kind="custom-samples", samples=SphereField(disc16, samples)),
+                  disc16, 2)
 
     lam = 100.0
     cfg = SolverConfig(dt=SolverConfig.auto_dt(disc16), T=0.05, output_stride=1)

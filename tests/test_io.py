@@ -1,0 +1,117 @@
+"""Snapshot files and their maps: what a store refuses to write, and what a
+diagnostic leaves mapped once it has read a snapshot."""
+
+import dataclasses
+
+import numpy as np
+import pytest
+
+from sphereflow import io as sfio
+from sphereflow.diagnostics import (CylinderSpec, cylinder_integral, energy_report,
+                                    hybrid_report, monotonicity_report,
+                                    reverse_poincare_ratio, weighted_annulus_energy,
+                                    window_snapshots)
+from sphereflow.elliptic import solve_harmonic_extension
+from sphereflow.field import InitialData, generate, release_pages
+from sphereflow.flow import PenaltySchedule, SolverConfig, run_glhf
+from sphereflow.geometry import Domain, build_grid
+from sphereflow.singular import SingularConfig, detect_singular_set, local_scaled_energy
+from sphereflow.stereo import one_sided_monitor
+
+
+def _rss_file_bytes():
+    """The ``RssFile`` of this process in bytes, or None where
+    ``/proc/self/status`` has no such line."""
+    try:
+        with open("/proc/self/status") as fh:
+            for line in fh:
+                if line.startswith("RssFile:"):
+                    return 1024 * int(line.split()[1])
+    except OSError:
+        pass
+    return None
+
+
+def test_graph_subdomain_snapshot_is_refused_before_writing(tmp_path):
+    # its sidecar could not name the height function, so no reader could
+    # rebuild the grid: neither file is written
+    grid = build_grid(Domain.graph_subdomain(lambda y: float(np.sum(y ** 2)), 2), 1 / 8)
+    f = generate(InitialData(kind="constant"), grid, 2)
+    with pytest.raises(ValueError, match="graph subdomain"):
+        sfio.write_snapshot(tmp_path / "snap", f, t=0.0, step=0, lam=None, exponent=None)
+    store = sfio.SnapshotStore(tmp_path / "store")
+    with pytest.raises(ValueError, match="graph subdomain"):
+        store.take(f, last=False)
+    assert not store.bases and not store.digests
+    assert sorted(p.name for p in tmp_path.rglob("*")) == ["store"]
+
+
+def test_release_pages_keeps_values_and_skips_fields_in_memory(tmp_path, disc16):
+    f = generate(InitialData(kind="cap", latitude_deg=45.0), disc16, 2)
+    mapped = sfio.SnapshotStore(tmp_path).take(f, last=False)
+    assert np.array_equal(mapped.values, f.values)
+    release_pages(mapped)
+    assert np.array_equal(mapped.values, f.values)
+    copy = f.copy()
+    release_pages(copy)                 # an in-memory field: nothing to release
+    assert np.array_equal(copy.values, f.values)
+
+
+def _every_diagnostic(traj) -> list:
+    """One float (or list of floats) from each diagnostic that reads a
+    run's snapshots."""
+    z0 = (0.09, np.array([0.1, -0.05]))
+    cyl = CylinderSpec(t0=0.05, x0=[0.1, 0.0], R=0.125)
+    h0 = solve_harmonic_extension(traj.grid, traj.snapshots[0])
+    mono = monotonicity_report(traj, z0, 0.125, 0.14)
+    scan = detect_singular_set(traj, SingularConfig(eps0=1e-3, radii=[0.125, 0.25],
+                                                    time_stride=3))
+    monitor = one_sided_monitor(traj)
+    return [energy_report(traj, len(traj.snapshots) - 1).gl_energy,
+            weighted_annulus_energy(traj, z0, 0.125),
+            mono.speed_term, mono.outer_energy,
+            cylinder_integral(traj, cyl, "gradient"),
+            local_scaled_energy(traj, (cyl.t0, cyl.x0), 0.25, "dirichlet"),
+            list(reverse_poincare_ratio(traj, h0, cyl)),
+            list(hybrid_report(traj, h0, cyl, 0.5)),
+            scan.values, monitor.max_w_track, monitor.min_last_track,
+            monitor.pde_residual_mean, monitor.pde_residual_max]
+
+
+def test_diagnostics_read_the_same_values_after_release(tmp_path, disc16):
+    # a stored run reads as its in-memory twin, before and after every
+    # snapshot's pages are released
+    u0 = generate(InitialData(kind="cap", latitude_deg=45.0), disc16, 2)
+    cfg = SolverConfig(dt=SolverConfig.auto_dt(disc16), T=0.1, output_stride=4)
+    in_memory = run_glhf(u0, cfg, PenaltySchedule(lam=1e3))
+    stored = run_glhf(u0, cfg, PenaltySchedule(lam=1e3),
+                      store=sfio.SnapshotStore(tmp_path))
+    assert not stored.snapshots[0].values.flags.writeable
+    expected = _every_diagnostic(in_memory)
+    assert _every_diagnostic(stored) == expected
+    for snap in stored.snapshots:
+        release_pages(snap)
+    fresh = dataclasses.replace(stored, _density_cache={}, _speed_cache={})
+    assert _every_diagnostic(fresh) == expected
+
+
+@pytest.mark.skipif(_rss_file_bytes() is None,
+                    reason="/proc/self/status has no RssFile line")
+def test_cylinder_leaves_no_snapshot_pages_mapped(tmp_path):
+    # a 3-D hedgehog at h = 1/16 through a store: 12 snapshots of 1.2 MB; a
+    # gradient cylinder whose window holds 11 of them reads a ball of rows of
+    # each.  A kernel that maps whole large page-cache folios would leave
+    # several MB of them resident if the reads kept their pages mapped
+    grid = build_grid(Domain.unit_ball(3), 1 / 16)
+    u0 = generate(InitialData(kind="equator-hedgehog"), grid, 2)
+    dt = SolverConfig.auto_dt(grid)
+    cfg = SolverConfig(dt=dt, T=21.75 * dt, output_stride=2)
+    traj = run_glhf(u0, cfg, PenaltySchedule(lam=1e3), store=sfio.SnapshotStore(tmp_path))
+    assert len(traj.snapshots) == 12
+    cyl = CylinderSpec(t0=traj.times[6], x0=[0.1, 0.0, 0.0], R=0.25)
+    assert window_snapshots(traj, *cyl.window())[0].size == 11
+    one_snapshot = traj.snapshots[0].values.nbytes
+    before = _rss_file_bytes()
+    cylinder_integral(traj, cyl, "gradient")
+    grown = _rss_file_bytes() - before
+    assert grown < one_snapshot
