@@ -17,6 +17,7 @@ import hashlib
 import json
 import math
 import sys
+import tempfile
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Optional
@@ -29,7 +30,8 @@ from . import singular as sing
 from . import stereo
 from .errors import (CFLViolated, ConfigError, DimensionMismatch, LatticeTooLarge,
                      SphereFlowError, SpacingTooCoarse, finite, integer, numbers, section)
-from .field import InitialData, SphereField, check_initial, generate, l2_distance
+from .field import (InitialData, SphereField, check_initial, generate, l2_distance,
+                    release_pages)
 # the benchmark tracer wraps the binding cli.trajectory_l2q_distance, which
 # sweep's l2q_to_projected equals, so it stays imported here
 from .flow import (PenaltySchedule, SolverConfig, Trajectory, run_glhf, run_projected,
@@ -406,8 +408,9 @@ def sweep(config_path, param: str, values, out_dir=None, threads: int = 1) -> in
     ``_CaseStream`` store, which records the few numbers the row reads of it
     and keeps no snapshot, and the case's run is released before the next
     one starts.  The projected reference a penalized case is compared with
-    is an in-memory run, computed once for a lambda sweep and per case for
-    an h or dt sweep.  Returns the exit code."""
+    (``_reference``) holds its snapshots as read-only maps of files already
+    removed, computed once for a lambda sweep and per case for an h or dt
+    sweep.  Returns the exit code."""
     # threads is unused; the keyword stays because the benchmark harness passes it
     config_path = Path(config_path)
     out = Path(out_dir) if out_dir else config_path.parent / (config_path.stem + "_sweep")
@@ -441,16 +444,18 @@ def sweep(config_path, param: str, values, out_dir=None, threads: int = 1) -> in
         if probe:
             header.append("mbar")
         rows = []
-        ref = None
+        ref = u0 = None
         out.mkdir(parents=True, exist_ok=True)
         for v, cfg in cases:
-            u0 = cfg.build_initial()
             if param != "lambda":
-                ref = None              # the last case's, released before stepping
-            if ref is None and cfg.mode != "projected":
-                # a lambda sweep runs this once: the reference does not depend
-                # on lambda; a projected case is its own reference
-                ref = run_projected(u0, cfg.solver)
+                # the last case's, released before stepping
+                ref = u0 = None
+            if u0 is None:
+                # a lambda sweep builds these once: neither depends on lambda;
+                # a projected case is its own reference
+                u0 = cfg.build_initial()
+                if cfg.mode != "projected":
+                    ref = _reference(cfg, u0, out)
             rows.append(_sweep_row(v, cfg, u0, ref, probe))
         written = {out / "sweep.csv": sfio.write_csv(out / "sweep.csv", header, rows)}
         sfio.write_json(out / "manifest.json",
@@ -461,16 +466,32 @@ def sweep(config_path, param: str, values, out_dir=None, threads: int = 1) -> in
         return 3
 
 
+def _reference(cfg: ExperimentConfig, u0: SphereField, out: Path) -> Trajectory:
+    """The projected run of ``cfg`` from ``u0``, with every snapshot a
+    read-only map of a file in a private directory below ``out``.  The
+    directory and its files are removed as soon as the run returns or
+    raises; the maps stay readable (POSIX keeps an unlinked file's data
+    while a map of it is open), so the reference's snapshots are neither
+    on the heap nor left on disk."""
+    store = sfio.SnapshotStore(Path(tempfile.mkdtemp(prefix="reference-", dir=out)))
+    try:
+        return run_projected(u0, cfg.solver, store=store)
+    finally:
+        store.remove()
+
+
 class _CaseStream:
     """The snapshot store of one sweep case: what ``sweep.csv`` reads of
     each snapshot, recorded as the flow takes it.
 
     ``take`` records the L^2 distance of snapshot k to snapshot k of the
     projected reference ``ref`` (0.0 without one: a projected case is its
-    own reference) and, for the snapshots in the mbar probe's time window,
-    the probe's density on its ball.  It returns the flow's live field, so
-    the case holds its final field and no other snapshot; every entry of
-    the run's trajectory is that field.
+    own reference), then releases that reference snapshot's pages
+    (``field.release_pages``), and, for the snapshots in the mbar probe's
+    time window, records the probe's density on its ball.  It returns the
+    flow's live field, so the case holds its final field and no other
+    snapshot; every entry of the run's trajectory is that field, and no
+    page of the reference stays in its resident set.
     """
 
     def __init__(self, cfg: ExperimentConfig, ref: Optional[Trajectory], probe):
@@ -493,8 +514,12 @@ class _CaseStream:
     def take(self, u: SphereField, last: bool) -> SphereField:
         k = len(self.traj.snapshots)
         self.traj.snapshots.append(u)
-        self.dist.append(0.0 if self.ref is None
-                         else l2_distance(u, self.ref.snapshots[k]))
+        if self.ref is None:
+            self.dist.append(0.0)
+        else:
+            ref = self.ref.snapshots[k]
+            self.dist.append(l2_distance(u, ref))
+            release_pages(ref)
         if k in self.window:
             self.ball[k] = diag.energy_density(self.traj, k, self.dens_mode, self.nodes)
         return u

@@ -173,12 +173,20 @@ def energy_density(traj: Trajectory, k: int, mode: str = "gl",
 
 
 def energy_report(traj: Trajectory, k: int) -> EnergyReport:
-    """Snapshot-level energy decomposition with its node density."""
-    grad2 = energy_density(traj, k, "gradient")
-    density = energy_density(traj, k, "gl")
-    vol = traj.grid.cell_volume
+    """Snapshot-level energy decomposition with its node density.  One read
+    of the snapshot gives the gradient density (unless cached) and the
+    penalty density; the gl density is built from the two as
+    ``energy_density`` builds it, and both densities are cached as it
+    caches them."""
+    cache = traj._density_cache
+    key = _cache_key(traj, k)
+    if (key, "gradient") not in cache:
+        cache[key, "gradient"] = gradient_squared_density(traj.snapshots[k])
+    grad2 = cache[key, "gradient"]
     penalty = _penalty_density(traj, k)
+    density = cache.setdefault((key, "gl"), 0.5 * grad2 + penalty)
     release_pages(traj.snapshots[k])
+    vol = traj.grid.cell_volume
     return EnergyReport(gl_energy=float(density.sum() * vol),
                         dirichlet_part=float(0.5 * grad2.sum() * vol),
                         penalty_part=float(penalty.sum() * vol),

@@ -50,7 +50,11 @@ way no later step writes the caller's ``u0`` or a returned snapshot.  A
 store may also consume each snapshot as it is taken and return the field
 itself: a sweep case's store (``cli._CaseStream``) records what it needs
 of snapshot k at capture, so the case holds no snapshot, and every entry
-of its trajectory is the run's final field.
+of its trajectory is the run's final field.  The projected reference such
+a case is compared with runs through a ``SnapshotStore`` whose files are
+removed as soon as the run returns (``cli._reference``): its maps stay
+readable, so the reference holds no snapshot on the heap, and the case's
+store releases each reference snapshot's pages once it has read it.
 Beyond the field and the snapshots a run holds three interior-row
 arrays: ``rows``, ``nrows`` and the record's scratch for its per-component
 difference.  Each neighbour sum adds one block scratch of at most

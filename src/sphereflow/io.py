@@ -9,9 +9,11 @@ writers: the ``.f64`` data, straight from the field's buffer, and its JSON
 sidecar.  ``write_snapshot`` is the two in turn; a run's ``SnapshotStore``
 writes the data as the flow takes each snapshot, hands the flow a
 read-only map of the written file in its place, and leaves the sidecars,
-which hold no field data, to the end of the flow.  A snapshot of a domain
-with no config form (a graph subdomain, whose ``phi`` is code) is refused
-before either file is written, since its sidecar could not be read back.
+which hold no field data, to the end of the flow; a sweep's projected
+reference runs through a store whose files are removed when the run ends,
+and reads its maps after that.  A snapshot of a domain with no config
+form (a graph subdomain, whose ``phi`` is code) is refused before either
+file is written, since its sidecar could not be read back.
 
 A map's pages are released after each read: a diagnostic that has read a
 snapshot calls ``field.release_pages``, which drops the map's page-table

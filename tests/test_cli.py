@@ -10,7 +10,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from sphereflow import cli, flow, geometry
+from sphereflow import cli, field, flow, geometry
 from sphereflow import io as sfio
 from sphereflow.cli import main, run_experiment, sweep
 from sphereflow.errors import NormBlowup
@@ -815,6 +815,132 @@ def test_sweep_case_heap_does_not_grow_with_snapshot_count(tmp_path):
     grid = build_grid(Domain.unit_ball(3), 1 / 16)
     field_bytes = grid.n_lattice * 3 * 8
     assert abs(peaks[1] - peaks[100]) <= field_bytes
+
+
+def _penalized_sweep_config(kind: str) -> tuple:
+    """A penalized sweep with a projected reference and no diagnostics: the
+    1/16 disc swept in lambda (18 steps), or the 3-D ball at h = 1/16 swept
+    in h (11 steps); returns the config, the swept parameter and values, and
+    the byte count of one lattice field."""
+    if kind == "lambda":
+        cfg = _small_disc_config("glhf-simplified", "gl")
+        param, values, grid = "lambda", [100.0, 1000.0], build_grid(Domain.unit_ball(2), 1 / 16)
+    else:
+        cfg = json.loads((CONFIGS / "hedgehog_ball.json").read_text())
+        cfg["solver"].update({"mode": "glhf-simplified", "lambda": 1000.0,
+                              "T": 10.5 * 0.9 / 16 ** 2 / 6})
+        param, values, grid = "h", [1 / 16], build_grid(Domain.unit_ball(3), 1 / 16)
+    cfg["diagnostics"] = {}
+    return cfg, param, values, grid.n_lattice * 3 * 8
+
+
+@pytest.mark.parametrize("kind", ["lambda", "h"])
+def test_sweep_reference_heap_does_not_grow_with_snapshot_count(tmp_path, monkeypatch, kind):
+    # the projected reference of a penalized sweep holds its snapshots as maps:
+    # one snapshot per step holds the same heap as one at each end, to within
+    # one field
+    cfg, param, values, field_bytes = _penalized_sweep_config(kind)
+    peaks = {}
+    for stride in (100, 1, 100):
+        cfg["solver"]["output_stride"] = stride
+        p = tmp_path / f"stride{stride}.json"
+        p.write_text(json.dumps(cfg))
+        tracemalloc.start()
+        try:
+            assert sweep(p, param, values, tmp_path / f"out{stride}") == 0
+            peaks[stride] = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+    assert abs(peaks[1] - peaks[100]) <= field_bytes
+    # every reference snapshot is a map, and each case's read of one is
+    # followed by one release of its pages
+    refs, events = [], []
+    run_projected, dist, release = cli.run_projected, cli.l2_distance, cli.release_pages
+
+    def reference(*args, **kwargs):
+        refs.append(run_projected(*args, **kwargs))
+        return refs[-1]
+
+    def read(a, b):
+        events.append(("read", b))
+        return dist(a, b)
+
+    def released(f):
+        events.append(("release", f))
+        release(f)
+
+    monkeypatch.setattr(cli, "run_projected", reference)
+    monkeypatch.setattr(cli, "l2_distance", read)
+    monkeypatch.setattr(cli, "release_pages", released)
+    assert sweep(tmp_path / "stride1.json", param, values, tmp_path / "capture") == 0
+    (ref,) = refs
+    assert len(ref.snapshots) > 2
+    assert all(isinstance(s.values.base, field._SnapshotMap) for s in ref.snapshots)
+    expected = [(e, s) for _ in values for s in ref.snapshots for e in ("read", "release")]
+    assert len(events) == len(expected)
+    assert all(e == x and f is s for (e, f), (x, s) in zip(events, expected))
+
+
+def test_lambda_sweep_builds_its_initial_field_once(tmp_path, monkeypatch):
+    # lambda does not change u0; an h or dt case builds its own
+    calls = []
+    build = cli.ExperimentConfig.build_initial
+
+    def counting(cfg):
+        calls.append(cfg)
+        return build(cfg)
+
+    monkeypatch.setattr(cli.ExperimentConfig, "build_initial", counting)
+    p = tmp_path / "cfg.json"
+    p.write_text(json.dumps(_small_disc_config("glhf-simplified", "gl")))
+    for param, values, builds in (("lambda", [100.0, 1000.0, 10000.0], 1),
+                                  ("h", [1 / 16, 1 / 8], 2),
+                                  ("dt", [2e-4, 4e-4], 2)):
+        calls.clear()
+        assert sweep(p, param, values, tmp_path / param) == 0
+        assert len(calls) == builds
+
+
+@pytest.mark.parametrize("param, values", [("lambda", [100.0, 1000.0]),
+                                           ("h", [1 / 16, 1 / 8]),
+                                           ("dt", [2e-4, 4e-4])])
+def test_sweep_leaves_only_its_csv_and_manifest(tmp_path, param, values):
+    p = tmp_path / "cfg.json"
+    p.write_text(json.dumps(_small_disc_config("glhf-simplified", "gl")))
+    out = tmp_path / "out"
+    assert sweep(p, param, values, out) == 0
+    assert sorted(q.name for q in out.iterdir()) == ["manifest.json", "sweep.csv"]
+
+
+@pytest.mark.parametrize("where", ["reference", "case"])
+def test_failed_sweep_leaves_no_reference_files(tmp_path, monkeypatch, where):
+    # the 1/16 disc, 18 steps, a snapshot every 2: the reference runs the
+    # first 18 steps and the first case the next 18; the 7th step of either
+    # fails, the reference's with snapshots 0, 2, 4 and 6 on disk and the
+    # case's with the reference's files already removed
+    calls, on_disk = [], []
+    step = flow._step
+    out = tmp_path / "out"
+    fail_at = 7 if where == "reference" else 18 + 7
+
+    def failing_step(*args):
+        calls.append(1)
+        if len(calls) == fail_at:
+            on_disk.append(len(list(out.rglob("*.f64"))))
+            raise NormBlowup("injected")
+        return step(*args)
+
+    monkeypatch.setattr(flow, "_step", failing_step)
+    p = tmp_path / "cfg.json"
+    p.write_text(json.dumps(_small_disc_config("glhf-simplified", "gl")))
+    out.mkdir()
+    (out / "earlier.txt").write_text("an earlier run's file")
+    assert sweep(p, "lambda", [100.0, 1000.0], out) == 3
+    assert on_disk == [4 if where == "reference" else 0]
+    assert sorted(q.name for q in out.rglob("*")) == ["earlier.txt", "error.json"]
+    assert (out / "earlier.txt").read_text() == "an earlier run's file"
+    err = json.loads((out / "error.json").read_text())
+    assert err["error"] == "NormBlowup" and err["exit_code"] == 3
 
 
 def test_snapshot_roundtrip(tmp_path, disc16):

@@ -6,6 +6,7 @@ import dataclasses
 import numpy as np
 import pytest
 
+from sphereflow import diagnostics
 from sphereflow import io as sfio
 from sphereflow.diagnostics import (CylinderSpec, cylinder_integral, energy_report,
                                     hybrid_report, monotonicity_report,
@@ -55,6 +56,31 @@ def test_release_pages_keeps_values_and_skips_fields_in_memory(tmp_path, disc16)
     copy = f.copy()
     release_pages(copy)                 # an in-memory field: nothing to release
     assert np.array_equal(copy.values, f.values)
+
+
+def test_energy_report_reads_its_snapshot_once(tmp_path, disc16, monkeypatch):
+    # one read gives the gradient and penalty densities, so the snapshot's
+    # pages are released once; the report and the cached densities are the
+    # in-memory twin's, as the same floats
+    u0 = generate(InitialData(kind="cap", latitude_deg=45.0), disc16, 2)
+    cfg = SolverConfig(dt=SolverConfig.auto_dt(disc16), T=0.05, output_stride=4)
+    in_memory = run_glhf(u0, cfg, PenaltySchedule(lam=1e3))
+    stored = run_glhf(u0, cfg, PenaltySchedule(lam=1e3),
+                      store=sfio.SnapshotStore(tmp_path))
+    released = []
+    monkeypatch.setattr(diagnostics, "release_pages", released.append)
+    k = len(stored.snapshots) - 1
+    report = energy_report(stored, k)
+    assert len(released) == 1 and released[0] is stored.snapshots[k]
+    expected = energy_report(in_memory, k)
+    assert report.to_json() == expected.to_json()
+    assert np.array_equal(report.density, expected.density)
+    cache = stored._density_cache
+    assert sorted(cache) == [(k, "gl"), (k, "gradient")]
+    assert cache[k, "gl"] is report.density
+    for mode in ("gradient", "gl"):
+        assert np.array_equal(cache[k, mode],
+                              diagnostics.energy_density(in_memory, k, mode))
 
 
 def _every_diagnostic(traj) -> list:
