@@ -125,8 +125,7 @@ def _penalty_density(traj: Trajectory, k: int, nodes=None) -> np.ndarray:
     """Lam (|u|^2 - 1)^2 / 4 of snapshot k at the interior nodes, or at the
     positions ``nodes`` into ``interior_flat``, with the strength of the
     run's schedule at t_k (0 without a schedule)."""
-    idx = traj.grid.interior_flat if nodes is None else traj.grid.interior_flat[nodes]
-    rows = np.take(traj.snapshots[k].flat(), idx, axis=0)
+    rows = traj.snapshots[k].interior_rows(nodes)
     w = rowsq(rows, scratch=rows)
     sched = traj.schedule
     return (sched.strength(traj.times[k]) if sched else 0.0) * (w - 1.0) ** 2 / 4.0
@@ -264,7 +263,9 @@ def _speed_density(traj: Trajectory, z0) -> Callable[[int], float]:
     What does not depend on k (x - x0 per axis, the gather indices) is
     computed once; every call gathers into the same four row buffers and
     updates them in place, and releases the pages of the two snapshots it
-    read.
+    read.  Snapshot k + 1 gives its interior rows only
+    (``SphereField.interior_rows``), so a kept snapshot is rebuilt once, as
+    snapshot k.
     """
     g = traj.grid
     t0, x0 = float(z0[0]), np.asarray(z0[1], dtype=float)
@@ -279,7 +280,7 @@ def _speed_density(traj: Trajectory, z0) -> Callable[[int], float]:
         diff, radial, deriv, buf = rows
         t = traj.times[k]
         a_flat = traj.snapshots[k].flat()
-        np.take(traj.snapshots[k + 1].flat(), idx, axis=0, out=diff)
+        traj.snapshots[k + 1].interior_rows(out=diff)
         diff -= np.take(a_flat, idx, axis=0, out=buf)
         diff /= traj.times[k + 1] - t                   # du/dt
         radial.fill(0.0)
@@ -316,6 +317,17 @@ def _speed_values(traj: Trajectory, z0) -> Callable[[int], float]:
     return speed_at
 
 
+def _annulus_value(traj: Trajectory, z0, R: float, mode: str) -> float:
+    """``weighted_annulus_energy(traj, z0, R, mode)``, kept on the trajectory
+    per (centre, R, mode) (``Trajectory._annulus_cache``), so the pairs of
+    one centre that share a radius evaluate it once."""
+    t0, x0 = float(z0[0]), np.asarray(z0[1], dtype=float)
+    key = (t0, tuple(x0.tolist()), R, mode)
+    if key not in traj._annulus_cache:
+        traj._annulus_cache[key] = weighted_annulus_energy(traj, z0, R, mode)
+    return traj._annulus_cache[key]
+
+
 def check_monotonicity_args(t0: float, R1: float, R2: float,
                             mode: str = "gradient", rhs_form: str = "difference"):
     """Raise ValueError unless ``monotonicity_report`` accepts these values."""
@@ -343,8 +355,8 @@ def monotonicity_report(traj: Trajectory, z0, R1: float, R2: float,
     t0 = float(z0[0])
     check_monotonicity_args(t0, R1, R2, mode, rhs_form)
 
-    inner = weighted_annulus_energy(traj, z0, R1, mode)
-    outer = weighted_annulus_energy(traj, z0, R2, mode)
+    inner = _annulus_value(traj, z0, R1, mode)
+    outer = _annulus_value(traj, z0, R2, mode)
 
     # the speed integrand is R-independent: each snapshot's value is computed
     # once and shared by all R windows and all pairs of the centre z0 (none is
@@ -410,7 +422,9 @@ def main2_lhs(traj_or_u0, z0, R0: float, mu0: float, c_mu0: float) -> float:
       + C(mu0) R0.
 
     The time integral integrates a closed-form kernel, not snapshots: a
-    left-endpoint rule over MAIN2_TIME_STEPS = 64 equal rectangles.
+    left-endpoint rule over MAIN2_TIME_STEPS = 64 equal rectangles.  Only
+    u0 is read, and its pages are released once read
+    (``field.release_pages``).
     """
     u0 = traj_or_u0.snapshots[0] if isinstance(traj_or_u0, Trajectory) else traj_or_u0
     g = u0.grid
@@ -425,6 +439,7 @@ def main2_lhs(traj_or_u0, z0, R0: float, mu0: float, c_mu0: float) -> float:
                      * dirichlet_energy(u0))
 
     tg2 = _boundary_tangential_grad_sq(u0, boundary_frame(g))
+    release_pages(u0)
     bpts = g.coords()[g.boundary_flat]
     dw = weight_d(x0, bpts, d0)
     area_w = g.h ** (d - 1)
@@ -488,11 +503,10 @@ def _extension_integrals(traj: Trajectory, h0: HarmonicExtension,
     _check_same(traj.snapshots[0], h0.field)
     g = traj.grid
     pos = _cylinder_nodes(g, cyl)
-    nodes = g.interior_flat[pos]
-    h0_vals = np.take(h0.field.flat(), nodes, axis=0)
+    h0_vals = h0.field.interior_rows(pos)
 
     def dev2(k):
-        diff = np.take(traj.snapshots[k].flat(), nodes, axis=0)
+        diff = traj.snapshots[k].interior_rows(pos)
         release_pages(traj.snapshots[k])
         diff -= h0_vals
         return rowsq(diff, scratch=diff)

@@ -30,6 +30,11 @@ class NearZeroVector(SphereFlowError):
     pass
 
 
+class NonFiniteVector(SphereFlowError):
+    """A vector whose squared norm is not finite: it overflows, or holds NaN
+    or an infinity, so no normalization of it is a unit vector."""
+
+
 class GridMismatch(SphereFlowError):
     pass
 

@@ -20,7 +20,7 @@ from typing import Optional
 import numpy as np
 
 from .errors import (ConfigError, DimensionMismatch, GridMismatch, NearZeroVector,
-                     finite, integer, numbers, section)
+                     NonFiniteVector, finite, integer, numbers, section)
 from .geometry import Grid, put_rows, rowsq, scale_rows
 
 
@@ -31,6 +31,8 @@ class SphereField:
     Values are stored on the full lattice, shape grid.shape + (D+1,);
     exterior nodes hold zeros and are never read by any operation.
     Construction raises DimensionMismatch on values of another lattice shape.
+    A run's snapshots may be ``KeptSnapshot``s or maps of files
+    (``io.map_snapshot``), whose values are read-only.
     """
 
     grid: Grid
@@ -52,12 +54,85 @@ class SphereField:
     def copy(self) -> "SphereField":
         return SphereField(self.grid, self.values.copy())
 
+    def rows(self, nodes: np.ndarray) -> np.ndarray:
+        """The rows at the flat lattice indices ``nodes``, as a new array."""
+        return np.take(self.flat(), nodes, axis=0)
+
     def active_values(self) -> np.ndarray:
-        return np.take(self.flat(), self.grid.active_flat, axis=0)
+        return self.rows(self.grid.active_flat)
+
+    def interior_rows(self, pos=None, out=None) -> np.ndarray:
+        """The rows at the interior nodes, in ``grid.interior_flat`` order,
+        or at the positions ``pos`` into it, in ``out`` or a new array that
+        the caller may overwrite."""
+        idx = self.grid.interior_flat if pos is None else self.grid.interior_flat[pos]
+        return np.take(self.flat(), idx, axis=0, out=out)
 
     def max_norm(self) -> float:
         v = self.active_values()
         return float(np.sqrt(np.max(rowsq(v, scratch=v))))
+
+
+def lattice_values(grid: Grid, rows: np.ndarray, boundary_rows: np.ndarray) -> np.ndarray:
+    """The lattice values of a field from its interior rows (``interior_flat``
+    order) and boundary rows (``boundary_flat`` order), exterior rows zero;
+    a byte copy, with no arithmetic."""
+    ncomp = rows.shape[1]
+    values = np.zeros(grid.shape + (ncomp,), dtype=rows.dtype)
+    flat = values.reshape(-1, ncomp)
+    put_rows(flat, grid.interior_flat, rows)
+    put_rows(flat, grid.boundary_flat, boundary_rows)
+    return values
+
+
+class KeptSnapshot(SphereField):
+    """An in-memory snapshot of a run: its own interior rows, and the run's
+    boundary rows, one array that every kept snapshot of the run shares,
+    since no step writes a boundary row.
+
+    ``values`` is the lattice rebuilt from the two by ``lattice_values`` on
+    first read, read-only; ``release_pages`` drops it, and the next read
+    rebuilds the same bytes.  ``ncomp``, ``interior_rows``, ``rows`` and
+    ``active_values`` rebuild nothing, and give the bytes the lattice would.
+    Memory per snapshot is its interior rows, not a lattice.
+    """
+
+    def __init__(self, grid: Grid, rows: np.ndarray, boundary_rows: np.ndarray):
+        self.grid = grid
+        self._rows = rows
+        self._boundary_rows = boundary_rows
+        self._values = None
+
+    @property
+    def values(self) -> np.ndarray:
+        if self._values is None:
+            self._values = lattice_values(self.grid, self._rows, self._boundary_rows)
+            self._values.flags.writeable = False
+        return self._values
+
+    @property
+    def ncomp(self) -> int:
+        return self._rows.shape[1]
+
+    def interior_rows(self, pos=None, out=None) -> np.ndarray:
+        if pos is None:
+            if out is None:
+                return self._rows.copy()
+            np.copyto(out, self._rows)
+            return out
+        return np.take(self._rows, pos, axis=0, out=out)
+
+    def rows(self, nodes: np.ndarray) -> np.ndarray:
+        # each node's row is found among the interior, then the boundary
+        # rows; an exterior node's row reads 0
+        g = self.grid
+        out = np.zeros((len(nodes), self.ncomp), dtype=self._rows.dtype)
+        for flat, src in ((g.interior_flat, self._rows),
+                          (g.boundary_flat, self._boundary_rows)):
+            pos = np.minimum(np.searchsorted(flat, nodes), flat.size - 1)
+            hit = np.flatnonzero(flat[pos] == nodes)
+            put_rows(out, hit, np.take(src, pos[hit], axis=0))
+        return out
 
 
 class _SnapshotMap(mmap.mmap):
@@ -67,11 +142,15 @@ class _SnapshotMap(mmap.mmap):
 
 
 def release_pages(f: SphereField) -> None:
-    """Drop the page-table entries of ``f``'s map when its values are a map
-    made by ``io.map_snapshot`` (``MADV_DONTNEED`` on the whole map);
-    nothing otherwise, and nothing where ``mmap`` has no ``madvise``.  The
-    values do not change: the file's pages stay in the page cache, and the
-    next read maps them again."""
+    """Drop what a read of ``f`` brought into memory: the rebuilt lattice of
+    a ``KeptSnapshot``, and the page-table entries of a map made by
+    ``io.map_snapshot`` (``MADV_DONTNEED`` on the whole map); nothing
+    otherwise, and nothing where ``mmap`` has no ``madvise``.  The values do
+    not change: a kept snapshot rebuilds the same bytes, and a map's file
+    pages stay in the page cache, so the next read maps them again."""
+    if isinstance(f, KeptSnapshot):
+        f._values = None
+        return
     mm = f.values.base
     if isinstance(mm, _SnapshotMap) and hasattr(mmap, "MADV_DONTNEED"):
         mm.madvise(mmap.MADV_DONTNEED)
@@ -103,10 +182,10 @@ class InitialData:
             raise ConfigError(f"unknown initial data kind {kind!r}; "
                               f"expected one of {', '.join(INITIAL_KINDS)}")
         vector = numbers("initial.vector", spec["vector"]) if "vector" in spec else None
-        if vector is not None and not (np.all(np.isfinite(vector))
+        if vector is not None and not (_finite_rows(np.atleast_2d(vector)).all()
                                        and np.linalg.norm(vector) >= NORM_FLOOR):
-            raise ConfigError(f"initial.vector must be finite and nonzero, "
-                              f"got {spec['vector']!r}")
+            raise ConfigError(f"initial.vector must be finite, with a finite squared "
+                              f"norm, and nonzero, got {spec['vector']!r}")
         return InitialData(
             kind=kind, vector=vector,
             latitude_deg=finite("initial.latitude_deg", spec.get("latitude_deg", 0.0)),
@@ -126,13 +205,17 @@ def _eval_points(grid: Grid) -> tuple[np.ndarray, np.ndarray]:
 
 def check_initial(init: InitialData, d: int, D: int) -> None:
     """Raise DimensionMismatch when ``init`` has no field on a d-dimensional
-    domain with target dimension D; ``generate`` and config load both call
+    domain with target dimension D, and NonFiniteVector on a constant vector
+    whose squared norm is not finite; ``generate`` and config load both call
     it.  Custom samples are checked against the grid in ``generate``."""
     if D < 1:
         raise DimensionMismatch("target dimension D must be >= 1")
-    if init.kind == "constant" and init.vector is not None \
-            and np.shape(init.vector) != (D + 1,):
-        raise DimensionMismatch(f"constant vector must have {D + 1} components")
+    if init.kind == "constant" and init.vector is not None:
+        if np.shape(init.vector) != (D + 1,):
+            raise DimensionMismatch(f"constant vector must have {D + 1} components")
+        if not _finite_rows(np.atleast_2d(init.vector)).all():
+            raise NonFiniteVector(f"constant vector {np.asarray(init.vector).tolist()} has no "
+                                  f"finite squared norm")
     if init.kind == "equator-hedgehog":
         if d != 3:
             raise DimensionMismatch("hedgehog data is defined for d = 3")
@@ -205,12 +288,27 @@ def project_to_sphere(f: SphereField) -> SphereField:
     """Normalize every active node to the unit sphere, in a copy.
 
     Not bitwise idempotent: renormalizing a unit vector can move it by an
-    ulp, so projecting twice agrees with projecting once to ~1e-16.
+    ulp, so projecting twice agrees with projecting once to ~1e-16.  Raises
+    NonFiniteVector on a row whose squared norm is not finite (overflow,
+    NaN or an infinity) and NearZeroVector as ``normalize_rows`` does.
     """
     out = f.copy()
     idx = f.grid.active_flat
-    put_rows(out.flat(), idx, normalize_rows(np.take(f.flat(), idx, axis=0), idx))
+    rows = np.take(f.flat(), idx, axis=0)
+    bad = ~_finite_rows(rows)
+    if np.any(bad):
+        raise NonFiniteVector(f"cannot project node(s) at flat index "
+                              f"{idx[np.flatnonzero(bad)[:5]].tolist()}: the squared "
+                              f"norm is not finite")
+    put_rows(out.flat(), idx, normalize_rows(rows, idx))
     return out
+
+
+def _finite_rows(v: np.ndarray) -> np.ndarray:
+    """Per row of ``v``, whether its |v|^2 as ``rowsq`` computes it is
+    finite; an overflow reads False, with no warning."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        return np.isfinite(rowsq(v))
 
 
 NORM_FLOOR = 1e-14
@@ -238,9 +336,8 @@ def _check_same(a: SphereField, b: SphereField):
 def l2_distance(a: SphereField, b: SphereField) -> float:
     """sqrt( sum over active nodes of |a-b|^2 h^d )."""
     _check_same(a, b)
-    idx = a.grid.active_flat
-    diff = np.take(a.flat(), idx, axis=0)
-    diff -= np.take(b.flat(), idx, axis=0)
+    diff = a.active_values()
+    diff -= b.active_values()
     return float(np.sqrt(np.einsum("ij,ij->", diff, diff) * a.grid.cell_volume))
 
 

@@ -37,16 +37,26 @@ boundary values are gathered once per run.  Nothing in a step copies or
 writes a lattice-sized array except the field; the last state's N is the
 one neighbour sum no step uses.
 
-Buffers.  ``_run`` copies ``u0`` once and then owns that field: ``_step``
-mutates it in place.  The run hands the field to a snapshot store at each
-snapshot step, ``store.take(u, last)``, and the trajectory holds what the
-store returns.  Without a store (``store=None``) that is a copy of the
-field, and the field itself for the last snapshot, which no step writes
-again; a ``io.SnapshotStore`` instead writes the field's values to a file
-and returns a read-only map of it, so a run's heap does not grow with its
-snapshot count, and each diagnostic that reads a map releases its pages
-(``field.release_pages``), so its resident set does not either.  Either
-way no later step writes the caller's ``u0`` or a returned snapshot.  A
+Buffers.  ``_run`` gathers the interior and boundary rows of ``u0`` once
+and builds its own field from them (``field.lattice_values``, exterior
+rows zero, whatever ``u0`` holds there); ``_step`` mutates that field in
+place.  At each snapshot step the trajectory takes a snapshot of it.
+Without a store (``store=None``) that is a ``field.KeptSnapshot``: a copy
+of ``rows``, which are the field's interior rows at that point, so
+capture gathers nothing, and the one array of boundary rows gathered at
+the start, shared by every kept snapshot since no step writes a boundary
+row.  A kept snapshot rebuilds its lattice, read-only and bit for bit
+the field's, when its ``values`` are read, and ``field.release_pages``
+drops it again; readers that need only interior rows (or a few rows)
+take them with no rebuild.  The last snapshot is the field itself, which
+no step writes again.  So a store-less run's heap grows by one
+interior-row array per snapshot.  With a store the trajectory holds what
+``store.take(u, last)`` returns: a ``io.SnapshotStore`` writes the
+field's values to a file and returns a read-only map of it, so a run's
+heap does not grow with its snapshot count, and each diagnostic that
+reads a map releases its pages (``field.release_pages``), so its
+resident set does not either.  Either way no later step writes the
+caller's ``u0`` or a returned snapshot.  A
 store may also consume each snapshot as it is taken and return the field
 itself: a sweep case's store (``cli._CaseStream``) records what it needs
 of snapshot k at capture, so the case holds no snapshot, and every entry
@@ -83,7 +93,8 @@ from .errors import CFLViolated, NormBlowup
 # the benchmark tracer wraps the module bindings flow.dirichlet_energy (the
 # reference the records agree with) and flow.project_to_sphere, so both
 # stay imported here
-from .field import SphereField, dirichlet_energy, normalize_rows, project_to_sphere
+from .field import (KeptSnapshot, SphereField, dirichlet_energy, lattice_values,
+                    normalize_rows, project_to_sphere, release_pages)
 from .geometry import BOUNDARY, Grid, put_rows, rowsq, scale_rows
 
 
@@ -167,7 +178,12 @@ class StepRecord:
 
 @dataclass
 class Trajectory:
-    """Recorded snapshots plus per-step scalar records of a flow run."""
+    """Recorded snapshots plus per-step scalar records of a flow run.
+
+    The snapshots of a store-less run are ``field.KeptSnapshot``s, whose
+    values are read-only, but for the last, the run's own field; a run
+    with a store holds what the store returns (see "Buffers" in the
+    module docstring)."""
 
     grid: Grid
     times: list                     # snapshot times
@@ -180,6 +196,9 @@ class Trajectory:
     # (t0, x0 tuple) -> {k: speed term at t_k}, filled by
     # diagnostics.monotonicity_report
     _speed_cache: dict = dfield(default_factory=dict, repr=False)
+    # (t0, x0 tuple, R, mode) -> Gaussian-weighted annulus energy, filled by
+    # diagnostics.monotonicity_report
+    _annulus_cache: dict = dfield(default_factory=dict, repr=False)
 
     @property
     def t_final(self) -> float:
@@ -349,29 +368,29 @@ def _record(step: int, t: float, u: SphereField, w: np.ndarray, dir_e: float,
                       max_norm=mx)
 
 
-def _keep(u: SphereField, last: bool) -> SphereField:
-    """The in-memory snapshot of ``u``: a copy, or ``u`` itself when it is
-    the run's last state."""
-    return u if last else u.copy()
-
-
 def _run(u0: SphereField, cfg: SolverConfig, sched: Optional[PenaltySchedule],
          store=None) -> Trajectory:
     cfg.validate(u0.grid)
-    keep = _keep if store is None else store.take
     n_steps, take = cfg.n_steps(), set(cfg.snapshot_steps())
-    u = u0.copy()
-    g = u.grid
+    g = u0.grid
+    rows = u0.interior_rows()
+    bnd = np.take(u0.flat(), g.boundary_flat, axis=0)
+    u = SphereField(g, lattice_values(g, rows, bnd))     # exterior rows zero
     flat = u.flat()
+
+    def keep(last: bool) -> SphereField:
+        if store is not None:
+            return store.take(u, last)
+        return u if last else KeptSnapshot(g, rows.copy(), bnd)
+
     bnd2 = _boundary_norm2(u)
     links = _boundary_links(u)
-    rows = np.take(flat, g.interior_flat, axis=0)
     nrows = g.neighbour_rows(flat)
     lap = np.empty_like(rows)           # the record's scratch
     w = rowsq(rows, scratch=lap)
     records = [_record(0, 0.0, u, w, _dirichlet_from_rows(u, rows, nrows, links, lap),
                        sched.strength(0.0) if sched else 0.0, 0.0, _sup_norm(w, bnd2))]
-    snapshots = [keep(u, False)]
+    snapshots = [keep(False)]
     for k in range(n_steps):
         w, pen_incr, lam_eff, mx = _step(u, rows, nrows, k * cfg.dt, cfg, sched, bnd2)
         g.neighbour_rows(flat, out=nrows)
@@ -380,7 +399,7 @@ def _run(u0: SphereField, cfg: SolverConfig, sched: Optional[PenaltySchedule],
                                _dirichlet_from_rows(u, rows, nrows, links, lap),
                                lam_eff, pen_incr, mx))
         if k + 1 in take:
-            snapshots.append(keep(u, k + 1 == n_steps))
+            snapshots.append(keep(k + 1 == n_steps))
 
     return Trajectory(grid=u0.grid, times=cfg.snapshot_times(),
                       snapshots=snapshots, records=records,
@@ -391,7 +410,7 @@ def run_glhf(u0: SphereField, cfg: SolverConfig, sched: PenaltySchedule,
              store=None) -> Trajectory:
     """Run the penalized flow.  Each snapshot is ``store.take(u, last)`` of
     the flow's field ``u``, called as the flow reaches it (see "Buffers" in
-    the module docstring), or an in-memory copy without a store."""
+    the module docstring), or a ``field.KeptSnapshot`` without a store."""
     return _run(u0, cfg, sched, store)
 
 
@@ -407,12 +426,19 @@ def penalty_integral(traj: Trajectory) -> float:
 
 
 def trajectory_l2q_distance(a: Trajectory, b: Trajectory) -> float:
-    """Space-time L^2 distance between two runs on matching snapshot times."""
+    """Space-time L^2 distance between two runs on matching snapshot times;
+    releases the pages of each snapshot pair once read
+    (``field.release_pages``)."""
     if len(a.times) != len(b.times) or any(
             abs(s - t) > 1e-12 for s, t in zip(a.times, b.times)):
         raise ValueError("trajectories must share snapshot times")
     from .diagnostics import window_integral    # diagnostics imports this module
     from .field import l2_distance
-    return math.sqrt(window_integral(
-        a, a.times[0], a.t_final,
-        lambda k: l2_distance(a.snapshots[k], b.snapshots[k]) ** 2))
+
+    def dist2(k: int) -> float:
+        d = l2_distance(a.snapshots[k], b.snapshots[k])
+        release_pages(a.snapshots[k])
+        release_pages(b.snapshots[k])
+        return d ** 2
+
+    return math.sqrt(window_integral(a, a.times[0], a.t_final, dist2))

@@ -36,7 +36,7 @@ from typing import Optional
 
 import numpy as np
 
-from .field import SphereField, _SnapshotMap
+from .field import KeptSnapshot, SphereField, _SnapshotMap
 from .geometry import Domain, Grid, build_grid
 
 
@@ -148,7 +148,12 @@ class SnapshotStore:
 
     ``take`` writes the ``.f64`` file of the flow's field, records its digest
     and returns a read-only map of the file, which the trajectory holds in
-    place of a copy; past ``map_budget()`` maps it returns an in-memory copy.
+    place of a copy.  Past ``map_budget()`` maps it returns the field itself
+    for the last snapshot and a ``field.KeptSnapshot`` otherwise: the
+    field's interior rows, with one array of its boundary rows (gathered at
+    the first such snapshot, since no step writes a boundary row) shared by
+    every kept snapshot of the store, so memory grows by one interior-row
+    array per snapshot past the budget.
     A field whose grid has no spec (``grid_spec``) raises ValueError before
     any file is written.
     ``bases`` are the snapshots' paths without suffix, in order, and
@@ -160,6 +165,7 @@ class SnapshotStore:
         self.bases: list = []
         self.digests: dict = {}
         self._budget = map_budget()
+        self._boundary_rows = None      # shared by the kept snapshots
         snap_dir.mkdir(parents=True, exist_ok=True)
 
     def take(self, u: SphereField, last: bool) -> SphereField:
@@ -168,9 +174,13 @@ class SnapshotStore:
         path = base.with_suffix(".f64")
         self.bases.append(base)
         self.digests[path] = write_snapshot_data(base, u)
-        if len(self.bases) > self._budget:
-            return u if last else u.copy()
-        return map_snapshot(path, u)
+        if len(self.bases) <= self._budget:
+            return map_snapshot(path, u)
+        if last:
+            return u
+        if self._boundary_rows is None:
+            self._boundary_rows = np.take(u.flat(), u.grid.boundary_flat, axis=0)
+        return KeptSnapshot(u.grid, u.interior_rows(), self._boundary_rows)
 
     def remove(self) -> None:
         """Delete the files this store wrote, and its directory if that leaves

@@ -114,9 +114,11 @@ def one_sided_check(u0: SphereField) -> OneSidedCheck:
     confinement of the rotated range.
 
     Failure of this restricted search means "no rotation found", not a
-    definitive negative.
+    definitive negative.  Releases ``u0``'s pages (``field.release_pages``)
+    once its rows are read.
     """
     vals = u0.active_values()
+    release_pages(u0)
     m = vals.mean(axis=0)
     nm = np.linalg.norm(m)
     rot = _align_rotation(m / nm) if nm > 1e-12 else np.eye(u0.ncomp)
@@ -136,10 +138,10 @@ def _chart_rows(snap: SphereField, rot: np.ndarray,
                 nodes: Optional[np.ndarray] = None) -> tuple[np.ndarray, float]:
     """Chart values v of the rotated rows at the flat ``nodes`` (the active
     nodes if None), and their min rotated last component.  Releases the
-    snapshot's pages (``field.release_pages``) once its rows are read."""
-    if nodes is None:
-        nodes = snap.grid.active_flat
-    rows = np.take(snap.flat(), nodes, axis=0)
+    snapshot's pages (``field.release_pages``) once its rows are read; a
+    kept snapshot gives its rows (``SphereField.rows``) with no rebuilt
+    lattice."""
+    rows = snap.active_values() if nodes is None else snap.rows(nodes)
     release_pages(snap)
     rotated = rows @ rot.T
     return stereo_forward(rotated), float(rotated[:, -1].min())

@@ -259,9 +259,10 @@ def _exits_2_at_load(tmp_path, cfg, command=run_experiment) -> dict:
     ("initial", {"kind": "constant", "vector": [0.0, float("nan"), 1.0]}),
     ("initial", {"kind": "constant", "vector": [0.0, 0.0, float("inf")]}),
     ("initial", {"kind": "constant", "vector": [0.0, 0.0, 0.0]}),
+    ("initial", {"kind": "constant", "vector": [1e300, 0.0, 0.0]}),
 ], ids=["d-2.5", "half-ball-d-2.5", "box-d-2.5", "d-nan", "d-inf", "bounds-nan",
         "bounds-inf", "latitude-nan", "latitude-inf", "winding-2.5", "vector-nan",
-        "vector-inf", "vector-zero"])
+        "vector-inf", "vector-zero", "vector-overflow"])
 def test_domain_and_initial_values_exit_2_at_load(tmp_path, section, value):
     # caught by the parse, before build_grid can warn or the flow can run
     cfg = json.loads((CONFIGS / "onesided_cap.json").read_text())
@@ -444,6 +445,20 @@ def test_custom_samples_snapshot_runs(tmp_path):
     first, _ = read_snapshot(out / "snapshots" / "snap_000000")
     # projection of unit vectors moves them by at most an ulp
     assert np.allclose(first.values, read_snapshot(base)[0].values, rtol=0.0, atol=1e-15)
+
+
+def test_custom_samples_of_overflowing_norm_exit_3(tmp_path):
+    # the snapshot passes the load checks; projecting its overflowing row
+    # refuses it before the flow starts
+    p, base = _samples_config(tmp_path)
+    f, _ = read_snapshot(base)
+    f.flat()[f.grid.interior_flat[7]] = [1e300, 1e300, 0.0]
+    write_snapshot(base, f, t=0.0, step=0, lam=None, exponent=None)
+    out = tmp_path / "out"
+    assert run_experiment(p, out) == 3
+    err = json.loads((out / "error.json").read_text())
+    assert err["error"] == "NonFiniteVector" and err["exit_code"] == 3
+    assert [q.name for q in out.iterdir()] == ["error.json"]
 
 
 def test_box_run_and_custom_samples_from_its_snapshot(tmp_path):
@@ -992,16 +1007,52 @@ def test_run_snapshots_are_read_only_maps(tmp_path, monkeypatch):
 
 
 def test_snapshots_past_the_map_budget_stay_in_memory(tmp_path, monkeypatch):
-    # each map holds a file descriptor; past the budget a run keeps copies,
-    # and writes the same files
+    # each map holds a file descriptor; past the budget a run keeps its
+    # snapshots in memory as kept snapshots, read-only like the maps, and
+    # writes the same files
     assert run_experiment(CONFIGS / "onesided_cap.json", tmp_path / "a") == 0
     monkeypatch.setattr(sfio, "map_budget", lambda: 2)
     seen = _capture_trajectory(monkeypatch)
     assert run_experiment(CONFIGS / "onesided_cap.json", tmp_path / "b") == 0
-    writeable = [s.values.flags.writeable for s in seen[0].snapshots]
-    assert writeable[:2] == [False, False] and all(writeable[2:])
+    snaps = seen[0].snapshots
+    assert [isinstance(s, field.KeptSnapshot) for s in snaps] == \
+        [False, False] + [True] * (len(snaps) - 3) + [False]
+    assert not any(s.values.flags.writeable for s in snaps[:-1])
+    for i, snap in enumerate(snaps):
+        assert snap.values.tobytes() == \
+            (tmp_path / "b" / "snapshots" / f"snap_{i:06d}.f64").read_bytes()
     files = sorted(p.relative_to(tmp_path / "a") for p in (tmp_path / "a").rglob("*")
                    if p.is_file())
+    for rel in files:
+        assert (tmp_path / "a" / rel).read_bytes() == (tmp_path / "b" / rel).read_bytes()
+
+
+def test_a_low_open_file_limit_reaches_the_map_budget(tmp_path):
+    # a child process whose soft limit on open files is 32 maps 16 snapshots
+    # and keeps the rest in memory; its files are a default run's bytes
+    assert run_experiment(CONFIGS / "cap_disc.json", tmp_path / "a") == 0
+    script = f"""
+import resource, sys
+from sphereflow import cli, field
+soft, hard = resource.getrlimit(resource.RLIMIT_NOFILE)
+resource.setrlimit(resource.RLIMIT_NOFILE, (32, hard))
+seen = []
+run_diagnostics = cli._run_diagnostics
+cli._run_diagnostics = lambda dcfg, traj, *a: seen.append(traj) or run_diagnostics(dcfg, traj, *a)
+assert cli.run_experiment({str(CONFIGS / "cap_disc.json")!r}, {str(tmp_path / "b")!r}) == 0
+kinds = [type(s).__name__ for s in seen[0].snapshots]
+print(kinds.count("KeptSnapshot"), len(kinds))
+"""
+    env = dict(os.environ, PYTHONPATH=str(Path(cli.__file__).resolve().parents[1]))
+    done = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True,
+                          text=True, timeout=300)
+    assert done.returncode == 0, done.stderr
+    kept, n = map(int, done.stdout.split())
+    assert n > 17 and kept == n - 17
+    files = sorted(p.relative_to(tmp_path / "a") for p in (tmp_path / "a").rglob("*")
+                   if p.is_file())
+    assert files == sorted(p.relative_to(tmp_path / "b") for p in (tmp_path / "b").rglob("*")
+                           if p.is_file())
     for rel in files:
         assert (tmp_path / "a" / rel).read_bytes() == (tmp_path / "b" / rel).read_bytes()
 

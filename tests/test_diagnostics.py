@@ -14,10 +14,15 @@ from sphereflow.diagnostics import (CylinderSpec, backward_heat_kernel,
 from sphereflow.elliptic import solve_harmonic_extension
 from sphereflow.errors import (GridMismatch, KernelUnderresolved,
                                TimeNotBeforeCenter, WindowOutsideTrajectory)
-from sphereflow.field import (InitialData, SphereField, generate,
-                              gradient_squared_density)
-from sphereflow.flow import Trajectory
+from sphereflow.field import (InitialData, KeptSnapshot, SphereField, generate,
+                              gradient_squared_density, release_pages)
+from sphereflow.flow import (PenaltySchedule, SolverConfig, Trajectory, run_glhf,
+                             run_projected, trajectory_l2q_distance)
 from sphereflow.geometry import Domain, build_grid
+from sphereflow.io import write_snapshot
+from sphereflow.singular import (SingularConfig, detect_singular_set,
+                                 local_scaled_energy, small_energy_certificate)
+from sphereflow.stereo import one_sided_check, one_sided_monitor
 
 
 def constant_trajectory(grid, times=(0.0, 0.1, 0.2, 0.3)):
@@ -191,6 +196,33 @@ def test_monotonicity_pairs_of_one_centre_share_the_speed_term(cap_run_32, monke
     shared = [monotonicity_report(traj, z0, r1, r2) for r1, r2 in pairs]
     assert [r.to_json() for r in shared] == [r.to_json() for r in alone]
     assert calls and len(calls) == len(set(calls))
+
+
+def test_monotonicity_pairs_of_one_centre_share_each_annulus_energy(cap_run_32,
+                                                                     monkeypatch):
+    # the pairs of the cap2d-diagnostics benchmark workload need four
+    # annulus energies; each is evaluated once, and each pair reports what
+    # it reports alone
+    from sphereflow import diagnostics
+    pairs = [(0.07, 0.14), (0.07, 0.2), (0.1, 0.2)]
+    z0 = (0.2, np.array([0.1, -0.05]))
+
+    def fresh():
+        return dataclasses.replace(cap_run_32, _density_cache={}, _speed_cache={},
+                                   _annulus_cache={})
+
+    alone = [monotonicity_report(fresh(), z0, r1, r2).to_json() for r1, r2 in pairs]
+    calls = []
+    annulus = diagnostics.weighted_annulus_energy
+
+    def counted(traj, z, R, mode="gl"):
+        calls.append(R)
+        return annulus(traj, z, R, mode)
+
+    monkeypatch.setattr(diagnostics, "weighted_annulus_energy", counted)
+    traj = fresh()
+    assert [monotonicity_report(traj, z0, r1, r2).to_json() for r1, r2 in pairs] == alone
+    assert sorted(calls) == [0.07, 0.1, 0.14, 0.2]
 
 
 def test_monotonicity_preconditions(cap_run_32):
@@ -374,3 +406,72 @@ def test_edited_static_trajectory_reads_each_snapshot(disc16):
         assert np.array_equal(energy_density(traj, k, "gradient"),
                               want if k == 1 else np.zeros_like(want))
     assert sorted(traj._density_cache) == [(0, "gradient"), (1, "gradient")]
+
+
+# -- kept snapshots -------------------------------------------------------------------
+
+def _same(a, b) -> bool:
+    """Equal bit for bit (NaN equal to NaN), through dataclasses, dicts,
+    lists, tuples and arrays."""
+    if dataclasses.is_dataclass(a):
+        return type(a) is type(b) and _same(dataclasses.asdict(a), dataclasses.asdict(b))
+    if isinstance(a, dict):
+        return a.keys() == b.keys() and all(_same(a[k], b[k]) for k in a)
+    if isinstance(a, (list, tuple)):
+        return len(a) == len(b) and all(_same(x, y) for x, y in zip(a, b))
+    if isinstance(a, (float, np.floating, np.ndarray)):
+        return np.array_equal(a, b, equal_nan=True)
+    return a == b
+
+
+def test_diagnostics_read_kept_snapshots_as_their_lattice_copies(disc16, tmp_path):
+    # a store-less run keeps its snapshots as kept snapshots: every public
+    # diagnostic gives the same floats on them as on writeable lattice
+    # copies of them, and leaves none holding a rebuilt lattice
+    u0 = generate(InitialData(kind="cap", latitude_deg=60.0), disc16, 2)
+    cfg = SolverConfig(dt=SolverConfig.auto_dt(disc16), T=0.25, output_stride=8)
+    runs = {"glhf": run_glhf(u0, cfg, PenaltySchedule(lam=1e3)),
+            "projected": run_projected(u0, cfg)}
+    twins = {name: dataclasses.replace(
+        traj, snapshots=[SphereField(s.grid, s.values.copy()) for s in traj.snapshots],
+        _density_cache={}, _speed_cache={}, _annulus_cache={})
+        for name, traj in runs.items()}
+    kept = [s for traj in runs.values() for s in traj.snapshots[:-1]]
+    assert kept and all(isinstance(s, KeptSnapshot) for s in kept)
+    for s in kept:
+        release_pages(s)
+
+    ext = solve_harmonic_extension(disc16, u0)
+    z0 = (0.2, np.array([0.1, -0.05]))
+    cyl = CylinderSpec(t0=0.15, x0=np.array([0.1, 0.2]), R=0.125)
+    scan = SingularConfig(eps0=0.05, radii=[0.125, 0.25, 0.5], time_stride=8,
+                          space_stride=2)
+    calls = {
+        "energy_density": lambda r: energy_density(r["glhf"], 5, "gl"),
+        "energy_report": lambda r: energy_report(r["glhf"], 20),
+        "weighted_annulus_energy": lambda r: weighted_annulus_energy(r["glhf"], z0, 0.15),
+        "monotonicity_report": lambda r: monotonicity_report(r["glhf"], z0, 0.125, 0.2),
+        "main2_lhs": lambda r: main2_lhs(r["glhf"], (1.0, np.array([0.9, 0.0])),
+                                         0.1, 0.5, 1.0),
+        "reverse_poincare_ratio": lambda r: reverse_poincare_ratio(r["glhf"], ext, cyl),
+        "hybrid_report": lambda r: hybrid_report(r["projected"], ext, cyl, 0.5),
+        "local_scaled_energy": lambda r: local_scaled_energy(r["projected"], z0, 0.25),
+        "detect_singular_set": lambda r: detect_singular_set(r["glhf"], scan),
+        "small_energy_certificate": lambda r: small_energy_certificate(
+            r["glhf"], (0.125, np.zeros(2)), [0.5, 0.25, 0.125], 1.0),
+        "one_sided_check": lambda r: one_sided_check(r["projected"].snapshots[0]),
+        "one_sided_monitor": lambda r: one_sided_monitor(r["projected"]),
+        "trajectory_l2q_distance": lambda r: trajectory_l2q_distance(r["glhf"],
+                                                                     r["projected"]),
+    }
+    for name, call in calls.items():
+        assert _same(call(runs), call(twins)), name
+        assert all(s._values is None for s in kept), name
+
+    for k in (0, 9, len(runs["glhf"].snapshots) - 2):
+        args = dict(t=runs["glhf"].times[k], step=8 * k, lam=1e3, exponent=1.0)
+        a = write_snapshot(tmp_path / f"kept_{k}", runs["glhf"].snapshots[k], **args)
+        b = write_snapshot(tmp_path / f"copy_{k}", twins["glhf"].snapshots[k], **args)
+        assert a == b
+        assert ((tmp_path / f"kept_{k}.f64").read_bytes()
+                == (tmp_path / f"copy_{k}.f64").read_bytes())

@@ -4,10 +4,11 @@ from hypothesis import example, given, settings, strategies as st
 from hypothesis.extra import numpy as hnp
 
 from sphereflow.elliptic import solve_harmonic_extension
-from sphereflow.errors import DimensionMismatch, GridMismatch, NearZeroVector
-from sphereflow.field import (InitialData, SphereField, dirichlet_energy,
+from sphereflow.errors import (ConfigError, DimensionMismatch, GridMismatch,
+                               NearZeroVector, NonFiniteVector)
+from sphereflow.field import (InitialData, SphereField, check_initial, dirichlet_energy,
                               generate, gradient_squared_density, l2_distance,
-                              project_to_sphere)
+                              normalize_rows, project_to_sphere)
 from sphereflow.geometry import Domain, build_grid, rowsq, scale_rows
 
 
@@ -62,6 +63,35 @@ def test_project_near_zero_raises(disc16):
     f.flat()[disc16.interior_flat[0]] = [0.0, 0.0, 1e-15]
     with pytest.raises(NearZeroVector):
         project_to_sphere(f)
+
+
+def test_constant_vector_of_overflowing_norm_is_refused(disc16):
+    # |v|^2 of (1e300, 0, 0) overflows to inf, and dividing every row by
+    # its root would give a zero field
+    vector = np.array([1e300, 0.0, 0.0])
+    with pytest.raises(ConfigError):
+        InitialData.from_config({"kind": "constant", "vector": vector.tolist()})
+    with pytest.raises(NonFiniteVector):
+        check_initial(InitialData(kind="constant", vector=vector), 2, 2)
+    with pytest.raises(NonFiniteVector):
+        generate(InitialData(kind="constant", vector=vector), disc16, 2)
+
+
+@pytest.mark.parametrize("row", [[1e300, 0.0, 0.0], [0.0, np.inf, 0.0],
+                                 [np.nan, 0.0, 1.0]], ids=["overflow", "inf", "nan"])
+def test_project_refuses_rows_of_non_finite_norm(disc16, row):
+    f = generate(InitialData(kind="constant"), disc16, 2)
+    f.flat()[disc16.boundary_flat[3]] = row
+    with pytest.raises(NonFiniteVector, match=str(disc16.boundary_flat[3])):
+        project_to_sphere(f)
+
+
+def test_normalize_rows_leaves_finiteness_to_its_caller():
+    # the flow's per-step normalization checks only the norm floor: a NaN
+    # row comes back NaN, for the sup-norm guard to catch
+    v = np.array([[np.nan, 0.0, 1.0], [0.0, 0.0, 2.0]])
+    out = normalize_rows(v, np.arange(2))
+    assert np.isnan(out[0]).all() and out[1].tolist() == [0.0, 0.0, 1.0]
 
 
 @given(seed=st.integers(min_value=0, max_value=10_000))

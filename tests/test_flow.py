@@ -7,13 +7,13 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from sphereflow.errors import CFLViolated, NormBlowup
-from sphereflow.field import (InitialData, SphereField, dirichlet_energy,
-                              generate, l2_distance)
+from sphereflow.field import (InitialData, KeptSnapshot, SphereField, dirichlet_energy,
+                              generate, l2_distance, release_pages)
 from sphereflow.flow import (PenaltySchedule, SolverConfig, Trajectory, glhf_step,
                              kappa, penalty_integral, projected_flow_step, run_glhf,
                              run_projected, trajectory_l2q_distance, _boundary_links,
                              _diffuse, _dirichlet_from_rows, _record)
-from sphereflow.geometry import Domain, build_grid, neighbor_sum
+from sphereflow.geometry import EXTERIOR, Domain, build_grid, neighbor_sum
 from sphereflow.stereo import stereo_inverse
 
 
@@ -404,9 +404,85 @@ def test_snapshots_are_independent_copies():
     u0, cfg, sched = _kernel_case(2, "glhf-simplified")
     traj = run_glhf(u0, cfg, sched)
     kept = [s.values.copy() for s in traj.snapshots]
-    traj.snapshots[1].values[...] = 7.0
+    # every snapshot but the last (the run's live field) is read-only
+    with pytest.raises(ValueError):
+        traj.snapshots[1].values[...] = 7.0
     for k in (0, 2, 3):
         assert np.array_equal(traj.snapshots[k].values, kept[k])
+    arrays = [s.values for s in traj.snapshots] + [u0.values]
+    for i, a in enumerate(arrays):
+        for b in arrays[i + 1:]:
+            assert not np.shares_memory(a, b)
+
+
+def test_kept_snapshots_rebuild_their_lattice_read_only_on_read():
+    u0, cfg, sched = _kernel_case(3, "projected")
+    traj = run_projected(u0, cfg)
+    chain = [u0]
+    for k in range(cfg.n_steps()):
+        chain.append(projected_flow_step(chain[-1], k * cfg.dt, cfg))
+    kept = traj.snapshots[:-1]
+    assert all(isinstance(s, KeptSnapshot) for s in kept)
+    assert type(traj.snapshots[-1]) is SphereField
+    g = u0.grid
+    pos = np.arange(0, g.n_interior, 5)
+    nodes = np.arange(g.n_lattice)              # exterior nodes included
+    for s, step in zip(kept, cfg.snapshot_steps()):
+        # these accessors read no lattice
+        assert s.ncomp == 3
+        assert np.array_equal(s.interior_rows(), chain[step].interior_rows())
+        assert np.array_equal(s.interior_rows(pos), chain[step].interior_rows(pos))
+        assert np.array_equal(s.rows(nodes), chain[step].flat())
+        assert np.array_equal(s.active_values(), chain[step].active_values())
+        assert s._values is None
+        assert np.array_equal(s.values, chain[step].values)
+        assert not s.values.flags.writeable and s._values is not None
+        release_pages(s)
+        assert s._values is None
+    # the kept snapshots share one boundary-row array
+    assert len({id(s._boundary_rows) for s in kept}) == 1
+
+
+def test_run_zeroes_the_exterior_rows_of_its_field():
+    # a kept snapshot's exterior rows read 0, so the run's field holds 0
+    # there too: every snapshot and the final field agree at every node
+    # with a run from the same data with a zero exterior
+    u0, cfg, sched = _kernel_case(2, "glhf-simplified")
+    dirty = u0.copy()
+    ext = np.flatnonzero(u0.grid.class_flat() == EXTERIOR)
+    dirty.flat()[ext] = 5.0
+    before = dirty.values.copy()
+    clean = run_glhf(u0, cfg, sched)
+    traj = run_glhf(dirty, cfg, sched)
+    assert np.array_equal(dirty.values, before)
+    assert [r.gl_energy for r in traj.records] == [r.gl_energy for r in clean.records]
+    for a, b in zip(traj.snapshots, clean.snapshots):
+        assert np.array_equal(a.values, b.values)
+        assert not a.flat()[ext].any()
+
+
+def test_store_less_heap_grows_by_interior_rows_per_snapshot():
+    # 3-D ball at h = 1/16, 11 steps: a snapshot at every step holds ten
+    # more snapshots than one at each end, and each of those holds its
+    # interior rows (0.41 MB), not a lattice (1.22 MB)
+    g = build_grid(Domain.unit_ball(3), 1 / 16)
+    u0 = generate(InitialData(kind="equator-hedgehog"), g, 2)
+    dt = SolverConfig.auto_dt(g)
+    run_projected(u0, SolverConfig(dt=dt, T=2 * dt))    # fill the grid's caches
+    peaks, counts = {}, {}
+    for stride in (100, 1, 100):
+        tracemalloc.start()
+        try:
+            traj = run_projected(u0, SolverConfig(dt=dt, T=10.5 * dt,
+                                                  output_stride=stride))
+            peaks[stride] = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        counts[stride] = len(traj.snapshots)
+        del traj
+    assert counts == {1: 12, 100: 2}
+    row_bytes = g.n_interior * 3 * 8
+    assert peaks[1] - peaks[100] <= 10 * row_bytes + 16384
 
 
 def test_run_holds_no_lattice_sized_scratch():
