@@ -301,16 +301,15 @@ def _write_trajectory(out: Path, traj: Trajectory, store: sfio.SnapshotStore,
             exponent=sched.exponent(t) if sched else None)
 
 
-def _cylinder_row(traj: Trajectory, cyl: diag.CylinderSpec, mode: str) -> list:
-    val = sing.local_scaled_energy(traj, (cyl.t0, cyl.x0), cyl.R, mode=mode)
-    return [cyl.t0] + [float(c) for c in cyl.x0] + [cyl.R, mode, val]
-
-
 def _run_diagnostics(dcfg: Diagnostics, traj: Trajectory, out: Path, written: dict):
     """Evaluate the diagnostics and write their reports; ``written`` gains
-    their digests.  The ones that read every node of a snapshot run first
-    and leave its densities cached; the ball-local ones (cylinders and the
-    certificate) run last and slice them (``diagnostics.cylinder_integral``)."""
+    their digests.  Those that read densities (the monotonicity annuli,
+    the singular scan, the cylinders and the certificate) are evaluated in
+    one pass over the snapshots in time order (``diagnostics.evaluate``)
+    that drops each snapshot's densities once its readers are fed, as it
+    drops the energy report's: nothing reads this trajectory afterwards,
+    so the density cache holds one snapshot's densities at a time and
+    ends empty."""
     reports = out / "reports"
 
     def put_json(name: str, obj):
@@ -319,9 +318,27 @@ def _run_diagnostics(dcfg: Diagnostics, traj: Trajectory, out: Path, written: di
     def put_csv(name: str, header, rows):
         written[reports / name] = sfio.write_csv(reports / name, header, rows)
 
-    put_json("energy.json", diag.energy_report(traj, len(traj.snapshots) - 1).to_json())
+    last = len(traj.snapshots) - 1
+    put_json("energy.json", diag.energy_report(traj, last).to_json())
+    diag.drop_densities(traj, last)
+
+    readings = {}
+    if dcfg.monotonicity is not None:
+        z0, pairs, mode, _ = dcfg.monotonicity
+        readings["monotonicity"] = diag.annulus_reading(
+            traj, z0, [r for pair in pairs for r in pair], mode)
+    if dcfg.singular is not None:
+        readings["singular"] = sing.scan_reading(traj, dcfg.singular, keep=False)
+    for i, (cyl, mode) in enumerate(dcfg.cylinders):
+        readings[i] = sing.scaled_energy_reading(traj, (cyl.t0, cyl.x0), cyl.R, mode)
+    if dcfg.small_energy is not None:
+        z0, radii, eps0 = dcfg.small_energy
+        readings["small_energy"] = sing.certificate_reading(traj, z0, radii, eps0)
+    got = dict(zip(readings, diag.evaluate(traj, readings.values(), keep=False)))
 
     if dcfg.monotonicity is not None:
+        # every annulus energy is kept on the trajectory: the reports add
+        # the speed term, which reads snapshots, not densities
         z0, pairs, mode, rhs_form = dcfg.monotonicity
         out_reports = [diag.monotonicity_report(traj, z0, r1, r2, mode=mode,
                                                 rhs_form=rhs_form).to_json()
@@ -330,7 +347,7 @@ def _run_diagnostics(dcfg: Diagnostics, traj: Trajectory, out: Path, written: di
                                        "pairs": out_reports})
 
     if dcfg.singular is not None:
-        rep = sing.detect_singular_set(traj, dcfg.singular)
+        rep = got["singular"]
         put_json("singular.json", rep.to_json())
         put_csv("boxcount.csv", ["delta", "count"], [[d, n] for d, n in rep.box_table])
 
@@ -342,14 +359,15 @@ def _run_diagnostics(dcfg: Diagnostics, traj: Trajectory, out: Path, written: di
         put_csv("wtrack.csv", ["step", "t", "maxW", "min_last_component"], rows)
 
     if dcfg.cylinders:
-        rows = [_cylinder_row(traj, cyl, mode) for cyl, mode in dcfg.cylinders]
+        rows = [[cyl.t0] + [float(c) for c in cyl.x0] + [cyl.R, mode, got[i]]
+                for i, (cyl, mode) in enumerate(dcfg.cylinders)]
         header = (["t0"] + [f"x0_{i}" for i in range(traj.grid.d)]
                   + ["R", "mode", "scaled_energy"])
         put_csv("cylinders.csv", header, rows)
 
     if dcfg.small_energy is not None:
         z0, radii, eps0 = dcfg.small_energy
-        ok, table = sing.small_energy_certificate(traj, z0, radii, eps0)
+        ok, table = got["small_energy"]
         put_json("certificate.json", {
             "t0": z0[0], "x0": [float(c) for c in z0[1]],
             "eps0": eps0, "all_pass": ok,

@@ -8,7 +8,16 @@ value per interior node, in ``grid.interior_flat`` order, and a ball of
 nodes is positions into it (``Grid.nodes_within``).  ``energy_density``
 is the one way to a density: a whole density is cached on the trajectory
 by snapshot and mode, and a ball slices a cached density or computes its
-own nodes only, caching nothing.  Fit constants are searched on declared
+own nodes only, caching nothing.
+
+Every time integral over a run's snapshots is a ``WindowSum``, and every
+window sum is fed by one pass over the snapshots in time order
+(``feed``): at snapshot k each sum whose window holds k reads it, those
+that read whole densities first, so that k's densities are computed once
+and the ball-local sums slice them.  A diagnostic is a ``Reading``, the
+sums it needs and its value from them, so that several diagnostics can
+share one pass (``evaluate``); a pass told not to keep drops k's
+densities once k's sums are fed.  Fit constants are searched on declared
 finite grids; reports expose the fitted pair and the residual defect
 instead of asserting universal constants.
 """
@@ -18,7 +27,7 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass
-from typing import Callable
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -151,7 +160,9 @@ def energy_density(traj: Trajectory, k: int, mode: str = "gl",
     the cached gradient one.  At ``nodes`` a cached density is sliced;
     otherwise only those nodes are computed, bit for bit the slice, and
     nothing is cached.  A density that reads the snapshot releases its
-    pages (``field.release_pages``) when done.
+    pages (``field.release_pages``) when done.  The cache keeps what it
+    holds until ``drop_densities`` drops it, which a pass that does not
+    keep (``feed``) does after each snapshot.
     """
     if mode not in ("gl", "gradient"):
         raise ValueError(f"unknown density mode {mode!r}")
@@ -209,19 +220,83 @@ def window_snapshots(traj: Trajectory, a: float, b: float):
     return ks, w[ks]
 
 
-def window_integral(traj: Trajectory, a: float, b: float, per_snapshot):
-    """Time integral over [a, b) of a per-snapshot quantity: the rectangle
-    sum  sum_k w_k per_snapshot(k)  over the snapshots of the window.
+def drop_densities(traj: Trajectory, k: int) -> None:
+    """Drop the densities of snapshot k from the trajectory's cache."""
+    key = _cache_key(traj, k)
+    for mode in ("gradient", "gl"):
+        traj._density_cache.pop((key, mode), None)
+
+
+class WindowSum:
+    """The time integral over [a, b) of a per-snapshot quantity: the
+    rectangle sum  sum_k w_k term(k)  over the snapshots of the window
+    (``window_snapshots``), accumulated from 0 as acc = acc + w_k term(k)
+    while a pass (``feed``) feeds it its snapshots in k order.
 
     The one time quadrature behind every spacetime integral over a run's
-    snapshots.
-    ``per_snapshot(k)`` returns a number or an array: a density, or its
-    values on the cylinder's nodes.  A kernel in a time-varying integrand
-    is sampled at the left edge max(t_k, a) of the clipped
-    subinterval, not at the snapshot time.
+    snapshots.  ``term(k)`` returns a number or an array: a density, or
+    its values on the cylinder's nodes.  A kernel in a time-varying
+    integrand is sampled at the left edge max(t_k, a) of the clipped
+    subinterval, not at the snapshot time.  ``whole`` says that ``term``
+    reads whole densities; ``on_last``, if given, maps the sum, once its
+    last term is in, to the value it keeps.
     """
-    ks, w = window_snapshots(traj, a, b)
-    return sum(wk * per_snapshot(int(k)) for k, wk in zip(ks, w))
+
+    def __init__(self, traj: Trajectory, a: float, b: float, term, whole: bool = False,
+                 on_last=None):
+        ks, self.w = window_snapshots(traj, a, b)
+        # the snapshots whose subintervals meet a window are consecutive
+        self.ks = range(int(ks[0]), int(ks[-1]) + 1)
+        self.term, self.whole, self.on_last = term, whole, on_last
+        self.value = 0
+        self._n = 0
+
+    def feed(self, k: int) -> None:
+        self.value = self.value + self.w[self._n] * self.term(k)
+        self._n += 1
+        if self._n == self.w.size and self.on_last is not None:
+            self.value = self.on_last(self.value)
+
+
+def feed(traj: Trajectory, sums, keep: bool = True) -> None:
+    """One pass over the snapshots in time order: at snapshot k, every
+    window sum whose window holds k is fed k, those that read whole
+    densities first, so that k's whole densities are computed once
+    (``energy_density`` caches them) and the ball-local sums slice them.
+    Unless ``keep``, k's densities are dropped once its sums are fed, so
+    the cache holds one snapshot's densities at a time."""
+    at = {}
+    for s in sorted(sums, key=lambda s: not s.whole):
+        for k in s.ks:
+            at.setdefault(k, []).append(s)
+    for k in sorted(at):
+        for s in at[k]:
+            s.feed(k)
+        if not keep:
+            drop_densities(traj, k)
+
+
+class Reading(NamedTuple):
+    """A diagnostic as a pass evaluates it: the window sums it reads, and
+    ``finish()``, its value once they are fed."""
+
+    sums: list
+    finish: Callable[[], object]
+
+
+def evaluate(traj: Trajectory, readings, keep: bool = True) -> list:
+    """The values of ``readings``, in order, from one pass over the
+    snapshots that feeds all their sums (``feed``)."""
+    feed(traj, [s for r in readings for s in r.sums], keep)
+    return [r.finish() for r in readings]
+
+
+def window_integral(traj: Trajectory, a: float, b: float, per_snapshot):
+    """Time integral over [a, b) of a per-snapshot quantity: a
+    ``WindowSum`` of ``per_snapshot`` fed by a pass of its own."""
+    acc = WindowSum(traj, a, b, per_snapshot)
+    feed(traj, [acc])
+    return acc.value
 
 
 def cylinder_window(t0: float, R: float) -> tuple[float, float]:
@@ -234,8 +309,8 @@ def annulus_window(t0: float, R: float) -> tuple[float, float]:
     return t0 - 4.0 * R * R, t0 - R * R
 
 
-def weighted_annulus_energy(traj: Trajectory, z0, R: float, mode: str = "gl") -> float:
-    """Gaussian-weighted energy over the annular time window (t0-4R^2, t0-R^2)."""
+def _annulus_sum(traj: Trajectory, z0, R: float, mode: str) -> WindowSum:
+    """The window sum of ``weighted_annulus_energy``."""
     g = traj.grid
     a, b = annulus_window(float(z0[0]), R)
     if a < -1e-12:
@@ -249,10 +324,17 @@ def weighted_annulus_energy(traj: Trajectory, z0, R: float, mode: str = "gl") ->
         return float(np.sum(energy_density(traj, k, mode) * gvals) * g.cell_volume)
 
     try:
-        return window_integral(traj, a, b, weighted)
+        return WindowSum(traj, a, b, weighted, whole=True)
     except EmptyIntersection as e:
         raise WindowOutsideTrajectory(
             f"no snapshots inside window ({a:g}, {b:g})") from e
+
+
+def weighted_annulus_energy(traj: Trajectory, z0, R: float, mode: str = "gl") -> float:
+    """Gaussian-weighted energy over the annular time window (t0-4R^2, t0-R^2)."""
+    acc = _annulus_sum(traj, z0, R, mode)
+    feed(traj, [acc])
+    return acc.value
 
 
 # -- monotonicity ------------------------------------------------------------
@@ -317,15 +399,36 @@ def _speed_values(traj: Trajectory, z0) -> Callable[[int], float]:
     return speed_at
 
 
+def _annulus_key(z0, R: float, mode: str) -> tuple:
+    return float(z0[0]), tuple(np.asarray(z0[1], dtype=float).tolist()), R, mode
+
+
 def _annulus_value(traj: Trajectory, z0, R: float, mode: str) -> float:
     """``weighted_annulus_energy(traj, z0, R, mode)``, kept on the trajectory
     per (centre, R, mode) (``Trajectory._annulus_cache``), so the pairs of
     one centre that share a radius evaluate it once."""
-    t0, x0 = float(z0[0]), np.asarray(z0[1], dtype=float)
-    key = (t0, tuple(x0.tolist()), R, mode)
+    key = _annulus_key(z0, R, mode)
     if key not in traj._annulus_cache:
         traj._annulus_cache[key] = weighted_annulus_energy(traj, z0, R, mode)
     return traj._annulus_cache[key]
+
+
+def annulus_reading(traj: Trajectory, z0, radii, mode: str) -> Reading:
+    """The annulus energies of centre z0 at ``radii`` that ``_annulus_value``
+    has not kept yet, as a ``Reading`` that keeps them once fed: the
+    monotonicity reports of that centre then read no density."""
+    kept = traj._annulus_cache
+    todo = {}
+    for R in radii:
+        key = _annulus_key(z0, R, mode)
+        if key not in kept and key not in todo:
+            todo[key] = _annulus_sum(traj, z0, R, mode)
+
+    def finish():
+        for key, acc in todo.items():
+            kept[key] = acc.value
+
+    return Reading(list(todo.values()), finish)
 
 
 def check_monotonicity_args(t0: float, R1: float, R2: float,
@@ -466,20 +569,33 @@ def _cylinder_nodes(grid: Grid, cyl: CylinderSpec) -> np.ndarray:
     return nodes
 
 
-def cylinder_integral(traj: Trajectory, cyl: CylinderSpec, mode: str = "gl") -> float:
-    """Plain integral of the chosen density over the clipped cylinder.
-    Snapshots that share a density cache entry (``_cache_key``) share one
-    ball evaluation."""
+def cylinder_reading(traj: Trajectory, cyl: CylinderSpec, mode: str = "gl") -> Reading:
+    """``cylinder_integral`` as a ``Reading``.  Consecutive snapshots that
+    share a density cache entry (``_cache_key``) share one ball
+    evaluation."""
     nodes = _cylinder_nodes(traj.grid, cyl)
-    ball = {}
+    last = {}
 
     def at(k: int) -> np.ndarray:
         key = _cache_key(traj, k)
-        if key not in ball:
-            ball[key] = energy_density(traj, k, mode, nodes)
-        return ball[key]
+        if key not in last:
+            last.clear()
+            last[key] = energy_density(traj, k, mode, nodes)
+        return last[key]
 
-    return ball_integral(traj, cyl, at)
+    return _ball_reading(traj, cyl, at)
+
+
+def cylinder_integral(traj: Trajectory, cyl: CylinderSpec, mode: str = "gl") -> float:
+    """Plain integral of the chosen density over the clipped cylinder: the
+    density at the ball's nodes, sliced from a whole density where the
+    trajectory caches one (``energy_density``), else computed there only."""
+    return evaluate(traj, [cylinder_reading(traj, cyl, mode)])[0]
+
+
+def _ball_reading(traj: Trajectory, cyl: CylinderSpec, ball_density) -> Reading:
+    acc = WindowSum(traj, *cyl.window(), ball_density)
+    return Reading([acc], lambda: float(acc.value.sum()) * traj.grid.cell_volume)
 
 
 def ball_integral(traj: Trajectory, cyl: CylinderSpec, ball_density) -> float:
@@ -487,8 +603,7 @@ def ball_integral(traj: Trajectory, cyl: CylinderSpec, ball_density) -> float:
     snapshot k on the cylinder's ball: the window integral of those values,
     summed over the ball, times the cell volume.  A caller that recorded
     the values while the flow ran gets ``cylinder_integral`` bit for bit."""
-    vals = window_integral(traj, *cyl.window(), ball_density)
-    return float(vals.sum()) * traj.grid.cell_volume
+    return evaluate(traj, [_ball_reading(traj, cyl, ball_density)])[0]
 
 
 def _extension_integrals(traj: Trajectory, h0: HarmonicExtension,

@@ -8,12 +8,15 @@ surrogate's sensitivity is auditable.  Cylinder radii are used as given;
 no gauge correction is applied to the hypothesis radius (noted in the
 report).
 
-Every cylinder energy here is ``diagnostics.window_integral`` of a
-density summed over a ball of nodes; densities hold one value per interior
-node, in ``grid.interior_flat`` order.  The scan computes one such window
+Every cylinder energy here is a ``diagnostics.WindowSum`` of a density
+summed over a ball of nodes; densities hold one value per interior node,
+in ``grid.interior_flat`` order.  Each diagnostic is also a
+``diagnostics.Reading``, so that a caller can evaluate several in one pass
+over the snapshots (``diagnostics.evaluate``).  The scan sums one window
 field per (scan time, radius), scatters it into a zero-padded lattice at
-padded indices computed once per scan, and takes the ball sums of all its
-scan nodes in one vectorized gather from there.
+padded indices computed once per scan as soon as its window closes, and
+takes the ball sums of its live scan nodes in one vectorized gather from
+there.
 """
 
 from __future__ import annotations
@@ -24,8 +27,9 @@ from typing import Optional
 
 import numpy as np
 
-from .diagnostics import (CylinderSpec, cylinder_integral, cylinder_window,
-                          energy_density, window_integral, window_snapshots)
+from .diagnostics import (CylinderSpec, Reading, WindowSum, cylinder_reading,
+                          cylinder_window, energy_density, evaluate, feed,
+                          window_snapshots)
 from .errors import TooFewScales
 from .flow import Trajectory
 
@@ -122,14 +126,19 @@ def certificate_bound(eps0: float, r: float, d: int) -> float:
     return bound
 
 
+def scaled_energy_reading(traj: Trajectory, z0, R: float, mode: str = "gl") -> Reading:
+    """``local_scaled_energy`` as a ``diagnostics.Reading``."""
+    g = traj.grid
+    check_cylinder_args(R, g.h, mode)
+    cyl = cylinder_reading(traj, CylinderSpec(t0=float(z0[0]), x0=z0[1], R=R),
+                           density_mode(mode))
+    return Reading(cyl.sums, lambda: cyl.finish() / cylinder_scale(mode, R, g.d))
+
+
 def local_scaled_energy(traj: Trajectory, z0, R: float, mode: str = "gl") -> float:
     """Scaled cylinder energy: R^{-d} integral of the density over P_R,
     or (2 R^d)^{-1} of |grad u|^2 in dirichlet mode."""
-    g = traj.grid
-    check_cylinder_args(R, g.h, mode)
-    cyl = CylinderSpec(t0=float(z0[0]), x0=z0[1], R=R)
-    return (cylinder_integral(traj, cyl, density_mode(mode))
-            / cylinder_scale(mode, R, g.d))
+    return evaluate(traj, [scaled_energy_reading(traj, z0, R, mode)])[0]
 
 
 def _scan_points(traj: Trajectory, cfg: SingularConfig):
@@ -158,13 +167,13 @@ def _ball_sums(flat: np.ndarray, centers: np.ndarray, offsets: np.ndarray) -> np
                            for i in range(0, centers.size, step)])
 
 
-def detect_singular_set(traj: Trajectory, cfg: SingularConfig) -> SingularReport:
-    """Scan spacetime for points whose scaled energy exceeds the threshold
-    at every radius in the scan list.
-
-    Radii go in increasing order; a scan point stops at its first radius
-    below the threshold.
-    """
+def scan_reading(traj: Trajectory, cfg: SingularConfig, keep: bool = True) -> Reading:
+    """``detect_singular_set`` as a ``diagnostics.Reading``: its sums are the
+    window fields of the smallest radius, one per scan time, each reduced
+    to the scan nodes above the threshold as soon as its window closes.
+    ``finish`` scans the larger radii at those nodes only, in one pass per
+    radius that keeps the densities it computes if ``keep``, then takes
+    the sup-density check and the box count."""
     g = traj.grid
     cfg.validate(g.h)
     radii = sorted(float(r) for r in cfg.radii)
@@ -181,47 +190,74 @@ def detect_singular_set(traj: Trajectory, cfg: SingularConfig) -> SingularReport
     padded_idx = (np.array(np.unravel_index(g.interior_flat, g.shape)).T + m) @ pstrides
     centers = padded_idx[nodes]
     offsets = {R: g.ball_offsets(R) @ pstrides for R in radii}
+    # scan time -> (positions into ``nodes`` at or above the threshold at
+    # every radius scanned so far, their scaled energies there)
+    alive = {}
 
-    flagged, values = [], []
-    for kt in t_idx:
-        t0 = float(traj.times[kt])
-        vals = np.empty((nodes.size, len(radii)))
-        alive = np.arange(nodes.size)
-        for j, R in enumerate(radii):
-            if alive.size == 0:
-                break
-            field = window_integral(traj, *cylinder_window(t0, R),
-                                    lambda k: energy_density(traj, k, dens_mode))
+    def density(k: int) -> np.ndarray:
+        return energy_density(traj, k, dens_mode)
+
+    def window(kt: int, j: int) -> WindowSum:
+        R = radii[j]
+
+        def close(field: np.ndarray) -> None:
+            # the window field is not kept: only its survivors are
             flat_padded[padded_idx] = field
-            sums = _ball_sums(flat_padded, centers[alive], offsets[R])
-            vals[alive, j] = sums * g.cell_volume / cylinder_scale(cfg.mode, R, g.d)
-            alive = alive[vals[alive, j] >= cfg.eps0]
-        for i in alive:
-            flagged.append((t0, tuple(float(c) for c in g.interior_coords[nodes[i]])))
-            values.append({str(R): float(v) for R, v in zip(radii, vals[i])})
+            pos, vals = (alive.pop(kt) if j
+                         else (np.arange(nodes.size), np.empty((nodes.size, 0))))
+            sums = _ball_sums(flat_padded, centers[pos], offsets[R])
+            v = sums * g.cell_volume / cylinder_scale(cfg.mode, R, g.d)
+            up = v >= cfg.eps0
+            if up.any():
+                alive[kt] = pos[up], np.column_stack([vals[up], v[up]])
 
-    # sup-density cross-check on the smallest cylinder at flagged points
-    sup_checks = []
-    rmin = radii[0]
-    for (t0, x) in flagged[:64]:
-        ks, _ = window_snapshots(traj, *cylinder_window(t0, rmin))
-        nodes_in = g.nodes_within(np.asarray(x), rmin)
-        sup_val = max(float(energy_density(traj, int(k), dens_mode, nodes_in)
-                            .max(initial=0.0)) for k in ks)
-        sup_checks.append((t0, x, sup_val, sup_val * rmin ** 2))
+        return WindowSum(traj, *cylinder_window(float(traj.times[kt]), R), density,
+                         whole=True, on_last=close)
 
-    deltas = [float(x) for x in (cfg.deltas if cfg.deltas else radii)]
-    if len(deltas) >= 3 and flagged:
-        pts = np.array([[t] + list(x) for t, x in flagged])
-        table, dim = parabolic_box_count(pts, sorted(deltas, reverse=True))
-    else:
-        table, dim = [], None
+    def finish() -> SingularReport:
+        for j in range(1, len(radii)):
+            feed(traj, [window(kt, j) for kt in sorted(alive)], keep)
+        flagged, values = [], []
+        for kt in sorted(alive):
+            t0 = float(traj.times[kt])
+            for i, row in zip(*alive[kt]):
+                flagged.append((t0, tuple(float(c) for c in g.interior_coords[nodes[i]])))
+                values.append({str(R): float(v) for R, v in zip(radii, row)})
 
-    return SingularReport(flagged=flagged, values=values,
-                          n_scanned=len(t_idx) * nodes.size,
-                          box_table=table, dimension_estimate=dim,
-                          sup_density_checks=sup_checks, eps0=cfg.eps0,
-                          radii=radii, mode=cfg.mode)
+        # sup-density cross-check on the smallest cylinder at flagged points
+        sup_checks = []
+        rmin = radii[0]
+        for (t0, x) in flagged[:64]:
+            ks, _ = window_snapshots(traj, *cylinder_window(t0, rmin))
+            nodes_in = g.nodes_within(np.asarray(x), rmin)
+            sup_val = max(float(energy_density(traj, int(k), dens_mode, nodes_in)
+                                .max(initial=0.0)) for k in ks)
+            sup_checks.append((t0, x, sup_val, sup_val * rmin ** 2))
+
+        deltas = [float(x) for x in (cfg.deltas if cfg.deltas else radii)]
+        if len(deltas) >= 3 and flagged:
+            pts = np.array([[t] + list(x) for t, x in flagged])
+            table, dim = parabolic_box_count(pts, sorted(deltas, reverse=True))
+        else:
+            table, dim = [], None
+
+        return SingularReport(flagged=flagged, values=values,
+                              n_scanned=len(t_idx) * nodes.size,
+                              box_table=table, dimension_estimate=dim,
+                              sup_density_checks=sup_checks, eps0=cfg.eps0,
+                              radii=radii, mode=cfg.mode)
+
+    return Reading([window(kt, 0) for kt in t_idx], finish)
+
+
+def detect_singular_set(traj: Trajectory, cfg: SingularConfig) -> SingularReport:
+    """Scan spacetime for points whose scaled energy exceeds the threshold
+    at every radius in the scan list.
+
+    Radii go in increasing order; a scan point stops at its first radius
+    below the threshold.
+    """
+    return evaluate(traj, [scan_reading(traj, cfg)])[0]
 
 
 def parabolic_box_count(points: np.ndarray, deltas) -> tuple[list, Optional[float]]:
@@ -264,6 +300,25 @@ def parabolic_box_count(points: np.ndarray, deltas) -> tuple[list, Optional[floa
     return table, slope
 
 
+def certificate_reading(traj: Trajectory, z0, radii, eps0: float) -> Reading:
+    """``small_energy_certificate`` as a ``diagnostics.Reading``."""
+    d = traj.grid.d
+    rows = []
+    for r in sorted(float(r) for r in radii):
+        bound = certificate_bound(eps0, r, d)
+        rows.append((r, bound, cylinder_reading(
+            traj, CylinderSpec(t0=float(z0[0]), x0=z0[1], R=r), mode="gradient")))
+
+    def finish() -> tuple[bool, list]:
+        table = []
+        for r, bound, cyl in rows:
+            total = cyl.finish()
+            table.append((r, total, float(bound), bool(total < bound)))
+        return all(row[3] for row in table), table
+
+    return Reading([s for *_, cyl in rows for s in cyl.sums], finish)
+
+
 def small_energy_certificate(traj: Trajectory, z0, radii, eps0: float
                              ) -> tuple[bool, list]:
     """Dyadic check  int_{P_r} |grad u|^2 < eps0^2 r^d / 2  per radius.
@@ -271,11 +326,4 @@ def small_energy_certificate(traj: Trajectory, z0, radii, eps0: float
     Returns (all_pass, table) with rows (r, integral, bound, pass);
     ValueError where a bound is not finite (``certificate_bound``).
     """
-    d = traj.grid.d
-    table = []
-    for r in sorted(float(r) for r in radii):
-        bound = certificate_bound(eps0, r, d)
-        total = cylinder_integral(traj, CylinderSpec(t0=float(z0[0]), x0=z0[1], R=r),
-                                  mode="gradient")
-        table.append((r, total, float(bound), bool(total < bound)))
-    return all(row[3] for row in table), table
+    return evaluate(traj, [certificate_reading(traj, z0, radii, eps0)])[0]

@@ -13,7 +13,7 @@ import pytest
 from sphereflow import cli, field, flow, geometry
 from sphereflow import io as sfio
 from sphereflow.cli import main, run_experiment, sweep
-from sphereflow.errors import NormBlowup
+from sphereflow.errors import KernelUnderresolved, NormBlowup
 from sphereflow.field import InitialData, generate, l2_distance
 from sphereflow.geometry import Domain, build_grid
 from sphereflow.io import read_snapshot, write_snapshot
@@ -1116,3 +1116,141 @@ def test_run_heap_does_not_grow_with_snapshot_count(tmp_path):
     grid = build_grid(Domain.unit_ball(3), 1 / 16)
     field_bytes = grid.n_lattice * 3 * 8
     assert abs(peaks[1] - peaks[100]) <= field_bytes
+
+
+def _every_section_disc(stride: int) -> dict:
+    """The 1/16 disc, 285 steps, with cylinders of both modes, three
+    monotonicity pairs (R = 0.1 is below 2h, so its annulus warns), a
+    singular scan that flags nothing and a certificate."""
+    return {"domain": {"kind": "unit-ball", "d": 2}, "h": 1 / 16, "D": 2,
+            "initial": {"kind": "cap", "latitude_deg": 60.0},
+            "solver": {"mode": "glhf-simplified", "lambda": 1000.0, "T": 0.25,
+                       "dt": "auto", "output_stride": stride},
+            "diagnostics": {
+                "cylinders": [{"t0": t0, "x0": [x, 0.0], "R": R, "mode": mode}
+                              for t0, x, R, mode in [(0.05, 0.0, 0.125, "gl"),
+                                                     (0.1, 0.3, 0.25, "dirichlet"),
+                                                     (0.15, -0.2, 0.5, "gl"),
+                                                     (0.2, 0.0, 0.25, "dirichlet")]],
+                "monotonicity": {"t0": 0.2, "x0": [0.1, -0.05],
+                                 "pairs": [[0.1, 0.14], [0.1, 0.2], [0.125, 0.2]],
+                                 "mode": "gradient"},
+                "singular": {"eps0": 1.0, "radii": [0.125, 0.25, 0.5], "time_stride": 1},
+                "small_energy": {"t0": 0.125, "x0": [0.0, 0.0],
+                                 "radii": [0.5, 0.25, 0.125], "eps0": 1.0}}}
+
+
+def test_run_diagnostics_heap_does_not_grow_with_snapshot_count(tmp_path, monkeypatch):
+    # the diagnostics drop each snapshot's densities once the pass has fed
+    # its readers.  Measured: 338 -> 910 KiB from 37 to 286 snapshots
+    # (growth 572 KiB: the scan's open window fields and per-window
+    # records); caching two densities per snapshot grew 741 -> 4,195 KiB
+    peaks = {}
+    run_diagnostics = cli._run_diagnostics
+
+    def measured(dcfg, traj, *args):
+        tracemalloc.start()
+        try:
+            run_diagnostics(dcfg, traj, *args)
+            peaks[len(traj.snapshots)] = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert not traj._density_cache
+
+    monkeypatch.setattr(cli, "_run_diagnostics", measured)
+    for stride in (8, 1, 8):
+        p = tmp_path / f"stride{stride}.json"
+        p.write_text(json.dumps(_every_section_disc(stride)))
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", KernelUnderresolved)
+            assert run_experiment(p, tmp_path / f"out{stride}") == 0
+    assert sorted(peaks) == [37, 286]
+    assert peaks[286] - peaks[37] <= 750 * 1024
+
+
+@pytest.mark.parametrize("name", ["every-section-disc", "hedgehog_ball"])
+def test_run_diagnostics_equal_the_public_functions(tmp_path, monkeypatch, name):
+    # the one pass of a store-backed run writes what the public functions
+    # compute, one after another, on the same snapshots: as the same floats.
+    # hedgehog_ball.json flags scan points, so the larger radii run too
+    from sphereflow import diagnostics
+    from sphereflow.diagnostics import monotonicity_report
+    from sphereflow.singular import detect_singular_set, small_energy_certificate
+
+    if name == "hedgehog_ball":
+        p = CONFIGS / "hedgehog_ball.json"
+    else:
+        p = tmp_path / "disc.json"
+        p.write_text(json.dumps(_every_section_disc(8)))
+    cfg = cli.ExperimentConfig.load(p)
+    dg = cfg.diagnostics
+    seen = []
+    grads, penalties = [], []
+    gradient, penalty = diagnostics.gradient_squared_density, diagnostics._penalty_density
+    run_diagnostics = cli._run_diagnostics
+
+    def capture(dcfg, traj, *args):
+        seen.append(traj)
+        run_diagnostics(dcfg, traj, *args)
+        assert not traj._density_cache
+
+    def counted_gradient(f, nodes=None):
+        if nodes is None:
+            grads.append(f)
+        return gradient(f, nodes)
+
+    def counted_penalty(traj, k, nodes=None):
+        if nodes is None:
+            penalties.append(k)
+        return penalty(traj, k, nodes)
+
+    monkeypatch.setattr(cli, "_run_diagnostics", capture)
+    monkeypatch.setattr(diagnostics, "gradient_squared_density", counted_gradient)
+    monkeypatch.setattr(diagnostics, "_penalty_density", counted_penalty)
+    out = tmp_path / "out"
+    with warnings.catch_warnings(record=True) as run_warned:
+        warnings.simplefilter("always")
+        assert run_experiment(p, out) == 0
+    (traj,) = seen
+    if name != "hedgehog_ball":
+        # no scan point survives: at most one whole density per mode and
+        # snapshot, computed in the one pass
+        assert grads and penalties
+        assert max(sum(f is s for f in grads) for s in traj.snapshots) == 1
+        assert max(penalties.count(k) for k in set(penalties)) == 1
+    monkeypatch.undo()
+
+    reports = out / "reports"
+    fresh = flow.Trajectory(grid=traj.grid, times=traj.times, snapshots=traj.snapshots,
+                            records=traj.records, lam=traj.lam, dt=traj.dt)
+    with warnings.catch_warnings(record=True) as api_warned:
+        warnings.simplefilter("always")
+        if dg.monotonicity is not None:
+            z0, pairs, mode, rhs_form = dg.monotonicity
+            mono = json.loads((reports / "monotonicity.json").read_text())
+            assert mono["pairs"] == [monotonicity_report(fresh, z0, r1, r2, mode=mode,
+                                                         rhs_form=rhs_form).to_json()
+                                     for r1, r2 in pairs]
+    # one warning per annulus radius below 2h, as the reports alone give
+    assert ([w.category for w in run_warned if w.category is KernelUnderresolved]
+            == [w.category for w in api_warned])
+    assert len(api_warned) == (0 if name == "hedgehog_ball" else 1)
+
+    scan = detect_singular_set(fresh, dg.singular)
+    assert (json.loads((reports / "singular.json").read_text())
+            == json.loads(json.dumps(scan.to_json())))
+    if name == "hedgehog_ball":
+        assert scan.flagged and scan.sup_density_checks
+
+    rows = read_rows(reports / "cylinders.csv")[1:]
+    assert len(rows) == len(dg.cylinders)
+    for row, (cyl, mode) in zip(rows, dg.cylinders):
+        assert float(row[-1]) == local_scaled_energy(fresh, (cyl.t0, cyl.x0), cyl.R, mode)
+
+    if dg.small_energy is not None:
+        z0, radii, eps0 = dg.small_energy
+        ok, table = small_energy_certificate(fresh, z0, radii, eps0)
+        cert = json.loads((reports / "certificate.json").read_text())
+        assert cert["all_pass"] == ok
+        assert cert["table"] == [{"r": r, "integral": v, "bound": b, "pass": q}
+                                 for r, v, b, q in table]
