@@ -30,8 +30,10 @@ from . import singular as sing
 from . import stereo
 from .errors import (CFLViolated, ConfigError, DimensionMismatch, LatticeTooLarge,
                      SphereFlowError, SpacingTooCoarse, finite, integer, numbers, section)
-from .field import (InitialData, SphereField, check_initial, generate, l2_distance,
-                    release_pages)
+# the benchmark tracer wraps the binding cli.generate, which no run calls
+# (``build_initial`` takes the rows of ``initial_rows``), so it stays imported
+from .field import (InitialData, KeptSnapshot, SphereField, check_initial, generate,
+                    initial_rows, l2_distance, release_pages)
 # the benchmark tracer wraps the binding cli.trajectory_l2q_distance, which
 # sweep's l2q_to_projected equals, so it stays imported here
 from .flow import (PenaltySchedule, SolverConfig, Trajectory, run_glhf, run_projected,
@@ -157,13 +159,15 @@ class ExperimentConfig:
         except (AttributeError, KeyError, OverflowError, TypeError, ValueError) as e:
             raise ConfigError(f"invalid config: {e}") from e
 
-    def build_initial(self) -> SphereField:
-        """The initial field, on the run's grid."""
+    def build_initial(self) -> KeptSnapshot:
+        """The initial field, on the run's grid, as its interior and boundary
+        rows (``field.initial_rows``): the flow builds its own field from
+        them, so no lattice of the initial field is made."""
         init = self.initial
         if self.snapshot is not None:
             f, _ = sfio.read_snapshot(self.snapshot)
             init = InitialData(kind="custom-samples", samples=f)
-        return generate(init, self.grid, self.D)
+        return KeptSnapshot(self.grid, *initial_rows(init, self.grid, self.D))
 
     def check_windows(self, sections) -> None:
         """Raise ConfigError unless, in the named diagnostics sections, every
@@ -490,8 +494,10 @@ def _reference(cfg: ExperimentConfig, u0: SphereField, out: Path) -> Trajectory:
     directory and its files are removed as soon as the run returns or
     raises; the maps stay readable (POSIX keeps an unlinked file's data
     while a map of it is open), so the reference's snapshots are neither
-    on the heap nor left on disk."""
-    store = sfio.SnapshotStore(Path(tempfile.mkdtemp(prefix="reference-", dir=out)))
+    on the heap nor left on disk.  No manifest lists these files, so the
+    store hashes none of them."""
+    store = sfio.SnapshotStore(Path(tempfile.mkdtemp(prefix="reference-", dir=out)),
+                               digest=False)
     try:
         return run_projected(u0, cfg.solver, store=store)
     finally:

@@ -543,7 +543,7 @@ def main2_lhs(traj_or_u0, z0, R0: float, mu0: float, c_mu0: float) -> float:
 
     tg2 = _boundary_tangential_grad_sq(u0, boundary_frame(g))
     release_pages(u0)
-    bpts = g.coords()[g.boundary_flat]
+    bpts = g.node_coords(g.boundary_flat)
     dw = weight_d(x0, bpts, d0)
     area_w = g.h ** (d - 1)
 

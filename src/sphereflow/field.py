@@ -9,6 +9,16 @@ a time, so each sum and quotient has one definition and no broadcast inner
 loop.  Whole rows are gathered with ``np.take(..., axis=0)`` and scattered
 with ``geometry.put_rows``, which move the same bits as fancy indexing in
 a fraction of its time.
+
+Initial data.  ``initial_rows`` evaluates a family at the interior node
+positions (``Grid.node_coords``) and at the boundary projections, and
+normalizes the two row arrays in place, so no lattice-sized array is made
+on the way; ``generate`` puts them on one lattice (``lattice_values``).  A
+run of the command line starts from the rows alone
+(``cli.ExperimentConfig.build_initial``), and the flow builds its own
+field from them.  Either way the bits are those of normalizing the
+family's values on the whole lattice (``project_to_sphere``): every step
+is row by row.
 """
 
 from __future__ import annotations
@@ -78,17 +88,29 @@ def lattice_values(grid: Grid, rows: np.ndarray, boundary_rows: np.ndarray) -> n
     order) and boundary rows (``boundary_flat`` order), exterior rows zero;
     a byte copy, with no arithmetic."""
     ncomp = rows.shape[1]
-    values = np.zeros(grid.shape + (ncomp,), dtype=rows.dtype)
+    values = _zeros(grid.shape + (ncomp,), grid, rows.dtype)
     flat = values.reshape(-1, ncomp)
     put_rows(flat, grid.interior_flat, rows)
     put_rows(flat, grid.boundary_flat, boundary_rows)
     return values
 
 
+def _zeros(shape: tuple, grid: Grid, dtype=float) -> np.ndarray:
+    """``np.zeros(shape, dtype)`` for a field of ``shape[-1]`` components on
+    ``grid``; DimensionMismatch where it cannot be allocated."""
+    try:
+        return np.zeros(shape, dtype=dtype)
+    except (MemoryError, ValueError) as e:
+        raise DimensionMismatch(f"cannot allocate {shape[-1]} components on a "
+                                f"{grid.shape} lattice: {e}") from e
+
+
 class KeptSnapshot(SphereField):
-    """An in-memory snapshot of a run: its own interior rows, and the run's
-    boundary rows, one array that every kept snapshot of the run shares,
-    since no step writes a boundary row.
+    """A field held as its rows: a snapshot of a store-less run, its own
+    interior rows and the run's boundary rows, one array that every kept
+    snapshot of the run shares, since no step writes a boundary row; or a
+    run's initial field (``cli.ExperimentConfig.build_initial``), the two
+    arrays of ``initial_rows``.
 
     ``values`` is the lattice rebuilt from the two by ``lattice_values`` on
     first read, read-only; ``release_pages`` drops it, and the next read
@@ -192,22 +214,12 @@ class InitialData:
             winding=integer("initial.winding", spec.get("winding", 1)))
 
 
-def _eval_points(grid: Grid) -> tuple[np.ndarray, np.ndarray]:
-    """Active node indices and the positions where data is evaluated.
-
-    Interior nodes use their own coordinates; boundary nodes use the
-    nearest point of the true boundary (Dirichlet imposition rule).
-    """
-    idx = np.concatenate([grid.interior_flat, grid.boundary_flat])
-    pts = np.vstack([grid.interior_coords, grid.boundary_projections()])
-    return idx, pts
-
-
 def check_initial(init: InitialData, d: int, D: int) -> None:
     """Raise DimensionMismatch when ``init`` has no field on a d-dimensional
     domain with target dimension D, and NonFiniteVector on a constant vector
-    whose squared norm is not finite; ``generate`` and config load both call
-    it.  Custom samples are checked against the grid in ``generate``."""
+    whose squared norm is not finite; ``initial_rows`` and config load both
+    call it.  Custom samples are checked against the grid in
+    ``initial_rows``."""
     if D < 1:
         raise DimensionMismatch("target dimension D must be >= 1")
     if init.kind == "constant" and init.vector is not None:
@@ -223,51 +235,25 @@ def check_initial(init: InitialData, d: int, D: int) -> None:
             raise DimensionMismatch("hedgehog data needs D >= 2")
 
 
-def generate(init: InitialData, grid: Grid, D: int) -> SphereField:
-    """Build a unit-norm field of the requested family on the grid.  Custom
-    samples must live on a grid ``compatible`` with it (GridMismatch) and
-    hold D + 1 components (DimensionMismatch)."""
+def initial_rows(init: InitialData, grid: Grid, D: int) -> tuple[np.ndarray, np.ndarray]:
+    """The unit-norm field of the requested family on the grid, as its
+    interior rows (``interior_flat`` order) and its boundary rows
+    (``boundary_flat`` order), two new arrays.
+
+    Interior nodes take the data at their own positions, boundary nodes at
+    the nearest point of the true boundary (``Grid.boundary_projections``,
+    the Dirichlet imposition rule).  Custom samples must live on a grid
+    ``compatible`` with it (GridMismatch) and hold D + 1 components
+    (DimensionMismatch).  The rows are normalized as ``project_to_sphere``
+    normalizes a field's, with the same errors.
+    """
     check_initial(init, grid.d, D)
     ncomp = D + 1
-    try:
-        values = np.zeros(grid.shape + (ncomp,))
-    except (MemoryError, ValueError) as e:
-        raise DimensionMismatch(
-            f"cannot allocate {ncomp} components on a {grid.shape} lattice: {e}") from e
-    flat = values.reshape(-1, ncomp)
-    idx, pts = _eval_points(grid)
+    idx = (grid.interior_flat, grid.boundary_flat)
+    parts = [_zeros((i.size, ncomp), grid) for i in idx]
+    kind = init.kind
 
-    if init.kind == "constant":
-        flat[idx] = init.vector if init.vector is not None else np.eye(ncomp)[-1]
-
-    elif init.kind == "cap":
-        # range confined to the polar cap of the given angular radius:
-        # v linear in x, u the inverse stereographic image of v
-        theta = np.deg2rad(init.latitude_deg)
-        c = grid.domain.center()
-        r0 = grid.domain.diameter / 2.0
-        m = min(grid.d, D)
-        v = np.zeros((pts.shape[0], D))
-        v[:, :m] = np.tan(theta / 2.0) * (pts[:, :m] - c[:m]) / r0
-        from .stereo import stereo_inverse      # stereo imports this module
-        put_rows(flat, idx, stereo_inverse(v))
-
-    elif init.kind == "equator-hedgehog":
-        n = np.linalg.norm(pts, axis=1)
-        center = np.argmin(n)
-        safe = n.copy()
-        safe[safe == 0] = 1.0
-        flat[idx, :3] = scale_rows(pts, safe)
-        if n[center] == 0.0:
-            flat[idx[center]] = np.eye(ncomp)[2]
-
-    elif init.kind == "boundary-wrap":
-        c = grid.domain.center()
-        th = init.winding * np.arctan2(pts[:, 1] - c[1], pts[:, 0] - c[0])
-        flat[idx, 0] = np.cos(th)
-        flat[idx, 1] = np.sin(th)
-
-    elif init.kind == "custom-samples":
+    if kind == "custom-samples":
         if init.samples is None:
             raise DimensionMismatch("custom-samples requires a sample field")
         if not init.samples.grid.compatible(grid):
@@ -275,13 +261,57 @@ def generate(init: InitialData, grid: Grid, D: int) -> SphereField:
         if init.samples.ncomp != ncomp:
             raise DimensionMismatch(f"custom samples hold {init.samples.ncomp} "
                                     f"components, the run {ncomp}")
-        rows = np.take(init.samples.flat(), idx, axis=0)
-        put_rows(flat, idx, np.asarray(rows, dtype=float))
-
+        parts[0][:] = init.samples.interior_rows()
+        parts[1][:] = init.samples.rows(grid.boundary_flat)
+    elif kind not in INITIAL_KINDS:
+        raise DimensionMismatch(f"unknown initial data kind {kind!r}")
     else:
-        raise DimensionMismatch(f"unknown initial data kind {init.kind!r}")
+        norms = []
+        for out, pts in zip(parts, (grid.node_coords(grid.interior_flat),
+                                    grid.boundary_projections())):
+            if kind == "constant":
+                out[:] = init.vector if init.vector is not None else np.eye(ncomp)[-1]
 
-    return project_to_sphere(SphereField(grid=grid, values=values))
+            elif kind == "cap":
+                # range confined to the polar cap of the given angular radius:
+                # v linear in x, u the inverse stereographic image of v
+                theta = np.deg2rad(init.latitude_deg)
+                c = grid.domain.center()
+                r0 = grid.domain.diameter / 2.0
+                m = min(grid.d, D)
+                v = np.zeros((pts.shape[0], D))
+                v[:, :m] = np.tan(theta / 2.0) * (pts[:, :m] - c[:m]) / r0
+                from .stereo import stereo_inverse      # stereo imports this module
+                out[:] = stereo_inverse(v)
+
+            elif kind == "equator-hedgehog":
+                n = np.linalg.norm(pts, axis=1)
+                norms.append(n)
+                scale_rows(pts, np.where(n == 0, 1.0, n), out=out[:, :3])
+
+            else:                                       # boundary-wrap
+                c = grid.domain.center()
+                th = init.winding * np.arctan2(pts[:, 1] - c[1], pts[:, 0] - c[0])
+                out[:, 0] = np.cos(th)
+                out[:, 1] = np.sin(th)
+
+        if kind == "equator-hedgehog":
+            # the node nearest the origin (interior rows first), if it lies
+            # at the origin, points along the third axis
+            n = np.concatenate(norms)
+            c = int(np.argmin(n))
+            if n[c] == 0.0:
+                k = int(c >= idx[0].size)
+                parts[k][c - k * idx[0].size] = np.eye(ncomp)[2]
+
+    _normalize(list(zip(parts, idx)))
+    return parts[0], parts[1]
+
+
+def generate(init: InitialData, grid: Grid, D: int) -> SphereField:
+    """The field of ``initial_rows`` on the grid's lattice, exterior rows
+    zero, writable; it raises as ``initial_rows`` does."""
+    return SphereField(grid, lattice_values(grid, *initial_rows(init, grid, D)))
 
 
 def project_to_sphere(f: SphereField) -> SphereField:
@@ -294,14 +324,31 @@ def project_to_sphere(f: SphereField) -> SphereField:
     """
     out = f.copy()
     idx = f.grid.active_flat
-    rows = np.take(f.flat(), idx, axis=0)
-    bad = ~_finite_rows(rows)
-    if np.any(bad):
-        raise NonFiniteVector(f"cannot project node(s) at flat index "
-                              f"{idx[np.flatnonzero(bad)[:5]].tolist()}: the squared "
-                              f"norm is not finite")
-    put_rows(out.flat(), idx, normalize_rows(rows, idx))
+    rows = f.rows(idx)
+    _normalize([(rows, idx)])
+    put_rows(out.flat(), idx, rows)
     return out
+
+
+def _normalize(parts: list) -> None:
+    """Divide each row of every ``(rows, flat indices)`` pair by its norm,
+    in place, as ``normalize_rows`` does.  Every pair is checked before any
+    row is divided: NonFiniteVector on rows whose squared norm is not
+    finite, then NearZeroVector on rows of norm below NORM_FLOOR, each
+    naming the first five such flat indices in ascending order."""
+    def refuse(bad: list, error, why: str) -> None:
+        flagged = np.sort(np.concatenate([i[b] for (_, i), b in zip(parts, bad)]))
+        if flagged.size:
+            raise error(f"cannot project node(s) at flat index {flagged[:5].tolist()}{why}")
+
+    with np.errstate(over="ignore", invalid="ignore"):
+        norms = [rowsq(v) for v, _ in parts]
+    refuse([~np.isfinite(n) for n in norms], NonFiniteVector,
+           ": the squared norm is not finite")
+    norms = [np.sqrt(n, out=n) for n in norms]
+    refuse([n < NORM_FLOOR for n in norms], NearZeroVector, "")
+    for (v, _), n in zip(parts, norms):
+        scale_rows(v, n)
 
 
 def _finite_rows(v: np.ndarray) -> np.ndarray:

@@ -37,10 +37,12 @@ boundary values are gathered once per run.  Nothing in a step copies or
 writes a lattice-sized array except the field; the last state's N is the
 one neighbour sum no step uses.
 
-Buffers.  ``_run`` gathers the interior and boundary rows of ``u0`` once
-and builds its own field from them (``field.lattice_values``, exterior
-rows zero, whatever ``u0`` holds there); ``_step`` mutates that field in
-place.  At each snapshot step the trajectory takes a snapshot of it.
+Buffers.  ``_run`` takes the interior and boundary rows of ``u0`` once
+(``interior_rows`` and ``rows``, which rebuild no lattice of a
+``field.KeptSnapshot``, the form of the command line's initial field) and
+builds its own field from them (``field.lattice_values``, exterior rows
+zero, whatever ``u0`` holds there); ``_step`` mutates that field in
+place, and it is the only lattice of a command-line run's state.  At each snapshot step the trajectory takes a snapshot of it.
 Without a store (``store=None``) that is a ``field.KeptSnapshot``: a copy
 of ``rows``, which are the field's interior rows at that point, so
 capture gathers nothing, and the one array of boundary rows gathered at
@@ -374,7 +376,7 @@ def _run(u0: SphereField, cfg: SolverConfig, sched: Optional[PenaltySchedule],
     n_steps, take = cfg.n_steps(), set(cfg.snapshot_steps())
     g = u0.grid
     rows = u0.interior_rows()
-    bnd = np.take(u0.flat(), g.boundary_flat, axis=0)
+    bnd = u0.rows(g.boundary_flat)
     u = SphereField(g, lattice_values(g, rows, bnd))     # exterior rows zero
     flat = u.flat()
 

@@ -39,6 +39,13 @@ stays within ``BLOCK_NODES`` lattice nodes, and a block always holds at
 least one layer, so a layer wider than that is a block of its own.  The
 block's sums go into a scratch array that stays in cache, and its interior
 rows are gathered from there; no lattice-sized buffer is written.
+
+Node positions are made where they are read, never for the whole lattice
+at once.  ``build_grid`` tests them one block of first-axis layers at a
+time (``BLOCK_NODES`` nodes, or one layer where a layer is wider), and
+``Grid.node_coords`` gives the positions of any flat indices, the bits of
+``Grid.coords()`` at them.  A ball query (``Grid.nodes_within``) tests
+only the interior nodes in the ball's index box.
 """
 
 from __future__ import annotations
@@ -339,6 +346,20 @@ class Grid:
         """(n_lattice, d) node positions, C-order flattened, built on every call."""
         return _lattice_coords(self.index_origin, self.shape, self.h)
 
+    def node_coords(self, nodes: np.ndarray) -> np.ndarray:
+        """(len(nodes), d) positions of the flat lattice indices ``nodes``:
+        ``coords()[nodes]`` bit for bit, from the unravelled indices, with no
+        lattice-sized array: one axis at a time, each column's index
+        unravelled, offset and scaled straight into the output."""
+        nodes = np.asarray(nodes)
+        out = np.empty((nodes.size, self.d))
+        for a, (n, s) in enumerate(zip(self.shape, self.strides())):
+            k = nodes // s
+            k %= n
+            k += self.index_origin[a]
+            np.multiply(k, self.h, out=out[:, a])
+        return out
+
     def class_flat(self) -> np.ndarray:
         return self.node_class.ravel()
 
@@ -368,7 +389,7 @@ class Grid:
     def interior_coords(self) -> np.ndarray:
         """(n_interior, d) interior node positions, in ``interior_flat`` order."""
         if "int_xyz" not in self._cache:
-            self._cache["int_xyz"] = self.coords()[self.interior_flat]
+            self._cache["int_xyz"] = self.node_coords(self.interior_flat)
         return self._cache["int_xyz"]
 
     def neighbour_rows(self, flat: np.ndarray, out: Optional[np.ndarray] = None) -> np.ndarray:
@@ -442,13 +463,50 @@ class Grid:
 
     def nodes_within(self, x0: np.ndarray, R: float) -> np.ndarray:
         """Positions in ``interior_flat`` (rows of an interior-row array) of
-        the interior nodes within distance R of x0."""
-        diff = self.interior_coords - np.asarray(x0, dtype=float)
-        return np.flatnonzero(rowsq(diff, scratch=diff) < R ** 2)
+        the interior nodes within distance R of x0: those whose position x
+        passes ``rowsq(x - x0) < R ** 2``, a squared radius past the float
+        range reading inf.
+
+        Only the interior nodes in the ball's index box are tested.  The box
+        reaches one spacing, plus 1e-12 of |x0| + |R|, past the ball on every
+        side, far more than the rounding of the positions and of the test,
+        so it holds every node the test passes.  Its bounds are clipped to
+        the lattice as floats, before the integer cast, so a ball off the
+        lattice or of a radius past any index casts no out-of-range float;
+        a bound that is NaN (x0 or R not a number, or infinite both) leaves
+        no node, as the test does.
+        """
+        x0 = np.asarray(x0, dtype=float)
+        top = np.asarray(self.shape) - 1
+        with np.errstate(over="ignore", invalid="ignore"):
+            try:
+                r2 = R ** 2
+            except OverflowError:                    # a Python float
+                r2 = np.inf
+            reach = abs(R) + self.h + 1e-12 * (np.abs(x0) + abs(R))
+            lo = np.floor((x0 - reach) / self.h) - self.index_origin
+            hi = np.ceil((x0 + reach) / self.h) - self.index_origin
+            if not (r2 > 0 and np.all((lo <= hi) & (lo <= top) & (hi >= 0))):
+                return np.empty(0, dtype=np.intp)
+            lo = np.clip(lo, 0, top).astype(np.int64)
+            hi = np.clip(hi, 0, top).astype(np.int64)
+            # the interior nodes of the box's first-axis layers are one run
+            # of interior_flat; the other axes are tested on their indices
+            idx, s0 = self.interior_flat, self.strides()[0]
+            a, b = np.searchsorted(idx, [lo[0] * s0, (hi[0] + 1) * s0])
+            k = np.unravel_index(idx[a:b], self.shape)
+            keep = np.ones(b - a, dtype=bool)
+            for ax in range(1, self.d):
+                keep &= (k[ax] >= lo[ax]) & (k[ax] <= hi[ax])
+            pos = np.flatnonzero(keep)
+            diff = self.node_coords(idx[a + pos])
+            diff -= x0
+            return a + pos[rowsq(diff, scratch=diff) < r2]
 
     def boundary_projections(self) -> np.ndarray:
         if "bproj" not in self._cache:
-            self._cache["bproj"] = self.domain.boundary_project(self.coords()[self.boundary_flat])
+            self._cache["bproj"] = self.domain.boundary_project(
+                self.node_coords(self.boundary_flat))
         return self._cache["bproj"]
 
     def compatible(self, other: "Grid") -> bool:
@@ -495,7 +553,19 @@ def build_grid(domain: Domain, h: float) -> Grid:
     k_min, k_max = k_min.astype(np.int64), k_max.astype(np.int64)
     shape = tuple((k_max - k_min + 1).tolist())
 
-    inside = domain.contains(_lattice_coords(k_min, shape, h))
+    # the positions are made and tested one block of first-axis layers at a
+    # time (of BLOCK_NODES nodes, or one layer where a layer is wider), so no
+    # (n_lattice, d) array exists; contains tests each node on its own, so
+    # the classes do not depend on the blocks
+    layer = int(np.prod(shape[1:]))
+    step = max(1, BLOCK_NODES // layer)
+    inside = np.empty(shape[0] * layer, dtype=bool)
+    origin = k_min.copy()
+    for i in range(0, shape[0], step):
+        n = min(step, shape[0] - i)
+        origin[0] = k_min[0] + i
+        inside[i * layer:(i + n) * layer] = domain.contains(
+            _lattice_coords(origin, (n,) + shape[1:], h))
 
     cls = np.zeros(inside.size, dtype=np.int8)
     cls[inside] = INTERIOR
@@ -589,7 +659,7 @@ def scale_rows(v: np.ndarray, s: np.ndarray, op=np.divide,
 
 def boundary_frame(grid: Grid) -> BoundaryFrame:
     """Outward unit normal per boundary node."""
-    pts = grid.coords()[grid.boundary_flat]
+    pts = grid.node_coords(grid.boundary_flat)
     normals = grid.domain.outward_normal(pts)
     return BoundaryFrame(normals=normals / np.linalg.norm(normals, axis=1, keepdims=True))
 

@@ -11,7 +11,8 @@ writes the data as the flow takes each snapshot, hands the flow a
 read-only map of the written file in its place, and leaves the sidecars,
 which hold no field data, to the end of the flow; a sweep's projected
 reference runs through a store whose files are removed when the run ends,
-and reads its maps after that.  A snapshot of a domain with no config
+and reads its maps after that; no manifest lists those files, so that
+store hashes none of them.  A snapshot of a domain with no config
 form (a graph subdomain, whose ``phi`` is code) is refused before either
 file is written, since its sidecar could not be read back.
 
@@ -47,13 +48,14 @@ def fmt(x) -> str:
     return str(x)
 
 
-def _write_bytes(path: Path, data) -> tuple[str, int]:
+def _write_bytes(path: Path, data, digest: bool = True) -> tuple[Optional[str], int]:
     """Write the bytes of ``data``, a bytes object or a C-contiguous array, to
-    ``path`` without copying them; return their sha256 and their count."""
+    ``path`` without copying them; return their sha256 (None unless
+    ``digest``) and their count."""
     path.parent.mkdir(parents=True, exist_ok=True)
     with open(path, "wb") as fh:
         fh.write(data)
-    return hashlib.sha256(data).hexdigest(), memoryview(data).nbytes
+    return hashlib.sha256(data).hexdigest() if digest else None, memoryview(data).nbytes
 
 
 def write_csv(path: Path, header, rows) -> tuple[str, int]:
@@ -94,11 +96,13 @@ def grid_spec(grid: Grid) -> dict:
     return {"domain": grid.domain.to_config(), "h": grid.h}
 
 
-def write_snapshot_data(path_base: Path, f: SphereField) -> tuple[str, int]:
+def write_snapshot_data(path_base: Path, f: SphereField,
+                        digest: bool = True) -> tuple[Optional[str], int]:
     """The snapshot's ``.f64`` file: node-major, component-major
-    little-endian float64, written from the field's own buffer."""
+    little-endian float64, written from the field's own buffer; returns
+    ``(sha256, bytes)``, the digest None unless ``digest``."""
     return _write_bytes(path_base.with_suffix(".f64"),
-                        np.ascontiguousarray(f.values, dtype="<f8"))
+                        np.ascontiguousarray(f.values, dtype="<f8"), digest)
 
 
 def write_sidecar(path_base: Path, f: SphereField, t: float, step: int,
@@ -157,13 +161,16 @@ class SnapshotStore:
     A field whose grid has no spec (``grid_spec``) raises ValueError before
     any file is written.
     ``bases`` are the snapshots' paths without suffix, in order, and
-    ``digests`` maps each written file to its ``(sha256, bytes)``.
+    ``digests`` maps each written file to its ``(sha256, bytes)``.  A store
+    made with ``digest=False`` (a sweep's projected reference, whose files
+    no manifest lists) hashes nothing and leaves ``digests`` empty.
     """
 
-    def __init__(self, snap_dir: Path):
+    def __init__(self, snap_dir: Path, digest: bool = True):
         self.dir = snap_dir
         self.bases: list = []
         self.digests: dict = {}
+        self._digest = digest
         self._budget = map_budget()
         self._boundary_rows = None      # shared by the kept snapshots
         snap_dir.mkdir(parents=True, exist_ok=True)
@@ -173,7 +180,9 @@ class SnapshotStore:
         base = self.dir / f"snap_{len(self.bases):06d}"
         path = base.with_suffix(".f64")
         self.bases.append(base)
-        self.digests[path] = write_snapshot_data(base, u)
+        written = write_snapshot_data(base, u, self._digest)
+        if self._digest:
+            self.digests[path] = written
         if len(self.bases) <= self._budget:
             return map_snapshot(path, u)
         if last:
@@ -185,8 +194,8 @@ class SnapshotStore:
     def remove(self) -> None:
         """Delete the files this store wrote, and its directory if that leaves
         it empty; files of an earlier run stay."""
-        for path in self.digests:
-            path.unlink(missing_ok=True)
+        for base in self.bases:
+            base.with_suffix(".f64").unlink(missing_ok=True)
         try:
             self.dir.rmdir()
         except OSError:                 # not empty: an earlier run's files

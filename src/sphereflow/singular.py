@@ -220,8 +220,9 @@ def scan_reading(traj: Trajectory, cfg: SingularConfig, keep: bool = True) -> Re
         flagged, values = [], []
         for kt in sorted(alive):
             t0 = float(traj.times[kt])
-            for i, row in zip(*alive[kt]):
-                flagged.append((t0, tuple(float(c) for c in g.interior_coords[nodes[i]])))
+            pos, vals = alive[kt]
+            for x, row in zip(g.node_coords(g.interior_flat[nodes[pos]]), vals):
+                flagged.append((t0, tuple(float(c) for c in x)))
                 values.append({str(R): float(v) for R, v in zip(radii, row)})
 
         # sup-density cross-check on the smallest cylinder at flagged points

@@ -1254,3 +1254,53 @@ def test_run_diagnostics_equal_the_public_functions(tmp_path, monkeypatch, name)
         assert cert["all_pass"] == ok
         assert cert["table"] == [{"r": r, "integral": v, "bound": b, "pass": q}
                                  for r, v, b, q in table]
+
+
+def test_run_set_up_and_flow_hold_no_lattice_of_the_initial_field(tmp_path):
+    # the 3-D ball at h = 1/16 with a store, from config load through the
+    # flow, as run_experiment takes them: the grid's classes come from
+    # blocks of layers, the initial field is its rows, and the flow's field
+    # is the one lattice.  Measured: 3.32 fields (the flow's field, the
+    # initial rows, three carried row arrays and the stencil's block scratch);
+    # the lattice-coordinate set-up and a lattice copy of the initial field
+    # read 4.42
+    cfg = json.loads((CONFIGS / "hedgehog_ball.json").read_text())
+    cfg["h"] = 1 / 16
+    cfg["solver"]["T"] = 7.75 * 0.9 / 16 ** 2 / 6
+    p = tmp_path / "ball16.json"
+    p.write_text(json.dumps(cfg))
+    tracemalloc.start()
+    try:
+        loaded = cli.ExperimentConfig.load(p)
+        loaded.check_windows(cli.RUN_SECTIONS)
+        store = sfio.SnapshotStore(tmp_path / "snapshots")
+        traj = cli._run_flow(loaded, loaded.build_initial(), store)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(traj.records) == 9 and len(traj.snapshots) == 3
+    field_bytes = loaded.grid.n_lattice * 3 * 8
+    assert peak <= 4.3 * field_bytes, peak / field_bytes
+
+
+def test_sweep_reference_store_hashes_no_snapshot(tmp_path, monkeypatch):
+    # a run hashes each snapshot file it lists in its manifest; a sweep's
+    # projected reference lists none and hashes none, and still removes
+    # every file it wrote
+    sizes = []
+    sha256 = sfio.hashlib.sha256
+
+    def counting(data=b""):
+        sizes.append(memoryview(data).nbytes)
+        return sha256(data)
+
+    monkeypatch.setattr(sfio.hashlib, "sha256", counting)
+    p = tmp_path / "cfg.json"
+    p.write_text(json.dumps(_small_disc_config("glhf-simplified", "gl")))
+    field_bytes = build_grid(Domain.unit_ball(2), 1 / 16).n_lattice * 3 * 8
+    assert sweep(p, "lambda", [100.0, 1000.0], tmp_path / "sweep") == 0
+    assert field_bytes not in sizes
+    assert sorted(q.name for q in (tmp_path / "sweep").iterdir()) == ["manifest.json",
+                                                                      "sweep.csv"]
+    assert run_experiment(p, tmp_path / "run") == 0
+    assert sizes.count(field_bytes) == len(list((tmp_path / "run").rglob("*.f64"))) == 10

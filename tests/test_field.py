@@ -7,9 +7,10 @@ from sphereflow.elliptic import solve_harmonic_extension
 from sphereflow.errors import (ConfigError, DimensionMismatch, GridMismatch,
                                NearZeroVector, NonFiniteVector)
 from sphereflow.field import (InitialData, SphereField, check_initial, dirichlet_energy,
-                              generate, gradient_squared_density, l2_distance,
-                              normalize_rows, project_to_sphere)
+                              generate, gradient_squared_density, initial_rows,
+                              l2_distance, normalize_rows, project_to_sphere)
 from sphereflow.geometry import Domain, build_grid, rowsq, scale_rows
+from sphereflow.stereo import stereo_inverse
 
 
 def test_constant_north_pole(disc16):
@@ -310,3 +311,142 @@ def test_scale_rows_is_the_broadcast_bit_for_bit(ab, in_place, op):
     assert got is (v if in_place else out)
     assert np.array_equal(got, ref, equal_nan=True)
     assert _same_bits(got, ref)
+
+
+# -- initial rows: the two-pass field's bits, with no lattice copy ---------------
+
+def _two_pass(init, grid, D):
+    """The initial field as ``generate`` first built it: a zero lattice, the
+    family's values at the active nodes (interior positions, then the
+    boundary projections), then ``project_to_sphere`` of it."""
+    ncomp = D + 1
+    values = np.zeros(grid.shape + (ncomp,))
+    flat = values.reshape(-1, ncomp)
+    idx = np.concatenate([grid.interior_flat, grid.boundary_flat])
+    pts = np.vstack([grid.coords()[grid.interior_flat], grid.boundary_projections()])
+    if init.kind == "constant":
+        flat[idx] = init.vector if init.vector is not None else np.eye(ncomp)[-1]
+    elif init.kind == "cap":
+        theta = np.deg2rad(init.latitude_deg)
+        c, r0, m = grid.domain.center(), grid.domain.diameter / 2.0, min(grid.d, D)
+        v = np.zeros((pts.shape[0], D))
+        v[:, :m] = np.tan(theta / 2.0) * (pts[:, :m] - c[:m]) / r0
+        flat[idx] = stereo_inverse(v)
+    elif init.kind == "equator-hedgehog":
+        n = np.linalg.norm(pts, axis=1)
+        safe = n.copy()
+        safe[safe == 0] = 1.0
+        flat[idx, :3] = scale_rows(pts, safe)
+        if n[np.argmin(n)] == 0.0:
+            flat[idx[np.argmin(n)]] = np.eye(ncomp)[2]
+    elif init.kind == "boundary-wrap":
+        c = grid.domain.center()
+        th = init.winding * np.arctan2(pts[:, 1] - c[1], pts[:, 0] - c[0])
+        flat[idx, 0] = np.cos(th)
+        flat[idx, 1] = np.sin(th)
+    else:
+        flat[idx] = np.take(init.samples.flat(), idx, axis=0)
+    return project_to_sphere(SphereField(grid, values))
+
+
+def _samples(grid, ncomp, seed):
+    rng = np.random.default_rng(seed)
+    return SphereField(grid, rng.standard_normal(grid.shape + (ncomp,)) + 0.2)
+
+
+_DISC = build_grid(Domain.unit_ball(2), 1 / 16)
+_BALL = build_grid(Domain.unit_ball(3), 1 / 8)
+_HALF = build_grid(Domain.half_ball(3), 1 / 8)           # a boundary node at 0
+_CUBE = build_grid(Domain.box([[-1, 1], [-1, 1], [-1, 1]]), 1 / 4)   # interior 0
+
+INITIAL_CASES = {
+    "disc-constant": (InitialData(kind="constant"), _DISC, 2),
+    "disc-constant-vector": (InitialData(kind="constant", vector=np.array([1.0, -2, 2])),
+                             _DISC, 2),
+    "disc-cap": (InitialData(kind="cap", latitude_deg=60.0), _DISC, 2),
+    "disc-cap-D1": (InitialData(kind="cap", latitude_deg=30.0), _DISC, 1),
+    "disc-cap-D4": (InitialData(kind="cap", latitude_deg=45.0), _DISC, 4),
+    "disc-wrap": (InitialData(kind="boundary-wrap", winding=2), _DISC, 2),
+    "disc-wrap-D1": (InitialData(kind="boundary-wrap"), _DISC, 1),
+    "disc-samples": (InitialData(kind="custom-samples", samples=_samples(_DISC, 3, 1)),
+                     _DISC, 2),
+    "ball-hedgehog": (InitialData(kind="equator-hedgehog"), _BALL, 2),
+    "ball-hedgehog-D3": (InitialData(kind="equator-hedgehog"), _BALL, 3),
+    "half-hedgehog": (InitialData(kind="equator-hedgehog"), _HALF, 2),
+    "cube-hedgehog": (InitialData(kind="equator-hedgehog"), _CUBE, 2),
+    "ball-cap": (InitialData(kind="cap", latitude_deg=60.0), _BALL, 2),
+    "ball-constant-D3": (InitialData(kind="constant"), _BALL, 3),
+    "ball-wrap": (InitialData(kind="boundary-wrap", winding=3), _BALL, 2),
+    "ball-samples-D3": (InitialData(kind="custom-samples", samples=_samples(_BALL, 4, 2)),
+                        _BALL, 3),
+}
+
+
+@pytest.mark.parametrize("name", sorted(INITIAL_CASES))
+def test_generate_is_the_two_pass_field_bit_for_bit(name):
+    init, g, D = INITIAL_CASES[name]
+    expect = _two_pass(init, g, D).values
+    f = generate(init, g, D)
+    assert f.values.shape == expect.shape and f.values.flags.writeable
+    assert np.array_equal(f.values.view(np.int64), expect.view(np.int64))
+    rows, bnd = initial_rows(init, g, D)
+    flat = expect.reshape(-1, D + 1)
+    assert np.array_equal(rows.view(np.int64), flat[g.interior_flat].view(np.int64))
+    assert np.array_equal(bnd.view(np.int64), flat[g.boundary_flat].view(np.int64))
+    if name == "half-hedgehog":     # the boundary node at the origin is the pole
+        at0 = np.flatnonzero(np.all(g.boundary_projections() == 0.0, axis=1))
+        assert at0.size == 1 and np.array_equal(bnd[at0[0]], [0.0, 0.0, 1.0])
+
+
+def _bad_samples(rows: dict):
+    """Samples on the disc whose rows at the given flat indices are replaced."""
+    f = _samples(_DISC, 3, 3)
+    for node, row in rows.items():
+        f.flat()[node] = row
+    return InitialData(kind="custom-samples", samples=f)
+
+
+# flat indices of the disc's active nodes, interior and boundary mixed and
+# given out of order
+_I, _B = _DISC.interior_flat, _DISC.boundary_flat
+_FLAGGED = [int(_I[40]), int(_B[3]), int(_I[2]), int(_B[30]), int(_I[7]), int(_B[0]),
+            int(_I[-1])]
+
+
+@pytest.mark.parametrize("init, D, error, flagged", [
+    (_bad_samples({n: [np.nan, 0, 0] for n in _FLAGGED}), 2, NonFiniteVector, _FLAGGED),
+    (_bad_samples({n: [1e300, 1e300, 0] for n in _FLAGGED[:3]}), 2, NonFiniteVector,
+     _FLAGGED[:3]),
+    (_bad_samples({n: [0.0, 0, 0] for n in _FLAGGED}), 2, NearZeroVector, _FLAGGED),
+    # a row that is not finite is refused before a zero row
+    (_bad_samples({**{n: [0.0, 0, 0] for n in _FLAGGED[:4]},
+                   **{n: [0.0, np.inf, 0] for n in _FLAGGED[4:]}}), 2, NonFiniteVector,
+     _FLAGGED[4:]),
+    (InitialData(kind="custom-samples"), 2, DimensionMismatch, None),
+    (InitialData(kind="custom-samples", samples=_samples(_DISC, 4, 0)), 2,
+     DimensionMismatch, None),
+    (InitialData(kind="custom-samples", samples=_samples(build_grid(Domain.unit_ball(2), 1 / 8),
+                                                          3, 0)), 2, GridMismatch, None),
+    (InitialData(kind="equator-hedgehog"), 2, DimensionMismatch, None),
+    (InitialData(kind="constant", vector=np.array([0.0, 1.0])), 2, DimensionMismatch, None),
+    (InitialData(kind="constant", vector=np.array([1e300, 0.0, 0.0])), 2, NonFiniteVector,
+     None),
+    (InitialData(kind="spiral"), 2, DimensionMismatch, None),
+    (InitialData(kind="cap"), 0, DimensionMismatch, None),
+    # rows of 2^40 + 1 components cannot be allocated
+    (InitialData(kind="cap"), 2 ** 40, DimensionMismatch, None),
+], ids=["nan", "overflow", "zero", "nan-before-zero", "no-samples", "samples-ncomp",
+        "samples-grid", "hedgehog-2d", "vector-length", "vector-overflow", "unknown-kind",
+        "D0", "unallocatable"])
+def test_initial_rows_raise_as_the_two_pass_field(init, D, error, flagged):
+    with pytest.raises(error) as got:
+        initial_rows(init, _DISC, D)
+    with pytest.raises(error):
+        generate(init, _DISC, D)
+    if flagged is not None:
+        # the first five flagged flat indices, in ascending order, as the
+        # projection of the whole field names them
+        with pytest.raises(error) as old:
+            _two_pass(init, _DISC, D)
+        assert str(got.value) == str(old.value)
+        assert f"flat index {sorted(flagged)[:5]}" in str(got.value)

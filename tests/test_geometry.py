@@ -6,9 +6,10 @@ from hypothesis import given, settings, strategies as st
 
 from sphereflow.errors import (ConfigError, LatticeTooLarge, NoGraphAvailable,
                                SpacingTooCoarse)
+from sphereflow import geometry
 from sphereflow.geometry import (BLOCK_NODES, EXTERIOR, Domain, boundary_frame,
                                  build_grid, check_condition_B, neighbor_sum,
-                                 put_rows)
+                                 put_rows, rowsq)
 
 
 def brute_force_interior_count(d, h, kmax):
@@ -314,3 +315,77 @@ def test_ball_offsets_within_radius(seed):
     R = float(rng.uniform(0.3, 1.0))
     offs = g.ball_offsets(R)
     assert np.all(np.einsum("ij,ij->i", offs, offs) * g.h ** 2 < R ** 2)
+
+
+# -- the lattice without lattice-sized coordinates ------------------------------
+
+def _whole_lattice_classes(domain, h):
+    """``build_grid``'s node classes from one ``contains`` call on every
+    lattice position at once, as the classification was first written."""
+    g = build_grid(domain, h)
+    inside = domain.contains(g.coords())
+    cls = np.zeros(inside.size, dtype=np.int8)
+    cls[inside] = 1
+    cls[neighbor_sum(inside, g.strides()) & ~inside] = 2
+    return cls.reshape(g.shape)
+
+
+@pytest.mark.parametrize("block", [1, 40, 333, BLOCK_NODES])
+@pytest.mark.parametrize("name", sorted(FACE_DOMAINS))
+def test_build_grid_classes_do_not_depend_on_the_blocks(name, block, monkeypatch):
+    # 1 node makes every layer a block; 40 and 333 cut some lattices into
+    # blocks of several layers with a short last block
+    h = 1 / 16 if FACE_DOMAINS[name].d == 2 else 0.13
+    expect = _whole_lattice_classes(FACE_DOMAINS[name], h)
+    monkeypatch.setattr(geometry, "BLOCK_NODES", block)
+    g = build_grid(FACE_DOMAINS[name], h)
+    assert g.node_class.dtype == np.int8
+    assert np.array_equal(g.node_class, expect)
+
+
+@pytest.mark.parametrize("name", sorted(FACE_DOMAINS))
+def test_node_coords_are_the_lattice_coords_bit_for_bit(name, rng):
+    g = build_grid(FACE_DOMAINS[name], 0.13)
+    coords = g.coords()
+    for nodes in (g.interior_flat, g.boundary_flat, g.active_flat, np.arange(g.n_lattice),
+                  rng.integers(0, g.n_lattice, 50), np.empty(0, dtype=np.intp)):
+        got = g.node_coords(nodes)
+        assert got.shape == (len(nodes), g.d) and got.dtype == np.float64
+        assert np.array_equal(got.view(np.int64), coords[nodes].view(np.int64))
+    assert np.array_equal(g.interior_coords, coords[g.interior_flat])
+
+
+def _coordinate_test(g, x0, R):
+    """``nodes_within`` as the test on every interior position, a squared
+    radius past the float range reading inf."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        diff = g.interior_coords - np.asarray(x0, dtype=float)
+        return np.flatnonzero(rowsq(diff) < np.float64(R) ** 2)
+
+
+@pytest.mark.parametrize("name", ["ball2", "ball3", "box3", "half3"])
+def test_nodes_within_is_the_coordinate_test(name, rng):
+    g = build_grid(FACE_DOMAINS[name], 1 / 16 if FACE_DOMAINS[name].d == 2 else 0.13)
+    d = g.d
+    balls = [(rng.uniform(-3, 3, d), float(rng.uniform(0, 2))) for _ in range(60)]
+    balls += [(rng.uniform(-1, 1, d), float(rng.uniform(0, 3 * g.h))) for _ in range(60)]
+    # radii on a node's distance, off the lattice, huge, zero, negative and
+    # not a number, and centres far away or with cancelling huge radii
+    x = g.interior_coords[len(g.interior_coords) // 3]
+    balls += [(x, 2 * g.h), (x + g.h / 2, g.h / 2), (np.full(d, 5.0), 1.0),
+              (np.full(d, -5.0), 4.0), (np.zeros(d), 1e300), (np.full(d, 1e300), 1.0),
+              (np.full(d, 1e300), 1e300), (np.full(d, -1e300), np.inf),
+              (np.zeros(d), 0.0), (np.zeros(d), -0.5), (np.zeros(d), np.nan),
+              (np.array([np.nan] + [0.0] * (d - 1)), 1.0),
+              (np.array([np.inf] + [0.0] * (d - 1)), 1.0),
+              (np.array([-1e17] + [0.0] * (d - 1)), 1e17 + 0.5)]
+    for x0, R in balls:
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            got = g.nodes_within(x0, R)
+        assert got.dtype == np.intp
+        assert np.array_equal(got, _coordinate_test(g, x0, R)), (x0, R)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        assert np.array_equal(g.nodes_within(np.zeros(d), np.float64(1e300)),
+                              np.arange(g.n_interior))
