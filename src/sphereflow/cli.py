@@ -236,8 +236,7 @@ def _diagnostics(dcfg: dict, domain: Domain, h: float, T: float) -> Diagnostics:
         pairs = [(finite("monotonicity R1", r1), finite("monotonicity R2", r2))
                  for r1, r2 in m["pairs"]]
         mode, rhs_form = m.get("mode", "gradient"), m.get("rhs_form", "difference")
-        for r1, r2 in pairs:
-            diag.check_monotonicity_args(z0[0], r1, r2, mode, rhs_form)
+        diag.check_monotonicity_args(z0[0], pairs, mode, rhs_form)
         out.monotonicity = (z0, pairs, mode, rhs_form)
     if "singular" in dcfg:
         s = section("diagnostics.singular", dcfg["singular"],
@@ -258,8 +257,7 @@ def _diagnostics(dcfg: dict, domain: Domain, h: float, T: float) -> Diagnostics:
                     ("t0", "x0", "radii", "eps0"))
         radii = [length("small_energy radius", r) for r in e["radii"]]
         eps0 = finite("small_energy eps0", e["eps0"])
-        for r in radii:
-            sing.certificate_bound(eps0, r, d)
+        sing.check_certificate_args(eps0, radii, d)
         out.small_energy = (_point(e, d), radii, eps0)
     if "mbar_probe" in dcfg:
         p = section("diagnostics.mbar_probe", dcfg["mbar_probe"], ("t0", "x0", "R", "mode"))
@@ -307,13 +305,14 @@ def _write_trajectory(out: Path, traj: Trajectory, store: sfio.SnapshotStore,
 
 def _run_diagnostics(dcfg: Diagnostics, traj: Trajectory, out: Path, written: dict):
     """Evaluate the diagnostics and write their reports; ``written`` gains
-    their digests.  Those that read densities (the monotonicity annuli,
-    the singular scan, the cylinders and the certificate) are evaluated in
-    one pass over the snapshots in time order (``diagnostics.evaluate``)
-    that drops each snapshot's densities once its readers are fed, as it
-    drops the energy report's: nothing reads this trajectory afterwards,
-    so the density cache holds one snapshot's densities at a time and
-    ends empty."""
+    their digests.  Those that read densities (the monotonicity pairs, the
+    singular scan, the cylinders and the certificate) are evaluated in one
+    pass over the snapshots in time order (``diagnostics.evaluate``) that
+    drops each snapshot's densities once its readers are fed, as it drops
+    the energy report's: nothing reads this trajectory afterwards, so the
+    density cache holds one snapshot's densities at a time and ends empty.
+    The monotonicity reading then makes one more pass for its speed term,
+    which reads snapshots, not densities."""
     reports = out / "reports"
 
     def put_json(name: str, obj):
@@ -328,9 +327,7 @@ def _run_diagnostics(dcfg: Diagnostics, traj: Trajectory, out: Path, written: di
 
     readings = {}
     if dcfg.monotonicity is not None:
-        z0, pairs, mode, _ = dcfg.monotonicity
-        readings["monotonicity"] = diag.annulus_reading(
-            traj, z0, [r for pair in pairs for r in pair], mode)
+        readings["monotonicity"] = diag.monotonicity_reading(traj, *dcfg.monotonicity)
     if dcfg.singular is not None:
         readings["singular"] = sing.scan_reading(traj, dcfg.singular, keep=False)
     for i, (cyl, mode) in enumerate(dcfg.cylinders):
@@ -341,14 +338,9 @@ def _run_diagnostics(dcfg: Diagnostics, traj: Trajectory, out: Path, written: di
     got = dict(zip(readings, diag.evaluate(traj, readings.values(), keep=False)))
 
     if dcfg.monotonicity is not None:
-        # every annulus energy is kept on the trajectory: the reports add
-        # the speed term, which reads snapshots, not densities
-        z0, pairs, mode, rhs_form = dcfg.monotonicity
-        out_reports = [diag.monotonicity_report(traj, z0, r1, r2, mode=mode,
-                                                rhs_form=rhs_form).to_json()
-                       for r1, r2 in pairs]
+        z0 = dcfg.monotonicity[0]
         put_json("monotonicity.json", {"t0": z0[0], "x0": [float(c) for c in z0[1]],
-                                       "pairs": out_reports})
+                                       "pairs": [r.to_json() for r in got["monotonicity"]]})
 
     if dcfg.singular is not None:
         rep = got["singular"]

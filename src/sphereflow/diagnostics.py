@@ -8,7 +8,9 @@ value per interior node, in ``grid.interior_flat`` order, and a ball of
 nodes is positions into it (``Grid.nodes_within``).  ``energy_density``
 is the one way to a density: a whole density is cached on the trajectory
 by snapshot and mode, and a ball slices a cached density or computes its
-own nodes only, caching nothing.
+own nodes only, caching nothing.  That cache is all a trajectory holds
+beside its run: what the pairs of one monotonicity centre share (the
+annulus energies, the speed values) lives in their one reading.
 
 Every time integral over a run's snapshots is a ``WindowSum``, and every
 window sum is fed by one pass over the snapshots in time order
@@ -38,8 +40,8 @@ from .field import SphereField, _check_same, gradient_squared_density, release_p
 from .flow import Trajectory
 from .geometry import BoundaryFrame, Grid, boundary_frame, rowsq, scale_rows
 
-# the grids monotonicity_report fits (mu0, C) over, its R samples of the
-# speed term, and the rectangles of main2_lhs's time integral
+# the grids the monotonicity fit searches (mu0, C) over, its R samples of
+# the speed term, and the rectangles of main2_lhs's time integral
 MU_GRID = tuple(round(0.1 * k, 1) for k in range(1, 11))
 C_GRID = tuple(np.logspace(-3.0, 3.0, 25))
 N_R_SAMPLES = 9
@@ -383,65 +385,80 @@ def _speed_density(traj: Trajectory, z0) -> Callable[[int], float]:
     return at
 
 
-def _speed_values(traj: Trajectory, z0) -> Callable[[int], float]:
-    """``_speed_density(traj, z0)`` with its values kept on the trajectory
-    per centre (``Trajectory._speed_cache``), so the reports of every pair
-    of one centre evaluate each snapshot once."""
-    t0, x0 = float(z0[0]), np.asarray(z0[1], dtype=float)
-    vals = traj._speed_cache.setdefault((t0, tuple(x0.tolist())), {})
-    at = _speed_density(traj, (t0, x0))
-
-    def speed_at(k: int) -> float:
-        if k not in vals:
-            vals[k] = at(k)
-        return vals[k]
-
-    return speed_at
-
-
-def _annulus_key(z0, R: float, mode: str) -> tuple:
-    return float(z0[0]), tuple(np.asarray(z0[1], dtype=float).tolist()), R, mode
-
-
-def _annulus_value(traj: Trajectory, z0, R: float, mode: str) -> float:
-    """``weighted_annulus_energy(traj, z0, R, mode)``, kept on the trajectory
-    per (centre, R, mode) (``Trajectory._annulus_cache``), so the pairs of
-    one centre that share a radius evaluate it once."""
-    key = _annulus_key(z0, R, mode)
-    if key not in traj._annulus_cache:
-        traj._annulus_cache[key] = weighted_annulus_energy(traj, z0, R, mode)
-    return traj._annulus_cache[key]
-
-
-def annulus_reading(traj: Trajectory, z0, radii, mode: str) -> Reading:
-    """The annulus energies of centre z0 at ``radii`` that ``_annulus_value``
-    has not kept yet, as a ``Reading`` that keeps them once fed: the
-    monotonicity reports of that centre then read no density."""
-    kept = traj._annulus_cache
-    todo = {}
-    for R in radii:
-        key = _annulus_key(z0, R, mode)
-        if key not in kept and key not in todo:
-            todo[key] = _annulus_sum(traj, z0, R, mode)
-
-    def finish():
-        for key, acc in todo.items():
-            kept[key] = acc.value
-
-    return Reading(list(todo.values()), finish)
-
-
-def check_monotonicity_args(t0: float, R1: float, R2: float,
-                            mode: str = "gradient", rhs_form: str = "difference"):
-    """Raise ValueError unless ``monotonicity_report`` accepts these values."""
-    if not (0 < R1 <= R2):
-        raise ValueError("need 0 < R1 <= R2")
-    if not (t0 > 0 and R2 < math.sqrt(t0) / 2.0):
-        raise ValueError("need R2 < sqrt(t0)/2 so the outer window starts after 0")
+def check_monotonicity_args(t0: float, pairs, mode: str = "gradient",
+                            rhs_form: str = "difference"):
+    """Raise ValueError unless ``monotonicity_reading`` accepts these values:
+    at least one pair, each with 0 < R1 <= R2 < sqrt(t0)/2."""
+    if len(pairs) == 0:
+        raise ValueError("need at least one (R1, R2) pair")
+    for R1, R2 in pairs:
+        if not (0 < R1 <= R2):
+            raise ValueError("need 0 < R1 <= R2")
+        if not (t0 > 0 and R2 < math.sqrt(t0) / 2.0):
+            raise ValueError("need R2 < sqrt(t0)/2 so the outer window starts after 0")
     if mode not in ("gl", "gradient"):
         raise ValueError(f"unknown density mode {mode!r}")
     if rhs_form not in ("difference", "exponential"):
         raise ValueError(f"unknown rhs form {rhs_form!r}")
+
+
+def _fit(R1: float, R2: float, inner: float, speed: float, outer: float,
+         mode: str, rhs_form: str) -> MonotonicityReport:
+    """The report of one pair: the defect of every (mu0, C), mu0-major, and
+    the first smallest (a NaN side gives NaN defects, and the fit reports
+    one)."""
+    phi = np.array([R2 ** mu - R1 ** mu for mu in MU_GRID])
+    if rhs_form == "exponential":
+        phi = np.array([math.exp(p) for p in phi])
+    c = np.array(C_GRID)
+    rhs = c * phi[:, None] * outer + c * (R2 - R1)
+    defect = np.maximum(0.0, (inner + speed) - rhs)
+    i, j = np.unravel_index(np.argmin(defect), defect.shape)
+    return MonotonicityReport(r1=R1, r2=R2, annulus_energy_inner=inner,
+                              speed_term=speed, outer_energy=outer,
+                              linear_remainder=R2 - R1, mu0=MU_GRID[i],
+                              c=float(c[j]), defect=float(defect[i, j]),
+                              rhs_form=rhs_form, mode=mode)
+
+
+def monotonicity_reading(traj: Trajectory, z0, pairs, mode: str = "gradient",
+                         rhs_form: str = "difference") -> Reading:
+    """The monotonicity reports of the (R1, R2) ``pairs`` of centre z0, in
+    order, as one ``Reading``.
+
+    Its sums are one annulus energy per distinct radius.  ``finish`` makes
+    one more pass, for the speed term: one window sum per distinct R
+    sample of the pairs, each snapshot's value computed once and shared by
+    every sum that holds it (none is empty, since each reaches back past
+    the inner annulus window; the last snapshot never has weight).  Its
+    row buffers live only in that pass.
+    """
+    t0 = float(z0[0])
+    check_monotonicity_args(t0, pairs, mode, rhs_form)
+    annuli = {R: _annulus_sum(traj, z0, R, mode)
+              for R in dict.fromkeys(R for pair in pairs for R in pair)}
+
+    def finish() -> list:
+        at = _speed_density(traj, z0)
+        last = {}
+
+        def speed_at(k: int) -> float:
+            if k not in last:
+                last.clear()
+                last[k] = at(k)
+            return last[k]
+
+        samples = [np.linspace(R1, R2, N_R_SAMPLES) for R1, R2 in pairs]
+        speeds = {R: WindowSum(traj, *annulus_window(t0, R), speed_at)
+                  for R in dict.fromkeys(float(R) for rs in samples for R in rs)}
+        feed(traj, speeds.values())
+        # each pair's speed term is a trapezoid in R over its samples
+        return [_fit(R1, R2, annuli[R1].value,
+                     2.0 * float(np.trapezoid([speeds[float(R)].value for R in rs], rs)),
+                     annuli[R2].value, mode, rhs_form)
+                for (R1, R2), rs in zip(pairs, samples)]
+
+    return Reading(list(annuli.values()), finish)
 
 
 def monotonicity_report(traj: Trajectory, z0, R1: float, R2: float,
@@ -453,39 +470,11 @@ def monotonicity_report(traj: Trajectory, z0, R1: float, R2: float,
     term is a trapezoid in R over N_R_SAMPLES = 9 radii in [R1, R2].
 
     rhs_form "difference" uses C (R2^mu - R1^mu); "exponential" uses
-    C exp(R2^mu - R1^mu).
+    C exp(R2^mu - R1^mu).  The ``monotonicity_reading`` of this one pair,
+    evaluated alone.
     """
-    t0 = float(z0[0])
-    check_monotonicity_args(t0, R1, R2, mode, rhs_form)
-
-    inner = _annulus_value(traj, z0, R1, mode)
-    outer = _annulus_value(traj, z0, R2, mode)
-
-    # the speed integrand is R-independent: each snapshot's value is computed
-    # once and shared by all R windows and all pairs of the centre z0 (none is
-    # empty, since each reaches back past the inner annulus window; the last
-    # snapshot never has weight), then the R integral is a trapezoid
-    speed_at = _speed_values(traj, z0)
-    r_samples = np.linspace(R1, R2, N_R_SAMPLES)
-    speed_of_R = [window_integral(traj, *annulus_window(t0, R), speed_at)
-                  for R in r_samples]
-    speed = 2.0 * float(np.trapezoid(speed_of_R, r_samples))
-
-    # the defect of every (mu0, C), mu0-major; the fit is the first smallest
-    # (a NaN side gives NaN defects, and the fit reports one)
-    phi = np.array([R2 ** mu - R1 ** mu for mu in MU_GRID])
-    if rhs_form == "exponential":
-        phi = np.array([math.exp(p) for p in phi])
-    c = np.array(C_GRID)
-    rhs = c * phi[:, None] * outer + c * (R2 - R1)
-    defect = np.maximum(0.0, (inner + speed) - rhs)
-    i, j = np.unravel_index(np.argmin(defect), defect.shape)
-
-    return MonotonicityReport(r1=R1, r2=R2, annulus_energy_inner=inner,
-                              speed_term=speed, outer_energy=outer,
-                              linear_remainder=R2 - R1, mu0=MU_GRID[i],
-                              c=float(c[j]), defect=float(defect[i, j]),
-                              rhs_form=rhs_form, mode=mode)
+    return evaluate(traj, [monotonicity_reading(traj, z0, [(R1, R2)], mode,
+                                                rhs_form)])[0][0]
 
 
 # -- boundary decay criterion --------------------------------------------------

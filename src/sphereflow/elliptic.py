@@ -37,7 +37,9 @@ class HarmonicExtension:
     field: SphereField
     residual: float
     iterations: int
-    _densities: dict = dfield(default_factory=dict, repr=False, compare=False)
+    # order -> density, filled by derivative_density; a replace() starts it empty
+    _densities: dict = dfield(default_factory=dict, init=False, repr=False,
+                              compare=False)
 
     @property
     def grid(self) -> Grid:

@@ -185,7 +185,9 @@ class Trajectory:
     The snapshots of a store-less run are ``field.KeptSnapshot``s, whose
     values are read-only, but for the last, the run's own field; a run
     with a store holds what the store returns (see "Buffers" in the
-    module docstring)."""
+    module docstring).  The only derived data it holds is the density
+    cache of ``diagnostics.energy_density``, which ``dataclasses.replace``
+    starts empty."""
 
     grid: Grid
     times: list                     # snapshot times
@@ -194,13 +196,7 @@ class Trajectory:
     lam: Optional[float]            # None: projected or static
     dt: float
     # (k, mode) -> density, filled by diagnostics.energy_density
-    _density_cache: dict = dfield(default_factory=dict, repr=False)
-    # (t0, x0 tuple) -> {k: speed term at t_k}, filled by
-    # diagnostics.monotonicity_report
-    _speed_cache: dict = dfield(default_factory=dict, repr=False)
-    # (t0, x0 tuple, R, mode) -> Gaussian-weighted annulus energy, filled by
-    # diagnostics.monotonicity_report
-    _annulus_cache: dict = dfield(default_factory=dict, repr=False)
+    _density_cache: dict = dfield(default_factory=dict, init=False, repr=False)
 
     @property
     def t_final(self) -> float:

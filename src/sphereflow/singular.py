@@ -126,6 +126,16 @@ def certificate_bound(eps0: float, r: float, d: int) -> float:
     return bound
 
 
+def check_certificate_args(eps0: float, radii, d: int):
+    """Raise ValueError unless ``small_energy_certificate`` accepts these
+    values in dimension d: at least one radius, and a finite bound at each
+    (``certificate_bound``)."""
+    if len(radii) == 0:
+        raise ValueError("the small-energy certificate needs at least one radius")
+    for r in radii:
+        certificate_bound(eps0, r, d)
+
+
 def scaled_energy_reading(traj: Trajectory, z0, R: float, mode: str = "gl") -> Reading:
     """``local_scaled_energy`` as a ``diagnostics.Reading``."""
     g = traj.grid
@@ -304,6 +314,7 @@ def parabolic_box_count(points: np.ndarray, deltas) -> tuple[list, Optional[floa
 def certificate_reading(traj: Trajectory, z0, radii, eps0: float) -> Reading:
     """``small_energy_certificate`` as a ``diagnostics.Reading``."""
     d = traj.grid.d
+    check_certificate_args(eps0, radii, d)
     rows = []
     for r in sorted(float(r) for r in radii):
         bound = certificate_bound(eps0, r, d)
@@ -325,6 +336,7 @@ def small_energy_certificate(traj: Trajectory, z0, radii, eps0: float
     """Dyadic check  int_{P_r} |grad u|^2 < eps0^2 r^d / 2  per radius.
 
     Returns (all_pass, table) with rows (r, integral, bound, pass);
-    ValueError where a bound is not finite (``certificate_bound``).
+    ValueError for no radius or where a bound is not finite
+    (``check_certificate_args``).
     """
     return evaluate(traj, [certificate_reading(traj, z0, radii, eps0)])[0]

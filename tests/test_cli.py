@@ -147,6 +147,9 @@ def test_non_object_config_section_exits_2(tmp_path, section):
     ("cylinders", False),
     ("cylinders", 0),
     ("cylinders", ""),
+    # an empty list would report nothing, or certify vacuously
+    ("monotonicity", {"t0": 0.1, "x0": [0.0, 0.0], "pairs": []}),
+    ("small_energy", {"t0": 0.0625, "x0": [0.0, 0.0], "radii": [], "eps0": 1.0}),
 ])
 def test_malformed_diagnostics_section_exits_2_before_stepping(tmp_path, section, value):
     cfg = json.loads((CONFIGS / "onesided_cap.json").read_text())
@@ -1226,15 +1229,22 @@ def test_run_diagnostics_equal_the_public_functions(tmp_path, monkeypatch, name)
     with warnings.catch_warnings(record=True) as api_warned:
         warnings.simplefilter("always")
         if dg.monotonicity is not None:
-            z0, pairs, mode, rhs_form = dg.monotonicity
             mono = json.loads((reports / "monotonicity.json").read_text())
-            assert mono["pairs"] == [monotonicity_report(fresh, z0, r1, r2, mode=mode,
-                                                         rhs_form=rhs_form).to_json()
-                                     for r1, r2 in pairs]
-    # one warning per annulus radius below 2h, as the reports alone give
+            (shared,) = diagnostics.evaluate(
+                fresh, [diagnostics.monotonicity_reading(fresh, *dg.monotonicity)])
+            assert mono["pairs"] == [r.to_json() for r in shared]
+    # one warning per annulus radius below 2h, as the reading alone gives
     assert ([w.category for w in run_warned if w.category is KernelUnderresolved]
             == [w.category for w in api_warned])
     assert len(api_warned) == (0 if name == "hedgehog_ball" else 1)
+    if dg.monotonicity is not None:
+        # and each pair's report alone gives the same floats
+        z0, pairs, mode, rhs_form = dg.monotonicity
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", KernelUnderresolved)
+            assert mono["pairs"] == [monotonicity_report(fresh, z0, r1, r2, mode=mode,
+                                                         rhs_form=rhs_form).to_json()
+                                     for r1, r2 in pairs]
 
     scan = detect_singular_set(fresh, dg.singular)
     assert (json.loads((reports / "singular.json").read_text())

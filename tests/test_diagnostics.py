@@ -7,7 +7,8 @@ from hypothesis import given, settings, strategies as st
 
 from sphereflow.diagnostics import (CylinderSpec, backward_heat_kernel,
                                     cylinder_integral, energy_density,
-                                    energy_report, hybrid_report, main2_lhs,
+                                    energy_report, evaluate, hybrid_report,
+                                    main2_lhs, monotonicity_reading,
                                     monotonicity_report,
                                     reverse_poincare_ratio,
                                     weighted_annulus_energy, weight_d, C_GRID)
@@ -176,13 +177,12 @@ def test_monotonicity_nan_side_reports_nan_defect(disc16):
 
 
 def test_monotonicity_pairs_of_one_centre_share_the_speed_term(cap_run_32, monkeypatch):
-    # the pairs of one centre evaluate each snapshot's speed term once, and
-    # report what each pair reports alone
+    # one reading over the pairs of one centre evaluates each snapshot's
+    # speed term once, and reports what each pair reports alone
     from sphereflow import diagnostics
     pairs = [(0.07, 0.14), (0.07, 0.2), (0.1, 0.2)]
     z0 = (0.2, np.array([0.1, -0.05]))
-    alone = [monotonicity_report(dataclasses.replace(cap_run_32, _density_cache={},
-                                                     _speed_cache={}), z0, r1, r2)
+    alone = [monotonicity_report(dataclasses.replace(cap_run_32), z0, r1, r2)
              for r1, r2 in pairs]
     calls = []
     speed_density = diagnostics._speed_density
@@ -192,8 +192,8 @@ def test_monotonicity_pairs_of_one_centre_share_the_speed_term(cap_run_32, monke
         return lambda k: calls.append(k) or at(k)
 
     monkeypatch.setattr(diagnostics, "_speed_density", counted)
-    traj = dataclasses.replace(cap_run_32, _density_cache={}, _speed_cache={})
-    shared = [monotonicity_report(traj, z0, r1, r2) for r1, r2 in pairs]
+    traj = dataclasses.replace(cap_run_32)
+    (shared,) = evaluate(traj, [monotonicity_reading(traj, z0, pairs)])
     assert [r.to_json() for r in shared] == [r.to_json() for r in alone]
     assert calls and len(calls) == len(set(calls))
 
@@ -201,27 +201,24 @@ def test_monotonicity_pairs_of_one_centre_share_the_speed_term(cap_run_32, monke
 def test_monotonicity_pairs_of_one_centre_share_each_annulus_energy(cap_run_32,
                                                                      monkeypatch):
     # the pairs of the cap2d-diagnostics benchmark workload need four
-    # annulus energies; each is evaluated once, and each pair reports what
-    # it reports alone
+    # annulus energies; one reading over them builds one sum for each, and
+    # each pair reports what it reports alone
     from sphereflow import diagnostics
     pairs = [(0.07, 0.14), (0.07, 0.2), (0.1, 0.2)]
     z0 = (0.2, np.array([0.1, -0.05]))
-
-    def fresh():
-        return dataclasses.replace(cap_run_32, _density_cache={}, _speed_cache={},
-                                   _annulus_cache={})
-
-    alone = [monotonicity_report(fresh(), z0, r1, r2).to_json() for r1, r2 in pairs]
+    alone = [monotonicity_report(dataclasses.replace(cap_run_32), z0, r1, r2).to_json()
+             for r1, r2 in pairs]
     calls = []
-    annulus = diagnostics.weighted_annulus_energy
+    annulus = diagnostics._annulus_sum
 
-    def counted(traj, z, R, mode="gl"):
+    def counted(traj, z, R, mode):
         calls.append(R)
         return annulus(traj, z, R, mode)
 
-    monkeypatch.setattr(diagnostics, "weighted_annulus_energy", counted)
-    traj = fresh()
-    assert [monotonicity_report(traj, z0, r1, r2).to_json() for r1, r2 in pairs] == alone
+    monkeypatch.setattr(diagnostics, "_annulus_sum", counted)
+    traj = dataclasses.replace(cap_run_32)
+    (shared,) = evaluate(traj, [monotonicity_reading(traj, z0, pairs)])
+    assert [r.to_json() for r in shared] == alone
     assert sorted(calls) == [0.07, 0.1, 0.14, 0.2]
 
 
@@ -230,6 +227,15 @@ def test_monotonicity_preconditions(cap_run_32):
         monotonicity_report(cap_run_32, (0.2, np.zeros(2)), 0.3, 0.2)
     with pytest.raises(ValueError):
         monotonicity_report(cap_run_32, (0.2, np.zeros(2)), 0.1, 0.25)
+
+
+def test_empty_pair_and_radius_lists_are_refused(cap_run_32):
+    # no pair and no radius would report nothing, or a vacuous pass, with
+    # the other arguments unchecked
+    with pytest.raises(ValueError, match="pair"):
+        monotonicity_reading(cap_run_32, (0.2, np.zeros(2)), [], "bogus", "nonsense")
+    with pytest.raises(ValueError, match="radius"):
+        small_energy_certificate(cap_run_32, (0.1, np.zeros(2)), [], 1.0)
 
 
 # -- boundary decay criterion -----------------------------------------------------
@@ -341,7 +347,7 @@ def _random_trajectory(grid, rng, n=3, lam=1e3):
 
 def _fresh(traj):
     """The same snapshots with an empty density cache."""
-    return dataclasses.replace(traj, _density_cache={})
+    return dataclasses.replace(traj)
 
 
 @pytest.mark.parametrize("domain, h, balls", [
@@ -408,6 +414,20 @@ def test_edited_static_trajectory_reads_each_snapshot(disc16):
     assert sorted(traj._density_cache) == [(0, "gradient"), (1, "gradient")]
 
 
+def test_replaced_trajectory_starts_with_an_empty_density_cache(disc16):
+    # a trajectory made by dataclasses.replace reads its own snapshots, not
+    # the densities its original cached
+    const = generate(InitialData(kind="constant"), disc16, 2)
+    cap = generate(InitialData(kind="cap", latitude_deg=60.0), disc16, 2)
+    traj = Trajectory.static(const, [0.0, 0.1, 0.2])
+    assert not energy_density(traj, 1, "gradient").any()
+    other = dataclasses.replace(traj, snapshots=[cap] * 3)
+    assert not other._density_cache
+    assert np.array_equal(energy_density(other, 1, "gradient"),
+                          gradient_squared_density(cap))
+    assert sorted(traj._density_cache) == [(0, "gradient")]
+
+
 # -- kept snapshots -------------------------------------------------------------------
 
 def _same(a, b) -> bool:
@@ -433,8 +453,7 @@ def test_diagnostics_read_kept_snapshots_as_their_lattice_copies(disc16, tmp_pat
     runs = {"glhf": run_glhf(u0, cfg, PenaltySchedule(lam=1e3)),
             "projected": run_projected(u0, cfg)}
     twins = {name: dataclasses.replace(
-        traj, snapshots=[SphereField(s.grid, s.values.copy()) for s in traj.snapshots],
-        _density_cache={}, _speed_cache={}, _annulus_cache={})
+        traj, snapshots=[SphereField(s.grid, s.values.copy()) for s in traj.snapshots])
         for name, traj in runs.items()}
     kept = [s for traj in runs.values() for s in traj.snapshots[:-1]]
     assert kept and all(isinstance(s, KeptSnapshot) for s in kept)

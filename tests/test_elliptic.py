@@ -1,3 +1,4 @@
+import dataclasses
 import os
 import subprocess
 import sys
@@ -127,6 +128,20 @@ def test_derivative_density_is_computed_once(disc16):
     dens = ext.derivative_density(2)
     assert np.array_equal(dens, derivative_energy_density(ext, 2))
     assert ext.derivative_density(2) is dens
+
+
+def test_replaced_extension_starts_with_no_densities(disc16):
+    # an extension made by dataclasses.replace reads its own field, not the
+    # densities its original kept
+    ext = solve_harmonic_extension(disc16, first_harmonic_data(disc16), tol=1e-10)
+    assert ext.derivative_density(1).any()
+    const = solve_harmonic_extension(disc16, generate(InitialData(kind="constant"),
+                                                      disc16, 2), tol=1e-10)
+    other = dataclasses.replace(ext, field=const.field)
+    assert np.array_equal(other.derivative_density(1),
+                          derivative_energy_density(other, 1))
+    assert not np.array_equal(other.derivative_density(1), ext.derivative_density(1))
+    assert list(ext._densities) == [1]
 
 
 @pytest.mark.parametrize("d", [2, 3])

@@ -117,7 +117,7 @@ def test_diagnostics_read_the_same_values_after_release(tmp_path, disc16):
     assert _every_diagnostic(stored) == expected
     for snap in stored.snapshots:
         release_pages(snap)
-    fresh = dataclasses.replace(stored, _density_cache={}, _speed_cache={})
+    fresh = dataclasses.replace(stored)
     assert _every_diagnostic(fresh) == expected
 
 
