@@ -40,6 +40,7 @@ def main():
               f"L2(Q) dist to projected={d:.4e}")
 
     from pathlib import Path
+    Path(args.out).parent.mkdir(parents=True, exist_ok=True)
     write_csv(Path(args.out), ["lambda", "penalty_integral",
                                "penalty_times_log_lambda", "l2q_to_projected"], rows)
     print("wrote", args.out)

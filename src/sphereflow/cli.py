@@ -162,11 +162,12 @@ class ExperimentConfig:
     def build_initial(self) -> KeptSnapshot:
         """The initial field, on the run's grid, as its interior and boundary
         rows (``field.initial_rows``): the flow builds its own field from
-        them, so no lattice of the initial field is made."""
+        them, so no lattice of the initial field is made.  A
+        ``custom-samples`` snapshot is read as its rows (``io.read_rows``)."""
         init = self.initial
         if self.snapshot is not None:
-            f, _ = sfio.read_snapshot(self.snapshot)
-            init = InitialData(kind="custom-samples", samples=f)
+            samples, _ = sfio.read_rows(self.snapshot, self.grid)
+            init = InitialData(kind="custom-samples", samples=samples)
         return KeptSnapshot(self.grid, *initial_rows(init, self.grid, self.D))
 
     def check_windows(self, sections) -> None:
@@ -281,11 +282,14 @@ def _point(sec: dict, d: int) -> tuple:
     return finite("t0", sec["t0"]), _coords(sec["x0"], d)
 
 
-def _run_flow(cfg: ExperimentConfig, u0: SphereField, store=None) -> Trajectory:
-    """The case's flow from ``u0``; ``store`` as in ``flow.run_glhf``."""
+def _run_flow(cfg: ExperimentConfig, u0: SphereField, store=None,
+              handover: bool = False) -> Trajectory:
+    """The case's flow from ``u0``; ``store`` and ``handover`` as in
+    ``flow.run_glhf``."""
     if cfg.mode == "projected":
-        return run_projected(u0, cfg.solver, store=store)
-    return run_glhf(u0, cfg.solver, PenaltySchedule(lam=cfg.lam), store=store)
+        return run_projected(u0, cfg.solver, store=store, handover=handover)
+    return run_glhf(u0, cfg.solver, PenaltySchedule(lam=cfg.lam), store=store,
+                    handover=handover)
 
 
 def _write_trajectory(out: Path, traj: Trajectory, store: sfio.SnapshotStore,
@@ -300,7 +304,7 @@ def _write_trajectory(out: Path, traj: Trajectory, store: sfio.SnapshotStore,
     for i, (base, t, snap) in enumerate(zip(store.bases, traj.times, traj.snapshots)):
         written[base.with_suffix(".json")] = sfio.write_sidecar(
             base, snap, t=t, step=i, lam=traj.lam,
-            exponent=sched.exponent(t) if sched else None)
+            exponent=sched.exponent(t) if sched else None, boundary=store.boundary.name)
 
 
 def _run_diagnostics(dcfg: Diagnostics, traj: Trajectory, out: Path, written: dict):
@@ -314,6 +318,7 @@ def _run_diagnostics(dcfg: Diagnostics, traj: Trajectory, out: Path, written: di
     The monotonicity reading then makes one more pass for its speed term,
     which reads snapshots, not densities."""
     reports = out / "reports"
+    reports.mkdir(exist_ok=True)
 
     def put_json(name: str, obj):
         written[reports / name] = sfio.write_json(reports / name, obj)
@@ -384,10 +389,11 @@ def run_experiment(config_path, out_dir=None, threads: int = 1) -> int:
     try:
         # the flow writes each snapshot's data as it takes it; a flow that
         # fails takes this run's snapshot files with it; the store makes the
-        # run directory before the first step
+        # run directory before the first step.  No one else reads the initial
+        # field, so the flow steps its rows in place
         store = sfio.SnapshotStore(out / "snapshots")
         try:
-            traj = _run_flow(cfg, cfg.build_initial(), store)
+            traj = _run_flow(cfg, cfg.build_initial(), store, handover=True)
         except BaseException:
             store.remove()
             raise
@@ -527,7 +533,9 @@ class _CaseStream:
             ks, _ = diag.window_snapshots(self.traj, *self.cyl.window())
             self.window = set(ks.tolist())
 
-    def take(self, u: SphereField, last: bool) -> SphereField:
+    def take(self, u: SphereField, rows: np.ndarray) -> SphereField:
+        # the distance and the densities read u; its interior rows are not
+        # needed apart
         k = len(self.traj.snapshots)
         self.traj.snapshots.append(u)
         if self.ref is None:

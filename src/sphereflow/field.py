@@ -19,6 +19,14 @@ run of the command line starts from the rows alone
 field from them.  Either way the bits are those of normalizing the
 family's values on the whole lattice (``project_to_sphere``): every step
 is row by row.
+
+Snapshots.  A run's snapshot has one form, ``KeptSnapshot``: interior
+rows, a read-only map of the snapshot's ``.f64`` file (``io``) or an
+in-memory copy, and the run's shared boundary rows, with the lattice
+rebuilt on read and dropped by ``release_pages``, which also releases the
+map's pages.  Its readers take rows where they can: the interior rows,
+the boundary rows and the active rows (put by ``Grid.active_is_interior``,
+computed once per grid), none of which rebuilds the lattice.
 """
 
 from __future__ import annotations
@@ -31,7 +39,7 @@ import numpy as np
 
 from .errors import (ConfigError, DimensionMismatch, GridMismatch, NearZeroVector,
                      NonFiniteVector, finite, integer, numbers, section)
-from .geometry import Grid, put_rows, rowsq, scale_rows
+from .geometry import BLOCK_NODES, Grid, put_rows, rowsq, scale_rows
 
 
 @dataclass
@@ -41,8 +49,8 @@ class SphereField:
     Values are stored on the full lattice, shape grid.shape + (D+1,);
     exterior nodes hold zeros and are never read by any operation.
     Construction raises DimensionMismatch on values of another lattice shape.
-    A run's snapshots may be ``KeptSnapshot``s or maps of files
-    (``io.map_snapshot``), whose values are read-only.
+    A run's snapshots are ``KeptSnapshot``s, whose values are read-only,
+    but for the last snapshot of a run with no store, the run's own field.
     """
 
     grid: Grid
@@ -78,6 +86,11 @@ class SphereField:
         idx = self.grid.interior_flat if pos is None else self.grid.interior_flat[pos]
         return np.take(self.flat(), idx, axis=0, out=out)
 
+    def boundary_rows(self) -> np.ndarray:
+        """The rows at the boundary nodes, in ``grid.boundary_flat`` order,
+        as a new array."""
+        return self.rows(self.grid.boundary_flat)
+
     def max_norm(self) -> float:
         v = self.active_values()
         return float(np.sqrt(np.max(rowsq(v, scratch=v))))
@@ -106,17 +119,25 @@ def _zeros(shape: tuple, grid: Grid, dtype=float) -> np.ndarray:
 
 
 class KeptSnapshot(SphereField):
-    """A field held as its rows: a snapshot of a store-less run, its own
-    interior rows and the run's boundary rows, one array that every kept
-    snapshot of the run shares, since no step writes a boundary row; or a
-    run's initial field (``cli.ExperimentConfig.build_initial``), the two
-    arrays of ``initial_rows``.
+    """A field held as its rows: its interior rows (``interior_flat``
+    order) and its boundary rows (``boundary_flat`` order).
+
+    The one form of a run's snapshots: the interior rows are a read-only
+    map of the snapshot's ``.f64`` file (``io.SnapshotStore``) or, with no
+    store or past the store's map budget, a copy of the flow's rows; the
+    boundary rows are one array that every snapshot of the run shares,
+    since no step writes a boundary row.  A run's initial field
+    (``cli.ExperimentConfig.build_initial``) is the two arrays of
+    ``initial_rows``, and a ``custom-samples`` snapshot is read as its two
+    files (``io.read_rows``).
 
     ``values`` is the lattice rebuilt from the two by ``lattice_values`` on
     first read, read-only; ``release_pages`` drops it, and the next read
-    rebuilds the same bytes.  ``ncomp``, ``interior_rows``, ``rows`` and
-    ``active_values`` rebuild nothing, and give the bytes the lattice would.
-    Memory per snapshot is its interior rows, not a lattice.
+    rebuilds the same bytes.  ``ncomp``, ``interior_rows``,
+    ``boundary_rows``, ``rows`` and ``active_values`` rebuild nothing, and
+    give the bytes the lattice would; ``active_values`` puts the two row
+    arrays by the grid's cached mask (``Grid.active_is_interior``).
+    Memory per snapshot is at most its interior rows, not a lattice.
     """
 
     def __init__(self, grid: Grid, rows: np.ndarray, boundary_rows: np.ndarray):
@@ -144,6 +165,16 @@ class KeptSnapshot(SphereField):
             return out
         return np.take(self._rows, pos, axis=0, out=out)
 
+    def boundary_rows(self) -> np.ndarray:
+        return self._boundary_rows.copy()
+
+    def active_values(self) -> np.ndarray:
+        inner = self.grid.active_is_interior()
+        out = np.empty((inner.size, self.ncomp), dtype=self._rows.dtype)
+        put_rows(out, inner, self._rows)
+        put_rows(out, ~inner, self._boundary_rows)
+        return out
+
     def rows(self, nodes: np.ndarray) -> np.ndarray:
         # each node's row is found among the interior, then the boundary
         # rows; an exterior node's row reads 0
@@ -156,26 +187,35 @@ class KeptSnapshot(SphereField):
             put_rows(out, hit, np.take(src, pos[hit], axis=0))
         return out
 
+    def hand_over(self) -> tuple:
+        """The interior and boundary rows themselves, given up: the snapshot
+        holds no rows afterwards, so a caller that steps them in place
+        (``flow.run_glhf(..., handover=True)``) leaves no field that reads
+        them."""
+        rows, bnd = self._rows, self._boundary_rows
+        self._rows = self._boundary_rows = self._values = None
+        return rows, bnd
+
 
 class _SnapshotMap(mmap.mmap):
-    """A read-only map of a snapshot's ``.f64`` file; only
-    ``io.map_snapshot`` makes one, so ``release_pages`` knows a map it may
+    """A read-only map of a snapshot's ``.f64`` file of interior rows; only
+    ``io.SnapshotStore`` makes one, so ``release_pages`` knows a map it may
     release."""
 
 
 def release_pages(f: SphereField) -> None:
     """Drop what a read of ``f`` brought into memory: the rebuilt lattice of
-    a ``KeptSnapshot``, and the page-table entries of a map made by
-    ``io.map_snapshot`` (``MADV_DONTNEED`` on the whole map); nothing
-    otherwise, and nothing where ``mmap`` has no ``madvise``.  The values do
-    not change: a kept snapshot rebuilds the same bytes, and a map's file
-    pages stay in the page cache, so the next read maps them again."""
+    a ``KeptSnapshot``, and the page-table entries of its rows where they
+    are a map made by ``io.SnapshotStore`` (``MADV_DONTNEED`` on the whole
+    map, where ``mmap`` has ``madvise``); nothing for any other field.  The
+    values do not change: a kept snapshot rebuilds the same bytes, and a
+    map's file pages stay in the page cache, so the next read maps them
+    again."""
     if isinstance(f, KeptSnapshot):
         f._values = None
-        return
-    mm = f.values.base
-    if isinstance(mm, _SnapshotMap) and hasattr(mmap, "MADV_DONTNEED"):
-        mm.madvise(mmap.MADV_DONTNEED)
+        mm = f._rows.base
+        if isinstance(mm, _SnapshotMap) and hasattr(mmap, "MADV_DONTNEED"):
+            mm.madvise(mmap.MADV_DONTNEED)
 
 
 INITIAL_KINDS = ("constant", "cap", "equator-hedgehog", "boundary-wrap", "custom-samples")
@@ -262,7 +302,7 @@ def initial_rows(init: InitialData, grid: Grid, D: int) -> tuple[np.ndarray, np.
             raise DimensionMismatch(f"custom samples hold {init.samples.ncomp} "
                                     f"components, the run {ncomp}")
         parts[0][:] = init.samples.interior_rows()
-        parts[1][:] = init.samples.rows(grid.boundary_flat)
+        parts[1][:] = init.samples.boundary_rows()
     elif kind not in INITIAL_KINDS:
         raise DimensionMismatch(f"unknown initial data kind {kind!r}")
     else:
@@ -417,19 +457,24 @@ def gradient_squared_density(f: SphereField, nodes=None) -> np.ndarray:
     Interior axis neighbors are interior or boundary, so stencils always
     read defined values.  Every node's value is the same sequence of
     operations either way, so the density at ``nodes`` is the whole
-    density sliced at ``nodes`` bit for bit.
+    density sliced at ``nodes`` bit for bit.  The nodes are taken
+    ``geometry.BLOCK_NODES`` at a time, so beside the lattice and the
+    result the temporaries are block-sized, not interior-row arrays.
     """
     g = f.grid
     flat = f.flat()
     idx = g.interior_flat if nodes is None else g.interior_flat[nodes]
-    rows = np.take(flat, idx, axis=0)
-    acc = np.zeros(idx.shape[0])
-    for s in g.strides():
-        d = np.take(flat, idx + s, axis=0)
-        d -= rows
-        up = rowsq(d, scratch=d)                  # link (i, i + s)
-        d = np.take(flat, idx - s, axis=0)
-        np.subtract(rows, d, out=d)
-        down = rowsq(d, scratch=d)                # link (i - s, i)
-        acc += 0.5 * (up + down) / g.h ** 2
-    return acc
+    out = np.zeros(idx.shape[0])
+    for lo in range(0, idx.size, BLOCK_NODES):
+        block = idx[lo:lo + BLOCK_NODES]
+        acc = out[lo:lo + BLOCK_NODES]
+        rows = np.take(flat, block, axis=0)
+        for s in g.strides():
+            d = np.take(flat, block + s, axis=0)
+            d -= rows
+            up = rowsq(d, scratch=d)              # link (i, i + s)
+            d = np.take(flat, block - s, axis=0)
+            np.subtract(rows, d, out=d)
+            down = rowsq(d, scratch=d)            # link (i - s, i)
+            acc += 0.5 * (up + down) / g.h ** 2
+    return out

@@ -38,27 +38,33 @@ writes a lattice-sized array except the field; the last state's N is the
 one neighbour sum no step uses.
 
 Buffers.  ``_run`` takes the interior and boundary rows of ``u0`` once
-(``interior_rows`` and ``rows``, which rebuild no lattice of a
+(``interior_rows`` and ``boundary_rows``, which rebuild no lattice of a
 ``field.KeptSnapshot``, the form of the command line's initial field) and
 builds its own field from them (``field.lattice_values``, exterior rows
 zero, whatever ``u0`` holds there); ``_step`` mutates that field in
-place, and it is the only lattice of a command-line run's state.  At each snapshot step the trajectory takes a snapshot of it.
-Without a store (``store=None``) that is a ``field.KeptSnapshot``: a copy
-of ``rows``, which are the field's interior rows at that point, so
-capture gathers nothing, and the one array of boundary rows gathered at
-the start, shared by every kept snapshot since no step writes a boundary
+place, and it is the only lattice of a command-line run's state.  Those
+rows are copies, so no step writes the caller's ``u0``, unless the caller
+hands them over (``handover=True``, ``KeptSnapshot.hand_over``): then the
+run steps ``u0``'s own interior rows in place and ``u0`` holds no rows
+afterwards, so a command-line run holds one interior-row array of its
+state, not two.  At each snapshot step the trajectory takes a snapshot
+of it.  Without a store (``store=None``) that is a ``field.KeptSnapshot``:
+a copy of ``rows``, which are the field's interior rows at that point, so
+capture gathers nothing, and the one array of boundary rows taken at the
+start, shared by every kept snapshot since no step writes a boundary
 row.  A kept snapshot rebuilds its lattice, read-only and bit for bit
 the field's, when its ``values`` are read, and ``field.release_pages``
-drops it again; readers that need only interior rows (or a few rows)
-take them with no rebuild.  The last snapshot is the field itself, which
-no step writes again.  So a store-less run's heap grows by one
-interior-row array per snapshot.  With a store the trajectory holds what
-``store.take(u, last)`` returns: a ``io.SnapshotStore`` writes the
-field's values to a file and returns a read-only map of it, so a run's
-heap does not grow with its snapshot count, and each diagnostic that
-reads a map releases its pages (``field.release_pages``), so its
-resident set does not either.  Either way no later step writes the
-caller's ``u0`` or a returned snapshot.  A
+drops it again; readers that need only interior rows (or a few rows, or
+the active rows) take them with no rebuild.  The last snapshot is the
+field itself, which no step writes again.  So a store-less run's heap
+grows by one interior-row array per snapshot.  With a store the
+trajectory holds what ``store.take(u, rows)`` returns: a
+``io.SnapshotStore`` writes ``rows`` themselves to the snapshot's file
+and returns a ``field.KeptSnapshot`` whose rows are a read-only map of
+that file, so a run's heap does not grow with its snapshot count, and
+each diagnostic that reads one releases its pages
+(``field.release_pages``), so its resident set does not either.  Either
+way no later step writes a returned snapshot.  A
 store may also consume each snapshot as it is taken and return the field
 itself: a sweep case's store (``cli._CaseStream``) records what it needs
 of snapshot k at capture, so the case holds no snapshot, and every entry
@@ -184,8 +190,9 @@ class Trajectory:
 
     The snapshots of a store-less run are ``field.KeptSnapshot``s, whose
     values are read-only, but for the last, the run's own field; a run
-    with a store holds what the store returns (see "Buffers" in the
-    module docstring).  The only derived data it holds is the density
+    with a store holds what the store returns, kept snapshots of mapped
+    rows from a ``io.SnapshotStore`` (see "Buffers" in the module
+    docstring).  The only derived data it holds is the density
     cache of ``diagnostics.energy_density``, which ``dataclasses.replace``
     starts empty."""
 
@@ -367,18 +374,17 @@ def _record(step: int, t: float, u: SphereField, w: np.ndarray, dir_e: float,
 
 
 def _run(u0: SphereField, cfg: SolverConfig, sched: Optional[PenaltySchedule],
-         store=None) -> Trajectory:
+         store=None, handover: bool = False) -> Trajectory:
     cfg.validate(u0.grid)
     n_steps, take = cfg.n_steps(), set(cfg.snapshot_steps())
     g = u0.grid
-    rows = u0.interior_rows()
-    bnd = u0.rows(g.boundary_flat)
+    rows, bnd = u0.hand_over() if handover else (u0.interior_rows(), u0.boundary_rows())
     u = SphereField(g, lattice_values(g, rows, bnd))     # exterior rows zero
     flat = u.flat()
 
     def keep(last: bool) -> SphereField:
         if store is not None:
-            return store.take(u, last)
+            return store.take(u, rows)
         return u if last else KeptSnapshot(g, rows.copy(), bnd)
 
     bnd2 = _boundary_norm2(u)
@@ -405,16 +411,22 @@ def _run(u0: SphereField, cfg: SolverConfig, sched: Optional[PenaltySchedule],
 
 
 def run_glhf(u0: SphereField, cfg: SolverConfig, sched: PenaltySchedule,
-             store=None) -> Trajectory:
-    """Run the penalized flow.  Each snapshot is ``store.take(u, last)`` of
-    the flow's field ``u``, called as the flow reaches it (see "Buffers" in
-    the module docstring), or a ``field.KeptSnapshot`` without a store."""
-    return _run(u0, cfg, sched, store)
+             store=None, handover: bool = False) -> Trajectory:
+    """Run the penalized flow.  Each snapshot is ``store.take(u, rows)`` of
+    the flow's field ``u`` and its interior rows ``rows`` (the run's own
+    array, which the next step overwrites), called as the flow reaches it
+    (see "Buffers" in the module docstring), or a ``field.KeptSnapshot``
+    without a store.  With ``handover`` the caller hands ``u0``, a
+    ``field.KeptSnapshot``, over to the run, which steps its rows in place
+    (``KeptSnapshot.hand_over``)."""
+    return _run(u0, cfg, sched, store, handover)
 
 
-def run_projected(u0: SphereField, cfg: SolverConfig, store=None) -> Trajectory:
-    """Run the projected flow; ``store`` as in ``run_glhf``."""
-    return _run(u0, cfg, None, store)
+def run_projected(u0: SphereField, cfg: SolverConfig, store=None,
+                  handover: bool = False) -> Trajectory:
+    """Run the projected flow; ``store`` and ``handover`` as in
+    ``run_glhf``."""
+    return _run(u0, cfg, None, store, handover)
 
 
 def penalty_integral(traj: Trajectory) -> float:

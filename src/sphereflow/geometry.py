@@ -340,7 +340,13 @@ class Grid:
         return int(np.prod(self.shape))
 
     def strides(self) -> np.ndarray:
-        return _strides(self.shape)
+        """The flat index step along each axis (``_strides``), computed once
+        and read-only."""
+        if "strides" not in self._cache:
+            s = _strides(self.shape)
+            s.flags.writeable = False
+            self._cache["strides"] = s
+        return self._cache["strides"]
 
     def coords(self) -> np.ndarray:
         """(n_lattice, d) node positions, C-order flattened, built on every call."""
@@ -380,6 +386,18 @@ class Grid:
         if "act" not in self._cache:
             self._cache["act"] = np.flatnonzero(self.class_flat() != EXTERIOR)
         return self._cache["act"]
+
+    def active_is_interior(self) -> np.ndarray:
+        """Per active node (``active_flat`` order), whether it is interior;
+        computed once and read-only.  The interior nodes are in
+        ``interior_flat`` order there and the rest in ``boundary_flat``
+        order, so a field's active rows are its interior rows put where it
+        is True and its boundary rows where it is False."""
+        if "act_int" not in self._cache:
+            inner = self.class_flat()[self.active_flat] == INTERIOR
+            inner.flags.writeable = False
+            self._cache["act_int"] = inner
+        return self._cache["act_int"]
 
     @property
     def n_interior(self) -> int:
@@ -610,11 +628,19 @@ def neighbor_sum(flat: np.ndarray, strides) -> np.ndarray:
 
 
 def put_rows(flat: np.ndarray, idx: np.ndarray, rows: np.ndarray) -> None:
-    """``flat[idx] = rows`` for C-contiguous 2-D ``flat`` and ``rows``, moving
-    each row as one element: ``np.put`` on a view with one void item per
-    row, several times faster than the row-wise fancy assignment."""
+    """``flat[idx] = rows`` for C-contiguous 2-D ``flat`` and ``rows`` and flat
+    row indices or a boolean row mask ``idx``, moving each row as one
+    element of a view with one void item per row, several times faster
+    than the row-wise fancy assignment.  Indices of writeable rows go
+    through ``np.put``, the fastest; a mask, or read-only rows (a mapped
+    snapshot's), which ``np.put`` would first copy, through assignment to
+    the view."""
     void = np.dtype((np.void, flat.strides[0]))
-    np.put(flat.view(void).reshape(-1), idx, rows.view(void).reshape(-1))
+    dst, src = flat.view(void).reshape(-1), rows.view(void).reshape(-1)
+    if idx.dtype == bool or not rows.flags.writeable:
+        dst[idx] = src
+    else:
+        np.put(dst, idx, src)
 
 
 def rowsq(a: np.ndarray, scratch: Optional[np.ndarray] = None) -> np.ndarray:

@@ -893,7 +893,8 @@ def test_sweep_reference_heap_does_not_grow_with_snapshot_count(tmp_path, monkey
     assert sweep(tmp_path / "stride1.json", param, values, tmp_path / "capture") == 0
     (ref,) = refs
     assert len(ref.snapshots) > 2
-    assert all(isinstance(s.values.base, field._SnapshotMap) for s in ref.snapshots)
+    assert all(isinstance(s, field.KeptSnapshot) and isinstance(s._rows.base, field._SnapshotMap)
+               for s in ref.snapshots)
     expected = [(e, s) for _ in values for s in ref.snapshots for e in ("read", "release")]
     assert len(events) == len(expected)
     assert all(e == x and f is s for (e, f), (x, s) in zip(events, expected))
@@ -997,16 +998,24 @@ def _capture_trajectory(monkeypatch):
 
 
 def test_run_snapshots_are_read_only_maps(tmp_path, monkeypatch):
+    # every snapshot is a kept snapshot whose interior rows are a read-only
+    # map of its .f64 file; its lattice is the one its two files give
     seen = _capture_trajectory(monkeypatch)
     out = tmp_path / "out"
     assert run_experiment(CONFIGS / "onesided_cap.json", out) == 0
     (traj,) = seen
     assert len(traj.snapshots) == len(list((out / "snapshots").glob("*.f64"))) > 2
     for i, snap in enumerate(traj.snapshots):
-        assert not snap.values.flags.writeable
-        assert snap.values.tobytes() == (out / "snapshots" / f"snap_{i:06d}.f64").read_bytes()
+        base = out / "snapshots" / f"snap_{i:06d}"
+        assert isinstance(snap, field.KeptSnapshot)
+        assert isinstance(snap._rows.base, field._SnapshotMap)
+        assert not snap._rows.flags.writeable and not snap.values.flags.writeable
+        assert snap._rows.tobytes() == base.with_suffix(".f64").read_bytes()
+        assert snap.values.tobytes() == read_snapshot(base)[0].values.tobytes()
     with pytest.raises(ValueError):
         traj.snapshots[0].values[0] = 0.0
+    with pytest.raises(ValueError):
+        traj.snapshots[0]._rows[0] = 0.0
 
 
 def test_snapshots_past_the_map_budget_stay_in_memory(tmp_path, monkeypatch):
@@ -1018,12 +1027,14 @@ def test_snapshots_past_the_map_budget_stay_in_memory(tmp_path, monkeypatch):
     seen = _capture_trajectory(monkeypatch)
     assert run_experiment(CONFIGS / "onesided_cap.json", tmp_path / "b") == 0
     snaps = seen[0].snapshots
-    assert [isinstance(s, field.KeptSnapshot) for s in snaps] == \
-        [False, False] + [True] * (len(snaps) - 3) + [False]
-    assert not any(s.values.flags.writeable for s in snaps[:-1])
+    assert all(isinstance(s, field.KeptSnapshot) for s in snaps)
+    assert [isinstance(s._rows.base, field._SnapshotMap) for s in snaps] == \
+        [True, True] + [False] * (len(snaps) - 2)
+    assert not any(s.values.flags.writeable for s in snaps)
     for i, snap in enumerate(snaps):
-        assert snap.values.tobytes() == \
-            (tmp_path / "b" / "snapshots" / f"snap_{i:06d}.f64").read_bytes()
+        base = tmp_path / "b" / "snapshots" / f"snap_{i:06d}"
+        assert snap.interior_rows().tobytes() == base.with_suffix(".f64").read_bytes()
+        assert snap.values.tobytes() == read_snapshot(base)[0].values.tobytes()
     files = sorted(p.relative_to(tmp_path / "a") for p in (tmp_path / "a").rglob("*")
                    if p.is_file())
     for rel in files:
@@ -1043,15 +1054,16 @@ seen = []
 run_diagnostics = cli._run_diagnostics
 cli._run_diagnostics = lambda dcfg, traj, *a: seen.append(traj) or run_diagnostics(dcfg, traj, *a)
 assert cli.run_experiment({str(CONFIGS / "cap_disc.json")!r}, {str(tmp_path / "b")!r}) == 0
-kinds = [type(s).__name__ for s in seen[0].snapshots]
-print(kinds.count("KeptSnapshot"), len(kinds))
+snaps = seen[0].snapshots
+assert all(isinstance(s, field.KeptSnapshot) for s in snaps)
+print(sum(isinstance(s._rows.base, field._SnapshotMap) for s in snaps), len(snaps))
 """
     env = dict(os.environ, PYTHONPATH=str(Path(cli.__file__).resolve().parents[1]))
     done = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True,
                           text=True, timeout=300)
     assert done.returncode == 0, done.stderr
-    kept, n = map(int, done.stdout.split())
-    assert n > 17 and kept == n - 17
+    mapped, n = map(int, done.stdout.split())
+    assert n > 17 and mapped == 16
     files = sorted(p.relative_to(tmp_path / "a") for p in (tmp_path / "a").rglob("*")
                    if p.is_file())
     assert files == sorted(p.relative_to(tmp_path / "b") for p in (tmp_path / "b").rglob("*")
@@ -1096,6 +1108,90 @@ def test_failed_flow_removes_its_snapshots(tmp_path, monkeypatch):
     calls.clear()
     assert run_experiment(CONFIGS / "cap_disc.json", out) == 3
     assert [p.name for p in (out / "snapshots").iterdir()] == ["snap_000099.f64"]
+
+
+def test_failed_flow_removes_its_boundary_file(tmp_path, monkeypatch):
+    # the store writes the run's boundary rows with snapshot 0; a flow that
+    # fails later removes that file with the snapshot files, and an earlier
+    # run's files stay
+    calls, on_disk = [], []
+    step = flow._step
+    out = tmp_path / "out"
+
+    def failing_step(*args):
+        calls.append(1)
+        if len(calls) == 20:
+            on_disk.append(sorted(p.name for p in (out / "snapshots").iterdir()))
+            raise NormBlowup("injected")
+        return step(*args)
+
+    monkeypatch.setattr(flow, "_step", failing_step)
+    (out / "snapshots").mkdir(parents=True)
+    (out / "snapshots" / "earlier.txt").write_text("an earlier run's file")
+    assert run_experiment(CONFIGS / "cap_disc.json", out) == 3
+    assert on_disk == [["boundary.bnd", "earlier.txt", "snap_000000.f64", "snap_000001.f64"]]
+    assert [p.name for p in (out / "snapshots").iterdir()] == ["earlier.txt"]
+
+
+def test_run_snapshots_are_one_rows_file_per_time_and_one_boundary_file(cap_disc_out):
+    # one .f64 of interior rows per snapshot time, one boundary-row file per
+    # run, a sidecar per snapshot naming it; the manifest lists them all
+    cfg = cli.ExperimentConfig.load(CONFIGS / "cap_disc.json")
+    grid, n = cfg.grid, len(cfg.solver.snapshot_times())
+    snaps = cap_disc_out / "snapshots"
+    assert sorted(p.name for p in snaps.iterdir()) == sorted(
+        ["boundary.bnd"] + [f"snap_{i:06d}{x}" for i in range(n) for x in (".f64", ".json")])
+    assert {p.stat().st_size for p in snaps.glob("*.f64")} == {grid.n_interior * 3 * 8}
+    assert (snaps / "boundary.bnd").stat().st_size == grid.boundary_flat.size * 3 * 8
+    for i in range(n):
+        sidecar = json.loads((snaps / f"snap_{i:06d}.json").read_text())
+        assert sidecar["shape"] == [grid.n_interior, 3] and sidecar["boundary"] == "boundary.bnd"
+    listed = {f["path"]: f for f in
+              json.loads((cap_disc_out / "manifest.json").read_text())["files"]}
+    for p in [snaps / "boundary.bnd", *snaps.glob("*.f64")]:
+        entry = listed[p.relative_to(cap_disc_out).as_posix()]
+        assert entry["sha256"] == sfio.sha256_file(p) and entry["bytes"] == p.stat().st_size
+
+
+def test_custom_samples_read_a_run_snapshot_as_its_rows(tmp_path, monkeypatch):
+    # a snapshot read back is the flow's field bit for bit, so a run started
+    # from it starts from the rows normalizing that field gives
+    seen = _capture_trajectory(monkeypatch)
+    assert run_experiment(CONFIGS / "onesided_cap.json", tmp_path / "a") == 0
+    (traj,) = seen
+    k = 2
+    base = tmp_path / "a" / "snapshots" / f"snap_{k:06d}"
+    kept, _ = sfio.read_rows(base)
+    assert isinstance(kept, field.KeptSnapshot)
+    assert kept.values.tobytes() == traj.snapshots[k].values.tobytes()
+    cfg = json.loads((CONFIGS / "onesided_cap.json").read_text())
+    cfg["initial"] = {"kind": "custom-samples", "path": str(base)}
+    p = tmp_path / "samples.json"
+    p.write_text(json.dumps(cfg))
+    u0 = cli.ExperimentConfig.load(p).build_initial()
+    expected = generate(InitialData(kind="custom-samples", samples=traj.snapshots[k]),
+                        traj.grid, 2)
+    assert u0.values.tobytes() == expected.values.tobytes()
+    assert run_experiment(p, tmp_path / "b") == 0
+    assert (read_snapshot(tmp_path / "b" / "snapshots" / "snap_000000")[0].values.tobytes()
+            == expected.values.tobytes())
+
+
+def test_custom_samples_of_the_lattice_layout_exit_2(tmp_path):
+    # a snapshot that earlier versions wrote, the whole lattice in its .f64
+    # file and the lattice shape in its sidecar, is refused at load
+    p, base = _samples_config(tmp_path)
+    f, sidecar = read_snapshot(base)
+    base.with_suffix(".bnd").unlink()
+    base.with_suffix(".f64").write_bytes(f.values.tobytes())
+    del sidecar["boundary"]
+    sidecar["shape"] = list(f.values.shape)
+    base.with_suffix(".json").write_text(json.dumps(sidecar))
+    out = tmp_path / "out"
+    assert run_experiment(p, out) == 2
+    err = json.loads((out / "error.json").read_text())
+    assert err["error"] == "ConfigError" and "whole lattice" in err["message"]
+    assert [q.name for q in out.iterdir()] == ["error.json"]
 
 
 def test_run_heap_does_not_grow_with_snapshot_count(tmp_path):
@@ -1270,10 +1366,11 @@ def test_run_set_up_and_flow_hold_no_lattice_of_the_initial_field(tmp_path):
     # the 3-D ball at h = 1/16 with a store, from config load through the
     # flow, as run_experiment takes them: the grid's classes come from
     # blocks of layers, the initial field is its rows, and the flow's field
-    # is the one lattice.  Measured: 3.32 fields (the flow's field, the
-    # initial rows, three carried row arrays and the stencil's block scratch);
-    # the lattice-coordinate set-up and a lattice copy of the initial field
-    # read 4.42
+    # is the one lattice.  Measured: 2.98 fields (the flow's field, three
+    # carried row arrays, one of them the initial rows handed over, and the
+    # stencil's block scratch); 3.37 without the hand-over, and the
+    # lattice-coordinate set-up and a lattice copy of the initial field read
+    # 4.42
     cfg = json.loads((CONFIGS / "hedgehog_ball.json").read_text())
     cfg["h"] = 1 / 16
     cfg["solver"]["T"] = 7.75 * 0.9 / 16 ** 2 / 6
@@ -1284,7 +1381,7 @@ def test_run_set_up_and_flow_hold_no_lattice_of_the_initial_field(tmp_path):
         loaded = cli.ExperimentConfig.load(p)
         loaded.check_windows(cli.RUN_SECTIONS)
         store = sfio.SnapshotStore(tmp_path / "snapshots")
-        traj = cli._run_flow(loaded, loaded.build_initial(), store)
+        traj = cli._run_flow(loaded, loaded.build_initial(), store, handover=True)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -1307,10 +1404,14 @@ def test_sweep_reference_store_hashes_no_snapshot(tmp_path, monkeypatch):
     monkeypatch.setattr(sfio.hashlib, "sha256", counting)
     p = tmp_path / "cfg.json"
     p.write_text(json.dumps(_small_disc_config("glhf-simplified", "gl")))
-    field_bytes = build_grid(Domain.unit_ball(2), 1 / 16).n_lattice * 3 * 8
+    # a snapshot file holds the interior rows; one file per run the boundary rows
+    grid = build_grid(Domain.unit_ball(2), 1 / 16)
+    field_bytes = grid.n_lattice * 3 * 8
+    rows_bytes, boundary_bytes = grid.n_interior * 3 * 8, grid.boundary_flat.size * 3 * 8
     assert sweep(p, "lambda", [100.0, 1000.0], tmp_path / "sweep") == 0
-    assert field_bytes not in sizes
+    assert not {field_bytes, rows_bytes, boundary_bytes} & set(sizes)
     assert sorted(q.name for q in (tmp_path / "sweep").iterdir()) == ["manifest.json",
                                                                       "sweep.csv"]
     assert run_experiment(p, tmp_path / "run") == 0
-    assert sizes.count(field_bytes) == len(list((tmp_path / "run").rglob("*.f64"))) == 10
+    assert sizes.count(rows_bytes) == len(list((tmp_path / "run").rglob("*.f64"))) == 10
+    assert sizes.count(boundary_bytes) == 1 and field_bytes not in sizes

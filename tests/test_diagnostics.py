@@ -489,8 +489,9 @@ def test_diagnostics_read_kept_snapshots_as_their_lattice_copies(disc16, tmp_pat
 
     for k in (0, 9, len(runs["glhf"].snapshots) - 2):
         args = dict(t=runs["glhf"].times[k], step=8 * k, lam=1e3, exponent=1.0)
-        a = write_snapshot(tmp_path / f"kept_{k}", runs["glhf"].snapshots[k], **args)
-        b = write_snapshot(tmp_path / f"copy_{k}", twins["glhf"].snapshots[k], **args)
+        # one file name in two directories: a sidecar names its boundary file
+        a = write_snapshot(tmp_path / "kept" / f"snap_{k}", runs["glhf"].snapshots[k], **args)
+        b = write_snapshot(tmp_path / "copy" / f"snap_{k}", twins["glhf"].snapshots[k], **args)
         assert a == b
-        assert ((tmp_path / f"kept_{k}.f64").read_bytes()
-                == (tmp_path / f"copy_{k}.f64").read_bytes())
+        assert ((tmp_path / "kept" / f"snap_{k}.f64").read_bytes()
+                == (tmp_path / "copy" / f"snap_{k}.f64").read_bytes())

@@ -225,6 +225,30 @@ KERNEL_CASES = [(d, mode) for d in (2, 3)
 
 
 @pytest.mark.parametrize("d,mode", KERNEL_CASES)
+def test_a_handed_over_initial_field_runs_as_a_copy(d, mode):
+    # handed over, u0's rows are the run's own: the run is the one from a
+    # copy, bit for bit, and u0 holds no rows afterwards; not handed over,
+    # u0 is left as it was
+    f, cfg, sched = _kernel_case(d, mode)
+
+    def run(u0, handover):
+        if sched is None:
+            return run_projected(u0, cfg, handover=handover)
+        return run_glhf(u0, cfg, sched, handover=handover)
+
+    kept = KeptSnapshot(f.grid, f.interior_rows(), f.boundary_rows())
+    copied = run(kept, False)
+    assert kept.values.tobytes() == f.values.tobytes()
+    rows = kept._rows
+    handed = run(kept, True)
+    assert kept._rows is None and kept._boundary_rows is None
+    assert handed.records == copied.records
+    assert [s.values.tobytes() for s in handed.snapshots] == \
+        [s.values.tobytes() for s in copied.snapshots]
+    assert rows.tobytes() == handed.snapshots[-1].interior_rows().tobytes()
+
+
+@pytest.mark.parametrize("d,mode", KERNEL_CASES)
 def test_run_equals_chain_of_public_steps(d, mode):
     u0, cfg, sched = _kernel_case(d, mode)
     traj = run_projected(u0, cfg) if sched is None else run_glhf(u0, cfg, sched)

@@ -1,3 +1,4 @@
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -7,7 +8,7 @@ from hypothesis import given, settings, strategies as st
 from sphereflow.errors import (ConfigError, LatticeTooLarge, NoGraphAvailable,
                                SpacingTooCoarse)
 from sphereflow import geometry
-from sphereflow.geometry import (BLOCK_NODES, EXTERIOR, Domain, boundary_frame,
+from sphereflow.geometry import (BLOCK_NODES, EXTERIOR, INTERIOR, Domain, boundary_frame,
                                  build_grid, check_condition_B, neighbor_sum,
                                  put_rows, rowsq)
 
@@ -187,6 +188,27 @@ def test_put_rows_is_fancy_assignment(comps, rng):
     put_rows(flat, idx, rows)
     assert np.array_equal(flat, expect)
     assert np.array_equal(np.signbit(flat), np.signbit(expect))
+
+
+def test_put_rows_takes_read_only_rows_and_masks_without_a_copy(rng):
+    # np.put copies a read-only source, such as a mapped snapshot's rows,
+    # before it moves them; put_rows assigns those, and a mask, directly
+    g = build_grid(Domain.unit_ball(3), 0.21)
+    inner = g.class_flat() == INTERIOR
+    rows = rng.standard_normal((g.n_interior, 3))
+    rows[::5] = -0.0
+    rows.flags.writeable = False
+    expect = rng.standard_normal((g.n_lattice, 3))
+    flats = [expect.copy(), expect.copy()]
+    expect[inner] = rows
+    tracemalloc.start()
+    put_rows(flats[0], g.interior_flat, rows)
+    put_rows(flats[1], inner, rows)
+    peak = tracemalloc.get_traced_memory()[1]
+    tracemalloc.stop()
+    for flat in flats:
+        assert flat.tobytes() == expect.tobytes()
+    assert peak < rows.nbytes
 
 
 @pytest.mark.parametrize("h", [0.25, 0.11])
@@ -389,3 +411,16 @@ def test_nodes_within_is_the_coordinate_test(name, rng):
         warnings.simplefilter("error", RuntimeWarning)
         assert np.array_equal(g.nodes_within(np.zeros(d), np.float64(1e300)),
                               np.arange(g.n_interior))
+
+
+@pytest.mark.parametrize("domain, h", [(Domain.unit_ball(2), 1 / 16), (Domain.unit_ball(3), 1 / 8),
+                                       (Domain.box([[-1.0, 1.0], [0.0, 0.5]]), 1 / 16)])
+def test_strides_and_the_active_interior_mask_are_computed_once(domain, h):
+    g = build_grid(domain, h)
+    s = g.strides()
+    assert s is g.strides() and not s.flags.writeable
+    assert s.tolist() == [int(np.prod(g.shape[a + 1:])) for a in range(g.d)]
+    inner = g.active_is_interior()
+    assert inner is g.active_is_interior() and not inner.flags.writeable
+    assert np.array_equal(g.active_flat[inner], g.interior_flat)
+    assert np.array_equal(g.active_flat[~inner], g.boundary_flat)

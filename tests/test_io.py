@@ -1,12 +1,14 @@
-"""Snapshot files and their maps: what a store refuses to write, and what a
-diagnostic leaves mapped once it has read a snapshot."""
+"""Snapshot files and their maps: the rows a snapshot file holds, what a
+store refuses to write, what a kept snapshot reads, and what a diagnostic
+leaves mapped once it has read a snapshot."""
 
 import dataclasses
+import json
 
 import numpy as np
 import pytest
 
-from sphereflow import diagnostics
+from sphereflow import diagnostics, field
 from sphereflow import io as sfio
 from sphereflow.diagnostics import (CylinderSpec, cylinder_integral, energy_report,
                                     hybrid_report, monotonicity_report,
@@ -14,7 +16,7 @@ from sphereflow.diagnostics import (CylinderSpec, cylinder_integral, energy_repo
                                     window_snapshots)
 from sphereflow.elliptic import solve_harmonic_extension
 from sphereflow.field import InitialData, generate, release_pages
-from sphereflow.flow import PenaltySchedule, SolverConfig, run_glhf
+from sphereflow.flow import PenaltySchedule, SolverConfig, glhf_step, run_glhf
 from sphereflow.geometry import Domain, build_grid
 from sphereflow.singular import SingularConfig, detect_singular_set, local_scaled_energy
 from sphereflow.stereo import one_sided_monitor
@@ -42,14 +44,14 @@ def test_graph_subdomain_snapshot_is_refused_before_writing(tmp_path):
         sfio.write_snapshot(tmp_path / "snap", f, t=0.0, step=0, lam=None, exponent=None)
     store = sfio.SnapshotStore(tmp_path / "store")
     with pytest.raises(ValueError, match="graph subdomain"):
-        store.take(f, last=False)
+        store.take(f, f.interior_rows())
     assert not store.bases and not store.digests
     assert sorted(p.name for p in tmp_path.rglob("*")) == ["store"]
 
 
 def test_release_pages_keeps_values_and_skips_fields_in_memory(tmp_path, disc16):
     f = generate(InitialData(kind="cap", latitude_deg=45.0), disc16, 2)
-    mapped = sfio.SnapshotStore(tmp_path).take(f, last=False)
+    mapped = sfio.SnapshotStore(tmp_path).take(f, f.interior_rows())
     assert np.array_equal(mapped.values, f.values)
     release_pages(mapped)
     assert np.array_equal(mapped.values, f.values)
@@ -141,3 +143,76 @@ def test_cylinder_leaves_no_snapshot_pages_mapped(tmp_path):
     cylinder_integral(traj, cyl, "gradient")
     grown = _rss_file_bytes() - before
     assert grown < one_snapshot
+
+
+def _stepped(grid):
+    """A cap field one penalized step on, exterior rows zero."""
+    f = generate(InitialData(kind="cap", latitude_deg=50.0), grid, 2)
+    return glhf_step(f, 0.0, SolverConfig(dt=SolverConfig.auto_dt(grid), T=1.0),
+                     PenaltySchedule(lam=1e3))
+
+
+@pytest.mark.parametrize("form", ["in-memory", "mapped"])
+@pytest.mark.parametrize("domain, h", [(Domain.unit_ball(2), 1 / 16),
+                                       (Domain.unit_ball(3), 1 / 8),
+                                       (Domain.box([[-1.0, 1.0], [0.0, 0.5]]), 1 / 16)],
+                         ids=["disc", "ball3", "box"])
+def test_kept_snapshot_reads_are_the_lattice_gathers(tmp_path, form, domain, h):
+    # from its own rows or from a map of its file, a kept snapshot gives the
+    # bytes its lattice would, with no lattice rebuilt but for ``values``
+    grid = build_grid(domain, h)
+    f = _stepped(grid)
+    if form == "mapped":
+        kept = sfio.SnapshotStore(tmp_path).take(f, f.interior_rows())
+        assert isinstance(kept._rows.base, field._SnapshotMap)
+    else:
+        kept = field.KeptSnapshot(grid, f.interior_rows(), f.boundary_rows())
+    flat = f.flat()
+    some = np.random.default_rng(1).integers(0, grid.n_lattice, 50)
+    assert kept.active_values().tobytes() == np.take(flat, grid.active_flat, axis=0).tobytes()
+    assert kept.rows(some).tobytes() == np.take(flat, some, axis=0).tobytes()
+    assert kept.rows(np.arange(grid.n_lattice)).tobytes() == flat.tobytes()
+    assert kept.boundary_rows().tobytes() == f.boundary_rows().tobytes()
+    assert kept.interior_rows().tobytes() == f.interior_rows().tobytes()
+    assert kept.max_norm() == f.max_norm()
+    assert kept._values is None
+    assert kept.values.tobytes() == f.values.tobytes()
+    release_pages(kept)
+    assert kept._values is None
+    assert kept.values.tobytes() == f.values.tobytes()
+
+
+def test_a_snapshot_is_its_rows_in_two_files(tmp_path, disc16):
+    # the .f64 file holds the interior rows, the .bnd file the boundary rows,
+    # and the sidecar their shape and the boundary file's name; the writers
+    # make no directory but write_snapshot's own
+    f = _stepped(disc16)
+    base = tmp_path / "a" / "snap"
+    digests = sfio.write_snapshot(base, f, t=0.5, step=3, lam=None, exponent=None)
+    assert base.with_suffix(".f64").read_bytes() == f.interior_rows().tobytes()
+    assert base.with_suffix(".bnd").read_bytes() == f.boundary_rows().tobytes()
+    sidecar = json.loads(base.with_suffix(".json").read_text())
+    assert sidecar["shape"] == [disc16.n_interior, 3] and sidecar["boundary"] == "snap.bnd"
+    assert [n for _, n in digests] == [p.stat().st_size for p in
+                                       (base.with_suffix(s) for s in (".f64", ".bnd", ".json"))]
+    kept, _ = sfio.read_rows(base)
+    assert kept.values.tobytes() == f.values.tobytes()
+    g, _ = sfio.read_snapshot(base)
+    assert g.values.flags.writeable and g.values.tobytes() == f.values.tobytes()
+    with pytest.raises(FileNotFoundError):
+        sfio.write_json(tmp_path / "missing" / "x.json", {})
+
+
+def test_a_lattice_layout_snapshot_is_refused(tmp_path, disc16):
+    # the layout earlier versions wrote: the whole lattice and a sidecar
+    # with its shape and no boundary file
+    f = _stepped(disc16)
+    base = tmp_path / "old"
+    base.with_suffix(".f64").write_bytes(f.values.tobytes())
+    base.with_suffix(".json").write_text(json.dumps({
+        "grid": sfio.grid_spec(disc16), "shape": list(f.values.shape), "D": 2, "t": 0.0,
+        "step": 0, "lambda": None, "exponent": None, "tag": "u"}))
+    for read in (lambda: sfio.check_snapshot(base, disc16, 2),
+                 lambda: sfio.read_rows(base), lambda: sfio.read_snapshot(base)):
+        with pytest.raises(ValueError, match="whole lattice"):
+            read()
