@@ -33,7 +33,7 @@ from .errors import (CFLViolated, ConfigError, DimensionMismatch, LatticeTooLarg
 # the benchmark tracer wraps the binding cli.generate, which no run calls
 # (``build_initial`` takes the rows of ``initial_rows``), so it stays imported
 from .field import (InitialData, KeptSnapshot, SphereField, check_initial, generate,
-                    initial_rows, l2_distance, release_pages)
+                    initial_rows, l2_distance)
 # the benchmark tracer wraps the binding cli.trajectory_l2q_distance, which
 # sweep's l2q_to_projected equals, so it stays imported here
 from .flow import (PenaltySchedule, SolverConfig, Trajectory, run_glhf, run_projected,
@@ -508,12 +508,10 @@ class _CaseStream:
 
     ``take`` records the L^2 distance of snapshot k to snapshot k of the
     projected reference ``ref`` (0.0 without one: a projected case is its
-    own reference), then releases that reference snapshot's pages
-    (``field.release_pages``), and, for the snapshots in the mbar probe's
-    time window, records the probe's density on its ball.  It returns the
+    own reference), and, for the snapshots in the mbar probe's time
+    window, records the probe's density on its ball.  It returns the
     flow's live field, so the case holds its final field and no other
-    snapshot; every entry of the run's trajectory is that field, and no
-    page of the reference stays in its resident set.
+    snapshot; every entry of the run's trajectory is that field.
     """
 
     def __init__(self, cfg: ExperimentConfig, ref: Optional[Trajectory], probe):
@@ -541,9 +539,7 @@ class _CaseStream:
         if self.ref is None:
             self.dist.append(0.0)
         else:
-            ref = self.ref.snapshots[k]
-            self.dist.append(l2_distance(u, ref))
-            release_pages(ref)
+            self.dist.append(l2_distance(u, self.ref.snapshots[k]))
         if k in self.window:
             self.ball[k] = diag.energy_density(self.traj, k, self.dens_mode, self.nodes)
         return u

@@ -36,7 +36,7 @@ import numpy as np
 from .elliptic import HarmonicExtension
 from .errors import (EmptyIntersection, KernelUnderresolved, TimeNotBeforeCenter,
                      WindowOutsideTrajectory)
-from .field import SphereField, _check_same, gradient_squared_density, release_pages
+from .field import SphereField, _check_same, gradient_squared_density
 from .flow import Trajectory
 from .geometry import BoundaryFrame, Grid, boundary_frame, rowsq, scale_rows
 
@@ -132,11 +132,12 @@ def weight_d(x0, x, d0: float):
 
 # -- densities ---------------------------------------------------------------
 
-def _penalty_density(traj: Trajectory, k: int, nodes=None) -> np.ndarray:
-    """Lam (|u|^2 - 1)^2 / 4 of snapshot k at the interior nodes, or at the
-    positions ``nodes`` into ``interior_flat``, with the strength of the
-    run's schedule at t_k (0 without a schedule)."""
-    rows = traj.snapshots[k].interior_rows(nodes)
+def _penalty_density(traj: Trajectory, k: int, f: SphereField, nodes=None) -> np.ndarray:
+    """Lam (|u|^2 - 1)^2 / 4 of snapshot k, read from ``f`` (the snapshot or
+    its ``_lattice``), at the interior nodes, or at the positions ``nodes``
+    into ``interior_flat``, with the strength of the run's schedule at t_k
+    (0 without a schedule)."""
+    rows = f.interior_rows(nodes)
     w = rowsq(rows, scratch=rows)
     sched = traj.schedule
     return (sched.strength(traj.times[k]) if sched else 0.0) * (w - 1.0) ** 2 / 4.0
@@ -150,6 +151,16 @@ def _cache_key(traj: Trajectory, k: int) -> int:
     return 0 if traj.lam is None and traj.snapshots[k] is traj.snapshots[0] else k
 
 
+def _lattice(traj: Trajectory, k: int) -> SphereField:
+    """Snapshot k on one read of its ``values``.  A density reads both its
+    gradient and its penalty density from it, so the snapshot is read once
+    and the lattice lives until their arrays exist: freed earlier, it
+    leaves a heap hole that their allocation splits, and the next
+    snapshot's lattice takes fresh pages."""
+    snap = traj.snapshots[k]
+    return SphereField(snap.grid, snap.values)
+
+
 def energy_density(traj: Trajectory, k: int, mode: str = "gl",
                    nodes=None) -> np.ndarray:
     """Density of snapshot k at the interior nodes, or at the positions
@@ -161,10 +172,9 @@ def energy_density(traj: Trajectory, k: int, mode: str = "gl",
     mode) (the strength is fixed by k), and the gl density is built from
     the cached gradient one.  At ``nodes`` a cached density is sliced;
     otherwise only those nodes are computed, bit for bit the slice, and
-    nothing is cached.  A density that reads the snapshot releases its
-    pages (``field.release_pages``) when done.  The cache keeps what it
-    holds until ``drop_densities`` drops it, which a pass that does not
-    keep (``feed``) does after each snapshot.
+    nothing is cached.  The cache keeps what it holds until
+    ``drop_densities`` drops it, which a pass that does not keep (``feed``)
+    does after each snapshot.
     """
     if mode not in ("gl", "gradient"):
         raise ValueError(f"unknown density mode {mode!r}")
@@ -172,15 +182,16 @@ def energy_density(traj: Trajectory, k: int, mode: str = "gl",
     k = _cache_key(traj, k)
     if (k, mode) in cache:
         return cache[k, mode] if nodes is None else cache[k, mode][nodes]
+    src = traj.snapshots[k]
     if (k, "gradient") in cache:
         grad = cache[k, "gradient"] if nodes is None else cache[k, "gradient"][nodes]
     else:
-        grad = gradient_squared_density(traj.snapshots[k], nodes)
-    dens = grad if mode == "gradient" else 0.5 * grad + _penalty_density(traj, k, nodes)
+        src = _lattice(traj, k)
+        grad = gradient_squared_density(src, nodes)
+    dens = grad if mode == "gradient" else 0.5 * grad + _penalty_density(traj, k, src, nodes)
     if nodes is None:
         cache[k, "gradient"] = grad
         cache[k, mode] = dens
-    release_pages(traj.snapshots[k])
     return dens
 
 
@@ -192,12 +203,13 @@ def energy_report(traj: Trajectory, k: int) -> EnergyReport:
     caches them."""
     cache = traj._density_cache
     key = _cache_key(traj, k)
+    src = traj.snapshots[k]
     if (key, "gradient") not in cache:
-        cache[key, "gradient"] = gradient_squared_density(traj.snapshots[k])
+        src = _lattice(traj, k)
+        cache[key, "gradient"] = gradient_squared_density(src)
     grad2 = cache[key, "gradient"]
-    penalty = _penalty_density(traj, k)
+    penalty = _penalty_density(traj, k, src)
     density = cache.setdefault((key, "gl"), 0.5 * grad2 + penalty)
-    release_pages(traj.snapshots[k])
     vol = traj.grid.cell_volume
     return EnergyReport(gl_energy=float(density.sum() * vol),
                         dirichlet_part=float(0.5 * grad2.sum() * vol),
@@ -346,8 +358,7 @@ def _speed_density(traj: Trajectory, z0) -> Callable[[int], float]:
 
     What does not depend on k (x - x0 per axis, the gather indices) is
     computed once; every call gathers into the same four row buffers and
-    updates them in place, and releases the pages of the two snapshots it
-    read.  Snapshot k + 1 gives its interior rows only
+    updates them in place.  Snapshot k + 1 gives its interior rows only
     (``SphereField.interior_rows``), so a kept snapshot is rebuilt once, as
     snapshot k.
     """
@@ -376,8 +387,6 @@ def _speed_density(traj: Trajectory, z0) -> Callable[[int], float]:
             radial += deriv
         radial /= 2.0 * math.sqrt(t0 - t)
         diff -= radial
-        release_pages(traj.snapshots[k])
-        release_pages(traj.snapshots[k + 1])
         vals = rowsq(diff, scratch=buf)
         vals *= backward_heat_kernel(z0, t, coords)
         return float(np.sum(vals) * g.cell_volume)
@@ -515,10 +524,10 @@ def main2_lhs(traj_or_u0, z0, R0: float, mu0: float, c_mu0: float) -> float:
 
     The time integral integrates a closed-form kernel, not snapshots: a
     left-endpoint rule over MAIN2_TIME_STEPS = 64 equal rectangles.  Only
-    u0 is read, and its pages are released once read
-    (``field.release_pages``).
+    u0 is read, on one lattice.
     """
     u0 = traj_or_u0.snapshots[0] if isinstance(traj_or_u0, Trajectory) else traj_or_u0
+    u0 = SphereField(u0.grid, u0.values)
     g = u0.grid
     t0, x0 = float(z0[0]), np.asarray(z0[1], dtype=float)
     if R0 >= math.sqrt(t0) / 2.0:
@@ -531,7 +540,6 @@ def main2_lhs(traj_or_u0, z0, R0: float, mu0: float, c_mu0: float) -> float:
                      * dirichlet_energy(u0))
 
     tg2 = _boundary_tangential_grad_sq(u0, boundary_frame(g))
-    release_pages(u0)
     bpts = g.node_coords(g.boundary_flat)
     dw = weight_d(x0, bpts, d0)
     area_w = g.h ** (d - 1)
@@ -595,14 +603,14 @@ def ball_integral(traj: Trajectory, cyl: CylinderSpec, ball_density) -> float:
     return evaluate(traj, [_ball_reading(traj, cyl, ball_density)])[0]
 
 
-def _extension_integrals(traj: Trajectory, h0: HarmonicExtension,
-                         cyl: CylinderSpec) -> tuple[float, float, float]:
+def _extension_reading(traj: Trajectory, h0: HarmonicExtension,
+                       cyl: CylinderSpec) -> Reading:
     """(integral of |u - h0|^2, integral of the h0 derivative energies,
-    volume) over the clipped cylinder; raises GridMismatch unless ``h0``
-    lives on the trajectory's grid and target.
+    volume) over the clipped cylinder, as a ``Reading``; raises GridMismatch
+    unless ``h0`` lives on the trajectory's grid and target.
 
     The data field is time-independent; its spacetime integral is the time
-    extent, the window integral of 1, times the spatial one.
+    extent, the window sum of 1, times the spatial one.
     """
     _check_same(traj.snapshots[0], h0.field)
     g = traj.grid
@@ -611,17 +619,21 @@ def _extension_integrals(traj: Trajectory, h0: HarmonicExtension,
 
     def dev2(k):
         diff = traj.snapshots[k].interior_rows(pos)
-        release_pages(traj.snapshots[k])
         diff -= h0_vals
         return rowsq(diff, scratch=diff)
 
-    dev = float(window_integral(traj, *cyl.window(), dev2).sum()) * g.cell_volume
-    time_extent = float(window_integral(traj, *cyl.window(), lambda k: 1.0))
-    m = (g.d + 1) // 2 + 1
-    dens = h0.derivative_density(1) + h0.derivative_density(m)
-    spatial = float(dens[pos].sum()) * g.cell_volume
-    vol = time_extent * pos.size * g.cell_volume
-    return dev, time_extent * spatial, vol
+    dev = WindowSum(traj, *cyl.window(), dev2)
+    extent = WindowSum(traj, *cyl.window(), lambda k: 1.0)
+
+    def finish() -> tuple[float, float, float]:
+        time_extent = float(extent.value)
+        m = (g.d + 1) // 2 + 1
+        dens = h0.derivative_density(1) + h0.derivative_density(m)
+        spatial = float(dens[pos].sum()) * g.cell_volume
+        vol = time_extent * pos.size * g.cell_volume
+        return float(dev.value.sum()) * g.cell_volume, time_extent * spatial, vol
+
+    return Reading([dev, extent], finish)
 
 
 def reverse_poincare_ratio(traj: Trajectory, h0: HarmonicExtension,
@@ -630,14 +642,13 @@ def reverse_poincare_ratio(traj: Trajectory, h0: HarmonicExtension,
 
     lhs = R^{-d} int_{P_R} |grad u|^2/2,
     rhs = mean over P_{2R} of |u - h0|^2 plus the mean h0-derivative energies.
-    The caller asserts lhs <= C rhs for a configured constant.
+    The caller asserts lhs <= C rhs for a configured constant.  The
+    cylinder and the extension's integrals share one pass.
     """
-    g = traj.grid
-    lhs = cylinder_integral(traj, cyl, mode="gradient") / 2.0 / cyl.R ** g.d
     big = CylinderSpec(t0=cyl.t0, x0=cyl.x0, R=2.0 * cyl.R)
-    dev, data, vol = _extension_integrals(traj, h0, big)
-    rhs = dev / vol + data / vol
-    return lhs, rhs
+    inner, (dev, data, vol) = evaluate(traj, [cylinder_reading(traj, cyl, mode="gradient"),
+                                              _extension_reading(traj, h0, big)])
+    return inner / 2.0 / cyl.R ** traj.grid.d, dev / vol + data / vol
 
 
 def hybrid_report(traj: Trajectory, h0: HarmonicExtension, cyl: CylinderSpec,
@@ -646,13 +657,13 @@ def hybrid_report(traj: Trajectory, h0: HarmonicExtension, cyl: CylinderSpec,
 
     inner = int_{P_R} e, outer = int_{P_2R} e,
     data  = R^{-2} int_{P_2R} |u - h0|^2 + int_{P_2R} h0-derivative terms.
-    The harness fits C(eps0) with inner <= eps0 outer + C data.
+    The harness fits C(eps0) with inner <= eps0 outer + C data.  The two
+    cylinders and the extension's integrals share one pass.
     """
     if eps0 <= 0:
         raise ValueError("eps0 must be positive")
-    inner = cylinder_integral(traj, cyl, mode="gl")
     big = CylinderSpec(t0=cyl.t0, x0=cyl.x0, R=2.0 * cyl.R)
-    outer = cylinder_integral(traj, big, mode="gl")
-    dev, data_int, _ = _extension_integrals(traj, h0, big)
-    data = dev / cyl.R ** 2 + data_int
-    return inner, outer, data
+    inner, outer, (dev, data_int, _) = evaluate(traj, [
+        cylinder_reading(traj, cyl, mode="gl"), cylinder_reading(traj, big, mode="gl"),
+        _extension_reading(traj, h0, big)])
+    return inner, outer, dev / cyl.R ** 2 + data_int

@@ -22,11 +22,9 @@ is row by row.
 
 Snapshots.  A run's snapshot has one form, ``KeptSnapshot``: interior
 rows, a read-only map of the snapshot's ``.f64`` file (``io``) or an
-in-memory copy, and the run's shared boundary rows, with the lattice
-rebuilt on read and dropped by ``release_pages``, which also releases the
-map's pages.  Its readers take rows where they can: the interior rows,
-the boundary rows and the active rows (put by ``Grid.active_is_interior``,
-computed once per grid), none of which rebuilds the lattice.
+in-memory copy, and the run's shared boundary rows, and nothing else.
+Its readers take rows where they can (interior, boundary or active rows),
+none of which rebuilds the lattice.
 """
 
 from __future__ import annotations
@@ -131,12 +129,13 @@ class KeptSnapshot(SphereField):
     ``initial_rows``, and a ``custom-samples`` snapshot is read as its two
     files (``io.read_rows``).
 
-    ``values`` is the lattice rebuilt from the two by ``lattice_values`` on
-    first read, read-only; ``release_pages`` drops it, and the next read
-    rebuilds the same bytes.  ``ncomp``, ``interior_rows``,
-    ``boundary_rows``, ``rows`` and ``active_values`` rebuild nothing, and
-    give the bytes the lattice would; ``active_values`` puts the two row
-    arrays by the grid's cached mask (``Grid.active_is_interior``).
+    ``values`` is a new read-only lattice on every read, rebuilt from the
+    two by ``lattice_values``, so a reader that needs it twice holds it.
+    ``ncomp``, ``interior_rows``, ``boundary_rows``, ``rows`` and
+    ``active_values`` rebuild nothing, and give the bytes the lattice
+    would; ``active_values`` puts the two row arrays by the grid's cached
+    mask (``Grid.active_is_interior``).  Each read of the rows copies what
+    it reads, then drops their map's pages (``_SnapshotMap.release``).
     Memory per snapshot is at most its interior rows, not a lattice.
     """
 
@@ -144,26 +143,31 @@ class KeptSnapshot(SphereField):
         self.grid = grid
         self._rows = rows
         self._boundary_rows = boundary_rows
-        self._values = None
+
+    def _read(self, out: np.ndarray) -> np.ndarray:
+        """``out``, once the rows' map, if any, has dropped its pages."""
+        if isinstance(self._rows.base, _SnapshotMap):
+            self._rows.base.release()
+        return out
 
     @property
     def values(self) -> np.ndarray:
-        if self._values is None:
-            self._values = lattice_values(self.grid, self._rows, self._boundary_rows)
-            self._values.flags.writeable = False
-        return self._values
+        values = lattice_values(self.grid, self._rows, self._boundary_rows)
+        values.flags.writeable = False
+        return self._read(values)
 
     @property
     def ncomp(self) -> int:
         return self._rows.shape[1]
 
     def interior_rows(self, pos=None, out=None) -> np.ndarray:
-        if pos is None:
-            if out is None:
-                return self._rows.copy()
+        if pos is not None:
+            out = np.take(self._rows, pos, axis=0, out=out)
+        elif out is None:
+            out = self._rows.copy()
+        else:
             np.copyto(out, self._rows)
-            return out
-        return np.take(self._rows, pos, axis=0, out=out)
+        return self._read(out)
 
     def boundary_rows(self) -> np.ndarray:
         return self._boundary_rows.copy()
@@ -173,7 +177,7 @@ class KeptSnapshot(SphereField):
         out = np.empty((inner.size, self.ncomp), dtype=self._rows.dtype)
         put_rows(out, inner, self._rows)
         put_rows(out, ~inner, self._boundary_rows)
-        return out
+        return self._read(out)
 
     def rows(self, nodes: np.ndarray) -> np.ndarray:
         # each node's row is found among the interior, then the boundary
@@ -185,7 +189,7 @@ class KeptSnapshot(SphereField):
             pos = np.minimum(np.searchsorted(flat, nodes), flat.size - 1)
             hit = np.flatnonzero(flat[pos] == nodes)
             put_rows(out, hit, np.take(src, pos[hit], axis=0))
-        return out
+        return self._read(out)
 
     def hand_over(self) -> tuple:
         """The interior and boundary rows themselves, given up: the snapshot
@@ -193,29 +197,21 @@ class KeptSnapshot(SphereField):
         (``flow.run_glhf(..., handover=True)``) leaves no field that reads
         them."""
         rows, bnd = self._rows, self._boundary_rows
-        self._rows = self._boundary_rows = self._values = None
+        self._rows = self._boundary_rows = None
         return rows, bnd
 
 
 class _SnapshotMap(mmap.mmap):
     """A read-only map of a snapshot's ``.f64`` file of interior rows; only
-    ``io.SnapshotStore`` makes one, so ``release_pages`` knows a map it may
-    release."""
+    ``io.SnapshotStore`` makes one."""
 
-
-def release_pages(f: SphereField) -> None:
-    """Drop what a read of ``f`` brought into memory: the rebuilt lattice of
-    a ``KeptSnapshot``, and the page-table entries of its rows where they
-    are a map made by ``io.SnapshotStore`` (``MADV_DONTNEED`` on the whole
-    map, where ``mmap`` has ``madvise``); nothing for any other field.  The
-    values do not change: a kept snapshot rebuilds the same bytes, and a
-    map's file pages stay in the page cache, so the next read maps them
-    again."""
-    if isinstance(f, KeptSnapshot):
-        f._values = None
-        mm = f._rows.base
-        if isinstance(mm, _SnapshotMap) and hasattr(mmap, "MADV_DONTNEED"):
-            mm.madvise(mmap.MADV_DONTNEED)
+    def release(self) -> None:
+        """Drop the map's page-table entries (``MADV_DONTNEED``, where
+        ``mmap`` has it).  The pages stay in the page cache for the next
+        read, but leave the resident set, which on kernels that map whole
+        large page-cache folios would grow by 2 MiB folios for a few rows."""
+        if hasattr(mmap, "MADV_DONTNEED"):
+            self.madvise(mmap.MADV_DONTNEED)
 
 
 INITIAL_KINDS = ("constant", "cap", "equator-hedgehog", "boundary-wrap", "custom-samples")

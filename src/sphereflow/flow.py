@@ -53,26 +53,24 @@ a copy of ``rows``, which are the field's interior rows at that point, so
 capture gathers nothing, and the one array of boundary rows taken at the
 start, shared by every kept snapshot since no step writes a boundary
 row.  A kept snapshot rebuilds its lattice, read-only and bit for bit
-the field's, when its ``values`` are read, and ``field.release_pages``
-drops it again; readers that need only interior rows (or a few rows, or
-the active rows) take them with no rebuild.  The last snapshot is the
-field itself, which no step writes again.  So a store-less run's heap
-grows by one interior-row array per snapshot.  With a store the
-trajectory holds what ``store.take(u, rows)`` returns: a
-``io.SnapshotStore`` writes ``rows`` themselves to the snapshot's file
-and returns a ``field.KeptSnapshot`` whose rows are a read-only map of
-that file, so a run's heap does not grow with its snapshot count, and
-each diagnostic that reads one releases its pages
-(``field.release_pages``), so its resident set does not either.  Either
-way no later step writes a returned snapshot.  A
-store may also consume each snapshot as it is taken and return the field
-itself: a sweep case's store (``cli._CaseStream``) records what it needs
-of snapshot k at capture, so the case holds no snapshot, and every entry
-of its trajectory is the run's final field.  The projected reference such
+the field's, on each read of its ``values``; readers that need only
+interior rows (or a few rows, or the active rows) take them with no
+rebuild.  The last snapshot is the field itself, which no step writes
+again.  So a store-less run's heap grows by one interior-row array per
+snapshot.  With a store the trajectory holds what ``store.take(u, rows)``
+returns: a ``io.SnapshotStore`` writes ``rows`` themselves to the
+snapshot's file and returns a ``field.KeptSnapshot`` whose rows are a
+read-only map of that file, so a run's heap does not grow with its
+snapshot count, and each read drops the map's pages again, so its
+resident set does not either.  Either way no later step writes a
+returned snapshot.  A store may also consume each snapshot as it is
+taken and return the field itself: a sweep case's store
+(``cli._CaseStream``) records what it needs of snapshot k at capture, so
+the case holds no snapshot, and every entry of its trajectory is the
+run's final field.  The projected reference such
 a case is compared with runs through a ``SnapshotStore`` whose files are
 removed as soon as the run returns (``cli._reference``): its maps stay
-readable, so the reference holds no snapshot on the heap, and the case's
-store releases each reference snapshot's pages once it has read it.
+readable, so the reference holds no snapshot on the heap.
 Beyond the field and the snapshots a run holds three interior-row
 arrays: ``rows``, ``nrows`` and the record's scratch for its per-component
 difference.  Each neighbour sum adds one block scratch of at most
@@ -102,7 +100,7 @@ from .errors import CFLViolated, NormBlowup
 # reference the records agree with) and flow.project_to_sphere, so both
 # stay imported here
 from .field import (KeptSnapshot, SphereField, dirichlet_energy, lattice_values,
-                    normalize_rows, project_to_sphere, release_pages)
+                    normalize_rows, project_to_sphere)
 from .geometry import BOUNDARY, Grid, put_rows, rowsq, scale_rows
 
 
@@ -436,9 +434,8 @@ def penalty_integral(traj: Trajectory) -> float:
 
 
 def trajectory_l2q_distance(a: Trajectory, b: Trajectory) -> float:
-    """Space-time L^2 distance between two runs on matching snapshot times;
-    releases the pages of each snapshot pair once read
-    (``field.release_pages``)."""
+    """Space-time L^2 distance between two runs on matching snapshot
+    times."""
     if len(a.times) != len(b.times) or any(
             abs(s - t) > 1e-12 for s, t in zip(a.times, b.times)):
         raise ValueError("trajectories must share snapshot times")
@@ -446,9 +443,6 @@ def trajectory_l2q_distance(a: Trajectory, b: Trajectory) -> float:
     from .field import l2_distance
 
     def dist2(k: int) -> float:
-        d = l2_distance(a.snapshots[k], b.snapshots[k])
-        release_pages(a.snapshots[k])
-        release_pages(b.snapshots[k])
-        return d ** 2
+        return l2_distance(a.snapshots[k], b.snapshots[k]) ** 2
 
     return math.sqrt(window_integral(a, a.times[0], a.t_final, dist2))

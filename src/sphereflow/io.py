@@ -25,15 +25,8 @@ graph subdomain, whose ``phi`` is code) is refused before any file is
 written, since its sidecar could not be read back.  ``read_rows`` reads
 a snapshot as a kept snapshot (the ``custom-samples`` initial data of a
 run), ``read_snapshot`` as a writable lattice field; a sidecar of the
-lattice layout that earlier versions wrote is refused.
-
-A map's pages are released after each read: a diagnostic that has read a
-snapshot calls ``field.release_pages``, which drops the snapshot's rebuilt
-lattice and its map's page-table entries.  The data stays in the page
-cache, so a later read re-faults it without disk I/O, but the pages no
-longer count in the process's resident set, which on kernels that map
-whole large page-cache folios would otherwise grow by whole 2 MiB folios
-for a few rows read.
+lattice layout that earlier versions wrote is refused.  A kept
+snapshot drops its map's pages after each read (``field.KeptSnapshot``).
 """
 
 from __future__ import annotations

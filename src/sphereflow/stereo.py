@@ -21,7 +21,7 @@ from typing import Optional
 import numpy as np
 
 from .errors import PoleProximity
-from .field import SphereField, release_pages
+from .field import SphereField
 from .flow import Trajectory
 from .geometry import rowsq, scale_rows
 
@@ -114,11 +114,9 @@ def one_sided_check(u0: SphereField) -> OneSidedCheck:
     confinement of the rotated range.
 
     Failure of this restricted search means "no rotation found", not a
-    definitive negative.  Releases ``u0``'s pages (``field.release_pages``)
-    once its rows are read.
+    definitive negative.
     """
     vals = u0.active_values()
-    release_pages(u0)
     m = vals.mean(axis=0)
     nm = np.linalg.norm(m)
     rot = _align_rotation(m / nm) if nm > 1e-12 else np.eye(u0.ncomp)
@@ -137,12 +135,9 @@ def one_sided_check(u0: SphereField) -> OneSidedCheck:
 def _chart_rows(snap: SphereField, rot: np.ndarray,
                 nodes: Optional[np.ndarray] = None) -> tuple[np.ndarray, float]:
     """Chart values v of the rotated rows at the flat ``nodes`` (the active
-    nodes if None), and their min rotated last component.  Releases the
-    snapshot's pages (``field.release_pages``) once its rows are read; a
-    kept snapshot gives its rows (``SphereField.rows``) with no rebuilt
-    lattice."""
+    nodes if None), and their min rotated last component.  A kept snapshot
+    gives its rows (``SphereField.rows``) with no rebuilt lattice."""
     rows = snap.active_values() if nodes is None else snap.rows(nodes)
-    release_pages(snap)
     rotated = rows @ rot.T
     return stereo_forward(rotated), float(rotated[:, -1].min())
 

@@ -64,3 +64,36 @@ def onesided_run_32(disc32, cap60_32):
 @pytest.fixture()
 def rng():
     return np.random.default_rng(0)
+
+
+@pytest.fixture(scope="session")
+def map_rss():
+    """``map_rss(snap)``: the resident bytes of the map that holds the kept
+    snapshot ``snap``'s rows, the ``Rss:`` line of its entry in
+    ``/proc/self/smaps``, or None where that file is missing.
+    ``map_rss.checked(readings)`` gives a list of readings back, or skips
+    the test where one is None; a test calls it after its other checks."""
+    def rss(snap):
+        addr, inside = snap._rows.ctypes.data, False
+        try:
+            with open("/proc/self/smaps") as fh:
+                lines = fh.readlines()
+        except OSError:
+            return None
+        for line in lines:
+            head = line.split()[0]
+            if "-" in head and not head.endswith(":"):      # a mapping's header
+                lo, hi = (int(x, 16) for x in head.split("-"))
+                inside = lo <= addr < hi
+            elif inside and head == "Rss:":
+                return 1024 * int(line.split()[1])
+        raise AssertionError("the snapshot's rows are not a map of this process")
+
+    def checked(readings) -> list:
+        readings = list(readings)
+        if None in readings:
+            pytest.skip("no /proc/self/smaps")
+        return readings
+
+    rss.checked = checked
+    return rss

@@ -853,7 +853,8 @@ def _penalized_sweep_config(kind: str) -> tuple:
 
 
 @pytest.mark.parametrize("kind", ["lambda", "h"])
-def test_sweep_reference_heap_does_not_grow_with_snapshot_count(tmp_path, monkeypatch, kind):
+def test_sweep_reference_heap_does_not_grow_with_snapshot_count(tmp_path, monkeypatch, kind,
+                                                                map_rss):
     # the projected reference of a penalized sweep holds its snapshots as maps:
     # one snapshot per step holds the same heap as one at each end, to within
     # one field
@@ -870,34 +871,31 @@ def test_sweep_reference_heap_does_not_grow_with_snapshot_count(tmp_path, monkey
         finally:
             tracemalloc.stop()
     assert abs(peaks[1] - peaks[100]) <= field_bytes
-    # every reference snapshot is a map, and each case's read of one is
-    # followed by one release of its pages
-    refs, events = [], []
-    run_projected, dist, release = cli.run_projected, cli.l2_distance, cli.release_pages
+    # every reference snapshot is a map, read once per case, and none of its
+    # pages is resident once the case has its distance
+    refs, reads = [], []
+    run_projected, dist = cli.run_projected, cli.l2_distance
 
     def reference(*args, **kwargs):
         refs.append(run_projected(*args, **kwargs))
         return refs[-1]
 
     def read(a, b):
-        events.append(("read", b))
-        return dist(a, b)
-
-    def released(f):
-        events.append(("release", f))
-        release(f)
+        d = dist(a, b)
+        reads.append((b, map_rss(b)))
+        return d
 
     monkeypatch.setattr(cli, "run_projected", reference)
     monkeypatch.setattr(cli, "l2_distance", read)
-    monkeypatch.setattr(cli, "release_pages", released)
     assert sweep(tmp_path / "stride1.json", param, values, tmp_path / "capture") == 0
     (ref,) = refs
     assert len(ref.snapshots) > 2
     assert all(isinstance(s, field.KeptSnapshot) and isinstance(s._rows.base, field._SnapshotMap)
                for s in ref.snapshots)
-    expected = [(e, s) for _ in values for s in ref.snapshots for e in ("read", "release")]
-    assert len(events) == len(expected)
-    assert all(e == x and f is s for (e, f), (x, s) in zip(events, expected))
+    expected = [s for _ in values for s in ref.snapshots]
+    assert len(reads) == len(expected)
+    assert all(b is s for (b, _), s in zip(reads, expected))
+    assert map_rss.checked(rss for _, rss in reads) == [0] * len(reads)
 
 
 def test_lambda_sweep_builds_its_initial_field_once(tmp_path, monkeypatch):
@@ -1295,13 +1293,13 @@ def test_run_diagnostics_equal_the_public_functions(tmp_path, monkeypatch, name)
 
     def counted_gradient(f, nodes=None):
         if nodes is None:
-            grads.append(f)
+            grads.append(f.values.copy())       # a kept snapshot's lattice is new per read
         return gradient(f, nodes)
 
-    def counted_penalty(traj, k, nodes=None):
+    def counted_penalty(traj, k, f, nodes=None):
         if nodes is None:
             penalties.append(k)
-        return penalty(traj, k, nodes)
+        return penalty(traj, k, f, nodes)
 
     monkeypatch.setattr(cli, "_run_diagnostics", capture)
     monkeypatch.setattr(diagnostics, "gradient_squared_density", counted_gradient)
@@ -1315,7 +1313,8 @@ def test_run_diagnostics_equal_the_public_functions(tmp_path, monkeypatch, name)
         # no scan point survives: at most one whole density per mode and
         # snapshot, computed in the one pass
         assert grads and penalties
-        assert max(sum(f is s for f in grads) for s in traj.snapshots) == 1
+        assert max(sum(np.array_equal(f, s.values) for f in grads)
+                   for s in traj.snapshots) == 1
         assert max(penalties.count(k) for k in set(penalties)) == 1
     monkeypatch.undo()
 

@@ -16,7 +16,7 @@ from sphereflow.elliptic import solve_harmonic_extension
 from sphereflow.errors import (GridMismatch, KernelUnderresolved,
                                TimeNotBeforeCenter, WindowOutsideTrajectory)
 from sphereflow.field import (InitialData, KeptSnapshot, SphereField, generate,
-                              gradient_squared_density, release_pages)
+                              gradient_squared_density)
 from sphereflow.flow import (PenaltySchedule, SolverConfig, Trajectory, run_glhf,
                              run_projected, trajectory_l2q_distance)
 from sphereflow.geometry import Domain, build_grid
@@ -333,6 +333,44 @@ def test_comparisons_reject_an_extension_on_another_grid(disc16, disc32, cap60_3
             hybrid_report(traj, h0, cyl, 0.5)
 
 
+def test_comparisons_are_one_pass_with_the_floats_of_separate_integrals(
+        cap_run_32, disc32, cap60_32, monkeypatch):
+    # each comparison feeds its cylinders' sums and its extension's
+    # deviation and time-extent sums in one pass, and gives the floats of
+    # the cylinder and window integrals, one pass each
+    from sphereflow import diagnostics
+    from sphereflow.diagnostics import window_integral
+    from sphereflow.geometry import rowsq
+
+    traj, g = cap_run_32, disc32
+    h0 = solve_harmonic_extension(g, cap60_32, tol=1e-9)
+    cyl = CylinderSpec(0.125, np.array([0.1, -0.05]), 0.1)
+    big = CylinderSpec(cyl.t0, cyl.x0, 2.0 * cyl.R)
+    pos = g.nodes_within(big.x0, big.R)
+    h0_vals = h0.field.interior_rows(pos)
+
+    def dev2(k):
+        diff = traj.snapshots[k].interior_rows(pos)
+        diff -= h0_vals
+        return rowsq(diff, scratch=diff)
+
+    dev = float(window_integral(traj, *big.window(), dev2).sum()) * g.cell_volume
+    extent = float(window_integral(traj, *big.window(), lambda k: 1.0))
+    dens = h0.derivative_density(1) + h0.derivative_density(2)
+    data = extent * (float(dens[pos].sum()) * g.cell_volume)
+    vol = extent * pos.size * g.cell_volume
+    lhs = cylinder_integral(traj, cyl, "gradient") / 2.0 / cyl.R ** g.d
+    inner, outer = cylinder_integral(traj, cyl, "gl"), cylinder_integral(traj, big, "gl")
+
+    passes, feed = [], diagnostics.feed
+    monkeypatch.setattr(diagnostics, "feed",
+                        lambda traj, sums, keep=True: passes.append(len(sums))
+                        or feed(traj, sums, keep))
+    assert reverse_poincare_ratio(traj, h0, cyl) == (lhs, dev / vol + data / vol)
+    assert hybrid_report(traj, h0, cyl, 0.5) == (inner, outer, dev / cyl.R ** 2 + data)
+    assert passes == [3, 4]
+
+
 # -- ball-local densities --------------------------------------------------------
 
 def _random_trajectory(grid, rng, n=3, lam=1e3):
@@ -447,7 +485,7 @@ def _same(a, b) -> bool:
 def test_diagnostics_read_kept_snapshots_as_their_lattice_copies(disc16, tmp_path):
     # a store-less run keeps its snapshots as kept snapshots: every public
     # diagnostic gives the same floats on them as on writeable lattice
-    # copies of them, and leaves none holding a rebuilt lattice
+    # copies of them, and leaves each holding its grid and rows only
     u0 = generate(InitialData(kind="cap", latitude_deg=60.0), disc16, 2)
     cfg = SolverConfig(dt=SolverConfig.auto_dt(disc16), T=0.25, output_stride=8)
     runs = {"glhf": run_glhf(u0, cfg, PenaltySchedule(lam=1e3)),
@@ -457,8 +495,6 @@ def test_diagnostics_read_kept_snapshots_as_their_lattice_copies(disc16, tmp_pat
         for name, traj in runs.items()}
     kept = [s for traj in runs.values() for s in traj.snapshots[:-1]]
     assert kept and all(isinstance(s, KeptSnapshot) for s in kept)
-    for s in kept:
-        release_pages(s)
 
     ext = solve_harmonic_extension(disc16, u0)
     z0 = (0.2, np.array([0.1, -0.05]))
@@ -485,7 +521,7 @@ def test_diagnostics_read_kept_snapshots_as_their_lattice_copies(disc16, tmp_pat
     }
     for name, call in calls.items():
         assert _same(call(runs), call(twins)), name
-        assert all(s._values is None for s in kept), name
+        assert all(sorted(vars(s)) == ["_boundary_rows", "_rows", "grid"] for s in kept), name
 
     for k in (0, 9, len(runs["glhf"].snapshots) - 2):
         args = dict(t=runs["glhf"].times[k], step=8 * k, lam=1e3, exponent=1.0)

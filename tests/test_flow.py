@@ -6,9 +6,10 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from sphereflow import field
 from sphereflow.errors import CFLViolated, NormBlowup
 from sphereflow.field import (InitialData, KeptSnapshot, SphereField, dirichlet_energy,
-                              generate, l2_distance, release_pages)
+                              generate, l2_distance)
 from sphereflow.flow import (PenaltySchedule, SolverConfig, Trajectory, glhf_step,
                              kappa, penalty_integral, projected_flow_step, run_glhf,
                              run_projected, trajectory_l2q_distance, _boundary_links,
@@ -439,7 +440,7 @@ def test_snapshots_are_independent_copies():
             assert not np.shares_memory(a, b)
 
 
-def test_kept_snapshots_rebuild_their_lattice_read_only_on_read():
+def test_kept_snapshots_rebuild_their_lattice_read_only_on_read(monkeypatch):
     u0, cfg, sched = _kernel_case(3, "projected")
     traj = run_projected(u0, cfg)
     chain = [u0]
@@ -451,18 +452,26 @@ def test_kept_snapshots_rebuild_their_lattice_read_only_on_read():
     g = u0.grid
     pos = np.arange(0, g.n_interior, 5)
     nodes = np.arange(g.n_lattice)              # exterior nodes included
+    built, lattice_values = [], field.lattice_values
+    monkeypatch.setattr(field, "lattice_values",
+                        lambda *a: built.append(a) or lattice_values(*a))
     for s, step in zip(kept, cfg.snapshot_steps()):
-        # these accessors read no lattice
+        # these accessors build no lattice
         assert s.ncomp == 3
         assert np.array_equal(s.interior_rows(), chain[step].interior_rows())
         assert np.array_equal(s.interior_rows(pos), chain[step].interior_rows(pos))
         assert np.array_equal(s.rows(nodes), chain[step].flat())
         assert np.array_equal(s.active_values(), chain[step].active_values())
-        assert s._values is None
-        assert np.array_equal(s.values, chain[step].values)
-        assert not s.values.flags.writeable and s._values is not None
-        release_pages(s)
-        assert s._values is None
+        assert s.max_norm() == chain[step].max_norm()
+        assert not built
+        # each read of values builds a new read-only lattice, and none is kept
+        first, second = s.values, s.values
+        assert len(built) == 2 and all(a[1] is s._rows for a in built)
+        built.clear()
+        assert np.array_equal(first, chain[step].values)
+        assert np.array_equal(first, second) and not np.shares_memory(first, second)
+        assert not first.flags.writeable and not second.flags.writeable
+        assert sorted(vars(s)) == ["_boundary_rows", "_rows", "grid"]
     # the kept snapshots share one boundary-row array
     assert len({id(s._boundary_rows) for s in kept}) == 1
 

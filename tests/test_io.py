@@ -15,7 +15,7 @@ from sphereflow.diagnostics import (CylinderSpec, cylinder_integral, energy_repo
                                     reverse_poincare_ratio, weighted_annulus_energy,
                                     window_snapshots)
 from sphereflow.elliptic import solve_harmonic_extension
-from sphereflow.field import InitialData, generate, release_pages
+from sphereflow.field import InitialData, generate
 from sphereflow.flow import PenaltySchedule, SolverConfig, glhf_step, run_glhf
 from sphereflow.geometry import Domain, build_grid
 from sphereflow.singular import SingularConfig, detect_singular_set, local_scaled_energy
@@ -49,31 +49,51 @@ def test_graph_subdomain_snapshot_is_refused_before_writing(tmp_path):
     assert sorted(p.name for p in tmp_path.rglob("*")) == ["store"]
 
 
-def test_release_pages_keeps_values_and_skips_fields_in_memory(tmp_path, disc16):
+def test_every_read_of_a_mapped_snapshot_leaves_no_page_resident(tmp_path, disc16,
+                                                                 map_rss):
+    # each read copies what it reads and drops the map's pages, and a later
+    # read maps the same bytes again
     f = generate(InitialData(kind="cap", latitude_deg=45.0), disc16, 2)
     mapped = sfio.SnapshotStore(tmp_path).take(f, f.interior_rows())
-    assert np.array_equal(mapped.values, f.values)
-    release_pages(mapped)
-    assert np.array_equal(mapped.values, f.values)
-    copy = f.copy()
-    release_pages(copy)                 # an in-memory field: nothing to release
-    assert np.array_equal(copy.values, f.values)
+    pos = np.arange(0, disc16.n_interior, 7)
+    shape = (disc16.n_interior, 3)
+    reads = {"values": lambda s: s.values,
+             "interior_rows": lambda s: s.interior_rows(),
+             "interior_rows(pos)": lambda s: s.interior_rows(pos),
+             "interior_rows(out=)": lambda s: s.interior_rows(out=np.empty(shape)),
+             "active_values": lambda s: s.active_values(),
+             "rows": lambda s: s.rows(disc16.active_flat[::5])}
+    before, after = [], []
+    for name, read in reads.items():
+        for _ in range(2):
+            float(mapped._rows.sum())           # fault every page in
+            before.append(map_rss(mapped))
+            assert read(mapped).tobytes() == read(f).tobytes(), name
+            after.append(map_rss(mapped))
+    assert all(rss > 0 for rss in map_rss.checked(before))
+    assert map_rss.checked(after) == [0] * len(after)
 
 
-def test_energy_report_reads_its_snapshot_once(tmp_path, disc16, monkeypatch):
-    # one read gives the gradient and penalty densities, so the snapshot's
-    # pages are released once; the report and the cached densities are the
-    # in-memory twin's, as the same floats
+def test_energy_report_reads_its_snapshot_once(tmp_path, disc16, monkeypatch, map_rss):
+    # one lattice gives the gradient and the penalty density, so the map is
+    # read once, and no page of it is left resident; the report and the
+    # cached densities are the in-memory twin's, as the same floats
     u0 = generate(InitialData(kind="cap", latitude_deg=45.0), disc16, 2)
     cfg = SolverConfig(dt=SolverConfig.auto_dt(disc16), T=0.05, output_stride=4)
     in_memory = run_glhf(u0, cfg, PenaltySchedule(lam=1e3))
     stored = run_glhf(u0, cfg, PenaltySchedule(lam=1e3),
                       store=sfio.SnapshotStore(tmp_path))
-    released = []
-    monkeypatch.setattr(diagnostics, "release_pages", released.append)
+    built, lattice_values = [], field.lattice_values
+    monkeypatch.setattr(field, "lattice_values",
+                        lambda *a: built.append(a) or lattice_values(*a))
+    released, release = [], field._SnapshotMap.release
+    monkeypatch.setattr(field._SnapshotMap, "release",
+                        lambda mm: released.append(mm) or release(mm))
     k = len(stored.snapshots) - 1
     report = energy_report(stored, k)
-    assert len(released) == 1 and released[0] is stored.snapshots[k]
+    resident = map_rss(stored.snapshots[k])
+    assert len(built) == 1 and built[0][1] is stored.snapshots[k]._rows
+    assert released == [stored.snapshots[k]._rows.base]
     expected = energy_report(in_memory, k)
     assert report.to_json() == expected.to_json()
     assert np.array_equal(report.density, expected.density)
@@ -83,6 +103,12 @@ def test_energy_report_reads_its_snapshot_once(tmp_path, disc16, monkeypatch):
     for mode in ("gradient", "gl"):
         assert np.array_equal(cache[k, mode],
                               diagnostics.energy_density(in_memory, k, mode))
+    # so is a gl density alone
+    released.clear()
+    gl = diagnostics.energy_density(stored, k - 1, "gl")
+    assert released == [stored.snapshots[k - 1]._rows.base]
+    assert np.array_equal(gl, diagnostics.energy_density(in_memory, k - 1, "gl"))
+    assert map_rss.checked([resident]) == [0]
 
 
 def _every_diagnostic(traj) -> list:
@@ -106,9 +132,9 @@ def _every_diagnostic(traj) -> list:
             monitor.pde_residual_mean, monitor.pde_residual_max]
 
 
-def test_diagnostics_read_the_same_values_after_release(tmp_path, disc16):
-    # a stored run reads as its in-memory twin, before and after every
-    # snapshot's pages are released
+def test_diagnostics_read_the_same_values_after_release(tmp_path, disc16, map_rss):
+    # a stored run reads as its in-memory twin, and again, from a fresh
+    # density cache, once every read has released its snapshot's pages
     u0 = generate(InitialData(kind="cap", latitude_deg=45.0), disc16, 2)
     cfg = SolverConfig(dt=SolverConfig.auto_dt(disc16), T=0.1, output_stride=4)
     in_memory = run_glhf(u0, cfg, PenaltySchedule(lam=1e3))
@@ -117,10 +143,10 @@ def test_diagnostics_read_the_same_values_after_release(tmp_path, disc16):
     assert not stored.snapshots[0].values.flags.writeable
     expected = _every_diagnostic(in_memory)
     assert _every_diagnostic(stored) == expected
-    for snap in stored.snapshots:
-        release_pages(snap)
+    resident = [map_rss(snap) for snap in stored.snapshots]
     fresh = dataclasses.replace(stored)
     assert _every_diagnostic(fresh) == expected
+    assert map_rss.checked(resident) == [0] * len(resident)
 
 
 @pytest.mark.skipif(_rss_file_bytes() is None,
@@ -157,9 +183,10 @@ def _stepped(grid):
                                        (Domain.unit_ball(3), 1 / 8),
                                        (Domain.box([[-1.0, 1.0], [0.0, 0.5]]), 1 / 16)],
                          ids=["disc", "ball3", "box"])
-def test_kept_snapshot_reads_are_the_lattice_gathers(tmp_path, form, domain, h):
+def test_kept_snapshot_reads_are_the_lattice_gathers(tmp_path, monkeypatch, form, domain, h):
     # from its own rows or from a map of its file, a kept snapshot gives the
-    # bytes its lattice would, with no lattice rebuilt but for ``values``
+    # bytes its lattice would, with no lattice built but one per read of
+    # ``values``, a new read-only one; it holds nothing but its grid and rows
     grid = build_grid(domain, h)
     f = _stepped(grid)
     if form == "mapped":
@@ -167,19 +194,30 @@ def test_kept_snapshot_reads_are_the_lattice_gathers(tmp_path, form, domain, h):
         assert isinstance(kept._rows.base, field._SnapshotMap)
     else:
         kept = field.KeptSnapshot(grid, f.interior_rows(), f.boundary_rows())
+    built, lattice_values = [], field.lattice_values
+    monkeypatch.setattr(field, "lattice_values",
+                        lambda *a: built.append(a) or lattice_values(*a))
     flat = f.flat()
     some = np.random.default_rng(1).integers(0, grid.n_lattice, 50)
+    pos = np.random.default_rng(2).integers(0, grid.n_interior, 50)
     assert kept.active_values().tobytes() == np.take(flat, grid.active_flat, axis=0).tobytes()
     assert kept.rows(some).tobytes() == np.take(flat, some, axis=0).tobytes()
     assert kept.rows(np.arange(grid.n_lattice)).tobytes() == flat.tobytes()
     assert kept.boundary_rows().tobytes() == f.boundary_rows().tobytes()
     assert kept.interior_rows().tobytes() == f.interior_rows().tobytes()
+    assert kept.interior_rows(pos).tobytes() == f.interior_rows(pos).tobytes()
+    out = np.empty_like(f.interior_rows())
+    assert kept.interior_rows(out=out) is out and out.tobytes() == f.interior_rows().tobytes()
     assert kept.max_norm() == f.max_norm()
-    assert kept._values is None
-    assert kept.values.tobytes() == f.values.tobytes()
-    release_pages(kept)
-    assert kept._values is None
-    assert kept.values.tobytes() == f.values.tobytes()
+    assert not built
+    first = kept.values
+    assert len(built) == 1
+    second = kept.values
+    assert len(built) == 2 and all(a[1] is kept._rows for a in built)
+    assert first.tobytes() == second.tobytes() == f.values.tobytes()
+    assert not np.shares_memory(first, second)
+    assert not first.flags.writeable and not second.flags.writeable
+    assert sorted(vars(kept)) == ["_boundary_rows", "_rows", "grid"]
 
 
 def test_a_snapshot_is_its_rows_in_two_files(tmp_path, disc16):
