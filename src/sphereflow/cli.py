@@ -390,7 +390,7 @@ def run_experiment(config_path, out_dir=None, threads: int = 1) -> int:
         # the flow writes each snapshot's data as it takes it; a flow that
         # fails takes this run's snapshot files with it; the store makes the
         # run directory before the first step.  No one else reads the initial
-        # field, so the flow steps its rows in place
+        # field, so the flow steps its rows themselves
         store = sfio.SnapshotStore(out / "snapshots")
         try:
             traj = _run_flow(cfg, cfg.build_initial(), store, handover=True)

@@ -245,7 +245,8 @@ class WindowSum:
     """The time integral over [a, b) of a per-snapshot quantity: the
     rectangle sum  sum_k w_k term(k)  over the snapshots of the window
     (``window_snapshots``), accumulated from 0 as acc = acc + w_k term(k)
-    while a pass (``feed``) feeds it its snapshots in k order.
+    while a pass (``feed``) feeds it its snapshots in k order; an array
+    sum is a new array at its first term and adds the later ones in place.
 
     The one time quadrature behind every spacetime integral over a run's
     snapshots.  ``term(k)`` returns a number or an array: a density, or
@@ -266,7 +267,11 @@ class WindowSum:
         self._n = 0
 
     def feed(self, k: int) -> None:
-        self.value = self.value + self.w[self._n] * self.term(k)
+        x = self.w[self._n] * self.term(k)
+        if self._n and isinstance(self.value, np.ndarray):
+            self.value += x             # the sum's own array since its first term
+        else:
+            self.value = self.value + x
         self._n += 1
         if self._n == self.w.size and self.on_last is not None:
             self.value = self.on_last(self.value)

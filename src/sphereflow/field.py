@@ -193,7 +193,7 @@ class KeptSnapshot(SphereField):
 
     def hand_over(self) -> tuple:
         """The interior and boundary rows themselves, given up: the snapshot
-        holds no rows afterwards, so a caller that steps them in place
+        holds no rows afterwards, so a caller that overwrites them
         (``flow.run_glhf(..., handover=True)``) leaves no field that reads
         them."""
         rows, bnd = self._rows, self._boundary_rows
@@ -356,7 +356,8 @@ def project_to_sphere(f: SphereField) -> SphereField:
     Not bitwise idempotent: renormalizing a unit vector can move it by an
     ulp, so projecting twice agrees with projecting once to ~1e-16.  Raises
     NonFiniteVector on a row whose squared norm is not finite (overflow,
-    NaN or an infinity) and NearZeroVector as ``normalize_rows`` does.
+    NaN or an infinity) and NearZeroVector on a row of norm below
+    NORM_FLOOR, as ``_normalize`` does.
     """
     out = f.copy()
     idx = f.grid.active_flat
@@ -368,10 +369,10 @@ def project_to_sphere(f: SphereField) -> SphereField:
 
 def _normalize(parts: list) -> None:
     """Divide each row of every ``(rows, flat indices)`` pair by its norm,
-    in place, as ``normalize_rows`` does.  Every pair is checked before any
-    row is divided: NonFiniteVector on rows whose squared norm is not
-    finite, then NearZeroVector on rows of norm below NORM_FLOOR, each
-    naming the first five such flat indices in ascending order."""
+    in place.  Every pair is checked before any row is divided:
+    NonFiniteVector on rows whose squared norm is not finite, then
+    NearZeroVector on rows of norm below NORM_FLOOR, each naming the first
+    five such flat indices in ascending order."""
     def refuse(bad: list, error, why: str) -> None:
         flagged = np.sort(np.concatenate([i[b] for (_, i), b in zip(parts, bad)]))
         if flagged.size:
@@ -395,20 +396,6 @@ def _finite_rows(v: np.ndarray) -> np.ndarray:
 
 
 NORM_FLOOR = 1e-14
-
-
-def normalize_rows(v: np.ndarray, idx: np.ndarray,
-                   scratch: Optional[np.ndarray] = None) -> np.ndarray:
-    """Divide each row of ``v``, the values at flat nodes ``idx``, by its
-    norm, in place; returns ``v``.  ``scratch`` is ``rowsq``'s.  Raises
-    NearZeroVector on a row of norm below NORM_FLOOR."""
-    norms = rowsq(v, scratch=scratch)
-    np.sqrt(norms, out=norms)
-    bad = norms < NORM_FLOOR
-    if np.any(bad):
-        raise NearZeroVector(
-            f"cannot project node(s) at flat index {idx[np.flatnonzero(bad)[:5]].tolist()}")
-    return scale_rows(v, norms)
 
 
 def _check_same(a: SphereField, b: SphereField):

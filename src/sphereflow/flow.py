@@ -17,25 +17,30 @@ variant replaces the penalty substep by exact normalization of the
 interior nodes.  Runs and the public single steps all go through ``_step``.
 
 Data path of one step.  A run carries two (n_interior, D+1) arrays from
-step to step: ``rows``, the interior rows of the field, and ``nrows``, the
-interior rows of its neighbour sum N.  ``_step`` diffuses ``rows`` in place
-from ``nrows``, rescales them in place by the norm reaction (or the
-normalization) and scatters them into the field with ``put_rows``, one
-whole row per element, so the post-reaction rows are the field's rows and
-are never gathered again; |u|^2 of them feeds the sup-norm guard, with the
-boundary maximum, which is fixed because no step writes a boundary row.
+step to step, ``rows``, the interior rows of the field, and ``nxt``, which
+the step fills with the new interior rows; ``_run`` swaps the two after
+each step.  ``_step`` makes one pass over the groups of
+``Grid.neighbour_blocks`` (consecutive stencil blocks of at most
+``geometry.BLOCK_NODES`` interior rows), and does all of a group's
+pointwise work while the group's neighbour sums N are in cache: N goes
+straight into ``nxt``, the record's 2d u - N into ``lap``, then the
+diffusion c u + mu N, the norm reaction (or the normalization) and |u|^2
+of the new rows into ``w``, each in the elementwise order of the
+whole-array passes it replaces.  What is a sum over rows or a scatter
+runs on the whole arrays after the pass, so no bit depends on the
+groups: the penalty increment's sum, the scatter of ``nxt`` into the
+field with ``put_rows`` (one whole row per element), the sup-norm guard,
+with the boundary maximum, which is fixed because no step writes a
+boundary row, and the Dirichlet record of the state stepped from, which
+``_run`` takes from ``rows`` and ``lap`` by summation by parts.  The
+boundary part of that sum runs over the interior-boundary links only,
+whose boundary values are gathered once per run.  The last state's
+record takes its neighbour sums in one more pass of the block iterator.
 Every |u|^2 is ``geometry.rowsq`` (one fixed column order, one column pass
 at a time) and every division of the rows by a per-row divisor is
 ``geometry.scale_rows``, so the guard, ``SphereField.max_norm`` and the
-records take one definition.
-Right after the step ``Grid.neighbour_rows`` computes N for the new state
-straight into ``nrows``, one cache-sized block of layers at a time.  Those
-rows serve twice: the state's record takes its Dirichlet energy from them
-by summation by parts, and the next step diffuses with them.  The boundary
-part of that sum runs over the interior-boundary links only, whose
-boundary values are gathered once per run.  Nothing in a step copies or
-writes a lattice-sized array except the field; the last state's N is the
-one neighbour sum no step uses.
+records take one definition.  Nothing in a step copies or writes a
+lattice-sized array except the field.
 
 Buffers.  ``_run`` takes the interior and boundary rows of ``u0`` once
 (``interior_rows`` and ``boundary_rows``, which rebuild no lattice of a
@@ -44,10 +49,10 @@ builds its own field from them (``field.lattice_values``, exterior rows
 zero, whatever ``u0`` holds there); ``_step`` mutates that field in
 place, and it is the only lattice of a command-line run's state.  Those
 rows are copies, so no step writes the caller's ``u0``, unless the caller
-hands them over (``handover=True``, ``KeptSnapshot.hand_over``): then the
-run steps ``u0``'s own interior rows in place and ``u0`` holds no rows
-afterwards, so a command-line run holds one interior-row array of its
-state, not two.  At each snapshot step the trajectory takes a snapshot
+hands them over (``handover=True``, ``KeptSnapshot.hand_over``): then
+``u0``'s own interior rows are one of the two arrays the run steps
+between and ``u0`` holds no rows afterwards, so a command-line run makes
+no copy of them.  At each snapshot step the trajectory takes a snapshot
 of it.  Without a store (``store=None``) that is a ``field.KeptSnapshot``:
 a copy of ``rows``, which are the field's interior rows at that point, so
 capture gathers nothing, and the one array of boundary rows taken at the
@@ -72,35 +77,33 @@ a case is compared with runs through a ``SnapshotStore`` whose files are
 removed as soon as the run returns (``cli._reference``): its maps stay
 readable, so the reference holds no snapshot on the heap.
 Beyond the field and the snapshots a run holds three interior-row
-arrays: ``rows``, ``nrows`` and the record's scratch for its per-component
-difference.  Each neighbour sum adds one block scratch of at most
-``geometry.BLOCK_NODES`` lattice nodes (unless a single layer is wider),
-freed when the sum returns.  Once the diffusion has added ``nrows`` into
-``rows`` the step no longer needs it, so every |u|^2 of the step (before
-and after the reaction, and the normalization's) takes its products in
-``nrows``; the step-0 |u|^2 of a run takes them in the record's scratch.
-The norm reaction works in two per-node arrays: the squared deviation
-(|u|^2 - 1)^2 for the penalty increment, and |u|^2, which it turns in
-place into the divisor sqrt(e + (1 - e) w0) of the rows; it allocates no
-interior-row array.  ``glhf_step`` and
-``projected_flow_step`` copy their input once, gather its rows and N once,
-and step the copy.
+arrays: ``rows``, ``nxt`` and ``lap``; two per-node arrays, |u|^2 and the
+squared norm defects (|u|^2 - 1)^2 of the penalty sums; and a block
+scratch of ``Grid.block_rows()`` rows, room for the widest block's lattice
+span and the largest group, which the neighbour sums use and, between the
+iterator's yields, the group's products.  All but ``rows`` are allocated
+once per run, each on a page of its own (``_buffers``), so no step
+allocates an array of a group's size; the norm reaction's divisor takes
+the group's part of ``w`` until the new |u|^2 does.  ``glhf_step`` and
+``projected_flow_step`` copy their input once, gather its rows once, and
+step the copy.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field as dfield
-from typing import Optional
+from functools import partial
+from typing import NamedTuple, Optional
 
 import numpy as np
 
-from .errors import CFLViolated, NormBlowup
+from .errors import CFLViolated, NearZeroVector, NormBlowup
 # the benchmark tracer wraps the module bindings flow.dirichlet_energy (the
 # reference the records agree with) and flow.project_to_sphere, so both
 # stay imported here
-from .field import (KeptSnapshot, SphereField, dirichlet_energy, lattice_values,
-                    normalize_rows, project_to_sphere)
+from .field import (NORM_FLOOR, KeptSnapshot, SphereField, dirichlet_energy,
+                    lattice_values, project_to_sphere)
 from .geometry import BOUNDARY, Grid, put_rows, rowsq, scale_rows
 
 
@@ -227,16 +230,44 @@ class Trajectory:
                           lam=None, dt=times[1] - times[0])
 
 
-# -- substeps ---------------------------------------------------------------
+# -- the step ----------------------------------------------------------------
 
-def _diffuse(rows: np.ndarray, nrows: np.ndarray, g: Grid, dt: float) -> None:
-    """The explicit diffusion substep, in place on the interior rows ``rows``
-    given the interior rows ``nrows`` of their neighbour sum, which it scales
-    in place."""
-    mu = dt / g.h ** 2
-    rows *= 1.0 - 2.0 * g.d * mu
-    nrows *= mu
-    rows += nrows
+_PAGE = 4096 // 8      # float64s in a 4 KiB page
+
+
+class _Scratch(NamedTuple):
+    """What a run's steps write besides its rows (see "Buffers" in the module
+    docstring): no step allocates an array of a group's size."""
+
+    lap: np.ndarray     # 2d u - N per interior row of the state stepped from
+    w: np.ndarray       # |u|^2 per interior row of the new state
+    sq: np.ndarray      # (w0 - 1)^2 per interior row, for the penalty increment
+    block: np.ndarray   # the stencil's block scratch, a group's rows between yields
+
+
+def _aligned(*sizes) -> list:
+    """Float64 arrays of the given sizes, views of one allocation, each
+    starting on a 4 KiB page of its own."""
+    spans = [-(-size // _PAGE) * _PAGE for size in sizes]
+    raw = np.empty(sum(spans) + _PAGE)
+    at = -(raw.ctypes.data // raw.itemsize) % _PAGE       # the first page boundary
+    views = []
+    for size, span in zip(sizes, spans):
+        views.append(raw[at:at + size])
+        at += span
+    return views
+
+
+def _buffers(g: Grid, rows: np.ndarray) -> tuple:
+    """An array like ``rows`` for the new rows, and the ``_Scratch`` of a run
+    stepping them.  Each starts on a page of its own: their placement in
+    the heap moved the step's time by up to 8%.  The row arrays are
+    allocations of their own: one allocation of all five peaked 1.5 MB
+    higher on the 3-D h = 1/32 benchmark run."""
+    n, m = rows.shape
+    (nxt,), (lap,) = _aligned(n * m), _aligned(n * m)
+    w, sq, block = _aligned(n, n, g.block_rows() * m)
+    return nxt.reshape(n, m), _Scratch(lap.reshape(n, m), w, sq, block.reshape(-1, m))
 
 
 def _boundary_norm2(u: SphereField) -> float:
@@ -251,58 +282,78 @@ def _sup_norm(w: np.ndarray, bnd2: float) -> float:
     return float(np.sqrt(np.maximum(w.max(), bnd2)))
 
 
-def _step(u: SphereField, rows: np.ndarray, nrows: np.ndarray, t: float,
-          cfg: SolverConfig, sched: Optional[PenaltySchedule], bnd2: float):
-    """The one split step at time t, in place: diffusion, then the norm reaction.
-
-    ``rows`` are the interior rows of ``u`` and ``nrows`` those of its
-    neighbour sum; on return ``rows`` holds the new interior rows, which
-    are also written into ``u``, and ``nrows`` is spent: past the diffusion
-    it is the scratch of every |u|^2.  The reaction is
-    the closed form of the module docstring, one expression on every row.
-    ``sched is None`` is the projected flow (exact normalization of the
-    interior rows, which raises ``NearZeroVector`` on a zero row).
-    ``bnd2`` is ``_boundary_norm2(u)``.  Returns |u|^2 of the new interior
-    rows, the step's penalty increment, the strength used and the new
+def _step(u: SphereField, rows: np.ndarray, nxt: np.ndarray, buf: _Scratch,
+          t: float, cfg: SolverConfig, sched: Optional[PenaltySchedule], bnd2: float):
+    """The one split step at time t: diffusion, then the norm reaction, in
+    one pass over the groups of ``Grid.neighbour_blocks`` (see "Data path
+    of one step" in the module docstring).  ``rows`` are the interior rows
+    of ``u`` and are left as they are; ``nxt`` receives the new ones, which
+    are also written into ``u``, and ``buf.lap`` 2d u - N of ``u`` for its
+    record.  ``sched is None`` is the projected flow: exact normalization,
+    and NearZeroVector naming the first five flat indices of rows of norm
+    below ``field.NORM_FLOOR``.  ``bnd2`` is ``_boundary_norm2(u)``.
+    Returns the step's penalty increment, the strength used and the new
     sup-norm.
     """
     g = u.grid
     idx = g.interior_flat
-    _diffuse(rows, nrows, g, cfg.dt)
+    mu = cfg.dt / g.h ** 2
+    c, two_d = 1.0 - 2.0 * g.d * mu, 2.0 * g.d
     if sched is None:
-        normalize_rows(rows, idx, scratch=nrows)
-        pen_incr, lam_eff = 0.0, 0.0
+        lam_eff, zero = 0.0, []
     else:
         lam_eff = sched.strength(t)
-        w0 = rowsq(rows, scratch=nrows)
-        # left-endpoint rectangle rule on the penalty subflow: the
-        # integrand is sampled on the state entering the substep
-        sq = w0 - 1.0
-        sq *= sq
-        pen_incr = float(cfg.dt * lam_eff * np.sum(sq) * g.cell_volume)
         # w1 = w0 / (e + (1 - e) w0), so the rows scale by sqrt(w1 / w0);
         # the clamp keeps the root positive when exp underflows, so a zero
         # row stays 0
         e = max(math.exp(-2.0 * lam_eff * cfg.dt), np.finfo(float).tiny)
-        w0 *= 1.0 - e
-        w0 += e
-        scale_rows(rows, np.sqrt(w0, out=w0))
-    put_rows(u.flat(), idx, rows)
-    w = rowsq(rows, scratch=nrows)
-    mx = _sup_norm(w, bnd2)
+    for k0, k1 in g.neighbour_blocks(u.flat(), nxt, buf.block):
+        # the diffusion is c u + mu N (mu = dt / h^2, c = 1 - 2d mu); w0,
+        # |u|^2 after it and then the divisor of the rows, takes the
+        # group's part of w until its new |u|^2 does
+        x, v, w0 = rows[k0:k1], nxt[k0:k1], buf.w[k0:k1]
+        tmp = buf.block[:k1 - k0]
+        lap = np.multiply(x, two_d, out=buf.lap[k0:k1])
+        lap -= v
+        v *= mu
+        v += np.multiply(x, c, out=tmp)
+        rowsq(v, scratch=tmp, out=w0)
+        if sched is None:
+            np.sqrt(w0, out=w0)
+            bad = np.flatnonzero(w0 < NORM_FLOOR)
+            if bad.size:
+                zero.append(bad + k0)
+                continue
+        else:
+            # left-endpoint rectangle rule on the penalty subflow: the
+            # integrand is sampled on the state entering the substep
+            sq = np.subtract(w0, 1.0, out=buf.sq[k0:k1])
+            sq *= sq
+            w0 *= 1.0 - e
+            w0 += e
+            np.sqrt(w0, out=w0)
+        scale_rows(v, w0)
+        rowsq(v, scratch=tmp, out=w0)
+    if sched is None:
+        if zero:
+            raise NearZeroVector("cannot project node(s) at flat index "
+                                 f"{idx[np.concatenate(zero)[:5]].tolist()}")
+        pen_incr = 0.0
+    else:
+        pen_incr = float(cfg.dt * lam_eff * np.sum(buf.sq) * g.cell_volume)
+    put_rows(u.flat(), idx, nxt)
+    mx = _sup_norm(buf.w, bnd2)
     if not mx <= 1.0 + 1e-7:
         raise NormBlowup(f"max node norm {mx} exceeds 1 + 1e-7 at t = {t}")
-    return w, pen_incr, lam_eff, mx
+    return pen_incr, lam_eff, mx
 
 
 def _public_step(f: SphereField, t: float, cfg: SolverConfig,
                  sched: Optional[PenaltySchedule]) -> SphereField:
     cfg.validate(f.grid)
     u = f.copy()
-    g = u.grid
-    flat = u.flat()
-    rows = np.take(flat, g.interior_flat, axis=0)
-    _step(u, rows, g.neighbour_rows(flat), t, cfg, sched, _boundary_norm2(u))
+    rows = np.take(u.flat(), u.grid.interior_flat, axis=0)
+    _step(u, rows, *_buffers(u.grid, rows), t, cfg, sched, _boundary_norm2(u))
     return u
 
 
@@ -321,7 +372,8 @@ def projected_flow_step(f: SphereField, t: float, cfg: SolverConfig) -> SphereFi
 
 def _boundary_links(u: SphereField) -> tuple:
     """The interior ends of the interior-boundary links of ``u``'s grid, as
-    flat indices, and the values at their boundary ends, one row per link."""
+    positions in ``interior_flat``, and the values at their boundary ends,
+    one row per link."""
     g = u.grid
     idx = g.interior_flat
     is_bnd = g.class_flat() == BOUNDARY
@@ -329,17 +381,15 @@ def _boundary_links(u: SphereField) -> tuple:
     for s in g.strides():
         for nb in (idx - s, idx + s):
             on = is_bnd[nb]
-            ends.append(idx[on])
+            ends.append(np.flatnonzero(on))
             bnds.append(nb[on])
     return np.concatenate(ends), np.take(u.flat(), np.concatenate(bnds), axis=0)
 
 
-def _dirichlet_from_rows(u: SphereField, rows: np.ndarray, nrows: np.ndarray,
-                         links: tuple, scratch: np.ndarray) -> float:
-    """``dirichlet_energy(u)`` by summation by parts, from the interior rows
-    ``rows`` of ``u``, the interior rows ``nrows`` of its neighbour sum N and
-    ``links = _boundary_links(u)``; ``scratch`` is a buffer of ``rows``'
-    shape that it overwrites:
+def _dirichlet(g: Grid, rows: np.ndarray, lap: np.ndarray, links: tuple) -> float:
+    """The Dirichlet energy of the state with interior rows ``rows`` by
+    summation by parts, from ``lap``, its 2d u_i - N_i per interior row, and
+    ``links = _boundary_links(u)``:
 
         h^(d-2) [ sum_i u_i.(2d u_i - N_i) + sum_(i,b) (u_b - u_i).u_b ]
 
@@ -351,21 +401,23 @@ def _dirichlet_from_rows(u: SphereField, rows: np.ndarray, nrows: np.ndarray,
     within ~1e-14 of the link sum, where expanding the products cancels
     digits.
     """
-    g = u.grid
     ends, ub = links
-    lap = np.multiply(rows, 2.0 * g.d, out=scratch)
-    lap -= nrows
     total = float(np.einsum("ij,ij->", rows, lap))
-    du = ub - np.take(u.flat(), ends, axis=0)
+    du = ub - np.take(rows, ends, axis=0)
     total += float(np.einsum("ij,ij->", du, ub))
     return total * g.h ** (g.d - 2)
 
 
-def _record(step: int, t: float, u: SphereField, w: np.ndarray, dir_e: float,
-            lam_eff: float, pen_incr: float, mx: float) -> StepRecord:
-    """The scalar record of ``u``; ``w`` is |u|^2 of its interior rows and
-    ``dir_e`` its Dirichlet energy."""
-    pen_e = float(lam_eff * np.sum((w - 1.0) ** 2) * u.grid.cell_volume / 4.0)
+def _penalty_energy(lam_eff: float, buf: _Scratch, g: Grid) -> float:
+    """Lam/4 sum (|u|^2 - 1)^2 h^d of the state whose |u|^2 is ``buf.w``;
+    ``buf.sq`` is its scratch."""
+    sq = np.subtract(buf.w, 1.0, out=buf.sq)
+    sq *= sq
+    return float(lam_eff * np.sum(sq) * g.cell_volume / 4.0)
+
+
+def _record(step: int, t: float, pen_e: float, pen_incr: float, mx: float,
+            dir_e: float) -> StepRecord:
     return StepRecord(step=step, t=t, gl_energy=0.5 * dir_e + pen_e,
                       dirichlet_energy=dir_e, penalty_increment=pen_incr,
                       max_norm=mx)
@@ -387,22 +439,26 @@ def _run(u0: SphereField, cfg: SolverConfig, sched: Optional[PenaltySchedule],
 
     bnd2 = _boundary_norm2(u)
     links = _boundary_links(u)
-    nrows = g.neighbour_rows(flat)
-    lap = np.empty_like(rows)           # the record's scratch
-    w = rowsq(rows, scratch=lap)
-    records = [_record(0, 0.0, u, w, _dirichlet_from_rows(u, rows, nrows, links, lap),
-                       sched.strength(0.0) if sched else 0.0, 0.0, _sup_norm(w, bnd2))]
-    snapshots = [keep(False)]
+    nxt, buf = _buffers(g, rows)
+    rowsq(rows, scratch=buf.lap, out=buf.w)
+    # a state's record but its Dirichlet energy, which the neighbour sums of
+    # the step from it give
+    part = partial(_record, 0, 0.0, _penalty_energy(sched.strength(0.0) if sched else 0.0,
+                                                    buf, g), 0.0, _sup_norm(buf.w, bnd2))
+    records, snapshots = [], [keep(False)]
     for k in range(n_steps):
-        w, pen_incr, lam_eff, mx = _step(u, rows, nrows, k * cfg.dt, cfg, sched, bnd2)
-        g.neighbour_rows(flat, out=nrows)
-        t_next = (k + 1) * cfg.dt
-        records.append(_record(k + 1, t_next, u, w,
-                               _dirichlet_from_rows(u, rows, nrows, links, lap),
-                               lam_eff, pen_incr, mx))
+        pen_incr, lam_eff, mx = _step(u, rows, nxt, buf, k * cfg.dt, cfg, sched, bnd2)
+        records.append(part(_dirichlet(g, rows, buf.lap, links)))
+        part = partial(_record, k + 1, (k + 1) * cfg.dt, _penalty_energy(lam_eff, buf, g),
+                       pen_incr, mx)
+        rows, nxt = nxt, rows
         if k + 1 in take:
             snapshots.append(keep(k + 1 == n_steps))
-
+    # the last state's 2d u - N, its N taken into buf.lap group by group
+    for k0, k1 in g.neighbour_blocks(flat, buf.lap, buf.block):
+        lap = buf.lap[k0:k1]
+        np.subtract(np.multiply(rows[k0:k1], 2.0 * g.d, out=buf.block[:k1 - k0]), lap, out=lap)
+    records.append(part(_dirichlet(g, rows, buf.lap, links)))
     return Trajectory(grid=u0.grid, times=cfg.snapshot_times(),
                       snapshots=snapshots, records=records,
                       lam=sched.lam if sched else None, dt=cfg.dt)

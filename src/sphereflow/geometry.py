@@ -30,15 +30,18 @@ bounding box with two cells on every side, so no active node lies on a face
 and every stencil of an active node is exact.
 
 Two kernels apply that rule.  ``neighbor_sum`` shifts the whole lattice and
-serves the lattice masks.  ``Grid.neighbour_rows`` returns the same sums at
-the interior nodes only, which is what the flow and the harmonic extension
-need, and takes them one block at a time.  A block is a run of whole
-first-axis layers, trimmed to the span from its first interior node to its
-last.  Blocks are formed greedily: a layer joins the block while the span
-stays within ``BLOCK_NODES`` lattice nodes, and a block always holds at
-least one layer, so a layer wider than that is a block of its own.  The
-block's sums go into a scratch array that stays in cache, and its interior
-rows are gathered from there; no lattice-sized buffer is written.
+serves the lattice masks.  The sums at the interior nodes, which is what
+the flow and the harmonic extension need, come from one block iterator,
+``Grid.neighbour_blocks``.  A block is a run of whole first-axis layers,
+trimmed to the span from its first interior node to its last.  Blocks are
+formed greedily: a layer joins the block while the span stays within
+``BLOCK_NODES`` lattice nodes, and a block always holds at least one
+layer, so a layer wider than that is a block of its own.  The block's
+sums go into a scratch array that stays in cache, and its interior rows
+are gathered from there; no lattice-sized buffer is written.  The
+iterator yields consecutive blocks in groups of at most ``BLOCK_NODES``
+interior rows, so that its caller can work on a group's rows while they
+are in cache (the flow's step does); ``Grid.neighbour_rows`` drains it.
 
 Node positions are made where they are read, never for the whole lattice
 at once.  ``build_grid`` tests them one block of first-axis layers at a
@@ -59,9 +62,10 @@ from .errors import (ConfigError, LatticeTooLarge, NoGraphAvailable, SpacingTooC
                      integer, numbers, section)
 
 EXTERIOR, INTERIOR, BOUNDARY = 0, 1, 2
-# lattice nodes one block of ``Grid.neighbour_rows`` spans (unless a single
-# layer is wider): 2^14 nodes of 3 float64 components are a 384 KiB scratch,
-# which stays in a 2 MiB L2 with the rows the stencil reads
+# lattice nodes one block of ``Grid.neighbour_blocks`` spans, and interior
+# rows one of its groups holds (unless a single layer or block is wider):
+# 2^14 nodes of 3 float64 components are a 384 KiB scratch, which stays in
+# a 2 MiB L2 with the rows the stencil reads
 BLOCK_NODES = 1 << 14
 # the lattice budget: build_grid rejects a bounding-box lattice of more nodes
 # (the largest benchmark lattice has 328,509)
@@ -412,38 +416,64 @@ class Grid:
 
     def neighbour_rows(self, flat: np.ndarray, out: Optional[np.ndarray] = None) -> np.ndarray:
         """``neighbor_sum(flat, self.strides())[self.interior_flat]``, bit for
-        bit, signed zeros and NaN included, without a lattice-sized buffer.
+        bit, signed zeros and NaN included, without a lattice-sized buffer:
+        ``neighbour_blocks`` drained.  ``out``, if given, is an interior-row
+        array that is overwritten and returned."""
+        if out is None:
+            out = np.empty((self.n_interior,) + flat.shape[1:], flat.dtype)
+        for _ in self.neighbour_blocks(flat, out):
+            pass
+        return out
+
+    def neighbour_blocks(self, flat: np.ndarray, out: np.ndarray,
+                         scratch: Optional[np.ndarray] = None):
+        """Write the neighbour sums of ``neighbour_rows`` into the interior-row
+        array ``out`` one group of blocks at a time, yielding the interior
+        positions ``(k0, k1)`` of each group once ``out[k0:k1]`` holds them.
 
         ``flat`` is a float lattice array flattened along its first axis.
         The sums are taken one block of layers at a time (see the module
         docstring), in ``neighbor_sum``'s order: from +0.0, per axis the -s
-        neighbour before the +s one.  ``out``, if given, is an interior-row
-        array that is overwritten and returned.
+        neighbour before the +s one.  A group is consecutive blocks holding
+        at most ``BLOCK_NODES`` interior rows, or one block that holds more.
+        ``scratch`` (allocated when None) is an array of ``block_rows()``
+        rows shaped like ``flat``'s: the blocks are summed in it, and between
+        yields the caller may use its first ``k1 - k0`` rows.
         """
         idx = self.interior_flat
-        if out is None:
-            out = np.empty((idx.size,) + flat.shape[1:], flat.dtype)
-        blocks, width = self._stencil_blocks()
+        blocks, _ = self._stencil_blocks()
+        if scratch is None:
+            scratch = np.empty((self.block_rows(),) + flat.shape[1:], flat.dtype)
         first, *rest = [o for s in self.strides() for o in (-s, s)]
-        scratch = np.empty((width,) + flat.shape[1:], flat.dtype)
-        for lo, hi, k0, k1 in blocks:
+        g0 = 0
+        for i, (lo, hi, k0, k1) in enumerate(blocks):
             # 0.0 + x is neighbor_sum's first addition, -0.0 becoming +0.0
             acc = np.add(0.0, flat[lo + first:hi + first], out=scratch[:hi - lo])
             for o in rest:
                 acc += flat[lo + o:hi + o]
             # mode="clip" gathers straight into out; "raise" would buffer a copy
             np.take(acc, idx[k0:k1] - lo, axis=0, out=out[k0:k1], mode="clip")
-        return out
+            if i + 1 == len(blocks) or blocks[i + 1][3] - g0 > BLOCK_NODES:
+                yield g0, k1
+                g0 = k1
+
+    def block_rows(self) -> int:
+        """Rows of a ``neighbour_blocks`` scratch: room for the widest block's
+        span and the largest group's rows."""
+        _, width = self._stencil_blocks()
+        return max(width, min(BLOCK_NODES, self.n_interior))
 
     def _stencil_blocks(self) -> tuple:
-        """The blocks of ``neighbour_rows`` as ``(lo, hi, k0, k1)``: the flat
+        """The blocks of ``neighbour_blocks`` as ``(lo, hi, k0, k1)``: the flat
         lattice span [lo, hi) and the interior positions [k0, k1) it holds;
-        and the widest span."""
+        and the widest span.  Built from the interior positions where each
+        first-axis layer starts, so it makes no interior-sized array."""
         if "blocks" not in self._cache:
             idx = self.interior_flat
-            # positions in idx where a layer starts, and one past where it ends
-            starts = np.flatnonzero(np.diff(idx // self.strides()[0], prepend=-1))
-            ends = np.append(starts[1:], idx.size)
+            # layer j holds the positions [bounds[j], bounds[j + 1]) of idx
+            bounds = np.searchsorted(idx, np.arange(self.shape[0] + 1) * self.strides()[0])
+            full = np.flatnonzero(np.diff(bounds))
+            starts, ends = bounds[full], bounds[full + 1]
             blocks, j = [], 0
             while j < starts.size:
                 lo, e = int(idx[starts[j]]), j + 1
@@ -617,7 +647,7 @@ def neighbor_sum(flat: np.ndarray, strides) -> np.ndarray:
 
     Each of the 2d shifts streams the whole lattice, so this serves the
     whole-lattice masks (``build_grid``, the depth mask); sums at the
-    interior nodes come from ``Grid.neighbour_rows``, which takes them
+    interior nodes come from ``Grid.neighbour_blocks``, which takes them
     block by block without a lattice-sized buffer.
     """
     out = np.zeros_like(flat)
@@ -643,9 +673,10 @@ def put_rows(flat: np.ndarray, idx: np.ndarray, rows: np.ndarray) -> None:
         np.put(dst, idx, src)
 
 
-def rowsq(a: np.ndarray, scratch: Optional[np.ndarray] = None) -> np.ndarray:
-    """Row-wise sums of squares of an (n, m) array, m >= 1, as a new (n,)
-    array.
+def rowsq(a: np.ndarray, scratch: Optional[np.ndarray] = None,
+          out: Optional[np.ndarray] = None) -> np.ndarray:
+    """Row-wise sums of squares of an (n, m) array, m >= 1, as an (n,)
+    array: ``out``, overwritten and returned, or a new one when None.
 
     The squares go into ``scratch``, an (n, m) buffer it overwrites (a
     temporary when None; ``a`` itself when the caller has no further use
@@ -661,7 +692,8 @@ def rowsq(a: np.ndarray, scratch: Optional[np.ndarray] = None) -> np.ndarray:
     """
     p = np.multiply(a, a, out=scratch)
     m = p.shape[1]
-    out = p[:, 0] + p[:, 2] if m > 2 else p[:, 0].copy()
+    # np.positive copies p0 unchanged
+    out = np.add(p[:, 0], p[:, 2], out=out) if m > 2 else np.positive(p[:, 0], out=out)
     for j in range(4, m, 2):
         out += p[:, j]
     for j in range(3, m, 2):

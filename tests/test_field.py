@@ -8,7 +8,7 @@ from sphereflow.errors import (ConfigError, DimensionMismatch, GridMismatch,
                                NearZeroVector, NonFiniteVector)
 from sphereflow.field import (InitialData, SphereField, check_initial, dirichlet_energy,
                               generate, gradient_squared_density, initial_rows,
-                              l2_distance, normalize_rows, project_to_sphere)
+                              l2_distance, project_to_sphere)
 from sphereflow.geometry import Domain, build_grid, rowsq, scale_rows
 from sphereflow.stereo import stereo_inverse
 
@@ -85,14 +85,6 @@ def test_project_refuses_rows_of_non_finite_norm(disc16, row):
     f.flat()[disc16.boundary_flat[3]] = row
     with pytest.raises(NonFiniteVector, match=str(disc16.boundary_flat[3])):
         project_to_sphere(f)
-
-
-def test_normalize_rows_leaves_finiteness_to_its_caller():
-    # the flow's per-step normalization checks only the norm floor: a NaN
-    # row comes back NaN, for the sup-norm guard to catch
-    v = np.array([[np.nan, 0.0, 1.0], [0.0, 0.0, 2.0]])
-    out = normalize_rows(v, np.arange(2))
-    assert np.isnan(out[0]).all() and out[1].tolist() == [0.0, 0.0, 1.0]
 
 
 @given(seed=st.integers(min_value=0, max_value=10_000))
@@ -260,15 +252,17 @@ def _same_bits(x, y):
             and np.array_equal(x[~nan].view(np.uint64), y[~nan].view(np.uint64)))
 
 
-@given(a=_rows(), scratch=st.sampled_from(["none", "buffer", "input"]))
+@given(a=_rows(), scratch=st.sampled_from(["none", "buffer", "input"]), given_out=st.booleans())
 @settings(max_examples=150, deadline=None)
-def test_rowsq_sums_in_the_documented_order(rowsq_in_order, a, scratch):
+def test_rowsq_sums_in_the_documented_order(rowsq_in_order, a, scratch, given_out):
     a0 = a.copy()
     buf = {"none": None, "buffer": np.empty_like(a), "input": a}[scratch]
+    out = np.full(a.shape[0], 7.0) if given_out else None
     with np.errstate(all="ignore"):     # overflow to inf is one of the cases
         ref = rowsq_in_order(a)
-        got = rowsq(a, scratch=buf)
+        got = rowsq(a, scratch=buf, out=out)
     assert _same_bits(got, ref)
+    assert (got is out) == given_out
     if scratch != "input":
         assert _same_bits(a, a0)
 

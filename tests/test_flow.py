@@ -6,15 +6,15 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from sphereflow import field
-from sphereflow.errors import CFLViolated, NormBlowup
+from sphereflow import field, flow
+from sphereflow.errors import CFLViolated, NearZeroVector, NormBlowup
 from sphereflow.field import (InitialData, KeptSnapshot, SphereField, dirichlet_energy,
                               generate, l2_distance)
-from sphereflow.flow import (PenaltySchedule, SolverConfig, Trajectory, glhf_step,
-                             kappa, penalty_integral, projected_flow_step, run_glhf,
-                             run_projected, trajectory_l2q_distance, _boundary_links,
-                             _diffuse, _dirichlet_from_rows, _record)
-from sphereflow.geometry import EXTERIOR, Domain, build_grid, neighbor_sum
+from sphereflow.flow import (PenaltySchedule, SolverConfig, StepRecord, Trajectory,
+                             glhf_step, kappa, penalty_integral, projected_flow_step,
+                             run_glhf, run_projected, trajectory_l2q_distance)
+from sphereflow.geometry import (BLOCK_NODES, BOUNDARY, EXTERIOR, Domain, build_grid,
+                                 neighbor_sum)
 from sphereflow.stereo import stereo_inverse
 
 
@@ -26,6 +26,17 @@ def test_kappa_values():
 
 
 # -- substeps -------------------------------------------------------------------
+
+def _diffuse(rows, nrows, g, dt):
+    """The explicit diffusion substep, in place on the interior rows ``rows``
+    given the interior rows ``nrows`` of their neighbour sum, which it scales
+    in place: the flow's diffusion as two whole-array passes, kept here as
+    the reference."""
+    mu = dt / g.h ** 2
+    rows *= 1.0 - 2.0 * g.d * mu
+    nrows *= mu
+    rows += nrows
+
 
 def _rk4_oracle(w, lam_eff, dt, n_sub=1000):
     """Independent fine-stepped integrator for dw/dt = 2 Lam w (1-w)."""
@@ -148,6 +159,111 @@ def test_norm_blowup_guard_catches_nan(disc16):
         run_glhf(f, cfg, sched)
 
 
+def test_projected_step_leaves_a_nan_row_to_the_norm_guard(disc16):
+    # the projected step's normalization checks only the norm floor: a NaN
+    # row comes back NaN, and the sup-norm guard, not NearZeroVector,
+    # refuses the step
+    f = generate(InitialData(kind="constant"), disc16, 2)
+    f.flat()[disc16.interior_flat[40]] = [np.nan, 0.0, 1.0]
+    cfg = SolverConfig(dt=SolverConfig.auto_dt(disc16), T=0.01)
+    with pytest.raises(NormBlowup, match="max node norm nan"):
+        projected_flow_step(f, 0.0, cfg)
+
+
+def _zeroed_field(g, pos):
+    """The hedgehog on ``g`` with the interior rows at positions ``pos`` and
+    all their axis neighbours zero, so the diffusion leaves those rows zero."""
+    u0 = generate(InitialData(kind="equator-hedgehog"), g, 2)
+    nodes = g.interior_flat[pos]
+    u0.flat()[nodes] = 0.0
+    for s in g.strides():
+        u0.flat()[nodes - s] = 0.0
+        u0.flat()[nodes + s] = 0.0
+    return u0
+
+
+@pytest.mark.parametrize("where", ["later-group", "two-groups"])
+def test_near_zero_rows_name_the_first_five_nodes_across_groups(rowsq_in_order, where):
+    # the 3-D ball at h = 1/32: zero rows inside the fifth group of rows,
+    # or three at the end of the fifth group and three at the start of the
+    # sixth, where a step that refused a group on its own would name three
+    g = build_grid(Domain.unit_ball(3), 1 / 32)
+    groups = list(g.neighbour_blocks(np.zeros((g.n_lattice, 3)), np.empty((g.n_interior, 3))))
+    k0, k1 = groups[4]
+    pos = (np.array([k0 + 100, k0 + 101, k0 + 700]) if where == "later-group"
+           else np.arange(k1 - 3, k1 + 3))
+    u0 = _zeroed_field(g, pos)
+    cfg = SolverConfig(dt=SolverConfig.auto_dt(g), T=SolverConfig.auto_dt(g))
+    # the nodes a whole-array normalization names: the reference
+    # diffusion, then the first five rows of norm below the floor
+    idx = g.interior_flat
+    rows = u0.flat()[idx]
+    _diffuse(rows, neighbor_sum(u0.flat(), g.strides())[idx], g, cfg.dt)
+    named = idx[np.flatnonzero(np.sqrt(rowsq_in_order(rows)) < field.NORM_FLOOR)[:5]]
+    assert named.tolist() == idx[pos[:5]].tolist()
+    message = f"cannot project node(s) at flat index {named.tolist()}"
+    with pytest.raises(NearZeroVector) as step_error:
+        projected_flow_step(u0, 0.0, cfg)
+    with pytest.raises(NearZeroVector) as run_error:
+        run_projected(u0, cfg)
+    assert str(step_error.value) == str(run_error.value) == message
+
+
+class _FieldOfRun:
+    """A snapshot store that keeps copies and the run's live field."""
+
+    def __init__(self):
+        self.u, self.fields = None, []
+
+    def take(self, u, rows):
+        self.u = u
+        self.fields.append(u.copy())
+        return self.fields[-1]
+
+
+@pytest.mark.parametrize("when", [0, 2])
+def test_norm_blowup_is_raised_at_the_same_step_with_the_same_field_written(
+        monkeypatch, rowsq_in_order, when):
+    # the 3-D ball at h = 1/32.  Step 0: rows of the constant field in the
+    # sixth group of rows scaled past the guard; step 2: a strength that is
+    # NaN from t = 2 dt on.  The guard raises after the new rows are
+    # written, so the run's field holds the reference's state after the
+    # failing step
+    g = build_grid(Domain.unit_ball(3), 1 / 32)
+    dt = SolverConfig.auto_dt(g)
+    cfg = SolverConfig(dt=dt, T=6 * dt)
+    if when == 0:
+        u0 = generate(InitialData(kind="constant"), g, 2)
+        groups = list(g.neighbour_blocks(u0.flat(), np.empty((g.n_interior, 3))))
+        u0.flat()[g.interior_flat[slice(*groups[5])]] *= 1.0 + 1e-5
+        sched = PenaltySchedule(lam=2.0)
+    else:
+        u0 = generate(InitialData(kind="equator-hedgehog"), g, 2)
+
+        class NanFromTwoSteps(PenaltySchedule):
+            def strength(self, t):
+                return math.nan if t >= 2 * dt else super().strength(t)
+
+        sched = NanFromTwoSteps(lam=1e3)
+    fields, records = _reference_run(u0, when + 1, cfg, sched, rowsq_in_order)
+    expect = (f"max node norm {records[-1].max_norm} exceeds 1 + 1e-7 "
+              f"at t = {when * dt}")
+    assert not records[-1].max_norm <= 1.0 + 1e-7
+    assert all(r.max_norm <= 1.0 + 1e-7 for r in records[1:-1])
+    calls, step = [], flow._step
+    monkeypatch.setattr(flow, "_step", lambda *a: calls.append(1) or step(*a))
+    store = _FieldOfRun()
+    with pytest.raises(NormBlowup) as error:
+        run_glhf(u0, cfg, sched, store=store)
+    assert str(error.value) == expect and len(calls) == when + 1
+    assert np.array_equal(store.u.values, fields[-1].values, equal_nan=True)
+    assert np.array_equal(store.fields[0].values, fields[0].values)
+    if when == 0:
+        with pytest.raises(NormBlowup) as error:
+            glhf_step(u0, 0.0, cfg, sched)
+        assert str(error.value) == expect
+
+
 # -- runs -----------------------------------------------------------------------
 
 def test_constant_trajectory_is_constant(disc16):
@@ -229,7 +345,9 @@ KERNEL_CASES = [(d, mode) for d in (2, 3)
 def test_a_handed_over_initial_field_runs_as_a_copy(d, mode):
     # handed over, u0's rows are the run's own: the run is the one from a
     # copy, bit for bit, and u0 holds no rows afterwards; not handed over,
-    # u0 is left as it was
+    # u0 is left as it was.  The run steps between the handed rows and one
+    # array of its own, so the handed rows hold the even states: after the
+    # 7 steps, state 6, the last snapshot but one
     f, cfg, sched = _kernel_case(d, mode)
 
     def run(u0, handover):
@@ -246,7 +364,8 @@ def test_a_handed_over_initial_field_runs_as_a_copy(d, mode):
     assert handed.records == copied.records
     assert [s.values.tobytes() for s in handed.snapshots] == \
         [s.values.tobytes() for s in copied.snapshots]
-    assert rows.tobytes() == handed.snapshots[-1].interior_rows().tobytes()
+    assert cfg.snapshot_steps()[-2:] == [6, 7]
+    assert rows.tobytes() == handed.snapshots[-2].interior_rows().tobytes()
 
 
 @pytest.mark.parametrize("d,mode", KERNEL_CASES)
@@ -296,16 +415,54 @@ def _reference_step(u, rows, nrows, t, cfg, sched, bnd2, rowsq):
     return w, pen_incr, lam_eff, float(np.sqrt(np.maximum(w.max(), bnd2)))
 
 
+def _boundary_links(u):
+    """The interior ends of the interior-boundary links of ``u``'s grid, as
+    flat indices, and the values at their boundary ends, one row per link."""
+    g = u.grid
+    idx = g.interior_flat
+    is_bnd = g.class_flat() == BOUNDARY
+    ends, bnds = [], []
+    for s in g.strides():
+        for nb in (idx - s, idx + s):
+            on = is_bnd[nb]
+            ends.append(idx[on])
+            bnds.append(nb[on])
+    return np.concatenate(ends), np.take(u.flat(), np.concatenate(bnds), axis=0)
+
+
+def _dirichlet_from_rows(u, rows, nrows, links, scratch):
+    """``dirichlet_energy(u)`` by summation by parts from the interior rows
+    ``rows`` of ``u`` and ``nrows`` of its neighbour sum, as whole-array
+    passes: h^(d-2) [ sum_i u_i.(2d u_i - N_i) + sum_(i,b) (u_b - u_i).u_b ]."""
+    g = u.grid
+    ends, ub = links
+    lap = np.multiply(rows, 2.0 * g.d, out=scratch)
+    lap -= nrows
+    total = float(np.einsum("ij,ij->", rows, lap))
+    du = ub - np.take(u.flat(), ends, axis=0)
+    total += float(np.einsum("ij,ij->", du, ub))
+    return total * g.h ** (g.d - 2)
+
+
+def _record(step, t, u, w, dir_e, lam_eff, pen_incr, mx):
+    pen_e = float(lam_eff * np.sum((w - 1.0) ** 2) * u.grid.cell_volume / 4.0)
+    return StepRecord(step=step, t=t, gl_energy=0.5 * dir_e + pen_e,
+                      dirichlet_energy=dir_e, penalty_increment=pen_incr, max_norm=mx)
+
+
 def _reference_run(u0, n_steps, cfg, sched, rowsq):
-    """``flow._run`` over ``n_steps`` steps with ``_reference_step``: every
-    state's field and record."""
+    """``flow._run`` over ``n_steps`` steps as it stood before the fused step:
+    ``_reference_step``, then the whole-lattice neighbour sum of the new
+    state gathered at the interior rows, and its record; every state's
+    field and record."""
     u = u0.copy()
     g = u.grid
     flat = u.flat()
+    idx = g.interior_flat
     bnd2 = rowsq(flat[g.boundary_flat]).max(initial=0.0)
     links = _boundary_links(u)
-    rows = flat[g.interior_flat]
-    nrows = g.neighbour_rows(flat)
+    rows = flat[idx]
+    nrows = neighbor_sum(flat, g.strides())[idx]
     lap = np.empty_like(rows)
     w = rowsq(rows)
     records = [_record(0, 0.0, u, w, _dirichlet_from_rows(u, rows, nrows, links, lap),
@@ -315,12 +472,27 @@ def _reference_run(u0, n_steps, cfg, sched, rowsq):
     for k in range(n_steps):
         w, pen_incr, lam_eff, mx = _reference_step(u, rows, nrows, k * cfg.dt, cfg, sched,
                                                    bnd2, rowsq)
-        g.neighbour_rows(flat, out=nrows)
+        nrows = neighbor_sum(flat, g.strides())[idx]
         records.append(_record(k + 1, (k + 1) * cfg.dt, u, w,
                                _dirichlet_from_rows(u, rows, nrows, links, lap),
                                lam_eff, pen_incr, mx))
         fields.append(u.copy())
     return fields, records
+
+
+def _check_against_reference(u0, n_steps, sched, rowsq):
+    dt = SolverConfig.auto_dt(u0.grid)
+    cfg = SolverConfig(dt=dt, T=n_steps * dt)
+    traj = run_projected(u0, cfg) if sched is None else run_glhf(u0, cfg, sched)
+    fields, records = _reference_run(u0, n_steps, cfg, sched, rowsq)
+    assert len(traj.snapshots) == len(fields) == n_steps + 1
+    for snap, ref in zip(traj.snapshots, fields):
+        assert np.array_equal(snap.values, ref.values)
+    assert traj.records == records
+    assert [r.max_norm for r in records] == [f.max_norm() for f in fields]
+    step = (projected_flow_step(u0, 0.0, cfg) if sched is None
+            else glhf_step(u0, 0.0, cfg, sched))
+    assert np.array_equal(step.values, fields[1].values)
 
 
 @pytest.mark.parametrize("d", [2, 3])
@@ -330,16 +502,37 @@ def test_run_equals_the_broadcast_reference_run(rowsq_in_order, d, mode):
     g = build_grid(Domain.unit_ball(d), 1 / 16)
     u0 = generate(InitialData(kind="cap", latitude_deg=60.0) if d == 2
                   else InitialData(kind="equator-hedgehog"), g, 2)
-    dt = SolverConfig.auto_dt(g)
-    cfg = SolverConfig(dt=dt, T=5 * dt)
     sched = None if mode == "projected" else PenaltySchedule(lam=1e3)
-    traj = run_projected(u0, cfg) if sched is None else run_glhf(u0, cfg, sched)
-    fields, records = _reference_run(u0, 5, cfg, sched, rowsq_in_order)
-    assert len(traj.snapshots) == len(fields) == 6
-    for snap, ref in zip(traj.snapshots, fields):
-        assert np.array_equal(snap.values, ref.values)
-    assert traj.records == records
-    assert [r.max_norm for r in records] == [f.max_norm() for f in fields]
+    _check_against_reference(u0, 5, sched, rowsq_in_order)
+
+
+GROUP_CASES = {
+    # 21 stencil blocks in 13 groups of rows
+    "ball-32": (Domain.unit_ball(3), 1 / 32, "equator-hedgehog"),
+    # one block per layer of 141^2 nodes, each holding 18,225 > BLOCK_NODES
+    # interior rows, so each group is one block wider than BLOCK_NODES
+    "wide-layer-box": (Domain.box([[0, 0.5], [0, 17], [0, 17]]), 0.125, "cap"),
+    "half-ball": (Domain.half_ball(3), 1 / 16, "cap"),
+}
+
+
+@pytest.mark.parametrize("mode", ["glhf-simplified", "projected"])
+@pytest.mark.parametrize("case", sorted(GROUP_CASES))
+def test_run_over_many_row_groups_equals_the_broadcast_reference_run(rowsq_in_order, case,
+                                                                     mode):
+    dom, h, kind = GROUP_CASES[case]
+    g = build_grid(dom, h)
+    u0 = generate(InitialData(kind=kind, latitude_deg=70.0), g, 2)
+    groups = list(g.neighbour_blocks(u0.flat(), np.empty_like(u0.interior_rows())))
+    assert groups[0][0] == 0 and groups[-1][1] == g.n_interior
+    assert all(a[1] == b[0] for a, b in zip(groups, groups[1:]))
+    sizes = [k1 - k0 for k0, k1 in groups]
+    if case == "ball-32":
+        assert len(groups) == 13 and max(sizes) <= BLOCK_NODES
+    if case == "wide-layer-box":
+        assert len(groups) == 3 and min(sizes) > BLOCK_NODES
+    sched = None if mode == "projected" else PenaltySchedule(lam=1e3)
+    _check_against_reference(u0, 2, sched, rowsq_in_order)
 
 
 def test_snapshot_times_are_the_run_times():
@@ -520,11 +713,12 @@ def test_store_less_heap_grows_by_interior_rows_per_snapshot():
 
 def test_run_holds_no_lattice_sized_scratch():
     # 3-D ball at h = 1/16, one snapshot besides the last: a run holds its
-    # field and the step-0 snapshot, three carried interior-row arrays (the
-    # rows, their neighbour sum and the record's scratch), the stencil's
-    # block scratch (0.94 of a row array here), the per-node |u|^2 arrays
-    # and the boundary links.  A lattice-sized buffer (2.97 row arrays here)
-    # would push the peak past the bound.
+    # field and the step-0 snapshot, three interior-row arrays (the rows it
+    # steps between, and 2d u - N for the record), the block scratch its
+    # steps share (0.96 of a row array here), two per-node arrays (|u|^2
+    # and the squared norm defects) and the boundary links.  A
+    # lattice-sized buffer (2.97 row arrays here) would push the peak past
+    # the bound.
     g = build_grid(Domain.unit_ball(3), 1 / 16)
     u0 = generate(InitialData(kind="equator-hedgehog"), g, 2)
     dt = SolverConfig.auto_dt(g)
@@ -541,6 +735,40 @@ def test_run_holds_no_lattice_sized_scratch():
     field_bytes = u0.values.nbytes
     row_bytes = g.n_interior * u0.flat().shape[1] * u0.values.itemsize
     assert peak < 2 * field_bytes + 5.5 * row_bytes
+
+
+@pytest.mark.parametrize("mode", ["glhf-simplified", "projected"])
+def test_steps_after_the_first_allocate_nothing_of_block_size(monkeypatch, mode):
+    # 3-D ball at h = 1/16, 6 steps: a run allocates its scratch once, so
+    # after the first step no step holds a new array of BLOCK_NODES floats
+    # (128 KiB) or more at any point, nor keeps one
+    g = build_grid(Domain.unit_ball(3), 1 / 16)
+    u0 = generate(InitialData(kind="equator-hedgehog"), g, 2)
+    dt = SolverConfig.auto_dt(g)
+    cfg = SolverConfig(dt=dt, T=6 * dt, output_stride=100)
+    step, rises = flow._step, []
+
+    def traced_step(*args):
+        before = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        out = step(*args)
+        now, peak = tracemalloc.get_traced_memory()
+        rises.append((peak - before, now - before))
+        return out
+
+    monkeypatch.setattr(flow, "_step", traced_step)
+    tracemalloc.start()
+    try:
+        if mode == "projected":
+            run_projected(u0, cfg)
+        else:
+            run_glhf(u0, cfg, PenaltySchedule(lam=1e3))
+    finally:
+        tracemalloc.stop()
+    assert len(rises) == 6
+    block = BLOCK_NODES * 8
+    assert g.n_interior * 8 > block       # a per-node array of the run is larger
+    assert all(peak < block and kept < 4096 for peak, kept in rises[1:])
 
 
 @pytest.mark.parametrize("d", [2, 3])

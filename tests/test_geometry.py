@@ -176,6 +176,64 @@ def test_neighbour_rows_is_neighbor_sum_at_interior(name, rng):
         assert np.array_equal(buf, expect, equal_nan=True)
 
 
+def _blocks_by_layer_numbers(g):
+    """The block plan as first built: the layer number of every interior
+    node, the positions where it changes, and the greedy grouping."""
+    idx = g.interior_flat
+    starts = np.flatnonzero(np.diff(idx // g.strides()[0], prepend=-1))
+    ends = np.append(starts[1:], idx.size)
+    blocks, j = [], 0
+    while j < starts.size:
+        lo, e = int(idx[starts[j]]), j + 1
+        while e < starts.size and idx[ends[e] - 1] + 1 - lo <= BLOCK_NODES:
+            e += 1
+        blocks.append((lo, int(idx[ends[e - 1] - 1]) + 1, int(starts[j]), int(ends[e - 1])))
+        j = e
+    return blocks, max(hi - lo for lo, hi, _, _ in blocks)
+
+
+@pytest.mark.parametrize("name", sorted(KERNEL_GRIDS))
+def test_stencil_blocks_are_the_layer_number_plan(name):
+    g = build_grid(*KERNEL_GRIDS[name])
+    plan = g._stencil_blocks()
+    assert plan == _blocks_by_layer_numbers(g)
+    assert all(type(v) is int for b in plan[0] for v in b) and type(plan[1]) is int
+
+
+@pytest.mark.parametrize("name", sorted(KERNEL_GRIDS))
+def test_neighbour_blocks_yield_each_group_once_its_sums_are_in(name, rng):
+    # the groups tile the interior rows in order; at each yield the group's
+    # rows hold their sums and the later rows are untouched, and a caller
+    # that overwrites the group's rows of the scratch changes nothing
+    g = build_grid(*KERNEL_GRIDS[name])
+    blocks, width = g._stencil_blocks()
+    flat = rng.standard_normal((g.n_lattice, 3))
+    expect = neighbor_sum(flat, g.strides())[g.interior_flat]
+    out = np.full_like(expect, np.inf)
+    assert g.block_rows() == max(width, min(BLOCK_NODES, g.n_interior))
+    scratch = np.empty((g.block_rows(), 3))
+    groups = []
+    for k0, k1 in g.neighbour_blocks(flat, out, scratch):
+        assert np.array_equal(out[:k1], expect[:k1]) and np.isinf(out[k1:]).all()
+        scratch[:k1 - k0] = np.nan
+        groups.append((k0, k1))
+    assert np.array_equal(out, expect)
+    assert groups[0][0] == 0 and groups[-1][1] == g.n_interior
+    assert all(a[1] == b[0] for a, b in zip(groups, groups[1:]))
+    # a group ends where a block does, and holds at most BLOCK_NODES rows
+    # unless it is one block; the next block would not have fitted
+    ends = [k1 for _, _, _, k1 in blocks]
+    for i, (k0, k1) in enumerate(groups):
+        assert k1 in ends
+        assert k1 - k0 <= BLOCK_NODES or (k0, k1) in [(b[2], b[3]) for b in blocks]
+        if i + 1 < len(groups):
+            nxt = blocks[ends.index(k1) + 1]
+            assert nxt[3] - k0 > BLOCK_NODES
+    assert max(k1 - k0 for k0, k1 in groups) <= scratch.shape[0]
+    if name == "wide-layer":
+        assert len(groups) == len(blocks)
+
+
 @pytest.mark.parametrize("comps", [1, 3, 4])
 def test_put_rows_is_fancy_assignment(comps, rng):
     g = build_grid(Domain.unit_ball(3), 0.21)
