@@ -8,6 +8,11 @@ Usage:
 The JSON config is the single source of truth; flags only bind paths (and
 name the swept parameter and its values).  Everything runs in one thread,
 so reruns are byte-identical.
+
+A command builds its diagnostics' readings at load, on each run's
+``ExperimentConfig.plan`` (``_run_readings``; a sweep case's
+``_CaseStream``): a window or ball a reading refuses is a ConfigError
+(``_at_load``), so load and the diagnostics apply one rule.
 """
 
 from __future__ import annotations
@@ -28,8 +33,9 @@ from . import diagnostics as diag
 from . import io as sfio
 from . import singular as sing
 from . import stereo
-from .errors import (CFLViolated, ConfigError, DimensionMismatch, LatticeTooLarge,
-                     SphereFlowError, SpacingTooCoarse, finite, integer, numbers, section)
+from .errors import (CFLViolated, ConfigError, DimensionMismatch, EmptyIntersection,
+                     LatticeTooLarge, SphereFlowError, SpacingTooCoarse,
+                     WindowOutsideTrajectory, finite, integer, numbers, section)
 # the benchmark tracer wraps the binding cli.generate, which no run calls
 # (``build_initial`` takes the rows of ``initial_rows``), so it stays imported
 from .field import (InitialData, KeptSnapshot, SphereField, check_initial, generate,
@@ -43,9 +49,6 @@ from .geometry import Domain, Grid, build_grid
 # the step budget: config load rejects a run of more steps (the shipped
 # configs, tests and benchmark workloads take at most a few thousand)
 MAX_STEPS = 1_000_000
-# the diagnostics sections each command evaluates on its run
-RUN_SECTIONS = ("cylinders", "monotonicity", "small_energy")
-SWEEP_SECTIONS = ("mbar_probe",)
 
 TRAJECTORY_HEADER = ["step", "t", "gl_energy", "dirichlet_energy",
                      "penalty_increment", "max_norm"]
@@ -98,9 +101,9 @@ class ExperimentConfig:
         does not read, on any value the run or a diagnostic would reject (a
         bool or a string where a number belongs included), on a run of no
         step or of more than MAX_STEPS steps and on a lattice of more than
-        ``geometry.MAX_LATTICE_NODES`` nodes.  The time windows of the
-        diagnostics depend on the command that evaluates them;
-        ``check_windows`` checks them."""
+        ``geometry.MAX_LATTICE_NODES`` nodes.  The time windows and balls
+        of the diagnostics are checked by the readings the command builds
+        on the run's ``plan``."""
         try:
             section("config", raw, ("domain", "h", "D", "initial", "solver", "diagnostics"))
             domain = Domain.from_config(raw["domain"])
@@ -170,37 +173,24 @@ class ExperimentConfig:
             init = InitialData(kind="custom-samples", samples=samples)
         return KeptSnapshot(self.grid, *initial_rows(init, self.grid, self.D))
 
-    def check_windows(self, sections) -> None:
-        """Raise ConfigError unless, in the named diagnostics sections, every
-        time window holds a snapshot of the run and every cylinder's ball an
-        interior node.  These are the rules the diagnostics apply after the
-        flow (``diagnostics.window_snapshots`` and ``cylinder_integral``),
-        applied to the run's snapshot times and grid before it."""
-        dg = self.diagnostics
-        cyls, windows = [], []
-        if "cylinders" in sections:
-            cyls += [("cylinder", cyl) for cyl, _ in dg.cylinders]
-        if "small_energy" in sections and dg.small_energy is not None:
-            (t0, x0), radii, _ = dg.small_energy
-            cyls += [("small_energy", diag.CylinderSpec(t0, x0, r)) for r in radii]
-        if "mbar_probe" in sections and dg.mbar_probe is not None:
-            (t0, x0), R, _ = dg.mbar_probe
-            cyls.append(("mbar_probe", diag.CylinderSpec(t0, x0, R)))
-        if "monotonicity" in sections and dg.monotonicity is not None:
-            (t0, _), pairs, _, _ = dg.monotonicity
-            # the report's windows for the radii in (r1, r2] start earlier than
-            # r1's and none before 0, so each holds a snapshot if r1's does
-            windows += [("monotonicity", diag.annulus_window(t0, r1)) for r1, _ in pairs]
-        windows += [(name, cyl.window()) for name, cyl in cyls]
-        times = self.solver.snapshot_times()
-        for name, (a, b) in windows:
-            if not np.any(diag.window_weights(times, a, b) > 0):
-                raise ConfigError(f"{name} window [{a:g}, {b:g}) holds no snapshot "
-                                  f"of the run, which spans [0, {times[-1]:g}]")
-        for name, cyl in cyls:
-            if self.grid.nodes_within(cyl.x0, cyl.R).size == 0:
-                raise ConfigError(f"{name} ball of radius {cyl.R:g} around "
-                                  f"{cyl.x0.tolist()} holds no interior node")
+    def plan(self) -> Trajectory:
+        """The run's trajectory before its flow: grid, snapshot times,
+        lambda and dt, with no snapshot or record yet.  Readings built on it
+        at load are fed once the run's snapshots join it."""
+        return Trajectory(grid=self.grid, times=self.solver.snapshot_times(),
+                          snapshots=[], records=[], lam=self.lam, dt=self.solver.dt)
+
+
+def _at_load(plan: Trajectory, name: str, reading, *args):
+    """``reading(plan, *args)``, a reading of the diagnostics section
+    ``name`` built at load; a window it finds holding no snapshot of the
+    run, or a ball no interior node, is a ConfigError naming the section
+    and the run's span."""
+    try:
+        return reading(plan, *args)
+    except (EmptyIntersection, WindowOutsideTrajectory) as e:
+        raise ConfigError(f"diagnostics.{name}: {e} of the run, which spans "
+                          f"[0, {plan.times[-1]:g}]") from e
 
 
 def _diagnostics(dcfg: dict, domain: Domain, h: float, T: float) -> Diagnostics:
@@ -307,15 +297,36 @@ def _write_trajectory(out: Path, traj: Trajectory, store: sfio.SnapshotStore,
             exponent=sched.exponent(t) if sched else None, boundary=store.boundary.name)
 
 
-def _run_diagnostics(dcfg: Diagnostics, traj: Trajectory, out: Path, written: dict):
+def _run_readings(cfg: ExperimentConfig, plan: Trajectory) -> dict:
+    """The readings of ``run``'s monotonicity pairs, cylinders and
+    small-energy certificate, built on the run's ``plan`` at load
+    (``_at_load``).  They hold ball-sized arrays at most: the scan reading,
+    which holds a padded lattice, is built after the flow."""
+    dg = cfg.diagnostics
+    readings = {}
+    if dg.monotonicity is not None:
+        readings["monotonicity"] = _at_load(plan, "monotonicity", diag.monotonicity_reading,
+                                            *dg.monotonicity)
+    for i, (cyl, mode) in enumerate(dg.cylinders):
+        readings[i] = _at_load(plan, "cylinders", sing.scaled_energy_reading,
+                               (cyl.t0, cyl.x0), cyl.R, mode)
+    if dg.small_energy is not None:
+        readings["small_energy"] = _at_load(plan, "small_energy", sing.certificate_reading,
+                                            *dg.small_energy)
+    return readings
+
+
+def _run_diagnostics(dcfg: Diagnostics, traj: Trajectory, readings: dict, out: Path,
+                     written: dict):
     """Evaluate the diagnostics and write their reports; ``written`` gains
-    their digests.  Those that read densities (the monotonicity pairs, the
-    singular scan, the cylinders and the certificate) are evaluated in one
-    pass over the snapshots in time order (``diagnostics.evaluate``) that
-    drops each snapshot's densities once its readers are fed, as it drops
-    the energy report's: nothing reads this trajectory afterwards, so the
-    density cache holds one snapshot's densities at a time and ends empty.
-    The monotonicity reading then makes one more pass for its speed term,
+    their digests.  ``traj`` is the run's plan, which now holds its
+    snapshots, and ``readings`` what ``_run_readings`` built on it at load.
+    Those and the singular scan are evaluated in one pass over the
+    snapshots in time order (``diagnostics.evaluate``) that drops each
+    snapshot's densities once its readers are fed, as it drops the energy
+    report's: nothing reads this trajectory afterwards, so the density
+    cache holds one snapshot's densities at a time and ends empty.  The
+    monotonicity reading then makes one more pass for its speed term,
     which reads snapshots, not densities."""
     reports = out / "reports"
     reports.mkdir(exist_ok=True)
@@ -330,16 +341,9 @@ def _run_diagnostics(dcfg: Diagnostics, traj: Trajectory, out: Path, written: di
     put_json("energy.json", diag.energy_report(traj, last).to_json())
     diag.drop_densities(traj, last)
 
-    readings = {}
-    if dcfg.monotonicity is not None:
-        readings["monotonicity"] = diag.monotonicity_reading(traj, *dcfg.monotonicity)
     if dcfg.singular is not None:
-        readings["singular"] = sing.scan_reading(traj, dcfg.singular, keep=False)
-    for i, (cyl, mode) in enumerate(dcfg.cylinders):
-        readings[i] = sing.scaled_energy_reading(traj, (cyl.t0, cyl.x0), cyl.R, mode)
-    if dcfg.small_energy is not None:
-        z0, radii, eps0 = dcfg.small_energy
-        readings["small_energy"] = sing.certificate_reading(traj, z0, radii, eps0)
+        readings = dict(readings,
+                        singular=sing.scan_reading(traj, dcfg.singular, keep=False))
     got = dict(zip(readings, diag.evaluate(traj, readings.values(), keep=False)))
 
     if dcfg.monotonicity is not None:
@@ -382,7 +386,8 @@ def run_experiment(config_path, out_dir=None, threads: int = 1) -> int:
     out = Path(out_dir) if out_dir else config_path.parent / (config_path.stem + "_out")
     try:
         cfg = ExperimentConfig.load(config_path)
-        cfg.check_windows(RUN_SECTIONS)
+        plan = cfg.plan()
+        readings = _run_readings(cfg, plan)
     except ConfigError as e:
         _emit_error(out, e, 2)
         return 2
@@ -397,10 +402,12 @@ def run_experiment(config_path, out_dir=None, threads: int = 1) -> int:
         except BaseException:
             store.remove()
             raise
+        plan.snapshots, plan.records = traj.snapshots, traj.records
         written = dict(store.digests)
         written[out / "config.json"] = sfio.write_json(out / "config.json", cfg.raw)
-        _write_trajectory(out, traj, store, written)
-        _run_diagnostics(cfg.diagnostics, traj, out, written)
+        _write_trajectory(out, plan, store, written)
+        _run_diagnostics(cfg.diagnostics, plan, readings, out, written)
+        del readings                # evaluated: released before the manifest
         manifest = sfio.build_manifest(out, written, cfg.source_sha256)
         sfio.write_json(out / "manifest.json", manifest)
         return 0
@@ -424,13 +431,14 @@ SWEEP_PARAMS = ("lambda", "h", "dt")
 
 def sweep(config_path, param: str, values, out_dir=None, threads: int = 1) -> int:
     """Run the config once per value of ``param`` and write one ``sweep.csv``
-    row per case.  Each case streams: the flow hands every snapshot to a
-    ``_CaseStream`` store, which records the few numbers the row reads of it
-    and keeps no snapshot, and the case's run is released before the next
-    one starts.  The projected reference a penalized case is compared with
-    (``_reference``) holds its snapshots as read-only maps of files already
-    removed, computed once for a lambda sweep and per case for an h or dt
-    sweep.  Returns the exit code."""
+    row per case.  Every case's ``_CaseStream`` is built at load, so every
+    case's mbar probe is checked before any case steps.  Each case streams:
+    the flow hands every snapshot to its stream, which feeds the window sums
+    the row reads and keeps no snapshot, and the case's run and stream are
+    released once its row is made.  The projected reference a penalized
+    case is compared with (``_reference``) holds its snapshots as read-only
+    maps of files already removed, computed once for a lambda sweep and per
+    case for an h or dt sweep.  Returns the exit code."""
     # threads is unused; the keyword stays because the benchmark harness passes it
     config_path = Path(config_path)
     out = Path(out_dir) if out_dir else config_path.parent / (config_path.stem + "_sweep")
@@ -451,8 +459,7 @@ def sweep(config_path, param: str, values, out_dir=None, threads: int = 1) -> in
             raw = json.loads(json.dumps(base.raw))
             (raw if param == "h" else raw["solver"])[param] = v
             case = ExperimentConfig.from_dict(raw)
-            case.check_windows(SWEEP_SECTIONS)
-            cases.append((v, case))
+            cases.append((v, case, _CaseStream(case)))
     except ConfigError as e:
         _emit_error(out, e, 2)
         return 2
@@ -460,13 +467,15 @@ def sweep(config_path, param: str, values, out_dir=None, threads: int = 1) -> in
     try:
         header = [param, "penalty_integral", "final_l2_to_projected",
                   "l2q_to_projected", "final_gl_energy", "final_dirichlet_energy"]
-        probe = base.diagnostics.mbar_probe
-        if probe:
+        if base.diagnostics.mbar_probe:
             header.append("mbar")
         rows = []
         ref = u0 = None
         out.mkdir(parents=True, exist_ok=True)
-        for v, cfg in cases:
+        while cases:
+            # popped, so that a case's stream, which holds its field, goes
+            # with its row
+            v, cfg, stream = cases.pop(0)
             if param != "lambda":
                 # the last case's, released before stepping
                 ref = u0 = None
@@ -476,7 +485,8 @@ def sweep(config_path, param: str, values, out_dir=None, threads: int = 1) -> in
                 u0 = cfg.build_initial()
                 if cfg.mode != "projected":
                     ref = _reference(cfg, u0, out)
-            rows.append(_sweep_row(v, cfg, u0, ref, probe))
+            rows.append(_sweep_row(v, cfg, stream, u0, ref))
+            del stream
         written = {out / "sweep.csv": sfio.write_csv(out / "sweep.csv", header, rows)}
         sfio.write_json(out / "manifest.json",
                         sfio.build_manifest(out, written, base.source_sha256))
@@ -503,71 +513,63 @@ def _reference(cfg: ExperimentConfig, u0: SphereField, out: Path) -> Trajectory:
 
 
 class _CaseStream:
-    """The snapshot store of one sweep case: what ``sweep.csv`` reads of
-    each snapshot, recorded as the flow takes it.
+    """The snapshot store of one sweep case, built at load on the case's
+    ``plan``: the window sums ``sweep.csv`` reads, fed as the flow takes
+    each snapshot.
 
-    ``take`` records the L^2 distance of snapshot k to snapshot k of the
-    projected reference ``ref`` (0.0 without one: a projected case is its
-    own reference), and, for the snapshots in the mbar probe's time
-    window, records the probe's density on its ball.  It returns the
-    flow's live field, so the case holds its final field and no other
-    snapshot; every entry of the run's trajectory is that field.
+    ``probe`` is the mbar probe's ``singular.scaled_energy_reading`` (None
+    without a probe); building it applies its window and ball rules
+    (``_at_load``).  ``compare`` adds ``dist2``, the window sum of the
+    squared L^2 distance of snapshot k to snapshot k of the projected
+    reference.  ``take`` appends snapshot k to the plan as a new view of
+    the flow's live field, no copy (captures that were one object would
+    share one density cache entry, ``diagnostics._cache_key``), feeds it
+    to every sum whose window holds k, and returns the view: the case
+    holds its final field and no other snapshot.
     """
 
-    def __init__(self, cfg: ExperimentConfig, ref: Optional[Trajectory], probe):
-        self.ref = ref
-        self.dist: list = []
-        self.ball: dict = {}
-        # the snapshots taken so far, each the live field, for energy_density
-        # to read snapshot k's field, time and strength from at capture
-        self.traj = Trajectory(grid=cfg.grid, times=cfg.solver.snapshot_times(),
-                               snapshots=[], records=[], lam=cfg.lam, dt=cfg.solver.dt)
-        self.window = ()
-        if probe:
-            (t0, x0), R, mode = probe
-            self.cyl = diag.CylinderSpec(t0, x0, R)
-            self.mode, self.dens_mode = mode, sing.density_mode(mode)
-            self.nodes = cfg.grid.nodes_within(self.cyl.x0, R)
-            ks, _ = diag.window_snapshots(self.traj, *self.cyl.window())
-            self.window = set(ks.tolist())
+    def __init__(self, cfg: ExperimentConfig):
+        self.traj = cfg.plan()
+        probe = cfg.diagnostics.mbar_probe
+        self.probe = (None if probe is None else
+                      _at_load(self.traj, "mbar_probe", sing.scaled_energy_reading, *probe))
+        self.sums = [] if probe is None else list(self.probe.sums)
+
+    def compare(self, ref: Trajectory) -> None:
+        # the term holds the plan's snapshot list, not the stream: a cycle
+        # through the stream would keep the case's field until a collection
+        snaps, t = self.traj.snapshots, self.traj.times
+        self.dist2 = diag.WindowSum(self.traj, t[0], t[-1],
+                                    lambda k: l2_distance(snaps[k], ref.snapshots[k]) ** 2)
+        self.sums.append(self.dist2)
 
     def take(self, u: SphereField, rows: np.ndarray) -> SphereField:
-        # the distance and the densities read u; its interior rows are not
-        # needed apart
+        # the sums read u; its interior rows are not needed apart
         k = len(self.traj.snapshots)
-        self.traj.snapshots.append(u)
-        if self.ref is None:
-            self.dist.append(0.0)
-        else:
-            self.dist.append(l2_distance(u, self.ref.snapshots[k]))
-        if k in self.window:
-            self.ball[k] = diag.energy_density(self.traj, k, self.dens_mode, self.nodes)
-        return u
-
-    def l2q(self) -> float:
-        """``trajectory_l2q_distance`` of the case and its reference, from
-        the recorded distances."""
-        t = self.traj.times
-        return math.sqrt(diag.window_integral(self.traj, t[0], t[-1],
-                                              lambda k: self.dist[k] ** 2))
-
-    def mbar(self) -> float:
-        """``local_scaled_energy`` of the probe, from the recorded densities."""
-        return (diag.ball_integral(self.traj, self.cyl, self.ball.__getitem__)
-                / sing.cylinder_scale(self.mode, self.cyl.R, self.traj.grid.d))
+        snap = SphereField(u.grid, u.values)
+        self.traj.snapshots.append(snap)
+        for s in self.sums:
+            if k in s.ks:
+                s.feed(k)
+        return snap
 
 
-def _sweep_row(v: float, cfg: ExperimentConfig, u0: SphereField,
-               ref: Optional[Trajectory], probe) -> list:
-    """The ``sweep.csv`` row of the case ``cfg``, run from ``u0`` against the
-    projected reference ``ref`` (None for a projected case); the case's run
-    is released on return."""
-    stream = _CaseStream(cfg, ref, probe)
+def _sweep_row(v: float, cfg: ExperimentConfig, stream: _CaseStream, u0: SphereField,
+               ref: Optional[Trajectory]) -> list:
+    """The ``sweep.csv`` row of the case ``cfg``, run from ``u0`` through
+    ``stream`` against the projected reference ``ref`` (None for a
+    projected case, its own reference, at distance 0)."""
+    final = l2q = 0.0
+    if ref is not None:
+        stream.compare(ref)
     traj = _run_flow(cfg, u0, stream)
-    row = [v, penalty_integral(traj), stream.dist[-1], stream.l2q(),
-           traj.records[-1].gl_energy, traj.records[-1].dirichlet_energy]
-    if probe:
-        row.append(stream.mbar())
+    if ref is not None:
+        final = l2_distance(traj.snapshots[-1], ref.snapshots[-1])
+        l2q = math.sqrt(stream.dist2.value)
+    row = [v, penalty_integral(traj), final, l2q, traj.records[-1].gl_energy,
+           traj.records[-1].dirichlet_energy]
+    if stream.probe is not None:
+        row.append(stream.probe.finish())
     return row
 
 

@@ -19,9 +19,12 @@ that read whole densities first, so that k's densities are computed once
 and the ball-local sums slice them.  A diagnostic is a ``Reading``, the
 sums it needs and its value from them, so that several diagnostics can
 share one pass (``evaluate``); a pass told not to keep drops k's
-densities once k's sums are fed.  Fit constants are searched on declared
-finite grids; reports expose the fitted pair and the residual defect
-instead of asserting universal constants.
+densities once k's sums are fed.  A cylinder, certificate or monotonicity
+reading reads only the grid and snapshot times until fed, so ``cli``
+builds it before the flow, and its window and ball rules are the load
+check.  Fit constants are searched on declared finite grids; reports
+expose the fitted pair and the residual defect instead of asserting
+universal constants.
 """
 
 from __future__ import annotations
@@ -230,7 +233,7 @@ def window_snapshots(traj: Trajectory, a: float, b: float):
     w = window_weights(traj.times, a, b)
     ks = np.flatnonzero(w > 0)
     if ks.size == 0:
-        raise EmptyIntersection(f"no snapshot inside the window [{a:g}, {b:g})")
+        raise EmptyIntersection(f"window [{a:g}, {b:g}) holds no snapshot")
     return ks, w[ks]
 
 
@@ -345,8 +348,7 @@ def _annulus_sum(traj: Trajectory, z0, R: float, mode: str) -> WindowSum:
     try:
         return WindowSum(traj, a, b, weighted, whole=True)
     except EmptyIntersection as e:
-        raise WindowOutsideTrajectory(
-            f"no snapshots inside window ({a:g}, {b:g})") from e
+        raise WindowOutsideTrajectory(str(e)) from e
 
 
 def weighted_annulus_energy(traj: Trajectory, z0, R: float, mode: str = "gl") -> float:
@@ -567,7 +569,8 @@ def _cylinder_nodes(grid: Grid, cyl: CylinderSpec) -> np.ndarray:
     """Positions in ``grid.interior_flat`` of the nodes in the cylinder's ball."""
     nodes = grid.nodes_within(cyl.x0, cyl.R)
     if nodes.size == 0:
-        raise EmptyIntersection("cylinder holds no interior node")
+        raise EmptyIntersection(f"ball of radius {cyl.R:g} around {cyl.x0.tolist()} "
+                                "holds no interior node")
     return nodes
 
 
@@ -585,7 +588,8 @@ def cylinder_reading(traj: Trajectory, cyl: CylinderSpec, mode: str = "gl") -> R
             last[key] = energy_density(traj, k, mode, nodes)
         return last[key]
 
-    return _ball_reading(traj, cyl, at)
+    acc = WindowSum(traj, *cyl.window(), at)
+    return Reading([acc], lambda: float(acc.value.sum()) * traj.grid.cell_volume)
 
 
 def cylinder_integral(traj: Trajectory, cyl: CylinderSpec, mode: str = "gl") -> float:
@@ -593,19 +597,6 @@ def cylinder_integral(traj: Trajectory, cyl: CylinderSpec, mode: str = "gl") -> 
     density at the ball's nodes, sliced from a whole density where the
     trajectory caches one (``energy_density``), else computed there only."""
     return evaluate(traj, [cylinder_reading(traj, cyl, mode)])[0]
-
-
-def _ball_reading(traj: Trajectory, cyl: CylinderSpec, ball_density) -> Reading:
-    acc = WindowSum(traj, *cyl.window(), ball_density)
-    return Reading([acc], lambda: float(acc.value.sum()) * traj.grid.cell_volume)
-
-
-def ball_integral(traj: Trajectory, cyl: CylinderSpec, ball_density) -> float:
-    """The cylinder integral from ``ball_density(k)``, the density of
-    snapshot k on the cylinder's ball: the window integral of those values,
-    summed over the ball, times the cell volume.  A caller that recorded
-    the values while the flow ran gets ``cylinder_integral`` bit for bit."""
-    return evaluate(traj, [_ball_reading(traj, cyl, ball_density)])[0]
 
 
 def _extension_reading(traj: Trajectory, h0: HarmonicExtension,

@@ -69,13 +69,13 @@ read-only map of that file, so a run's heap does not grow with its
 snapshot count, and each read drops the map's pages again, so its
 resident set does not either.  Either way no later step writes a
 returned snapshot.  A store may also consume each snapshot as it is
-taken and return the field itself: a sweep case's store
-(``cli._CaseStream``) records what it needs of snapshot k at capture, so
-the case holds no snapshot, and every entry of its trajectory is the
-run's final field.  The projected reference such
-a case is compared with runs through a ``SnapshotStore`` whose files are
-removed as soon as the run returns (``cli._reference``): its maps stay
-readable, so the reference holds no snapshot on the heap.
+taken and return a view of the field: a sweep case's store
+(``cli._CaseStream``) feeds snapshot k to the window sums its row reads
+at capture, so the case holds no snapshot, and every entry of its
+trajectory is a view of the run's final field.  The projected reference
+such a case is compared with runs through a ``SnapshotStore`` whose files
+are removed as soon as the run returns (``cli._reference``): its maps
+stay readable, so the reference holds no snapshot on the heap.
 Beyond the field and the snapshots a run holds three interior-row
 arrays: ``rows``, ``nxt`` and ``lap``; two per-node arrays, |u|^2 and the
 squared norm defects (|u|^2 - 1)^2 of the penalty sums; and a block

@@ -1,4 +1,5 @@
 import csv
+import gc
 import json
 import os
 import subprocess
@@ -317,6 +318,62 @@ def test_sweep_mbar_probe_window_exits_2_at_load(tmp_path, probe):
     err = _exits_2_at_load(tmp_path, cfg,
                            lambda p, out: sweep(p, "lambda", [100.0, 1000.0], out))
     assert "mbar_probe" in err["message"]
+
+
+@pytest.mark.parametrize("command", ["run", "sweep"])
+def test_load_checks_a_window_by_the_readings_own_rule(tmp_path, monkeypatch, command):
+    # load builds the diagnostics' readings on the run's snapshot plan, so a
+    # window the readings' rule (diagnostics.window_snapshots) refuses exits
+    # 2 at load, before any step: the R = 1/4 cylinder of run, the mbar
+    # probe (t0 = T/2, R = 1/8) of each sweep case.  A load check that
+    # copies the rule lets both through to fail after the flow
+    from sphereflow import diagnostics
+    from sphereflow.errors import EmptyIntersection
+
+    cfg = json.loads((CONFIGS / "cap_disc.json").read_text())
+    if command == "run":
+        name, refused = "cylinders", diagnostics.cylinder_window(0.03125, 0.25)
+    else:
+        name, refused = "mbar_probe", diagnostics.cylinder_window(cfg["solver"]["T"] / 2,
+                                                                  0.125)
+    window_snapshots = diagnostics.window_snapshots
+
+    def refusing(traj, a, b):
+        if (a, b) == refused:
+            raise EmptyIntersection(f"window [{a:g}, {b:g}) holds no snapshot")
+        return window_snapshots(traj, a, b)
+
+    monkeypatch.setattr(diagnostics, "window_snapshots", refusing)
+    err = _exits_2_at_load(tmp_path, cfg, run_experiment if command == "run" else
+                           lambda p, out: sweep(p, "lambda", [100.0, 1000.0], out))
+    assert err["message"].startswith(f"diagnostics.{name}: window [")
+
+
+def test_readings_built_at_load_hold_no_row_sized_array():
+    # what run builds at load, on the plan of the 3-D ball at h = 1/32 with a
+    # cylinder, monotonicity pairs and a small-energy certificate: ball
+    # nodes, window weights and closures.  Measured: 186 KiB held, against
+    # 3.3 MB for one interior-row array (the largest ball, R = 1/2, holds
+    # 17,071 nodes); the bound, 411 KB, also refuses one float per interior
+    # node (1.1 MB).  The grid's interior_flat, which the flow builds
+    # anyway, is built before the traced region
+    cfg = json.loads((CONFIGS / "hedgehog_ball.json").read_text())
+    cfg["h"] = 1 / 32
+    cfg["diagnostics"].update(
+        small_energy={"t0": 0.025, "x0": [0.0, 0.0, 0.0], "radii": [0.5, 0.25, 0.125],
+                      "eps0": 1.0},
+        monotonicity={"t0": 0.05, "x0": [0.0, 0.0, 0.0], "pairs": [[0.0625, 0.1]]})
+    loaded = cli.ExperimentConfig.from_dict(cfg)
+    assert loaded.grid.interior_flat.size == loaded.grid.n_interior
+    tracemalloc.start()
+    try:
+        readings = cli._run_readings(loaded, loaded.plan())
+        held = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    assert sorted(map(str, readings)) == ["0", "monotonicity", "small_energy"]
+    rows_bytes = loaded.grid.n_interior * 3 * 8
+    assert held < rows_bytes / 8, held / rows_bytes
 
 
 @pytest.mark.parametrize("solver", [{"T": 1e300}, {"T": 1.0, "dt": 1e-300},
@@ -772,6 +829,29 @@ def _small_disc_config(mode: str, probe_mode: str) -> dict:
             "initial": {"kind": "cap", "latitude_deg": 60.0}, "solver": solver,
             "diagnostics": {"mbar_probe": {"R": 0.25, "mode": probe_mode,
                                            "x0": [0.125, 0.0]}}}
+
+
+def test_sweep_releases_each_case_without_a_collection(tmp_path):
+    # a case's stream holds its field and goes with its row; nothing may hold
+    # it in a reference cycle, which would keep the field until the next
+    # collection.  Measured with collection off on the 1/64 disc: 34 KiB
+    # traced once the sweep returns; a distance term that closed over its
+    # stream held 1.9 MB, every case's field among it
+    raw = _small_disc_config("glhf-simplified", "dirichlet")
+    raw["h"], raw["solver"]["T"] = 1 / 64, 1 / 256
+    p = tmp_path / "cfg.json"
+    p.write_text(json.dumps(raw))
+    field_bytes = build_grid(Domain.unit_ball(2), 1 / 64).n_lattice * 3 * 8
+    gc.collect()
+    gc.disable()
+    tracemalloc.start()
+    try:
+        assert sweep(p, "lambda", [100.0, 1000.0, 10000.0], tmp_path / "sweep") == 0
+        held = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+        gc.enable()
+    assert held < field_bytes / 4, held / field_bytes
 
 
 @pytest.mark.parametrize("mode, probe_mode, param, values", [
@@ -1369,7 +1449,8 @@ def test_run_set_up_and_flow_hold_no_lattice_of_the_initial_field(tmp_path):
     # carried row arrays, one of them the initial rows handed over, and the
     # stencil's block scratch); 3.37 without the hand-over, and the
     # lattice-coordinate set-up and a lattice copy of the initial field read
-    # 4.42
+    # 4.42.  Since the fused step's buffers, 3.25; with the diagnostics'
+    # readings built at load and held through the flow, 3.26
     cfg = json.loads((CONFIGS / "hedgehog_ball.json").read_text())
     cfg["h"] = 1 / 16
     cfg["solver"]["T"] = 7.75 * 0.9 / 16 ** 2 / 6
@@ -1378,13 +1459,14 @@ def test_run_set_up_and_flow_hold_no_lattice_of_the_initial_field(tmp_path):
     tracemalloc.start()
     try:
         loaded = cli.ExperimentConfig.load(p)
-        loaded.check_windows(cli.RUN_SECTIONS)
+        # held through the flow, as run_experiment holds them
+        readings = cli._run_readings(loaded, loaded.plan())
         store = sfio.SnapshotStore(tmp_path / "snapshots")
         traj = cli._run_flow(loaded, loaded.build_initial(), store, handover=True)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert len(traj.records) == 9 and len(traj.snapshots) == 3
+    assert len(traj.records) == 9 and len(traj.snapshots) == 3 and len(readings) == 1
     field_bytes = loaded.grid.n_lattice * 3 * 8
     assert peak <= 4.3 * field_bytes, peak / field_bytes
 
