@@ -8,9 +8,13 @@ value per interior node, in ``grid.interior_flat`` order, and a ball of
 nodes is positions into it (``Grid.nodes_within``).  ``energy_density``
 is the one way to a density: a whole density is cached on the trajectory
 by snapshot and mode, and a ball slices a cached density or computes its
-own nodes only, caching nothing.  That cache is all a trajectory holds
-beside its run: what the pairs of one monotonicity centre share (the
-annulus energies, the speed values) lives in their one reading.
+own nodes only, caching nothing.  A density reads its snapshot once,
+held (``SphereField.held``), for both its gradient and its penalty
+part, and builds no lattice: ``field.gradient_squared_density`` reads a
+kept snapshot's rows one bounded block span at a time, for a ball's
+nodes as for the whole interior.  That cache is all a trajectory holds beside its run: what
+the pairs of one monotonicity centre share (the annulus energies, the
+speed values) lives in their one reading.
 
 Every time integral over a run's snapshots is a ``WindowSum``, and every
 window sum is fed by one pass over the snapshots in time order
@@ -136,8 +140,8 @@ def weight_d(x0, x, d0: float):
 # -- densities ---------------------------------------------------------------
 
 def _penalty_density(traj: Trajectory, k: int, f: SphereField, nodes=None) -> np.ndarray:
-    """Lam (|u|^2 - 1)^2 / 4 of snapshot k, read from ``f`` (the snapshot or
-    its ``_lattice``), at the interior nodes, or at the positions ``nodes``
+    """Lam (|u|^2 - 1)^2 / 4 of snapshot k, read from ``f`` (the snapshot,
+    held), at the interior nodes, or at the positions ``nodes``
     into ``interior_flat``, with the strength of the run's schedule at t_k
     (0 without a schedule)."""
     rows = f.interior_rows(nodes)
@@ -154,16 +158,6 @@ def _cache_key(traj: Trajectory, k: int) -> int:
     return 0 if traj.lam is None and traj.snapshots[k] is traj.snapshots[0] else k
 
 
-def _lattice(traj: Trajectory, k: int) -> SphereField:
-    """Snapshot k on one read of its ``values``.  A density reads both its
-    gradient and its penalty density from it, so the snapshot is read once
-    and the lattice lives until their arrays exist: freed earlier, it
-    leaves a heap hole that their allocation splits, and the next
-    snapshot's lattice takes fresh pages."""
-    snap = traj.snapshots[k]
-    return SphereField(snap.grid, snap.values)
-
-
 def energy_density(traj: Trajectory, k: int, mode: str = "gl",
                    nodes=None) -> np.ndarray:
     """Density of snapshot k at the interior nodes, or at the positions
@@ -177,41 +171,40 @@ def energy_density(traj: Trajectory, k: int, mode: str = "gl",
     otherwise only those nodes are computed, bit for bit the slice, and
     nothing is cached.  The cache keeps what it holds until
     ``drop_densities`` drops it, which a pass that does not keep (``feed``)
-    does after each snapshot.
+    does after each snapshot.  The snapshot is held for one read
+    (``SphereField.held``) that gives both parts, and no lattice is built.
     """
     if mode not in ("gl", "gradient"):
         raise ValueError(f"unknown density mode {mode!r}")
     cache = traj._density_cache
-    k = _cache_key(traj, k)
-    if (k, mode) in cache:
-        return cache[k, mode] if nodes is None else cache[k, mode][nodes]
-    src = traj.snapshots[k]
-    if (k, "gradient") in cache:
-        grad = cache[k, "gradient"] if nodes is None else cache[k, "gradient"][nodes]
-    else:
-        src = _lattice(traj, k)
-        grad = gradient_squared_density(src, nodes)
-    dens = grad if mode == "gradient" else 0.5 * grad + _penalty_density(traj, k, src, nodes)
+    key = _cache_key(traj, k)
+    if (key, mode) in cache:
+        return cache[key, mode] if nodes is None else cache[key, mode][nodes]
+    with traj.snapshots[k].held() as src:
+        if (key, "gradient") in cache:
+            grad = cache[key, "gradient"] if nodes is None else cache[key, "gradient"][nodes]
+        else:
+            grad = gradient_squared_density(src, nodes)
+        dens = grad if mode == "gradient" else 0.5 * grad + _penalty_density(traj, k, src, nodes)
     if nodes is None:
-        cache[k, "gradient"] = grad
-        cache[k, mode] = dens
+        cache[key, "gradient"] = grad
+        cache[key, mode] = dens
     return dens
 
 
 def energy_report(traj: Trajectory, k: int) -> EnergyReport:
-    """Snapshot-level energy decomposition with its node density.  One read
-    of the snapshot gives the gradient density (unless cached) and the
+    """Snapshot-level energy decomposition with its node density.  One held
+    read of the snapshot gives the gradient density (unless cached) and the
     penalty density; the gl density is built from the two as
     ``energy_density`` builds it, and both densities are cached as it
     caches them."""
     cache = traj._density_cache
     key = _cache_key(traj, k)
-    src = traj.snapshots[k]
-    if (key, "gradient") not in cache:
-        src = _lattice(traj, k)
-        cache[key, "gradient"] = gradient_squared_density(src)
+    with traj.snapshots[k].held() as src:
+        if (key, "gradient") not in cache:
+            cache[key, "gradient"] = gradient_squared_density(src)
+        penalty = _penalty_density(traj, k, src)
     grad2 = cache[key, "gradient"]
-    penalty = _penalty_density(traj, k, src)
     density = cache.setdefault((key, "gl"), 0.5 * grad2 + penalty)
     vol = traj.grid.cell_volume
     return EnergyReport(gl_energy=float(density.sum() * vol),

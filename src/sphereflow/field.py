@@ -23,13 +23,14 @@ is row by row.
 Snapshots.  A run's snapshot has one form, ``KeptSnapshot``: interior
 rows, a read-only map of the snapshot's ``.f64`` file (``io``) or an
 in-memory copy, and the run's shared boundary rows, and nothing else.
-Its readers take rows where they can (interior, boundary or active rows),
-none of which rebuilds the lattice.
+Its readers take rows where they can (interior, boundary or active rows,
+a span of the lattice), none of which rebuilds the lattice.
 """
 
 from __future__ import annotations
 
 import mmap
+from contextlib import contextmanager
 from dataclasses import dataclass
 from typing import Optional
 
@@ -93,6 +94,18 @@ class SphereField:
         v = self.active_values()
         return float(np.sqrt(np.max(rowsq(v, scratch=v))))
 
+    @contextmanager
+    def held(self):
+        """The field, for several reads that count as one."""
+        yield self
+
+    def _span(self, lo: int, hi: int, out: Optional[np.ndarray]) -> np.ndarray:
+        """The active rows of flat indices [lo, hi); ``out`` is a buffer."""
+        return self.flat()[lo:hi]
+
+    def _read(self, out):
+        return out
+
 
 def lattice_values(grid: Grid, rows: np.ndarray, boundary_rows: np.ndarray) -> np.ndarray:
     """The lattice values of a field from its interior rows (``interior_flat``
@@ -135,8 +148,9 @@ class KeptSnapshot(SphereField):
     ``active_values`` rebuild nothing, and give the bytes the lattice
     would; ``active_values`` puts the two row arrays by the grid's cached
     mask (``Grid.active_is_interior``).  Each read of the rows copies what
-    it reads, then drops their map's pages (``_SnapshotMap.release``).
-    Memory per snapshot is at most its interior rows, not a lattice.
+    it reads, then drops their map's pages (``_SnapshotMap.release``), or
+    once at the end of a ``held`` block.  Memory per snapshot is at most
+    its interior rows, not a lattice.
     """
 
     def __init__(self, grid: Grid, rows: np.ndarray, boundary_rows: np.ndarray):
@@ -144,11 +158,20 @@ class KeptSnapshot(SphereField):
         self._rows = rows
         self._boundary_rows = boundary_rows
 
-    def _read(self, out: np.ndarray) -> np.ndarray:
+    def _read(self, out):
         """``out``, once the rows' map, if any, has dropped its pages."""
         if isinstance(self._rows.base, _SnapshotMap):
             self._rows.base.release()
         return out
+
+    @contextmanager
+    def held(self):
+        """A twin whose reads leave the map's pages in, dropped when the
+        block ends."""
+        try:
+            yield _HeldSnapshot(self.grid, self._rows, self._boundary_rows)
+        finally:
+            self._read(None)
 
     @property
     def values(self) -> np.ndarray:
@@ -191,6 +214,18 @@ class KeptSnapshot(SphereField):
             put_rows(out, hit, np.take(src, pos[hit], axis=0))
         return self._read(out)
 
+    def _span(self, lo: int, hi: int, out: Optional[np.ndarray]) -> np.ndarray:
+        # exterior rows are left unwritten: no interior stencil reads one
+        if out is None or len(out) < hi - lo:
+            out = np.empty((hi - lo, self.ncomp), dtype=self._rows.dtype)
+        span = out[:hi - lo]
+        g = self.grid
+        for flat, src in ((g.interior_flat, self._rows),
+                          (g.boundary_flat, self._boundary_rows)):
+            a, b = np.searchsorted(flat, [lo, hi])
+            put_rows(span, flat[a:b] - lo, src[a:b])
+        return span
+
     def hand_over(self) -> tuple:
         """The interior and boundary rows themselves, given up: the snapshot
         holds no rows afterwards, so a caller that overwrites them
@@ -199,6 +234,11 @@ class KeptSnapshot(SphereField):
         rows, bnd = self._rows, self._boundary_rows
         self._rows = self._boundary_rows = None
         return rows, bnd
+
+
+class _HeldSnapshot(KeptSnapshot):
+    def _read(self, out):
+        return out
 
 
 class _SnapshotMap(mmap.mmap):
@@ -440,24 +480,38 @@ def gradient_squared_density(f: SphereField, nodes=None) -> np.ndarray:
     Interior axis neighbors are interior or boundary, so stencils always
     read defined values.  Every node's value is the same sequence of
     operations either way, so the density at ``nodes`` is the whole
-    density sliced at ``nodes`` bit for bit.  The nodes are taken
-    ``geometry.BLOCK_NODES`` at a time, so beside the lattice and the
-    result the temporaries are block-sized, not interior-row arrays.
+    density sliced at ``nodes`` bit for bit.  The nodes are taken in flat
+    order, at most ``geometry.BLOCK_NODES`` at a time within
+    max(4 BLOCK_NODES, s0) lattice nodes (s0 the first-axis stride), and
+    each block reads its lattice span [first - s0, last + s0] (``_span``),
+    so the temporaries are block-sized and no lattice is rebuilt.
     """
     g = f.grid
-    flat = f.flat()
-    idx = g.interior_flat if nodes is None else g.interior_flat[nodes]
+    reach = int(g.strides()[0])
+    idx, order = g.interior_flat, None
+    if nodes is not None:
+        idx = idx[nodes]
+        order = np.argsort(idx, kind="stable")
+        idx = idx[order]
     out = np.zeros(idx.shape[0])
-    for lo in range(0, idx.size, BLOCK_NODES):
-        block = idx[lo:lo + BLOCK_NODES]
-        acc = out[lo:lo + BLOCK_NODES]
-        rows = np.take(flat, block, axis=0)
+    width = max(4 * BLOCK_NODES, reach)
+    span, lo = None, 0
+    while lo < idx.size:
+        hi = min(lo + BLOCK_NODES, int(np.searchsorted(idx, idx[lo] + width)))
+        base = int(idx[lo]) - reach
+        span = f._span(base, int(idx[hi - 1]) + reach + 1, span)
+        block = idx[lo:hi] - base
+        acc = out[lo:hi]
+        rows = np.take(span, block, axis=0)
         for s in g.strides():
-            d = np.take(flat, block + s, axis=0)
+            d = np.take(span, block + s, axis=0)
             d -= rows
             up = rowsq(d, scratch=d)              # link (i, i + s)
-            d = np.take(flat, block - s, axis=0)
+            d = np.take(span, block - s, axis=0)
             np.subtract(rows, d, out=d)
             down = rowsq(d, scratch=d)            # link (i - s, i)
             acc += 0.5 * (up + down) / g.h ** 2
-    return out
+        lo = hi
+    if order is not None:
+        out[order] = out.copy()
+    return f._read(out)

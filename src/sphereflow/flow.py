@@ -16,31 +16,27 @@ Boundary nodes keep their Dirichlet values throughout.  The projected
 variant replaces the penalty substep by exact normalization of the
 interior nodes.  Runs and the public single steps all go through ``_step``.
 
-Data path of one step.  A run carries two (n_interior, D+1) arrays from
-step to step, ``rows``, the interior rows of the field, and ``nxt``, which
-the step fills with the new interior rows; ``_run`` swaps the two after
-each step.  ``_step`` makes one pass over the groups of
-``Grid.neighbour_blocks`` (consecutive stencil blocks of at most
-``geometry.BLOCK_NODES`` interior rows), and does all of a group's
-pointwise work while the group's neighbour sums N are in cache: N goes
-straight into ``nxt``, the record's 2d u - N into ``lap``, then the
-diffusion c u + mu N, the norm reaction (or the normalization) and |u|^2
-of the new rows into ``w``, each in the elementwise order of the
-whole-array passes it replaces.  What is a sum over rows or a scatter
-runs on the whole arrays after the pass, so no bit depends on the
-groups: the penalty increment's sum, the scatter of ``nxt`` into the
-field with ``put_rows`` (one whole row per element), the sup-norm guard,
-with the boundary maximum, which is fixed because no step writes a
-boundary row, and the Dirichlet record of the state stepped from, which
-``_run`` takes from ``rows`` and ``lap`` by summation by parts.  The
-boundary part of that sum runs over the interior-boundary links only,
-whose boundary values are gathered once per run.  The last state's
-record takes its neighbour sums in one more pass of the block iterator.
-Every |u|^2 is ``geometry.rowsq`` (one fixed column order, one column pass
-at a time) and every division of the rows by a per-row divisor is
-``geometry.scale_rows``, so the guard, ``SphereField.max_norm`` and the
-records take one definition.  Nothing in a step copies or writes a
-lattice-sized array except the field.
+Data path of one step.  A run carries one (n_interior, D+1) array,
+``rows``, the field's interior rows, which each step overwrites in place.
+``_step`` makes one pass over the groups of ``Grid.neighbour_blocks``
+(``Grid.row_groups``: consecutive stencil blocks of at most
+``geometry.BLOCK_NODES`` interior rows), reading the field, still the
+state stepped from, and does a group's work while its neighbour sums N
+are in cache: the record's sum of u.(2d u - N), the diffusion
+``x *= c; x += mu N`` (the bits of c u + mu N), the norm reaction (or the
+normalization), and the sum of the new rows' squared norm defects and
+their largest |u|^2.  The record's sums are added group by group, in
+group order, so a run of one group has the bits of the whole-array sums
+and a run of several differs in the last digits only; the sup-norm guard
+is exact either way.  The new rows are then scattered into the field
+(``put_rows``), and the guard runs with the boundary maximum, fixed since
+no step writes a boundary row.  The Dirichlet record is completed by
+summation by parts over the interior-boundary links, whose interior ends
+are read from the field before the scatter; the last state's record takes
+one more pass of neighbour sums.  Every |u|^2 is ``geometry.rowsq`` and
+every division by a per-row divisor ``geometry.scale_rows``, so the
+guard, ``SphereField.max_norm`` and the records take one definition.
+Nothing in a step copies or writes a lattice-sized array but the field.
 
 Buffers.  ``_run`` takes the interior and boundary rows of ``u0`` once
 (``interior_rows`` and ``boundary_rows``, which rebuild no lattice of a
@@ -50,9 +46,9 @@ zero, whatever ``u0`` holds there); ``_step`` mutates that field in
 place, and it is the only lattice of a command-line run's state.  Those
 rows are copies, so no step writes the caller's ``u0``, unless the caller
 hands them over (``handover=True``, ``KeptSnapshot.hand_over``): then
-``u0``'s own interior rows are one of the two arrays the run steps
-between and ``u0`` holds no rows afterwards, so a command-line run makes
-no copy of them.  At each snapshot step the trajectory takes a snapshot
+``u0``'s own interior rows are the array the run steps in place and
+``u0`` holds no rows afterwards, so a command-line run makes no copy of
+them.  At each snapshot step the trajectory takes a snapshot
 of it.  Without a store (``store=None``) that is a ``field.KeptSnapshot``:
 a copy of ``rows``, which are the field's interior rows at that point, so
 capture gathers nothing, and the one array of boundary rows taken at the
@@ -76,17 +72,12 @@ trajectory is a view of the run's final field.  The projected reference
 such a case is compared with runs through a ``SnapshotStore`` whose files
 are removed as soon as the run returns (``cli._reference``): its maps
 stay readable, so the reference holds no snapshot on the heap.
-Beyond the field and the snapshots a run holds three interior-row
-arrays: ``rows``, ``nxt`` and ``lap``; two per-node arrays, |u|^2 and the
-squared norm defects (|u|^2 - 1)^2 of the penalty sums; and a block
-scratch of ``Grid.block_rows()`` rows, room for the widest block's lattice
-span and the largest group, which the neighbour sums use and, between the
-iterator's yields, the group's products.  All but ``rows`` are allocated
-once per run, each on a page of its own (``_buffers``), so no step
-allocates an array of a group's size; the norm reaction's divisor takes
-the group's part of ``w`` until the new |u|^2 does.  ``glhf_step`` and
-``projected_flow_step`` copy their input once, gather its rows once, and
-step the copy.
+Beyond the field, ``rows`` and the snapshots a run holds the boundary
+links and one group's scratch (``_buffers``), allocated once: the group's
+neighbour sums, its |u|^2, and a block scratch of ``Grid.block_rows()``
+rows, which between the iterator's yields holds 2d u - N and the squared
+norm defects.  ``glhf_step`` and ``projected_flow_step`` copy their
+input, gather its rows once and step them as a run does.
 """
 
 from __future__ import annotations
@@ -104,7 +95,7 @@ from .errors import CFLViolated, NearZeroVector, NormBlowup
 # stay imported here
 from .field import (NORM_FLOOR, KeptSnapshot, SphereField, dirichlet_energy,
                     lattice_values, project_to_sphere)
-from .geometry import BOUNDARY, Grid, put_rows, rowsq, scale_rows
+from .geometry import INTERIOR, Grid, put_rows, rowsq, scale_rows
 
 
 # -- schedules -------------------------------------------------------------
@@ -236,13 +227,13 @@ _PAGE = 4096 // 8      # float64s in a 4 KiB page
 
 
 class _Scratch(NamedTuple):
-    """What a run's steps write besides its rows (see "Buffers" in the module
-    docstring): no step allocates an array of a group's size."""
+    """What a run's steps write besides its rows and field: a group's worth
+    (see "Buffers" in the module docstring)."""
 
-    lap: np.ndarray     # 2d u - N per interior row of the state stepped from
-    w: np.ndarray       # |u|^2 per interior row of the new state
-    sq: np.ndarray      # (w0 - 1)^2 per interior row, for the penalty increment
-    block: np.ndarray   # the stencil's block scratch, a group's rows between yields
+    nb: np.ndarray      # the group's neighbour sums N, then mu N
+    w: np.ndarray       # the group's |u|^2, then the reaction's divisor
+    block: np.ndarray   # the stencil's block scratch; between yields 2d u - N
+    sq: np.ndarray      # the squared norm defects, in the block scratch's memory
 
 
 def _aligned(*sizes) -> list:
@@ -258,16 +249,14 @@ def _aligned(*sizes) -> list:
     return views
 
 
-def _buffers(g: Grid, rows: np.ndarray) -> tuple:
-    """An array like ``rows`` for the new rows, and the ``_Scratch`` of a run
-    stepping them.  Each starts on a page of its own: their placement in
-    the heap moved the step's time by up to 8%.  The row arrays are
-    allocations of their own: one allocation of all five peaked 1.5 MB
-    higher on the 3-D h = 1/32 benchmark run."""
-    n, m = rows.shape
-    (nxt,), (lap,) = _aligned(n * m), _aligned(n * m)
-    w, sq, block = _aligned(n, n, g.block_rows() * m)
-    return nxt.reshape(n, m), _Scratch(lap.reshape(n, m), w, sq, block.reshape(-1, m))
+def _buffers(g: Grid, m: int) -> _Scratch:
+    """The ``_Scratch`` of steps of rows of ``m`` components on ``g``, each
+    array starting on a page of its own: their placement in the heap moved
+    the step's time by up to 8%.  The neighbour sums are an allocation of
+    their own: with the rest, a public step took 50% more page faults."""
+    n = g.group_rows()
+    (nb,), (w, block) = _aligned(n * m), _aligned(n, g.block_rows() * m)
+    return _Scratch(nb.reshape(n, m), w, block.reshape(-1, m), block[:n])
 
 
 def _boundary_norm2(u: SphereField) -> float:
@@ -276,24 +265,45 @@ def _boundary_norm2(u: SphereField) -> float:
     return rowsq(b, scratch=b).max(initial=0.0)
 
 
-def _sup_norm(w: np.ndarray, bnd2: float) -> float:
-    """sup |u| over active nodes from the interior |u|^2 and the boundary max;
-    NaN in either propagates."""
-    return float(np.sqrt(np.maximum(w.max(), bnd2)))
+def _norm_sums(x: np.ndarray, buf: _Scratch) -> tuple:
+    """|u|^2 of the rows ``x`` of a group into ``buf.w``; their sum of
+    (|u|^2 - 1)^2 and their largest |u|^2 (NaN if one is)."""
+    n = len(x)
+    w = rowsq(x, scratch=buf.block[:n], out=buf.w[:n])
+    sq = np.subtract(w, 1.0, out=buf.sq[:n])
+    sq *= sq
+    return np.sum(sq), w.max()
 
 
-def _step(u: SphereField, rows: np.ndarray, nxt: np.ndarray, buf: _Scratch,
-          t: float, cfg: SolverConfig, sched: Optional[PenaltySchedule], bnd2: float):
+def _inner_sum(x: np.ndarray, nb: np.ndarray, tmp: np.ndarray, two_d: float) -> float:
+    """sum_i u_i.(2d u_i - N_i) over the rows ``x`` of a group and their
+    neighbour sums ``nb``, with 2d u - N formed in ``tmp``."""
+    lap = np.multiply(x, two_d, out=tmp)
+    lap -= nb
+    return float(np.einsum("ij,ij->", x, lap))
+
+
+class _Stepped(NamedTuple):
+    """What a step returns for the records; its sums over rows are added
+    group by group, in group order, from -0.0."""
+
+    inner: float        # sum_i u_i.(2d u_i - N_i) of the state stepped from
+    pen_incr: float     # the step's penalty increment
+    lam_eff: float      # the strength used
+    defects: float      # sum (|u|^2 - 1)^2 of the new state
+    max_norm: float     # the new state's sup-norm
+
+
+def _step(u: SphereField, rows: np.ndarray, buf: _Scratch, t: float, cfg: SolverConfig,
+          sched: Optional[PenaltySchedule], bnd2: float) -> _Stepped:
     """The one split step at time t: diffusion, then the norm reaction, in
     one pass over the groups of ``Grid.neighbour_blocks`` (see "Data path
-    of one step" in the module docstring).  ``rows`` are the interior rows
-    of ``u`` and are left as they are; ``nxt`` receives the new ones, which
-    are also written into ``u``, and ``buf.lap`` 2d u - N of ``u`` for its
-    record.  ``sched is None`` is the projected flow: exact normalization,
-    and NearZeroVector naming the first five flat indices of rows of norm
-    below ``field.NORM_FLOOR``.  ``bnd2`` is ``_boundary_norm2(u)``.
-    Returns the step's penalty increment, the strength used and the new
-    sup-norm.
+    of one step" in the module docstring).  ``rows``, the interior rows of
+    ``u``, are stepped in place, and scattered into ``u`` after the pass.
+    ``sched is None`` is the projected flow: exact normalization, and
+    NearZeroVector naming the first five flat indices of rows of norm below
+    ``field.NORM_FLOOR``, raised before the scatter.  ``bnd2`` is
+    ``_boundary_norm2(u)``.
     """
     g = u.grid
     idx = g.interior_flat
@@ -307,17 +317,19 @@ def _step(u: SphereField, rows: np.ndarray, nxt: np.ndarray, buf: _Scratch,
         # the clamp keeps the root positive when exp underflows, so a zero
         # row stays 0
         e = max(math.exp(-2.0 * lam_eff * cfg.dt), np.finfo(float).tiny)
-    for k0, k1 in g.neighbour_blocks(u.flat(), nxt, buf.block):
-        # the diffusion is c u + mu N (mu = dt / h^2, c = 1 - 2d mu); w0,
-        # |u|^2 after it and then the divisor of the rows, takes the
-        # group's part of w until its new |u|^2 does
-        x, v, w0 = rows[k0:k1], nxt[k0:k1], buf.w[k0:k1]
-        tmp = buf.block[:k1 - k0]
-        lap = np.multiply(x, two_d, out=buf.lap[k0:k1])
-        lap -= v
+    inner = increment = defects = -0.0
+    top = bnd2
+    for k0, k1 in g.neighbour_blocks(u.flat(), buf.nb, buf.block):
+        # the diffusion is c u + mu N (mu = dt / h^2, c = 1 - 2d mu), into
+        # the group's own rows; w0, |u|^2 after it and then the divisor of
+        # the rows, takes the group's part of buf.w until its new |u|^2 does
+        n = k1 - k0
+        x, v, w0, tmp = rows[k0:k1], buf.nb[:n], buf.w[:n], buf.block[:n]
+        inner += _inner_sum(x, v, tmp, two_d)
+        x *= c
         v *= mu
-        v += np.multiply(x, c, out=tmp)
-        rowsq(v, scratch=tmp, out=w0)
+        x += v
+        rowsq(x, scratch=tmp, out=w0)
         if sched is None:
             np.sqrt(w0, out=w0)
             bad = np.flatnonzero(w0 < NORM_FLOOR)
@@ -327,25 +339,28 @@ def _step(u: SphereField, rows: np.ndarray, nxt: np.ndarray, buf: _Scratch,
         else:
             # left-endpoint rectangle rule on the penalty subflow: the
             # integrand is sampled on the state entering the substep
-            sq = np.subtract(w0, 1.0, out=buf.sq[k0:k1])
+            sq = np.subtract(w0, 1.0, out=buf.sq[:n])
             sq *= sq
+            increment += np.sum(sq)
             w0 *= 1.0 - e
             w0 += e
             np.sqrt(w0, out=w0)
-        scale_rows(v, w0)
-        rowsq(v, scratch=tmp, out=w0)
+        scale_rows(x, w0)
+        group_defects, most = _norm_sums(x, buf)
+        defects += group_defects
+        top = np.maximum(top, most)
     if sched is None:
         if zero:
             raise NearZeroVector("cannot project node(s) at flat index "
                                  f"{idx[np.concatenate(zero)[:5]].tolist()}")
         pen_incr = 0.0
     else:
-        pen_incr = float(cfg.dt * lam_eff * np.sum(buf.sq) * g.cell_volume)
-    put_rows(u.flat(), idx, nxt)
-    mx = _sup_norm(buf.w, bnd2)
+        pen_incr = float(cfg.dt * lam_eff * increment * g.cell_volume)
+    put_rows(u.flat(), idx, rows)
+    mx = float(np.sqrt(top))
     if not mx <= 1.0 + 1e-7:
         raise NormBlowup(f"max node norm {mx} exceeds 1 + 1e-7 at t = {t}")
-    return pen_incr, lam_eff, mx
+    return _Stepped(inner, pen_incr, lam_eff, defects, mx)
 
 
 def _public_step(f: SphereField, t: float, cfg: SolverConfig,
@@ -353,7 +368,7 @@ def _public_step(f: SphereField, t: float, cfg: SolverConfig,
     cfg.validate(f.grid)
     u = f.copy()
     rows = np.take(u.flat(), u.grid.interior_flat, axis=0)
-    _step(u, rows, *_buffers(u.grid, rows), t, cfg, sched, _boundary_norm2(u))
+    _step(u, rows, _buffers(u.grid, u.ncomp), t, cfg, sched, _boundary_norm2(u))
     return u
 
 
@@ -372,48 +387,52 @@ def projected_flow_step(f: SphereField, t: float, cfg: SolverConfig) -> SphereFi
 
 def _boundary_links(u: SphereField) -> tuple:
     """The interior ends of the interior-boundary links of ``u``'s grid, as
-    positions in ``interior_flat``, and the values at their boundary ends,
-    one row per link."""
+    flat indices, and the values at their boundary ends, one row per link:
+    per axis and side, the links whose boundary end is on that side, in
+    flat order, found from the boundary nodes, so no array is interior-sized."""
     g = u.grid
-    idx = g.interior_flat
-    is_bnd = g.class_flat() == BOUNDARY
+    bnd = g.boundary_flat
+    cls = g.class_flat()
     ends, bnds = [], []
     for s in g.strides():
-        for nb in (idx - s, idx + s):
-            on = is_bnd[nb]
-            ends.append(np.flatnonzero(on))
-            bnds.append(nb[on])
+        for side in (-s, s):
+            i = bnd - side
+            on = cls[i] == INTERIOR
+            ends.append(i[on])
+            bnds.append(bnd[on])
     return np.concatenate(ends), np.take(u.flat(), np.concatenate(bnds), axis=0)
 
 
-def _dirichlet(g: Grid, rows: np.ndarray, lap: np.ndarray, links: tuple) -> float:
-    """The Dirichlet energy of the state with interior rows ``rows`` by
-    summation by parts, from ``lap``, its 2d u_i - N_i per interior row, and
-    ``links = _boundary_links(u)``:
+def _boundary_sum(u: SphereField, links: tuple) -> float:
+    """sum_(i,b) (u_b - u_i).u_b over the interior-boundary links (i, b) of
+    ``links = _boundary_links(u)``, with u_i read from the field."""
+    ends, ub = links
+    du = np.take(u.flat(), ends, axis=0)
+    np.subtract(ub, du, out=du)
+    return float(np.einsum("ij,ij->", du, ub))
+
+
+def _dirichlet(g: Grid, inner: float, outer: float) -> float:
+    """The Dirichlet energy of a state by summation by parts,
 
         h^(d-2) [ sum_i u_i.(2d u_i - N_i) + sum_(i,b) (u_b - u_i).u_b ]
 
-    over interior nodes i and interior-boundary links (i, b).  The first sum
-    counts each interior-interior link from both ends and each
-    interior-boundary link from its interior end; the second completes the
-    latter.  The difference 2d u_i - N_i is taken per component, before any
-    product, and the boundary term is kept per link: both keep the sum
-    within ~1e-14 of the link sum, where expanding the products cancels
-    digits.
+    over interior nodes i and interior-boundary links (i, b), from the
+    first sum, ``inner`` (``_Stepped.inner`` of the step from the state),
+    and the second, ``outer`` (``_boundary_sum``).  The first sum counts
+    each interior-interior link from both ends and each interior-boundary
+    link from its interior end; the second completes the latter.  The
+    difference 2d u_i - N_i is taken per component, before any product, and
+    the boundary term is kept per link: both keep the sum within ~1e-14 of
+    the link sum, where expanding the products cancels digits.
     """
-    ends, ub = links
-    total = float(np.einsum("ij,ij->", rows, lap))
-    du = ub - np.take(rows, ends, axis=0)
-    total += float(np.einsum("ij,ij->", du, ub))
-    return total * g.h ** (g.d - 2)
+    return (inner + outer) * g.h ** (g.d - 2)
 
 
-def _penalty_energy(lam_eff: float, buf: _Scratch, g: Grid) -> float:
-    """Lam/4 sum (|u|^2 - 1)^2 h^d of the state whose |u|^2 is ``buf.w``;
-    ``buf.sq`` is its scratch."""
-    sq = np.subtract(buf.w, 1.0, out=buf.sq)
-    sq *= sq
-    return float(lam_eff * np.sum(sq) * g.cell_volume / 4.0)
+def _penalty_energy(lam_eff: float, defects: float, g: Grid) -> float:
+    """Lam/4 sum (|u|^2 - 1)^2 h^d of a state whose sum of squared norm
+    defects is ``defects``."""
+    return float(lam_eff * defects * g.cell_volume / 4.0)
 
 
 def _record(step: int, t: float, pen_e: float, pen_incr: float, mx: float,
@@ -430,7 +449,6 @@ def _run(u0: SphereField, cfg: SolverConfig, sched: Optional[PenaltySchedule],
     g = u0.grid
     rows, bnd = u0.hand_over() if handover else (u0.interior_rows(), u0.boundary_rows())
     u = SphereField(g, lattice_values(g, rows, bnd))     # exterior rows zero
-    flat = u.flat()
 
     def keep(last: bool) -> SphereField:
         if store is not None:
@@ -439,26 +457,32 @@ def _run(u0: SphereField, cfg: SolverConfig, sched: Optional[PenaltySchedule],
 
     bnd2 = _boundary_norm2(u)
     links = _boundary_links(u)
-    nxt, buf = _buffers(g, rows)
-    rowsq(rows, scratch=buf.lap, out=buf.w)
+    buf = _buffers(g, u.ncomp)
+    defects, top = -0.0, bnd2
+    for k0, k1 in g.row_groups():
+        group_defects, most = _norm_sums(rows[k0:k1], buf)
+        defects += group_defects
+        top = np.maximum(top, most)
     # a state's record but its Dirichlet energy, which the neighbour sums of
     # the step from it give
-    part = partial(_record, 0, 0.0, _penalty_energy(sched.strength(0.0) if sched else 0.0,
-                                                    buf, g), 0.0, _sup_norm(buf.w, bnd2))
+    part = partial(_record, 0, 0.0,
+                   _penalty_energy(sched.strength(0.0) if sched else 0.0, defects, g),
+                   0.0, float(np.sqrt(top)))
     records, snapshots = [], [keep(False)]
     for k in range(n_steps):
-        pen_incr, lam_eff, mx = _step(u, rows, nxt, buf, k * cfg.dt, cfg, sched, bnd2)
-        records.append(part(_dirichlet(g, rows, buf.lap, links)))
-        part = partial(_record, k + 1, (k + 1) * cfg.dt, _penalty_energy(lam_eff, buf, g),
-                       pen_incr, mx)
-        rows, nxt = nxt, rows
+        outer = _boundary_sum(u, links)             # before the step scatters its rows
+        s = _step(u, rows, buf, k * cfg.dt, cfg, sched, bnd2)
+        records.append(part(_dirichlet(g, s.inner, outer)))
+        part = partial(_record, k + 1, (k + 1) * cfg.dt,
+                       _penalty_energy(s.lam_eff, s.defects, g), s.pen_incr, s.max_norm)
         if k + 1 in take:
             snapshots.append(keep(k + 1 == n_steps))
-    # the last state's 2d u - N, its N taken into buf.lap group by group
-    for k0, k1 in g.neighbour_blocks(flat, buf.lap, buf.block):
-        lap = buf.lap[k0:k1]
-        np.subtract(np.multiply(rows[k0:k1], 2.0 * g.d, out=buf.block[:k1 - k0]), lap, out=lap)
-    records.append(part(_dirichlet(g, rows, buf.lap, links)))
+    # the last state's first sum, from one more pass of neighbour sums
+    inner = -0.0
+    for k0, k1 in g.neighbour_blocks(u.flat(), buf.nb, buf.block):
+        n = k1 - k0
+        inner += _inner_sum(rows[k0:k1], buf.nb[:n], buf.block[:n], 2.0 * g.d)
+    records.append(part(_dirichlet(g, inner, _boundary_sum(u, links))))
     return Trajectory(grid=u0.grid, times=cfg.snapshot_times(),
                       snapshots=snapshots, records=records,
                       lam=sched.lam if sched else None, dt=cfg.dt)

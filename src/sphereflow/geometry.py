@@ -40,15 +40,16 @@ layer, so a layer wider than that is a block of its own.  The block's
 sums go into a scratch array that stays in cache, and its interior rows
 are gathered from there; no lattice-sized buffer is written.  The
 iterator yields consecutive blocks in groups of at most ``BLOCK_NODES``
-interior rows, so that its caller can work on a group's rows while they
-are in cache (the flow's step does); ``Grid.neighbour_rows`` drains it.
+interior rows (``Grid.row_groups``), so that its caller can work on a
+group's rows while they are in cache (the flow's step does, in a group
+buffer); ``Grid.neighbour_rows`` drains it.
 
 Node positions are made where they are read, never for the whole lattice
 at once.  ``build_grid`` tests them one block of first-axis layers at a
 time (``BLOCK_NODES`` nodes, or one layer where a layer is wider), and
 ``Grid.node_coords`` gives the positions of any flat indices, the bits of
 ``Grid.coords()`` at them.  A ball query (``Grid.nodes_within``) tests
-only the interior nodes in the ball's index box.
+only the interior nodes in the ball's index box, found row by row.
 """
 
 from __future__ import annotations
@@ -427,35 +428,57 @@ class Grid:
 
     def neighbour_blocks(self, flat: np.ndarray, out: np.ndarray,
                          scratch: Optional[np.ndarray] = None):
-        """Write the neighbour sums of ``neighbour_rows`` into the interior-row
-        array ``out`` one group of blocks at a time, yielding the interior
-        positions ``(k0, k1)`` of each group once ``out[k0:k1]`` holds them.
+        """Write the neighbour sums of ``neighbour_rows`` into ``out`` one
+        group of blocks at a time, yielding the interior positions
+        ``(k0, k1)`` of each group (``row_groups``) once its sums are in.
 
-        ``flat`` is a float lattice array flattened along its first axis.
-        The sums are taken one block of layers at a time (see the module
-        docstring), in ``neighbor_sum``'s order: from +0.0, per axis the -s
-        neighbour before the +s one.  A group is consecutive blocks holding
-        at most ``BLOCK_NODES`` interior rows, or one block that holds more.
-        ``scratch`` (allocated when None) is an array of ``block_rows()``
-        rows shaped like ``flat``'s: the blocks are summed in it, and between
-        yields the caller may use its first ``k1 - k0`` rows.
+        ``out`` is an interior-row array, or a group buffer of
+        ``group_rows()`` rows whose first ``k1 - k0`` rows receive them.
+        ``flat`` is a float lattice array flattened along its first axis.  The sums are
+        taken one block of layers at a time (see the module docstring), in
+        ``neighbor_sum``'s order: from +0.0, per axis the -s neighbour before
+        the +s one.  ``scratch`` (allocated when None) is an array of
+        ``block_rows()`` rows shaped like ``flat``'s: the blocks are summed
+        in it, and between yields the caller may use its first ``k1 - k0``
+        rows.
         """
         idx = self.interior_flat
         blocks, _ = self._stencil_blocks()
         if scratch is None:
             scratch = np.empty((self.block_rows(),) + flat.shape[1:], flat.dtype)
+        whole = out.shape[0] >= self.n_interior
         first, *rest = [o for s in self.strides() for o in (-s, s)]
-        g0 = 0
-        for i, (lo, hi, k0, k1) in enumerate(blocks):
+        groups = iter(self.row_groups())
+        g0, g1 = next(groups)
+        for lo, hi, k0, k1 in blocks:
             # 0.0 + x is neighbor_sum's first addition, -0.0 becoming +0.0
             acc = np.add(0.0, flat[lo + first:hi + first], out=scratch[:hi - lo])
             for o in rest:
                 acc += flat[lo + o:hi + o]
+            at = 0 if whole else g0
             # mode="clip" gathers straight into out; "raise" would buffer a copy
-            np.take(acc, idx[k0:k1] - lo, axis=0, out=out[k0:k1], mode="clip")
-            if i + 1 == len(blocks) or blocks[i + 1][3] - g0 > BLOCK_NODES:
-                yield g0, k1
-                g0 = k1
+            np.take(acc, idx[k0:k1] - lo, axis=0, out=out[k0 - at:k1 - at], mode="clip")
+            if k1 == g1:
+                yield g0, g1
+                g0, g1 = next(groups, (g1, None))
+
+    def row_groups(self) -> list:
+        """The interior positions ``(k0, k1)`` of the groups of
+        ``neighbour_blocks``, in order: consecutive blocks holding at most
+        ``BLOCK_NODES`` interior rows, or one block that holds more."""
+        if "groups" not in self._cache:
+            blocks, _ = self._stencil_blocks()
+            groups, g0 = [], 0
+            for i, (_, _, _, k1) in enumerate(blocks):
+                if i + 1 == len(blocks) or blocks[i + 1][3] - g0 > BLOCK_NODES:
+                    groups.append((g0, k1))
+                    g0 = k1
+            self._cache["groups"] = groups
+        return self._cache["groups"]
+
+    def group_rows(self) -> int:
+        """Rows of the largest group of ``row_groups``: a group buffer's."""
+        return max(k1 - k0 for k0, k1 in self.row_groups())
 
     def block_rows(self) -> int:
         """Rows of a ``neighbour_blocks`` scratch: room for the widest block's
@@ -538,18 +561,19 @@ class Grid:
                 return np.empty(0, dtype=np.intp)
             lo = np.clip(lo, 0, top).astype(np.int64)
             hi = np.clip(hi, 0, top).astype(np.int64)
-            # the interior nodes of the box's first-axis layers are one run
-            # of interior_flat; the other axes are tested on their indices
-            idx, s0 = self.interior_flat, self.strides()[0]
-            a, b = np.searchsorted(idx, [lo[0] * s0, (hi[0] + 1) * s0])
-            k = np.unravel_index(idx[a:b], self.shape)
-            keep = np.ones(b - a, dtype=bool)
-            for ax in range(1, self.d):
-                keep &= (k[ax] >= lo[ax]) & (k[ax] <= hi[ax])
-            pos = np.flatnonzero(keep)
-            diff = self.node_coords(idx[a + pos])
+            # each row of the box along the last axis is one run of
+            # interior_flat, found by its two ends; the rows come in flat order
+            idx, st = self.interior_flat, self.strides()
+            first = lo[-1:]
+            for ax in range(self.d - 1):
+                first = np.add.outer(first, np.arange(lo[ax], hi[ax] + 1) * st[ax]).ravel()
+            a = np.searchsorted(idx, first)
+            n = np.searchsorted(idx, first + (hi[-1] - lo[-1] + 1)) - a
+            ends = np.cumsum(n)
+            pos = np.arange(ends[-1]) + np.repeat(a - ends + n, n)
+            diff = self.node_coords(idx[pos])
             diff -= x0
-            return a + pos[rowsq(diff, scratch=diff) < r2]
+            return pos[rowsq(diff, scratch=diff) < r2]
 
     def boundary_projections(self) -> np.ndarray:
         if "bproj" not in self._cache:

@@ -1,12 +1,14 @@
 import math
 import time
 import tracemalloc
+from functools import partial
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from sphereflow import field, flow
+from sphereflow import io as sfio
 from sphereflow.errors import CFLViolated, NearZeroVector, NormBlowup
 from sphereflow.field import (InitialData, KeptSnapshot, SphereField, dirichlet_energy,
                               generate, l2_distance)
@@ -345,9 +347,8 @@ KERNEL_CASES = [(d, mode) for d in (2, 3)
 def test_a_handed_over_initial_field_runs_as_a_copy(d, mode):
     # handed over, u0's rows are the run's own: the run is the one from a
     # copy, bit for bit, and u0 holds no rows afterwards; not handed over,
-    # u0 is left as it was.  The run steps between the handed rows and one
-    # array of its own, so the handed rows hold the even states: after the
-    # 7 steps, state 6, the last snapshot but one
+    # u0 is left as it was.  The run steps the handed rows in place, so
+    # after the 7 steps they hold state 7, the last snapshot
     f, cfg, sched = _kernel_case(d, mode)
 
     def run(u0, handover):
@@ -364,8 +365,8 @@ def test_a_handed_over_initial_field_runs_as_a_copy(d, mode):
     assert handed.records == copied.records
     assert [s.values.tobytes() for s in handed.snapshots] == \
         [s.values.tobytes() for s in copied.snapshots]
-    assert cfg.snapshot_steps()[-2:] == [6, 7]
-    assert rows.tobytes() == handed.snapshots[-2].interior_rows().tobytes()
+    assert cfg.snapshot_steps()[-1] == 7
+    assert rows.tobytes() == handed.snapshots[-1].interior_rows().tobytes()
 
 
 @pytest.mark.parametrize("d,mode", KERNEL_CASES)
@@ -388,11 +389,21 @@ def test_run_equals_chain_of_public_steps(d, mode):
         assert abs(r.dirichlet_energy - ref) <= 1e-13 * ref
 
 
-def _reference_step(u, rows, nrows, t, cfg, sched, bnd2, rowsq):
+def _groupwise(a, groups, term):
+    """``term`` of each group's part of ``a``, added in group order from
+    -0.0: the record sums of the fused step."""
+    total = -0.0
+    for k0, k1 in groups:
+        total += term(a[k0:k1])
+    return total
+
+
+def _reference_step(u, rows, nrows, t, cfg, sched, bnd2, rowsq, groups):
     """``flow._step`` as it stood before the row kernels: a new array for
     every |u|^2, broadcast row divides and fancy-index scatter, kept here
     as the bit-for-bit reference.  ``rowsq`` is the documented row sum
-    (``np.einsum("ij,ij->i")``'s bits on an x86 SSE-level numpy)."""
+    (``np.einsum("ij,ij->i")``'s bits on an x86 SSE-level numpy).  The sum
+    of the penalty increment is taken per group of ``groups``."""
     g = u.grid
     _diffuse(rows, nrows, g, cfg.dt)
     if sched is None:
@@ -405,7 +416,7 @@ def _reference_step(u, rows, nrows, t, cfg, sched, bnd2, rowsq):
         w0 = rowsq(rows)
         sq = w0 - 1.0
         sq *= sq
-        pen_incr = float(cfg.dt * lam_eff * np.sum(sq) * g.cell_volume)
+        pen_incr = float(cfg.dt * lam_eff * _groupwise(sq, groups, np.sum) * g.cell_volume)
         e = max(math.exp(-2.0 * lam_eff * cfg.dt), np.finfo(float).tiny)
         w0 *= 1.0 - e
         w0 += e
@@ -430,22 +441,26 @@ def _boundary_links(u):
     return np.concatenate(ends), np.take(u.flat(), np.concatenate(bnds), axis=0)
 
 
-def _dirichlet_from_rows(u, rows, nrows, links, scratch):
+def _dirichlet_from_rows(u, rows, nrows, links, scratch, groups):
     """``dirichlet_energy(u)`` by summation by parts from the interior rows
     ``rows`` of ``u`` and ``nrows`` of its neighbour sum, as whole-array
-    passes: h^(d-2) [ sum_i u_i.(2d u_i - N_i) + sum_(i,b) (u_b - u_i).u_b ]."""
+    passes: h^(d-2) [ sum_i u_i.(2d u_i - N_i) + sum_(i,b) (u_b - u_i).u_b ],
+    the first sum taken per group of ``groups``."""
     g = u.grid
     ends, ub = links
     lap = np.multiply(rows, 2.0 * g.d, out=scratch)
     lap -= nrows
-    total = float(np.einsum("ij,ij->", rows, lap))
+    total = -0.0
+    for k0, k1 in groups:
+        total += float(np.einsum("ij,ij->", rows[k0:k1], lap[k0:k1]))
     du = ub - np.take(u.flat(), ends, axis=0)
     total += float(np.einsum("ij,ij->", du, ub))
     return total * g.h ** (g.d - 2)
 
 
-def _record(step, t, u, w, dir_e, lam_eff, pen_incr, mx):
-    pen_e = float(lam_eff * np.sum((w - 1.0) ** 2) * u.grid.cell_volume / 4.0)
+def _record(step, t, u, w, dir_e, lam_eff, pen_incr, mx, groups):
+    pen_e = float(lam_eff * _groupwise((w - 1.0) ** 2, groups, np.sum)
+                  * u.grid.cell_volume / 4.0)
     return StepRecord(step=step, t=t, gl_energy=0.5 * dir_e + pen_e,
                       dirichlet_energy=dir_e, penalty_increment=pen_incr, max_norm=mx)
 
@@ -453,29 +468,31 @@ def _record(step, t, u, w, dir_e, lam_eff, pen_incr, mx):
 def _reference_run(u0, n_steps, cfg, sched, rowsq):
     """``flow._run`` over ``n_steps`` steps as it stood before the fused step:
     ``_reference_step``, then the whole-lattice neighbour sum of the new
-    state gathered at the interior rows, and its record; every state's
+    state gathered at the interior rows, and its record, whose sums over
+    rows are taken per group of ``Grid.neighbour_blocks``; every state's
     field and record."""
     u = u0.copy()
     g = u.grid
     flat = u.flat()
     idx = g.interior_flat
+    groups = list(g.neighbour_blocks(flat, np.empty((g.n_interior, u.ncomp))))
     bnd2 = rowsq(flat[g.boundary_flat]).max(initial=0.0)
     links = _boundary_links(u)
     rows = flat[idx]
     nrows = neighbor_sum(flat, g.strides())[idx]
     lap = np.empty_like(rows)
     w = rowsq(rows)
-    records = [_record(0, 0.0, u, w, _dirichlet_from_rows(u, rows, nrows, links, lap),
+    records = [_record(0, 0.0, u, w, _dirichlet_from_rows(u, rows, nrows, links, lap, groups),
                        sched.strength(0.0) if sched else 0.0, 0.0,
-                       float(np.sqrt(np.maximum(w.max(), bnd2))))]
+                       float(np.sqrt(np.maximum(w.max(), bnd2))), groups)]
     fields = [u.copy()]
     for k in range(n_steps):
         w, pen_incr, lam_eff, mx = _reference_step(u, rows, nrows, k * cfg.dt, cfg, sched,
-                                                   bnd2, rowsq)
+                                                   bnd2, rowsq, groups)
         nrows = neighbor_sum(flat, g.strides())[idx]
         records.append(_record(k + 1, (k + 1) * cfg.dt, u, w,
-                               _dirichlet_from_rows(u, rows, nrows, links, lap),
-                               lam_eff, pen_incr, mx))
+                               _dirichlet_from_rows(u, rows, nrows, links, lap, groups),
+                               lam_eff, pen_incr, mx, groups))
         fields.append(u.copy())
     return fields, records
 
@@ -709,6 +726,66 @@ def test_store_less_heap_grows_by_interior_rows_per_snapshot():
     assert counts == {1: 12, 100: 2}
     row_bytes = g.n_interior * 3 * 8
     assert peaks[1] - peaks[100] <= 10 * row_bytes + 16384
+
+
+def _group_scratch_bytes(g, m):
+    """Bytes of a step's scratch: a group's neighbour sums and |u|^2, and the
+    stencil's block scratch."""
+    return (g.group_rows() * (m + 1) + g.block_rows() * m) * 8
+
+
+def test_store_run_holds_one_lattice_one_row_array_group_scratch_and_links(tmp_path):
+    # the 3-D ball at h = 1/32, 3 steps through a snapshot store, whose
+    # snapshots are maps of their files: 13 groups of rows.  The run holds
+    # its field, the interior rows it steps in place, a group's scratch and
+    # the boundary links (their interior ends, their boundary values and
+    # one difference of the two), beside the boundary rows; a second row
+    # array (3.3 MB) or a whole per-node array (1.1 MB) would pass the bound
+    g = build_grid(Domain.unit_ball(3), 1 / 32)
+    u0 = generate(InitialData(kind="equator-hedgehog"), g, 2)
+    dt = SolverConfig.auto_dt(g)
+    cfg = SolverConfig(dt=dt, T=2.5 * dt, output_stride=1)
+    sched = PenaltySchedule(lam=1e3)
+    run_glhf(u0, cfg, sched, store=sfio.SnapshotStore(tmp_path / "warm"))   # fill the caches
+    assert len(g.row_groups()) == 13
+    tracemalloc.start()
+    try:
+        traj = run_glhf(u0, cfg, sched, store=sfio.SnapshotStore(tmp_path / "run"))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(traj.snapshots) == 4
+    m = u0.ncomp
+    row_bytes = g.n_interior * m * 8
+    ends, ub = flow._boundary_links(u0)
+    link_bytes = ends.nbytes + 2 * ub.nbytes
+    bnd_bytes = g.boundary_flat.size * m * 8
+    assert peak < (u0.values.nbytes + row_bytes + _group_scratch_bytes(g, m) + link_bytes
+                   + 2 * bnd_bytes + (1 << 18))
+
+
+@pytest.mark.parametrize("mode", ["glhf-simplified", "projected"])
+def test_public_step_allocates_its_field_its_rows_and_a_group_scratch(mode):
+    # the 3-D ball at h = 1/32: a public step copies the field, gathers its
+    # interior rows and steps them with a group's scratch; a run's whole
+    # per-node or row arrays would pass the bound
+    g = build_grid(Domain.unit_ball(3), 1 / 32)
+    u0 = generate(InitialData(kind="equator-hedgehog"), g, 2)
+    cfg = SolverConfig(dt=SolverConfig.auto_dt(g), T=1.0)
+    step = (partial(projected_flow_step, cfg=cfg) if mode == "projected"
+            else partial(glhf_step, cfg=cfg, sched=PenaltySchedule(lam=1e3)))
+    step(u0, 0.0)                               # fill the grid's caches
+    tracemalloc.start()
+    try:
+        step(u0, 0.0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    m = u0.ncomp
+    row_bytes = g.n_interior * m * 8
+    bnd_bytes = g.boundary_flat.size * m * 8
+    assert peak < (u0.values.nbytes + row_bytes + _group_scratch_bytes(g, m) + bnd_bytes
+                   + (1 << 17))
 
 
 def test_run_holds_no_lattice_sized_scratch():

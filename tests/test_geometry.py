@@ -471,6 +471,73 @@ def test_nodes_within_is_the_coordinate_test(name, rng):
                               np.arange(g.n_interior))
 
 
+def _nodes_within_by_layers(g, x0, R):
+    """``nodes_within`` by the earlier rule: every interior node of the
+    box's first-axis layers unravelled, and the other axes tested on their
+    indices, before the coordinate test."""
+    x0 = np.asarray(x0, dtype=float)
+    top = np.asarray(g.shape) - 1
+    with np.errstate(over="ignore", invalid="ignore"):
+        try:
+            r2 = R ** 2
+        except OverflowError:
+            r2 = np.inf
+        reach = abs(R) + g.h + 1e-12 * (np.abs(x0) + abs(R))
+        lo = np.floor((x0 - reach) / g.h) - g.index_origin
+        hi = np.ceil((x0 + reach) / g.h) - g.index_origin
+        if not (r2 > 0 and np.all((lo <= hi) & (lo <= top) & (hi >= 0))):
+            return np.empty(0, dtype=np.intp)
+        lo = np.clip(lo, 0, top).astype(np.int64)
+        hi = np.clip(hi, 0, top).astype(np.int64)
+        idx, s0 = g.interior_flat, g.strides()[0]
+        a, b = np.searchsorted(idx, [lo[0] * s0, (hi[0] + 1) * s0])
+        k = np.unravel_index(idx[a:b], g.shape)
+        keep = np.ones(b - a, dtype=bool)
+        for ax in range(1, g.d):
+            keep &= (k[ax] >= lo[ax]) & (k[ax] <= hi[ax])
+        pos = np.flatnonzero(keep)
+        diff = g.node_coords(idx[a + pos])
+        diff -= x0
+        return a + pos[rowsq(diff, scratch=diff) < r2]
+
+
+BALL_QUERY_GRIDS = {name: build_grid(FACE_DOMAINS[name], 1 / 16 if FACE_DOMAINS[name].d == 2
+                                     else 0.13)
+                    for name in ("ball2", "ball3", "box3", "half3")}
+
+
+@settings(max_examples=150, deadline=None)
+@given(name=st.sampled_from(sorted(BALL_QUERY_GRIDS)),
+       x0=st.lists(st.floats(-1.5, 1.5), min_size=3, max_size=3),
+       R=st.one_of(st.floats(0.0, 2.5), st.sampled_from([0.13, 0.26, 1 / 16, 1 / 8])))
+def test_nodes_within_by_box_rows_is_the_layer_rule(name, x0, R):
+    # the box's rows along the last axis, each found by searchsorted, give
+    # the positions of the earlier rule, in its order
+    g = BALL_QUERY_GRIDS[name]
+    x0 = np.asarray(x0[:g.d])
+    got = g.nodes_within(x0, R)
+    assert got.dtype == np.intp
+    assert np.array_equal(got, _nodes_within_by_layers(g, x0, R))
+
+
+def test_nodes_within_holds_no_more_than_its_box():
+    # the 3-D ball at h = 1/32 and R = 1/2 (17,071 nodes, 137 KB): the
+    # query's temporaries are of the ball's index box; unravelling every
+    # interior node of the box's first-axis layers peaked at 40 times the
+    # result
+    g = build_grid(Domain.unit_ball(3), 1 / 32)
+    g.nodes_within(np.zeros(3), 0.5)            # fill the grid's caches
+    for x0 in (np.zeros(3), np.array([0.3, -0.2, 0.1])):
+        tracemalloc.start()
+        try:
+            pos = g.nodes_within(x0, 0.5)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert pos.size > 17000
+        assert peak < 25 * pos.nbytes
+
+
 @pytest.mark.parametrize("domain, h", [(Domain.unit_ball(2), 1 / 16), (Domain.unit_ball(3), 1 / 8),
                                        (Domain.box([[-1.0, 1.0], [0.0, 0.5]]), 1 / 16)])
 def test_strides_and_the_active_interior_mask_are_computed_once(domain, h):

@@ -75,9 +75,10 @@ def test_every_read_of_a_mapped_snapshot_leaves_no_page_resident(tmp_path, disc1
 
 
 def test_energy_report_reads_its_snapshot_once(tmp_path, disc16, monkeypatch, map_rss):
-    # one lattice gives the gradient and the penalty density, so the map is
-    # read once, and no page of it is left resident; the report and the
-    # cached densities are the in-memory twin's, as the same floats
+    # one held read gives the gradient and the penalty density and builds no
+    # lattice, so the map drops its pages once, and no page of it is left
+    # resident; the report and the cached densities are the in-memory
+    # twin's, as the same floats
     u0 = generate(InitialData(kind="cap", latitude_deg=45.0), disc16, 2)
     cfg = SolverConfig(dt=SolverConfig.auto_dt(disc16), T=0.05, output_stride=4)
     in_memory = run_glhf(u0, cfg, PenaltySchedule(lam=1e3))
@@ -92,7 +93,7 @@ def test_energy_report_reads_its_snapshot_once(tmp_path, disc16, monkeypatch, ma
     k = len(stored.snapshots) - 1
     report = energy_report(stored, k)
     resident = map_rss(stored.snapshots[k])
-    assert len(built) == 1 and built[0][1] is stored.snapshots[k]._rows
+    assert built == []
     assert released == [stored.snapshots[k]._rows.base]
     expected = energy_report(in_memory, k)
     assert report.to_json() == expected.to_json()
@@ -106,9 +107,75 @@ def test_energy_report_reads_its_snapshot_once(tmp_path, disc16, monkeypatch, ma
     # so is a gl density alone
     released.clear()
     gl = diagnostics.energy_density(stored, k - 1, "gl")
-    assert released == [stored.snapshots[k - 1]._rows.base]
+    assert built == [] and released == [stored.snapshots[k - 1]._rows.base]
     assert np.array_equal(gl, diagnostics.energy_density(in_memory, k - 1, "gl"))
     assert map_rss.checked([resident]) == [0]
+
+
+@pytest.mark.parametrize("stored", [False, True])
+def test_kept_snapshot_densities_build_no_lattice(tmp_path, monkeypatch, stored):
+    # the 3-D ball at h = 1/32, whose whole density takes nine blocks of
+    # nodes: a kept snapshot, mapped or in memory, gives its whole density
+    # from lattice spans and a ball's from stencil rows found by position,
+    # the live field's densities bit for bit, and builds no lattice
+    g = build_grid(Domain.unit_ball(3), 1 / 32)
+    u0 = generate(InitialData(kind="equator-hedgehog"), g, 2)
+    dt = SolverConfig.auto_dt(g)
+    cfg = SolverConfig(dt=dt, T=2.5 * dt, output_stride=1)
+    traj = run_glhf(u0, cfg, PenaltySchedule(lam=1e3),
+                    store=sfio.SnapshotStore(tmp_path) if stored else None)
+    kept = traj.snapshots[:-1]
+    assert all(type(s) is field.KeptSnapshot for s in kept)
+    live = [field.SphereField(g, np.array(s.values)) for s in kept]
+    fresh = dataclasses.replace(traj)
+    expect = {(k, mode): diagnostics.energy_density(
+        dataclasses.replace(traj, snapshots=live), k, mode)
+        for k in range(len(kept)) for mode in ("gl", "gradient")}
+    balls = [g.nodes_within(np.asarray(x0), R) for x0, R in
+             (((0.0, 0.0, 0.0), 0.25), ((0.3, -0.5, 0.6), 0.25), ((0.1, 0.2, -0.3), 0.6))]
+    built, lattice_values = [], field.lattice_values
+    monkeypatch.setattr(field, "lattice_values",
+                        lambda *a: built.append(a) or lattice_values(*a))
+    for k, (snap, f) in enumerate(zip(kept, live)):
+        whole = field.gradient_squared_density(snap)
+        assert np.array_equal(whole, field.gradient_squared_density(f))
+        for nodes in balls:
+            assert np.array_equal(field.gradient_squared_density(snap, nodes), whole[nodes])
+            for mode in ("gl", "gradient"):
+                assert np.array_equal(diagnostics.energy_density(fresh, k, mode, nodes),
+                                      expect[k, mode][nodes])
+        assert np.array_equal(diagnostics.energy_report(fresh, k).density, expect[k, "gl"])
+        assert np.array_equal(fresh._density_cache[k, "gradient"], expect[k, "gradient"])
+    assert built == []
+
+
+@pytest.mark.parametrize("dom, h", [
+    (Domain.unit_ball(3), 1 / 32),
+    # layers of 261^2 nodes, wider than 4 BLOCK_NODES: a block is part of one
+    (Domain.box([[0, 0.25], [0, 32], [0, 32]]), 0.125),
+])
+def test_kept_snapshot_density_reads_bounded_spans(monkeypatch, rng, dom, h):
+    # the whole density, a ball's and one at positions in any order read the
+    # kept snapshot in spans of at most max(4 BLOCK_NODES, s0) + 2 s0 rows, and
+    # have the live field's bits
+    from sphereflow.geometry import BLOCK_NODES
+    g = build_grid(dom, h)
+    live = field.SphereField(g, np.zeros(g.shape + (3,)))
+    flat = live.flat()
+    flat[g.interior_flat] = rng.standard_normal((g.n_interior, 3))
+    flat[g.boundary_flat] = rng.standard_normal((g.boundary_flat.size, 3))
+    snap = field.KeptSnapshot(g, live.interior_rows(), live.boundary_rows())
+    s0 = int(g.strides()[0])
+    spans, span = [], field.KeptSnapshot._span
+    monkeypatch.setattr(field.KeptSnapshot, "_span",
+                        lambda self, lo, hi, out: spans.append(hi - lo) or span(self, lo, hi, out))
+    monkeypatch.setattr(field, "lattice_values", None)
+    whole = field.gradient_squared_density(live)
+    assert np.array_equal(field.gradient_squared_density(snap), whole)
+    centre = g.node_coords(g.interior_flat[g.n_interior // 2: g.n_interior // 2 + 1])[0]
+    for nodes in (g.nodes_within(centre, 0.3), rng.permutation(g.n_interior)[:500]):
+        assert np.array_equal(field.gradient_squared_density(snap, nodes), whole[nodes])
+    assert spans and max(spans) <= max(4 * BLOCK_NODES, s0) + 2 * s0
 
 
 def _every_diagnostic(traj) -> list:
