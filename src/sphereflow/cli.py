@@ -284,17 +284,15 @@ def _run_flow(cfg: ExperimentConfig, u0: SphereField, store=None,
 
 def _write_trajectory(out: Path, traj: Trajectory, store: sfio.SnapshotStore,
                       written: dict):
-    """``trajectory.csv`` and the sidecars of the snapshots ``store`` wrote
+    """``trajectory.csv`` and the index of the snapshots ``store`` wrote
     during the flow; ``written`` gains their digests."""
     rows = [[r.step, r.t, r.gl_energy, r.dirichlet_energy,
              r.penalty_increment, r.max_norm] for r in traj.records]
     written[out / "trajectory.csv"] = sfio.write_csv(out / "trajectory.csv",
                                                      TRAJECTORY_HEADER, rows)
     sched = traj.schedule
-    for i, (base, t, snap) in enumerate(zip(store.bases, traj.times, traj.snapshots)):
-        written[base.with_suffix(".json")] = sfio.write_sidecar(
-            base, snap, t=t, step=i, lam=traj.lam,
-            exponent=sched.exponent(t) if sched else None, boundary=store.boundary.name)
+    written[store.index] = store.write_index(
+        traj.times, traj.lam, [sched.exponent(t) if sched else None for t in traj.times])
 
 
 def _run_readings(cfg: ExperimentConfig, plan: Trajectory) -> dict:

@@ -108,20 +108,33 @@ class MonotonicityReport:
 
 # -- kernels and weights ----------------------------------------------------
 
+def _heat_kernel(z0, points: Callable[[], np.ndarray]) -> Callable[[float], np.ndarray]:
+    """t -> ``backward_heat_kernel(z0, t, points())``, an array, with
+    |x - x0|^2 taken at the first call and kept: a reading built at load
+    holds no node array until fed."""
+    t0, x0 = float(z0[0]), np.asarray(z0[1], dtype=float)
+    r2 = d = None
+
+    def at(t: float) -> np.ndarray:
+        nonlocal r2, d
+        if t >= t0:
+            raise TimeNotBeforeCenter(f"kernel needs t < t0, got t = {t}, t0 = {t0}")
+        if r2 is None:
+            x = np.atleast_2d(np.asarray(points(), dtype=float))
+            d, diff = x.shape[1], x - x0
+            r2 = rowsq(diff, scratch=diff)
+        tau = t0 - t
+        return (4.0 * math.pi * tau) ** (-d / 2.0) * np.exp(-r2 / (4.0 * tau))
+
+    return at
+
+
 def backward_heat_kernel(z0, t, x) -> np.ndarray:
     """Backward Gaussian weight centered at a future spacetime point.
 
     G(t, x) = (4 pi (t0 - t))^(-d/2) exp(-|x - x0|^2 / (4 (t0 - t))).
     """
-    t0, x0 = float(z0[0]), np.asarray(z0[1], dtype=float)
-    if t >= t0:
-        raise TimeNotBeforeCenter(f"kernel needs t < t0, got t = {t}, t0 = {t0}")
-    tau = t0 - t
-    x = np.atleast_2d(np.asarray(x, dtype=float))
-    d = x.shape[1]
-    diff = x - x0
-    r2 = rowsq(diff, scratch=diff)
-    vals = (4.0 * math.pi * tau) ** (-d / 2.0) * np.exp(-r2 / (4.0 * tau))
+    vals = _heat_kernel(z0, lambda: x)(t)
     return vals if vals.size > 1 else float(vals[0])
 
 
@@ -324,8 +337,9 @@ def annulus_window(t0: float, R: float) -> tuple[float, float]:
     return t0 - 4.0 * R * R, t0 - R * R
 
 
-def _annulus_sum(traj: Trajectory, z0, R: float, mode: str) -> WindowSum:
-    """The window sum of ``weighted_annulus_energy``."""
+def _annulus_sum(traj: Trajectory, z0, R: float, mode: str, kernel) -> WindowSum:
+    """The window sum of ``weighted_annulus_energy``; ``kernel`` is
+    ``_heat_kernel`` of z0 at the interior nodes."""
     g = traj.grid
     a, b = annulus_window(float(z0[0]), R)
     if a < -1e-12:
@@ -335,7 +349,7 @@ def _annulus_sum(traj: Trajectory, z0, R: float, mode: str) -> WindowSum:
                       "quadrature-limited", KernelUnderresolved)
 
     def weighted(k):
-        gvals = backward_heat_kernel(z0, max(traj.times[k], a), g.interior_coords)
+        gvals = kernel(max(traj.times[k], a))
         return float(np.sum(energy_density(traj, k, mode) * gvals) * g.cell_volume)
 
     try:
@@ -346,15 +360,16 @@ def _annulus_sum(traj: Trajectory, z0, R: float, mode: str) -> WindowSum:
 
 def weighted_annulus_energy(traj: Trajectory, z0, R: float, mode: str = "gl") -> float:
     """Gaussian-weighted energy over the annular time window (t0-4R^2, t0-R^2)."""
-    acc = _annulus_sum(traj, z0, R, mode)
+    acc = _annulus_sum(traj, z0, R, mode, _heat_kernel(z0, lambda: traj.grid.interior_coords))
     feed(traj, [acc])
     return acc.value
 
 
 # -- monotonicity ------------------------------------------------------------
 
-def _speed_density(traj: Trajectory, z0) -> Callable[[int], float]:
-    """k -> spatial integral of |du/dt - (x-x0)/(2 sqrt(t0-t)) . grad u|^2 G at t_k.
+def _speed_density(traj: Trajectory, z0, kernel) -> Callable[[int], float]:
+    """k -> spatial integral of |du/dt - (x-x0)/(2 sqrt(t0-t)) . grad u|^2 G at t_k,
+    G = ``kernel(t_k)``.
 
     What does not depend on k (x - x0 per axis, the gather indices) is
     computed once; every call gathers into the same four row buffers and
@@ -388,7 +403,7 @@ def _speed_density(traj: Trajectory, z0) -> Callable[[int], float]:
         radial /= 2.0 * math.sqrt(t0 - t)
         diff -= radial
         vals = rowsq(diff, scratch=buf)
-        vals *= backward_heat_kernel(z0, t, coords)
+        vals *= kernel(t)
         return float(np.sum(vals) * g.cell_volume)
 
     return at
@@ -440,15 +455,16 @@ def monotonicity_reading(traj: Trajectory, z0, pairs, mode: str = "gradient",
     sample of the pairs, each snapshot's value computed once and shared by
     every sum that holds it (none is empty, since each reaches back past
     the inner annulus window; the last snapshot never has weight).  Its
-    row buffers live only in that pass.
+    row buffers live only in that pass.  Both passes share one kernel.
     """
     t0 = float(z0[0])
     check_monotonicity_args(t0, pairs, mode, rhs_form)
-    annuli = {R: _annulus_sum(traj, z0, R, mode)
+    kernel = _heat_kernel(z0, lambda: traj.grid.interior_coords)
+    annuli = {R: _annulus_sum(traj, z0, R, mode, kernel)
               for R in dict.fromkeys(R for pair in pairs for R in pair)}
 
     def finish() -> list:
-        at = _speed_density(traj, z0)
+        at = _speed_density(traj, z0, kernel)
         last = {}
 
         def speed_at(k: int) -> float:
@@ -547,9 +563,10 @@ def main2_lhs(traj_or_u0, z0, R0: float, mu0: float, c_mu0: float) -> float:
     t_hi = t0 - R0 * R0
     dt = t_hi / MAIN2_TIME_STEPS
     surf = 0.0
+    kernel = _heat_kernel(z0, lambda: bpts)
     for j in range(MAIN2_TIME_STEPS):
         t = j * dt
-        gvals = backward_heat_kernel(z0, t, bpts)
+        gvals = kernel(t)
         surf += dt * float(np.sum(tg2 * gvals * (dw + 4.0 * (t0 - t) / d0 ** 2)) * area_w)
 
     bracket = interior_term + surf

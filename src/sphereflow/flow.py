@@ -121,7 +121,7 @@ class PenaltySchedule:
 
     def strength(self, t: float) -> float:
         """The penalty strength Lam = lambda^(1 - kappa(t)) at time t; the step,
-        its record, the snapshot sidecars and the penalty density all use it."""
+        its record, the snapshot index and the penalty density all use it."""
         return self.lam ** self.exponent(t)
 
 

@@ -311,7 +311,7 @@ class Domain:
         ValueError for a graph subdomain, whose ``phi`` has no config form."""
         if self.kind == "graph-subdomain":
             raise ValueError("a graph subdomain has no config form: its height "
-                             "function phi cannot be written to a sidecar or config")
+                             "function phi cannot be written to a config")
         if self.kind == "box":
             return {"kind": "box", "d": self.d, "bounds": self.bounds.tolist()}
         return {"kind": self.kind, "d": self.d}

@@ -1,5 +1,5 @@
-"""Artifact formats: binary snapshots with JSON sidecars, RFC-4180 CSV,
-checksummed manifests.
+"""Artifact formats: binary snapshots listed in a JSON index, RFC-4180
+CSV, checksummed manifests.
 
 Every writer hashes the bytes it writes and returns ``(sha256, bytes)`` of
 the file, so a manifest is built from those digests without reading an
@@ -9,24 +9,13 @@ store makes ``snapshots/``, and the run its ``reports/``, once.
 
 A snapshot holds rows, not a lattice: its ``.f64`` file is its interior
 rows (``Grid.interior_flat`` order, little-endian float64, component
-fastest) and a boundary-row file (``boundary_flat`` order) holds its
-boundary rows; the JSON sidecar gives the interior rows' ``shape`` and
-names the boundary file.  A run's ``SnapshotStore`` writes the flow's own
-interior rows as the flow takes each snapshot, hands the flow a
-``field.KeptSnapshot`` whose rows are a read-only map of the written file,
-writes the run's boundary rows, which no step changes, to one file per
-run (``boundary.bnd``, not a ``.f64``), and leaves the sidecars, which
-hold no field data, to the end of the flow.  ``write_snapshot`` writes
-one snapshot's three files on its own.  A sweep's projected reference
-runs through a store whose files are removed when the run ends, and
-reads its maps after that; no manifest lists those files, so that store
-hashes none of them.  A snapshot of a domain with no config form (a
-graph subdomain, whose ``phi`` is code) is refused before any file is
-written, since its sidecar could not be read back.  ``read_rows`` reads
-a snapshot as a kept snapshot (the ``custom-samples`` initial data of a
-run), ``read_snapshot`` as a writable lattice field; a sidecar of the
-lattice layout that earlier versions wrote is refused.  A kept
-snapshot drops its map's pages after each read (``field.KeptSnapshot``).
+fastest), a boundary-row file (``boundary_flat`` order) its boundary
+rows, and the ``index.json`` of its directory holds the grid spec,
+``shape``, ``D`` and ``tag`` once and an entry per snapshot name.  A
+run's ``SnapshotStore`` writes the rows as the flow takes each snapshot
+and the index once the flow ends; ``write_snapshot`` writes one snapshot.
+A snapshot its directory's index does not list is refused (earlier
+versions wrote a sidecar per snapshot).
 """
 
 from __future__ import annotations
@@ -48,6 +37,8 @@ from .geometry import Domain, Grid, build_grid
 # the suffix of a boundary-row file: not ``.f64``, so a run's ``snapshots/``
 # holds one ``.f64`` file per snapshot
 BOUNDARY_SUFFIX = ".bnd"
+# the file, in a snapshot's directory, that lists its snapshots
+INDEX = "index.json"
 
 
 def fmt(x) -> str:
@@ -104,7 +95,7 @@ def sha256_file(path: Path) -> str:
 
 
 def grid_spec(grid: Grid) -> dict:
-    """The sidecar's ``grid``: the domain's config and h.  ValueError for a
+    """An index's ``grid``: the domain's config and h.  ValueError for a
     domain with no config form (``Domain.to_config``)."""
     return {"domain": grid.domain.to_config(), "h": grid.h}
 
@@ -115,39 +106,39 @@ def _f64(rows: np.ndarray) -> np.ndarray:
     return np.ascontiguousarray(rows, dtype="<f8")
 
 
-def write_sidecar(path_base: Path, f: SphereField, t: float, step: int,
-                  lam: Optional[float], exponent: Optional[float],
-                  boundary: str) -> tuple[str, int]:
-    """The snapshot's JSON sidecar; it reads only ``f``'s grid and component
-    count.  ``shape`` is that of the interior rows in the ``.f64`` file and
-    ``boundary`` names the file of the boundary rows, in the sidecar's
-    directory.  Its ``tag`` is always ``"u"``, the flow field."""
-    return write_json(path_base.with_suffix(".json"), {
-        "grid": grid_spec(f.grid),
-        "shape": [f.grid.n_interior, f.ncomp],
-        "boundary": boundary,
-        "D": f.ncomp - 1,
-        "t": t,
-        "step": step,
-        "lambda": lam,
-        "exponent": exponent,
-        "tag": "u",
-    })
+def _head(grid: Grid, ncomp: int) -> dict:
+    """What an index holds once: grid spec (``grid_spec``), interior-row
+    ``shape``, ``D`` and ``tag``, always ``"u"``, the flow field."""
+    return {"grid": grid_spec(grid), "shape": [grid.n_interior, ncomp],
+            "D": ncomp - 1, "tag": "u"}
+
+
+def _entry(t: float, step: int, lam: Optional[float], exponent: Optional[float],
+           boundary: str) -> dict:
+    """A snapshot's index entry; ``boundary`` names its boundary-row file."""
+    return {"t": t, "step": step, "lambda": lam, "exponent": exponent,
+            "boundary": boundary}
 
 
 def write_snapshot(path_base: Path, f: SphereField, t: float, step: int,
                    lam: Optional[float], exponent: Optional[float]) -> tuple:
-    """One snapshot on its own: the ``.f64`` file of its interior rows, the
-    ``.bnd`` file of its boundary rows and the sidecar, in ``path_base``'s
-    directory, made if missing; returns their ``(sha256, bytes)`` in that
-    order.  ValueError, with no file written, when ``f``'s grid has no spec
-    (``grid_spec``)."""
-    grid_spec(f.grid)
+    """One snapshot on its own: its ``.f64`` and ``.bnd`` files in
+    ``path_base``'s directory, made if missing, and its entry, added or
+    replaced, in that directory's index; returns their ``(sha256, bytes)``.
+    ValueError, with no file written, for a grid with no spec or an index
+    of another grid spec, ``D`` or shape."""
+    head = _head(f.grid, f.ncomp)
     path_base.parent.mkdir(parents=True, exist_ok=True)
+    index_path = path_base.parent / INDEX
+    index = _load_index(index_path) or dict(head, snapshots={})
+    found = {k: index.get(k) for k in head}
+    if found != head:
+        raise ValueError(f"{str(index_path)!r} lists snapshots of {found}, not {head}")
     bnd = path_base.with_suffix(BOUNDARY_SUFFIX)
+    index["snapshots"][path_base.name] = _entry(t, step, lam, exponent, bnd.name)
     return (_write_bytes(path_base.with_suffix(".f64"), _f64(f.interior_rows())),
             _write_bytes(bnd, _f64(f.boundary_rows())),
-            write_sidecar(path_base, f, t, step, lam, exponent, bnd.name))
+            write_json(index_path, index))
 
 
 def map_budget() -> int:
@@ -161,20 +152,15 @@ class SnapshotStore:
     """The snapshots of one run, in ``snap_dir``, as the flow takes them.
 
     ``take`` writes the flow's interior rows to the snapshot's ``.f64``
-    file, records the digest of that buffer and returns a
-    ``field.KeptSnapshot`` whose rows are a read-only map of the file,
-    made from the descriptor just written, which the trajectory holds in
-    place of a copy.  The first ``take`` also writes the run's boundary
-    rows, which no step writes, to ``boundary`` (``boundary.bnd``, one file
-    per run), and every snapshot of the store shares them in memory.  Past
-    ``map_budget()`` maps the snapshot's rows are a copy instead, so memory
-    grows by one interior-row array per snapshot past the budget; the files
-    are the same.  A field whose grid has no spec (``grid_spec``) raises
-    ValueError before any file is written.
-    ``bases`` are the snapshots' paths without suffix, in order, and
-    ``digests`` maps each written file to its ``(sha256, bytes)``.  A store
-    made with ``digest=False`` (a sweep's projected reference, whose files
-    no manifest lists) hashes nothing and leaves ``digests`` empty.
+    file, records its digest and returns a ``field.KeptSnapshot`` whose
+    rows are a read-only map of the file, made from the descriptor just
+    written (a copy past ``map_budget()`` maps).  The first ``take`` writes
+    the run's boundary rows, which no step changes, to ``boundary``, and
+    every snapshot shares them.  A grid with no spec (``grid_spec``) raises
+    ValueError before any file is written.  ``bases`` are the snapshots'
+    paths without suffix, in order; ``digests`` maps each written file to
+    its ``(sha256, bytes)``, and stays empty with ``digest=False`` (a
+    sweep's projected reference, whose files no manifest lists).
     """
 
     def __init__(self, snap_dir: Path, digest: bool = True):
@@ -182,6 +168,8 @@ class SnapshotStore:
         self.bases: list = []
         self.digests: dict = {}
         self.boundary = snap_dir / ("boundary" + BOUNDARY_SUFFIX)
+        self.index = snap_dir / INDEX
+        self._head = None               # the index's, from the first take
         self._digest = digest
         self._budget = map_budget()
         self._boundary_rows = None      # shared by the snapshots
@@ -202,9 +190,10 @@ class SnapshotStore:
     def take(self, u: SphereField, rows: np.ndarray) -> KeptSnapshot:
         """The snapshot of ``u``, whose interior rows are ``rows`` (the flow's
         own array, which is not kept)."""
-        grid_spec(u.grid)               # a grid with no spec writes no file
+        head = _head(u.grid, u.ncomp)   # a grid with no spec writes no file
         data = _f64(rows)
         if self._boundary_rows is None:
+            self._head = head
             bnd = _f64(u.boundary_rows())
             self._write(self.boundary, bnd)
             bnd.flags.writeable = False
@@ -215,6 +204,13 @@ class SnapshotStore:
         mm = self._write(base.with_suffix(".f64"), data, mapped)
         kept = np.ndarray(data.shape, dtype="<f8", buffer=mm) if mapped else data.copy()
         return KeptSnapshot(u.grid, kept, self._boundary_rows)
+
+    def write_index(self, times, lam: Optional[float], exponents) -> tuple[str, int]:
+        """Write ``index``, once the flow ends: snapshot i is entry
+        ``bases[i].name`` at ``times[i]``, with ``exponents[i]``."""
+        snaps = {base.name: _entry(t, i, lam, e, self.boundary.name)
+                 for i, (base, t, e) in enumerate(zip(self.bases, times, exponents))}
+        return write_json(self.index, dict(self._head, snapshots=snaps))
 
     def remove(self) -> None:
         """Delete the files this store wrote, and its directory if that leaves
@@ -229,67 +225,79 @@ class SnapshotStore:
             pass
 
 
-def _sidecar(path_base: Path) -> tuple[dict, Path]:
-    """The snapshot's sidecar and the path of its boundary-row file.
-    ValueError on a sidecar of the lattice layout (no ``boundary`` file,
-    the lattice shape) and on a boundary file name that leaves the
-    sidecar's directory."""
-    with open(path_base.with_suffix(".json")) as fh:
-        sidecar = json.load(fh)
-    name = sidecar.get("boundary")
-    if name is None:
-        raise ValueError(f"snapshot {str(path_base)!r} holds a whole lattice of shape "
-                         f"{sidecar.get('shape')}; snapshots hold interior rows and a "
-                         f"boundary-row file: rerun the flow that wrote it")
+def _load_index(path: Path) -> Optional[dict]:
+    """The index at ``path`` or None; ValueError if it is not one."""
+    try:
+        with open(path) as fh:
+            index = json.load(fh)
+    except FileNotFoundError:
+        return None
+    if not isinstance(index, dict) or not isinstance(index.get("snapshots"), dict):
+        raise ValueError(f"{str(path)!r} is not a snapshot index")
+    return index
+
+
+def _metadata(path_base: Path) -> tuple[dict, Path]:
+    """The snapshot's index entry, with the index's grid spec, shape, ``D``
+    and tag, and its boundary-row file.  ValueError when its directory has
+    no index, the index lists no such name, or the boundary file leaves the
+    directory."""
+    path = path_base.parent / INDEX
+    index = _load_index(path)
+    if index is None:
+        raise ValueError(f"snapshot {str(path_base)!r} has no index {str(path)!r}: "
+                         f"rerun the flow that wrote it")
+    entry = index["snapshots"].get(path_base.name)
+    if entry is None:
+        raise ValueError(f"index {str(path)!r} lists no snapshot {path_base.name!r}: "
+                         f"rerun the flow that wrote it")
+    meta = {**{k: v for k, v in index.items() if k != "snapshots"}, **entry}
+    name = meta.get("boundary")
     if not isinstance(name, str) or Path(name).name != name:
         raise ValueError(f"snapshot {str(path_base)!r} names boundary file {name!r}, "
                          f"not a file of its directory")
-    return sidecar, path_base.parent / name
+    return meta, path_base.parent / name
 
 
 def check_snapshot(path_base: Path, grid: Grid, D: int):
-    """Raise ValueError unless the snapshot's sidecar is readable and
-    declares ``grid``'s spec, target dimension ``D`` and the shape of the
-    grid's interior rows, and its ``.f64`` and boundary files hold that
-    many interior and boundary rows of float64s.  A snapshot of the
-    lattice layout is refused (``_sidecar``)."""
-    shape = (grid.n_interior, D + 1)
-    need = (8 * shape[0] * shape[1], 8 * grid.boundary_flat.size * shape[1])
+    """Raise ValueError unless the snapshot's index entry (``_metadata``)
+    declares the ``_head`` of ``grid`` and ``D``, and its ``.f64`` and
+    boundary files hold that many interior and boundary rows of float64s."""
+    want = _head(grid, D + 1)
+    need = (8 * grid.n_interior * (D + 1), 8 * grid.boundary_flat.size * (D + 1))
     try:
-        sidecar, bnd = _sidecar(path_base)
-        found = (sidecar["grid"], sidecar["D"], tuple(sidecar["shape"]))
+        meta, bnd = _metadata(path_base)
         nbytes = (path_base.with_suffix(".f64").stat().st_size, bnd.stat().st_size)
-    except (AttributeError, OSError, KeyError, TypeError, ValueError) as e:
+    except (OSError, TypeError, ValueError) as e:
         raise ValueError(f"unreadable snapshot {str(path_base)!r}: {e}") from e
-    if found != (grid_spec(grid), D, shape) or nbytes != need:
-        raise ValueError(f"snapshot {str(path_base)!r} holds grid {found[0]}, D = "
-                         f"{found[1]!r} and interior rows of shape {found[2]}, in "
-                         f"{nbytes[0]} + {nbytes[1]} bytes with its boundary rows; this "
-                         f"run needs grid {grid_spec(grid)}, D = {D} and shape {shape} in "
+    found = {k: meta.get(k) for k in want}
+    if found != want or nbytes != need:
+        raise ValueError(f"snapshot {str(path_base)!r} holds {found} in {nbytes[0]} + "
+                         f"{nbytes[1]} bytes of rows; this run needs {want} in "
                          f"{need[0]} + {need[1]}")
 
 
 def read_rows(path_base: Path, grid: Optional[Grid] = None) -> tuple[KeptSnapshot, dict]:
     """The snapshot at ``path_base`` as a ``field.KeptSnapshot`` of the rows
-    in its two files, with no lattice, and its sidecar.  The field lives on
-    ``grid``, which must be the sidecar's (``check_snapshot``), or on the
-    grid the sidecar specifies.  ValueError as ``_sidecar`` raises it, and
-    on files that do not hold the rows the sidecar declares."""
-    sidecar, bnd = _sidecar(path_base)
+    in its two files, with no lattice, and its ``_metadata``.  The field
+    lives on ``grid``, which must be the index's (``check_snapshot``), or on
+    the grid the index specifies.  ValueError as ``_metadata`` raises it,
+    and on files that do not hold the rows the index declares."""
+    meta, bnd = _metadata(path_base)
     if grid is None:
-        grid = build_grid(Domain.from_config(sidecar["grid"]["domain"]), sidecar["grid"]["h"])
-    ncomp = sidecar["D"] + 1
+        grid = build_grid(Domain.from_config(meta["grid"]["domain"]), meta["grid"]["h"])
+    ncomp = meta["D"] + 1
     rows = np.fromfile(path_base.with_suffix(".f64"), dtype="<f8")
     brows = np.fromfile(bnd, dtype="<f8")
     return KeptSnapshot(grid, rows.reshape(grid.n_interior, ncomp),
-                        brows.reshape(grid.boundary_flat.size, ncomp)), sidecar
+                        brows.reshape(grid.boundary_flat.size, ncomp)), meta
 
 
 def read_snapshot(path_base: Path) -> tuple[SphereField, dict]:
     """The snapshot at ``path_base`` as a writable lattice field on the grid
-    its sidecar specifies, exterior rows zero, and its sidecar."""
-    kept, sidecar = read_rows(path_base)
-    return SphereField(kept.grid, lattice_values(kept.grid, *kept.hand_over())), sidecar
+    its index specifies, exterior rows zero, and its metadata."""
+    kept, meta = read_rows(path_base)
+    return SphereField(kept.grid, lattice_values(kept.grid, *kept.hand_over())), meta
 
 
 def build_manifest(out_dir: Path, digests: dict, config_sha256: str) -> dict:

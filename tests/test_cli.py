@@ -531,7 +531,7 @@ def test_box_run_and_custom_samples_from_its_snapshot(tmp_path):
     p.write_text(json.dumps(cfg))
     assert run_experiment(p, tmp_path / "box") == 0
     base = tmp_path / "box" / "snapshots" / "snap_000001"
-    spec = json.loads(base.with_suffix(".json").read_text())["grid"]
+    spec = json.loads((base.parent / "index.json").read_text())["grid"]
     rebuilt, dom = Domain.from_config(spec["domain"]), Domain.box(bounds)
     assert (rebuilt.kind, rebuilt.d) == (dom.kind, dom.d)
     assert np.array_equal(rebuilt.bounds, dom.bounds)
@@ -544,11 +544,21 @@ def test_box_run_and_custom_samples_from_its_snapshot(tmp_path):
     assert np.allclose(first.values, read_snapshot(base)[0].values, rtol=0.0, atol=1e-15)
 
 
-@pytest.mark.parametrize("defect", ["no-sidecar", "truncated", "other-grid"])
+@pytest.mark.parametrize("defect", ["no-index", "no-entry", "truncated", "other-grid"])
 def test_custom_samples_snapshot_checked_at_load(tmp_path, defect):
+    # no-index is a directory as earlier versions wrote it, a JSON sidecar
+    # beside each snapshot and no index; no-entry an index that does not
+    # list the snapshot
     p, base = _samples_config(tmp_path, 1 / 8 if defect == "other-grid" else 1 / 16)
-    if defect == "no-sidecar":
-        base.with_suffix(".json").unlink()
+    index = tmp_path / "index.json"
+    if defect == "no-index":
+        _, meta = read_snapshot(base)
+        base.with_suffix(".json").write_text(json.dumps(meta))
+        index.unlink()
+    elif defect == "no-entry":
+        listed = json.loads(index.read_text())
+        listed["snapshots"] = {"snap_000000": listed["snapshots"].pop("snap")}
+        index.write_text(json.dumps(listed))
     elif defect == "truncated":
         data = base.with_suffix(".f64").read_bytes()
         base.with_suffix(".f64").write_bytes(data[:-8])
@@ -557,6 +567,10 @@ def test_custom_samples_snapshot_checked_at_load(tmp_path, defect):
     err = json.loads((out / "error.json").read_text())
     assert err["error"] == "ConfigError" and err["exit_code"] == 2
     assert not (out / "trajectory.csv").exists()
+    if defect in ("no-index", "no-entry"):
+        named = {"no-index": f"has no index {str(index)!r}",
+                 "no-entry": "lists no snapshot 'snap'"}[defect]
+        assert named in err["message"] and "rerun the flow" in err["message"]
 
 
 BOX = {"kind": "box", "d": 2, "bounds": [[-1.0, 1.0], [-1.0, 1.0]]}
@@ -1213,20 +1227,25 @@ def test_failed_flow_removes_its_boundary_file(tmp_path, monkeypatch):
 
 def test_run_snapshots_are_one_rows_file_per_time_and_one_boundary_file(cap_disc_out):
     # one .f64 of interior rows per snapshot time, one boundary-row file per
-    # run, a sidecar per snapshot naming it; the manifest lists them all
+    # run, and one index with an entry per snapshot naming it; the manifest
+    # lists them all
     cfg = cli.ExperimentConfig.load(CONFIGS / "cap_disc.json")
     grid, n = cfg.grid, len(cfg.solver.snapshot_times())
     snaps = cap_disc_out / "snapshots"
     assert sorted(p.name for p in snaps.iterdir()) == sorted(
-        ["boundary.bnd"] + [f"snap_{i:06d}{x}" for i in range(n) for x in (".f64", ".json")])
+        ["boundary.bnd", "index.json"] + [f"snap_{i:06d}.f64" for i in range(n)])
     assert {p.stat().st_size for p in snaps.glob("*.f64")} == {grid.n_interior * 3 * 8}
     assert (snaps / "boundary.bnd").stat().st_size == grid.boundary_flat.size * 3 * 8
+    index = json.loads((snaps / "index.json").read_text())
+    assert index["shape"] == [grid.n_interior, 3] and index["D"] == 2
+    assert index["grid"] == sfio.grid_spec(grid) and index["tag"] == "u"
+    assert sorted(index["snapshots"]) == [f"snap_{i:06d}" for i in range(n)]
     for i in range(n):
-        sidecar = json.loads((snaps / f"snap_{i:06d}.json").read_text())
-        assert sidecar["shape"] == [grid.n_interior, 3] and sidecar["boundary"] == "boundary.bnd"
+        entry = index["snapshots"][f"snap_{i:06d}"]
+        assert entry["step"] == i and entry["boundary"] == "boundary.bnd"
     listed = {f["path"]: f for f in
               json.loads((cap_disc_out / "manifest.json").read_text())["files"]}
-    for p in [snaps / "boundary.bnd", *snaps.glob("*.f64")]:
+    for p in [snaps / "boundary.bnd", snaps / "index.json", *snaps.glob("*.f64")]:
         entry = listed[p.relative_to(cap_disc_out).as_posix()]
         assert entry["sha256"] == sfio.sha256_file(p) and entry["bytes"] == p.stat().st_size
 
@@ -1257,10 +1276,12 @@ def test_custom_samples_read_a_run_snapshot_as_its_rows(tmp_path, monkeypatch):
 
 def test_custom_samples_of_the_lattice_layout_exit_2(tmp_path):
     # a snapshot that earlier versions wrote, the whole lattice in its .f64
-    # file and the lattice shape in its sidecar, is refused at load
+    # file and the lattice shape in its sidecar, with no index, is refused
+    # at load
     p, base = _samples_config(tmp_path)
     f, sidecar = read_snapshot(base)
     base.with_suffix(".bnd").unlink()
+    (tmp_path / "index.json").unlink()
     base.with_suffix(".f64").write_bytes(f.values.tobytes())
     del sidecar["boundary"]
     sidecar["shape"] = list(f.values.shape)
@@ -1268,8 +1289,41 @@ def test_custom_samples_of_the_lattice_layout_exit_2(tmp_path):
     out = tmp_path / "out"
     assert run_experiment(p, out) == 2
     err = json.loads((out / "error.json").read_text())
-    assert err["error"] == "ConfigError" and "whole lattice" in err["message"]
+    assert err["error"] == "ConfigError" and "has no index" in err["message"]
+    assert "rerun the flow" in err["message"]
     assert [q.name for q in out.iterdir()] == ["error.json"]
+
+
+def test_run_directory_holds_one_file_per_snapshot_and_eight_more(cap_disc_out):
+    # snapshots/ holds one .f64 per snapshot, the boundary file and the index;
+    # the run directory adds config.json, trajectory.csv, manifest.json and
+    # cap_disc's three reports, whatever the snapshot count
+    n = len(cli.ExperimentConfig.load(CONFIGS / "cap_disc.json").solver.snapshot_times())
+    snaps = cap_disc_out / "snapshots"
+    assert sorted(p.name for p in snaps.iterdir() if not p.name.endswith(".f64")) == [
+        "boundary.bnd", "index.json"]
+    assert len(list(snaps.glob("snap_*.f64"))) == n
+    assert sum(p.is_file() for p in cap_disc_out.rglob("*")) == n + 8
+
+
+def test_every_index_entry_reads_back_as_the_kept_snapshot(tmp_path, monkeypatch):
+    # read through read_rows by its entry's name, snapshot k is the
+    # trajectory's kept snapshot k bit for bit, at its time and index
+    seen = _capture_trajectory(monkeypatch)
+    assert run_experiment(CONFIGS / "onesided_cap.json", tmp_path / "a") == 0
+    (traj,) = seen
+    snaps = tmp_path / "a" / "snapshots"
+    entries = json.loads((snaps / "index.json").read_text())["snapshots"]
+    assert sorted(entries) == sorted(p.stem for p in snaps.glob("*.f64"))
+    assert len(entries) == len(traj.snapshots) > 2
+    for name in entries:
+        kept, meta = sfio.read_rows(snaps / name)
+        k = meta["step"]
+        assert meta["t"] == traj.times[k] and name == f"snap_{k:06d}"
+        assert meta["lambda"] is None and meta["exponent"] is None
+        assert kept.interior_rows().tobytes() == traj.snapshots[k].interior_rows().tobytes()
+        assert kept.boundary_rows().tobytes() == traj.snapshots[k].boundary_rows().tobytes()
+        assert kept.values.tobytes() == traj.snapshots[k].values.tobytes()
 
 
 def test_run_heap_does_not_grow_with_snapshot_count(tmp_path):

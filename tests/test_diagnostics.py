@@ -187,8 +187,8 @@ def test_monotonicity_pairs_of_one_centre_share_the_speed_term(cap_run_32, monke
     calls = []
     speed_density = diagnostics._speed_density
 
-    def counted(traj, z):
-        at = speed_density(traj, z)
+    def counted(traj, z, *rest):
+        at = speed_density(traj, z, *rest)
         return lambda k: calls.append(k) or at(k)
 
     monkeypatch.setattr(diagnostics, "_speed_density", counted)
@@ -211,15 +211,45 @@ def test_monotonicity_pairs_of_one_centre_share_each_annulus_energy(cap_run_32,
     calls = []
     annulus = diagnostics._annulus_sum
 
-    def counted(traj, z, R, mode):
+    def counted(traj, z, R, *rest):
         calls.append(R)
-        return annulus(traj, z, R, mode)
+        return annulus(traj, z, R, *rest)
 
     monkeypatch.setattr(diagnostics, "_annulus_sum", counted)
     traj = dataclasses.replace(cap_run_32)
     (shared,) = evaluate(traj, [monotonicity_reading(traj, z0, pairs)])
     assert [r.to_json() for r in shared] == alone
     assert sorted(calls) == [0.07, 0.1, 0.14, 0.2]
+
+
+def test_a_monotonicity_reading_takes_its_kernel_distances_once(cap_run_32, monkeypatch):
+    # the annulus energies and the speed term of one reading weigh with one
+    # kernel, whose |x - x0|^2 is computed at its first call, not at load,
+    # and whose values are backward_heat_kernel's bit for bit
+    from sphereflow import diagnostics
+    pairs = [(0.07, 0.14), (0.07, 0.2), (0.1, 0.2)]
+    z0 = (0.2, np.array([0.1, -0.05]))
+    alone = [monotonicity_report(dataclasses.replace(cap_run_32), z0, r1, r2).to_json()
+             for r1, r2 in pairs]
+    kernels, reads = [], []
+    heat_kernel = diagnostics._heat_kernel
+
+    def counted(z, points):
+        kernels.append(heat_kernel(z, lambda: reads.append(1) or points()))
+        return kernels[-1]
+
+    monkeypatch.setattr(diagnostics, "_heat_kernel", counted)
+    traj = dataclasses.replace(cap_run_32)
+    reading = monotonicity_reading(traj, z0, pairs)
+    assert len(kernels) == 1 and reads == []
+    (shared,) = evaluate(traj, [reading])
+    assert [r.to_json() for r in shared] == alone
+    assert len(kernels) == 1 and reads == [1]
+    x = traj.grid.interior_coords
+    for t in (0.0, 0.1, 0.19):
+        assert np.array_equal(kernels[0](t), backward_heat_kernel(z0, t, x))
+    with pytest.raises(TimeNotBeforeCenter):
+        kernels[0](0.2)
 
 
 def test_monotonicity_preconditions(cap_run_32):

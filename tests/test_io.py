@@ -36,8 +36,8 @@ def _rss_file_bytes():
 
 
 def test_graph_subdomain_snapshot_is_refused_before_writing(tmp_path):
-    # its sidecar could not name the height function, so no reader could
-    # rebuild the grid: neither file is written
+    # its index could not name the height function, so no reader could
+    # rebuild the grid: no file is written
     grid = build_grid(Domain.graph_subdomain(lambda y: float(np.sum(y ** 2)), 2), 1 / 8)
     f = generate(InitialData(kind="constant"), grid, 2)
     with pytest.raises(ValueError, match="graph subdomain"):
@@ -289,17 +289,19 @@ def test_kept_snapshot_reads_are_the_lattice_gathers(tmp_path, monkeypatch, form
 
 def test_a_snapshot_is_its_rows_in_two_files(tmp_path, disc16):
     # the .f64 file holds the interior rows, the .bnd file the boundary rows,
-    # and the sidecar their shape and the boundary file's name; the writers
-    # make no directory but write_snapshot's own
+    # and the directory's index their shape and the boundary file's name; the
+    # writers make no directory but write_snapshot's own
     f = _stepped(disc16)
     base = tmp_path / "a" / "snap"
     digests = sfio.write_snapshot(base, f, t=0.5, step=3, lam=None, exponent=None)
     assert base.with_suffix(".f64").read_bytes() == f.interior_rows().tobytes()
     assert base.with_suffix(".bnd").read_bytes() == f.boundary_rows().tobytes()
-    sidecar = json.loads(base.with_suffix(".json").read_text())
-    assert sidecar["shape"] == [disc16.n_interior, 3] and sidecar["boundary"] == "snap.bnd"
-    assert [n for _, n in digests] == [p.stat().st_size for p in
-                                       (base.with_suffix(s) for s in (".f64", ".bnd", ".json"))]
+    index = json.loads((tmp_path / "a" / "index.json").read_text())
+    assert index["shape"] == [disc16.n_interior, 3]
+    assert index["snapshots"]["snap"]["boundary"] == "snap.bnd"
+    files = [base.with_suffix(".f64"), base.with_suffix(".bnd"), tmp_path / "a" / "index.json"]
+    assert digests == tuple((sfio.sha256_file(p), p.stat().st_size) for p in files)
+    assert sorted(p.name for p in (tmp_path / "a").iterdir()) == sorted(p.name for p in files)
     kept, _ = sfio.read_rows(base)
     assert kept.values.tobytes() == f.values.tobytes()
     g, _ = sfio.read_snapshot(base)
@@ -310,14 +312,61 @@ def test_a_snapshot_is_its_rows_in_two_files(tmp_path, disc16):
 
 def test_a_lattice_layout_snapshot_is_refused(tmp_path, disc16):
     # the layout earlier versions wrote: the whole lattice and a sidecar
-    # with its shape and no boundary file
+    # with its shape and no boundary file, and no index; listed in an index
+    # as it stands, it is refused for its missing boundary file
     f = _stepped(disc16)
     base = tmp_path / "old"
     base.with_suffix(".f64").write_bytes(f.values.tobytes())
-    base.with_suffix(".json").write_text(json.dumps({
-        "grid": sfio.grid_spec(disc16), "shape": list(f.values.shape), "D": 2, "t": 0.0,
-        "step": 0, "lambda": None, "exponent": None, "tag": "u"}))
-    for read in (lambda: sfio.check_snapshot(base, disc16, 2),
-                 lambda: sfio.read_rows(base), lambda: sfio.read_snapshot(base)):
-        with pytest.raises(ValueError, match="whole lattice"):
+    meta = {"grid": sfio.grid_spec(disc16), "shape": list(f.values.shape), "D": 2,
+            "t": 0.0, "step": 0, "lambda": None, "exponent": None, "tag": "u"}
+    base.with_suffix(".json").write_text(json.dumps(meta))
+    reads = (lambda: sfio.check_snapshot(base, disc16, 2),
+             lambda: sfio.read_rows(base), lambda: sfio.read_snapshot(base))
+    for read in reads:
+        with pytest.raises(ValueError, match="has no index .*rerun the flow"):
             read()
+    head = {k: meta.pop(k) for k in ("grid", "shape", "D", "tag")}
+    (tmp_path / "index.json").write_text(json.dumps(dict(head, snapshots={"old": meta})))
+    for read in reads:
+        with pytest.raises(ValueError, match="boundary file None"):
+            read()
+
+
+def test_write_snapshot_adds_and_replaces_index_entries(tmp_path, disc16):
+    # two snapshots in one directory are two readable entries of one index;
+    # writing a name again replaces its files and its entry
+    f, g = generate(InitialData(kind="cap", latitude_deg=45.0), disc16, 2), _stepped(disc16)
+    sfio.write_snapshot(tmp_path / "a", f, t=0.0, step=0, lam=10.0, exponent=1.0)
+    sfio.write_snapshot(tmp_path / "b", g, t=0.5, step=3, lam=None, exponent=None)
+    index = json.loads((tmp_path / "index.json").read_text())
+    assert sorted(index["snapshots"]) == ["a", "b"]
+    for name, h, meta in (("a", f, (0.0, 0, 10.0, 1.0)), ("b", g, (0.5, 3, None, None))):
+        kept, got = sfio.read_rows(tmp_path / name)
+        assert kept.values.tobytes() == h.values.tobytes()
+        assert (got["t"], got["step"], got["lambda"], got["exponent"]) == meta
+        assert got["boundary"] == f"{name}.bnd" and got["grid"] == sfio.grid_spec(disc16)
+    sfio.write_snapshot(tmp_path / "a", g, t=0.25, step=9, lam=None, exponent=None)
+    assert sorted(json.loads((tmp_path / "index.json").read_text())["snapshots"]) == ["a", "b"]
+    kept, got = sfio.read_rows(tmp_path / "a")
+    assert kept.values.tobytes() == g.values.tobytes()
+    assert (got["t"], got["step"], got["lambda"]) == (0.25, 9, None)
+    assert sfio.read_rows(tmp_path / "b")[1]["t"] == 0.5
+
+
+@pytest.mark.parametrize("other", ["spacing", "D"])
+def test_write_snapshot_refuses_an_index_of_another_lattice(tmp_path, disc16, other):
+    # an index lists snapshots of one grid spec, D and shape: a snapshot of
+    # another is refused, and no file is written or changed
+    f = generate(InitialData(kind="cap", latitude_deg=45.0), disc16, 2)
+    sfio.write_snapshot(tmp_path / "a", f, t=0.0, step=0, lam=None, exponent=None)
+    before = {p.name: p.read_bytes() for p in tmp_path.iterdir()}
+    if other == "spacing":
+        g = generate(InitialData(kind="cap", latitude_deg=45.0),
+                     build_grid(Domain.unit_ball(2), 1 / 8), 2)
+    else:
+        g = generate(InitialData(kind="constant", vector=np.array([0.0, 0.0, 0.0, 1.0])),
+                     disc16, 3)
+    for name in ("a", "b"):
+        with pytest.raises(ValueError, match="lists snapshots of"):
+            sfio.write_snapshot(tmp_path / name, g, t=0.0, step=0, lam=None, exponent=None)
+    assert {p.name: p.read_bytes() for p in tmp_path.iterdir()} == before
