@@ -39,7 +39,7 @@ from .errors import (CFLViolated, ConfigError, DimensionMismatch, EmptyIntersect
 # the benchmark tracer wraps the binding cli.generate, which no run calls
 # (``build_initial`` takes the rows of ``initial_rows``), so it stays imported
 from .field import (InitialData, KeptSnapshot, SphereField, check_initial, generate,
-                    initial_rows, l2_distance)
+                    initial_rows, l2_distance, scratch)
 # the benchmark tracer wraps the binding cli.trajectory_l2q_distance, which
 # sweep's l2q_to_projected equals, so it stays imported here
 from .flow import (PenaltySchedule, SolverConfig, Trajectory, run_glhf, run_projected,
@@ -336,13 +336,13 @@ def _run_diagnostics(dcfg: Diagnostics, traj: Trajectory, readings: dict, out: P
         written[reports / name] = sfio.write_csv(reports / name, header, rows)
 
     last = len(traj.snapshots) - 1
-    put_json("energy.json", diag.energy_report(traj, last).to_json())
-    diag.drop_densities(traj, last)
-
-    if dcfg.singular is not None:
-        readings = dict(readings,
-                        singular=sing.scan_reading(traj, dcfg.singular, keep=False))
-    got = dict(zip(readings, diag.evaluate(traj, readings.values(), keep=False)))
+    with scratch(for_pass=True):
+        put_json("energy.json", diag.energy_report(traj, last).to_json())
+        diag.drop_densities(traj, last)
+        if dcfg.singular is not None:
+            readings = dict(readings,
+                            singular=sing.scan_reading(traj, dcfg.singular, keep=False))
+        got = dict(zip(readings, diag.evaluate(traj, readings.values(), keep=False)))
 
     if dcfg.monotonicity is not None:
         z0 = dcfg.monotonicity[0]
@@ -546,9 +546,10 @@ class _CaseStream:
         k = len(self.traj.snapshots)
         snap = SphereField(u.grid, u.values)
         self.traj.snapshots.append(snap)
+        products = {}
         for s in self.sums:
             if k in s.ks:
-                s.feed(k)
+                s.feed(k, products)
         return snap
 
 

@@ -10,9 +10,8 @@ is the one way to a density: a whole density is cached on the trajectory
 by snapshot and mode, and a ball slices a cached density or computes its
 own nodes only, caching nothing.  A density reads its snapshot once,
 held (``SphereField.held``), for both its gradient and its penalty
-part, and builds no lattice: ``field.gradient_squared_density`` reads a
-kept snapshot's rows one bounded block span at a time, for a ball's
-nodes as for the whole interior.  That cache is all a trajectory holds beside its run: what
+part, and builds no lattice; its temporaries are the buffers of the
+pass's ``field.scratch``.  That cache is all a trajectory holds beside its run: what
 the pairs of one monotonicity centre share (the annulus energies, the
 speed values) lives in their one reading.
 
@@ -43,9 +42,9 @@ import numpy as np
 from .elliptic import HarmonicExtension
 from .errors import (EmptyIntersection, KernelUnderresolved, TimeNotBeforeCenter,
                      WindowOutsideTrajectory)
-from .field import SphereField, _check_same, gradient_squared_density
+from .field import SphereField, _check_same, gradient_squared_density, scratch
 from .flow import Trajectory
-from .geometry import BoundaryFrame, Grid, boundary_frame, rowsq, scale_rows
+from .geometry import BLOCK_NODES, BoundaryFrame, Grid, boundary_frame, rowsq, scale_rows
 
 # the grids the monotonicity fit searches (mu0, C) over, its R samples of
 # the speed term, and the rectangles of main2_lhs's time integral
@@ -156,11 +155,28 @@ def _penalty_density(traj: Trajectory, k: int, f: SphereField, nodes=None) -> np
     """Lam (|u|^2 - 1)^2 / 4 of snapshot k, read from ``f`` (the snapshot,
     held), at the interior nodes, or at the positions ``nodes``
     into ``interior_flat``, with the strength of the run's schedule at t_k
-    (0 without a schedule)."""
-    rows = f.interior_rows(nodes)
-    w = rowsq(rows, scratch=rows)
+    (0 without a schedule); the rows are read in blocks into the scratch."""
+    n = f.grid.n_interior if nodes is None else len(nodes)
     sched = traj.schedule
-    return (sched.strength(traj.times[k]) if sched else 0.0) * (w - 1.0) ** 2 / 4.0
+    strength = sched.strength(traj.times[k]) if sched else 0.0
+    out = np.empty(n)
+    with scratch() as sc:
+        for lo in range(0, n, BLOCK_NODES):
+            hi = min(lo + BLOCK_NODES, n)
+            pos = np.arange(lo, hi) if nodes is None else nodes[lo:hi]
+            rows = f.interior_rows(pos, out=sc.get("rows", (hi - lo, f.ncomp)))
+            w = rowsq(rows, scratch=rows, out=out[lo:hi])
+            w -= 1.0
+            np.square(w, out=w)
+            w *= strength
+            w /= 4.0
+    return out
+
+
+def _gl_density(grad: np.ndarray, penalty: np.ndarray) -> np.ndarray:
+    """The gl density 0.5 grad + penalty, in ``penalty``'s array."""
+    penalty += 0.5 * grad
+    return penalty
 
 
 def _cache_key(traj: Trajectory, k: int) -> int:
@@ -198,7 +214,9 @@ def energy_density(traj: Trajectory, k: int, mode: str = "gl",
             grad = cache[key, "gradient"] if nodes is None else cache[key, "gradient"][nodes]
         else:
             grad = gradient_squared_density(src, nodes)
-        dens = grad if mode == "gradient" else 0.5 * grad + _penalty_density(traj, k, src, nodes)
+        dens = grad
+        if mode == "gl":
+            dens = _gl_density(grad, _penalty_density(traj, k, src, nodes))
     if nodes is None:
         cache[key, "gradient"] = grad
         cache[key, mode] = dens
@@ -218,12 +236,12 @@ def energy_report(traj: Trajectory, k: int) -> EnergyReport:
             cache[key, "gradient"] = gradient_squared_density(src)
         penalty = _penalty_density(traj, k, src)
     grad2 = cache[key, "gradient"]
-    density = cache.setdefault((key, "gl"), 0.5 * grad2 + penalty)
     vol = traj.grid.cell_volume
+    penalty_part = float(penalty.sum() * vol)      # before the gl density takes its array
+    density = cache.setdefault((key, "gl"), _gl_density(grad2, penalty))
     return EnergyReport(gl_energy=float(density.sum() * vol),
                         dirichlet_part=float(0.5 * grad2.sum() * vol),
-                        penalty_part=float(penalty.sum() * vol),
-                        density=density)
+                        penalty_part=penalty_part, density=density)
 
 
 def window_weights(times, a: float, b: float) -> np.ndarray:
@@ -275,8 +293,13 @@ class WindowSum:
         self.value = 0
         self._n = 0
 
-    def feed(self, k: int) -> None:
-        x = self.w[self._n] * self.term(k)
+    def feed(self, k: int, products: dict) -> None:
+        """Add snapshot k's term, w_k term(k), taken from ``products`` (the
+        pass's products at k, keyed by term and weight) or made there."""
+        key = self.term, self.w[self._n]
+        if key not in products:
+            products[key] = key[1] * self.term(k)
+        x = products[key]
         if self._n and isinstance(self.value, np.ndarray):
             self.value += x             # the sum's own array since its first term
         else:
@@ -291,17 +314,21 @@ def feed(traj: Trajectory, sums, keep: bool = True) -> None:
     window sum whose window holds k is fed k, those that read whole
     densities first, so that k's whole densities are computed once
     (``energy_density`` caches them) and the ball-local sums slice them.
+    Sums with one term and one weight at k share one product w_k term(k).
     Unless ``keep``, k's densities are dropped once its sums are fed, so
-    the cache holds one snapshot's densities at a time."""
+    the cache holds one snapshot's densities at a time.  The pass owns one
+    ``field.scratch``, which its densities refill and which goes with it."""
     at = {}
     for s in sorted(sums, key=lambda s: not s.whole):
         for k in s.ks:
             at.setdefault(k, []).append(s)
-    for k in sorted(at):
-        for s in at[k]:
-            s.feed(k)
-        if not keep:
-            drop_densities(traj, k)
+    with scratch(for_pass=True):
+        for k in sorted(at):
+            products = {}
+            for s in at[k]:
+                s.feed(k, products)
+            if not keep:
+                drop_densities(traj, k)
 
 
 class Reading(NamedTuple):
@@ -373,23 +400,28 @@ def _speed_density(traj: Trajectory, z0, kernel) -> Callable[[int], float]:
 
     What does not depend on k (x - x0 per axis, the gather indices) is
     computed once; every call gathers into the same four row buffers and
-    updates them in place.  Snapshot k + 1 gives its interior rows only
-    (``SphereField.interior_rows``), so a kept snapshot is rebuilt once, as
-    snapshot k.
+    updates them in place.  Snapshot k is read as its lattice span from the
+    first interior node less s0 to the last plus s0 (``_span``, into one
+    buffer), snapshot k + 1 as its interior rows; no lattice is built.
     """
     g = traj.grid
     t0, x0 = float(z0[0]), np.asarray(z0[1], dtype=float)
-    idx = g.interior_flat
+    reach = int(g.strides()[0])
+    base, end = int(g.interior_flat[0]) - reach, int(g.interior_flat[-1]) + reach + 1
+    idx = g.interior_flat - base
     coords = g.interior_coords
     # a_flat[idx + s] and a_flat[idx - s], both gathered at idx - s
     axes = [(idx - s, 2 * s, coords[:, a] - x0[a])
             for a, s in enumerate(g.strides())]
-    rows = np.empty((4, idx.size, traj.snapshots[0].ncomp))
+    ncomp = traj.snapshots[0].ncomp
+    rows = np.empty((4, idx.size, ncomp))
+    snap_span = np.zeros((end - base, ncomp))
 
     def at(k: int) -> float:
         diff, radial, deriv, buf = rows
         t = traj.times[k]
-        a_flat = traj.snapshots[k].flat()
+        with traj.snapshots[k].held() as src:
+            a_flat = src._span(base, end, snap_span)
         traj.snapshots[k + 1].interior_rows(out=diff)
         diff -= np.take(a_flat, idx, axis=0, out=buf)
         diff /= traj.times[k + 1] - t                   # du/dt

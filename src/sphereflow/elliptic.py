@@ -2,7 +2,8 @@
 
 The extension solves the 2d+1-point discrete Laplace equation at interior
 nodes with values pinned at boundary nodes.  It is not sphere-valued and is
-used as-is by the comparison diagnostics.
+used as-is by the comparison diagnostics.  A derivative density differences
+the lattice into one buffer per depth.
 
 The solver is matrix-free conjugate gradients on the SPD operator
 ``x -> 2d x - N x`` over the interior rows, where ``N x`` is the neighbour
@@ -16,6 +17,7 @@ Laplacian over the interior, divided by h^2, is at most ``tol`` or
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass, field as dfield
 
 import numpy as np
@@ -49,7 +51,7 @@ class HarmonicExtension:
         """``derivative_energy_density(self, order)``, computed once per order.
 
         Every comparison against the extension reads the same densities, and
-        at order 3 in 3-D one evaluation builds 27 lattice-sized differences.
+        at order 3 in 3-D one evaluation takes 39 lattice-sized differences.
         """
         if order not in self._densities:
             self._densities[order] = derivative_energy_density(self, order)
@@ -158,33 +160,38 @@ def derivative_energy_density(ext: HarmonicExtension | SphereField, order: int) 
     if idx.size == 0:
         raise OrderTooHighForGrid(f"no interior nodes admit an order-{order} stencil")
     # iterated whole-lattice central differences; only the region's nodes
-    # are read out, and their stencils stay inside the active set.  The walk
-    # is depth-first over the stride tuples in lexicographic order, so it
-    # holds at most ``order`` difference arrays at once
+    # are read out, and their stencils stay inside the active set.  The
+    # stride tuples go in lexicographic order, and a tuple recomputes the
+    # differences from its first stride that differs from the last tuple's,
+    # each depth into its one lattice buffer
+    flat = f.flat()
+    diffs = [flat] + [np.zeros_like(flat) for _ in range(order)]
+    rows = np.empty((idx.size, flat.shape[1]))
+    sq = np.empty(idx.size)
     out = np.zeros(grid.n_interior)
-    strides = grid.strides()
-
-    def walk(arr, depth):
-        if depth == order:
-            rows = np.take(arr, idx, axis=0)
-            out[pos] += rowsq(rows, scratch=rows)
-            return
-        for s in strides:
-            walk(_central_all(arr, s, grid.h), depth + 1)
-
-    walk(f.flat(), 0)
+    last = None
+    for path in itertools.product(grid.strides(), repeat=order):
+        first = 0 if last is None else [a == b for a, b in zip(path, last)].index(False)
+        for depth in range(first, order):
+            _central_all(diffs[depth], path[depth], grid.h, diffs[depth + 1])
+        last = path
+        # the indices are in range; "clip" spares np.take a copy of its output
+        np.take(diffs[order], idx, axis=0, out=rows, mode="clip")
+        out[pos] += rowsq(rows, scratch=rows, out=sq)
     return out
 
 
-def _central_all(arr: np.ndarray, s: int, h: float) -> np.ndarray:
-    """Central difference (arr[i + s] - arr[i - s]) / 2h along flat stride s.
+def _central_all(arr: np.ndarray, s: int, h: float, out: np.ndarray) -> None:
+    """Central difference (arr[i + s] - arr[i - s]) / 2h along flat stride s,
+    into ``out``.
 
-    Exact off the lattice faces; face nodes hold wrapped differences (or
-    zero within s of the array ends) and are never read.
+    Exact off the lattice faces; face nodes hold wrapped differences, and
+    the s rows at each array end what ``out`` held before; no region node
+    reads either.
     """
-    out = np.zeros_like(arr)
-    out[s:-s] = (arr[2 * s:] - arr[:-2 * s]) / (2.0 * h)
-    return out
+    mid = out[s:-s]
+    np.subtract(arr[2 * s:], arr[:-2 * s], out=mid)
+    mid /= 2.0 * h
 
 
 def higher_derivative_energy(ext: HarmonicExtension | SphereField, order: int) -> float:

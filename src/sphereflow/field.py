@@ -29,8 +29,10 @@ a span of the lattice), none of which rebuilds the lattice.
 
 from __future__ import annotations
 
+import math
 import mmap
 from contextlib import contextmanager
+from contextvars import ContextVar
 from dataclasses import dataclass
 from typing import Optional
 
@@ -99,8 +101,9 @@ class SphereField:
         """The field, for several reads that count as one."""
         yield self
 
-    def _span(self, lo: int, hi: int, out: Optional[np.ndarray]) -> np.ndarray:
-        """The active rows of flat indices [lo, hi); ``out`` is a buffer."""
+    def _span(self, lo: int, hi: int, out: np.ndarray) -> np.ndarray:
+        """The rows of flat indices [lo, hi), in ``out`` (a buffer of at
+        least hi - lo rows) or a view; only the active rows are defined."""
         return self.flat()[lo:hi]
 
     def _read(self, out):
@@ -214,16 +217,16 @@ class KeptSnapshot(SphereField):
             put_rows(out, hit, np.take(src, pos[hit], axis=0))
         return self._read(out)
 
-    def _span(self, lo: int, hi: int, out: Optional[np.ndarray]) -> np.ndarray:
-        # exterior rows are left unwritten: no interior stencil reads one
-        if out is None or len(out) < hi - lo:
-            out = np.empty((hi - lo, self.ncomp), dtype=self._rows.dtype)
+    def _span(self, lo: int, hi: int, out: np.ndarray) -> np.ndarray:
+        # exterior rows are left as the buffer holds them
         span = out[:hi - lo]
         g = self.grid
-        for flat, src in ((g.interior_flat, self._rows),
-                          (g.boundary_flat, self._boundary_rows)):
-            a, b = np.searchsorted(flat, [lo, hi])
-            put_rows(span, flat[a:b] - lo, src[a:b])
+        with scratch() as sc:
+            for flat, src in ((g.interior_flat, self._rows),
+                              (g.boundary_flat, self._boundary_rows)):
+                a, b = np.searchsorted(flat, [lo, hi])
+                put_rows(span, np.subtract(flat[a:b], lo, out=sc.get("at", (b - a,), np.intp)),
+                         src[a:b])
         return span
 
     def hand_over(self) -> tuple:
@@ -468,6 +471,48 @@ def dirichlet_energy(f: SphereField) -> float:
     return total / g.h ** 2 * g.cell_volume
 
 
+class Scratch:
+    """Named buffers refilled across calls, each grown to the largest shape
+    asked of it and zero when made.  A pass's buffers (``mapped``) are
+    private anonymous maps, whose pages go back to the system when the
+    pass ends, where a freed heap block may stay resident; a single
+    call's come from the heap, which reuses them."""
+
+    def __init__(self, mapped: bool):
+        self.mapped = mapped
+        self._bufs = {}
+
+    def get(self, name: str, shape: tuple, dtype=float) -> np.ndarray:
+        """Buffer ``name`` as an array of ``shape``, holding what its last
+        user left there."""
+        n = math.prod(shape)
+        buf = self._bufs.get(name)
+        if buf is None or buf.size < n:
+            buf = self._bufs[name] = (
+                np.frombuffer(mmap.mmap(-1, max(n, 1) * np.dtype(dtype).itemsize), dtype=dtype)
+                if self.mapped else np.zeros(n, dtype))
+        return buf[:n].reshape(shape)
+
+
+_pass_scratch: ContextVar[Optional[Scratch]] = ContextVar("_pass_scratch", default=None)
+
+
+@contextmanager
+def scratch(for_pass: bool = False):
+    """The scratch of the pass in progress, or a new one for this block,
+    mapped if it is a pass's (``for_pass``)."""
+    sc = _pass_scratch.get()
+    if sc is not None:
+        yield sc
+        return
+    sc = Scratch(mapped=for_pass)
+    token = _pass_scratch.set(sc)
+    try:
+        yield sc
+    finally:
+        _pass_scratch.reset(token)
+
+
 def gradient_squared_density(f: SphereField, nodes=None) -> np.ndarray:
     """Node-wise |grad u|^2, half-link attribution, one value per interior
     node in ``grid.interior_flat`` order, or per position in ``nodes``
@@ -478,13 +523,13 @@ def gradient_squared_density(f: SphereField, nodes=None) -> np.ndarray:
     up to half-weighted boundary links.  Single-spacing chords degrade
     far less than central differences near direction-field singularities.
     Interior axis neighbors are interior or boundary, so stencils always
-    read defined values.  Every node's value is the same sequence of
-    operations either way, so the density at ``nodes`` is the whole
-    density sliced at ``nodes`` bit for bit.  The nodes are taken in flat
-    order, at most ``geometry.BLOCK_NODES`` at a time within
-    max(4 BLOCK_NODES, s0) lattice nodes (s0 the first-axis stride), and
-    each block reads its lattice span [first - s0, last + s0] (``_span``),
-    so the temporaries are block-sized and no lattice is rebuilt.
+    read defined values.  The nodes are taken in flat order, at most
+    ``geometry.BLOCK_NODES`` at a time within max(4 BLOCK_NODES, s0)
+    lattice nodes (s0 the first-axis stride); each block reads its span
+    [first - s0, last + s0] (``_span``) and squares each link there once
+    per axis, read from both ends.  So the density at ``nodes`` is the
+    whole density sliced there bit for bit; the buffers are the pass's
+    ``scratch``.
     """
     g = f.grid
     reach = int(g.strides()[0])
@@ -495,23 +540,32 @@ def gradient_squared_density(f: SphereField, nodes=None) -> np.ndarray:
         idx = idx[order]
     out = np.zeros(idx.shape[0])
     width = max(4 * BLOCK_NODES, reach)
-    span, lo = None, 0
-    while lo < idx.size:
-        hi = min(lo + BLOCK_NODES, int(np.searchsorted(idx, idx[lo] + width)))
-        base = int(idx[lo]) - reach
-        span = f._span(base, int(idx[hi - 1]) + reach + 1, span)
-        block = idx[lo:hi] - base
-        acc = out[lo:hi]
-        rows = np.take(span, block, axis=0)
-        for s in g.strides():
-            d = np.take(span, block + s, axis=0)
-            d -= rows
-            up = rowsq(d, scratch=d)              # link (i, i + s)
-            d = np.take(span, block - s, axis=0)
-            np.subtract(rows, d, out=d)
-            down = rowsq(d, scratch=d)            # link (i - s, i)
-            acc += 0.5 * (up + down) / g.h ** 2
-        lo = hi
+    lo = 0
+    with scratch() as sc:
+        while lo < idx.size:
+            hi = min(lo + BLOCK_NODES, int(np.searchsorted(idx, idx[lo] + width)))
+            base = int(idx[lo]) - reach
+            n = int(idx[hi - 1]) + reach + 1 - base
+            span = f._span(base, base + n, sc.get("span", (n, f.ncomp)))
+            block = np.subtract(idx[lo:hi], base, out=sc.get("block", (hi - lo,), np.intp))
+            # link[j + s] is the square of link (j, j + s), for the j from
+            # s0 - s to n - s0 - 1 that the block reads; "clip" (the indices
+            # are in range) spares np.take a copy of its output
+            link = sc.get("link", (n,))
+            up, down = sc.get("up", (hi - lo,)), sc.get("down", (hi - lo,))
+            for s in g.strides():
+                for a in range(reach - s, n - reach, BLOCK_NODES):
+                    b = min(a + BLOCK_NODES, n - reach)
+                    d = np.subtract(span[a + s:b + s], span[a:b],
+                                    out=sc.get("diff", (b - a, f.ncomp)))
+                    rowsq(d, scratch=d, out=link[a + s:b + s])
+                np.take(link[s:], block, out=up, mode="clip")      # link (i, i + s)
+                np.take(link, block, out=down, mode="clip")        # link (i - s, i)
+                up += down
+                up *= 0.5
+                up /= g.h ** 2
+                out[lo:hi] += up
+            lo = hi
     if order is not None:
         out[order] = out.copy()
     return f._read(out)

@@ -13,10 +13,10 @@ summed over a ball of nodes; densities hold one value per interior node,
 in ``grid.interior_flat`` order.  Each diagnostic is also a
 ``diagnostics.Reading``, so that a caller can evaluate several in one pass
 over the snapshots (``diagnostics.evaluate``).  The scan sums one window
-field per (scan time, radius), scatters it into a zero-padded lattice at
-padded indices computed once per scan as soon as its window closes, and
-takes the ball sums of its live scan nodes in one vectorized gather from
-there.
+field per radius and distinct window (snapshots and weights) of its scan
+times, scatters it into a zero-padded lattice at padded indices computed
+once per scan as soon as its window closes, and takes the ball sums of
+those scan times' live nodes from there.
 """
 
 from __future__ import annotations
@@ -31,6 +31,7 @@ from .diagnostics import (CylinderSpec, Reading, WindowSum, cylinder_reading,
                           cylinder_window, energy_density, evaluate, feed,
                           window_snapshots)
 from .errors import TooFewScales
+from .field import scratch
 from .flow import Trajectory
 
 GAUGE_NOTE = "scan radii are used verbatim; no gauge reshaping of cylinders"
@@ -171,16 +172,31 @@ _GATHER_CHUNK = 1 << 20
 
 
 def _ball_sums(flat: np.ndarray, centers: np.ndarray, offsets: np.ndarray) -> np.ndarray:
-    """flat[c + offsets].sum() for every c in centers, in blocks of centers."""
+    """flat[c + offsets].sum() for every c in centers, in blocks of centers,
+    gathered into two buffers of the pass's scratch."""
+    out = np.empty(centers.size)
     step = max(1, _GATHER_CHUNK // offsets.size)
-    return np.concatenate([flat[centers[i:i + step, None] + offsets].sum(axis=1)
-                           for i in range(0, centers.size, step)])
+    with scratch() as sc:
+        for i in range(0, centers.size, step):
+            c = centers[i:i + step]
+            shape = (c.size, offsets.size)
+            ix = np.add(c[:, None], offsets, out=sc.get("at", shape, np.intp))
+            # the indices are in range; "clip" spares np.take a copy of its output
+            v = np.take(flat, ix, out=sc.get("vals", shape), mode="clip")
+            v.sum(axis=1, out=out[i:i + c.size])
+    return out
+
+
+def _window_key(w: WindowSum):
+    """Two window sums of one term with one key are the same sum."""
+    return w.ks, w.w.tobytes()
 
 
 def scan_reading(traj: Trajectory, cfg: SingularConfig, keep: bool = True) -> Reading:
     """``detect_singular_set`` as a ``diagnostics.Reading``: its sums are the
-    window fields of the smallest radius, one per scan time, each reduced
-    to the scan nodes above the threshold as soon as its window closes.
+    window fields of the smallest radius, one per distinct window of the
+    scan times, each reduced to its scan times' nodes above the threshold
+    as soon as it closes.
     ``finish`` scans the larger radii at those nodes only, in one pass per
     radius that keeps the densities it computes if ``keep``, then takes
     the sup-density check and the box count."""
@@ -207,26 +223,37 @@ def scan_reading(traj: Trajectory, cfg: SingularConfig, keep: bool = True) -> Re
     def density(k: int) -> np.ndarray:
         return energy_density(traj, k, dens_mode)
 
-    def window(kt: int, j: int) -> WindowSum:
+    def windows(kts, j: int) -> list:
+        """The window sums of radius j at the scan times ``kts``, one per
+        distinct window, each closed for each of its scan times."""
         R = radii[j]
+        groups = {}
+        for kt in kts:
+            w = WindowSum(traj, *cylinder_window(float(traj.times[kt]), R), density,
+                          whole=True)
+            groups.setdefault(_window_key(w), (w, []))[1].append(kt)
 
-        def close(field: np.ndarray) -> None:
-            # the window field is not kept: only its survivors are
-            flat_padded[padded_idx] = field
-            pos, vals = (alive.pop(kt) if j
-                         else (np.arange(nodes.size), np.empty((nodes.size, 0))))
-            sums = _ball_sums(flat_padded, centers[pos], offsets[R])
-            v = sums * g.cell_volume / cylinder_scale(cfg.mode, R, g.d)
-            up = v >= cfg.eps0
-            if up.any():
-                alive[kt] = pos[up], np.column_stack([vals[up], v[up]])
+        def closer(group: list):
+            def close(field: np.ndarray) -> None:
+                # the window field is not kept: only its survivors are
+                flat_padded[padded_idx] = field
+                for kt in group:
+                    pos, got = (alive.pop(kt) if j
+                                else (np.arange(nodes.size), np.empty((nodes.size, 0))))
+                    sums = _ball_sums(flat_padded, centers[pos], offsets[R])
+                    v = sums * g.cell_volume / cylinder_scale(cfg.mode, R, g.d)
+                    up = v >= cfg.eps0
+                    if up.any():
+                        alive[kt] = pos[up], np.column_stack([got[up], v[up]])
+            return close
 
-        return WindowSum(traj, *cylinder_window(float(traj.times[kt]), R), density,
-                         whole=True, on_last=close)
+        for w, group in groups.values():
+            w.on_last = closer(group)
+        return [w for w, _ in groups.values()]
 
     def finish() -> SingularReport:
         for j in range(1, len(radii)):
-            feed(traj, [window(kt, j) for kt in sorted(alive)], keep)
+            feed(traj, windows(sorted(alive), j), keep)
         flagged, values = [], []
         for kt in sorted(alive):
             t0 = float(traj.times[kt])
@@ -258,7 +285,7 @@ def scan_reading(traj: Trajectory, cfg: SingularConfig, keep: bool = True) -> Re
                               sup_density_checks=sup_checks, eps0=cfg.eps0,
                               radii=radii, mode=cfg.mode)
 
-    return Reading([window(kt, 0) for kt in t_idx], finish)
+    return Reading(windows(t_idx, 0), finish)
 
 
 def detect_singular_set(traj: Trajectory, cfg: SingularConfig) -> SingularReport:

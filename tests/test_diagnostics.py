@@ -561,3 +561,64 @@ def test_diagnostics_read_kept_snapshots_as_their_lattice_copies(disc16, tmp_pat
         assert a == b
         assert ((tmp_path / "kept" / f"snap_{k}.f64").read_bytes()
                 == (tmp_path / "copy" / f"snap_{k}.f64").read_bytes())
+
+
+def test_a_pass_refills_one_scratch_that_goes_with_it(monkeypatch):
+    # a pass over 13 snapshots of whole gl densities: every scratch buffer
+    # is made for the first density and refilled for the others; the
+    # pass's traced peak, less the densities it keeps, is at most the
+    # scratch's largest buffer (the span), so no density makes a span-sized
+    # temporary; and the scratch is gone when the pass ends, with the
+    # cyclic collector off
+    import gc
+    import tracemalloc
+    import weakref
+    from sphereflow import diagnostics, field
+    g = build_grid(Domain.unit_ball(3), 1 / 16)
+    u0 = generate(InitialData(kind="equator-hedgehog"), g, 2)
+    dt = SolverConfig.auto_dt(g)
+    traj = run_glhf(u0, SolverConfig(dt=dt, T=11.5 * dt, output_stride=1),
+                    PenaltySchedule(lam=1e3))
+    assert len(traj.snapshots) >= 10
+    calls, made, scratches = [], [], []
+    density, get = diagnostics.energy_density, field.Scratch.get
+
+    def counted_density(*args, **kw):
+        calls.append(args[1])
+        return density(*args, **kw)
+
+    def counted_get(self, name, shape, dtype=float):
+        if not any(s is self for s in scratches):
+            scratches.append(self)
+        buf = self._bufs.get(name)
+        out = get(self, name, shape, dtype)
+        if self._bufs[name] is not buf:
+            made.append((len(calls), self._bufs[name].nbytes))
+        return out
+
+    monkeypatch.setattr(diagnostics, "energy_density", counted_density)
+    monkeypatch.setattr(field.Scratch, "get", counted_get)
+    t = traj.times
+
+    def gl(k):
+        return diagnostics.energy_density(traj, k, "gl")
+
+    sums = [diagnostics.WindowSum(traj, t[i], t[i + 6], gl, whole=True) for i in (0, 3, 6)]
+    gc.collect()
+    gc.disable()
+    tracemalloc.start()
+    try:
+        diagnostics.feed(traj, sums)
+        peak = tracemalloc.get_traced_memory()[1]
+        tracemalloc.stop()
+        assert len(scratches) == 1
+        gone = weakref.ref(scratches.pop())
+        assert gone() is None and field._pass_scratch.get() is None
+    finally:
+        tracemalloc.stop()
+        gc.enable()
+    assert len(set(calls)) == len(traj.snapshots) - 1
+    assert made and {n for n, _ in made} == {1}
+    kept = sum(a.nbytes for a in traj._density_cache.values()) + sum(s.value.nbytes
+                                                                       for s in sums)
+    assert peak - kept <= max(nbytes for _, nbytes in made)

@@ -208,3 +208,25 @@ def test_import_loads_no_scipy():
     out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                          check=True, env=dict(os.environ, PYTHONPATH=SRC))
     assert out.stdout.strip() == "[]"
+
+
+def test_derivative_density_leaves_no_buffer_for_the_collector():
+    # with the cyclic collector off, the traced memory after the call is its
+    # level before plus the returned density: no difference buffer is kept
+    # alive by a reference cycle
+    import gc
+    import tracemalloc
+    g = build_grid(Domain.unit_ball(3), 1 / 16)
+    ext = solve_harmonic_extension(g, generate(InitialData(kind="equator-hedgehog"), g, 2))
+    derivative_energy_density(ext, 3)
+    gc.collect()
+    gc.disable()
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        dens = derivative_energy_density(ext, 3)
+        after = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+        gc.enable()
+    assert after - before <= dens.nbytes + 16384

@@ -17,7 +17,7 @@ from sphereflow.diagnostics import (CylinderSpec, cylinder_integral, energy_repo
 from sphereflow.elliptic import solve_harmonic_extension
 from sphereflow.field import InitialData, generate
 from sphereflow.flow import PenaltySchedule, SolverConfig, glhf_step, run_glhf
-from sphereflow.geometry import Domain, build_grid
+from sphereflow.geometry import Domain, build_grid, rowsq
 from sphereflow.singular import SingularConfig, detect_singular_set, local_scaled_energy
 from sphereflow.stereo import one_sided_monitor
 
@@ -178,6 +178,54 @@ def test_kept_snapshot_density_reads_bounded_spans(monkeypatch, rng, dom, h):
     assert spans and max(spans) <= max(4 * BLOCK_NODES, s0) + 2 * s0
 
 
+def _two_gather_density(f, nodes=None):
+    """The density as the package computed it before it squared each link
+    once: per axis, two row gathers around each node."""
+    g = f.grid
+    flat = np.asarray(f.values).reshape(-1, f.ncomp)
+    idx = g.interior_flat if nodes is None else g.interior_flat[nodes]
+    out = np.zeros(idx.size)
+    rows = np.take(flat, idx, axis=0)
+    for s in g.strides():
+        d = np.take(flat, idx + s, axis=0)
+        d -= rows
+        up = rowsq(d, scratch=d)
+        d = np.take(flat, idx - s, axis=0)
+        np.subtract(rows, d, out=d)
+        down = rowsq(d, scratch=d)
+        out += 0.5 * (up + down) / g.h ** 2
+    return out
+
+
+@pytest.mark.parametrize("form", ["lattice", "in-memory", "mapped"])
+@pytest.mark.parametrize("dom, h", [
+    (Domain.unit_ball(2), 1 / 16),
+    # 63 x 1023 interior nodes: four blocks of nodes
+    (Domain.box([[0.0, 1.0], [0.0, 16.0]]), 1 / 64),
+    # nine blocks of nodes
+    (Domain.unit_ball(3), 1 / 32),
+], ids=["disc", "strip", "ball3"])
+def test_link_once_density_is_the_two_gather_density(tmp_path, rng, form, dom, h):
+    # squaring each link of a span once and reading it from both ends gives
+    # the two gathers' bits at every node, for the whole interior, a ball and
+    # positions in any order, whatever form the field has
+    g = build_grid(dom, h)
+    live = field.SphereField(g, np.zeros(g.shape + (3,)))
+    flat = live.flat()
+    flat[g.interior_flat] = rng.standard_normal((g.n_interior, 3))
+    flat[g.boundary_flat] = rng.standard_normal((g.boundary_flat.size, 3))
+    if form == "lattice":
+        f = live
+    elif form == "mapped":
+        f = sfio.SnapshotStore(tmp_path).take(live, live.interior_rows())
+    else:
+        f = field.KeptSnapshot(g, live.interior_rows(), live.boundary_rows())
+    centre = g.node_coords(g.interior_flat[g.n_interior // 3: g.n_interior // 3 + 1])[0]
+    for nodes in (None, g.nodes_within(centre, 0.3), rng.permutation(g.n_interior)[:700]):
+        assert (field.gradient_squared_density(f, nodes).tobytes()
+                == _two_gather_density(live, nodes).tobytes())
+
+
 def _every_diagnostic(traj) -> list:
     """One float (or list of floats) from each diagnostic that reads a
     run's snapshots."""
@@ -214,6 +262,22 @@ def test_diagnostics_read_the_same_values_after_release(tmp_path, disc16, map_rs
     fresh = dataclasses.replace(stored)
     assert _every_diagnostic(fresh) == expected
     assert map_rss.checked(resident) == [0] * len(resident)
+
+
+def test_speed_term_builds_no_lattice(tmp_path, disc16, monkeypatch):
+    # the monotonicity speed term reads each kept snapshot as one lattice
+    # span, mapped or in memory, with the values of the run's live fields
+    u0 = generate(InitialData(kind="cap", latitude_deg=45.0), disc16, 2)
+    cfg = SolverConfig(dt=SolverConfig.auto_dt(disc16), T=0.1, output_stride=4)
+    z0 = (0.09, np.array([0.1, -0.05]))
+    runs = [run_glhf(u0, cfg, PenaltySchedule(lam=1e3), store=store)
+            for store in (None, sfio.SnapshotStore(tmp_path))]
+    live = dataclasses.replace(runs[0], snapshots=[field.SphereField(disc16, np.array(s.values))
+                                                   for s in runs[0].snapshots])
+    expect = monotonicity_report(live, z0, 0.125, 0.14)
+    monkeypatch.setattr(field, "lattice_values", None)
+    for traj in runs:
+        assert monotonicity_report(traj, z0, 0.125, 0.14) == expect
 
 
 @pytest.mark.skipif(_rss_file_bytes() is None,

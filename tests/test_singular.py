@@ -1,3 +1,6 @@
+import dataclasses
+import json
+
 import numpy as np
 import pytest
 
@@ -238,3 +241,35 @@ def test_derived_node_data_lives_on_interior_rows():
     assert not any(a.ndim and a.shape[0] == g.n_lattice for a in held)
     assert g.interior_coords is g.interior_coords
     assert np.array_equal(g.interior_coords, g.coords()[g.interior_flat])
+
+
+def test_ball_sums_are_the_same_bits_in_any_chunk(monkeypatch, rng):
+    # one centre per chunk or every centre in one: the sums of the gathered
+    # values, flat[c + offsets].sum() per centre, bit for bit
+    from sphereflow import singular
+    flat = rng.standard_normal(5000)
+    centers = rng.integers(200, 4700, 300)
+    offsets = np.arange(-150, 151, 7)
+    expect = flat[centers[:, None] + offsets].sum(axis=1)
+    for chunk in (1, 1 << 20):
+        monkeypatch.setattr(singular, "_GATHER_CHUNK", chunk)
+        assert singular._ball_sums(flat, centers, offsets).tobytes() == expect.tobytes()
+
+
+def test_scan_of_shared_windows_is_each_window_fed_alone(monkeypatch):
+    # at R = 0.5 every scan time's window covers the whole run, so one sum
+    # serves them all; the report is the one of a window sum per scan time
+    from sphereflow import singular
+    g = build_grid(Domain.unit_ball(3), 1 / 8)
+    u0 = generate(InitialData(kind="equator-hedgehog"), g, 2)
+    traj = run_projected(u0, SolverConfig(dt=SolverConfig.auto_dt(g), T=0.125,
+                                          output_stride=3))
+    cfg = SingularConfig(eps0=1.0, radii=[0.25, 0.5], time_stride=1, space_stride=1)
+    made = []
+    window_key = singular._window_key
+    monkeypatch.setattr(singular, "_window_key", lambda w: made.append(w) or window_key(w))
+    shared = detect_singular_set(traj, cfg)
+    assert shared.flagged and len({window_key(w) for w in made}) < len(made)
+    monkeypatch.setattr(singular, "_window_key", id)
+    alone = detect_singular_set(dataclasses.replace(traj), cfg)
+    assert json.dumps(shared.to_json()) == json.dumps(alone.to_json())
