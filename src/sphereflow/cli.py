@@ -336,7 +336,7 @@ def _run_diagnostics(dcfg: Diagnostics, traj: Trajectory, readings: dict, out: P
         written[reports / name] = sfio.write_csv(reports / name, header, rows)
 
     last = len(traj.snapshots) - 1
-    with scratch(for_pass=True):
+    with scratch():
         put_json("energy.json", diag.energy_report(traj, last).to_json())
         diag.drop_densities(traj, last)
         if dcfg.singular is not None:
@@ -546,10 +546,9 @@ class _CaseStream:
         k = len(self.traj.snapshots)
         snap = SphereField(u.grid, u.values)
         self.traj.snapshots.append(snap)
-        products = {}
         for s in self.sums:
             if k in s.ks:
-                s.feed(k, products)
+                s.feed(k)
         return snap
 
 

@@ -293,13 +293,8 @@ class WindowSum:
         self.value = 0
         self._n = 0
 
-    def feed(self, k: int, products: dict) -> None:
-        """Add snapshot k's term, w_k term(k), taken from ``products`` (the
-        pass's products at k, keyed by term and weight) or made there."""
-        key = self.term, self.w[self._n]
-        if key not in products:
-            products[key] = key[1] * self.term(k)
-        x = products[key]
+    def feed(self, k: int) -> None:
+        x = self.w[self._n] * self.term(k)
         if self._n and isinstance(self.value, np.ndarray):
             self.value += x             # the sum's own array since its first term
         else:
@@ -314,7 +309,6 @@ def feed(traj: Trajectory, sums, keep: bool = True) -> None:
     window sum whose window holds k is fed k, those that read whole
     densities first, so that k's whole densities are computed once
     (``energy_density`` caches them) and the ball-local sums slice them.
-    Sums with one term and one weight at k share one product w_k term(k).
     Unless ``keep``, k's densities are dropped once its sums are fed, so
     the cache holds one snapshot's densities at a time.  The pass owns one
     ``field.scratch``, which its densities refill and which goes with it."""
@@ -322,11 +316,10 @@ def feed(traj: Trajectory, sums, keep: bool = True) -> None:
     for s in sorted(sums, key=lambda s: not s.whole):
         for k in s.ks:
             at.setdefault(k, []).append(s)
-    with scratch(for_pass=True):
+    with scratch():
         for k in sorted(at):
-            products = {}
             for s in at[k]:
-                s.feed(k, products)
+                s.feed(k)
             if not keep:
                 drop_densities(traj, k)
 

@@ -218,15 +218,16 @@ class KeptSnapshot(SphereField):
         return self._read(out)
 
     def _span(self, lo: int, hi: int, out: np.ndarray) -> np.ndarray:
-        # exterior rows are left as the buffer holds them
+        # exterior rows are left as the buffer holds them; the index buffer
+        # is asked at out's length, so a wider later span does not remap it
         span = out[:hi - lo]
         g = self.grid
         with scratch() as sc:
             for flat, src in ((g.interior_flat, self._rows),
                               (g.boundary_flat, self._boundary_rows)):
                 a, b = np.searchsorted(flat, [lo, hi])
-                put_rows(span, np.subtract(flat[a:b], lo, out=sc.get("at", (b - a,), np.intp)),
-                         src[a:b])
+                at = sc.get("at", (out.shape[0],), np.intp)[:b - a]
+                put_rows(span, np.subtract(flat[a:b], lo, out=at), src[a:b])
         return span
 
     def hand_over(self) -> tuple:
@@ -473,13 +474,11 @@ def dirichlet_energy(f: SphereField) -> float:
 
 class Scratch:
     """Named buffers refilled across calls, each grown to the largest shape
-    asked of it and zero when made.  A pass's buffers (``mapped``) are
-    private anonymous maps, whose pages go back to the system when the
-    pass ends, where a freed heap block may stay resident; a single
-    call's come from the heap, which reuses them."""
+    asked of it, zero when made, and remade for another dtype.  They are
+    private anonymous maps, so their pages go back to the system with the
+    scratch, where a freed heap block may stay resident."""
 
-    def __init__(self, mapped: bool):
-        self.mapped = mapped
+    def __init__(self):
         self._bufs = {}
 
     def get(self, name: str, shape: tuple, dtype=float) -> np.ndarray:
@@ -487,10 +486,9 @@ class Scratch:
         user left there."""
         n = math.prod(shape)
         buf = self._bufs.get(name)
-        if buf is None or buf.size < n:
-            buf = self._bufs[name] = (
-                np.frombuffer(mmap.mmap(-1, max(n, 1) * np.dtype(dtype).itemsize), dtype=dtype)
-                if self.mapped else np.zeros(n, dtype))
+        if buf is None or buf.size < n or buf.dtype != dtype:
+            buf = self._bufs[name] = np.frombuffer(
+                mmap.mmap(-1, max(n, 1) * np.dtype(dtype).itemsize), dtype=dtype)
         return buf[:n].reshape(shape)
 
 
@@ -498,14 +496,13 @@ _pass_scratch: ContextVar[Optional[Scratch]] = ContextVar("_pass_scratch", defau
 
 
 @contextmanager
-def scratch(for_pass: bool = False):
-    """The scratch of the pass in progress, or a new one for this block,
-    mapped if it is a pass's (``for_pass``)."""
+def scratch():
+    """The scratch of the pass in progress, or a new one for this block."""
     sc = _pass_scratch.get()
     if sc is not None:
         yield sc
         return
-    sc = Scratch(mapped=for_pass)
+    sc = Scratch()
     token = _pass_scratch.set(sc)
     try:
         yield sc
@@ -526,10 +523,12 @@ def gradient_squared_density(f: SphereField, nodes=None) -> np.ndarray:
     read defined values.  The nodes are taken in flat order, at most
     ``geometry.BLOCK_NODES`` at a time within max(4 BLOCK_NODES, s0)
     lattice nodes (s0 the first-axis stride); each block reads its span
-    [first - s0, last + s0] (``_span``) and squares each link there once
-    per axis, read from both ends.  So the density at ``nodes`` is the
-    whole density sliced there bit for bit; the buffers are the pass's
-    ``scratch``.
+    [first - s0, last + s0] (``_span``).  A block holding at least
+    1/``LINK_ONCE_SPAN`` of its span squares each link there once per
+    axis and reads it from both ends; a sparser one (a ball's) squares
+    its nodes' two links per axis.  Either is the same bits, so the
+    density at ``nodes`` is the whole density sliced there; the buffers
+    are the pass's ``scratch``.
     """
     g = f.grid
     reach = int(g.strides()[0])
@@ -540,27 +539,26 @@ def gradient_squared_density(f: SphereField, nodes=None) -> np.ndarray:
         idx = idx[order]
     out = np.zeros(idx.shape[0])
     width = max(4 * BLOCK_NODES, reach)
-    lo = 0
+    cap, lo = width + 2 * reach, 0          # a block's span has at most cap rows
     with scratch() as sc:
         while lo < idx.size:
             hi = min(lo + BLOCK_NODES, int(np.searchsorted(idx, idx[lo] + width)))
             base = int(idx[lo]) - reach
             n = int(idx[hi - 1]) + reach + 1 - base
-            span = f._span(base, base + n, sc.get("span", (n, f.ncomp)))
+            # asked at cap rows, the span and link buffers are never remapped;
+            # a map's pages fault on first touch
+            span = f._span(base, base + n, sc.get("span", (cap, f.ncomp)))
             block = np.subtract(idx[lo:hi], base, out=sc.get("block", (hi - lo,), np.intp))
-            # link[j + s] is the square of link (j, j + s), for the j from
-            # s0 - s to n - s0 - 1 that the block reads; "clip" (the indices
-            # are in range) spares np.take a copy of its output
-            link = sc.get("link", (n,))
             up, down = sc.get("up", (hi - lo,)), sc.get("down", (hi - lo,))
+            once = n <= LINK_ONCE_SPAN * (hi - lo)
+            if not once:
+                rows = np.take(span, block, axis=0, out=sc.get("rows", (hi - lo, f.ncomp)),
+                               mode="clip")
             for s in g.strides():
-                for a in range(reach - s, n - reach, BLOCK_NODES):
-                    b = min(a + BLOCK_NODES, n - reach)
-                    d = np.subtract(span[a + s:b + s], span[a:b],
-                                    out=sc.get("diff", (b - a, f.ncomp)))
-                    rowsq(d, scratch=d, out=link[a + s:b + s])
-                np.take(link[s:], block, out=up, mode="clip")      # link (i, i + s)
-                np.take(link, block, out=down, mode="clip")        # link (i - s, i)
+                if once:
+                    _links_once(span, block, s, reach, sc.get("link", (cap,)), up, down, sc)
+                else:
+                    _links_of_nodes(span, rows, block, s, up, down, sc)
                 up += down
                 up *= 0.5
                 up /= g.h ** 2
@@ -569,3 +567,37 @@ def gradient_squared_density(f: SphereField, nodes=None) -> np.ndarray:
     if order is not None:
         out[order] = out.copy()
     return f._read(out)
+
+
+# a block squares every link of its span once when its nodes are at least
+# 1/LINK_ONCE_SPAN of the span's rows: at 3-D h = 1/32 that was faster at
+# 3.5 span rows per node and slower at 4.7
+LINK_ONCE_SPAN = 4
+
+
+def _links_once(span, block, s, reach, link, up, down, sc):
+    """``up`` and ``down``: the squares of the links (i, i + s) and (i - s, i)
+    at the span rows i in ``block``, from every link of the span squared once
+    into ``link`` (link[j + s] the square of link (j, j + s), j from s0 - s
+    to n - s0 - 1)."""
+    n = span.shape[0]
+    for a in range(reach - s, n - reach, BLOCK_NODES):
+        b = min(a + BLOCK_NODES, n - reach)
+        d = np.subtract(span[a + s:b + s], span[a:b], out=sc.get("diff", (b - a, span.shape[1])))
+        rowsq(d, scratch=d, out=link[a + s:b + s])
+    # the indices are in range; "clip" spares np.take a copy of its output
+    np.take(link[s:], block, out=up, mode="clip")
+    np.take(link, block, out=down, mode="clip")
+
+
+def _links_of_nodes(span, rows, block, s, up, down, sc):
+    """``_links_once``'s squares from the rows at ``block`` (``rows``) and
+    each node's two neighbours along the axis of stride s."""
+    d = sc.get("diff", rows.shape)
+    at = sc.get("near", block.shape, np.intp)
+    np.take(span, np.add(block, s, out=at), axis=0, out=d, mode="clip")
+    d -= rows
+    rowsq(d, scratch=d, out=up)
+    np.take(span, np.subtract(block, s, out=at), axis=0, out=d, mode="clip")
+    np.subtract(rows, d, out=d)
+    rowsq(d, scratch=d, out=down)

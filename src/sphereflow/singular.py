@@ -180,7 +180,7 @@ def _ball_sums(flat: np.ndarray, centers: np.ndarray, offsets: np.ndarray) -> np
         for i in range(0, centers.size, step):
             c = centers[i:i + step]
             shape = (c.size, offsets.size)
-            ix = np.add(c[:, None], offsets, out=sc.get("at", shape, np.intp))
+            ix = np.add(c[:, None], offsets, out=sc.get("ix", shape, np.intp))
             # the indices are in range; "clip" spares np.take a copy of its output
             v = np.take(flat, ix, out=sc.get("vals", shape), mode="clip")
             v.sum(axis=1, out=out[i:i + c.size])

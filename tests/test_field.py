@@ -444,3 +444,15 @@ def test_initial_rows_raise_as_the_two_pass_field(init, D, error, flagged):
             _two_pass(init, _DISC, D)
         assert str(got.value) == str(old.value)
         assert f"flat index {sorted(flagged)[:5]}" in str(got.value)
+
+
+def test_a_scratch_buffer_asked_in_another_dtype_is_remade():
+    # one name asked with two dtypes gives two buffers, never one
+    # reinterpreted
+    from sphereflow.field import Scratch
+    sc = Scratch()
+    ints = sc.get("at", (4,), np.intp)
+    ints[:] = [1, 2, 3, 4]
+    floats = sc.get("at", (4,))
+    assert floats.dtype == np.float64 and not np.shares_memory(ints, floats)
+    assert np.shares_memory(sc.get("at", (2,)), floats)

@@ -205,10 +205,11 @@ def _two_gather_density(f, nodes=None):
     # nine blocks of nodes
     (Domain.unit_ball(3), 1 / 32),
 ], ids=["disc", "strip", "ball3"])
-def test_link_once_density_is_the_two_gather_density(tmp_path, rng, form, dom, h):
-    # squaring each link of a span once and reading it from both ends gives
-    # the two gathers' bits at every node, for the whole interior, a ball and
-    # positions in any order, whatever form the field has
+def test_link_once_density_is_the_two_gather_density(tmp_path, rng, monkeypatch, form, dom, h):
+    # squaring each link of a span once and reading it from both ends, or
+    # each node's links (a sparse block's way), gives the two gathers' bits
+    # at every node, for the whole interior, a ball and positions in any
+    # order, whatever form the field has
     g = build_grid(dom, h)
     live = field.SphereField(g, np.zeros(g.shape + (3,)))
     flat = live.flat()
@@ -222,8 +223,12 @@ def test_link_once_density_is_the_two_gather_density(tmp_path, rng, form, dom, h
         f = field.KeptSnapshot(g, live.interior_rows(), live.boundary_rows())
     centre = g.node_coords(g.interior_flat[g.n_interior // 3: g.n_interior // 3 + 1])[0]
     for nodes in (None, g.nodes_within(centre, 0.3), rng.permutation(g.n_interior)[:700]):
-        assert (field.gradient_squared_density(f, nodes).tobytes()
-                == _two_gather_density(live, nodes).tobytes())
+        expect = _two_gather_density(live, nodes).tobytes()
+        assert field.gradient_squared_density(f, nodes).tobytes() == expect
+        for every_block_sparse in (True, False):
+            with monkeypatch.context() as m:
+                m.setattr(field, "LINK_ONCE_SPAN", 0 if every_block_sparse else 1 << 40)
+                assert field.gradient_squared_density(f, nodes).tobytes() == expect
 
 
 def _every_diagnostic(traj) -> list:
