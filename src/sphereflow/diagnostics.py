@@ -2,32 +2,28 @@
 the boundary decay criterion, and comparison ratios against the harmonic
 extension.
 
-All spacetime integrals use a left-endpoint rectangle rule in time with
+Spacetime integrals use a left-endpoint rectangle rule in time with
 window clipping and h^d node weights in space.  A node density holds one
-value per interior node, in ``grid.interior_flat`` order, and a ball of
-nodes is positions into it (``Grid.nodes_within``).  ``energy_density``
-is the one way to a density: a whole density is cached on the trajectory
-by snapshot and mode, and a ball slices a cached density or computes its
-own nodes only, caching nothing.  A density reads its snapshot once,
-held (``SphereField.held``), for both its gradient and its penalty
-part, and builds no lattice; its temporaries are the buffers of the
-pass's ``field.scratch``.  That cache is all a trajectory holds beside its run: what
-the pairs of one monotonicity centre share (the annulus energies, the
-speed values) lives in their one reading.
+value per interior node, in ``grid.interior_flat`` order; a ball of nodes
+is positions into it (``Grid.nodes_within``).  ``energy_density`` is the
+one way to a density: whole densities are cached on the trajectory by
+snapshot and mode (a run with no schedule caches its gradient densities
+only, its gl density being half of them), and a ball slices a cached
+density or computes its own nodes only.  A density reads its snapshot
+once, held, builds no lattice and takes its temporaries from the pass's
+``field.scratch``.  That cache is all a trajectory holds beside its run.
 
-Every time integral over a run's snapshots is a ``WindowSum``, and every
-window sum is fed by one pass over the snapshots in time order
-(``feed``): at snapshot k each sum whose window holds k reads it, those
-that read whole densities first, so that k's densities are computed once
-and the ball-local sums slice them.  A diagnostic is a ``Reading``, the
-sums it needs and its value from them, so that several diagnostics can
-share one pass (``evaluate``); a pass told not to keep drops k's
-densities once k's sums are fed.  A cylinder, certificate or monotonicity
-reading reads only the grid and snapshot times until fed, so ``cli``
-builds it before the flow, and its window and ball rules are the load
-check.  Fit constants are searched on declared finite grids; reports
-expose the fitted pair and the residual defect instead of asserting
-universal constants.
+Every time integral over a run's snapshots is a ``WindowSum``, fed by one
+pass over the snapshots in time order (``feed``): at snapshot k each sum
+whose window holds k reads it, whole-density sums first, so that k's
+densities are computed once.  A diagnostic is a ``Reading``, its sums and
+its value from them, so several diagnostics share one pass
+(``evaluate``); a pass told not to keep drops k's densities once k's sums
+are fed.  A cylinder, certificate or monotonicity reading reads only the
+grid and snapshot times until fed, so ``cli`` builds it before the flow,
+and its window and ball rules are the load check.  Fit constants are
+searched on declared finite grids; reports expose the fitted pair and the
+residual defect.
 """
 
 from __future__ import annotations
@@ -152,13 +148,11 @@ def weight_d(x0, x, d0: float):
 # -- densities ---------------------------------------------------------------
 
 def _penalty_density(traj: Trajectory, k: int, f: SphereField, nodes=None) -> np.ndarray:
-    """Lam (|u|^2 - 1)^2 / 4 of snapshot k, read from ``f`` (the snapshot,
-    held), at the interior nodes, or at the positions ``nodes``
-    into ``interior_flat``, with the strength of the run's schedule at t_k
-    (0 without a schedule); the rows are read in blocks into the scratch."""
+    """Lam (|u|^2 - 1)^2 / 4 of snapshot k of a scheduled run, read from
+    ``f`` (the snapshot, held), at the interior nodes or the positions
+    ``nodes``; the rows are read in blocks into the scratch."""
     n = f.grid.n_interior if nodes is None else len(nodes)
-    sched = traj.schedule
-    strength = sched.strength(traj.times[k]) if sched else 0.0
+    strength = traj.schedule.strength(traj.times[k])
     out = np.empty(n)
     with scratch() as sc:
         for lo in range(0, n, BLOCK_NODES):
@@ -180,10 +174,8 @@ def _gl_density(grad: np.ndarray, penalty: np.ndarray) -> np.ndarray:
 
 
 def _cache_key(traj: Trajectory, k: int) -> int:
-    """The entry of the density cache snapshot k shares: 0 when it is
-    snapshot 0 and the run has no schedule, so that its densities depend
-    on the field alone (every snapshot of an unedited static trajectory);
-    k otherwise."""
+    """Snapshot k's density cache entry: 0 where snapshot k is snapshot 0
+    of a run with no schedule (an unedited static trajectory), else k."""
     return 0 if traj.lam is None and traj.snapshots[k] is traj.snapshots[0] else k
 
 
@@ -194,17 +186,18 @@ def energy_density(traj: Trajectory, k: int, mode: str = "gl",
 
     gl mode:       |grad u|^2 / 2 + Lam (|u|^2 - 1)^2 / 4,
     gradient mode: |grad u|^2.
-    The whole density is cached on the trajectory per (``_cache_key``,
-    mode) (the strength is fixed by k), and the gl density is built from
-    the cached gradient one.  At ``nodes`` a cached density is sliced;
-    otherwise only those nodes are computed, bit for bit the slice, and
-    nothing is cached.  The cache keeps what it holds until
-    ``drop_densities`` drops it, which a pass that does not keep (``feed``)
-    does after each snapshot.  The snapshot is held for one read
-    (``SphereField.held``) that gives both parts, and no lattice is built.
+    A whole density is cached on the trajectory per (``_cache_key``, mode)
+    until ``drop_densities``; a scheduled gl density is built from the
+    cached gradient one.  With no schedule (``traj.lam`` None) Lam = 0, and
+    the gl density is 0.5 times the gradient density, never cached.  At
+    ``nodes`` a cached density is sliced; otherwise only those nodes are
+    computed, bit for bit the slice, and nothing is cached.  One held read
+    of the snapshot gives both parts, with no lattice.
     """
     if mode not in ("gl", "gradient"):
         raise ValueError(f"unknown density mode {mode!r}")
+    if mode == "gl" and traj.lam is None:
+        return 0.5 * energy_density(traj, k, "gradient", nodes)
     cache = traj._density_cache
     key = _cache_key(traj, k)
     if (key, mode) in cache:
@@ -224,21 +217,22 @@ def energy_density(traj: Trajectory, k: int, mode: str = "gl",
 
 
 def energy_report(traj: Trajectory, k: int) -> EnergyReport:
-    """Snapshot-level energy decomposition with its node density.  One held
-    read of the snapshot gives the gradient density (unless cached) and the
-    penalty density; the gl density is built from the two as
-    ``energy_density`` builds it, and both densities are cached as it
-    caches them."""
+    """Snapshot-level energy decomposition with its node density, built
+    and cached as ``energy_density`` does from one held read of the
+    snapshot; with no schedule ``penalty_part`` is 0."""
     cache = traj._density_cache
     key = _cache_key(traj, k)
     with traj.snapshots[k].held() as src:
         if (key, "gradient") not in cache:
             cache[key, "gradient"] = gradient_squared_density(src)
-        penalty = _penalty_density(traj, k, src)
+        penalty = None if traj.lam is None else _penalty_density(traj, k, src)
     grad2 = cache[key, "gradient"]
     vol = traj.grid.cell_volume
-    penalty_part = float(penalty.sum() * vol)      # before the gl density takes its array
-    density = cache.setdefault((key, "gl"), _gl_density(grad2, penalty))
+    if penalty is None:
+        penalty_part, density = 0.0, 0.5 * grad2
+    else:
+        penalty_part = float(penalty.sum() * vol)  # before the gl density takes its array
+        density = cache.setdefault((key, "gl"), _gl_density(grad2, penalty))
     return EnergyReport(gl_energy=float(density.sum() * vol),
                         dirichlet_part=float(0.5 * grad2.sum() * vol),
                         penalty_part=penalty_part, density=density)
@@ -275,8 +269,7 @@ class WindowSum:
     while a pass (``feed``) feeds it its snapshots in k order; an array
     sum is a new array at its first term and adds the later ones in place.
 
-    The one time quadrature behind every spacetime integral over a run's
-    snapshots.  ``term(k)`` returns a number or an array: a density, or
+    ``term(k)`` returns a number or an array: a density, or
     its values on the cylinder's nodes.  A kernel in a time-varying
     integrand is sampled at the left edge max(t_k, a) of the clipped
     subinterval, not at the snapshot time.  ``whole`` says that ``term``

@@ -3,16 +3,17 @@
 The extension solves the 2d+1-point discrete Laplace equation at interior
 nodes with values pinned at boundary nodes.  It is not sphere-valued and is
 used as-is by the comparison diagnostics.  A derivative density differences
-the lattice into one buffer per depth.
+the lattice into one buffer per depth but the last, which it takes at its
+region's nodes only.
 
 The solver is matrix-free conjugate gradients on the SPD operator
-``x -> 2d x - N x`` over the interior rows, where ``N x`` is the neighbour
-sum ``Grid.neighbour_rows`` of x extended by zero (the flow's stencil),
-with every component a column that carries its own step sizes.  It starts
-from the boundary mean and iterates to rounding level, whatever ``tol`` the
-caller asks for; ``tol`` only bounds the result: the max-norm of the discrete
-Laplacian over the interior, divided by h^2, is at most ``tol`` or
-``NoConvergence`` names the residual reached.
+``x -> 2d x - N x`` over the interior rows, where ``N x`` is the
+neighbour sum ``Grid.neighbour_rows`` of x extended by zero, with every
+component a column that carries its own step sizes; its vectors are updated
+in place.  It starts from the boundary mean and iterates to rounding level,
+whatever ``tol`` the caller asks for; ``tol`` only bounds the result: the
+max-norm of the discrete Laplacian over the interior, divided by h^2, is at
+most ``tol`` or ``NoConvergence`` names the residual reached.
 """
 
 from __future__ import annotations
@@ -30,6 +31,7 @@ from .geometry import EXTERIOR, Grid, neighbor_sum, put_rows, rowsq
 CG_RTOL = 1e-14
 # iteration cap of the solve; past it the residual contract decides
 CG_MAX_ITER = 10_000
+_ROWS_PER_LINE = 256       # of _by_column's view
 
 
 @dataclass
@@ -48,11 +50,8 @@ class HarmonicExtension:
         return self.field.grid
 
     def derivative_density(self, order: int) -> np.ndarray:
-        """``derivative_energy_density(self, order)``, computed once per order.
-
-        Every comparison against the extension reads the same densities, and
-        at order 3 in 3-D one evaluation takes 39 lattice-sized differences.
-        """
+        """``derivative_energy_density(self, order)``, computed once per
+        order: every comparison against the extension reads the same ones."""
         if order not in self._densities:
             self._densities[order] = derivative_energy_density(self, order)
         return self._densities[order]
@@ -66,6 +65,19 @@ def _laplacian_residual(grid: Grid, flat: np.ndarray) -> float:
 
 def _coldot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return np.einsum("ij,ij->j", a, b)
+
+
+def _by_column(a: np.ndarray, coef: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """``a * coef`` for C-contiguous (n, m) ``a`` and ``out`` and an (m,)
+    ``coef``, into ``out``: the broadcast's bits, with a long inner loop
+    over lines of ``_ROWS_PER_LINE`` rows against the tiled ``coef``."""
+    n, m = a.shape
+    head = n - n % _ROWS_PER_LINE
+    line = (-1, m * _ROWS_PER_LINE)
+    np.multiply(a[:head].reshape(line), np.tile(coef, _ROWS_PER_LINE),
+                out=out[:head].reshape(line))
+    np.multiply(a[head:], coef, out=out[head:])
+    return out
 
 
 def solve_harmonic_extension(grid: Grid, boundary_data: SphereField,
@@ -96,32 +108,35 @@ def solve_harmonic_extension(grid: Grid, boundary_data: SphereField,
     x = np.broadcast_to(ub.mean(axis=0), b.shape).copy()
 
     # the operator's input is the field itself with its boundary rows zeroed
-    # until the solve ends, so the boundary data does not enter it; the
-    # interior stencils read no exterior node
+    # until the solve ends; the interior stencils read no exterior node
     flat[bnd] = 0.0
+    q, tmp = np.empty_like(b), np.empty_like(b)
 
     def apply(v: np.ndarray) -> np.ndarray:
         put_rows(flat, idx, v)
-        return two_d * v - grid.neighbour_rows(flat)
+        np.multiply(two_d, v, out=q)
+        return np.subtract(q, grid.neighbour_rows(flat, out=tmp), out=q)
 
-    r = b - apply(x)
+    bb = _coldot(b, b)
+    r = b                      # the residual takes b's array
+    r -= apply(x)
     p = r.copy()
     rr = _coldot(r, r)
     # relative to the larger of |b| and the first residual, so a column with
     # b = 0 stops too; a stopped column keeps alpha = 0 and no longer moves
-    stop = CG_RTOL ** 2 * np.maximum(_coldot(b, b), rr)
+    stop = CG_RTOL ** 2 * np.maximum(bb, rr)
     it = 0
     while it < CG_MAX_ITER:
         live = rr > stop
         if not live.any():
             break
         it += 1
-        q = apply(p)
+        apply(p)
         alpha = np.divide(rr, _coldot(p, q), out=np.zeros_like(rr), where=live)
-        x += alpha * p
-        r -= alpha * q
+        x += _by_column(p, alpha, tmp)
+        r -= _by_column(q, alpha, tmp)
         rr_new = _coldot(r, r)
-        p *= np.divide(rr_new, rr, out=np.zeros_like(rr), where=live)
+        _by_column(p, np.divide(rr_new, rr, out=np.zeros_like(rr), where=live), p)
         p += r
         rr = rr_new
 
@@ -147,9 +162,9 @@ def derivative_energy_density(ext: HarmonicExtension | SphereField, order: int) 
     interior node in ``grid.interior_flat`` order.
 
     The evaluation region shrinks by ``order`` cells from the boundary;
-    interior nodes outside it carry zero.  The intermediate differences
-    hold wrapped values on the lattice faces; no node of the region reads
-    them.
+    interior nodes outside it carry zero.  The differences are whole-lattice
+    but the last, taken at the region's nodes; the lattice faces hold
+    wrapped values, which no region stencil reads.
     """
     f = ext.field if isinstance(ext, HarmonicExtension) else ext
     grid = f.grid
@@ -159,24 +174,28 @@ def derivative_energy_density(ext: HarmonicExtension | SphereField, order: int) 
     idx = grid.interior_flat[pos]
     if idx.size == 0:
         raise OrderTooHighForGrid(f"no interior nodes admit an order-{order} stencil")
-    # iterated whole-lattice central differences; only the region's nodes
-    # are read out, and their stencils stay inside the active set.  The
-    # stride tuples go in lexicographic order, and a tuple recomputes the
+    # the stride tuples go in lexicographic order; a tuple recomputes the
     # differences from its first stride that differs from the last tuple's,
-    # each depth into its one lattice buffer
+    # each depth but the last into its lattice buffer, the last at the
+    # region's nodes in _central_all's order
     flat = f.flat()
-    diffs = [flat] + [np.zeros_like(flat) for _ in range(order)]
+    diffs = [flat] + [np.zeros_like(flat) for _ in range(order - 1)]
     rows = np.empty((idx.size, flat.shape[1]))
+    lo = np.empty_like(rows)
+    at = np.empty_like(idx)
     sq = np.empty(idx.size)
     out = np.zeros(grid.n_interior)
     last = None
     for path in itertools.product(grid.strides(), repeat=order):
         first = 0 if last is None else [a == b for a, b in zip(path, last)].index(False)
-        for depth in range(first, order):
+        for depth in range(first, order - 1):
             _central_all(diffs[depth], path[depth], grid.h, diffs[depth + 1])
         last = path
         # the indices are in range; "clip" spares np.take a copy of its output
-        np.take(diffs[order], idx, axis=0, out=rows, mode="clip")
+        np.take(diffs[-1], np.add(idx, path[-1], out=at), axis=0, out=rows, mode="clip")
+        np.take(diffs[-1], np.subtract(idx, path[-1], out=at), axis=0, out=lo, mode="clip")
+        rows -= lo
+        rows /= 2.0 * grid.h
         out[pos] += rowsq(rows, scratch=rows, out=sq)
     return out
 

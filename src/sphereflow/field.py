@@ -22,7 +22,7 @@ is row by row.
 
 Snapshots.  A run's snapshot has one form, ``KeptSnapshot``: interior
 rows, a read-only map of the snapshot's ``.f64`` file (``io``) or an
-in-memory copy, and the run's shared boundary rows, and nothing else.
+in-memory copy, and the run's shared boundary rows.
 Its readers take rows where they can (interior, boundary or active rows,
 a span of the lattice), none of which rebuilds the lattice.
 """
@@ -85,7 +85,8 @@ class SphereField:
         or at the positions ``pos`` into it, in ``out`` or a new array that
         the caller may overwrite."""
         idx = self.grid.interior_flat if pos is None else self.grid.interior_flat[pos]
-        return np.take(self.flat(), idx, axis=0, out=out)
+        # interior_flat[pos] checked pos; "clip" spares a copy of out
+        return np.take(self.flat(), idx, axis=0, out=out, mode="clip")
 
     def boundary_rows(self) -> np.ndarray:
         """The rows at the boundary nodes, in ``grid.boundary_flat`` order,
@@ -139,21 +140,17 @@ class KeptSnapshot(SphereField):
     The one form of a run's snapshots: the interior rows are a read-only
     map of the snapshot's ``.f64`` file (``io.SnapshotStore``) or, with no
     store or past the store's map budget, a copy of the flow's rows; the
-    boundary rows are one array that every snapshot of the run shares,
-    since no step writes a boundary row.  A run's initial field
-    (``cli.ExperimentConfig.build_initial``) is the two arrays of
-    ``initial_rows``, and a ``custom-samples`` snapshot is read as its two
+    boundary rows are one array that every snapshot of the run shares.  A
+    run's initial field (``cli.ExperimentConfig.build_initial``) is the
+    two arrays of ``initial_rows``, a ``custom-samples`` snapshot its two
     files (``io.read_rows``).
 
-    ``values`` is a new read-only lattice on every read, rebuilt from the
-    two by ``lattice_values``, so a reader that needs it twice holds it.
-    ``ncomp``, ``interior_rows``, ``boundary_rows``, ``rows`` and
-    ``active_values`` rebuild nothing, and give the bytes the lattice
-    would; ``active_values`` puts the two row arrays by the grid's cached
-    mask (``Grid.active_is_interior``).  Each read of the rows copies what
-    it reads, then drops their map's pages (``_SnapshotMap.release``), or
-    once at the end of a ``held`` block.  Memory per snapshot is at most
-    its interior rows, not a lattice.
+    ``values`` is a new read-only lattice on every read
+    (``lattice_values``), so a reader that needs it twice holds it; the
+    other reads rebuild nothing and give the bytes the lattice would.
+    Each read of the rows copies what it reads, then drops their map's
+    pages (``_SnapshotMap.release``), or once at the end of a ``held``
+    block.  Memory per snapshot is at most its interior rows.
     """
 
     def __init__(self, grid: Grid, rows: np.ndarray, boundary_rows: np.ndarray):
@@ -188,7 +185,11 @@ class KeptSnapshot(SphereField):
 
     def interior_rows(self, pos=None, out=None) -> np.ndarray:
         if pos is not None:
-            out = np.take(self._rows, pos, axis=0, out=out)
+            # checked once; "clip" spares a copy of out
+            pos, n = np.asarray(pos), self._rows.shape[0]
+            if pos.size and not (pos.min() >= 0 and pos.max() < n):
+                raise IndexError(f"interior positions must lie in [0, {n})")
+            out = np.take(self._rows, pos, axis=0, out=out, mode="clip")
         elif out is None:
             out = self._rows.copy()
         else:

@@ -17,61 +17,51 @@ variant replaces the penalty substep by exact normalization of the
 interior nodes.  Runs and the public single steps all go through ``_step``.
 
 Data path of one step.  A run carries one (n_interior, D+1) array,
-``rows``, the field's interior rows, which each step overwrites in place.
+``rows``, the field's interior rows, overwritten in place by each step.
 ``_step`` makes one pass over the groups of ``Grid.neighbour_blocks``
-(``Grid.row_groups``: consecutive stencil blocks of at most
-``geometry.BLOCK_NODES`` interior rows), reading the field, still the
-state stepped from, and does a group's work while its neighbour sums N
-are in cache: the record's sum of u.(2d u - N), the diffusion
-``x *= c; x += mu N`` (the bits of c u + mu N), the norm reaction (or the
-normalization), and the sum of the new rows' squared norm defects and
-their largest |u|^2.  The record's sums are added group by group, in
-group order, so a run of one group has the bits of the whole-array sums
-and a run of several differs in the last digits only; the sup-norm guard
-is exact either way.  The new rows are then scattered into the field
-(``put_rows``), and the guard runs with the boundary maximum, fixed since
-no step writes a boundary row.  The Dirichlet record is completed by
-summation by parts over the interior-boundary links, whose interior ends
-are read from the field before the scatter; the last state's record takes
-one more pass of neighbour sums.  Every |u|^2 is ``geometry.rowsq`` and
-every division by a per-row divisor ``geometry.scale_rows``, so the
-guard, ``SphereField.max_norm`` and the records take one definition.
-Nothing in a step copies or writes a lattice-sized array but the field.
+(``Grid.row_groups``: at most ``geometry.BLOCK_NODES`` interior rows),
+reading the field, still the state stepped from, and does a group's work
+while its neighbour sums N are in cache: the record's sum of
+u.(2d u - N), the diffusion ``x *= c; x += mu N`` (the bits of
+c u + mu N), the norm reaction or normalization, and the new rows'
+squared norm defects and largest |u|^2.  The record's sums are added in
+group order, so a one-group run has the bits of the whole-array sums and
+a longer one differs in the last digits; the sup-norm guard is exact.
+The new rows are then scattered into the field (``put_rows``), and the
+guard takes the boundary maximum, fixed since no step writes a boundary
+row.  The Dirichlet record is completed by summation by parts over the
+interior-boundary links, read before the scatter; the last state's
+record takes one more pass of neighbour sums.  Every |u|^2 is
+``geometry.rowsq`` and every per-row division ``geometry.scale_rows``, so
+the guard, ``SphereField.max_norm`` and the records share one definition.
+Nothing in a step writes a lattice-sized array but the field.
 
-Buffers.  ``_run`` takes the interior and boundary rows of ``u0`` once
-(``interior_rows`` and ``boundary_rows``, which rebuild no lattice of a
-``field.KeptSnapshot``, the form of the command line's initial field) and
-builds its own field from them (``field.lattice_values``, exterior rows
-zero, whatever ``u0`` holds there); ``_step`` mutates that field in
-place, and it is the only lattice of a command-line run's state.  Those
-rows are copies, so no step writes the caller's ``u0``, unless the caller
-hands them over (``handover=True``, ``KeptSnapshot.hand_over``): then
-``u0``'s own interior rows are the array the run steps in place and
-``u0`` holds no rows afterwards, so a command-line run makes no copy of
-them.  At each snapshot step the trajectory takes a snapshot
-of it.  Without a store (``store=None``) that is a ``field.KeptSnapshot``:
-a copy of ``rows``, which are the field's interior rows at that point, so
-capture gathers nothing, and the one array of boundary rows taken at the
-start, shared by every kept snapshot since no step writes a boundary
-row.  A kept snapshot rebuilds its lattice, read-only and bit for bit
-the field's, on each read of its ``values``; readers that need only
-interior rows (or a few rows, or the active rows) take them with no
-rebuild.  The last snapshot is the field itself, which no step writes
-again.  So a store-less run's heap grows by one interior-row array per
-snapshot.  With a store the trajectory holds what ``store.take(u, rows)``
-returns: a ``io.SnapshotStore`` writes ``rows`` themselves to the
-snapshot's file and returns a ``field.KeptSnapshot`` whose rows are a
-read-only map of that file, so a run's heap does not grow with its
-snapshot count, and each read drops the map's pages again, so its
-resident set does not either.  Either way no later step writes a
-returned snapshot.  A store may also consume each snapshot as it is
-taken and return a view of the field: a sweep case's store
-(``cli._CaseStream``) feeds snapshot k to the window sums its row reads
-at capture, so the case holds no snapshot, and every entry of its
-trajectory is a view of the run's final field.  The projected reference
-such a case is compared with runs through a ``SnapshotStore`` whose files
-are removed as soon as the run returns (``cli._reference``): its maps
-stay readable, so the reference holds no snapshot on the heap.
+Buffers.  ``_run`` takes ``u0``'s interior and boundary rows once
+(``interior_rows``, ``boundary_rows``: no lattice rebuilt for a
+``field.KeptSnapshot``, the command line's initial field) and builds its
+own field from them (``field.lattice_values``, exterior rows zero);
+``_step`` mutates that field in place, the only lattice of a command-line
+run's state.  The rows are copies, so no step writes ``u0``, unless the
+caller hands them over (``handover=True``, ``KeptSnapshot.hand_over``):
+then ``u0``'s interior rows are the array stepped in place and ``u0``
+holds no rows afterwards.  At each snapshot step the trajectory takes a
+snapshot.  Without a store it is a ``field.KeptSnapshot``: a copy of ``rows`` and the one boundary-row array
+taken at the start, shared by every kept snapshot since no step writes a
+boundary row, so a store-less run's heap grows by one interior-row array
+per snapshot.  The last snapshot is the field itself, which no step
+writes again.  With a store the trajectory holds what
+``store.take(u, rows)`` returns: an ``io.SnapshotStore`` writes ``rows``
+to the snapshot's file and returns a kept snapshot whose rows are a
+read-only map of it, so neither the heap nor, since each read drops the
+map's pages, the resident set grows with the snapshot count.  No later
+step writes a returned snapshot.  A store may instead consume each
+snapshot as it is taken and return a view of the field: a sweep case's
+store (``cli._CaseStream``) feeds snapshot k to its window sums at
+capture, so the case holds no snapshot and every entry of its trajectory
+is a view of the final field.  The projected reference such a case is
+compared with runs through a ``SnapshotStore`` whose files are removed as
+soon as the run returns (``cli._reference``): its maps stay readable and
+no snapshot is on the heap.
 Beyond the field, ``rows`` and the snapshots a run holds the boundary
 links and one group's scratch (``_buffers``), allocated once: the group's
 neighbour sums, its |u|^2, and a block scratch of ``Grid.block_rows()``

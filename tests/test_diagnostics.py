@@ -496,6 +496,70 @@ def test_replaced_trajectory_starts_with_an_empty_density_cache(disc16):
     assert sorted(traj._density_cache) == [(0, "gradient")]
 
 
+@pytest.mark.parametrize("run", ["projected", "static"])
+def test_unscheduled_gl_density_is_half_the_gradient_density(disc32, cap60_32, run):
+    # a run with no schedule has Lam = 0: its gl density, whole or at a
+    # ball, is 0.5 times its gradient density bit for bit, and only the
+    # gradient density is cached
+    if run == "projected":
+        traj = run_projected(cap60_32, SolverConfig(dt=SolverConfig.auto_dt(disc32),
+                                                    T=0.05, output_stride=8))
+    else:
+        traj = Trajectory.static(cap60_32, [0.0, 0.1, 0.2])
+    nodes = disc32.nodes_within(np.array([0.3, -0.2]), 0.25)
+    for k in (1, 2):
+        ball = energy_density(_fresh(traj), k, "gl", nodes)
+        whole = energy_density(traj, k, "gl")
+        grad = energy_density(traj, k, "gradient")
+        assert grad.any()
+        assert np.array_equal(whole, 0.5 * grad)
+        assert np.array_equal(ball, 0.5 * grad[nodes])
+        assert np.array_equal(energy_density(traj, k, "gl", nodes), ball)
+        report = energy_report(traj, k)
+        assert report.penalty_part == 0.0
+        assert np.array_equal(report.density, whole)
+        assert report.dirichlet_part == report.gl_energy
+    assert {mode for _, mode in traj._density_cache} == {"gradient"}
+
+
+def test_unscheduled_gl_density_of_an_overflowing_field_is_finite(disc16):
+    # with Lam = 0 no penalty is read, so |u|^2 = inf gives no NaN
+    with np.errstate(over="ignore"):        # the static records' max norm
+        traj = Trajectory.static(SphereField(disc16, np.full(disc16.shape + (3,), 1e200)),
+                                 [0.0, 0.1])
+    assert not energy_density(traj, 1, "gl").any()
+    assert energy_report(traj, 1).gl_energy == 0.0
+
+
+def test_scheduled_trajectory_caches_its_gl_density(disc16, rng):
+    traj = _random_trajectory(disc16, rng)
+    gl = energy_density(traj, 1, "gl")
+    assert traj._density_cache[1, "gl"] is gl
+    report = energy_report(traj, 2)
+    assert traj._density_cache[2, "gl"] is report.density
+    assert report.penalty_part > 0.0
+    assert sorted(traj._density_cache) == [(1, "gl"), (1, "gradient"),
+                                           (2, "gl"), (2, "gradient")]
+
+
+def test_regularity_pipeline_caches_gradient_densities_only():
+    # the scan and both comparisons on a projected run read gl densities
+    # at every snapshot; the cache holds one gradient density per snapshot
+    g = build_grid(Domain.unit_ball(3), 1 / 8)
+    u0 = generate(InitialData(kind="equator-hedgehog"), g, 2)
+    traj = run_projected(u0, SolverConfig(dt=SolverConfig.auto_dt(g), T=0.125,
+                                          output_stride=2))
+    detect_singular_set(traj, SingularConfig(eps0=1.0, radii=[0.25, 0.5],
+                                             space_stride=2))
+    ext = solve_harmonic_extension(g, u0)
+    cyl = CylinderSpec(t0=0.06, x0=np.array([0.1, -0.1, 0.2]), R=0.25)
+    reverse_poincare_ratio(traj, ext, cyl)
+    hybrid_report(traj, ext, cyl, eps0=0.5)
+    cache = traj._density_cache
+    assert cache and {mode for _, mode in cache} == {"gradient"}
+    assert {k for k, _ in cache} == set(range(len(traj.snapshots) - 1))
+
+
 # -- kept snapshots -------------------------------------------------------------------
 
 def _same(a, b) -> bool:

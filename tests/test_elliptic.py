@@ -1,4 +1,5 @@
 import dataclasses
+import itertools
 import os
 import subprocess
 import sys
@@ -11,7 +12,7 @@ from sphereflow.elliptic import (derivative_energy_density, higher_derivative_en
                                  solve_harmonic_extension, _depth_mask)
 from sphereflow.errors import GridMismatch, OrderTooHighForGrid
 from sphereflow.field import InitialData, SphereField, dirichlet_energy, generate
-from sphereflow.geometry import Domain, build_grid
+from sphereflow.geometry import Domain, build_grid, put_rows, rowsq
 
 SRC = str(Path(__file__).resolve().parents[1] / "src")
 
@@ -230,3 +231,84 @@ def test_derivative_density_leaves_no_buffer_for_the_collector():
         tracemalloc.stop()
         gc.enable()
     assert after - before <= dens.nbytes + 16384
+
+
+def _broadcast_cg(grid, bd):
+    """Reference solve with fresh vectors per iteration and broadcast
+    (n, 3) x (3,) coefficient products: (field, iterations)."""
+    from sphereflow.elliptic import CG_MAX_ITER, CG_RTOL
+    out = bd.copy()
+    flat = out.flat()
+    idx, bnd = grid.interior_flat, grid.boundary_flat
+    flat[idx] = 0.0
+    b = grid.neighbour_rows(flat)
+    ub = np.take(flat, bnd, axis=0)
+    x = np.broadcast_to(ub.mean(axis=0), b.shape).copy()
+    flat[bnd] = 0.0
+
+    def apply(v):
+        put_rows(flat, idx, v)
+        return 2.0 * grid.d * v - grid.neighbour_rows(flat)
+
+    def coldot(a, c):
+        return np.einsum("ij,ij->j", a, c)
+
+    r = b - apply(x)
+    p = r.copy()
+    rr = coldot(r, r)
+    stop = CG_RTOL ** 2 * np.maximum(coldot(b, b), rr)
+    it = 0
+    while it < CG_MAX_ITER and (rr > stop).any():
+        live = rr > stop
+        it += 1
+        q = apply(p)
+        alpha = np.divide(rr, coldot(p, q), out=np.zeros_like(rr), where=live)
+        x += alpha * p
+        r -= alpha * q
+        rr_new = coldot(r, r)
+        p *= np.divide(rr_new, rr, out=np.zeros_like(rr), where=live)
+        p += r
+        rr = rr_new
+    put_rows(flat, bnd, ub)
+    put_rows(flat, idx, x)
+    return out, it
+
+
+@pytest.mark.parametrize("d, h", [(2, 1 / 16), (3, 1 / 8)])
+def test_in_place_cg_is_the_broadcast_cg(d, h):
+    from sphereflow.elliptic import _laplacian_residual
+    g = build_grid(Domain.unit_ball(d), h)
+    bd = first_harmonic_data(g) if d == 2 else generate(
+        InitialData(kind="equator-hedgehog"), g, 2)
+    want, it = _broadcast_cg(g, bd)
+    ext = solve_harmonic_extension(g, bd)
+    assert it > 40
+    assert ext.field.values.tobytes() == want.values.tobytes()
+    assert ext.iterations == it
+    assert ext.residual == _laplacian_residual(g, want.flat())
+
+
+def _lattice_derivative_density(f, order):
+    """Reference derivative density: every depth a whole-lattice buffer,
+    read at the region's nodes."""
+    from sphereflow.elliptic import _central_all
+    g = f.grid
+    pos = np.flatnonzero(_depth_mask(g, order)[g.interior_flat])
+    idx = g.interior_flat[pos]
+    diffs = [f.flat()] + [np.zeros_like(f.flat()) for _ in range(order)]
+    out = np.zeros(g.n_interior)
+    for path in itertools.product(g.strides(), repeat=order):
+        for depth, s in enumerate(path):
+            _central_all(diffs[depth], s, g.h, diffs[depth + 1])
+        out[pos] += rowsq(diffs[order][idx])
+    return out
+
+
+@pytest.mark.parametrize("domain", [Domain.unit_ball(2), Domain.unit_ball(3),
+                                    Domain.box([[0, 1], [0, 1.5], [0, 1]])])
+def test_derivative_density_is_the_lattice_form(domain, rng):
+    g = build_grid(domain, 1 / 16 if domain.d == 2 else 1 / 8)
+    f = SphereField(g, rng.standard_normal(g.shape + (3,)))
+    for order in (1, 2, 3):
+        assert np.array_equal(derivative_energy_density(f, order),
+                              _lattice_derivative_density(f, order))

@@ -356,6 +356,36 @@ def test_kept_snapshot_reads_are_the_lattice_gathers(tmp_path, monkeypatch, form
     assert sorted(vars(kept)) == ["_boundary_rows", "_rows", "grid"]
 
 
+@pytest.mark.parametrize("form", ["lattice", "kept", "mapped"])
+def test_interior_rows_into_out_make_no_copy_of_out(tmp_path, form):
+    # a gather into ``out`` traces less than a quarter of out's bytes (a
+    # checked gather would copy out first), and a position past the last
+    # interior row raises as before
+    import tracemalloc
+    grid = build_grid(Domain.unit_ball(3), 1 / 16)
+    f = _stepped(grid)
+    snap = {"lattice": lambda: f,
+            "kept": lambda: field.KeptSnapshot(grid, f.interior_rows(), f.boundary_rows()),
+            "mapped": lambda: sfio.SnapshotStore(tmp_path).take(f, f.interior_rows())}[form]()
+    # the lattice field's positions would be a gather index of their own
+    pos = None if form == "lattice" else np.arange(grid.n_interior)[::-1].copy()
+    out = np.empty((grid.n_interior, 3))
+    tracemalloc.start()
+    try:
+        got = snap.interior_rows(pos, out=out)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert got is out and out.tobytes() == f.interior_rows(pos).tobytes()
+    assert peak < out.nbytes / 4
+    bad = [[grid.n_interior], [0, grid.n_interior]]
+    if form != "lattice":
+        bad.append([-1])        # a kept snapshot checks its positions
+    for wrong in bad:
+        with pytest.raises(IndexError):
+            snap.interior_rows(np.array(wrong), out=out[:len(wrong)])
+
+
 def test_a_snapshot_is_its_rows_in_two_files(tmp_path, disc16):
     # the .f64 file holds the interior rows, the .bnd file the boundary rows,
     # and the directory's index their shape and the boundary file's name; the
